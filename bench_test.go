@@ -20,7 +20,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/metrics"
-	"repro/internal/pathline"
 	"repro/internal/prefetch"
 	"repro/internal/seeds"
 	"repro/internal/sim"
@@ -433,23 +432,33 @@ func BenchmarkStreamlineMarshal(b *testing.B) {
 // pathlines through a time-sliced dataset need many more (smaller) reads
 // than steady streamlines over the same geometry.
 func BenchmarkPathlineIOAmplification(b *testing.B) {
-	tok := field.DefaultTokamak()
-	unsteady := pathline.Steady{Eval: tok.Eval, Box: tok.Bounds(), T0: 0, T1: 20}
-	d := grid.NewDecomposition(tok.Bounds(), 4, 4, 2, 16)
-	series, err := pathline.NewSeries(unsteady, d, 21)
-	if err != nil {
-		b.Fatal(err)
+	saw := field.DefaultSawtoothTokamak()
+	d := grid.NewDecomposition(saw.Bounds(), 4, 4, 2, 16)
+	steady := core.Problem{
+		Provider: grid.AnalyticProvider{F: saw, D: d},
+		Seeds: []vec.V3{
+			vec.Of(saw.MajorRadius+0.05, 0, 0),
+			vec.Of(saw.MajorRadius+0.12, 0, 0),
+		},
+		IntOpts:  integrate.Options{Tol: 1e-6, HMax: 0.05},
+		MaxSteps: 50000,
 	}
-	seedPts := []vec.V3{
-		vec.Of(tok.MajorRadius+0.05, 0, 0),
-		vec.Of(tok.MajorRadius+0.12, 0, 0),
+	_, steady.MaxTime = saw.TimeRange()
+	d.TimeSlices = 21
+	d.T0, d.T1 = saw.TimeRange()
+	sliced := steady
+	sliced.Provider = grid.AnalyticProviderT{F: saw, D: d}
+	cfg := core.Config{Procs: 1, Algorithm: core.LoadOnDemand, Disk: store.DefaultDisk()}
+	loads := func(p core.Problem) float64 {
+		res, err := core.Run(p, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return float64(res.Summary.BlocksLoaded)
 	}
 	var amplification float64
 	for i := 0; i < b.N; i++ {
-		tr := pathline.NewTracer(series, integrate.Options{Tol: 1e-6, HMax: 0.05}, 0)
-		paths := tr.TraceAll(seedPts, 0, 50000)
-		steady := pathline.StreamlineLoads(paths, d)
-		amplification = float64(tr.Loads) / float64(steady)
+		amplification = loads(sliced) / loads(steady)
 	}
 	b.ReportMetric(amplification, "io-amplification")
 }
@@ -605,7 +614,7 @@ func BenchmarkUnsteadyCampaign(b *testing.B) {
 	}
 	for _, alg := range core.Algorithms() {
 		b.Run(string(alg), func(b *testing.B) {
-			cfg := experiments.UnsteadyMachineConfig(alg, procs, sc, sc.TimeSlices)
+			cfg := experiments.KeyMachineConfig(experiments.Key{Alg: alg, Procs: procs, Unsteady: true}, sc)
 			var s metrics.Summary
 			for i := 0; i < b.N; i++ {
 				res, err := core.Run(prob, cfg)

@@ -7,8 +7,6 @@
 // list; the sweep then runs its cells concurrently (-j workers, one per
 // CPU core by default) and prints one summary line per processor count.
 //
-// Usage:
-//
 // With -unsteady the same experiment traces pathlines instead: the
 // dataset's time-varying field is served as a time-sliced decomposition
 // (-tslices stored slices, default per scale) and every algorithm
@@ -42,7 +40,7 @@
 // with or without it, and the trace itself is byte-identical across
 // repeated runs.
 //
-// Usage examples:
+// Usage:
 //
 //	slrun -dataset astro -seeding sparse -alg hybrid -procs 128
 //	slrun -dataset thermal -seeding dense -alg static   # reproduces the OOM

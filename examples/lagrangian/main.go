@@ -14,10 +14,11 @@ import (
 	"math"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
-	"repro/internal/pathline"
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -84,23 +85,48 @@ func main() {
 		inside, len(punctures))
 
 	// --- Pathlines: the §8 I/O problem, quantified ---
-	unsteady := pathline.Steady{Eval: tok.Eval, Box: tok.Bounds(), T0: 0, T1: 20}
-	d := grid.NewDecomposition(tok.Bounds(), 4, 4, 2, 16)
-	series, err := pathline.NewSeries(unsteady, d, 21) // 20 stored time steps
+	steady, sliced, d, err := pathlineReads()
 	if err != nil {
 		log.Fatal(err)
 	}
-	tracer := pathline.NewTracer(series, integrate.Options{Tol: 1e-6, HMax: 0.05}, 0)
-	seeds := []vec.V3{
-		vec.Of(tok.MajorRadius+0.05, 0, 0),
-		vec.Of(tok.MajorRadius+0.12, 0, 0),
-		vec.Of(tok.MajorRadius-0.08, 0, 0.05),
-	}
-	paths := tracer.TraceAll(seeds, 0, 50000)
-	steadyLoads := pathline.StreamlineLoads(paths, d)
-	fmt.Printf("\npathlines through %d time steps: %d block-slice reads (%d MB)\n",
-		series.NT, tracer.Loads, tracer.BytesLoaded>>20)
-	fmt.Printf("equivalent steady streamlines:   %d block reads\n", steadyLoads)
+	fmt.Printf("\npathlines through %d time slices: %d block-slice reads (%d MB)\n",
+		d.TimeSlices, sliced, sliced*d.BlockBytes()>>20)
+	fmt.Printf("equivalent steady streamlines:    %d block reads\n", steady)
 	fmt.Printf("I/O amplification: %.1fx — the \"many small reads\" problem of the paper's §8\n",
-		float64(tracer.Loads)/float64(steadyLoads))
+		float64(sliced)/float64(steady))
+}
+
+// pathlineReads traces the same three field lines on one Load-On-Demand
+// processor, first through the sawtooth tokamak frozen at t=0 (steady
+// blocks), then through the same field time-sliced into 20 epochs, and
+// returns the block reads of each run with the sliced decomposition.
+// Every (block, epoch) pair is its own unit of I/O (DESIGN.md §7), so a
+// pathline re-reads each spatial block once per epoch it spends there.
+func pathlineReads() (steady, sliced int64, d grid.Decomposition, err error) {
+	saw := field.DefaultSawtoothTokamak()
+	d = grid.NewDecomposition(saw.Bounds(), 4, 4, 2, 16)
+	prob := core.Problem{
+		Provider: grid.AnalyticProvider{F: saw, D: d},
+		Seeds: []vec.V3{
+			vec.Of(saw.MajorRadius+0.05, 0, 0),
+			vec.Of(saw.MajorRadius+0.12, 0, 0),
+			vec.Of(saw.MajorRadius-0.08, 0, 0.05),
+		},
+		IntOpts:  integrate.Options{Tol: 1e-6, HMax: 0.05},
+		MaxSteps: 50000,
+	}
+	_, prob.MaxTime = saw.TimeRange()
+	cfg := core.Config{Procs: 1, Algorithm: core.LoadOnDemand, Disk: store.DefaultDisk()}
+	res, err := core.Run(prob, cfg)
+	if err != nil {
+		return 0, 0, d, err
+	}
+	steady = res.Summary.BlocksLoaded
+	d.TimeSlices = 21 // 20 epochs
+	d.T0, d.T1 = saw.TimeRange()
+	prob.Provider = grid.AnalyticProviderT{F: saw, D: d}
+	if res, err = core.Run(prob, cfg); err != nil {
+		return 0, 0, d, err
+	}
+	return steady, res.Summary.BlocksLoaded, d, nil
 }

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/prefetch"
 	"repro/internal/trace"
 )
 
@@ -41,10 +42,16 @@ func main() {
 	// not. The digest canonicalizes geometry, so one string per
 	// algorithm makes the equivalence visible.
 	procs := sc.ProcCounts[0]
+	unsteadyConfig := func(alg core.Algorithm) core.Config {
+		return experiments.KeyMachineConfig(experiments.Key{
+			Dataset: experiments.Astro, Seeding: experiments.Sparse, Alg: alg, Procs: procs, Unsteady: true,
+			Prefetch: prefetch.Off, Injection: experiments.InjectT0, Faults: experiments.FaultsOff,
+		}, sc)
+	}
 	fmt.Printf("pathline geometry digests (%d processors):\n", procs)
 	var reference string
 	for _, alg := range core.Algorithms() {
-		cfg := experiments.UnsteadyMachineConfig(alg, procs, sc, sc.TimeSlices)
+		cfg := unsteadyConfig(alg)
 		cfg.CollectTraces = true
 		res, err := core.Run(unsteady, cfg)
 		if err != nil {
@@ -74,8 +81,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s steady: %v", alg, err)
 		}
-		ucfg := experiments.UnsteadyMachineConfig(alg, procs, sc, sc.TimeSlices)
-		ures, err := core.Run(unsteady, ucfg)
+		ures, err := core.Run(unsteady, unsteadyConfig(alg))
 		if err != nil {
 			log.Fatalf("%s unsteady: %v", alg, err)
 		}

@@ -85,8 +85,10 @@ func main() {
 	fmt.Println("\nunsteady (pathline) ondemand, prefetch off vs temporal:")
 	fmt.Printf("  %-9s %9s %9s %9s %9s %12s\n", "policy", "wall(s)", "io(s)", "epochs", "hidden(s)", "hit/issued")
 	for _, policy := range []prefetch.Policy{prefetch.Off, prefetch.Temporal} {
-		cfg := experiments.UnsteadyMachineConfig(core.LoadOnDemand, procs, sc, sc.TimeSlices)
-		cfg.Prefetch = prefetch.Config{Policy: policy, Depth: sc.PrefetchDepth}
+		cfg := experiments.KeyMachineConfig(experiments.Key{
+			Dataset: experiments.Astro, Seeding: experiments.Sparse, Alg: core.LoadOnDemand, Procs: procs,
+			Unsteady: true, Prefetch: policy, Injection: experiments.InjectT0, Faults: experiments.FaultsOff,
+		}, sc)
 		res, err := core.Run(unsteady, cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", policy, err)

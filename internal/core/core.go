@@ -1,5 +1,8 @@
 // Package core implements four parallel streamline algorithms over the
-// simulated cluster — the paper's three plus a decentralized ablation:
+// simulated cluster — the paper's three plus a decentralized ablation —
+// as four rows of one table (policies, below; DESIGN.md §4): a row is a
+// placement (its builder), a balancing discipline, a termination rule
+// and its fault-recovery entry points.
 //
 //   - Static Allocation (Section 4.1): parallelize over blocks; each
 //     processor owns a fixed 1/n of the blocks and streamlines are
@@ -12,10 +15,16 @@
 //     slaves, applying the five rules (Assign-loaded, Assign-unloaded,
 //     Send-force, Send-hint, Load) in the paper's 7-step sequence.
 //   - Work Stealing (this repo's extension of the paper's Section 8
-//     outlook; see DESIGN.md §6): Load On Demand's 1/n split and LRU
-//     cache, but idle processors steal batches of inactive streamlines
-//     from probed victims, with termination detected by a circulating
-//     token ring — fully decentralized, no masters, no global counter.
+//     outlook; see DESIGN.md §6): Load On Demand's loop with balancing
+//     on — idle processors steal batches of inactive streamlines from
+//     probed victims, with termination detected by a circulating token
+//     ring — fully decentralized, no masters, no global counter.
+//
+// The shared mechanisms are written once: the pool-worker loop
+// (stealing.go, pool.go) runs both pool rows, every role parks
+// not-yet-released seeds in a releaseQueue, drains its inbox with
+// worker.drain, and lists what it holds through worker.resident for the
+// recovery layer's one salvage routine (recovery.go).
 //
 // All four trace either workload: steady streamlines, or — when the
 // problem's decomposition is time-sliced (DESIGN.md §7) — unsteady
@@ -65,6 +74,60 @@ func Algorithms() []Algorithm {
 
 // PaperAlgorithms lists only the paper's original three strategies.
 func PaperAlgorithms() []Algorithm { return []Algorithm{StaticAlloc, LoadOnDemand, HybridMS} }
+
+// balancing names how a row moves work between processors after the
+// initial placement.
+type balancing int
+
+const (
+	balanceNone   balancing = iota // work stays where it was placed (static: follows block ownership)
+	balanceMaster                  // masters assign seeds and blocks by the five rules
+	balanceSteal                   // dry processors probe peers for batches
+)
+
+// termination names how a row's processors learn the run is over.
+type termination int
+
+const (
+	finishByCount  termination = iota // processor 0 counts terminations, broadcasts all-done
+	finishOwnSplit                    // each exits when its own split is done (the ledger, under a fault plan)
+	finishByMaster                    // the coordinator master counts, masters shut their slaves down
+	finishByToken                     // a token ring sums monotone completion counts
+)
+
+// policy is one row of the design-space table (DESIGN.md §4): what an
+// algorithm is, as far as Run and the recovery layer can tell.
+type policy struct {
+	// build spawns the processors and places blocks and seeds on them.
+	build   func(*runState)
+	balance balancing
+	finish  termination
+	// check rejects configs the row cannot run; nil accepts all.
+	check func(*Config) error
+	// The recovery entry points (recovery.go). died salvages and
+	// re-homes what was lost with processor idx; route re-homes
+	// salvaged records (dead letters included) anchored at deadIdx;
+	// ledgerFull, when set, runs as the completion ledger reaches the
+	// seed total under a fault plan.
+	died       func(r *runState, idx int, envs []comm.Envelope)
+	route      func(r *runState, recs []seedRec, deadIdx int)
+	ledgerFull func(r *runState)
+}
+
+// policies is the table: four algorithms, four rows. Static allocation's
+// recovery column is the typed refusal.
+var policies = map[Algorithm]policy{
+	StaticAlloc: {build: (*runState).buildStatic, balance: balanceNone, finish: finishByCount,
+		died: (*runState).staticDied},
+	LoadOnDemand: {build: (*runState).buildPoolWorkers, balance: balanceNone, finish: finishOwnSplit,
+		died: (*runState).poolWorkerDied, route: (*runState).routeToSurvivors, ledgerFull: (*runState).releaseSurvivors},
+	HybridMS: {build: (*runState).buildHybrid, balance: balanceMaster, finish: finishByMaster,
+		check: checkHybrid,
+		died:  (*runState).hybridDied, route: (*runState).routeToMaster},
+	WorkStealing: {build: (*runState).buildPoolWorkers, balance: balanceSteal, finish: finishByToken,
+		check: func(c *Config) error { return c.Steal.Validate() },
+		died:  (*runState).poolWorkerDied, route: (*runState).routeToSuccessor},
+}
 
 // Problem describes one streamline computation: the dataset, the seed
 // set, and the integration budget.
@@ -257,9 +320,9 @@ type Config struct {
 	// *store.OOMError, the paper's Static-Allocation dense-seeding
 	// failure mode.
 	MemoryBudget int64
-	// CommunicateGeometry controls whether migrating streamlines carry
-	// their geometry (the default, matching the paper) or only solver
-	// state (the paper's §8 proposed optimization).
+	// NoGeometry makes migrating streamlines carry only solver state (the
+	// paper's §8 proposed optimization) instead of their geometry (the
+	// default, matching the paper).
 	NoGeometry bool
 	// Hybrid holds the master/slave tuning parameters.
 	Hybrid HybridParams
@@ -297,16 +360,12 @@ func (c *Config) Validate() error {
 	if c.Procs <= 0 {
 		return fmt.Errorf("core: non-positive processor count %d", c.Procs)
 	}
-	switch c.Algorithm {
-	case StaticAlloc, LoadOnDemand, HybridMS, WorkStealing:
-	default:
+	row, ok := policies[c.Algorithm]
+	if !ok {
 		return fmt.Errorf("core: unknown algorithm %q", c.Algorithm)
 	}
-	if c.Algorithm == HybridMS && c.Procs < 2 {
-		return errors.New("core: hybrid needs at least 1 master and 1 slave")
-	}
-	if c.Algorithm == WorkStealing {
-		if err := c.Steal.Validate(); err != nil {
+	if row.check != nil {
+		if err := row.check(c); err != nil {
 			return err
 		}
 	}
@@ -354,6 +413,7 @@ func Run(p Problem, cfg Config) (*Result, error) {
 	r := &runState{
 		prob:    &p,
 		cfg:     &cfg,
+		alg:     policies[cfg.Algorithm],
 		kernel:  sim.New(),
 		collect: metrics.NewCollector(cfg.Procs),
 		pf:      prefetch.New(p.Provider.Decomp(), cfg.Prefetch),
@@ -390,16 +450,7 @@ func Run(p Problem, cfg Config) (*Result, error) {
 		r.kernel.SetDeadLetter(r.onDeadLetter)
 	}
 
-	switch cfg.Algorithm {
-	case StaticAlloc:
-		r.buildStatic()
-	case LoadOnDemand:
-		r.buildOnDemand()
-	case HybridMS:
-		r.buildHybrid()
-	case WorkStealing:
-		r.buildStealing()
-	}
+	r.alg.build(r)
 
 	if r.faultsOn {
 		// Arm the plan in canonical (time, proc) order: simultaneous
@@ -451,6 +502,7 @@ func Run(p Problem, cfg Config) (*Result, error) {
 type runState struct {
 	prob    *Problem
 	cfg     *Config
+	alg     policy // cfg.Algorithm's row of the policies table
 	kernel  *sim.Kernel
 	fabric  *comm.Fabric
 	collect *metrics.Collector
@@ -478,10 +530,9 @@ type runState struct {
 	// would keep outside any single processor's memory. It feeds token
 	// regeneration and the coordinator recheck after a death.
 	completedTotal int
-	// odPools registers each Load-On-Demand worker's pool for salvage.
-	odPools []*pool
-	// thieves registers each work-stealing processor.
-	thieves []*thief
+	// poolWorkers registers each Load-On-Demand or work-stealing
+	// processor.
+	poolWorkers []*poolWorker
 	// tokenHolder is the endpoint currently holding the termination
 	// token (-1 while the token is in flight or retired); when the
 	// holder dies the recovery layer regenerates the token.
@@ -533,12 +584,8 @@ func (r *runState) complete(w *worker, sl *trace.Streamline) {
 	}
 	if r.faultsOn {
 		r.completedTotal++
-		if r.cfg.Algorithm == LoadOnDemand && r.completedTotal == len(r.prob.Seeds) {
-			// Load On Demand has no coordinator; under faults its
-			// workers outlive their own splits (a later death may orphan
-			// work only they can adopt), so the ledger reaching the
-			// total is what releases them.
-			r.odBroadcastDone()
+		if r.completedTotal == len(r.prob.Seeds) && r.alg.ledgerFull != nil {
+			r.alg.ledgerFull(r)
 		}
 	}
 }
@@ -579,6 +626,70 @@ func (r *runState) seedRecords() []seedRec {
 	return recs
 }
 
+// releaseQueue parks work whose injection time (DESIGN.md §9) has not
+// arrived and hands it back in (release, id) order — the one
+// deterministic activation order, whoever holds the work: static owners
+// and pool workers park streamlines, masters park seed records.
+type releaseQueue[T any] struct {
+	key    func(T) (release float64, id int)
+	items  []T
+	sorted bool
+}
+
+func slKey(sl *trace.Streamline) (float64, int) { return sl.Release, sl.ID }
+func recKey(rec seedRec) (float64, int)         { return rec.release, rec.id }
+
+func (q *releaseQueue[T]) push(x T) {
+	q.items = append(q.items, x)
+	q.sorted = false
+}
+
+// ordered returns the parked items in activation order.
+func (q *releaseQueue[T]) ordered() []T {
+	if !q.sorted {
+		sort.Slice(q.items, func(i, j int) bool {
+			ri, idi := q.key(q.items[i])
+			rj, idj := q.key(q.items[j])
+			if ri != rj {
+				return ri < rj
+			}
+			return idi < idj
+		})
+		q.sorted = true
+	}
+	return q.items
+}
+
+// next returns the earliest parked release time, or false when nothing
+// is parked.
+func (q *releaseQueue[T]) next() (float64, bool) {
+	if len(q.items) == 0 {
+		return 0, false
+	}
+	release, _ := q.key(q.ordered()[0])
+	return release, true
+}
+
+// release hands every item whose time has arrived on w's clock to
+// activate, in order, and reports whether any moved.
+func (q *releaseQueue[T]) release(w *worker, activate func(T)) (moved bool) {
+	now := w.proc.Now()
+	for len(q.items) > 0 {
+		x := q.ordered()[0]
+		release, id := q.key(x)
+		if release > now {
+			break
+		}
+		q.items = q.items[1:]
+		if tr := w.run.tr; tr != nil {
+			tr.Mark(w.end.Index(), obs.MarkRelease, now, int64(id), 0)
+		}
+		activate(x)
+		moved = true
+	}
+	return moved
+}
+
 // worker bundles the per-processor runtime pieces shared by all four
 // algorithms.
 type worker struct {
@@ -601,6 +712,10 @@ type worker struct {
 	// neither a pool nor the wire. The recovery layer salvages them.
 	sending     []*trace.Streamline
 	sendingRecs []seedRec
+	// resident lists the work the processor's current role holds — a
+	// pool's or slave's streamlines, a master's unassigned seeds — for
+	// the same salvage.
+	resident func() ([]*trace.Streamline, []seedRec)
 
 	// solver and ptsBuf are reused across advance calls: the solver is
 	// reconfigured per streamline (its H is per-streamline state), and
@@ -732,6 +847,30 @@ func (w *worker) stallForRelease(next float64) (env comm.Envelope, got bool) {
 		}
 	}
 	return env, got
+}
+
+// recvOrRelease blocks for the next message — no longer than the
+// earliest parked release, when something is parked (a releaseQueue's
+// next()). It reports false when the release deadline cut the wait.
+func (w *worker) recvOrRelease(next float64, parked bool) (comm.Envelope, bool) {
+	if parked {
+		return w.stallForRelease(next)
+	}
+	return w.end.Recv(), true
+}
+
+// drain handles every delivered message, stopping early — and reporting
+// true — once handle says the processor is finished.
+func (w *worker) drain(handle func(comm.Envelope) (stop bool)) bool {
+	for {
+		env, ok := w.end.TryRecv()
+		if !ok {
+			return false
+		}
+		if handle(env) {
+			return true
+		}
+	}
 }
 
 // checkMemory enforces the per-processor budget; on violation it records

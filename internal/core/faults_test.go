@@ -347,3 +347,46 @@ func FuzzFaultRecovery(f *testing.F) {
 		}
 	})
 }
+
+// TestFaultDecimation kills every processor but the last, one after
+// another: each death re-homes work that earlier deaths already
+// re-homed, so the salvage → route chain (and hybrid's promotion chain)
+// runs repeatedly over a shrinking machine. The pool rows must finish
+// every seed bit-identically on the lone survivor; hybrid either does
+// the same or, once no group keeps a slave, refuses with its typed
+// error — never a hang, never drifted geometry.
+func TestFaultDecimation(t *testing.T) {
+	p := testProblem(60)
+	const procs = 5
+	for _, alg := range recoverable() {
+		cfg := testConfig(alg, procs)
+		cfg.Net = comm.DefaultNetwork() // detection latency must be nonzero
+		if alg == HybridMS {
+			cfg.Hybrid.W = 2
+		}
+		cfg.CollectTraces = true
+		base := mustRun(t, p, cfg)
+
+		fcfg := cfg
+		for v := 0; v < procs-1; v++ {
+			fcfg.Faults.Events = append(fcfg.Faults.Events,
+				faults.Event{Proc: v, Time: (0.1 + 0.1*float64(v)) * base.Summary.WallClock})
+		}
+		res, err := Run(p, fcfg)
+		label := fmt.Sprintf("%s/%d decimated", alg, procs)
+		var ue *faults.UnrecoverableError
+		if alg == HybridMS && errors.As(err, &ue) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireSameGeometry(t, label, res.Streamlines, base.Streamlines)
+		if res.Summary.ProcsLost != procs-1 {
+			t.Errorf("%s: ProcsLost = %d, want %d", label, res.Summary.ProcsLost, procs-1)
+		}
+		if last := res.PerProc[procs-1]; last.SeedsAdopted == 0 {
+			t.Errorf("%s: the lone survivor adopted nothing", label)
+		}
+	}
+}

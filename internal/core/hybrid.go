@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -114,6 +116,42 @@ func sortedBlocks[V any](m map[grid.BlockID]V) []grid.BlockID {
 	return out
 }
 
+// insertSorted adds v to the ascending set s (a no-op when present).
+func insertSorted(s []int, v int) []int {
+	i, found := slices.BinarySearch(s, v)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, v)
+}
+
+// removeInt drops the first occurrence of v from s, keeping order.
+func removeInt(s []int, v int) []int {
+	if i := slices.Index(s, v); i >= 0 {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
+
+func checkHybrid(c *Config) error {
+	if c.Procs < 2 {
+		return errors.New("core: hybrid needs at least 1 master and 1 slave")
+	}
+	return nil
+}
+
+// takeTail removes and returns the last n of the streamlines filed
+// under block b.
+func takeTail(by map[grid.BlockID][]*trace.Streamline, b grid.BlockID, n int) []*trace.Streamline {
+	sls := by[b]
+	if n == len(sls) {
+		delete(by, b)
+	} else {
+		by[b] = sls[:len(sls)-n]
+	}
+	return sls[len(sls)-n:]
+}
+
 // hybridTopology computes master/slave counts: one master per W slaves.
 func hybridTopology(procs, w int) (masters, slaves int) {
 	masters = procs / (w + 1)
@@ -137,14 +175,7 @@ func (r *runState) buildHybrid() {
 	}
 	r.coordEP = 0
 
-	// Partition seeds (block-grouped) across masters.
 	recs := r.seedRecords()
-	pools := make([][]seedRec, nm)
-	for m := 0; m < nm; m++ {
-		lo := m * len(recs) / nm
-		hi := (m + 1) * len(recs) / nm
-		pools[m] = recs[lo:hi]
-	}
 
 	// Endpoints 0..nm-1 are masters, nm..nm+ns-1 are slaves. Slave i
 	// belongs to master i%nm.
@@ -155,15 +186,15 @@ func (r *runState) buildHybrid() {
 	}
 
 	for m := 0; m < nm; m++ {
-		m := m
+		// Seeds (block-grouped) are partitioned contiguously across masters.
+		pool := recs[m*len(recs)/nm : (m+1)*len(recs)/nm]
 		var w *worker
 		proc := r.kernel.Spawn(fmt.Sprintf("master-%d", m), func(p *sim.Proc) {
-			newMaster(r, w, m, nm, groups[m], pools[m]).run()
+			newMaster(r, w, m, groups[m], pool).run()
 		})
 		w = r.newWorker(proc, m, 0)
 	}
 	for s := 0; s < ns; s++ {
-		s := s
 		var w *worker
 		proc := r.kernel.Spawn(fmt.Sprintf("slave-%d", s), func(p *sim.Proc) {
 			newSlave(r, w, s%nm).run()
@@ -196,26 +227,30 @@ type slave struct {
 func newSlave(r *runState, w *worker, master int) *slave {
 	s := &slave{r: r, w: w, master: master, byBlock: make(map[grid.BlockID][]*trace.Streamline)}
 	r.hybSlaves[w.end.Index()] = s
+	w.resident = s.resident
 	return s
+}
+
+// resident lists every streamline the slave holds — by block, plus the
+// one in hand mid-advance — for the salvage.
+func (s *slave) resident() ([]*trace.Streamline, []seedRec) {
+	var sls []*trace.Streamline
+	for _, b := range sortedBlocks(s.byBlock) {
+		sls = append(sls, s.byBlock[b]...)
+	}
+	if s.inHand != nil {
+		sls = append(sls, s.inHand)
+	}
+	return sls, nil
 }
 
 func (s *slave) run() {
 	defer func() { s.w.stats.EndTime = s.w.proc.Now() }()
-	for !s.done {
+	handle := s.handle
+	for !s.done && s.promoted == nil {
 		// Process everything the master (or peers) sent.
-		for {
-			env, ok := s.w.end.TryRecv()
-			if !ok {
-				break
-			}
-			s.handle(env)
-			if s.done {
-				return
-			}
-			if s.promoted != nil {
-				s.runAsMaster(*s.promoted)
-				return
-			}
+		if s.w.drain(handle) {
+			break
 		}
 		if s.r.failed() {
 			return
@@ -226,11 +261,7 @@ func (s *slave) run() {
 			// Out of work: report status and wait for instructions
 			// (Algorithm 1's "Process messages from Master").
 			s.sendStatus(true)
-			s.handle(s.w.end.Recv())
-			if s.promoted != nil {
-				s.runAsMaster(*s.promoted)
-				return
-			}
+			handle(s.w.end.Recv())
 			continue
 		}
 		// Latency hiding: post the status before advancing the last
@@ -242,6 +273,9 @@ func (s *slave) run() {
 		if !s.w.checkMemory("streamline geometry") {
 			return
 		}
+	}
+	if s.promoted != nil {
+		s.runAsMaster(*s.promoted)
 	}
 }
 
@@ -332,7 +366,9 @@ func (s *slave) sendStatus(needsWorkIfIdle bool) {
 	s.w.end.Send(s.master, st)
 }
 
-func (s *slave) handle(env comm.Envelope) {
+// handle processes one message and reports whether the slave loop is
+// over: terminated, or promoted to master.
+func (s *slave) handle(env comm.Envelope) bool {
 	switch m := env.Payload.(type) {
 	case msgAssign:
 		for _, rec := range m.recs {
@@ -351,41 +387,13 @@ func (s *slave) handle(env comm.Envelope) {
 		}
 		s.w.checkMemory("loaded block")
 	case msgSendForce:
-		sls := s.byBlock[m.block]
-		if len(sls) > 0 {
-			delete(s.byBlock, m.block)
-			s.active -= len(sls)
-			s.w.sendStreamlines(m.to, sls)
-			// Tell the master ownership changed so its model converges.
-			s.sendStatus(false)
-		}
+		s.offload(m.to, []grid.BlockID{m.block}, false)
 	case msgSendHint:
-		// Offload streamlines in the hinted blocks to the starving slave.
-		// If the block is loaded here we keep half (both slaves can then
-		// make progress); if not we part with all of them. No appropriate
-		// streamlines means the hint is ignored (slave autonomy).
-		var out []*trace.Streamline
-		for _, b := range m.blocks {
-			sls := s.byBlock[b]
-			if len(sls) == 0 {
-				continue
-			}
-			give := len(sls)
-			if s.w.cache.Has(b) {
-				give = (len(sls) + 1) / 2
-			}
-			out = append(out, sls[len(sls)-give:]...)
-			if give == len(sls) {
-				delete(s.byBlock, b)
-			} else {
-				s.byBlock[b] = sls[:len(sls)-give]
-			}
-			s.active -= give
-		}
-		if len(out) > 0 {
-			s.w.sendStreamlines(m.to, out)
-			s.sendStatus(false)
-		}
+		// If a hinted block is loaded here we keep half (both slaves can
+		// then make progress); if not we part with all of them. No
+		// appropriate streamlines means the hint is ignored (slave
+		// autonomy).
+		s.offload(m.to, m.blocks, true)
 	case msgStreamlines:
 		for _, sl := range m.sls {
 			s.addStreamline(sl)
@@ -404,6 +412,36 @@ func (s *slave) handle(env comm.Envelope) {
 	case msgTerminate:
 		s.done = true
 	}
+	return s.done || s.promoted != nil
+}
+
+// offload sends the streamlines residing in blocks to the slave at
+// endpoint to — keeping half of a block's pile when keepHalf is set and
+// the block is loaded here — then tells the master ownership changed so
+// its model converges.
+func (s *slave) offload(to int, blocks []grid.BlockID, keepHalf bool) {
+	var out []*trace.Streamline
+	for _, b := range blocks {
+		sls := s.byBlock[b]
+		if len(sls) == 0 {
+			continue
+		}
+		give := len(sls)
+		if keepHalf && s.w.cache.Has(b) {
+			give = (len(sls) + 1) / 2
+		}
+		taken := takeTail(s.byBlock, b, give)
+		if out == nil && give == len(sls) {
+			out = taken // a whole pile: nothing else refers to the slice, send it as is
+		} else {
+			out = append(out, taken...)
+		}
+		s.active -= give
+	}
+	if len(out) > 0 {
+		s.w.sendStreamlines(to, out)
+		s.sendStatus(false)
+	}
 }
 
 // runAsMaster is the failover transition (DESIGN.md §11): this slave
@@ -419,19 +457,17 @@ func (s *slave) runAsMaster(pm msgPromote) {
 	if tr := r.tr; tr != nil {
 		tr.Mark(ep, obs.MarkFailover, w.proc.Now(), int64(len(pm.flock)), int64(len(pm.recs)))
 	}
-	recs := append([]seedRec(nil), pm.recs...)
-	for _, b := range sortedBlocks(s.byBlock) {
-		for _, sl := range s.byBlock[b] {
-			recs = append(recs, r.restartRec(sl))
-			w.releaseStreamline(sl)
-		}
+	sls, _ := s.resident()
+	recs := r.rewind(append([]seedRec(nil), pm.recs...), sls)
+	for _, sl := range sls {
+		w.releaseStreamline(sl)
 	}
 	w.noteDeactivated(s.active)
 	s.byBlock = nil
 	r.hybSlaves[ep] = nil
 	sortRecs(recs)
 
-	m := newMaster(r, w, ep, r.hybNM, pm.flock, recs)
+	m := newMaster(r, w, ep, pm.flock, recs)
 	m.resumed = true
 	m.run()
 }
@@ -452,26 +488,23 @@ type slaveRec struct {
 type master struct {
 	r      *runState
 	w      *worker
-	index  int // master ordinal (0..nm-1); endpoint index equals ordinal
-	nm     int
+	index  int               // endpoint index: the master ordinal, or a promoted slave's endpoint
 	slaves map[int]*slaveRec // by endpoint
 	order  []int             // deterministic slave iteration order
 
 	pool      map[grid.BlockID][]seedRec // unassigned released seeds by block
 	poolCount int
 	// future holds this master's seeds whose injection schedule has not
-	// released them yet, ordered by (release, id); they are invisible to
-	// every assignment rule and to master-to-master sharing until
-	// releaseDue moves them into the pool.
-	future []seedRec
+	// released them yet; they are invisible to every assignment rule and
+	// to master-to-master sharing until released into the pool.
+	future releaseQueue[seedRec]
 	rng    *rand.Rand
 
-	// Coordinator (master 0) state.
-	totalSeeds     int
+	// totalCompleted is coordinator state; the other masters forward
+	// completions to the coordinator.
 	totalCompleted int
-	// Non-coordinator masters forward completions to master 0.
-	done          bool
-	requestedSeed bool // outstanding seed request to a peer
+	done           bool
+	requestedSeed  bool // outstanding seed request to a peer
 
 	// resumed marks a master built by failover promotion: it skips the
 	// initial assignment (its slaves already hold work) and rechecks the
@@ -479,79 +512,81 @@ type master struct {
 	resumed bool
 }
 
-func newMaster(r *runState, w *worker, index, nm int, group []int, pool []seedRec) *master {
+func newMaster(r *runState, w *worker, index int, group []int, pool []seedRec) *master {
 	m := &master{
 		r:      r,
 		w:      w,
 		index:  index,
-		nm:     nm,
 		slaves: make(map[int]*slaveRec),
 		pool:   make(map[grid.BlockID][]seedRec),
+		future: releaseQueue[seedRec]{key: recKey},
 		rng:    rand.New(rand.NewSource(int64(7919 + index))),
 	}
 	for _, ep := range group {
-		m.slaves[ep] = &slaveRec{
-			ep:       ep,
-			perBlock: make(map[grid.BlockID]int),
-			loaded:   make(map[grid.BlockID]bool),
-		}
-		m.order = append(m.order, ep)
+		m.addSlave(ep)
 	}
-	sort.Ints(m.order)
-	// Split released from future seeds relative to the current clock:
-	// zero at build time (where release > 0 means future, as before),
-	// mid-run for a failover promotion adopting a dead master's pool.
-	now := w.proc.Now()
-	for _, rec := range pool {
-		if rec.release > now {
-			m.future = append(m.future, rec)
-			continue
-		}
-		m.pool[rec.block] = append(m.pool[rec.block], rec)
-		m.poolCount++
-	}
-	sort.Slice(m.future, func(i, j int) bool {
-		if m.future[i].release != m.future[j].release {
-			return m.future[i].release < m.future[j].release
-		}
-		return m.future[i].id < m.future[j].id
-	})
-	if index == 0 {
-		m.totalSeeds = len(r.prob.Seeds)
-	}
+	m.takeRecs(pool)
 	r.hybMasters[index] = m
+	w.resident = m.resident
 	return m
 }
 
-// coordEP returns the current completion coordinator's endpoint: always
-// master 0 without faults; under a fault plan the lowest live master
-// endpoint, re-derived by the recovery layer after each death.
-func (m *master) coordEP() int {
-	if m.r.faultsOn {
-		return m.r.coordEP
+// addSlave starts modeling the slave at endpoint ep.
+func (m *master) addSlave(ep int) *slaveRec {
+	rec := &slaveRec{
+		ep:       ep,
+		perBlock: make(map[grid.BlockID]int),
+		loaded:   make(map[grid.BlockID]bool),
 	}
-	return 0
+	m.slaves[ep] = rec
+	m.order = insertSorted(m.order, ep)
+	return rec
 }
 
-// isCoord reports whether this master aggregates global completion.
-func (m *master) isCoord() bool { return m.index == m.coordEP() }
-
-// releaseDue moves every future seed whose release time has arrived
-// into the assignable pool, reporting whether any moved.
-func (m *master) releaseDue() bool {
+// takeRecs folds seed records into the assignable pool, parking those
+// whose release is still ahead of the clock: zero at build time, mid-run
+// for a failover promotion or an adoption.
+func (m *master) takeRecs(recs []seedRec) {
 	now := m.w.proc.Now()
-	moved := false
-	for len(m.future) > 0 && m.future[0].release <= now {
-		rec := m.future[0]
-		m.future = m.future[1:]
-		if tr := m.r.tr; tr != nil {
-			tr.Mark(m.w.end.Index(), obs.MarkRelease, now, int64(rec.id), 0)
+	for _, rec := range recs {
+		if rec.release > now {
+			m.future.push(rec)
+		} else {
+			m.poolAdd(rec)
 		}
-		m.pool[rec.block] = append(m.pool[rec.block], rec)
-		m.poolCount++
-		moved = true
 	}
-	return moved
+}
+
+func (m *master) poolAdd(rec seedRec) {
+	m.pool[rec.block] = append(m.pool[rec.block], rec)
+	m.poolCount++
+}
+
+// resident lists the master's unassigned seeds for the salvage: the
+// released pool in block order, then the parked tail in release order.
+func (m *master) resident() ([]*trace.Streamline, []seedRec) {
+	var recs []seedRec
+	for _, b := range sortedBlocks(m.pool) {
+		recs = append(recs, m.pool[b]...)
+	}
+	return nil, append(recs, m.future.ordered()...)
+}
+
+// isCoord reports whether this master aggregates global completion:
+// master 0, until the recovery layer re-derives the coordinator (the
+// lowest live master endpoint) after a death.
+func (m *master) isCoord() bool { return m.index == m.r.coordEP }
+
+// peerMasters lists the other live masters' endpoints, ascending
+// (promoted ones included, dead ones excluded).
+func (m *master) peerMasters() []int {
+	var peers []int
+	for _, ep := range m.r.masterEPs {
+		if ep != m.index && m.r.running(ep) {
+			peers = append(peers, ep)
+		}
+	}
+	return peers
 }
 
 func (m *master) run() {
@@ -562,7 +597,7 @@ func (m *master) run() {
 		// the statuses their msgRemaster triggers. Fold in any salvaged
 		// seeds whose release already passed, then recheck the ledger —
 		// the death may have eaten the last completion trigger.
-		m.releaseDue()
+		m.future.release(m.w, m.poolAdd)
 		m.applyRules(false)
 		// A candidate promoted with an empty flock cannot integrate its
 		// salvage; hand it to a group that can.
@@ -577,11 +612,7 @@ func (m *master) run() {
 		// Initial allocation: every slave receives N seeds through the
 		// Assign-unloaded rule.
 		for _, ep := range m.order {
-			m.assignSeeds(m.slaves[ep], grid.NoBlock)
-		}
-		if m.index == 0 && m.totalSeeds == 0 {
-			m.terminate()
-			return
+			m.assignSeeds(m.slaves[ep])
 		}
 	}
 
@@ -592,20 +623,14 @@ func (m *master) run() {
 		// Fold overdue scheduled seeds into the pool first — message
 		// traffic can carry the clock past a release while we were
 		// handling it — and supply any slaves already flagged needy.
-		if m.releaseDue() {
+		if m.future.release(m.w, m.poolAdd) {
 			m.applyRules(false)
 		}
-		var env comm.Envelope
-		if len(m.future) > 0 {
-			// Wait for slave traffic, but no longer than the next
-			// scheduled release.
-			var got bool
-			env, got = m.w.stallForRelease(m.future[0].release)
-			if !got {
-				continue // loop top releases and applies
-			}
-		} else {
-			env = m.w.end.Recv()
+		// Wait for slave traffic, but no longer than the next scheduled
+		// release.
+		env, got := m.w.recvOrRelease(m.future.next())
+		if !got {
+			continue // loop top releases and applies
 		}
 		switch msg := env.Payload.(type) {
 		case msgStatus:
@@ -620,15 +645,17 @@ func (m *master) run() {
 			// next slave status re-arms the request path.
 			if len(msg.recs) > 0 {
 				m.requestedSeed = false
-				for _, rec := range msg.recs {
-					m.pool[rec.block] = append(m.pool[rec.block], rec)
-					m.poolCount++
-				}
+				m.takeRecs(msg.recs)
 			}
 			m.applyRules(false)
 			m.shedIfSlaveless()
 		case msgStreamlines:
-			m.onMigrated(msg)
+			// Arrived while this endpoint's promotion was in flight (a
+			// peer's offload aimed at the slave it used to be): rewind and
+			// pool them as restartable seeds.
+			recs := m.r.rewind(nil, msg.sls)
+			sortRecs(recs)
+			m.addRecs(recs, false)
 		case msgSlaveDead:
 			m.onSlaveDead(msg.ep)
 		case msgAdoptPool:
@@ -657,23 +684,13 @@ func (m *master) onCompleted(count int) {
 			return
 		}
 		m.totalCompleted = m.r.completedTotal
-		if m.totalCompleted >= len(m.r.prob.Seeds) {
-			for _, ep := range m.r.masterEPs {
-				if ep != m.index && m.r.running(ep) {
-					m.w.end.Send(ep, msgAllDone{})
-				}
-			}
-			m.terminate()
-		}
-		return
+	} else {
+		m.totalCompleted += count
 	}
-	m.totalCompleted += count
-	if m.totalCompleted >= m.totalSeeds {
+	if m.totalCompleted >= len(m.r.prob.Seeds) {
 		// Tell the other masters; each shuts down its own slaves.
-		for peer := 0; peer < m.nm; peer++ {
-			if peer != m.index {
-				m.w.end.Send(peer, msgAllDone{})
-			}
+		for _, ep := range m.peerMasters() {
+			m.w.end.Send(ep, msgAllDone{})
 		}
 		m.terminate()
 	}
@@ -688,16 +705,7 @@ func (m *master) onStatus(st msgStatus) {
 		if !m.r.faultsOn || !m.r.running(st.slave) {
 			return
 		}
-		rec = &slaveRec{
-			ep:       st.slave,
-			perBlock: make(map[grid.BlockID]int),
-			loaded:   make(map[grid.BlockID]bool),
-		}
-		m.slaves[st.slave] = rec
-		i := sort.SearchInts(m.order, st.slave)
-		m.order = append(m.order, 0)
-		copy(m.order[i+1:], m.order[i:])
-		m.order[i] = st.slave
+		rec = m.addSlave(st.slave)
 	}
 	rec.active = st.active
 	rec.perBlock = st.perBlock
@@ -715,7 +723,7 @@ func (m *master) onStatus(st msgStatus) {
 				return
 			}
 		} else {
-			m.w.end.Send(m.coordEP(), msgDone{count: st.completedDelta})
+			m.w.end.Send(m.r.coordEP, msgDone{count: st.completedDelta})
 		}
 	}
 	// A fresh status re-arms master-to-master seed requests.
@@ -728,7 +736,7 @@ func (m *master) onStatus(st msgStatus) {
 // requests so an empty-handed reply cannot immediately trigger another
 // request (which would livelock two idle masters in a message loop).
 func (m *master) applyRules(allowSeedRequest bool) {
-	assignedAny := false
+	assignedAny, starved := false, false
 	for _, ep := range m.order {
 		s := m.slaves[ep]
 		if !s.needsWork {
@@ -737,27 +745,24 @@ func (m *master) applyRules(allowSeedRequest bool) {
 		if m.applyRulesFor(s) {
 			s.needsWork = false
 			assignedAny = true
+		} else {
+			starved = true
 		}
 	}
 	// Group ran dry: ask a peer master for spare seeds. Under a fault
 	// plan the peer set is the live master endpoints (promoted masters
 	// included, dead ones excluded); without faults it is the original
 	// ring, drawn with the original rng sequence.
-	if allowSeedRequest && !assignedAny && m.poolCount == 0 && !m.requestedSeed && m.anyNeedsWork() {
+	if allowSeedRequest && !assignedAny && starved && m.poolCount == 0 && !m.requestedSeed {
+		peer := -1
 		if m.r.faultsOn {
-			var peers []int
-			for _, ep := range m.r.masterEPs {
-				if ep != m.index && m.r.running(ep) {
-					peers = append(peers, ep)
-				}
+			if peers := m.peerMasters(); len(peers) > 0 {
+				peer = peers[m.rng.Intn(len(peers))]
 			}
-			if len(peers) > 0 {
-				peer := peers[m.rng.Intn(len(peers))]
-				m.w.end.Send(peer, msgSeedRequest{from: m.index})
-				m.requestedSeed = true
-			}
-		} else if m.nm > 1 {
-			peer := (m.index + 1 + m.rng.Intn(m.nm-1)) % m.nm
+		} else if nm := m.r.hybNM; nm > 1 {
+			peer = (m.index + 1 + m.rng.Intn(nm-1)) % nm
+		}
+		if peer >= 0 {
 			m.w.end.Send(peer, msgSeedRequest{from: m.index})
 			m.requestedSeed = true
 		}
@@ -769,21 +774,7 @@ func (m *master) applyRules(allowSeedRequest bool) {
 // slaves. fresh marks records orphaned by a death (counted as adopted)
 // as opposed to a bookkeeping transfer from a slaveless peer.
 func (m *master) addRecs(recs []seedRec, fresh bool) {
-	now := m.w.proc.Now()
-	for _, rec := range recs {
-		if rec.release > now {
-			m.future = append(m.future, rec)
-			continue
-		}
-		m.pool[rec.block] = append(m.pool[rec.block], rec)
-		m.poolCount++
-	}
-	sort.Slice(m.future, func(i, j int) bool {
-		if m.future[i].release != m.future[j].release {
-			return m.future[i].release < m.future[j].release
-		}
-		return m.future[i].id < m.future[j].id
-	})
+	m.takeRecs(recs)
 	if fresh {
 		m.w.stats.SeedsAdopted += int64(len(recs))
 		if tr := m.r.tr; tr != nil && len(recs) > 0 {
@@ -794,18 +785,6 @@ func (m *master) addRecs(recs []seedRec, fresh bool) {
 	m.shedIfSlaveless()
 }
 
-// onMigrated rewinds streamlines that arrived at this endpoint while its
-// promotion was in flight (a peer's offload aimed at the slave it used
-// to be) and pools them as restartable seeds.
-func (m *master) onMigrated(msg msgStreamlines) {
-	recs := make([]seedRec, 0, len(msg.sls))
-	for _, sl := range msg.sls {
-		recs = append(recs, m.r.restartRec(sl))
-	}
-	sortRecs(recs)
-	m.addRecs(recs, false)
-}
-
 // onSlaveDead drops a dead slave from the model; its streamlines come
 // back separately as a msgAdoptPool from the recovery layer.
 func (m *master) onSlaveDead(ep int) {
@@ -813,12 +792,7 @@ func (m *master) onSlaveDead(ep int) {
 		return
 	}
 	delete(m.slaves, ep)
-	for i, e := range m.order {
-		if e == ep {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
+	m.order = removeInt(m.order, ep)
 	m.applyRules(false)
 	m.shedIfSlaveless()
 }
@@ -827,17 +801,11 @@ func (m *master) onSlaveDead(ep int) {
 // still has slaves to integrate them, once every slave of its own has
 // died. With no other master left either, the run cannot finish.
 func (m *master) shedIfSlaveless() {
-	if !m.r.faultsOn || m.done || len(m.order) > 0 || (m.poolCount == 0 && len(m.future) == 0) {
+	if !m.r.faultsOn || m.done || len(m.order) > 0 || (m.poolCount == 0 && len(m.future.items) == 0) {
 		return
 	}
-	tgt := -1
-	for _, ep := range m.r.masterEPs {
-		if ep != m.index && m.r.running(ep) {
-			tgt = ep
-			break
-		}
-	}
-	if tgt < 0 {
+	peers := m.peerMasters()
+	if len(peers) == 0 {
 		m.r.fail(&faults.UnrecoverableError{
 			Algorithm: string(HybridMS),
 			Proc:      m.index,
@@ -846,20 +814,11 @@ func (m *master) shedIfSlaveless() {
 		})
 		return
 	}
-	recs := m.r.masterPoolRecs(m)
+	_, recs := m.resident()
 	m.pool = make(map[grid.BlockID][]seedRec)
 	m.poolCount = 0
-	m.future = nil
-	m.r.deliverLocal(tgt, msgAdoptPool{recs: recs})
-}
-
-func (m *master) anyNeedsWork() bool {
-	for _, ep := range m.order {
-		if m.slaves[ep].needsWork {
-			return true
-		}
-	}
-	return false
+	m.future.items = nil
+	m.r.deliverLocal(peers[0], msgAdoptPool{recs: recs})
 }
 
 // applyRulesFor runs steps 1–7 for slave s, returning true when s was
@@ -869,18 +828,18 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 
 	// Step 1 (Send-force, housekeeping): S offloads streamlines stuck in
 	// unloaded blocks to slaves that already have those blocks loaded.
-	m.forceOffload(s, hp)
+	m.forceOffload(s)
 
 	// Step 2 (Load): S has more than NL streamlines piled in one unloaded
 	// block — cheaper for S to load the block itself.
-	if b, n := m.busiestUnloaded(s); n > hp.NL {
+	if b, n := busiest(s, true); n > hp.NL {
 		m.instructLoad(s, b)
 		return true
 	}
 
 	// Step 3 (Send-force toward S): blocks loaded by S may unlock
 	// streamlines stranded on other slaves.
-	if m.forceToward(s, hp) {
+	if m.forceToward(s) {
 		return true
 	}
 
@@ -894,12 +853,12 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 
 	// Step 5 (Assign-unloaded): any seeds at all.
 	if m.poolCount > 0 {
-		m.assignSeeds(s, grid.NoBlock)
+		m.assignSeeds(s)
 		return true
 	}
 
 	// Step 6 (Load): load S's own most-populated block.
-	if b, n := m.busiestUnloaded(s); n > 0 {
+	if b, n := busiest(s, true); n > 0 {
 		m.instructLoad(s, b)
 		return true
 	}
@@ -912,9 +871,9 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 	// streamlines are immediately workable.
 	if !s.hintOutstanding {
 		if busy := m.busiestSlave(s.ep); busy != nil {
-			b, n := m.busiestUnloaded(busy)
+			b, n := busiest(busy, true)
 			if n == 0 {
-				b, n = m.busiestAny(busy)
+				b, n = busiest(busy, false)
 			}
 			if n > 0 {
 				if !s.loaded[b] {
@@ -928,11 +887,14 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 	return false
 }
 
-// busiestAny returns s's block (loaded or not) with the most streamlines.
-func (m *master) busiestAny(s *slaveRec) (grid.BlockID, int) {
-	best := grid.NoBlock
-	bestN := 0
+// busiest returns s's block holding the most streamlines — among its
+// unloaded blocks only, when unloadedOnly is set.
+func busiest(s *slaveRec, unloadedOnly bool) (grid.BlockID, int) {
+	best, bestN := grid.NoBlock, 0
 	for _, b := range sortedBlocks(s.perBlock) {
+		if unloadedOnly && s.loaded[b] {
+			continue
+		}
 		if n := s.perBlock[b]; n > bestN {
 			best, bestN = b, n
 		}
@@ -940,83 +902,63 @@ func (m *master) busiestAny(s *slaveRec) (grid.BlockID, int) {
 	return best, bestN
 }
 
-// forceOffload implements step 1: S sends streamlines in unloaded blocks
-// to group members having those blocks loaded, subject to NO.
-func (m *master) forceOffload(s *slaveRec, hp HybridParams) {
+// force instructs from to send its streamlines in block b to to (the
+// Send-force rule) and updates the model — unless that would raise to's
+// load above NO ("will not increase the load on S2 above NO").
+func (m *master) force(from, to *slaveRec, b grid.BlockID) bool {
+	n := from.perBlock[b]
+	if to.active+n > m.r.cfg.Hybrid.NO {
+		return false
+	}
+	m.w.end.Send(from.ep, msgSendForce{block: b, to: to.ep})
+	to.active += n
+	to.perBlock[b] += n
+	from.active -= n
+	delete(from.perBlock, b)
+	return true
+}
+
+// stranded lists, ascending, the blocks where s holds streamlines it
+// cannot advance because the block is not loaded there — only those
+// loaded at to, when to is given.
+func stranded(s, to *slaveRec) []grid.BlockID {
 	blocks := make([]grid.BlockID, 0, len(s.perBlock))
 	for b, n := range s.perBlock {
-		if n > 0 && !s.loaded[b] {
+		if n > 0 && !s.loaded[b] && (to == nil || to.loaded[b]) {
 			blocks = append(blocks, b)
 		}
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, b := range blocks {
-		n := s.perBlock[b]
+	return blocks
+}
+
+// forceOffload implements step 1: S sends streamlines in unloaded blocks
+// to the first group member having that block loaded.
+func (m *master) forceOffload(s *slaveRec) {
+	for _, b := range stranded(s, nil) {
 		for _, ep := range m.order {
-			t := m.slaves[ep]
-			if t == s || !t.loaded[b] {
-				continue
+			if t := m.slaves[ep]; t != s && t.loaded[b] && m.force(s, t, b) {
+				break
 			}
-			if t.active+n > hp.NO {
-				continue // "will not increase the load on S2 above NO"
-			}
-			m.w.end.Send(s.ep, msgSendForce{block: b, to: t.ep})
-			t.active += n
-			t.perBlock[b] += n
-			s.active -= n
-			delete(s.perBlock, b)
-			break
 		}
 	}
 }
 
-// forceToward implements step 3: other slaves send S their streamlines in
-// blocks S has loaded.
-func (m *master) forceToward(s *slaveRec, hp HybridParams) bool {
-	sent := false
+// forceToward implements step 3: other slaves send S their streamlines
+// stranded in blocks S has loaded.
+func (m *master) forceToward(s *slaveRec) (sent bool) {
 	for _, ep := range m.order {
 		t := m.slaves[ep]
 		if t == s {
 			continue
 		}
-		blocks := make([]grid.BlockID, 0, len(t.perBlock))
-		for b, n := range t.perBlock {
-			if n > 0 && !t.loaded[b] && s.loaded[b] {
-				blocks = append(blocks, b)
+		for _, b := range stranded(t, s) {
+			if m.force(t, s, b) {
+				sent = true
 			}
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
-			n := t.perBlock[b]
-			if s.active+n > hp.NO {
-				continue
-			}
-			m.w.end.Send(t.ep, msgSendForce{block: b, to: s.ep})
-			s.active += n
-			s.perBlock[b] += n
-			t.active -= n
-			delete(t.perBlock, b)
-			sent = true
 		}
 	}
 	return sent
-}
-
-// busiestUnloaded returns S's unloaded block holding the most
-// streamlines.
-func (m *master) busiestUnloaded(s *slaveRec) (grid.BlockID, int) {
-	best := grid.NoBlock
-	bestN := 0
-	for _, b := range sortedBlocks(s.perBlock) {
-		n := s.perBlock[b]
-		if s.loaded[b] || n == 0 {
-			continue
-		}
-		if n > bestN {
-			best, bestN = b, n
-		}
-	}
-	return best, bestN
 }
 
 // busiestSlave returns the group's slave with the most streamlines,
@@ -1050,26 +992,20 @@ func (m *master) instructLoad(s *slaveRec, b grid.BlockID) {
 	s.loaded[b] = true
 }
 
-// assignSeeds sends up to N seeds to s. With from == NoBlock it picks the
-// pool's most-populated block (Assign-unloaded); otherwise it draws from
-// that block (Assign-loaded).
-func (m *master) assignSeeds(s *slaveRec, from grid.BlockID) {
-	if m.poolCount == 0 {
-		return
-	}
-	b := from
-	if b == grid.NoBlock {
-		bestN := 0
-		for _, blk := range sortedBlocks(m.pool) {
-			if n := len(m.pool[blk]); n > bestN {
-				b, bestN = blk, n
-			}
+// assignSeeds sends s up to N seeds from the pool's most-populated
+// block (Assign-unloaded), if the pool holds any.
+func (m *master) assignSeeds(s *slaveRec) {
+	b, bestN := grid.NoBlock, 0
+	for _, blk := range sortedBlocks(m.pool) {
+		if n := len(m.pool[blk]); n > bestN {
+			b, bestN = blk, n
 		}
 	}
 	m.assignSeedsFrom(s, b)
 }
 
-// assignSeedsFrom sends up to N seeds from block b to s.
+// assignSeedsFrom sends up to N seeds from block b to s (Assign-loaded
+// when s holds b).
 func (m *master) assignSeedsFrom(s *slaveRec, b grid.BlockID) {
 	recs := m.pool[b]
 	if len(recs) == 0 {
@@ -1100,12 +1036,7 @@ func (m *master) onSeedRequest(from int) {
 	share := []seedRec{}
 	want := m.r.cfg.Hybrid.W * m.r.cfg.Hybrid.N
 	if m.poolCount > 2*want { // only share surplus
-		blocks := make([]grid.BlockID, 0, len(m.pool))
-		for b := range m.pool {
-			blocks = append(blocks, b)
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
+		for _, b := range sortedBlocks(m.pool) {
 			if len(share) >= want {
 				break
 			}

@@ -192,7 +192,7 @@ func TestPoolParkActivationOrdering(t *testing.T) {
 		if w.stats.ActivePeak != 1 {
 			t.Fatalf("ActivePeak = %d, want 1 before any release", w.stats.ActivePeak)
 		}
-		if next, ok := pl.nextRelease(); !ok || next != 0.2 {
+		if next, ok := pl.parked.next(); !ok || next != 0.2 {
 			t.Fatalf("nextRelease = %v/%v, want 0.2", next, ok)
 		}
 
@@ -215,7 +215,7 @@ func TestPoolParkActivationOrdering(t *testing.T) {
 		if w.stats.ActivePeak != 3 {
 			t.Errorf("ActivePeak = %d, want 3 (ID 0 still parked)", w.stats.ActivePeak)
 		}
-		if next, ok := pl.nextRelease(); !ok || next != 0.5 {
+		if next, ok := pl.parked.next(); !ok || next != 0.5 {
 			t.Fatalf("nextRelease after tie = %v/%v, want 0.5", next, ok)
 		}
 
@@ -232,8 +232,8 @@ func TestPoolParkActivationOrdering(t *testing.T) {
 				w.stats.ReleaseStalls, w.stats.ReleaseStallTime)
 		}
 		pl.releaseReady()
-		if len(pl.parked) != 0 || len(pl.pending[9]) != 4 {
-			t.Errorf("final state: parked=%d pending=%d, want 0/4", len(pl.parked), len(pl.pending[9]))
+		if len(pl.parked.items) != 0 || len(pl.pending[9]) != 4 {
+			t.Errorf("final state: parked=%d pending=%d, want 0/4", len(pl.parked.items), len(pl.pending[9]))
 		}
 		if w.stats.ActivePeak != 4 {
 			t.Errorf("final ActivePeak = %d, want 4", w.stats.ActivePeak)

@@ -216,6 +216,27 @@ func TestPoolLoadBestStuckFailsRun(t *testing.T) {
 	}
 }
 
+// TestPoolWorkerStuckFailsRun pins the bookkeeping guard of the shared
+// pool-worker loop for both rows that run it: a pool claiming active
+// streamlines with nothing workable, pending or parked is a bug, and
+// must surface as the "stuck" error rather than a wait that only the
+// kernel's deadlock report would end.
+func TestPoolWorkerStuckFailsRun(t *testing.T) {
+	for _, alg := range []Algorithm{LoadOnDemand, WorkStealing} {
+		p := testProblem(4)
+		r := withWorker(t, p, testConfig(alg, 1), func(r *runState, w *worker) {
+			r.alg = policies[alg]
+			r.poolWorkers = make([]*poolWorker, 1)
+			pw := newPoolWorker(r, w, 0, 1)
+			pw.pool.active = 3
+			pw.run(nil)
+		})
+		if r.err == nil || !strings.Contains(r.err.Error(), "stuck with 3 active") {
+			t.Errorf("%s: stuck error = %v", alg, r.err)
+		}
+	}
+}
+
 func TestPoolLoadBestChargesBudget(t *testing.T) {
 	// The loadBest I/O path must hit the memory check: a cache read that
 	// overflows the budget kills the run with the block named.

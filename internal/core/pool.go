@@ -1,22 +1,18 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
 	"repro/internal/grid"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // pool is the Load On Demand inner loop (paper Section 4.2), shared by
-// the ondemand and stealing algorithms: streamlines whose current block
-// is resident are workable; the rest wait in pending keyed by block, and
-// a block is read from disk only when nothing is workable. Both
-// algorithms advancing streamlines through identical pool operations is
-// what makes stealing "start exactly like Load On Demand" (DESIGN.md §6)
-// and keeps the §6 I/O-profile shape check meaningful.
+// the ondemand and stealing rows (poolWorker, stealing.go): streamlines
+// whose current block is resident are workable; the rest wait in pending
+// keyed by block, and a block is read from disk only when nothing is
+// workable.
 //
 // Seeds whose injection schedule releases them in the future (DESIGN.md
 // §9) wait in parked, invisible to every pool decision — they attract no
@@ -28,7 +24,7 @@ type pool struct {
 
 	pending  map[grid.BlockID][]*trace.Streamline
 	workable []*trace.Streamline
-	parked   parkHeap
+	parked   releaseQueue[*trace.Streamline]
 	active   int
 
 	// inHand is the streamline popped from workable while its advance's
@@ -38,32 +34,24 @@ type pool struct {
 }
 
 func newPool(r *runState, w *worker) *pool {
-	return &pool{r: r, w: w, pending: make(map[grid.BlockID][]*trace.Streamline)}
+	pl := &pool{r: r, w: w, pending: make(map[grid.BlockID][]*trace.Streamline)}
+	pl.parked.key = slKey
+	w.resident = pl.resident
+	return pl
 }
 
-// parkHeap orders not-yet-released streamlines by (Release, ID) — the
-// deterministic activation order the sim-level wakeup tests pin.
-type parkHeap []*trace.Streamline
-
-func (h parkHeap) Len() int { return len(h) }
-func (h parkHeap) Less(i, j int) bool {
-	if h[i].Release != h[j].Release {
-		return h[i].Release < h[j].Release
+// resident lists every streamline the pool holds — pending, workable,
+// parked, and the one in hand mid-advance — for the salvage.
+func (pl *pool) resident() ([]*trace.Streamline, []seedRec) {
+	var sls []*trace.Streamline
+	for _, b := range sortedBlocks(pl.pending) {
+		sls = append(sls, pl.pending[b]...)
 	}
-	return h[i].ID < h[j].ID
-}
-func (h parkHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-// Push implements heap.Interface.
-func (h *parkHeap) Push(x any) { *h = append(*h, x.(*trace.Streamline)) }
-
-// Pop implements heap.Interface.
-func (h *parkHeap) Pop() any {
-	old := *h
-	n := len(old)
-	sl := old[n-1]
-	*h = old[:n-1]
-	return sl
+	sls = append(append(sls, pl.workable...), pl.parked.items...)
+	if pl.inHand != nil {
+		sls = append(sls, pl.inHand)
+	}
+	return sls, nil
 }
 
 // place routes an active streamline to workable or pending depending on
@@ -85,35 +73,21 @@ func (pl *pool) adopt(sl *trace.Streamline) {
 	pl.w.adoptStreamline(sl)
 	pl.active++
 	if sl.Release > pl.w.proc.Now() {
-		heap.Push(&pl.parked, sl)
+		pl.parked.push(sl)
 		return
 	}
+	pl.activate(sl)
+}
+
+// activate puts a released streamline into circulation.
+func (pl *pool) activate(sl *trace.Streamline) {
 	pl.w.noteActivated(1)
 	pl.place(sl)
 }
 
 // releaseReady moves every parked streamline whose release time has
-// arrived into circulation, in deterministic (Release, ID) order.
-func (pl *pool) releaseReady() {
-	now := pl.w.proc.Now()
-	for len(pl.parked) > 0 && pl.parked[0].Release <= now {
-		sl := heap.Pop(&pl.parked).(*trace.Streamline)
-		if tr := pl.w.run.tr; tr != nil {
-			tr.Mark(pl.w.end.Index(), obs.MarkRelease, now, int64(sl.ID), 0)
-		}
-		pl.w.noteActivated(1)
-		pl.place(sl)
-	}
-}
-
-// nextRelease returns the earliest parked release time, or false when
-// nothing is parked.
-func (pl *pool) nextRelease() (float64, bool) {
-	if len(pl.parked) == 0 {
-		return 0, false
-	}
-	return pl.parked[0].Release, true
-}
+// arrived into circulation.
+func (pl *pool) releaseReady() { pl.parked.release(pl.w, pl.activate) }
 
 // advanceOne integrates the most recent workable streamline through its
 // current block, then re-places or completes it. It reports whether the
@@ -182,9 +156,7 @@ func (pl *pool) loadBest() {
 	// server a demand read is about to need), overlapping the compute
 	// this load just unblocked.
 	if pl.r.pf != nil {
-		for _, b := range pl.runnersUp(best, pl.r.pf.Depth()) {
-			pl.w.tryPrefetch(b)
-		}
+		pl.w.prefetchAll(pl.runnersUp(best, pl.r.pf.Depth()))
 	}
 	if !pl.w.checkMemory("block cache") {
 		return

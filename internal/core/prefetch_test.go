@@ -153,3 +153,27 @@ func TestPrefetchValidation(t *testing.T) {
 		t.Error("negative prefetch depth accepted")
 	}
 }
+
+// TestTryPrefetchRespectsBudget pins the speculation guard: a prefetch
+// is refused unless, beyond its own buffer, one further block of
+// headroom remains under the memory budget.
+func TestTryPrefetchRespectsBudget(t *testing.T) {
+	p := testProblem(4)
+	bb := p.Provider.Decomp().BlockBytes()
+	cfg := testConfig(LoadOnDemand, 1)
+	cfg.MemoryBudget = 3 * bb
+	withWorker(t, p, cfg, func(r *runState, w *worker) {
+		w.cache.SetPrefetchLimit(4)
+		if !w.tryPrefetch(1) {
+			t.Error("prefetch refused with the whole budget free")
+		}
+		w.cache.Get(1) // resident: one block used, two free
+		if !w.tryPrefetch(2) {
+			t.Error("prefetch refused with exactly its buffer plus one block of reserve free")
+		}
+		w.cache.Get(2) // two blocks used, one free: no reserve left
+		if w.tryPrefetch(3) {
+			t.Error("prefetch accepted without a block of reserve")
+		}
+	})
+}

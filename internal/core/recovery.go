@@ -18,31 +18,36 @@ package core
 // with the full step budget, so the recomputed geometry is bit-identical
 // to what the fault-free run produces (pinned by the golden digests).
 //
-// Per-algorithm policy:
+// Nothing here dispatches on the algorithm: each row of the policies
+// table (core.go) supplies its entry points — died (salvage and re-home
+// on death), route (re-home salvaged or dead-lettered records) and
+// ledgerFull — and one salvage routine gathers what a processor held,
+// whatever its role (worker.resident).
 //
-//   - Load On Demand: the victim's pool is split round-robin over the
-//     survivors (msgAdopt); workers outlive their own splits and exit on
-//     the completion ledger instead of locally.
-//   - Work Stealing: the victim's pool moves to its ring successor;
-//     survivors prune the dead peer from their probe sets on Death
-//     notifications, the ring re-forms around the gap, and a token that
-//     died with the victim is regenerated from the ledger (msgToken
-//     regen, counted as RingReforms).
-//   - Hybrid: a dead slave's streamlines go back to its master's pool
-//     and the master drops it from the model (msgSlaveDead); a dead
-//     master's lowest-indexed surviving slave is promoted in its place
-//     (msgPromote, counted as MasterFailovers) and the rest of the
-//     group re-points to it (msgRemaster). The completion coordinator
-//     is always the lowest live master endpoint; every death is
-//     followed by a ledger recheck there so no termination trigger can
-//     die with a processor.
-//   - Static: typed failure (*faults.UnrecoverableError) — block
-//     ownership dies with the processor and no survivor holds its
-//     assignment, the asymmetry the paper's Section 5 comparison makes
-//     measurable.
+//   - Load On Demand (poolWorkerDied, routeToSurvivors, releaseSurvivors):
+//     the victim's pool is split round-robin over the survivors
+//     (msgAdopt); workers outlive their own splits and exit on the
+//     completion ledger instead of locally.
+//   - Work Stealing (poolWorkerDied, routeToSuccessor): the victim's
+//     pool moves to its ring successor; survivors prune the dead peer
+//     from their probe sets on Death notifications, the ring re-forms
+//     around the gap, and a token that died with the victim is
+//     regenerated from the ledger (msgToken regen, counted as
+//     RingReforms).
+//   - Hybrid (hybridDied, routeToMaster): a dead slave's streamlines go
+//     back to its master's pool and the master drops it from the model
+//     (msgSlaveDead); a dead master's lowest-indexed surviving slave is
+//     promoted in its place (msgPromote, counted as MasterFailovers)
+//     and the rest of the group re-points to it (msgRemaster). The
+//     completion coordinator is always the lowest live master endpoint;
+//     every death is followed by a ledger recheck there so no
+//     termination trigger can die with a processor.
+//   - Static (staticDied, static.go): typed failure
+//     (*faults.UnrecoverableError).
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -119,16 +124,6 @@ func (r *runState) nextRunning(after int) int {
 	return -1
 }
 
-// procIndex maps a sim process back to its endpoint index.
-func (r *runState) procIndex(p *sim.Proc) int {
-	for i, q := range r.procs {
-		if q == p {
-			return i
-		}
-	}
-	return -1
-}
-
 // deliverLocal schedules a recovery envelope one network latency out —
 // the virtual time failure detection takes — without charging anyone
 // communication cost (the recovery layer is not a processor).
@@ -150,26 +145,10 @@ func sortRecs(recs []seedRec) {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
 }
 
-// poolRecs rewinds every streamline resident in a work pool — pending,
-// workable, parked, and the one in hand mid-advance.
-func (r *runState) poolRecs(pl *pool) []seedRec {
-	if pl == nil {
-		return nil
-	}
-	var recs []seedRec
-	for _, b := range sortedBlocks(pl.pending) {
-		for _, sl := range pl.pending[b] {
-			recs = append(recs, r.restartRec(sl))
-		}
-	}
-	for _, sl := range pl.workable {
+// rewind appends the restart records of sls to recs.
+func (r *runState) rewind(recs []seedRec, sls []*trace.Streamline) []seedRec {
+	for _, sl := range sls {
 		recs = append(recs, r.restartRec(sl))
-	}
-	for _, sl := range pl.parked {
-		recs = append(recs, r.restartRec(sl))
-	}
-	if pl.inHand != nil {
-		recs = append(recs, r.restartRec(pl.inHand))
 	}
 	return recs
 }
@@ -180,11 +159,7 @@ func (r *runState) poolRecs(pl *pool) []seedRec {
 func (r *runState) payloadRecs(pay comm.Message) []seedRec {
 	switch m := pay.(type) {
 	case msgStreamlines:
-		recs := make([]seedRec, 0, len(m.sls))
-		for _, sl := range m.sls {
-			recs = append(recs, r.restartRec(sl))
-		}
-		return recs
+		return r.rewind(nil, m.sls)
 	case msgAssign:
 		return m.recs
 	case msgSeedShare:
@@ -213,20 +188,21 @@ func (r *runState) deadEnvelopes(idx int) []comm.Envelope {
 	return envs
 }
 
-// workerRecs salvages work stranded on worker idx outside its pool: a
-// batch mid-Send (in a local variable while the posting cost elapsed)
-// and the work carried by its dead envelopes.
-func (r *runState) workerRecs(idx int, envs []comm.Envelope) []seedRec {
-	var recs []seedRec
-	if w := r.workers[idx]; w != nil {
-		for _, sl := range w.sending {
-			recs = append(recs, r.restartRec(sl))
-		}
-		recs = append(recs, w.sendingRecs...)
-	}
+// salvage is the one routine that rewinds everything lost with
+// processor idx to seed records, in canonical (ID) order: the work its
+// role held (worker.resident), a batch mid-Send (in a local variable
+// while the posting cost elapsed), and the work carried by its dead
+// envelopes.
+func (r *runState) salvage(idx int, envs []comm.Envelope) []seedRec {
+	w := r.workers[idx]
+	sls, recs := w.resident()
+	recs = r.rewind(recs, sls)
+	recs = r.rewind(recs, w.sending)
+	recs = append(recs, w.sendingRecs...)
 	for _, env := range envs {
 		recs = append(recs, r.payloadRecs(env.Payload)...)
 	}
+	sortRecs(recs)
 	return recs
 }
 
@@ -255,98 +231,94 @@ func (r *runState) failProc(idx int) {
 	if r.tr != nil {
 		r.tr.Mark(idx, obs.MarkKill, r.kernel.Now(), 0, 0)
 	}
-	envs := r.deadEnvelopes(idx)
-	switch r.cfg.Algorithm {
-	case StaticAlloc:
-		r.fail(&faults.UnrecoverableError{
-			Algorithm: string(StaticAlloc),
-			Proc:      idx,
-			Time:      r.kernel.Now(),
-			Reason:    "block ownership and resident streamlines die with the processor; no survivor holds its assignment",
-		})
-	case LoadOnDemand:
-		recs := append(r.poolRecs(r.odPools[idx]), r.workerRecs(idx, envs)...)
-		sortRecs(recs)
-		r.routeRecs(recs, idx)
-	case WorkStealing:
-		tokenLost := r.tokenHolder == idx
-		for _, env := range envs {
-			if _, ok := env.Payload.(msgToken); ok {
-				tokenLost = true
-			}
-		}
-		var recs []seedRec
-		if t := r.thieves[idx]; t != nil {
-			recs = r.poolRecs(t.pool)
-		}
-		recs = append(recs, r.workerRecs(idx, envs)...)
-		sortRecs(recs)
-		r.routeRecs(recs, idx)
-		if tokenLost && !r.failed() {
-			r.regenToken(idx)
-		}
-	case HybridMS:
-		r.hybridDied(idx, envs)
-	}
+	r.alg.died(r, idx, r.deadEnvelopes(idx))
 }
 
 // routeRecs delivers salvaged streamline records to survivors able to
-// integrate them. deadIdx anchors deterministic target selection (the
-// victim's ring position or master); -1 means no anchor.
+// integrate them, by the row's route entry. deadIdx anchors deterministic
+// target selection (the victim's ring position or master); -1 means no
+// anchor.
 func (r *runState) routeRecs(recs []seedRec, deadIdx int) {
-	if len(recs) == 0 || r.failed() {
+	if len(recs) > 0 && !r.failed() {
+		r.alg.route(r, recs, deadIdx)
+	}
+}
+
+// --- Load On Demand and Work Stealing ---
+
+// poolWorkerDied re-homes a dead pool worker's streamlines and, for the
+// stealing row, regenerates a token that died with it (held there or
+// unread in its inbox; Load On Demand has none to lose).
+func (r *runState) poolWorkerDied(idx int, envs []comm.Envelope) {
+	tokenLost := r.tokenHolder == idx
+	for _, env := range envs {
+		if _, ok := env.Payload.(msgToken); ok {
+			tokenLost = true
+		}
+	}
+	r.routeRecs(r.salvage(idx, envs), idx)
+	if tokenLost && !r.failed() {
+		r.regenToken(idx)
+	}
+}
+
+// routeToSurvivors is Load On Demand's route: split round-robin over
+// every survivor.
+func (r *runState) routeToSurvivors(recs []seedRec, _ int) {
+	var survivors []int
+	for i := range r.procs {
+		if r.running(i) {
+			survivors = append(survivors, i)
+		}
+	}
+	if len(survivors) == 0 {
+		r.fail(fmt.Errorf("core: no survivor left to adopt %d streamlines", len(recs)))
 		return
 	}
-	switch r.cfg.Algorithm {
-	case LoadOnDemand:
-		var survivors []int
-		for i := range r.procs {
-			if r.running(i) {
-				survivors = append(survivors, i)
-			}
-		}
-		if len(survivors) == 0 {
-			r.fail(fmt.Errorf("core: no survivor left to adopt %d streamlines", len(recs)))
-			return
-		}
-		shares := make([][]seedRec, len(survivors))
-		for j, rec := range recs {
-			shares[j%len(survivors)] = append(shares[j%len(survivors)], rec)
-		}
-		for k, tgt := range survivors {
-			if len(shares[k]) > 0 {
-				r.deliverLocal(tgt, msgAdopt{recs: shares[k]})
-			}
-		}
-	case WorkStealing:
-		succ := r.nextRunning(deadIdx)
-		if succ < 0 {
-			r.fail(fmt.Errorf("core: no survivor left to adopt %d streamlines", len(recs)))
-			return
-		}
-		r.deliverLocal(succ, msgAdopt{recs: recs})
-	case HybridMS:
-		tgt := r.hybridMasterFor(deadIdx)
-		if tgt < 0 {
-			// No master is live right now, but if any slave survives a
-			// promotion chain is still pending for its group (every dead
-			// master issued one, and a candidate dying mid-promotion
-			// re-promotes via the dead-letter path). Park the orphans;
-			// hybridAfterDeath flushes them to the next enthroned master.
-			if r.hybridSlaveSurvives() {
-				r.hybOrphans = append(r.hybOrphans, recs...)
-				return
-			}
-			r.fail(&faults.UnrecoverableError{
-				Algorithm: string(HybridMS),
-				Proc:      deadIdx,
-				Time:      r.kernel.Now(),
-				Reason:    "no master survives to adopt the orphaned streamlines",
-			})
-			return
-		}
-		r.deliverLocal(tgt, msgAdoptPool{recs: recs, fresh: true})
+	shares := make([][]seedRec, len(survivors))
+	for j, rec := range recs {
+		shares[j%len(survivors)] = append(shares[j%len(survivors)], rec)
 	}
+	for k, tgt := range survivors {
+		if len(shares[k]) > 0 {
+			r.deliverLocal(tgt, msgAdopt{recs: shares[k]})
+		}
+	}
+}
+
+// routeToSuccessor is Work Stealing's route: everything to the victim's
+// ring successor.
+func (r *runState) routeToSuccessor(recs []seedRec, deadIdx int) {
+	succ := r.nextRunning(deadIdx)
+	if succ < 0 {
+		r.fail(fmt.Errorf("core: no survivor left to adopt %d streamlines", len(recs)))
+		return
+	}
+	r.deliverLocal(succ, msgAdopt{recs: recs})
+}
+
+// routeToMaster is Hybrid's route: into a live master's pool.
+func (r *runState) routeToMaster(recs []seedRec, deadIdx int) {
+	tgt := r.hybridMasterFor(deadIdx)
+	if tgt < 0 {
+		// No master is live right now, but if any slave survives a
+		// promotion chain is still pending for its group (every dead
+		// master issued one, and a candidate dying mid-promotion
+		// re-promotes via the dead-letter path). Park the orphans;
+		// hybridAfterDeath flushes them to the next enthroned master.
+		if r.hybridSlaveSurvives() {
+			r.hybOrphans = append(r.hybOrphans, recs...)
+			return
+		}
+		r.fail(&faults.UnrecoverableError{
+			Algorithm: string(HybridMS),
+			Proc:      deadIdx,
+			Time:      r.kernel.Now(),
+			Reason:    "no master survives to adopt the orphaned streamlines",
+		})
+		return
+	}
+	r.deliverLocal(tgt, msgAdoptPool{recs: recs, fresh: true})
 }
 
 // hybridSlaveSurvives reports whether any hybrid slave is still
@@ -361,11 +333,11 @@ func (r *runState) hybridSlaveSurvives() bool {
 	return false
 }
 
-// --- Load On Demand ---
-
-// odBroadcastDone releases every still-waiting Load On Demand worker
-// once the completion ledger reaches the seed total.
-func (r *runState) odBroadcastDone() {
+// releaseSurvivors is Load On Demand's ledger-full entry: it has no
+// coordinator, and under a fault plan its workers outlive their own
+// splits (a later death may orphan work only they can adopt), so the
+// ledger reaching the seed total is what releases them.
+func (r *runState) releaseSurvivors() {
 	for i := range r.procs {
 		if r.running(i) {
 			r.deliverLocal(i, msgAllDone{})
@@ -373,7 +345,16 @@ func (r *runState) odBroadcastDone() {
 	}
 }
 
-// --- Work Stealing ---
+// foldDeadCounts writes the ledger's record of each dead processor's
+// completions into token counts (counts are monotone, so overwriting a
+// smaller entry is safe).
+func (r *runState) foldDeadCounts(counts []int64) {
+	for i, pw := range r.poolWorkers {
+		if pw != nil && r.procs[i].Failed() && pw.completed > counts[i] {
+			counts[i] = pw.completed
+		}
+	}
+}
 
 // regenToken rebuilds the termination token after it died with
 // processor deadIdx (held there, unread in its inbox, or in flight to
@@ -389,11 +370,7 @@ func (r *runState) regenToken(deadIdx int) {
 		return
 	}
 	counts := make([]int64, r.cfg.Procs)
-	for i, t := range r.thieves {
-		if t != nil && r.procs[i] != nil && r.procs[i].Failed() {
-			counts[i] = t.completed
-		}
-	}
+	r.foldDeadCounts(counts)
 	r.tokenHolder = -1
 	r.deliverLocal(succ, msgToken{counts: counts, regen: true})
 }
@@ -405,58 +382,24 @@ func (r *runState) regenToken(deadIdx int) {
 // candidate that died before assuming the role, and a coordinator
 // ledger recheck in every case.
 func (r *runState) hybridDied(idx int, envs []comm.Envelope) {
-	r.removeMasterEP(idx)
-	var repromotes []msgPromote
-	var recs []seedRec
-	for _, env := range envs {
-		if pm, ok := env.Payload.(msgPromote); ok {
-			// The victim died before assuming a promotion; hand the role
-			// to the next candidate of the same flock below.
-			repromotes = append(repromotes, pm)
-			continue
-		}
-		recs = append(recs, r.payloadRecs(env.Payload)...)
-	}
-	if w := r.workers[idx]; w != nil {
-		for _, sl := range w.sending {
-			recs = append(recs, r.restartRec(sl))
-		}
-		recs = append(recs, w.sendingRecs...)
-	}
-	if m := r.hybMasters[idx]; m != nil {
-		recs = append(recs, r.masterPoolRecs(m)...)
-		sortRecs(recs)
-		r.promoteOrRoute(idx, recs)
-	} else if s := r.hybSlaves[idx]; s != nil {
-		for _, b := range sortedBlocks(s.byBlock) {
-			for _, sl := range s.byBlock[b] {
-				recs = append(recs, r.restartRec(sl))
-			}
-		}
-		if s.inHand != nil {
-			recs = append(recs, r.restartRec(s.inHand))
-		}
-		sortRecs(recs)
+	r.masterEPs = removeInt(r.masterEPs, idx)
+	if r.hybMasters[idx] != nil {
+		r.promoteOrRoute(idx, r.salvage(idx, envs))
+	} else if r.hybSlaves[idx] != nil {
+		recs := r.salvage(idx, envs)
 		if tgt := r.hybridMasterFor(idx); tgt >= 0 {
 			r.deliverLocal(tgt, msgSlaveDead{ep: idx})
 		}
 		r.routeRecs(recs, idx)
 	}
-	for _, pm := range repromotes {
-		r.repromote(pm)
+	for _, env := range envs {
+		if pm, ok := env.Payload.(msgPromote); ok {
+			// The victim died before assuming a promotion; hand the role
+			// to the next candidate of the same flock.
+			r.repromote(pm)
+		}
 	}
 	r.hybridAfterDeath()
-}
-
-// masterPoolRecs drains a master's unassigned seeds: the released pool
-// in block order, then the future (not-yet-released) tail.
-func (r *runState) masterPoolRecs(m *master) []seedRec {
-	var recs []seedRec
-	for _, b := range sortedBlocks(m.pool) {
-		recs = append(recs, m.pool[b]...)
-	}
-	recs = append(recs, m.future...)
-	return recs
 }
 
 // hybridMasterFor picks the master that adopts work orphaned at
@@ -464,7 +407,7 @@ func (r *runState) masterPoolRecs(m *master) []seedRec {
 // falling back to the lowest live master endpoint.
 func (r *runState) hybridMasterFor(deadIdx int) int {
 	if deadIdx >= 0 && deadIdx < len(r.hybSlaves) {
-		if s := r.hybSlaves[deadIdx]; s != nil && r.running(s.master) && r.isMasterEP(s.master) {
+		if s := r.hybSlaves[deadIdx]; s != nil && r.running(s.master) && slices.Contains(r.masterEPs, s.master) {
 			return s.master
 		}
 	}
@@ -474,15 +417,6 @@ func (r *runState) hybridMasterFor(deadIdx int) int {
 		}
 	}
 	return -1
-}
-
-func (r *runState) isMasterEP(ep int) bool {
-	for _, e := range r.masterEPs {
-		if e == ep {
-			return true
-		}
-	}
-	return false
 }
 
 // promoteOrRoute promotes the dead master's lowest-indexed surviving
@@ -516,7 +450,7 @@ func (r *runState) promoteAmong(deadEP int, recs []seedRec, cands []int) {
 		return
 	}
 	cand, flock := cands[0], append([]int(nil), cands[1:]...)
-	r.addMasterEP(cand)
+	r.masterEPs = insertSorted(r.masterEPs, cand)
 	r.deliverLocal(cand, msgPromote{recs: recs, flock: flock})
 	for _, ep := range flock {
 		r.deliverLocal(ep, msgRemaster{master: cand})
@@ -529,7 +463,7 @@ func (r *runState) promoteAmong(deadEP int, recs []seedRec, cands []int) {
 // the coordinator itself — is covered by this one recheck, because
 // completions land in the ledger before their triggers are sent.
 func (r *runState) hybridAfterDeath() {
-	if r.failed() || r.cfg.Algorithm != HybridMS {
+	if r.failed() {
 		return
 	}
 	if len(r.masterEPs) == 0 {
@@ -561,25 +495,6 @@ func (r *runState) hybridAfterDeath() {
 	}
 }
 
-func (r *runState) removeMasterEP(ep int) {
-	for i, e := range r.masterEPs {
-		if e == ep {
-			r.masterEPs = append(r.masterEPs[:i], r.masterEPs[i+1:]...)
-			return
-		}
-	}
-}
-
-func (r *runState) addMasterEP(ep int) {
-	i := sort.SearchInts(r.masterEPs, ep)
-	if i < len(r.masterEPs) && r.masterEPs[i] == ep {
-		return
-	}
-	r.masterEPs = append(r.masterEPs, 0)
-	copy(r.masterEPs[i+1:], r.masterEPs[i:])
-	r.masterEPs[i] = ep
-}
-
 // --- dead letters ---
 
 // onDeadLetter salvages messages that landed on a failed processor: the
@@ -595,13 +510,10 @@ func (r *runState) onDeadLetter(to *sim.Proc, msg any) {
 	if !ok {
 		return
 	}
-	deadIdx := r.procIndex(to)
-	if deadIdx < 0 {
-		return
-	}
+	deadIdx := to.ID() // spawn order == endpoint index
 	switch pay := env.Payload.(type) {
 	case msgPromote:
-		r.removeMasterEP(deadIdx)
+		r.masterEPs = removeInt(r.masterEPs, deadIdx)
 		r.repromote(pay)
 		r.hybridAfterDeath()
 	case msgToken:

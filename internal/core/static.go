@@ -2,11 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/comm"
+	"repro/internal/faults"
 	"repro/internal/grid"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -43,6 +42,19 @@ func staticOwner(numBlocks, procs int) func(grid.BlockID) int {
 	}
 }
 
+// staticDied is Static Allocation's recovery row: the typed refusal.
+// Block ownership dies with the processor and no survivor holds its
+// assignment — the asymmetry the paper's Section 5 comparison makes
+// measurable.
+func (r *runState) staticDied(idx int, _ []comm.Envelope) {
+	r.fail(&faults.UnrecoverableError{
+		Algorithm: string(StaticAlloc),
+		Proc:      idx,
+		Time:      r.kernel.Now(),
+		Reason:    "block ownership and resident streamlines die with the processor; no survivor holds its assignment",
+	})
+}
+
 func (r *runState) buildStatic() {
 	n := r.cfg.Procs
 	d := r.prob.Provider.Decomp()
@@ -59,7 +71,6 @@ func (r *runState) buildStatic() {
 	}
 
 	for i := 0; i < n; i++ {
-		i := i
 		lo := i * d.NumBlocks() / n
 		hi := (i + 1) * d.NumBlocks() / n
 		// The pinned working set doubles as the prefetch preload order:
@@ -88,35 +99,20 @@ func (r *runState) buildStatic() {
 func (r *runState) staticWorker(w *worker, owner func(grid.BlockID) int, initial []*trace.Streamline, preload []grid.BlockID) {
 	defer func() { w.stats.EndTime = w.proc.Now() }()
 
-	// Split the pre-routed seeds into the immediately workable queue and
-	// the parked future releases, activation-ordered by (Release, ID).
+	// Split the pre-routed seeds into the immediately workable queue (a
+	// LIFO stack) and the parked future releases.
 	queue := make([]*trace.Streamline, 0, len(initial))
-	var future []*trace.Streamline
+	activate := func(sl *trace.Streamline) {
+		w.noteActivated(1)
+		queue = append(queue, sl)
+	}
+	future := releaseQueue[*trace.Streamline]{key: slKey}
 	for _, sl := range initial {
 		w.adoptStreamline(sl)
 		if sl.Release > w.proc.Now() {
-			future = append(future, sl)
+			future.push(sl)
 		} else {
-			w.noteActivated(1)
-			queue = append(queue, sl)
-		}
-	}
-	sort.Slice(future, func(i, j int) bool {
-		if future[i].Release != future[j].Release {
-			return future[i].Release < future[j].Release
-		}
-		return future[i].ID < future[j].ID
-	})
-	// releaseDue activates parked seeds whose scheduled time arrived.
-	releaseDue := func() {
-		now := w.proc.Now()
-		for len(future) > 0 && future[0].Release <= now {
-			if tr := w.run.tr; tr != nil {
-				tr.Mark(w.end.Index(), obs.MarkRelease, now, int64(future[0].ID), 0)
-			}
-			w.noteActivated(1)
-			queue = append(queue, future[0])
-			future = future[1:]
+			activate(sl)
 		}
 	}
 	if !w.checkMemory("initial streamlines") {
@@ -125,17 +121,10 @@ func (r *runState) staticWorker(w *worker, owner func(grid.BlockID) int, initial
 
 	me := w.end.Index()
 	coordinator := me == 0
-	remaining := 0 // coordinator-only: streamlines not yet terminated
-	if coordinator {
-		remaining = len(r.prob.Seeds)
-	}
-	done := remaining == 0 && coordinator
-	if done {
-		// Degenerate empty problem; still tell everyone.
-		w.end.Broadcast(msgAllDone{})
-		return
-	}
-	done = false
+	// remaining is coordinator-only: streamlines not yet terminated
+	// (Problem.Validate guarantees at least one).
+	remaining := len(r.prob.Seeds)
+	done := false
 
 	// reportDone forwards termination counts to the coordinator; the
 	// coordinator short-circuits its own reports locally.
@@ -151,15 +140,14 @@ func (r *runState) staticWorker(w *worker, owner func(grid.BlockID) int, initial
 		w.end.Send(0, msgDone{count: count})
 	}
 
-	handle := func(env comm.Envelope) {
+	handle := func(env comm.Envelope) bool {
 		switch m := env.Payload.(type) {
 		case msgStreamlines:
 			// Migrated arrivals were advanced by their sender, so they are
 			// always already released.
-			w.noteActivated(len(m.sls))
 			for _, sl := range m.sls {
 				w.adoptStreamline(sl)
-				queue = append(queue, sl)
+				activate(sl)
 			}
 		case msgDone:
 			if coordinator {
@@ -168,35 +156,24 @@ func (r *runState) staticWorker(w *worker, owner func(grid.BlockID) int, initial
 		case msgAllDone:
 			done = true
 		}
+		return done
 	}
 
 	for !done {
 		// Drain any pending messages first so incoming streamlines join
 		// this round's queue.
-		for {
-			env, ok := w.end.TryRecv()
-			if !ok {
-				break
-			}
-			handle(env)
-		}
-		if done || r.failed() {
+		if w.drain(handle) || r.failed() {
 			return
 		}
-		releaseDue()
+		future.release(w, activate)
 
 		if len(queue) == 0 {
-			if len(future) > 0 {
-				// Owned seeds are still parked on the injection schedule:
-				// wait for their release, cut short by any arriving
-				// streamline or termination message.
-				if env, got := w.stallForRelease(future[0].Release); got {
-					handle(env)
-				}
-				continue
+			// Nothing to integrate: wait for streamlines or termination —
+			// or, with owned seeds still parked on the injection schedule,
+			// for their release.
+			if env, got := w.recvOrRelease(future.next()); got {
+				handle(env)
 			}
-			// Nothing to integrate: wait for streamlines or termination.
-			handle(w.end.Recv())
 			continue
 		}
 

@@ -11,10 +11,10 @@ import (
 )
 
 // Work Stealing (DESIGN.md §6): the decentralized ablation of the paper's
-// central claim. Every processor starts exactly like Load On Demand — a
-// contiguous 1/n split of the block-grouped seeds and a private LRU block
-// cache — but when its local pool runs dry it probes victims for batches
-// of inactive streamlines instead of idling. There is no master and no
+// central claim. Every processor is a Load On Demand processor — the
+// same poolWorker loop below over the same split and cache — but when
+// its local pool runs dry it probes victims for batches of inactive
+// streamlines instead of idling. There is no master and no
 // global counter: termination is detected by a token circulating the
 // processor ring, carrying every processor's monotone completion count.
 //
@@ -64,289 +64,297 @@ func (m msgToken) Bytes() int64 { return 16 + int64(len(m.counts))*8 }
 
 // --- construction ---
 
-func (r *runState) buildStealing() {
+// buildPoolWorkers places work for the two pool rows: each processor
+// gets a contiguous 1/n split of the block-grouped seeds ("grouped by
+// block to enhance data locality", Section 4.2) and a private LRU block
+// cache. The row's balancing entry decides whether they also steal.
+func (r *runState) buildPoolWorkers() {
 	n := r.cfg.Procs
-	recs := r.seedRecords() // block-grouped, exactly like Load On Demand
-	r.thieves = make([]*thief, n)
+	recs := r.seedRecords()
+	r.poolWorkers = make([]*poolWorker, n)
 
 	for i := 0; i < n; i++ {
-		i := i
-		lo := i * len(recs) / n
-		hi := (i + 1) * len(recs) / n
-		mine := recs[lo:hi]
-		var t *thief
-		proc := r.kernel.Spawn(fmt.Sprintf("stealing-%d", i), func(p *sim.Proc) {
-			t.run(mine)
+		mine := recs[i*len(recs)/n : (i+1)*len(recs)/n]
+		var pw *poolWorker
+		proc := r.kernel.Spawn(fmt.Sprintf("%s-%d", r.cfg.Algorithm, i), func(p *sim.Proc) {
+			pw.run(mine)
 		})
-		t = newThief(r, r.newWorker(proc, i, r.cfg.CacheBlocks), i, n)
+		pw = newPoolWorker(r, r.newWorker(proc, i, r.cfg.CacheBlocks), i, n)
 	}
 }
 
-// thief is the per-processor state of the work-stealing algorithm. The
-// name reflects the role every processor eventually plays; each is also a
-// victim for its peers.
-type thief struct {
+// poolWorker is the per-processor state of the Load On Demand and Work
+// Stealing rows: one loop over one pool (pool.go). Load On Demand (paper
+// Section 4.2) is the loop with nothing to steal — "Each processor
+// integrates the streamlines assigned to it until streamline
+// termination... loading a block from disk only when there is no more
+// work to be done on the in-memory blocks... Each processor terminates
+// independently when all of its streamlines have terminated" — and no
+// communication at all.
+type poolWorker struct {
 	r  *runState
 	w  *worker
 	me int // endpoint index
 	n  int // total processors
 
-	// pool is the Load On Demand work pool (pool.go), the part of the
-	// algorithm stealing inherits unchanged.
 	pool *pool
 
 	// completed counts terminations on this processor, monotonically; the
 	// token aggregates these across the ring.
 	completed int64
-	holding   bool    // this processor currently holds the token
-	counts    []int64 // the token's payload while held
+	done      bool
+
+	// stealer is nil when the row's balancing is off: no token, no
+	// probes, no peer watches, none of their state.
+	*stealer
+}
+
+// stealer is the steal-only part of a poolWorker. Every stealing
+// processor is both thief and victim.
+type stealer struct {
+	holding bool    // this processor currently holds the token
+	counts  []int64 // the token's payload while held
 
 	// Probe state for one hungry round.
 	outstanding bool  // a probe is in flight, await its reply
 	probeVictim int   // target of the outstanding probe
 	probesLeft  int   // probes remaining before going quiet
-	fanout      int   // resolved probe budget per round
 	order       []int // victim order (random policy: fresh permutation per round)
 	orderPos    int
 	ring        int // roundrobin cursor into the peer list
 	peers       []int
 	rng         *rand.Rand
-
-	done bool
 }
 
-func newThief(r *runState, w *worker, me, n int) *thief {
-	t := &thief{
-		r:    r,
-		w:    w,
-		me:   me,
-		n:    n,
-		pool: newPool(r, w),
-		rng:  rand.New(rand.NewSource(int64(104729 + me))),
+func newPoolWorker(r *runState, w *worker, me, n int) *poolWorker {
+	pw := &poolWorker{r: r, w: w, me: me, n: n, pool: newPool(r, w)}
+	r.poolWorkers[me] = pw
+	if r.alg.balance != balanceSteal {
+		return pw
 	}
+	pw.stealer = &stealer{rng: rand.New(rand.NewSource(int64(104729 + me)))}
 	for p := 0; p < n; p++ {
 		if p != me {
-			t.peers = append(t.peers, p)
+			pw.peers = append(pw.peers, p)
 		}
-	}
-	t.fanout = r.cfg.Steal.Fanout
-	if t.fanout <= 0 || t.fanout > len(t.peers) {
-		t.fanout = len(t.peers)
 	}
 	if me == 0 {
 		// The token starts on processor 0 — an arbitrary but fixed ring
 		// position, not a coordinator: every processor treats it alike.
-		t.holding = true
-		t.counts = make([]int64, n)
+		pw.holding = true
+		pw.counts = make([]int64, n)
 		r.tokenHolder = 0
 	}
-	t.resetProbes()
-	r.thieves[me] = t
-	return t
+	pw.resetProbes()
+	return pw
 }
 
 // --- main loop ---
 
-func (t *thief) run(mine []seedRec) {
-	defer func() { t.w.stats.EndTime = t.w.proc.Now() }()
+func (pw *poolWorker) run(mine []seedRec) {
+	defer func() { pw.w.stats.EndTime = pw.w.proc.Now() }()
 
-	if t.r.faultsOn {
+	if pw.r.faultsOn && pw.stealer != nil {
 		// Watch every peer: a Death notification prunes the probe set
 		// and cancels a probe whose reply will never come.
-		for _, p := range t.peers {
-			t.w.end.WatchPeer(p)
+		for _, p := range pw.peers {
+			pw.w.end.WatchPeer(p)
 		}
 	}
 	for _, rec := range mine {
-		t.pool.adopt(rec.streamline())
+		pw.pool.adopt(rec.streamline())
 	}
-	if !t.w.checkMemory("initial streamlines") {
+	if !pw.w.checkMemory("initial streamlines") {
 		return
 	}
 
-	for !t.done {
+	handle := pw.handle
+	for !pw.done {
 		// Stay responsive: drain requests and replies between every unit
 		// of work so victims answer probes promptly.
-		for {
-			env, ok := t.w.end.TryRecv()
-			if !ok {
-				break
+		if pw.w.drain(handle) || pw.r.failed() {
+			return
+		}
+		pw.pool.releaseReady()
+
+		if len(pw.pool.workable) > 0 {
+			if pw.pool.advanceOne() {
+				pw.completed++
 			}
-			t.handle(env)
-			if t.done {
+			continue
+		}
+		if len(pw.pool.pending) > 0 {
+			// No more work on loaded blocks: read the block that unblocks
+			// the most streamlines.
+			pw.pool.loadBest()
+			continue
+		}
+
+		// Dry of released work.
+		if pw.stealer != nil {
+			// The token moves only when the pool is completely empty —
+			// parked future seeds count as busy, so a processor waiting on
+			// its injection schedule holds the token through the stall.
+			// Passing while parked would let a zero-cost ring spin at one
+			// virtual instant (every hop free, the release timer never
+			// reached); holding instead keeps the sum argument intact,
+			// since the holder's own completions are still missing.
+			if pw.holding && pw.pool.active == 0 {
+				pw.passToken()
+				continue
+			}
+			if !pw.outstanding && pw.probesLeft > 0 && pw.n > 1 {
+				pw.probe()
+				continue
+			}
+		}
+		next, parked := pw.pool.parked.next()
+		if !parked {
+			if pw.pool.active > 0 {
+				// Nothing resident anywhere: impossible unless bookkeeping
+				// broke.
+				pw.r.fail(fmt.Errorf("core: worker %s stuck with %d active streamlines",
+					pw.w.proc.Name(), pw.pool.active))
+				return
+			}
+			// Own split done. Without a fault plan that ends a Load On
+			// Demand processor; under one it stays to adopt what a later
+			// death may orphan, until the completion ledger is full.
+			if pw.r.alg.finish == finishOwnSplit && (!pw.r.faultsOn || pw.r.completedTotal == len(pw.r.prob.Seeds)) {
 				return
 			}
 		}
-		if t.r.failed() {
-			return
+		// Quiet: wait for a reply, the token, adopted work, termination —
+		// or this processor's next scheduled seed release.
+		if env, got := pw.w.recvOrRelease(next, parked); got {
+			handle(env)
 		}
-		t.pool.releaseReady()
-
-		if len(t.pool.workable) > 0 {
-			if t.pool.advanceOne() {
-				t.completed++
-			}
-			continue
-		}
-		if len(t.pool.pending) > 0 {
-			t.pool.loadBest()
-			continue
-		}
-
-		// Dry of released work. The token moves only when the pool is
-		// completely empty — parked future seeds count as busy, so a
-		// processor waiting on its injection schedule holds the token
-		// through the stall. Passing while parked would let a zero-cost
-		// ring spin at one virtual instant (every hop free, the release
-		// timer never reached); holding instead keeps the sum argument
-		// intact, since the holder's own completions are still missing.
-		if t.holding && t.pool.active == 0 {
-			t.passToken()
-			continue
-		}
-		if !t.outstanding && t.probesLeft > 0 && t.n > 1 {
-			t.probe()
-			continue
-		}
-		// Quiet: wait for a reply, the token, work, termination — or
-		// this processor's next scheduled seed release.
-		if next, ok := t.pool.nextRelease(); ok {
-			if env, got := t.w.stallForRelease(next); got {
-				t.handle(env)
-			}
-			continue
-		}
-		t.handle(t.w.end.Recv())
 	}
 }
 
-func (t *thief) handle(env comm.Envelope) {
+// handle processes one message and reports whether the processor is done.
+func (pw *poolWorker) handle(env comm.Envelope) bool {
 	switch m := env.Payload.(type) {
 	case msgStealReq:
-		t.reply(env.From)
+		pw.reply(env.From)
 	case msgStreamlines: // a successful steal reply
 		for _, sl := range m.sls {
-			t.pool.adopt(sl)
+			pw.pool.adopt(sl)
 		}
-		t.w.stats.StealHits++
-		if tr := t.r.tr; tr != nil {
-			tr.Mark(t.me, obs.MarkStealHit, t.w.proc.Now(), int64(env.From), int64(len(m.sls)))
+		pw.w.stats.StealHits++
+		if tr := pw.r.tr; tr != nil {
+			tr.Mark(pw.me, obs.MarkStealHit, pw.w.proc.Now(), int64(env.From), int64(len(m.sls)))
 		}
-		t.outstanding = false
-		t.resetProbes()
-		t.w.checkMemory("stolen streamlines")
+		pw.outstanding = false
+		pw.resetProbes()
+		pw.w.checkMemory("stolen streamlines")
 	case msgStealMiss:
 		// The probe budget was spent when the probe was sent (probe());
 		// a miss only frees the thief to try the next victim.
-		t.outstanding = false
+		pw.outstanding = false
 	case msgToken:
 		if m.regen {
-			t.w.stats.RingReforms++
+			pw.w.stats.RingReforms++
 		}
-		t.r.tokenHolder = t.me
-		t.counts = m.counts
-		t.holding = true
-		t.resetProbes()
-		t.pool.releaseReady()
-		if t.pool.active == 0 {
+		pw.r.tokenHolder = pw.me
+		pw.counts = m.counts
+		pw.holding = true
+		pw.resetProbes()
+		pw.pool.releaseReady()
+		if pw.pool.active == 0 {
 			// Idle processors forward immediately; busy ones — parked
 			// future seeds included — hold the token until their pool
 			// drains (see the main loop for why parked work must hold).
-			t.passToken()
+			pw.passToken()
 		}
 	case msgAdopt:
 		// A dead peer's streamlines, restarted from seed by the
 		// recovery layer and re-homed here.
 		for _, rec := range m.recs {
-			t.pool.adopt(rec.streamline())
+			pw.pool.adopt(rec.streamline())
 		}
-		t.w.stats.SeedsAdopted += int64(len(m.recs))
-		if tr := t.r.tr; tr != nil {
-			tr.Mark(t.me, obs.MarkAdopt, t.w.proc.Now(), int64(len(m.recs)), 0)
+		pw.w.stats.SeedsAdopted += int64(len(m.recs))
+		if tr := pw.r.tr; tr != nil {
+			tr.Mark(pw.me, obs.MarkAdopt, pw.w.proc.Now(), int64(len(m.recs)), 0)
 		}
-		t.resetProbes()
-		t.w.checkMemory("adopted streamlines")
+		if pw.stealer != nil {
+			pw.resetProbes()
+		}
+		pw.w.checkMemory("adopted streamlines")
 	case comm.Death:
-		t.dropPeer(m.Peer)
+		pw.dropPeer(m.Peer)
 	case msgAllDone:
-		t.done = true
+		pw.done = true
 	}
+	return pw.done
 }
 
-// dropPeer prunes a dead peer from the probe set, resizes the fanout to
-// the surviving ring, and cancels a probe outstanding against it (its
-// reply will never come).
-func (t *thief) dropPeer(peer int) {
-	for i, p := range t.peers {
-		if p == peer {
-			t.peers = append(t.peers[:i], t.peers[i+1:]...)
-			break
-		}
+// dropPeer prunes a dead peer from the probe set and cancels a probe
+// outstanding against it (its reply will never come).
+func (pw *poolWorker) dropPeer(peer int) {
+	pw.peers = removeInt(pw.peers, peer)
+	if pw.outstanding && pw.probeVictim == peer {
+		pw.outstanding = false
 	}
-	f := t.r.cfg.Steal.Fanout
-	if f <= 0 || f > len(t.peers) {
-		f = len(t.peers)
-	}
-	t.fanout = f
-	if t.outstanding && t.probeVictim == peer {
-		t.outstanding = false
-	}
-	t.resetProbes()
+	pw.resetProbes()
 }
 
 // --- stealing ---
 
 // resetProbes re-arms a full hungry round: a fresh probe budget and, for
 // the random policy, a fresh victim permutation.
-func (t *thief) resetProbes() {
-	t.probesLeft = t.fanout
-	if t.r.cfg.Steal.Victim == VictimRandom && len(t.peers) > 0 {
-		t.order = append(t.order[:0], t.peers...)
-		t.rng.Shuffle(len(t.order), func(i, j int) {
-			t.order[i], t.order[j] = t.order[j], t.order[i]
+func (pw *poolWorker) resetProbes() {
+	pw.probesLeft = pw.r.cfg.Steal.Fanout
+	if pw.probesLeft <= 0 || pw.probesLeft > len(pw.peers) {
+		pw.probesLeft = len(pw.peers)
+	}
+	if pw.r.cfg.Steal.Victim == VictimRandom && len(pw.peers) > 0 {
+		pw.order = append(pw.order[:0], pw.peers...)
+		pw.rng.Shuffle(len(pw.order), func(i, j int) {
+			pw.order[i], pw.order[j] = pw.order[j], pw.order[i]
 		})
-		t.orderPos = 0
+		pw.orderPos = 0
 	}
 }
 
 // probe sends one steal request to the next victim of the current round.
-func (t *thief) probe() {
+func (pw *poolWorker) probe() {
 	var victim int
-	switch t.r.cfg.Steal.Victim {
+	switch pw.r.cfg.Steal.Victim {
 	case VictimRoundRobin:
-		victim = t.peers[t.ring%len(t.peers)]
-		t.ring++
+		victim = pw.peers[pw.ring%len(pw.peers)]
+		pw.ring++
 	default: // VictimRandom
-		victim = t.order[t.orderPos%len(t.order)]
-		t.orderPos++
+		victim = pw.order[pw.orderPos%len(pw.order)]
+		pw.orderPos++
 	}
-	t.probesLeft--
-	t.outstanding = true
-	t.probeVictim = victim
-	t.w.stats.StealAttempts++
-	if tr := t.r.tr; tr != nil {
-		tr.Mark(t.me, obs.MarkStealProbe, t.w.proc.Now(), int64(victim), 0)
+	pw.probesLeft--
+	pw.outstanding = true
+	pw.probeVictim = victim
+	pw.w.stats.StealAttempts++
+	if tr := pw.r.tr; tr != nil {
+		tr.Mark(pw.me, obs.MarkStealProbe, pw.w.proc.Now(), int64(victim), 0)
 	}
-	t.w.end.Send(victim, msgStealReq{})
+	pw.w.end.Send(victim, msgStealReq{})
 }
 
 // reply answers a probe: hand over up to Batch inactive streamlines
 // (keeping at least one if any remain), pending blocks first — the thief
 // pays their I/O instead of us — then the oldest workable ones.
-func (t *thief) reply(to int) {
-	loot := t.pickLoot()
+func (pw *poolWorker) reply(to int) {
+	loot := pw.pickLoot()
 	if len(loot) == 0 {
-		t.w.end.Send(to, msgStealMiss{})
+		pw.w.end.Send(to, msgStealMiss{})
 		return
 	}
-	t.pool.active -= len(loot)
-	t.w.sendStreamlines(to, loot)
+	pw.pool.active -= len(loot)
+	pw.w.sendStreamlines(to, loot)
 }
 
 // pickLoot selects and removes the streamlines a steal reply carries.
-func (t *thief) pickLoot() []*trace.Streamline {
-	pl := t.pool
-	target := t.r.cfg.Steal.Batch
+func (pw *poolWorker) pickLoot() []*trace.Streamline {
+	pl := pw.pool
+	target := pw.r.cfg.Steal.Batch
 	if target > pl.active-1 {
 		target = pl.active - 1
 	}
@@ -363,12 +371,7 @@ func (t *thief) pickLoot() []*trace.Streamline {
 		if take > len(sls) {
 			take = len(sls)
 		}
-		loot = append(loot, sls[len(sls)-take:]...)
-		if take == len(sls) {
-			delete(pl.pending, b)
-		} else {
-			pl.pending[b] = sls[:len(sls)-take]
-		}
+		loot = append(loot, takeTail(pl.pending, b, take)...)
 	}
 	if take := target - len(loot); take > 0 && len(pl.workable) > 0 {
 		if take > len(pl.workable) {
@@ -385,54 +388,50 @@ func (t *thief) pickLoot() []*trace.Streamline {
 // passToken records this processor's completion count, declares global
 // termination if every streamline is accounted for, and otherwise
 // forwards the token around the ring.
-func (t *thief) passToken() {
-	t.counts[t.me] = t.completed
-	if t.r.faultsOn {
+func (pw *poolWorker) passToken() {
+	pw.counts[pw.me] = pw.completed
+	if pw.r.faultsOn {
 		// A dead processor can never write its own entry again, so fold
 		// the ledger's record of its completions into the token —
 		// otherwise a token written before the victim's last completions
 		// would circulate with a stale entry and the sum could never
 		// reach the total. Counts are monotone; overwriting is safe.
-		for i, th := range t.r.thieves {
-			if i != t.me && th != nil && t.r.procs[i].Failed() && th.completed > t.counts[i] {
-				t.counts[i] = th.completed
-			}
-		}
+		pw.r.foldDeadCounts(pw.counts)
 	}
 	var sum int64
-	for _, c := range t.counts {
+	for _, c := range pw.counts {
 		sum += c
 	}
-	if sum == int64(len(t.r.prob.Seeds)) {
-		t.w.end.Broadcast(msgAllDone{})
-		t.done = true
-		t.r.tokenHolder = -1
+	if sum == int64(len(pw.r.prob.Seeds)) {
+		pw.w.end.Broadcast(msgAllDone{})
+		pw.done = true
+		pw.r.tokenHolder = -1
 		return
 	}
-	if t.n == 1 {
+	if pw.n == 1 {
 		// A lone processor passes the token only when dry, which means
 		// everything completed; reaching here is a bookkeeping bug.
-		t.r.fail(fmt.Errorf("core: stealing token count %d of %d on a single processor", sum, len(t.r.prob.Seeds)))
+		pw.r.fail(fmt.Errorf("core: stealing token count %d of %d on a single processor", sum, len(pw.r.prob.Seeds)))
 		return
 	}
-	next := (t.me + 1) % t.n
-	if t.r.faultsOn {
+	next := (pw.me + 1) % pw.n
+	if pw.r.faultsOn {
 		// Re-form the ring around dead peers: pass to the next live
 		// processor. The token stays attributed to this holder until the
 		// send completes, so a death mid-post regenerates it correctly.
-		next = t.r.nextRunning(t.me)
+		next = pw.r.nextRunning(pw.me)
 		if next < 0 {
 			// Every peer is gone and the sum still falls short: work was
 			// lost, which the salvage layer must make impossible.
-			t.r.fail(fmt.Errorf("core: stealing token count %d of %d with no live peer", sum, len(t.r.prob.Seeds)))
+			pw.r.fail(fmt.Errorf("core: stealing token count %d of %d with no live peer", sum, len(pw.r.prob.Seeds)))
 			return
 		}
 	}
-	t.holding = false
-	t.w.stats.TokensPassed++
-	if tr := t.r.tr; tr != nil {
-		tr.Mark(t.me, obs.MarkTokenPass, t.w.proc.Now(), int64(next), 0)
+	pw.holding = false
+	pw.w.stats.TokensPassed++
+	if tr := pw.r.tr; tr != nil {
+		tr.Mark(pw.me, obs.MarkTokenPass, pw.w.proc.Now(), int64(next), 0)
 	}
-	t.w.end.Send(next, msgToken{counts: t.counts})
-	t.r.tokenHolder = -1
+	pw.w.end.Send(next, msgToken{counts: pw.counts})
+	pw.r.tokenHolder = -1
 }

@@ -415,32 +415,21 @@ func MachineConfig(alg core.Algorithm, procs int, sc Scale) core.Config {
 	}
 }
 
-// UnsteadyMemoryBudget sizes the per-processor memory limit for a
-// time-sliced run the same way MemoryBudget does for a steady one, but
-// against space-time blocks: Static's pinned share at the smallest
-// processor count covers spatial blocks × epochs, and every block holds
-// two bounding time slices (the decomposition's doubled BlockBytes).
-func UnsteadyMemoryBudget(sc Scale, tslices int) int64 {
-	return memoryBudget(sc, grid.Decomposition{CellsPerAxis: sc.CellsPerAxis, Ghost: 1, TimeSlices: tslices, T1: 1})
-}
-
-// UnsteadyMachineConfig builds the cluster configuration for a pathline
-// run: the same machine as MachineConfig with the memory budget resized
-// for space-time blocks.
-func UnsteadyMachineConfig(alg core.Algorithm, procs int, sc Scale, tslices int) core.Config {
-	cfg := MachineConfig(alg, procs, sc)
-	cfg.MemoryBudget = UnsteadyMemoryBudget(sc, tslices)
-	return cfg
-}
-
 // KeyMachineConfig builds the cluster configuration a campaign cell
-// runs: MachineConfig (or its unsteady variant), with the key's prefetch
-// policy applied at the scale's lookahead depth and the key's fault
-// mode materialized into the scale's kill schedule.
+// runs: MachineConfig, with the memory budget resized for space-time
+// blocks when the key is unsteady, the key's prefetch policy applied at
+// the scale's lookahead depth and the key's fault mode materialized into
+// the scale's kill schedule.
 func KeyMachineConfig(k Key, sc Scale) core.Config {
 	cfg := MachineConfig(k.Alg, k.Procs, sc)
 	if k.Unsteady {
-		cfg = UnsteadyMachineConfig(k.Alg, k.Procs, sc, sc.TimeSlices)
+		// Sized the same way as the steady budget, but against
+		// space-time blocks: Static's pinned share at the smallest
+		// processor count covers spatial blocks × epochs, and every
+		// block holds two bounding time slices (the decomposition's
+		// doubled BlockBytes).
+		cfg.MemoryBudget = memoryBudget(sc, grid.Decomposition{
+			CellsPerAxis: sc.CellsPerAxis, Ghost: 1, TimeSlices: sc.TimeSlices, T1: 1})
 	}
 	if k.Prefetch.Enabled() {
 		cfg.Prefetch = prefetch.Config{Policy: k.Prefetch, Depth: sc.PrefetchDepth}

@@ -294,7 +294,7 @@ func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 func TestUnsteadyMemoryBudgetOrdering(t *testing.T) {
 	for _, sc := range []Scale{SmallScale(), DefaultScale()} {
 		steady := MemoryBudget(sc)
-		u := UnsteadyMemoryBudget(sc, sc.TimeSlices)
+		u := KeyMachineConfig(Key{Alg: core.StaticAlloc, Procs: sc.ProcCounts[0], Unsteady: true}, sc).MemoryBudget
 		if u <= steady {
 			t.Errorf("scale %s: unsteady budget %d not above steady %d (space-time pinning needs room)",
 				sc.Name, u, steady)
@@ -430,8 +430,8 @@ func TestKeyMachineConfig(t *testing.T) {
 		t.Errorf("prefetch config = %+v, want neighbor at depth %d", cfg.Prefetch, sc.PrefetchDepth)
 	}
 	k.Unsteady = true
-	if got := KeyMachineConfig(k, sc).MemoryBudget; got != UnsteadyMemoryBudget(sc, sc.TimeSlices) {
-		t.Errorf("unsteady prefetch key budget = %d", got)
+	if got := KeyMachineConfig(k, sc).MemoryBudget; got <= cfg.MemoryBudget {
+		t.Errorf("unsteady prefetch key budget = %d, not above the steady %d", got, cfg.MemoryBudget)
 	}
 }
 
@@ -489,4 +489,48 @@ func TestDatasetFieldTs(t *testing.T) {
 		}
 	}()
 	Dataset("bogus").FieldT()
+}
+
+// TestCampaignLogsEachOutcome pins the progress log behind `slbench -v`:
+// one line per executed cell — its label with the summary, or FAILED
+// with the error for a cell that fails by design — and none for a cache
+// hit.
+func TestCampaignLogsEachOutcome(t *testing.T) {
+	sc := SmallScale()
+	sc.AstroSeeds = 40
+	sc.MaxSteps = 100
+	sc.FaultTime = 0.005 // mid-run for a cell this small
+	c := NewCampaign(sc)
+	var lines []string
+	c.Log = func(s string) { lines = append(lines, s) }
+	ok := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 8}
+	c.Run(ok)
+	c.Run(ok)
+	refused := Key{Dataset: Astro, Seeding: Sparse, Alg: core.StaticAlloc, Procs: 8, Faults: FaultsKill}
+	c.Run(refused)
+	if len(lines) != 2 {
+		t.Fatalf("logged %d lines, want 2 (one per executed cell): %q", len(lines), lines)
+	}
+	if !strings.Contains(lines[0], ok.Label()) || strings.Contains(lines[0], "FAILED") {
+		t.Errorf("success line = %q", lines[0])
+	}
+	if !strings.Contains(lines[1], refused.Label()) || !strings.Contains(lines[1], "FAILED: faults: static cannot recover") {
+		t.Errorf("failure line = %q", lines[1])
+	}
+}
+
+// TestFigureColumnsFollowAxes: every enabled campaign axis adds its
+// columns after the figure's own metric, in a fixed order.
+func TestFigureColumnsFollowAxes(t *testing.T) {
+	c := NewCampaign(SmallScale())
+	fig := Figures()[0]
+	if got := c.FigureColumns(fig); len(got) != 1 || got[0] != fig.Metric {
+		t.Errorf("plain campaign columns = %v", got)
+	}
+	c.Unsteady, c.Prefetch, c.Injection, c.Faults = true, prefetch.Both, InjectStagger, FaultsKill
+	want := []string{fig.Metric, "epochs", "hidden", "prefetch", "pfwaste", "apeak", "rstalls",
+		"lost", "adopted", "reforms", "failovers", "sendfail"}
+	if got := c.FigureColumns(fig); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("all-axes columns = %v, want %v", got, want)
+	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
@@ -12,19 +13,39 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 	"repro/internal/trace"
 )
 
-// updateGoldens rewrites testdata/goldens.txt from the current build:
+// updateGoldens rewrites testdata/goldens.txt and testdata/summaries.txt
+// from the current build:
 //
 //	go test ./internal/experiments -run TestGoldenDigests -update
 //
 // Only do this after deliberately changing the numerics (integrator,
-// fields, seeding); a scheduler or algorithm change must NOT move these
-// digests — that is the regression this test exists to catch.
-var updateGoldens = flag.Bool("update", false, "rewrite the golden geometry digests")
+// fields, seeding) or the timing model (a cost, a message, a scheduling
+// decision); a scheduler or algorithm change must NOT move the geometry
+// digests, and a refactor must not move either file — those are the
+// regressions this test exists to catch.
+var updateGoldens = flag.Bool("update", false, "rewrite the golden geometry and summary digests")
+
+// summaryDigest is what testdata/summaries.txt records for one run: the
+// SHA-256 of its canonical summary/v1 encoding, or the error text when
+// the run fails by design (static allocation under a kill plan). File
+// lines are space-separated, so the error text is joined with '_'.
+func summaryDigest(t *testing.T, s metrics.Summary, err error) string {
+	t.Helper()
+	if err != nil {
+		return "error:" + strings.ReplaceAll(err.Error(), " ", "_")
+	}
+	enc, encErr := s.CanonicalJSON()
+	if encErr != nil {
+		t.Fatal(encErr)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(enc))
+}
 
 // goldenScale is a trimmed configuration so the 144 runs (3 datasets ×
 // {steady, unsteady} × 4 algorithms × (prefetch {off, both} × injection
@@ -71,6 +92,10 @@ func TestGoldenDigests(t *testing.T) {
 	procs := 8
 
 	got := map[string]string{}
+	// sums pins the timing model the same way got pins the numerics: one
+	// summary digest per run this test executes anyway, keyed
+	// <dataset>/<workload>/<alg>/<variant>.
+	sums := map[string]string{}
 	for _, ds := range Datasets() {
 		for _, unsteady := range []bool{false, true} {
 			workload := "steady"
@@ -104,6 +129,7 @@ func TestGoldenDigests(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s/%s/%s/inject=%s: %v", key, alg, pf, inj, err)
 						}
+						sums[fmt.Sprintf("%s/%s/prefetch=%s,inject=%q", key, alg, pf, inj)] = summaryDigest(t, res.Summary, nil)
 						digest := trace.CanonicalDigest(res.Streamlines)
 						variant := fmt.Sprintf("%s(prefetch %s, inject %q)", alg, pf, inj)
 						if ref == "" {
@@ -132,11 +158,13 @@ func TestGoldenDigests(t *testing.T) {
 					if !errors.As(err, &ue) {
 						t.Errorf("%s: static under faults returned %v, want *faults.UnrecoverableError", key, err)
 					}
+					sums[fmt.Sprintf("%s/%s/+f:kill", key, alg)] = summaryDigest(t, metrics.Summary{}, err)
 					continue
 				}
 				if err != nil {
 					t.Fatalf("%s/%s under faults: %v", key, alg, err)
 				}
+				sums[fmt.Sprintf("%s/%s/+f:kill", key, alg)] = summaryDigest(t, res.Summary, nil)
 				if res.Summary.ProcsLost == 0 {
 					t.Errorf("%s/%s: fault plan never fired (ProcsLost = 0) — the scenario is vacuous", key, alg)
 				}
@@ -160,6 +188,7 @@ func TestGoldenDigests(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s under tracing: %v", key, alg, err)
 				}
+				sums[fmt.Sprintf("%s/%s/traced", key, alg)] = summaryDigest(t, res.Summary, nil)
 				if cfg.Trace.Report().Events == 0 {
 					t.Errorf("%s/%s: traced run recorded no events — the dimension is vacuous", key, alg)
 				}
@@ -172,7 +201,15 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "goldens.txt")
+	checkGoldenFile(t, "goldens.txt", "Golden geometry digests: <dataset>/<workload> <sha256>", got)
+	checkGoldenFile(t, "summaries.txt", "Golden summary/v1 digests: <dataset>/<workload>/<alg>/<variant> <sha256 | error:text>", sums)
+}
+
+// checkGoldenFile compares got against testdata/<name> ("key value"
+// lines), or rewrites the file from got under -update.
+func checkGoldenFile(t *testing.T, name, header string, got map[string]string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGoldens {
 		keys := make([]string, 0, len(got))
 		for k := range got {
@@ -180,7 +217,7 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		sort.Strings(keys)
 		var b strings.Builder
-		b.WriteString("# Golden geometry digests: <dataset>/<workload> <sha256>\n")
+		fmt.Fprintf(&b, "# %s\n", header)
 		b.WriteString("# Regenerate with: go test ./internal/experiments -run TestGoldenDigests -update\n")
 		for _, k := range keys {
 			fmt.Fprintf(&b, "%s %s\n", k, got[k])
@@ -207,22 +244,22 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		parts := strings.Fields(line)
 		if len(parts) != 2 {
-			t.Fatalf("malformed golden line %q", line)
+			t.Fatalf("%s: malformed golden line %q", name, line)
 		}
 		want[parts[0]] = parts[1]
 	}
 	if len(want) != len(got) {
-		t.Errorf("goldens file has %d entries, campaign produced %d", len(want), len(got))
+		t.Errorf("%s has %d entries, campaign produced %d", name, len(want), len(got))
 	}
 	for k, g := range got {
 		w, ok := want[k]
 		if !ok {
-			t.Errorf("%s: no golden recorded (regenerate with -update)", k)
+			t.Errorf("%s: %s: no golden recorded (regenerate with -update)", name, k)
 			continue
 		}
 		if g != w {
-			t.Errorf("%s: digest %s... differs from golden %s... — geometry changed; if intentional, regenerate with -update",
-				k, g[:16], w[:16])
+			t.Errorf("%s: %s: %.24s... differs from golden %.24s... — if intentional, regenerate with -update",
+				name, k, g, w)
 		}
 	}
 }

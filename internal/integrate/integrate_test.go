@@ -366,3 +366,19 @@ func TestAdvectTMinSpeed(t *testing.T) {
 		t.Errorf("reason %v, want StopCritical", res.Reason)
 	}
 }
+
+// TestAdvectTTimeDependentAccuracy verifies the non-autonomous solver
+// samples stage times correctly: dx/dt = (t+0.5, 0, 0) has the exact
+// solution x(T) = T²/2 + T/2, which a solver evaluating every stage at
+// the step's start time would get wrong.
+func TestAdvectTTimeDependentAccuracy(t *testing.T) {
+	rhs := TimeEvalFunc(func(_ vec.V3, t float64) vec.V3 { return vec.Of(t+0.5, 0, 0) })
+	s := NewDoPri5(Options{Tol: 1e-9, HMax: 0.1})
+	res := s.AdvectT(rhs, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 2})
+	if want := 3.0; math.Abs(res.P.X-want) > 1e-7 { // T²/2 + T/2 at T=2
+		t.Errorf("x(2) = %g, want %g", res.P.X, want)
+	}
+	if math.Abs(res.T-2) > 1e-12 {
+		t.Errorf("landed at t=%g, want exactly 2", res.T)
+	}
+}
