@@ -347,6 +347,13 @@ type jsonHost struct {
 	GoVersion      string  `json:"go_version"`
 	CPUs           int     `json:"cpus"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	// Tape is the campaign's segment-tape ledger (DESIGN.md §12): how
+	// much integration the run replayed instead of repeating, and what
+	// memory that took. It belongs to the host block because it depends
+	// on -j and on when the collector ran, never on the simulation.
+	// Additive to the v1 schema — older trajectory files decode it as
+	// nil, and -compare does not read it.
+	Tape *experiments.TapeStats `json:"tape,omitempty"`
 }
 
 // compareTrajectory validates a checked-in BENCH_*.json trajectory file
@@ -443,6 +450,8 @@ func writeJSONReport(w io.Writer, c *experiments.Campaign, scale string, figs []
 			ElapsedSeconds: elapsed.Seconds(),
 		},
 	}
+	tape := c.TapeStats()
+	rep.Host.Tape = &tape
 	for _, fig := range figs {
 		jf := jsonFigure{ID: fig.ID, Title: fig.Title, Columns: c.FigureColumns(fig)}
 		for _, k := range c.FigureKeys(fig) {

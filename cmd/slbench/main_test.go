@@ -147,6 +147,12 @@ func TestRunJSONOutput(t *testing.T) {
 			}
 		}
 	}
+	// Figure 5 is 24 cells of two problems: all but each problem's first
+	// cell run on a tape, and all but its recorder replay.
+	if tp := rep.Host.Tape; tp == nil || tp.Recordings < 2 || tp.Lines <= 0 || tp.BytesPeak <= 0 ||
+		tp.StepsIntegrated <= 0 || tp.StepsReplayed <= tp.StepsIntegrated {
+		t.Errorf("tape ledger missing or implausible: %+v", tp)
+	}
 	if rep.Host.ElapsedSeconds <= 0 || rep.Host.GoVersion == "" {
 		t.Errorf("host block incomplete: %+v", rep.Host)
 	}
@@ -208,6 +214,27 @@ func TestBenchArtifact(t *testing.T) {
 		}
 		if rep.Host.ElapsedSeconds <= 0 {
 			t.Errorf("%s: host block has no elapsed time (the throughput smoke needs it)", name)
+		}
+		// The tape ledger is additive too: points from before the segment
+		// tape lack it; where present it must show the campaign taped —
+		// and replayed no more than its rows delivered (summed over all
+		// twelve figures, which lists every cell four times: a loose
+		// bound, but one a ledger counting the wrong thing would pass).
+		if tp := rep.Host.Tape; tp != nil {
+			var steps int64
+			for _, f := range rep.Figures {
+				for _, row := range f.Rows {
+					if row.Summary != nil {
+						steps += row.Summary.Steps
+					}
+				}
+			}
+			if tp.Recordings <= 0 || tp.Lines <= 0 || tp.BytesPeak <= 0 || tp.StepsIntegrated <= 0 {
+				t.Errorf("%s: tape ledger shows no recording: %+v", name, *tp)
+			}
+			if tp.StepsReplayed <= 0 || tp.StepsReplayed > steps {
+				t.Errorf("%s: tape ledger replayed %d steps, the rows delivered %d", name, tp.StepsReplayed, steps)
+			}
 		}
 	}
 }

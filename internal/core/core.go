@@ -32,6 +32,14 @@
 // All four produce identical geometry for a given problem —
 // parallelization strategy must not change the numerics — which the
 // integration tests and golden digests verify.
+//
+// That invariant is also what lets a problem be integrated once and
+// simulated many times: worker.advance, the one place any algorithm
+// integrates, runs a streamline to the exit of its block as a pure
+// function of the streamline's own state, so a Problem may carry a
+// segment tape (Tape, tape.go) from which later runs replay the
+// integration — same summaries, same per-processor statistics, same
+// trace events, a fraction of the host time (DESIGN.md §12).
 package core
 
 import (
@@ -151,6 +159,14 @@ type Problem struct {
 	// scheduling only: the geometry of a particle's path after release
 	// is independent of the schedule (pinned by the golden digests).
 	Release []float64
+	// Tape, when non-nil, is this problem's segment tape (tape.go): the
+	// run replays the streamlines the tape already holds and records the
+	// others into it. It changes no result — summaries, per-processor
+	// statistics and trace events are byte-identical with or without it —
+	// only how long the run takes on the host. A handle, not an option:
+	// experiments.Campaign owns its admission, lifetime and size, and
+	// nothing else sets it.
+	Tape *Tape
 }
 
 // Validate reports a descriptive error for malformed problems.
@@ -375,6 +391,9 @@ func (c *Config) Validate() error {
 	if err := c.Faults.Validate(c.Procs); err != nil {
 		return err
 	}
+	if c.Faults.Enabled() && c.Net.LatencySec == 0 {
+		return &faults.NoLatencyError{}
+	}
 	return nil
 }
 
@@ -462,6 +481,9 @@ func Run(p Problem, cfg Config) (*Result, error) {
 	}
 
 	simErr := r.kernel.Run()
+	if p.Tape != nil {
+		p.Tape.account(r.tapeIntegrated, r.tapeReplayed)
+	}
 	if r.err != nil {
 		// An in-simulation failure (OOM, an unrecoverable fault) halts
 		// the kernel, which unwinds the surviving processes
@@ -515,6 +537,9 @@ type runState struct {
 
 	err      error // first fatal in-simulation error (e.g. OOM)
 	finished []*trace.Streamline
+	// Accepted steps this run integrated resp. replayed while holding
+	// prob.Tape, added to the tape's counters when the run ends.
+	tapeIntegrated, tapeReplayed int64
 
 	// procs and workers index the per-processor runtime by endpoint
 	// (spawn order == endpoint index for every algorithm). The recovery
@@ -581,6 +606,9 @@ func (r *runState) complete(w *worker, sl *trace.Streamline) {
 	}
 	if r.cfg.CollectTraces {
 		r.finished = append(r.finished, sl)
+	}
+	if tape := r.prob.Tape; tape != nil {
+		tape.publish(sl)
 	}
 	if r.faultsOn {
 		r.completedTotal++
@@ -906,8 +934,6 @@ func (w *worker) checkMemory(what string) bool {
 func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AABB) {
 	p := w.run.prob
 	d := p.Provider.Decomp()
-	solver := w.solver
-	solver.H = sl.H
 
 	lim := integrate.AdvectLimits{
 		Bounds:   bounds,
@@ -916,11 +942,10 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 		Buf:      w.ptsBuf,
 	}
 	epoch := 0
-	var res integrate.AdvectResult
-	before := sl.MemoryBytes()
+	var tev grid.EvaluatorT
 	if d.Unsteady() {
-		tev, ok := ev.(grid.EvaluatorT)
-		if !ok {
+		var ok bool
+		if tev, ok = ev.(grid.EvaluatorT); !ok {
 			w.run.fail(fmt.Errorf("core: unsteady decomposition served a time-independent evaluator for block %d", sl.Block))
 			sl.Status = trace.Failed
 			return
@@ -932,18 +957,33 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 		if lim.MaxTime == 0 || horizon < lim.MaxTime {
 			lim.MaxTime = horizon
 		}
-		res = advectUnsteady(solver, tev, sl.P, sl.T, lim)
-		w.stats.PathlineSteps += int64(res.Steps)
-	} else {
-		res = advectSteady(solver, ev, sl.P, sl.T, lim)
 	}
-	sl.Append(res.Points)
-	// Append copied the geometry into the streamline, so the scratch
-	// buffer (possibly regrown inside the integrator) is free to reuse.
-	w.ptsBuf = res.Points[:0]
-	sl.T = res.T
-	sl.Steps += res.Steps
-	sl.H = solver.H
+
+	// The one place the segment tape (tape.go) is consulted: a published
+	// line stands in for the integration, and everything after this block
+	// — block lookup, virtual cost, counters, spans, memory accounting —
+	// runs on res either way, so a summary cannot tell the two apart.
+	before := sl.MemoryBytes()
+	var res integrate.AdvectResult
+	if tape := p.Tape; tape == nil {
+		res = w.integrate(sl, ev, tev, lim)
+	} else if ln := tape.line(sl.ID); ln == nil {
+		res = w.integrate(sl, ev, tev, lim)
+		tape.note(sl, res.Reason)
+		w.run.tapeIntegrated += int64(res.Steps)
+	} else if sl.Seg >= len(ln.segs) {
+		w.run.fail(fmt.Errorf("core: tape holds %d segments of streamline %d, the run asked for segment %d",
+			len(ln.segs), sl.ID, sl.Seg))
+		sl.Status = trace.Failed
+		return
+	} else {
+		res = ln.replay(sl)
+		w.run.tapeReplayed += int64(res.Steps)
+	}
+	sl.Seg++
+	if tev != nil {
+		w.stats.PathlineSteps += int64(res.Steps)
+	}
 	w.geomBytes += sl.MemoryBytes() - before
 
 	// Charge virtual compute time.
@@ -985,6 +1025,28 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 	case integrate.StopError:
 		sl.Status = trace.Failed
 	}
+}
+
+// integrate runs the solver over one segment — from sl's state to a
+// limit of lim — and moves sl's head, geometry and step size to where
+// it stopped. tev is non-nil exactly when the problem is unsteady.
+func (w *worker) integrate(sl *trace.Streamline, ev grid.Evaluator, tev grid.EvaluatorT, lim integrate.AdvectLimits) integrate.AdvectResult {
+	solver := w.solver
+	solver.H = sl.H
+	var res integrate.AdvectResult
+	if tev != nil {
+		res = advectUnsteady(solver, tev, sl.P, sl.T, lim)
+	} else {
+		res = advectSteady(solver, ev, sl.P, sl.T, lim)
+	}
+	sl.Append(res.Points)
+	// Append copied the geometry into the streamline, so the scratch
+	// buffer (possibly regrown inside the integrator) is free to reuse.
+	w.ptsBuf = res.Points[:0]
+	sl.T = res.T
+	sl.Steps += res.Steps
+	sl.H = solver.H
+	return res
 }
 
 // advectSteady runs steady advection devirtualized: the analytic

@@ -17,6 +17,15 @@ func recoverable() []Algorithm {
 	return []Algorithm{LoadOnDemand, WorkStealing, HybridMS}
 }
 
+// faultConfig is testConfig on a network with latency: failure
+// detection takes one network latency, and Config.Validate refuses a
+// fault plan without it.
+func faultConfig(alg Algorithm, procs int) Config {
+	cfg := testConfig(alg, procs)
+	cfg.Net = comm.DefaultNetwork()
+	return cfg
+}
+
 // requireSameGeometry asserts two trace sets are bit-identical — the
 // recovery contract: restarting a victim's streamlines from seed must
 // reproduce exactly the curves a fault-free run integrates.
@@ -55,7 +64,7 @@ func TestFaultRecoveryMatchesFaultFree(t *testing.T) {
 	p := testProblem(60)
 	for _, alg := range recoverable() {
 		for _, procs := range []int{4, 7} {
-			cfg := testConfig(alg, procs)
+			cfg := faultConfig(alg, procs)
 			cfg.CollectTraces = true
 			base := mustRun(t, p, cfg)
 
@@ -97,7 +106,7 @@ func TestFaultRecoveryMatchesFaultFree(t *testing.T) {
 func TestFaultMultiKill(t *testing.T) {
 	p := testProblem(60)
 	for _, alg := range recoverable() {
-		cfg := testConfig(alg, 7)
+		cfg := faultConfig(alg, 7)
 		if alg == HybridMS {
 			cfg.Hybrid.W = 2 // two masters, five slaves
 		}
@@ -131,7 +140,7 @@ func TestFaultMultiKill(t *testing.T) {
 // next slave, not fail the run — slaves 2..6 survive.
 func TestFaultMasterAndPromoteeSameInstant(t *testing.T) {
 	p := testProblem(60)
-	cfg := testConfig(HybridMS, 7) // W=8 -> one master (proc 0), six slaves
+	cfg := faultConfig(HybridMS, 7) // W=8 -> one master (proc 0), six slaves
 	cfg.CollectTraces = true
 	base := mustRun(t, p, cfg)
 
@@ -181,7 +190,7 @@ func TestRecoveryMessagesAreLocal(t *testing.T) {
 // asymmetry: a loss is a typed failure, not a hang.
 func TestFaultStaticUnrecoverable(t *testing.T) {
 	p := testProblem(30)
-	cfg := testConfig(StaticAlloc, 4)
+	cfg := faultConfig(StaticAlloc, 4)
 	cfg.Faults = faults.KillAt(0.001, 1)
 	_, err := Run(p, cfg)
 	var ue *faults.UnrecoverableError
@@ -198,7 +207,7 @@ func TestFaultStaticUnrecoverable(t *testing.T) {
 func TestFaultAfterCompletionIsNoOp(t *testing.T) {
 	p := testProblem(30)
 	for _, alg := range recoverable() {
-		cfg := testConfig(alg, 4)
+		cfg := faultConfig(alg, 4)
 		cfg.CollectTraces = true
 		base := mustRun(t, p, cfg)
 
@@ -217,7 +226,7 @@ func TestFaultAfterCompletionIsNoOp(t *testing.T) {
 func TestFaultReplayDeterminism(t *testing.T) {
 	p := testProblem(40)
 	for _, alg := range recoverable() {
-		cfg := testConfig(alg, 5)
+		cfg := faultConfig(alg, 5)
 		cfg.CollectTraces = true
 		cfg.Faults = faults.KillAt(0.1, 1)
 		a := mustRun(t, p, cfg)
@@ -238,7 +247,7 @@ func TestFaultReplayDeterminism(t *testing.T) {
 // config before the machine is built.
 func TestFaultValidation(t *testing.T) {
 	p := testProblem(10)
-	cfg := testConfig(LoadOnDemand, 3)
+	cfg := faultConfig(LoadOnDemand, 3)
 	cfg.Faults = faults.KillAt(0.1, 7)
 	if _, err := Run(p, cfg); err == nil {
 		t.Error("victim out of range accepted")
@@ -250,6 +259,34 @@ func TestFaultValidation(t *testing.T) {
 	cfg.Faults = faults.KillAt(-1, 0)
 	if _, err := Run(p, cfg); err == nil {
 		t.Error("negative fault time accepted")
+	}
+}
+
+// TestFaultNeedsLatency: a fault plan on a zero-latency network is
+// refused with a typed error instead of risking a run that never
+// returns (detection, re-homing and the next loss all at one virtual
+// instant). A plan-free run on the same network is fine, and so is the
+// same plan once the network has latency.
+func TestFaultNeedsLatency(t *testing.T) {
+	p := testProblem(10)
+	for _, alg := range Algorithms() {
+		cfg := testConfig(alg, 5) // zero-latency comm.Network{}
+		if alg == HybridMS {
+			cfg.Hybrid.W = 2
+		}
+		if _, err := Run(p, cfg); err != nil {
+			t.Fatalf("%s: fault-free run on a zero-latency network: %v", alg, err)
+		}
+		cfg.Faults = faults.KillAt(0.01, 0)
+		_, err := Run(p, cfg)
+		var nl *faults.NoLatencyError
+		if !errors.As(err, &nl) {
+			t.Errorf("%s: fault plan on a zero-latency network: err = %v, want *faults.NoLatencyError", alg, err)
+		}
+		cfg.Net = comm.DefaultNetwork()
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: the same plan with latency was rejected: %v", alg, err)
+		}
 	}
 }
 
@@ -278,7 +315,8 @@ func TestRunErrorUnwindsAllPeers(t *testing.T) {
 // schedule, a run must either complete every seed with fault-free
 // geometry (seed conservation) or fail with the one typed error hybrid
 // is allowed when a group loses every integrator — and an immediate
-// replay must be bit-identical.
+// replay, a run recording a segment tape and a run replaying it must all
+// be bit-identical.
 func FuzzFaultRecovery(f *testing.F) {
 	f.Add(uint8(0), uint8(4), uint8(1), uint16(300), uint16(700))
 	f.Add(uint8(1), uint8(5), uint8(2), uint16(100), uint16(100))
@@ -293,7 +331,7 @@ func FuzzFaultRecovery(f *testing.F) {
 		procs := 3 + int(procSel)%5         // 3..7
 		kills := 1 + int(killSel)%(procs-1) // 1..procs-1: someone survives
 
-		cfg := testConfig(alg, procs)
+		cfg := faultConfig(alg, procs)
 		cfg.CollectTraces = true
 		base, err := Run(p, cfg)
 		if err != nil {
@@ -331,19 +369,33 @@ func FuzzFaultRecovery(f *testing.F) {
 		requireSameGeometry(t, fmt.Sprintf("%s/%d plan %q", alg, procs, plan),
 			res.Streamlines, base.Streamlines)
 
-		replay, err := Run(p, fcfg)
-		if err != nil {
-			t.Fatalf("%s/%d plan %q replay: %v", alg, procs, plan, err)
-		}
-		if replay.Summary.String() != res.Summary.String() {
-			t.Fatalf("%s/%d plan %q: replay diverged:\n%s\n%s",
-				alg, procs, plan, res.Summary, replay.Summary)
-		}
-		for i := range res.PerProc {
-			if res.PerProc[i] != replay.PerProc[i] {
-				t.Fatalf("%s/%d plan %q: proc %d stats diverged on replay",
-					alg, procs, plan, i)
+		// An immediate replay must be bit-identical — and so must the
+		// same plan run on a segment tape, first recording it (restarts
+		// re-note from segment zero), then replaying it (restarts replay
+		// from segment zero).
+		taped := p
+		taped.Tape = newTape(p)
+		for _, again := range []struct {
+			how  string
+			prob Problem
+		}{{"replay", p}, {"recording a tape", taped}, {"replaying the tape", taped}} {
+			replay, err := Run(again.prob, fcfg)
+			label := fmt.Sprintf("%s/%d plan %q %s", alg, procs, plan, again.how)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			if replay.Summary.String() != res.Summary.String() {
+				t.Fatalf("%s: diverged:\n%s\n%s", label, res.Summary, replay.Summary)
+			}
+			for i := range res.PerProc {
+				if res.PerProc[i] != replay.PerProc[i] {
+					t.Fatalf("%s: proc %d stats diverged", label, i)
+				}
+			}
+			requireSameGeometry(t, label, replay.Streamlines, res.Streamlines)
+		}
+		if !taped.Tape.Complete() {
+			t.Fatalf("%s/%d plan %q: the tape is incomplete after a run that finished every seed", alg, procs, plan)
 		}
 	})
 }
@@ -359,8 +411,7 @@ func TestFaultDecimation(t *testing.T) {
 	p := testProblem(60)
 	const procs = 5
 	for _, alg := range recoverable() {
-		cfg := testConfig(alg, procs)
-		cfg.Net = comm.DefaultNetwork() // detection latency must be nonzero
+		cfg := faultConfig(alg, procs)
 		if alg == HybridMS {
 			cfg.Hybrid.W = 2
 		}

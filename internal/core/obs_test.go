@@ -131,7 +131,7 @@ func TestTraceEventCoverage(t *testing.T) {
 func TestTraceFaultMarks(t *testing.T) {
 	p := testProblem(40)
 
-	cfg := testConfig(LoadOnDemand, 4)
+	cfg := faultConfig(LoadOnDemand, 4)
 	base := mustRun(t, p, cfg)
 	cfg.Faults = faults.KillAt(0.3*base.Summary.WallClock, 0)
 	cfg.Trace = obs.New()
@@ -151,7 +151,7 @@ func TestTraceFaultMarks(t *testing.T) {
 		}
 	}
 
-	hcfg := testConfig(HybridMS, 4) // W=8 -> one master (proc 0)
+	hcfg := faultConfig(HybridMS, 4) // W=8 -> one master (proc 0)
 	hbase := mustRun(t, p, hcfg)
 	hcfg.Faults = faults.KillAt(0.3*hbase.Summary.WallClock, 0)
 	hcfg.Trace = obs.New()

@@ -7,6 +7,13 @@
 // Everything is parameterized by a Scale so the full paper-sized
 // configuration (512 blocks × 1M cells, 20k seeds) and reduced
 // CI/benchmark configurations share one code path.
+//
+// A Campaign memoizes at three levels: results by Key, problems by
+// (dataset, seeding, unsteady, injection), and — since the sweep runs
+// each problem under every algorithm and processor count — the
+// integration itself, as one segment tape per problem (tape.go): the
+// problem's second cell records it, every later cell replays it, and
+// the outcome is byte-identical either way.
 package experiments
 
 import (
@@ -562,6 +569,15 @@ type Campaign struct {
 
 	probMu   sync.Mutex
 	problems map[problemKey]*problemEntry
+	// The segment tapes' state (tape.go), guarded by probMu: how many
+	// Run/RunKeys calls are in flight, the attachment clock, the ledger.
+	// tapeCount is the one set of counters every tape adds to;
+	// tapeLimit is tapeBudget (a field so that tests can reach the bound).
+	active    int
+	tapeLimit int64
+	tapeClock uint64
+	tapeStats TapeStats
+	tapeCount core.TapeCounters
 
 	logMu sync.Mutex
 }
@@ -573,6 +589,8 @@ func NewCampaign(sc Scale) *Campaign {
 		results:  make(map[Key]Outcome),
 		inflight: make(map[Key]chan struct{}),
 		problems: make(map[problemKey]*problemEntry),
+
+		tapeLimit: tapeBudget,
 	}
 }
 
@@ -592,13 +610,14 @@ type problemEntry struct {
 	once sync.Once
 	prob core.Problem
 	err  error
+	problemTape
 }
 
-// problem returns the memoized BuildInjectedProblem result for
-// (ds, seeding, unsteady, injection). The returned Problem is shared
-// between concurrent core.Run calls; that is safe because Run treats the
-// problem as read-only (see core.Run).
-func (c *Campaign) problem(ds Dataset, seeding Seeding, unsteady bool, inject Injection) (core.Problem, error) {
+// problem returns the memo entry holding the BuildInjectedProblem result
+// for (ds, seeding, unsteady, injection), built on first demand. The
+// entry's Problem is shared between concurrent core.Run calls; that is
+// safe because Run treats the problem as read-only (see core.Run).
+func (c *Campaign) problem(ds Dataset, seeding Seeding, unsteady bool, inject Injection) *problemEntry {
 	pk := problemKey{ds: ds, seeding: seeding, unsteady: unsteady, inject: inject.normalized()}
 	c.probMu.Lock()
 	e, ok := c.problems[pk]
@@ -610,7 +629,7 @@ func (c *Campaign) problem(ds Dataset, seeding Seeding, unsteady bool, inject In
 	e.once.Do(func() {
 		e.prob, e.err = BuildInjectedProblem(ds, seeding, c.Scale, unsteady, pk.inject)
 	})
-	return e.prob, e.err
+	return e
 }
 
 // Cached returns the outcome for k only if it has already been computed.
@@ -650,7 +669,13 @@ func (c *Campaign) Run(k Key) Outcome {
 		c.inflight[k] = ch
 		c.mu.Unlock()
 
-		out := c.execute(k)
+		c.enter()
+		res, rep, err := c.execute(k)
+		c.leave()
+		out := Outcome{Key: k, Obs: rep, Err: err}
+		if err == nil {
+			out.Summary = res.Summary
+		}
 
 		c.mu.Lock()
 		c.results[k] = out
@@ -662,13 +687,13 @@ func (c *Campaign) Run(k Key) Outcome {
 	}
 }
 
-// execute performs the simulation for one configuration (no caching).
-func (c *Campaign) execute(k Key) Outcome {
-	out := Outcome{Key: k}
-	prob, err := c.problem(k.Dataset, k.Seeding, k.Unsteady, k.Injection)
-	if err != nil {
-		out.Err = err
-		return out
+// execute performs the simulation for one configuration (no caching):
+// the memoized problem, with its segment tape when the cell is admitted
+// to one (tape.go), on k's machine.
+func (c *Campaign) execute(k Key) (*core.Result, *obs.Report, error) {
+	e := c.problem(k.Dataset, k.Seeding, k.Unsteady, k.Injection)
+	if e.err != nil {
+		return nil, nil, e.err
 	}
 	cfg := KeyMachineConfig(k, c.Scale)
 	if c.Tune != nil {
@@ -677,23 +702,28 @@ func (c *Campaign) execute(k Key) Outcome {
 	if c.Observe {
 		cfg.Trace = obs.NewDigest()
 	}
+	prob := e.prob
+	// A run that hands its streamlines out would alias the tape, and one
+	// that truncates their geometry has nothing to record.
+	if !cfg.CollectTraces && !cfg.NoGeometry {
+		if prob.Tape = c.attachTape(e); prob.Tape != nil {
+			defer c.detachTape(e)
+		}
+	}
 	// Label the run for CPU profiling: every sample taken inside this
 	// cell carries its key, so pprof -tagfocus isolates one cell of a
 	// campaign (the slbench -cpuprofile flags).
 	var res *core.Result
+	var err error
 	pprof.Do(context.Background(), pprof.Labels("cell", k.Label()), func(context.Context) {
 		res, err = core.Run(prob, cfg)
 	})
-	if err != nil {
-		out.Err = err
-	} else {
-		out.Summary = res.Summary
-	}
+	var rep *obs.Report
 	if cfg.Trace != nil {
-		rep := cfg.Trace.Report()
-		out.Obs = &rep
+		r := cfg.Trace.Report()
+		rep = &r
 	}
-	return out
+	return res, rep, err
 }
 
 func (c *Campaign) logOutcome(out Outcome) {

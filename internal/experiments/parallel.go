@@ -47,6 +47,8 @@ func (c *Campaign) RunKeys(keys []Key) {
 	if len(todo) == 0 {
 		return
 	}
+	c.enter()
+	defer c.leave()
 
 	n := c.workers()
 	if n > len(todo) {

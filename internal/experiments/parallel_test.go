@@ -162,13 +162,12 @@ func TestProblemMemoization(t *testing.T) {
 		t.Errorf("problems built = %d, want %d (one per dataset × seeding)", got, want)
 	}
 	// The memoized problem is shared: a second fetch returns the same
-	// backing seeds slice, not a rebuild.
-	p1, err := c.problem(Astro, Sparse, false, InjectT0)
-	if err != nil {
-		t.Fatal(err)
+	// entry, not a rebuild.
+	e1 := c.problem(Astro, Sparse, false, InjectT0)
+	if e1.err != nil {
+		t.Fatal(e1.err)
 	}
-	p2, _ := c.problem(Astro, Sparse, false, InjectT0)
-	if len(p1.Seeds) == 0 || &p1.Seeds[0] != &p2.Seeds[0] {
+	if e2 := c.problem(Astro, Sparse, false, InjectT0); len(e1.prob.Seeds) == 0 || e1 != e2 {
 		t.Error("problem(Astro, Sparse) rebuilt instead of memoized")
 	}
 }

@@ -162,3 +162,17 @@ func (e *UnrecoverableError) Error() string {
 	return fmt.Sprintf("faults: %s cannot recover from loss of processor %d at t=%.3gs: %s",
 		e.Algorithm, e.Proc, e.Time, e.Reason)
 }
+
+// NoLatencyError rejects a fault plan on a network that delivers in zero
+// time. Failure detection is modeled as one network latency: the death
+// notices and the recovery layer's re-homing messages arrive that long
+// after the loss. With no latency, a death, its detection and the
+// re-homed work all land at one virtual instant, and a chain of losses
+// can hand the same work back and forth there forever (hybrid with two
+// slaves per master did) — the run would never return.
+type NoLatencyError struct{}
+
+// Error implements error.
+func (*NoLatencyError) Error() string {
+	return "faults: a fault plan needs a network with nonzero latency (failure detection takes one latency)"
+}

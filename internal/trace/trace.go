@@ -74,6 +74,11 @@ type Streamline struct {
 	T     float64 // integration time
 	H     float64 // adaptive solver step size (carried across handoffs)
 	Steps int     // accepted steps so far
+	// Seg counts the block-exit segments integrated so far, one per
+	// advance call: the cursor a segment tape (core.Tape) replays from.
+	// A streamline restarted from its seed is a new Streamline, so its
+	// cursor starts over at zero. Not part of the wire encoding.
+	Seg int
 
 	Status Status
 	Block  grid.BlockID // block containing P (NoBlock when terminated out of bounds)
