@@ -147,10 +147,10 @@ func TestRunJSONOutput(t *testing.T) {
 			}
 		}
 	}
-	// Figure 5 is 24 cells of two problems: all but each problem's first
-	// cell run on a tape, and all but its recorder replay.
-	if tp := rep.Host.Tape; tp == nil || tp.Recordings < 2 || tp.Lines <= 0 || tp.BytesPeak <= 0 ||
-		tp.StepsIntegrated <= 0 || tp.StepsReplayed <= tp.StepsIntegrated {
+	// Figure 5 is 24 cells of two problems: each problem is integrated
+	// once, into its tape, and all twelve of its cells replay it.
+	if tp := rep.Host.Tape; tp == nil || tp.Recordings != 2 || tp.Lines <= 0 || tp.BytesPeak <= 0 ||
+		tp.StepsIntegrated <= 0 || tp.StepsReplayed != 12*tp.StepsIntegrated {
 		t.Errorf("tape ledger missing or implausible: %+v", tp)
 	}
 	if rep.Host.ElapsedSeconds <= 0 || rep.Host.GoVersion == "" {

@@ -64,9 +64,9 @@ func Punctures(sls []*trace.Streamline, plane Plane) []Puncture {
 	return out
 }
 
-// PunctureSection maps punctures into 2D section coordinates (u, w) on
+// punctureSection maps punctures into 2D section coordinates (u, w) on
 // the plane, using a deterministic in-plane basis.
-func PunctureSection(punctures []Puncture, plane Plane) [][2]float64 {
+func punctureSection(punctures []Puncture, plane Plane) [][2]float64 {
 	n := plane.Normal.Normalized()
 	ref := vec.Of(1, 0, 0)
 	if math.Abs(n.X) > 0.9 {
@@ -228,8 +228,8 @@ func maxInt3(a, b, c int) int {
 	return a
 }
 
-// Stats summarizes a streamline ensemble.
-type Stats struct {
+// stats summarizes a streamline ensemble.
+type stats struct {
 	Count       int
 	TotalPoints int
 	TotalSteps  int
@@ -245,9 +245,9 @@ type Stats struct {
 	MaxBlocksVisited  int
 }
 
-// Summarize computes ensemble statistics; d locates geometry in blocks.
-func Summarize(sls []*trace.Streamline, d grid.Decomposition) Stats {
-	s := Stats{ByStatus: make(map[trace.Status]int)}
+// summarize computes ensemble statistics; d locates geometry in blocks.
+func summarize(sls []*trace.Streamline, d grid.Decomposition) stats {
+	s := stats{ByStatus: make(map[trace.Status]int)}
 	lengths := make([]float64, 0, len(sls))
 	totalBlocks := 0
 	for _, sl := range sls {
@@ -285,7 +285,7 @@ func Summarize(sls []*trace.Streamline, d grid.Decomposition) Stats {
 }
 
 // String implements fmt.Stringer.
-func (s Stats) String() string {
+func (s stats) String() string {
 	return fmt.Sprintf("streamlines=%d points=%d meanLen=%.3f medianLen=%.3f maxLen=%.3f meanBlocks=%.1f",
 		s.Count, s.TotalPoints, s.MeanLength, s.MedianLength, s.MaxLength, s.MeanBlocksVisited)
 }

@@ -78,7 +78,7 @@ func TestPuncturesRotationCircle(t *testing.T) {
 func TestPunctureSectionCoordinates(t *testing.T) {
 	pl := Plane{Point: vec.Of(0, 0, 0), Normal: vec.Of(0, 0, 1)}
 	ps := []Puncture{{P: vec.Of(0.3, -0.4, 0)}}
-	uv := PunctureSection(ps, pl)
+	uv := punctureSection(ps, pl)
 	if len(uv) != 1 {
 		t.Fatal("missing section point")
 	}
@@ -170,7 +170,7 @@ func TestSummarize(t *testing.T) {
 	b := lineOf(1, vec.Of(0.2, 0.2, 0.2), vec.Of(0.3, 0.2, 0.2)) // stays in 1 block
 	b.Status = trace.MaxedOut
 	b.Steps = 5
-	s := Summarize([]*trace.Streamline{a, b}, d)
+	s := summarize([]*trace.Streamline{a, b}, d)
 	if s.Count != 2 || s.TotalPoints != 4 || s.TotalSteps != 15 {
 		t.Errorf("counts wrong: %+v", s)
 	}
@@ -193,7 +193,7 @@ func TestSummarize(t *testing.T) {
 
 func TestSummarizeEmpty(t *testing.T) {
 	d := grid.NewDecomposition(vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1)), 1, 1, 1, 2)
-	s := Summarize(nil, d)
+	s := summarize(nil, d)
 	if s.Count != 0 || s.MeanLength != 0 {
 		t.Errorf("empty stats: %+v", s)
 	}

@@ -46,8 +46,8 @@ func DefaultNetwork() Network {
 	}
 }
 
-// TransferTime returns the size-dependent part of sending a message.
-func (n Network) TransferTime(bytes int64) float64 {
+// transferTime returns the size-dependent part of sending a message.
+func (n Network) transferTime(bytes int64) float64 {
 	if n.BandwidthBytesSec <= 0 {
 		return 0
 	}
@@ -102,9 +102,6 @@ func (f *Fabric) Attach(proc *sim.Proc, stats *metrics.ProcStats) *Endpoint {
 // Endpoint returns the endpoint with the given index.
 func (f *Fabric) Endpoint(i int) *Endpoint { return f.endpoints[i] }
 
-// NumEndpoints returns the number of attached endpoints.
-func (f *Fabric) NumEndpoints() int { return len(f.endpoints) }
-
 // Network returns the fabric's cost model.
 func (f *Fabric) Network() Network { return f.net }
 
@@ -123,7 +120,7 @@ func (e *Endpoint) Proc() *sim.Proc { return e.proc }
 // as traffic, so the sent/received mirror holds for delivered messages.
 func (e *Endpoint) Send(to int, payload Message) {
 	n := e.fabric.net
-	cost := n.PostOverheadSec + n.TransferTime(payload.Bytes())
+	cost := n.PostOverheadSec + n.transferTime(payload.Bytes())
 	start := e.proc.Now()
 	e.proc.Sleep(cost)
 	dst := e.fabric.endpoints[to]
@@ -263,11 +260,6 @@ func (e *Endpoint) WatchPeer(peer int) {
 	dst := e.fabric.endpoints[peer]
 	e.proc.Watch(dst.proc, Envelope{From: LocalFrom, Payload: Death{Peer: peer}}, e.fabric.net.LatencySec)
 }
-
-// Alive reports whether endpoint i's processor has not failed. An
-// endpoint whose body finished normally is still "alive" here: it drained
-// its protocol, it did not lose work.
-func (f *Fabric) Alive(i int) bool { return !f.endpoints[i].proc.Failed() }
 
 // InHand returns the envelope this endpoint had popped from its inbox
 // but was still paying receive overhead on — the one place a delivered

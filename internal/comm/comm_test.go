@@ -189,7 +189,7 @@ func TestFabricAccessors(t *testing.T) {
 	f := NewFabric(DefaultNetwork())
 	p := k.Spawn("x", func(p *sim.Proc) {})
 	e := f.Attach(p, nil)
-	if f.NumEndpoints() != 1 || f.Endpoint(0) != e || e.Index() != 0 || e.Proc() != p {
+	if len(f.endpoints) != 1 || f.Endpoint(0) != e || e.Index() != 0 || e.Proc() != p {
 		t.Error("fabric accessors inconsistent")
 	}
 	if f.Network().LatencySec != DefaultNetwork().LatencySec {
@@ -202,7 +202,7 @@ func TestFabricAccessors(t *testing.T) {
 
 func TestTransferTimeZeroBandwidth(t *testing.T) {
 	n := Network{}
-	if n.TransferTime(1e9) != 0 {
+	if n.transferTime(1e9) != 0 {
 		t.Error("zero-bandwidth transfer should be free")
 	}
 }

@@ -33,11 +33,8 @@ func TestSendToDeadPeerChargesAndDeadLetters(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Alive(0) {
-		t.Error("Alive(0) = true for a failed processor")
-	}
-	if !f.Alive(1) {
-		t.Error("Alive(1) = false for a processor that finished normally")
+	if !victim.Failed() || sender.Failed() {
+		t.Fatalf("victim failed = %v, sender failed = %v; want the victim alone", victim.Failed(), sender.Failed())
 	}
 	s := stats.P(1)
 	if s.SendFailed != 1 {

@@ -37,9 +37,14 @@
 // simulated many times: worker.advance, the one place any algorithm
 // integrates, runs a streamline to the exit of its block as a pure
 // function of the streamline's own state, so a Problem may carry a
-// segment tape (Tape, tape.go) from which later runs replay the
-// integration — same summaries, same per-processor statistics, same
-// trace events, a fraction of the host time (DESIGN.md §12).
+// segment tape (Tape, tape.go): the first run to touch a streamline
+// integrates it, seed to end, and every run replays the record — same
+// summaries, same per-processor statistics, same trace events, a
+// fraction of the host time (DESIGN.md §12). The tape
+// holds no geometry, because the simulated machine reads none: a
+// streamline's curve is a vertex count and a two-point tail
+// (trace.Streamline), materialized only by runs that hand curves out
+// (Config.CollectTraces).
 package core
 
 import (
@@ -79,9 +84,6 @@ const (
 func Algorithms() []Algorithm {
 	return []Algorithm{StaticAlloc, LoadOnDemand, HybridMS, WorkStealing}
 }
-
-// PaperAlgorithms lists only the paper's original three strategies.
-func PaperAlgorithms() []Algorithm { return []Algorithm{StaticAlloc, LoadOnDemand, HybridMS} }
 
 // balancing names how a row moves work between processors after the
 // initial placement.
@@ -160,12 +162,12 @@ type Problem struct {
 	// is independent of the schedule (pinned by the golden digests).
 	Release []float64
 	// Tape, when non-nil, is this problem's segment tape (tape.go): the
-	// run replays the streamlines the tape already holds and records the
-	// others into it. It changes no result — summaries, per-processor
+	// run replays its streamlines from the tape, recording first those
+	// no run has. It changes no result — summaries, per-processor
 	// statistics and trace events are byte-identical with or without it —
 	// only how long the run takes on the host. A handle, not an option:
-	// experiments.Campaign owns its admission, lifetime and size, and
-	// nothing else sets it.
+	// experiments.Campaign decides how long it lives, and nothing else
+	// sets it.
 	Tape *Tape
 }
 
@@ -267,12 +269,12 @@ type VictimPolicy string
 
 // Victim policies for work stealing.
 const (
-	// VictimRandom probes peers in a fresh random permutation each hungry
+	// victimRandom probes peers in a fresh random permutation each hungry
 	// round (deterministic: every processor carries its own seeded RNG).
-	VictimRandom VictimPolicy = "random"
-	// VictimRoundRobin walks the processor ring from wherever the last
+	victimRandom VictimPolicy = "random"
+	// victimRoundRobin walks the processor ring from wherever the last
 	// probe left off.
-	VictimRoundRobin VictimPolicy = "roundrobin"
+	victimRoundRobin VictimPolicy = "roundrobin"
 )
 
 // StealParams are the tuning constants of the Work Stealing algorithm.
@@ -284,14 +286,14 @@ type StealParams struct {
 	// before it goes quiet and waits for the termination token to re-arm
 	// it (0 = all peers, the liveness-maximizing default).
 	Fanout int
-	// Victim selects the probe-target policy (empty = VictimRandom).
+	// Victim selects the probe-target policy (empty = victimRandom).
 	Victim VictimPolicy
 }
 
 // DefaultSteal returns the work-stealing defaults: batches of 8, probe
 // every peer, random victim order.
 func DefaultSteal() StealParams {
-	return StealParams{Batch: 8, Fanout: 0, Victim: VictimRandom}
+	return StealParams{Batch: 8, Fanout: 0, Victim: victimRandom}
 }
 
 func (s StealParams) defaults() StealParams {
@@ -308,7 +310,7 @@ func (s StealParams) defaults() StealParams {
 // Validate reports a descriptive error for malformed steal parameters.
 func (s StealParams) Validate() error {
 	switch s.Victim {
-	case "", VictimRandom, VictimRoundRobin:
+	case "", victimRandom, victimRoundRobin:
 		return nil
 	default:
 		return fmt.Errorf("core: unknown victim policy %q", s.Victim)
@@ -349,8 +351,10 @@ type Config struct {
 	// computation. The zero value disables it. Prefetching changes
 	// timings, never geometry (pinned by the golden digests).
 	Prefetch prefetch.Config
-	// CollectTraces gathers the finished streamlines into the Result
-	// (costs host memory; used by tests, examples and rendering).
+	// CollectTraces gathers the finished streamlines into the Result,
+	// and is what makes the run's streamlines keep their curves at all
+	// (costs host memory and, on a segment tape, the replay; used by
+	// tests, examples and rendering).
 	CollectTraces bool
 	// Faults schedules deterministic processor deaths (internal/faults).
 	// The dynamic algorithms recover: survivors adopt the victim's
@@ -482,7 +486,7 @@ func Run(p Problem, cfg Config) (*Result, error) {
 
 	simErr := r.kernel.Run()
 	if p.Tape != nil {
-		p.Tape.account(r.tapeIntegrated, r.tapeReplayed)
+		p.Tape.account(r.integrated, r.replayed)
 	}
 	if r.err != nil {
 		// An in-simulation failure (OOM, an unrecoverable fault) halts
@@ -537,9 +541,9 @@ type runState struct {
 
 	err      error // first fatal in-simulation error (e.g. OOM)
 	finished []*trace.Streamline
-	// Accepted steps this run integrated resp. replayed while holding
-	// prob.Tape, added to the tape's counters when the run ends.
-	tapeIntegrated, tapeReplayed int64
+	// Accepted steps this run integrated resp. replayed from prob.Tape,
+	// added to the tape's counters when the run ends.
+	integrated, replayed int64
 
 	// procs and workers index the per-processor runtime by endpoint
 	// (spawn order == endpoint index for every algorithm). The recovery
@@ -607,9 +611,6 @@ func (r *runState) complete(w *worker, sl *trace.Streamline) {
 	if r.cfg.CollectTraces {
 		r.finished = append(r.finished, sl)
 	}
-	if tape := r.prob.Tape; tape != nil {
-		tape.publish(sl)
-	}
 	if r.faultsOn {
 		r.completedTotal++
 		if r.completedTotal == len(r.prob.Seeds) && r.alg.ledgerFull != nil {
@@ -627,10 +628,16 @@ type seedRec struct {
 	release float64
 }
 
-// streamline materializes the record as a fresh trace object carrying
-// its release time.
-func (rec seedRec) streamline() *trace.Streamline {
-	return trace.NewAt(rec.id, rec.p, rec.block, rec.release)
+// streamline materializes rec as a fresh trace object carrying its
+// release time. This is where a run decides what its streamlines are:
+// only one that hands its curves out (CollectTraces) keeps them; for the
+// rest geometry is a count (trace.Streamline.Verts).
+func (r *runState) streamline(rec seedRec) *trace.Streamline {
+	sl := trace.NewAt(rec.id, rec.p, rec.block, rec.release)
+	if !r.cfg.CollectTraces {
+		sl.Points = nil
+	}
+	return sl
 }
 
 // seedRecords locates every seed, sorted by (block, id) so contiguous
@@ -933,52 +940,29 @@ func (w *worker) checkMemory(what string) bool {
 // case time: block handoff, caching and communication see only BlockIDs.
 func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AABB) {
 	p := w.run.prob
-	d := p.Provider.Decomp()
-
-	lim := integrate.AdvectLimits{
-		Bounds:   bounds,
-		MaxSteps: p.maxSteps() - sl.Steps,
-		MaxTime:  p.MaxTime,
-		Buf:      w.ptsBuf,
-	}
-	epoch := 0
-	var tev grid.EvaluatorT
-	if d.Unsteady() {
-		var ok bool
-		if tev, ok = ev.(grid.EvaluatorT); !ok {
-			w.run.fail(fmt.Errorf("core: unsteady decomposition served a time-independent evaluator for block %d", sl.Block))
-			sl.Status = trace.Failed
-			return
-		}
-		// Integrate at most to the end of this block's epoch; the data
-		// beyond it lives in a different (space-time) block.
-		epoch = d.Epoch(sl.Block)
-		_, horizon := d.EpochBounds(sl.Block)
-		if lim.MaxTime == 0 || horizon < lim.MaxTime {
-			lim.MaxTime = horizon
-		}
+	lim, epoch, tev, ok := w.segment(sl, ev, bounds)
+	if !ok {
+		return
 	}
 
-	// The one place the segment tape (tape.go) is consulted: a published
-	// line stands in for the integration, and everything after this block
-	// — block lookup, virtual cost, counters, spans, memory accounting —
-	// runs on res either way, so a summary cannot tell the two apart.
+	// The one place the segment tape (tape.go) is consulted: its line
+	// stands in for the integration of a streamline that keeps no curve,
+	// and everything after this block — block lookup, virtual cost,
+	// counters, spans, memory accounting — runs on res either way, so a
+	// summary cannot tell the two apart.
 	before := sl.MemoryBytes()
 	var res integrate.AdvectResult
-	if tape := p.Tape; tape == nil {
+	if p.Tape == nil || sl.Points != nil {
 		res = w.integrate(sl, ev, tev, lim)
-	} else if ln := tape.line(sl.ID); ln == nil {
-		res = w.integrate(sl, ev, tev, lim)
-		tape.note(sl, res.Reason)
-		w.run.tapeIntegrated += int64(res.Steps)
-	} else if sl.Seg >= len(ln.segs) {
+		w.run.integrated += int64(res.Steps)
+	} else if segs := p.Tape.line(w, sl.ID); sl.Seg < len(segs) {
+		res = segs[sl.Seg].replay(sl)
+		w.run.replayed += int64(res.Steps)
+	} else {
 		w.run.fail(fmt.Errorf("core: tape holds %d segments of streamline %d, the run asked for segment %d",
-			len(ln.segs), sl.ID, sl.Seg))
+			len(segs), sl.ID, sl.Seg))
 		sl.Status = trace.Failed
 		return
-	} else {
-		res = ln.replay(sl)
-		w.run.tapeReplayed += int64(res.Steps)
 	}
 	sl.Seg++
 	if tev != nil {
@@ -995,7 +979,47 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 	if tr := w.run.tr; tr != nil {
 		tr.Span(w.end.Index(), obs.SpanCompute, start, w.proc.Now(), int64(sl.ID), int64(res.Steps))
 	}
+	if p.leave(sl, res, epoch) {
+		w.stats.EpochCrossings++
+	}
+}
 
+// segment returns the limits of sl's next segment inside evaluator ev:
+// the block's bounds, what is left of the step budget and, when the
+// decomposition is time-sliced, the end of the block's epoch, with the
+// evaluator's time-dependent face. It fails the run, and reports false,
+// when an unsteady problem is served an evaluator that has none.
+func (w *worker) segment(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AABB) (lim integrate.AdvectLimits, epoch int, tev grid.EvaluatorT, ok bool) {
+	p := w.run.prob
+	d := p.Provider.Decomp()
+	lim = integrate.AdvectLimits{
+		Bounds:   bounds,
+		MaxSteps: p.maxSteps() - sl.Steps,
+		MaxTime:  p.MaxTime,
+		Buf:      w.ptsBuf,
+	}
+	if !d.Unsteady() {
+		return lim, 0, nil, true
+	}
+	if tev, ok = ev.(grid.EvaluatorT); !ok {
+		w.run.fail(fmt.Errorf("core: unsteady decomposition served a time-independent evaluator for block %d", sl.Block))
+		sl.Status = trace.Failed
+		return lim, 0, nil, false
+	}
+	// Integrate at most to the end of this block's epoch; the data
+	// beyond it lives in a different (space-time) block.
+	_, horizon := d.EpochBounds(sl.Block)
+	if lim.MaxTime == 0 || horizon < lim.MaxTime {
+		lim.MaxTime = horizon
+	}
+	return lim, d.Epoch(sl.Block), tev, true
+}
+
+// leave moves sl out of the segment that ended as res says — into the
+// next block, or to a terminal status — and reports whether that was an
+// epoch crossing.
+func (p *Problem) leave(sl *trace.Streamline, res integrate.AdvectResult, epoch int) (crossed bool) {
+	d := p.Provider.Decomp()
 	switch res.Reason {
 	case integrate.StopOutOfBlock:
 		if nb, ok := d.Locate(sl.P); ok {
@@ -1015,16 +1039,43 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 			// time slab. This is a block transition like any other —
 			// Static communicates it, the cached algorithms miss on it.
 			sl.Block = d.SpaceTimeID(d.Spatial(sl.Block), epoch+1)
-			w.stats.EpochCrossings++
-		} else {
-			// Reached the end of the data (or the problem's horizon).
-			sl.Status = trace.MaxedOut
+			return true
 		}
+		// Reached the end of the data (or the problem's horizon).
+		sl.Status = trace.MaxedOut
 	case integrate.StopCritical:
 		sl.Status = trace.AtCritical
 	case integrate.StopError:
 		sl.Status = trace.Failed
 	}
+	return false
+}
+
+// record integrates streamline id from its seed to its end, outside
+// virtual time, through the segments every run's advance calls will ask
+// for — each in the evaluator and bounds of the block it starts in —
+// and returns one tape record per segment (tape.go).
+func (w *worker) record(id int) []tapeSeg {
+	p := w.run.prob
+	d := p.Provider.Decomp()
+	b, _ := d.Locate(p.Seeds[id]) // validated already
+	sl := trace.New(id, p.Seeds[id], b)
+	sl.Points = nil
+	var segs []tapeSeg
+	// The call sites retire a streamline that has used up its step budget
+	// without another advance call.
+	for sl.Status == trace.Active && sl.Steps < p.maxSteps() {
+		ev := p.Provider.Block(sl.Block)
+		lim, epoch, tev, ok := w.segment(sl, ev, d.Bounds(sl.Block))
+		if !ok {
+			break
+		}
+		res := w.integrate(sl, ev, tev, lim)
+		segs = append(segs, tapeSeg{steps: sl.Steps, t: sl.T, h: sl.H, p: sl.P, prev: sl.Prev, reason: res.Reason})
+		p.leave(sl, res, epoch)
+	}
+	w.run.integrated += int64(sl.Steps)
+	return segs
 }
 
 // integrate runs the solver over one segment — from sl's state to a
@@ -1127,11 +1178,14 @@ func (w *worker) sendStreamlines(to int, sls []*trace.Streamline) {
 	w.noteDeactivated(len(sls))
 	for _, sl := range sls {
 		w.releaseStreamline(sl)
-		if !geom && len(sl.Points) > 1 {
+		if !geom && sl.Verts > 1 {
 			// Solver-state-only communication: downstream processors
 			// continue integration from the head; earlier geometry stays
 			// behind (acceptable for puncture-plot-style analyses).
-			sl.Points = []vec.V3{sl.P}
+			sl.Verts = 1
+			if sl.Points != nil {
+				sl.Points = []vec.V3{sl.P}
+			}
 		}
 	}
 	w.sending = sls

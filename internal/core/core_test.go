@@ -536,9 +536,6 @@ func TestResultLabels(t *testing.T) {
 	if got := fmt.Sprint(Algorithms()); got != "[static ondemand hybrid stealing]" {
 		t.Errorf("Algorithms() = %s", got)
 	}
-	if got := fmt.Sprint(PaperAlgorithms()); got != "[static ondemand hybrid]" {
-		t.Errorf("PaperAlgorithms() = %s", got)
-	}
 }
 
 // testUnsteadyProblem builds a time-sliced workload: a pulsing rotation

@@ -369,31 +369,35 @@ func FuzzFaultRecovery(f *testing.F) {
 		requireSameGeometry(t, fmt.Sprintf("%s/%d plan %q", alg, procs, plan),
 			res.Streamlines, base.Streamlines)
 
-		// An immediate replay must be bit-identical — and so must the
-		// same plan run on a segment tape, first recording it (restarts
-		// re-note from segment zero), then replaying it (restarts replay
-		// from segment zero).
-		taped := p
-		taped.Tape = newTape(p)
-		for _, again := range []struct {
-			how  string
-			prob Problem
-		}{{"replay", p}, {"recording a tape", taped}, {"replaying the tape", taped}} {
-			replay, err := Run(again.prob, fcfg)
-			label := fmt.Sprintf("%s/%d plan %q %s", alg, procs, plan, again.how)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if replay.Summary.String() != res.Summary.String() {
-				t.Fatalf("%s: diverged:\n%s\n%s", label, res.Summary, replay.Summary)
+		// An immediate replay must be bit-identical, geometry included —
+		// and so must the same plan run without curves on a segment tape,
+		// first recording it, then finding it recorded (restarts replay
+		// from segment zero either way).
+		same := func(label string, again *Result) {
+			t.Helper()
+			if again.Summary.String() != res.Summary.String() {
+				t.Fatalf("%s: diverged:\n%s\n%s", label, res.Summary, again.Summary)
 			}
 			for i := range res.PerProc {
-				if res.PerProc[i] != replay.PerProc[i] {
+				if res.PerProc[i] != again.PerProc[i] {
 					t.Fatalf("%s: proc %d stats diverged", label, i)
 				}
 			}
-			requireSameGeometry(t, label, replay.Streamlines, res.Streamlines)
 		}
+		label := fmt.Sprintf("%s/%d plan %q", alg, procs, plan)
+		again := mustRun(t, p, fcfg)
+		same(label+" replay", again)
+		requireSameGeometry(t, label+" replay", again.Streamlines, res.Streamlines)
+
+		taped := p
+		taped.Tape = newTape(p)
+		fcfg.CollectTraces = false
+		same(label+" recording a tape", mustRun(t, taped, fcfg))
+		mustReplay(t, label+" replaying the tape", taped.Tape, func() *Result {
+			replayed := mustRun(t, taped, fcfg)
+			same(label+" replaying the tape", replayed)
+			return replayed
+		})
 		if !taped.Tape.Complete() {
 			t.Fatalf("%s/%d plan %q: the tape is incomplete after a run that finished every seed", alg, procs, plan)
 		}

@@ -372,10 +372,10 @@ func (s *slave) handle(env comm.Envelope) bool {
 	switch m := env.Payload.(type) {
 	case msgAssign:
 		for _, rec := range m.recs {
-			// rec.streamline() keeps the release time on the materialized
+			// streamline keeps the release time on the materialized
 			// object (assigned seeds are always already released, so this
 			// is bookkeeping consistency, not scheduling).
-			s.addStreamline(rec.streamline())
+			s.addStreamline(s.w.run.streamline(rec))
 		}
 		if _, ok := s.w.cache.TryGet(m.block); !ok {
 			s.w.cache.Get(m.block) // Assign-unloaded: "Slave loads block B."

@@ -67,7 +67,7 @@ func (r *runState) buildStatic() {
 	initial := make([][]*trace.Streamline, n)
 	for _, rec := range r.seedRecords() {
 		o := owner(rec.block)
-		initial[o] = append(initial[o], rec.streamline())
+		initial[o] = append(initial[o], r.streamline(rec))
 	}
 
 	for i := 0; i < n; i++ {

@@ -162,7 +162,7 @@ func (pw *poolWorker) run(mine []seedRec) {
 		}
 	}
 	for _, rec := range mine {
-		pw.pool.adopt(rec.streamline())
+		pw.pool.adopt(pw.r.streamline(rec))
 	}
 	if !pw.w.checkMemory("initial streamlines") {
 		return
@@ -271,7 +271,7 @@ func (pw *poolWorker) handle(env comm.Envelope) bool {
 		// A dead peer's streamlines, restarted from seed by the
 		// recovery layer and re-homed here.
 		for _, rec := range m.recs {
-			pw.pool.adopt(rec.streamline())
+			pw.pool.adopt(pw.r.streamline(rec))
 		}
 		pw.w.stats.SeedsAdopted += int64(len(m.recs))
 		if tr := pw.r.tr; tr != nil {
@@ -308,7 +308,7 @@ func (pw *poolWorker) resetProbes() {
 	if pw.probesLeft <= 0 || pw.probesLeft > len(pw.peers) {
 		pw.probesLeft = len(pw.peers)
 	}
-	if pw.r.cfg.Steal.Victim == VictimRandom && len(pw.peers) > 0 {
+	if pw.r.cfg.Steal.Victim == victimRandom && len(pw.peers) > 0 {
 		pw.order = append(pw.order[:0], pw.peers...)
 		pw.rng.Shuffle(len(pw.order), func(i, j int) {
 			pw.order[i], pw.order[j] = pw.order[j], pw.order[i]
@@ -321,10 +321,10 @@ func (pw *poolWorker) resetProbes() {
 func (pw *poolWorker) probe() {
 	var victim int
 	switch pw.r.cfg.Steal.Victim {
-	case VictimRoundRobin:
+	case victimRoundRobin:
 		victim = pw.peers[pw.ring%len(pw.peers)]
 		pw.ring++
-	default: // VictimRandom
+	default: // victimRandom
 		victim = pw.order[pw.orderPos%len(pw.order)]
 		pw.orderPos++
 	}

@@ -104,7 +104,7 @@ func TestStealingTokenRing(t *testing.T) {
 func TestStealingVictimPolicies(t *testing.T) {
 	// Both policies must complete everything and stay deterministic.
 	p := denseProblem(80)
-	for _, policy := range []VictimPolicy{VictimRandom, VictimRoundRobin} {
+	for _, policy := range []VictimPolicy{victimRandom, victimRoundRobin} {
 		cfg := testConfig(WorkStealing, 5)
 		cfg.Steal.Victim = policy
 		a := mustRun(t, p, cfg)
@@ -187,10 +187,10 @@ func TestStealingSurvivesDenseBudget(t *testing.T) {
 
 func TestStealParamsDefaults(t *testing.T) {
 	s := StealParams{}.defaults()
-	if s.Batch != 8 || s.Victim != VictimRandom {
+	if s.Batch != 8 || s.Victim != victimRandom {
 		t.Errorf("defaults = %+v", s)
 	}
-	if err := (StealParams{Victim: VictimRoundRobin}).Validate(); err != nil {
+	if err := (StealParams{Victim: victimRoundRobin}).Validate(); err != nil {
 		t.Errorf("roundrobin rejected: %v", err)
 	}
 	if err := (StealParams{Victim: "nope"}).Validate(); err == nil {

@@ -11,11 +11,10 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/seeds"
 	"repro/internal/store"
-	"repro/internal/vec"
 )
 
-// newTape returns an unbounded tape for p with counters of its own.
-func newTape(p Problem) *Tape { return NewTape(&p, 1<<40, new(TapeCounters)) }
+// newTape returns a tape for p with counters of its own.
+func newTape(p Problem) *Tape { return NewTape(&p, new(TapeCounters)) }
 
 // tapedRun is Run with tape attached and a full recorder, returning
 // everything a tape must not be able to change.
@@ -30,6 +29,39 @@ func runTaped(p Problem, cfg Config, tape *Tape) tapedRun {
 	cfg.Trace = obs.New()
 	res, err := Run(p, cfg)
 	return tapedRun{res: res, hash: cfg.Trace.Hash(), err: err}
+}
+
+// mustReplay brackets run, a run on a tape that holds every line the run
+// needs: the tape delivers every step of the run and the run integrates
+// none, so the leg cannot have fallen back to integration unnoticed. A
+// run that fails by design (res == nil) delivers no summary to check
+// against.
+func mustReplay(t *testing.T, label string, tape *Tape, run func() *Result) {
+	t.Helper()
+	integrated, replayed := tape.count.StepsIntegrated.Load(), tape.count.StepsReplayed.Load()
+	res := run()
+	if res == nil {
+		return
+	}
+	if d := tape.count.StepsIntegrated.Load() - integrated; d != 0 {
+		t.Errorf("%s: a replaying run integrated %d steps", label, d)
+	}
+	if d := tape.count.StepsReplayed.Load() - replayed; d != res.Summary.Steps {
+		t.Errorf("%s: %d steps from the tape, the run delivered %d", label, d, res.Summary.Steps)
+	}
+}
+
+// runReplaying is runTaped for a leg that must replay.
+func runReplaying(t *testing.T, label string, p Problem, cfg Config, tape *Tape) (got tapedRun) {
+	t.Helper()
+	if cfg.CollectTraces {
+		t.Fatalf("%s: a run that keeps its curves integrates them", label)
+	}
+	mustReplay(t, label, tape, func() *Result {
+		got = runTaped(p, cfg, tape)
+		return got.res
+	})
+	return got
 }
 
 // requireSameRun asserts got is indistinguishable from want: summary,
@@ -55,10 +87,67 @@ func requireSameRun(t *testing.T, label string, got, want tapedRun) {
 	}
 }
 
+// TestBareMatchesCollected is the proof that the count model is the
+// geometry model: a run whose streamlines keep no curve (the default) and
+// one whose streamlines keep theirs (CollectTraces) are the same run —
+// canonical summary, every per-processor column, the whole trace-event
+// stream — for every algorithm under every feature that reads geometry:
+// memory accounting and wire sizes (plain), the prefetch predictor's
+// two-point tail, NoGeometry's truncation, pathline epochs, staggered
+// release and restarts from seed. And a kept curve has the counted length.
+func TestBareMatchesCollected(t *testing.T) {
+	plain := testProblem(40)
+	for _, alg := range Algorithms() {
+		noGeom := testConfig(alg, 4)
+		noGeom.NoGeometry = true
+		kill := faultConfig(alg, 5)
+		kill.Faults = faults.KillAt(0.3*mustRun(t, plain, kill).Summary.WallClock, 0)
+		for _, c := range []struct {
+			name string
+			p    Problem
+			cfg  Config
+		}{
+			{"plain", plain, testConfig(alg, 4)},
+			{"prefetch both", testUnsteadyProblem(24), withPrefetch(testConfig(alg, 4), prefetch.Both)},
+			{"NoGeometry", plain, noGeom},
+			{"unsteady", testUnsteadyProblem(24), testConfig(alg, 4)},
+			{"staggered", injectedProblem(40, seeds.UniformStagger(0, 0.3)), testConfig(alg, 4)},
+			{"kill", testProblem(60), kill},
+		} {
+			label := fmt.Sprintf("%s/%s", alg, c.name)
+			bare := runTaped(c.p, c.cfg, nil)
+			c.cfg.CollectTraces = true
+			kept := runTaped(c.p, c.cfg, nil)
+			requireSameRun(t, label+" bare against collected", bare, kept)
+			if kept.err != nil {
+				var ue *faults.UnrecoverableError
+				if alg != StaticAlloc || !errors.As(kept.err, &ue) {
+					t.Errorf("%s: %v", label, kept.err)
+				}
+				continue
+			}
+			if len(bare.res.Streamlines) != 0 {
+				t.Errorf("%s: a run without CollectTraces handed out %d streamlines", label, len(bare.res.Streamlines))
+			}
+			a, errA := bare.res.Summary.CanonicalJSON()
+			b, errB := kept.res.Summary.CanonicalJSON()
+			if errA != nil || errB != nil || string(a) != string(b) {
+				t.Errorf("%s: canonical summaries differ (%v, %v):\n%s\n%s", label, errA, errB, a, b)
+			}
+			for _, sl := range kept.res.Streamlines {
+				if sl.Verts != len(sl.Points) {
+					t.Fatalf("%s: streamline %d counts %d vertices, holds %d", label, sl.ID, sl.Verts, len(sl.Points))
+				}
+			}
+		}
+	}
+}
+
 // TestTapeReplayIsInvisible is the tape's contract at the core level:
 // for every algorithm, steady and unsteady, all-at-t0 and staggered, a
-// run that records and a run that replays are byte-identical to a run
-// with no tape — and the replaying run integrates nothing.
+// run that records the tape's lines and a run that finds them recorded
+// are byte-identical to a run with no tape — and the second integrates
+// nothing.
 func TestTapeReplayIsInvisible(t *testing.T) {
 	problems := map[string]Problem{
 		"steady":    testProblem(40),
@@ -77,33 +166,22 @@ func TestTapeReplayIsInvisible(t *testing.T) {
 
 			tape := newTape(p)
 			requireSameRun(t, label+" recording", runTaped(p, cfg, tape), want)
-			if !tape.Complete() || tape.Closed() {
-				t.Fatalf("%s: tape complete=%v closed=%v after a full recording", label, tape.Complete(), tape.Closed())
-			}
-			// The estimate sizes every streamline at its full step budget;
-			// spare capacity in a geometry array is less than its length.
-			if est, got := tape.Estimate(), tape.Bytes(); est <= 0 || got > 2*est {
-				t.Errorf("%s: complete tape holds %d bytes against an estimate of %d", label, got, est)
+			if !tape.Complete() {
+				t.Fatalf("%s: tape incomplete after a full recording", label)
 			}
 			c := tape.count
-			if got := c.StepsIntegrated.Load(); got != steps {
-				t.Errorf("%s: recorder integrated %d steps, the run delivered %d", label, got, steps)
+			if in, out := c.StepsIntegrated.Load(), c.StepsReplayed.Load(); in != steps || out != steps {
+				t.Errorf("%s: recorder integrated %d steps and replayed %d, the run delivered %d", label, in, out, steps)
 			}
 			if got := c.Lines.Load(); got != int64(len(p.Seeds)) {
-				t.Errorf("%s: %d lines published, want %d", label, got, len(p.Seeds))
+				t.Errorf("%s: %d lines recorded, want %d", label, got, len(p.Seeds))
 			}
 
 			// Every algorithm replays the tape this one recorded.
 			for _, other := range Algorithms() {
 				ocfg := testConfig(other, 5)
-				before := c.StepsReplayed.Load()
-				requireSameRun(t, label+" replayed by "+string(other), runTaped(p, ocfg, tape), runTaped(p, ocfg, nil))
-				if got := c.StepsReplayed.Load() - before; got != steps {
-					t.Errorf("%s replayed by %s: %d steps from the tape, want %d", label, other, got, steps)
-				}
-			}
-			if got := c.StepsIntegrated.Load(); got != steps {
-				t.Errorf("%s: replays integrated %d further steps", label, got-steps)
+				olabel := label + " replayed by " + string(other)
+				requireSameRun(t, olabel, runReplaying(t, olabel, p, ocfg, tape), runTaped(p, ocfg, nil))
 			}
 		}
 	}
@@ -111,7 +189,7 @@ func TestTapeReplayIsInvisible(t *testing.T) {
 
 // TestTapePrefetchSeesTrueGeometry: the prefetch predictor extrapolates
 // from a streamline's last two points, so a replayed streamline must
-// expose its true geometry, not just its head.
+// carry its true tail, not just its head.
 func TestTapePrefetchSeesTrueGeometry(t *testing.T) {
 	fired := map[prefetch.Policy]bool{}
 	for _, p := range []Problem{testProblem(40), testUnsteadyProblem(24)} {
@@ -120,9 +198,10 @@ func TestTapePrefetchSeesTrueGeometry(t *testing.T) {
 		for _, alg := range Algorithms() {
 			for _, policy := range []prefetch.Policy{prefetch.Neighbor, prefetch.Temporal, prefetch.Both} {
 				cfg := withPrefetch(testConfig(alg, 4), policy)
+				label := fmt.Sprintf("%s/+pf:%s", alg, policy)
 				want := runTaped(p, cfg, nil)
 				fired[policy] = fired[policy] || want.res.Summary.PrefetchIssued > 0
-				requireSameRun(t, fmt.Sprintf("%s/+pf:%s", alg, policy), runTaped(p, cfg, tape), want)
+				requireSameRun(t, label, runReplaying(t, label, p, cfg, tape), want)
 			}
 		}
 	}
@@ -131,29 +210,33 @@ func TestTapePrefetchSeesTrueGeometry(t *testing.T) {
 	}
 }
 
-// TestTapeReplayIsAView: a replayed streamline's Points alias the tape
-// (no copy), clipped so that appending to them cannot write into it.
-func TestTapeReplayIsAView(t *testing.T) {
+// TestTapeCurveKeepersIntegrate: a run that hands its curves out cannot
+// take them from a tape that holds none, and records none either: on an
+// empty tape or a complete one it integrates every streamline, leaves the
+// tape as it found it, and returns the geometry of an untaped run.
+func TestTapeCurveKeepersIntegrate(t *testing.T) {
 	p := testProblem(12)
-	cfg := testConfig(LoadOnDemand, 3)
-	cfg.CollectTraces = true // test only: a Campaign never tapes such a run
+	bare := testConfig(LoadOnDemand, 3)
+	cfg := bare
+	cfg.CollectTraces = true
+	want := runTaped(p, cfg, nil)
+	steps := want.res.Summary.Steps
+
 	tape := newTape(p)
-	p.Tape = tape
-	rec := mustRun(t, p, cfg)
-	rep := mustRun(t, p, cfg)
-	requireSameGeometry(t, "replayed geometry", rep.Streamlines, rec.Streamlines)
-	for i, sl := range rep.Streamlines {
-		ln := tape.line(sl.ID)
-		if &sl.Points[0] != &ln.pts[0] {
-			t.Fatalf("streamline %d: replayed Points are a copy, not a view of the line", sl.ID)
+	c := tape.count
+	for _, state := range []string{"an empty tape", "a complete tape"} {
+		lines, bytes, integrated, replayed := c.Lines.Load(), tape.Bytes(), c.StepsIntegrated.Load(), c.StepsReplayed.Load()
+		got := runTaped(p, cfg, tape)
+		requireSameRun(t, "curve-keeping run on "+state, got, want)
+		requireSameGeometry(t, "curve-keeping run on "+state, got.res.Streamlines, want.res.Streamlines)
+		if c.Lines.Load() != lines || tape.Bytes() != bytes || c.StepsIntegrated.Load()-integrated != steps || c.StepsReplayed.Load() != replayed {
+			t.Errorf("curve-keeping run on %s: lines %d -> %d, bytes %d -> %d, integrated %d (want %d), replayed %d",
+				state, lines, c.Lines.Load(), bytes, tape.Bytes(), c.StepsIntegrated.Load()-integrated, steps, c.StepsReplayed.Load()-replayed)
 		}
-		if cap(sl.Points) != len(sl.Points) {
-			t.Fatalf("streamline %d: view has spare capacity %d beyond its %d points", sl.ID, cap(sl.Points), len(sl.Points))
-		}
-		last := ln.pts[len(ln.pts)-1]
-		sl.Append([]vec.V3{{X: 1, Y: 2, Z: 3}})
-		if ln.pts[len(ln.pts)-1] != last || len(ln.pts) != len(rec.Streamlines[i].Points) {
-			t.Fatalf("streamline %d: appending to a replayed streamline wrote into the tape", sl.ID)
+		// A bare run in between records the tape.
+		requireSameRun(t, "bare run after a curve-keeper", runTaped(p, bare, tape), want)
+		if !tape.Complete() {
+			t.Fatal("a bare run left the tape incomplete")
 		}
 	}
 }
@@ -180,8 +263,8 @@ func TestTapeFaultRestartReplaysFromSegmentZero(t *testing.T) {
 
 		tape := newTape(p)
 		requireSameRun(t, string(alg)+" kill, recording", runTaped(p, cfg, tape), want)
-		requireSameRun(t, string(alg)+" kill, replaying", runTaped(p, cfg, tape), want)
 		if alg == StaticAlloc {
+			requireSameRun(t, "static kill, on the partial tape", runTaped(p, cfg, tape), want)
 			if tape.Complete() {
 				t.Error("static: a refused run completed the tape")
 			}
@@ -190,16 +273,19 @@ func TestTapeFaultRestartReplaysFromSegmentZero(t *testing.T) {
 		if !tape.Complete() {
 			t.Errorf("%s: a recovered recording left the tape incomplete", alg)
 		}
+		label := string(alg) + " kill, replaying"
+		requireSameRun(t, label, runReplaying(t, label, p, cfg, tape), want)
 		// The fault-free cell of the same problem replays the tape the
 		// faulted one recorded.
 		cfg.Faults = faults.Plan{}
-		requireSameRun(t, string(alg)+" fault-free on the kill run's tape", runTaped(p, cfg, tape), base)
+		label = string(alg) + " fault-free on the kill run's tape"
+		requireSameRun(t, label, runReplaying(t, label, p, cfg, tape), base)
 	}
 }
 
-// TestTapeFailedRecorderLeavesItsLines: a recorder that dies of OOM has
-// published the streamlines it finished; the next recorder replays those
-// and integrates only the rest, and both stay identical to untaped runs.
+// TestTapeFailedRecorderLeavesItsLines: a run that dies of OOM has
+// recorded the streamlines it touched; the next run replays those and
+// integrates only the rest, and both stay identical to untaped runs.
 func TestTapeFailedRecorderLeavesItsLines(t *testing.T) {
 	p := testProblem(60)
 	cfg := testConfig(StaticAlloc, 4)
@@ -217,7 +303,7 @@ func TestTapeFailedRecorderLeavesItsLines(t *testing.T) {
 	c := tape.count
 	kept := c.Lines.Load()
 	if kept == 0 || tape.Complete() {
-		t.Fatalf("OOM recorder published %d of %d lines; want some, not all", kept, len(p.Seeds))
+		t.Fatalf("OOM recorder left %d of %d lines; want some, not all", kept, len(p.Seeds))
 	}
 	requireSameRun(t, "OOM again on the partial tape", runTaped(p, oomCfg, tape), want)
 
@@ -226,60 +312,39 @@ func TestTapeFailedRecorderLeavesItsLines(t *testing.T) {
 	if !tape.Complete() {
 		t.Fatal("second recorder did not complete the tape")
 	}
-	if c.StepsReplayed.Load() == 0 {
-		t.Error("second recorder replayed none of the first one's lines")
-	}
-	if got := c.StepsIntegrated.Load() - first; got >= whole.res.Summary.Steps {
-		t.Errorf("second recorder integrated %d steps, no fewer than the whole run's %d", got, whole.res.Summary.Steps)
+	if got, steps := c.StepsIntegrated.Load(), whole.res.Summary.Steps; first == 0 || got != steps {
+		t.Errorf("the two recorders integrated %d and %d steps; want some, and together the whole run's %d", first, got-first, steps)
 	}
 }
 
-// TestTapeLimitCloses: a tape that would pass its limit stops recording,
-// keeps what it has, and runs holding it stay identical.
-func TestTapeLimitCloses(t *testing.T) {
+// TestTapeNoGeometryBothWays: a run whose streamlines shed their
+// vertices on every send and one whose streamlines keep them integrate
+// the same segments, so either records the tape the other replays — a
+// record advances the vertex count by its steps, it does not set it.
+func TestTapeNoGeometryBothWays(t *testing.T) {
 	p := testProblem(40)
-	cfg := testConfig(HybridMS, 4)
-	want := runTaped(p, cfg, nil)
-
-	full := newTape(p)
-	runTaped(p, cfg, full)
-	small := NewTape(&p, full.Bytes()/2, new(TapeCounters))
-	requireSameRun(t, "recording into a small tape", runTaped(p, cfg, small), want)
-	if !small.Closed() || small.Complete() {
-		t.Fatalf("closed=%v complete=%v, want a closed, incomplete tape", small.Closed(), small.Complete())
+	full := testConfig(StaticAlloc, 4)
+	shed := full
+	shed.NoGeometry = true
+	wantFull, wantShed := runTaped(p, full, nil), runTaped(p, shed, nil)
+	if wantShed.res.Summary.MsgsSent == 0 || wantShed.res.Summary.BytesSent >= wantFull.res.Summary.BytesSent {
+		t.Fatal("NoGeometry sent nothing, or no less than a geometry run — the case is vacuous")
 	}
-	if small.Bytes() > full.Bytes()/2 {
-		t.Errorf("tape holds %d bytes, over its limit of %d", small.Bytes(), full.Bytes()/2)
+	for _, c := range []struct {
+		how        string
+		rec, rep   Config
+		wrec, wrep tapedRun
+	}{
+		{"NoGeometry replaying a geometry run's tape", full, shed, wantFull, wantShed},
+		{"a geometry run replaying NoGeometry's tape", shed, full, wantShed, wantFull},
+	} {
+		tape := newTape(p)
+		requireSameRun(t, c.how+" (recording)", runTaped(p, c.rec, tape), c.wrec)
+		if !tape.Complete() {
+			t.Fatalf("%s: the recorder left the tape incomplete", c.how)
+		}
+		requireSameRun(t, c.how, runReplaying(t, c.how, p, c.rep, tape), c.wrep)
 	}
-	lines := small.count.Lines.Load()
-	if lines == 0 {
-		t.Fatal("the small tape kept no lines")
-	}
-	requireSameRun(t, "replaying a closed tape", runTaped(p, cfg, small), want)
-	if got := small.count.Lines.Load(); got != lines {
-		t.Errorf("a closed tape recorded %d more lines", got-lines)
-	}
-	if small.count.StepsReplayed.Load() == 0 {
-		t.Error("a closed tape replayed nothing")
-	}
-}
-
-// TestTapeNoGeometryPublishesNothing: streamlines that shed their
-// geometry on every send are not lines.
-func TestTapeNoGeometryPublishesNothing(t *testing.T) {
-	p := testProblem(40)
-	cfg := testConfig(StaticAlloc, 4)
-	cfg.NoGeometry = true
-	want := runTaped(p, cfg, nil)
-	if want.res.Summary.MsgsSent == 0 {
-		t.Fatal("static sent nothing — the case is vacuous")
-	}
-	tape := newTape(p)
-	requireSameRun(t, "NoGeometry with a tape", runTaped(p, cfg, tape), want)
-	if tape.Complete() {
-		t.Error("a NoGeometry run completed the tape")
-	}
-	requireSameRun(t, "NoGeometry on the partial tape", runTaped(p, cfg, tape), want)
 }
 
 // TestTapeSegmentOverrunFailsRun: a line with fewer segments than the
@@ -289,7 +354,7 @@ func TestTapeSegmentOverrunFailsRun(t *testing.T) {
 	tape := newTape(p)
 	cfg := testConfig(LoadOnDemand, 2)
 	runTaped(p, cfg, tape)
-	ln := tape.line(3)
+	ln := &tape.lines[3]
 	if len(ln.segs) < 2 {
 		t.Skip("streamline 3 has a single segment")
 	}

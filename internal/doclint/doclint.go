@@ -21,55 +21,68 @@ import (
 	"unicode"
 )
 
-// Finding is one documentation violation.
-type Finding struct {
+// finding is one documentation violation.
+type finding struct {
 	Pos  string // file:line
 	What string // human-readable description
 }
 
 // String implements fmt.Stringer.
-func (f Finding) String() string { return f.Pos + ": " + f.What }
+func (f finding) String() string { return f.Pos + ": " + f.What }
 
-// CheckDir parses every non-test .go file under root (recursively) and
-// returns a finding for each exported package, type, function, method,
-// constant or variable that lacks a doc comment. Grouped const/var
-// declarations are satisfied by a single comment on the group. testdata
-// trees are skipped: analyzer corpora are fixtures, not API.
-func CheckDir(root string) ([]Finding, error) {
-	var findings []Finding
+// walkGo parses every .go file under root, _test.go files only when
+// tests is set, and hands each to visit with the slash-separated path of
+// its directory relative to root. testdata trees are skipped — analyzer
+// corpora are fixtures, not API — and so are dot-directories.
+func walkGo(root string, tests bool, mode parser.Mode, visit func(dir string, fset *token.FileSet, file *ast.File)) error {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && d.Name() == "testdata" {
+		if d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || (!tests && strings.HasSuffix(path, "_test.go")) {
 			return nil
 		}
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		file, err := parser.ParseFile(fset, path, nil, mode)
 		if err != nil {
 			return fmt.Errorf("doclint: %s: %w", path, err)
 		}
-		findings = append(findings, checkFile(fset, file)...)
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(rel), fset, file)
 		return nil
+	})
+}
+
+// checkDir parses every non-test .go file under root (recursively) and
+// returns a finding for each exported package, type, function, method,
+// constant or variable that lacks a doc comment. Grouped const/var
+// declarations are satisfied by a single comment on the group.
+func checkDir(root string) ([]finding, error) {
+	var findings []finding
+	err := walkGo(root, false, parser.ParseComments, func(_ string, fset *token.FileSet, file *ast.File) {
+		findings = append(findings, checkFile(fset, file)...)
 	})
 	return findings, err
 }
 
-func checkFile(fset *token.FileSet, file *ast.File) []Finding {
-	var findings []Finding
+func checkFile(fset *token.FileSet, file *ast.File) []finding {
+	var findings []finding
 	add := func(pos token.Pos, what string) {
 		p := fset.Position(pos)
-		findings = append(findings, Finding{
+		findings = append(findings, finding{
 			Pos:  fmt.Sprintf("%s:%d", p.Filename, p.Line),
 			What: what,
 		})
 	}
 
 	// Package comments are a per-package property (one canonical file
-	// carries it), checked separately by CheckPackageComments.
+	// carries it), checked separately by checkPackageComments.
 	for _, decl := range file.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
@@ -134,68 +147,43 @@ func receiverExported(recv *ast.FieldList) bool {
 	}
 }
 
-// CheckPackageComments reports packages under root whose files carry no
+// checkPackageComments reports packages under root whose files carry no
 // package doc comment at all.
-func CheckPackageComments(root string) ([]Finding, error) {
-	type pkgState struct {
-		pos       token.Position
-		hasDoc    bool
-		firstFile string
-	}
-	pkgs := map[string]*pkgState{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+func checkPackageComments(root string) ([]finding, error) {
+	documented := map[string]bool{}
+	firstFile := map[string]string{}
+	var dirs []string
+	err := walkGo(root, false, parser.ParseComments|parser.PackageClauseOnly, func(dir string, fset *token.FileSet, file *ast.File) {
+		if _, seen := firstFile[dir]; !seen {
+			firstFile[dir] = fset.Position(file.Package).Filename
+			dirs = append(dirs, dir)
 		}
-		if d.IsDir() && d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		dir := filepath.Dir(path)
-		st, ok := pkgs[dir]
-		if !ok {
-			st = &pkgState{pos: fset.Position(file.Package), firstFile: path}
-			pkgs[dir] = st
-		}
-		if file.Doc != nil {
-			st.hasDoc = true
-		}
-		return nil
+		documented[dir] = documented[dir] || file.Doc != nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var findings []Finding
-	for dir, st := range pkgs {
-		if !st.hasDoc {
-			findings = append(findings, Finding{
-				Pos:  st.firstFile + ":1",
-				What: fmt.Sprintf("package in %s has no package doc comment", dir),
+	var findings []finding
+	for _, dir := range dirs {
+		if !documented[dir] {
+			findings = append(findings, finding{
+				Pos:  firstFile[dir] + ":1",
+				What: fmt.Sprintf("package in %s has no package doc comment", filepath.Join(root, dir)),
 			})
 		}
 	}
-	return findings, nil
+	return findings, err
 }
 
 // mdLink matches inline markdown links; image links are included since
 // their targets must exist too.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
-// CheckMarkdownLinks scans the given markdown files for relative links
+// checkMarkdownLinks scans the given markdown files for relative links
 // whose targets do not exist on disk, and validates #fragment anchors —
 // both intra-document (#section) and cross-file (other.md#section) —
 // against the target's headings using GitHub's slugification. External
 // (scheme-prefixed) links are skipped: the checker guards the
 // repository's own cross-references, not the internet.
-func CheckMarkdownLinks(files ...string) ([]Finding, error) {
-	var findings []Finding
+func checkMarkdownLinks(files ...string) ([]finding, error) {
+	var findings []finding
 	anchors := map[string]map[string]bool{} // markdown path -> anchor set
 	anchorsOf := func(path string) (map[string]bool, error) {
 		if a, ok := anchors[path]; ok {
@@ -228,7 +216,7 @@ func CheckMarkdownLinks(files ...string) ([]Finding, error) {
 				if target != "" {
 					resolved = filepath.Join(filepath.Dir(f), target)
 					if _, err := os.Stat(resolved); err != nil {
-						findings = append(findings, Finding{
+						findings = append(findings, finding{
 							Pos:  fmt.Sprintf("%s:%d", f, i+1),
 							What: fmt.Sprintf("broken link %q (resolved %s)", m[1], resolved),
 						})
@@ -243,7 +231,7 @@ func CheckMarkdownLinks(files ...string) ([]Finding, error) {
 					return nil, err
 				}
 				if !a[strings.ToLower(fragment)] {
-					findings = append(findings, Finding{
+					findings = append(findings, finding{
 						Pos:  fmt.Sprintf("%s:%d", f, i+1),
 						What: fmt.Sprintf("broken anchor %q: no heading in %s slugs to #%s", m[1], resolved, fragment),
 					})
@@ -258,17 +246,17 @@ func CheckMarkdownLinks(files ...string) ([]Finding, error) {
 // number.
 var changelogEntry = regexp.MustCompile(`^- PR (\d+): \S`)
 
-// CheckChangelogOrder enforces the CHANGES.md layout contract: every
+// checkChangelogOrder enforces the CHANGES.md layout contract: every
 // non-blank line is one `- PR <n>: ...` entry and the PR numbers are
 // strictly increasing, so the file reads as the repository's timeline
 // and an entry appended under the wrong number (or re-shuffled by a
 // merge) fails the build.
-func CheckChangelogOrder(path string) ([]Finding, error) {
+func checkChangelogOrder(path string) ([]finding, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var findings []Finding
+	var findings []finding
 	last, lastLine := 0, 0
 	for i, line := range strings.Split(string(data), "\n") {
 		if strings.TrimSpace(line) == "" {
@@ -276,7 +264,7 @@ func CheckChangelogOrder(path string) ([]Finding, error) {
 		}
 		m := changelogEntry.FindStringSubmatch(line)
 		if m == nil {
-			findings = append(findings, Finding{
+			findings = append(findings, finding{
 				Pos:  fmt.Sprintf("%s:%d", path, i+1),
 				What: `changelog line is not a "- PR <n>: ..." entry`,
 			})
@@ -284,14 +272,14 @@ func CheckChangelogOrder(path string) ([]Finding, error) {
 		}
 		n, err := strconv.Atoi(m[1])
 		if err != nil || n < 1 {
-			findings = append(findings, Finding{
+			findings = append(findings, finding{
 				Pos:  fmt.Sprintf("%s:%d", path, i+1),
 				What: fmt.Sprintf("bad PR number %q", m[1]),
 			})
 			continue
 		}
 		if n <= last {
-			findings = append(findings, Finding{
+			findings = append(findings, finding{
 				Pos:  fmt.Sprintf("%s:%d", path, i+1),
 				What: fmt.Sprintf("changelog out of order: PR %d follows PR %d (line %d) — entries must be strictly increasing", n, last, lastLine),
 			})

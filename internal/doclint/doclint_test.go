@@ -3,6 +3,7 @@ package doclint
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ func repoRoot(t *testing.T) string {
 func TestGodocCoverage(t *testing.T) {
 	root := repoRoot(t)
 	for _, tree := range []string{"internal", "cmd"} {
-		findings, err := CheckDir(filepath.Join(root, tree))
+		findings, err := checkDir(filepath.Join(root, tree))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestGodocCoverage(t *testing.T) {
 func TestPackageComments(t *testing.T) {
 	root := repoRoot(t)
 	for _, tree := range []string{"internal", "cmd", "examples"} {
-		findings, err := CheckPackageComments(filepath.Join(root, tree))
+		findings, err := checkPackageComments(filepath.Join(root, tree))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestMarkdownLinks(t *testing.T) {
 		filepath.Join(root, "ROADMAP.md"),
 		filepath.Join(root, "examples", "README.md"),
 	}
-	findings, err := CheckMarkdownLinks(files...)
+	findings, err := checkMarkdownLinks(files...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestMarkdownLinks(t *testing.T) {
 // out of order once — 7, 5, 4, 3, 2, 1, 6, 8, 9 — and this keeps it
 // from regressing).
 func TestChangelogOrder(t *testing.T) {
-	findings, err := CheckChangelogOrder(filepath.Join(repoRoot(t), "CHANGES.md"))
+	findings, err := checkChangelogOrder(filepath.Join(repoRoot(t), "CHANGES.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestChangelogCheckerCatchesDisorder(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			findings, err := CheckChangelogOrder(write(tc.content))
+			findings, err := checkChangelogOrder(write(tc.content))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +123,7 @@ func TestChangelogCheckerCatchesDisorder(t *testing.T) {
 			}
 		})
 	}
-	if _, err := CheckChangelogOrder(filepath.Join(dir, "absent.md")); err == nil {
+	if _, err := checkChangelogOrder(filepath.Join(dir, "absent.md")); err == nil {
 		t.Error("missing file should be an error, not a pass")
 	}
 }
@@ -154,14 +155,14 @@ const (
 	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := CheckDir(dir)
+	findings, err := checkDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) != 3 {
 		t.Fatalf("findings = %d, want 3 (Undocumented, Bad, Naked): %v", len(findings), findings)
 	}
-	pkgFindings, err := CheckPackageComments(dir)
+	pkgFindings, err := checkPackageComments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestLinkCheckerCatchesBrokenLinks(t *testing.T) {
 	if err := os.WriteFile(md, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := CheckMarkdownLinks(md)
+	findings, err := checkMarkdownLinks(md)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestAnchorValidation(t *testing.T) {
 	if err := os.WriteFile(md, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := CheckMarkdownLinks(md)
+	findings, err := checkMarkdownLinks(md)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,18 +249,86 @@ func TestCheckDirSkipsTestdata(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(sub, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := CheckDir(dir)
+	findings, err := checkDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) != 0 {
 		t.Errorf("testdata not skipped by CheckDir: %v", findings)
 	}
-	pkgFindings, err := CheckPackageComments(dir)
+	pkgFindings, err := checkPackageComments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgFindings) != 0 {
 		t.Errorf("testdata not skipped by CheckPackageComments: %v", pkgFindings)
+	}
+}
+
+// TestDeadExports keeps the cut list empty (ROADMAP aim 2): an exported
+// identifier under internal/ that nothing outside its package refers to
+// is un-exported or deleted, not kept.
+func TestDeadExports(t *testing.T) {
+	findings, err := checkDeadExports(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s", f)
+	}
+}
+
+// TestDeadExportCheckerBites proves the dead-export lint bites, and on
+// what: a name only its own package and tests use is a finding; a name
+// another package selects, a type an exported signature exposes, a method
+// selected anywhere else and the siblings of a live constant are not.
+func TestDeadExportCheckerBites(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"internal/a/a.go": `package a
+
+type Exposed struct{}
+
+type Orphan struct{}
+
+func Used() Exposed { return Exposed{} }
+
+func Dead() {}
+
+func (Exposed) Called() {}
+
+func (Exposed) Uncalled() {}
+
+const (
+	First = iota
+	Second
+)
+
+const Lonely = 1
+
+func unexported() { Dead(); Exposed{}.Uncalled(); _ = Orphan{} }
+`,
+		"internal/a/a_test.go": "package a\n\nvar _ = Lonely\n",
+		"cmd/x/main.go":        "package main\n\nimport \"m/internal/a\"\n\nfunc main() { a.Used().Called(); _ = a.Second }\n",
+		"testdata/skip.go":     "package broken !",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := checkDeadExports(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.Fields(f.What)[1])
+	}
+	if want := "Orphan Dead Uncalled Lonely"; strings.Join(got, " ") != want {
+		t.Errorf("dead exports %v, want %s", got, want)
 	}
 }

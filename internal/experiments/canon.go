@@ -17,7 +17,7 @@
 //     half-wired cell. (Before ParseKey existed, a FaultMode like
 //     "zap" would have RUN as "kill" while caching under its own
 //     identity — the alias/split bug class this file closes.)
-//   - It is VERSIONED. KeyCodecVersion names the layout; any change to
+//   - It is VERSIONED. keyCodecVersion names the layout; any change to
 //     the field set or normalization rules must bump it so persistent
 //     caches cannot serve entries written under other rules.
 //
@@ -40,17 +40,17 @@ import (
 	"repro/internal/prefetch"
 )
 
-// KeyCodecVersion names the canonical Key wire layout. Bump it whenever
+// keyCodecVersion names the canonical Key wire layout. Bump it whenever
 // a field is added, removed or renamed, or a normalization rule changes:
 // persistent caches fold it into their entry addresses, so a bump
 // atomically invalidates every entry written under the old rules.
-const KeyCodecVersion = "key/v1"
+const keyCodecVersion = "key/v1"
 
 // keyWire is the canonical JSON layout of a Key. Field order is the
 // declaration order (encoding/json preserves it), disabled optional axes
 // are omitted entirely, and ParseKey rejects unknown fields — together
 // that makes the encoding injective on normalized keys and stable across
-// releases under the same KeyCodecVersion.
+// releases under the same keyCodecVersion.
 type keyWire struct {
 	V         string `json:"v"`
 	Dataset   string `json:"dataset"`
@@ -94,14 +94,14 @@ func (k Key) Validate() error {
 
 // CanonicalJSON renders the key's canonical wire encoding: normalized
 // (alias spellings collapse exactly as the in-memory cache does),
-// versioned (the leading "v" field is KeyCodecVersion) and byte-stable
+// versioned (the leading "v" field is keyCodecVersion) and byte-stable
 // (fixed field order, disabled axes omitted). Two keys have equal
 // CanonicalJSON if and only if they name the same campaign cell, which
 // is what makes sha256 over these bytes a safe cache address.
 func (k Key) CanonicalJSON() []byte {
 	n := k.normalized()
 	w := keyWire{
-		V:         KeyCodecVersion,
+		V:         keyCodecVersion,
 		Dataset:   string(n.Dataset),
 		Seeding:   string(n.Seeding),
 		Alg:       string(n.Alg),
@@ -134,7 +134,7 @@ func (k Key) Digest() string {
 // unkeyed axis. Alias spellings are accepted and normalized, so for any
 // key k, ParseKey(k.CanonicalJSON()) returns exactly k.normalized() —
 // decode∘encode is the identity on canonical keys (FuzzKeyRoundTrip).
-// A missing "v" field is accepted as the current KeyCodecVersion so
+// A missing "v" field is accepted as the current keyCodecVersion so
 // hand-written request cells stay terse.
 func ParseKey(data []byte) (Key, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -146,8 +146,8 @@ func ParseKey(data []byte) (Key, error) {
 	if dec.More() {
 		return Key{}, fmt.Errorf("experiments: bad key encoding: trailing data after the key object")
 	}
-	if w.V != "" && w.V != KeyCodecVersion {
-		return Key{}, fmt.Errorf("experiments: key codec version mismatch: got %q, this build speaks %q", w.V, KeyCodecVersion)
+	if w.V != "" && w.V != keyCodecVersion {
+		return Key{}, fmt.Errorf("experiments: key codec version mismatch: got %q, this build speaks %q", w.V, keyCodecVersion)
 	}
 	k := Key{
 		Dataset:   Dataset(w.Dataset),

@@ -10,7 +10,7 @@ import (
 
 // TestCanonicalJSONPinned pins the exact canonical bytes of two sample
 // keys. These bytes are a persistence contract: if this test fails, the
-// wire layout changed and KeyCodecVersion MUST be bumped (which
+// wire layout changed and keyCodecVersion MUST be bumped (which
 // invalidates every persistent cache entry) rather than the goldens
 // silently updated.
 func TestCanonicalJSONPinned(t *testing.T) {

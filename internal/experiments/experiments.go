@@ -11,9 +11,10 @@
 // A Campaign memoizes at three levels: results by Key, problems by
 // (dataset, seeding, unsteady, injection), and — since the sweep runs
 // each problem under every algorithm and processor count — the
-// integration itself, as one segment tape per problem (tape.go): the
-// problem's second cell records it, every later cell replays it, and
-// the outcome is byte-identical either way.
+// integration itself, as one segment tape per problem (tape.go): a
+// streamline is integrated by the first cell that touches it and
+// replayed by every cell, and the outcome is byte-identical to
+// integrating it in each.
 package experiments
 
 import (
@@ -61,9 +62,9 @@ const (
 // Seedings lists both seeding modes.
 func Seedings() []Seeding { return []Seeding{Sparse, Dense} }
 
-// Scale sizes a campaign. PaperScale reproduces the paper's numbers;
-// DefaultScale reduces seed counts ~10× for tractable wall-clock;
-// SmallScale is for CI and unit tests.
+// Scale sizes a campaign (ScaleByName). The "paper" scale reproduces the
+// paper's numbers; "default" reduces seed counts ~10× for tractable
+// wall-clock; "small" (SmallScale) is for CI and unit tests.
 type Scale struct {
 	Name          string
 	BlocksPerAxis int // decomposition is BlocksPerAxis^3 blocks
@@ -132,16 +133,16 @@ func ScaleByName(name string) (Scale, bool) {
 	case "small":
 		return SmallScale(), true
 	case "default":
-		return DefaultScale(), true
+		return defaultScale(), true
 	case "paper":
-		return PaperScale(), true
+		return paperScale(), true
 	}
 	return Scale{}, false
 }
 
-// PaperScale reproduces the paper's configuration: 512 blocks of 1M
+// paperScale reproduces the paper's configuration: 512 blocks of 1M
 // cells, full seed counts, 64–512 processors. Expect multi-minute runs.
-func PaperScale() Scale {
+func paperScale() Scale {
 	return Scale{
 		Name:              "paper",
 		BlocksPerAxis:     8,
@@ -174,11 +175,11 @@ func PaperScale() Scale {
 	}
 }
 
-// DefaultScale is the slbench default: the paper's block structure with
+// defaultScale is the slbench default: the paper's block structure with
 // ~10× fewer seeds, so a full campaign completes in minutes while
 // preserving every qualitative shape.
-func DefaultScale() Scale {
-	s := PaperScale()
+func defaultScale() Scale {
+	s := paperScale()
 	s.Name = "default"
 	// The scale-down preserves the paper's dimensionless regime: the
 	// block count, processor sweep and seed counts all shrink ~8-10×
@@ -392,13 +393,13 @@ func memoryBudget(sc Scale, d grid.Decomposition) int64 {
 	return pinned*blockBytes + int64(sc.CacheBlocks)*blockBytes + denseGeom/8
 }
 
-// MemoryBudget returns the per-processor memory limit for the campaign:
-// enough for the pinned static-allocation working set at the smallest
-// processor count plus the block cache plus one quarter of the dense
-// thermal result geometry. A single processor holding ALL dense thermal
+// steadyMemoryBudget returns the per-processor memory limit for the
+// campaign's steady cells: enough for the pinned static-allocation
+// working set at the smallest processor count plus the block cache plus
+// one quarter of the dense thermal result geometry. A single processor holding ALL dense thermal
 // results therefore exceeds it — the paper's Figure 13 OOM — while every
 // balanced distribution fits.
-func MemoryBudget(sc Scale) int64 {
+func steadyMemoryBudget(sc Scale) int64 {
 	return memoryBudget(sc, grid.Decomposition{CellsPerAxis: sc.CellsPerAxis, Ghost: 1})
 }
 
@@ -416,7 +417,7 @@ func MachineConfig(alg core.Algorithm, procs int, sc Scale) core.Config {
 		Cost:         core.DefaultCost(),
 		CacheBlocks:  sc.CacheBlocks,
 		DiskServers:  sc.DiskServers,
-		MemoryBudget: MemoryBudget(sc),
+		MemoryBudget: steadyMemoryBudget(sc),
 		Hybrid:       core.DefaultHybrid(),
 		Steal:        core.DefaultSteal(),
 	}
@@ -442,7 +443,7 @@ func KeyMachineConfig(k Key, sc Scale) core.Config {
 		cfg.Prefetch = prefetch.Config{Policy: k.Prefetch, Depth: sc.PrefetchDepth}
 	}
 	if k.Faults.Enabled() {
-		cfg.Faults = sc.FaultPlan(k.Faults, k.Procs)
+		cfg.Faults = sc.faultPlan(k.Faults, k.Procs)
 	}
 	return cfg
 }
@@ -467,7 +468,7 @@ type Key struct {
 	// workload.
 	Injection Injection
 	// Faults selects the processor-loss scenario of the cell
-	// (DESIGN.md §11), materialized by Scale.FaultPlan. The zero value
+	// (DESIGN.md §11), materialized by Scale.faultPlan. The zero value
 	// (and "off") runs fault-free, the paper's workload.
 	Faults FaultMode
 }
@@ -523,7 +524,7 @@ type Outcome struct {
 
 // Campaign runs and caches the full evaluation at one scale. A Campaign
 // is safe for concurrent use: Run may be called from any number of
-// goroutines, and the batch entry points (RunKeys, RunDataset, FigureRows)
+// goroutines, and the batch entry points (RunKeys, RunAll, FigureRows)
 // execute missing cells on a bounded worker pool (see parallel.go). Every
 // sweep cell is an independent deterministic simulation, so results are
 // bit-identical regardless of execution order or worker count.
@@ -541,7 +542,7 @@ type Campaign struct {
 	// must be deterministic: results are cached by Key alone, so Tune must
 	// give every execution of the same key the same configuration.
 	Tune func(*core.Config)
-	// Unsteady, when set, makes the key enumerators (DatasetKeys, AllKeys,
+	// Unsteady, when set, makes the key enumerators (datasetKeys, allKeys,
 	// FigureKeys) emit the time-sliced pathline variant of every cell —
 	// the slbench -unsteady mode. Explicitly-built Keys are unaffected.
 	Unsteady bool
@@ -570,12 +571,9 @@ type Campaign struct {
 	probMu   sync.Mutex
 	problems map[problemKey]*problemEntry
 	// The segment tapes' state (tape.go), guarded by probMu: how many
-	// Run/RunKeys calls are in flight, the attachment clock, the ledger.
-	// tapeCount is the one set of counters every tape adds to;
-	// tapeLimit is tapeBudget (a field so that tests can reach the bound).
+	// Run/RunKeys calls are in flight and the ledger. tapeCount is the
+	// one set of counters every tape adds to.
 	active    int
-	tapeLimit int64
-	tapeClock uint64
 	tapeStats TapeStats
 	tapeCount core.TapeCounters
 
@@ -589,8 +587,6 @@ func NewCampaign(sc Scale) *Campaign {
 		results:  make(map[Key]Outcome),
 		inflight: make(map[Key]chan struct{}),
 		problems: make(map[problemKey]*problemEntry),
-
-		tapeLimit: tapeBudget,
 	}
 }
 
@@ -641,8 +637,8 @@ func (c *Campaign) Cached(k Key) (Outcome, bool) {
 	return out, ok
 }
 
-// NumResults returns how many configurations have been computed so far.
-func (c *Campaign) NumResults() int {
+// numResults returns how many configurations have been computed so far.
+func (c *Campaign) numResults() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.results)
@@ -688,8 +684,7 @@ func (c *Campaign) Run(k Key) Outcome {
 }
 
 // execute performs the simulation for one configuration (no caching):
-// the memoized problem, with its segment tape when the cell is admitted
-// to one (tape.go), on k's machine.
+// the memoized problem, with its segment tape (tape.go), on k's machine.
 func (c *Campaign) execute(k Key) (*core.Result, *obs.Report, error) {
 	e := c.problem(k.Dataset, k.Seeding, k.Unsteady, k.Injection)
 	if e.err != nil {
@@ -703,13 +698,8 @@ func (c *Campaign) execute(k Key) (*core.Result, *obs.Report, error) {
 		cfg.Trace = obs.NewDigest()
 	}
 	prob := e.prob
-	// A run that hands its streamlines out would alias the tape, and one
-	// that truncates their geometry has nothing to record.
-	if !cfg.CollectTraces && !cfg.NoGeometry {
-		if prob.Tape = c.attachTape(e); prob.Tape != nil {
-			defer c.detachTape(e)
-		}
-	}
+	prob.Tape = c.attachTape(e)
+	defer c.detachTape()
 	// Label the run for CPU profiling: every sample taken inside this
 	// cell carries its key, so pprof -tagfocus isolates one cell of a
 	// campaign (the slbench -cpuprofile flags).
@@ -739,9 +729,9 @@ func (c *Campaign) logOutcome(out Outcome) {
 	}
 }
 
-// DatasetKeys enumerates one dataset's full sweep (both seedings, all
+// datasetKeys enumerates one dataset's full sweep (both seedings, all
 // algorithms, all processor counts) in presentation order.
-func (c *Campaign) DatasetKeys(ds Dataset) []Key {
+func (c *Campaign) datasetKeys(ds Dataset) []Key {
 	var keys []Key
 	pf := prefetch.Policy("")
 	if c.Prefetch.Enabled() {
@@ -759,25 +749,18 @@ func (c *Campaign) DatasetKeys(ds Dataset) []Key {
 	return keys
 }
 
-// AllKeys enumerates the complete campaign in presentation order.
-func (c *Campaign) AllKeys() []Key {
+// allKeys enumerates the complete campaign in presentation order.
+func (c *Campaign) allKeys() []Key {
 	var keys []Key
 	for _, ds := range Datasets() {
-		keys = append(keys, c.DatasetKeys(ds)...)
+		keys = append(keys, c.datasetKeys(ds)...)
 	}
 	return keys
 }
 
-// RunDataset executes the whole sweep for one dataset (both seedings, all
-// algorithms, all processor counts), using the worker pool when Workers
-// allows.
-func (c *Campaign) RunDataset(ds Dataset) {
-	c.RunKeys(c.DatasetKeys(ds))
-}
-
 // RunAll executes the complete campaign across every dataset.
 func (c *Campaign) RunAll() {
-	c.RunKeys(c.AllKeys())
+	c.RunKeys(c.allKeys())
 }
 
 // Figure describes one of the paper's quantitative figures.
@@ -819,7 +802,7 @@ func FigureByID(id int) (Figure, bool) {
 // FigureKeys enumerates the configurations a figure needs, in the order
 // its table lists them.
 func (c *Campaign) FigureKeys(fig Figure) []Key {
-	return c.DatasetKeys(fig.Dataset)
+	return c.datasetKeys(fig.Dataset)
 }
 
 // FigureRows runs (or fetches) every configuration a figure needs and

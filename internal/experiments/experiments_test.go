@@ -81,7 +81,7 @@ func TestDenseThermalCircleFitsOneBlock(t *testing.T) {
 	// The entire inlet circle must land in a single block — that is what
 	// concentrates all dense-thermal work on one processor (the paper's
 	// Figure 13 OOM).
-	for _, sc := range []Scale{SmallScale(), DefaultScale(), PaperScale()} {
+	for _, sc := range []Scale{SmallScale(), defaultScale(), paperScale()} {
 		prob, err := BuildProblem(Thermal, Dense, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -104,8 +104,8 @@ func TestDenseThermalCircleFitsOneBlock(t *testing.T) {
 func TestMemoryBudgetOrdering(t *testing.T) {
 	// The budget must fit the balanced working sets but not one processor
 	// holding all dense-thermal geometry.
-	for _, sc := range []Scale{SmallScale(), DefaultScale()} {
-		budget := MemoryBudget(sc)
+	for _, sc := range []Scale{SmallScale(), defaultScale()} {
+		budget := steadyMemoryBudget(sc)
 		if budget <= 0 {
 			t.Fatalf("scale %s: non-positive budget", sc.Name)
 		}
@@ -130,8 +130,8 @@ func TestCampaignCachesRuns(t *testing.T) {
 	if a.Summary.String() != b.Summary.String() {
 		t.Error("cached run differs")
 	}
-	if c.NumResults() != 1 {
-		t.Errorf("results cached = %d, want 1", c.NumResults())
+	if c.numResults() != 1 {
+		t.Errorf("results cached = %d, want 1", c.numResults())
 	}
 	if _, ok := c.Cached(k); !ok {
 		t.Error("Cached(k) missing after Run")
@@ -228,7 +228,7 @@ func TestScaleByName(t *testing.T) {
 }
 
 func TestScalesAreOrdered(t *testing.T) {
-	small, def, paper := SmallScale(), DefaultScale(), PaperScale()
+	small, def, paper := SmallScale(), defaultScale(), paperScale()
 	if !(small.AstroSeeds < def.AstroSeeds && def.AstroSeeds < paper.AstroSeeds) {
 		t.Error("astro seeds not increasing across scales")
 	}
@@ -292,8 +292,8 @@ func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 }
 
 func TestUnsteadyMemoryBudgetOrdering(t *testing.T) {
-	for _, sc := range []Scale{SmallScale(), DefaultScale()} {
-		steady := MemoryBudget(sc)
+	for _, sc := range []Scale{SmallScale(), defaultScale()} {
+		steady := steadyMemoryBudget(sc)
 		u := KeyMachineConfig(Key{Alg: core.StaticAlloc, Procs: sc.ProcCounts[0], Unsteady: true}, sc).MemoryBudget
 		if u <= steady {
 			t.Errorf("scale %s: unsteady budget %d not above steady %d (space-time pinning needs room)",
@@ -344,20 +344,20 @@ func TestCampaignUnsteadyCells(t *testing.T) {
 	if un.Summary.String() == steady.Summary.String() {
 		t.Error("unsteady cell identical to steady cell; the axis is not wired through")
 	}
-	if c.NumResults() != 2 {
-		t.Errorf("cells cached = %d, want 2 (unsteady must not collide with steady)", c.NumResults())
+	if c.numResults() != 2 {
+		t.Errorf("cells cached = %d, want 2 (unsteady must not collide with steady)", c.numResults())
 	}
 }
 
 func TestCampaignUnsteadyFlagFlipsKeys(t *testing.T) {
 	c := NewCampaign(SmallScale())
-	for _, k := range c.DatasetKeys(Astro) {
+	for _, k := range c.datasetKeys(Astro) {
 		if k.Unsteady {
 			t.Fatal("steady campaign emitted unsteady keys")
 		}
 	}
 	c.Unsteady = true
-	for _, k := range c.AllKeys() {
+	for _, k := range c.allKeys() {
 		if !k.Unsteady {
 			t.Fatal("unsteady campaign emitted steady keys")
 		}
@@ -452,20 +452,20 @@ func TestCampaignPrefetchCells(t *testing.T) {
 	if pf.Summary.PrefetchIssued == 0 {
 		t.Error("prefetch cell issued nothing; the axis is not wired through")
 	}
-	if c.NumResults() != 2 {
-		t.Errorf("cells cached = %d, want 2 (prefetch must not collide with off)", c.NumResults())
+	if c.numResults() != 2 {
+		t.Errorf("cells cached = %d, want 2 (prefetch must not collide with off)", c.numResults())
 	}
 }
 
 func TestCampaignPrefetchFlagFlipsKeys(t *testing.T) {
 	c := NewCampaign(SmallScale())
-	for _, k := range c.DatasetKeys(Astro) {
+	for _, k := range c.datasetKeys(Astro) {
 		if k.Prefetch.Enabled() {
 			t.Fatal("plain campaign emitted prefetch keys")
 		}
 	}
 	c.Prefetch = prefetch.Both
-	for _, k := range c.AllKeys() {
+	for _, k := range c.allKeys() {
 		if k.Prefetch != prefetch.Both {
 			t.Fatal("prefetch campaign emitted non-prefetch keys")
 		}

@@ -20,10 +20,6 @@ const (
 	FaultsKill FaultMode = "kill" // kill the lowest FaultProcs ranks at FaultTime
 )
 
-// FaultModes lists the scenarios accepted by the -faults flag, in
-// presentation order.
-func FaultModes() []FaultMode { return []FaultMode{FaultsOff, FaultsKill} }
-
 // Enabled reports whether the mode injects any failures.
 func (f FaultMode) Enabled() bool { return f.normalized() != FaultsOff }
 
@@ -46,11 +42,11 @@ func (f FaultMode) Validate() error {
 	return fmt.Errorf("experiments: unknown fault mode %q (want off or kill)", string(f))
 }
 
-// FaultPlan materializes a fault mode into the concrete kill schedule a
+// faultPlan materializes a fault mode into the concrete kill schedule a
 // cell at procs processors runs under: the sc.FaultProcs lowest ranks
 // die at sc.FaultTime. At least one processor always survives — a plan
 // that kills everyone is a validation error, not an experiment.
-func (sc Scale) FaultPlan(f FaultMode, procs int) faults.Plan {
+func (sc Scale) faultPlan(f FaultMode, procs int) faults.Plan {
 	if !f.Enabled() {
 		return faults.Plan{}
 	}

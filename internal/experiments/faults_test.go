@@ -17,11 +17,7 @@ func TestFaultModeAxis(t *testing.T) {
 		t.Error("kill must report Enabled")
 	}
 
-	modes := FaultModes()
-	if len(modes) != 2 || modes[0] != FaultsOff || modes[1] != FaultsKill {
-		t.Errorf("FaultModes() = %v, want [off kill]", modes)
-	}
-	for _, m := range append(modes, "off") {
+	for _, m := range []FaultMode{FaultsOff, FaultsKill, "off"} {
 		if err := m.Validate(); err != nil {
 			t.Errorf("Validate(%q) = %v, want nil", m, err)
 		}
@@ -48,11 +44,11 @@ func TestFaultModeAxis(t *testing.T) {
 func TestFaultPlanMaterialization(t *testing.T) {
 	sc := SmallScale()
 
-	if p := sc.FaultPlan(FaultsOff, 8); p.Enabled() {
+	if p := sc.faultPlan(FaultsOff, 8); p.Enabled() {
 		t.Errorf("fault-free plan = %v, want empty", p)
 	}
 
-	p := sc.FaultPlan(FaultsKill, 8)
+	p := sc.faultPlan(FaultsKill, 8)
 	if len(p.Events) != sc.FaultProcs {
 		t.Fatalf("plan kills %d, want Scale.FaultProcs = %d", len(p.Events), sc.FaultProcs)
 	}
@@ -69,12 +65,12 @@ func TestFaultPlanMaterialization(t *testing.T) {
 	// non-positive setting still kills one.
 	wide := sc
 	wide.FaultProcs = 99
-	if got := len(wide.FaultPlan(FaultsKill, 4).Events); got != 3 {
+	if got := len(wide.faultPlan(FaultsKill, 4).Events); got != 3 {
 		t.Errorf("oversized FaultProcs killed %d of 4, want clamp to 3", got)
 	}
 	none := sc
 	none.FaultProcs = 0
-	if got := len(none.FaultPlan(FaultsKill, 4).Events); got != 1 {
+	if got := len(none.faultPlan(FaultsKill, 4).Events); got != 1 {
 		t.Errorf("zero FaultProcs killed %d, want 1", got)
 	}
 }

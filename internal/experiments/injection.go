@@ -31,13 +31,6 @@ const (
 	InjectRate Injection = "rate"
 )
 
-// Injections lists the staggered schedules in presentation order (the
-// canonical all-at-t0 cell is every campaign's default and is not
-// repeated here).
-func Injections() []Injection {
-	return []Injection{InjectStagger, InjectBurst, InjectRate}
-}
-
 // Enabled reports whether the injection differs from release-all-at-t0.
 func (inj Injection) Enabled() bool {
 	return inj != InjectT0 && inj != "t0" && inj != "off"
@@ -62,10 +55,10 @@ func (inj Injection) normalized() Injection {
 	return inj
 }
 
-// InjectionSchedule materializes an Injection as the seeds.Schedule it
+// injectionSchedule materializes an Injection as the seeds.Schedule it
 // names at this scale: releases start at virtual time zero and spread
 // over the scale's InjectWindow.
-func (sc Scale) InjectionSchedule(inj Injection) (seeds.Schedule, error) {
+func (sc Scale) injectionSchedule(inj Injection) (seeds.Schedule, error) {
 	if err := inj.Validate(); err != nil {
 		return nil, err
 	}
@@ -81,16 +74,16 @@ func (sc Scale) InjectionSchedule(inj Injection) (seeds.Schedule, error) {
 	}
 }
 
-// ApplyInjection assigns the problem's per-seed release times from the
+// applyInjection assigns the problem's per-seed release times from the
 // schedule inj names at this scale, validating the schedule invariants
 // (count conservation, monotonicity, window containment) once per built
 // problem. An all-at-t0 injection leaves the problem untouched (nil
 // Release), so the canonical cells run exactly the code they always ran.
-func ApplyInjection(prob *core.Problem, inj Injection, sc Scale) error {
+func applyInjection(prob *core.Problem, inj Injection, sc Scale) error {
 	if !inj.Enabled() {
 		return nil
 	}
-	sched, err := sc.InjectionSchedule(inj)
+	sched, err := sc.injectionSchedule(inj)
 	if err != nil {
 		return err
 	}
@@ -105,7 +98,7 @@ func ApplyInjection(prob *core.Problem, inj Injection, sc Scale) error {
 
 // BuildInjectedProblem assembles the steady or unsteady problem for a
 // dataset and seeding with the named injection schedule applied — the
-// one-call form of BuildProblem/BuildUnsteadyProblem + ApplyInjection
+// one-call form of BuildProblem/BuildUnsteadyProblem + applyInjection
 // that campaign cells and the sl* commands share.
 func BuildInjectedProblem(ds Dataset, seeding Seeding, sc Scale, unsteady bool, inj Injection) (core.Problem, error) {
 	var prob core.Problem
@@ -118,7 +111,7 @@ func BuildInjectedProblem(ds Dataset, seeding Seeding, sc Scale, unsteady bool, 
 	if err != nil {
 		return core.Problem{}, err
 	}
-	if err := ApplyInjection(&prob, inj, sc); err != nil {
+	if err := applyInjection(&prob, inj, sc); err != nil {
 		return core.Problem{}, err
 	}
 	return prob, nil

@@ -30,9 +30,6 @@ func TestInjectionValidateAndNormalize(t *testing.T) {
 	if !InjectStagger.Enabled() || InjectStagger.normalized() != InjectStagger {
 		t.Error("stagger must stay enabled and canonical")
 	}
-	if len(Injections()) != 3 {
-		t.Errorf("Injections() = %v, want the three staggered schedules", Injections())
-	}
 }
 
 // TestInjectionKeyLabel pins the +i: row labels and the cache identity
@@ -63,31 +60,31 @@ func TestScaleInjectionSchedule(t *testing.T) {
 	sc.InjectWaves = 5
 	sc.InjectRate = 4
 
-	stag, err := sc.InjectionSchedule(InjectStagger)
+	stag, err := sc.injectionSchedule(InjectStagger)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lo, hi := stag.Window(); lo != 0 || hi != 2 {
 		t.Errorf("stagger window = [%g, %g], want [0, 2]", lo, hi)
 	}
-	burst, err := sc.InjectionSchedule(InjectBurst)
+	burst, err := sc.injectionSchedule(InjectBurst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := burst.Name(); got != "burst5" {
 		t.Errorf("burst schedule = %q, want waves from the scale", got)
 	}
-	rate, err := sc.InjectionSchedule(InjectRate)
+	rate, err := sc.injectionSchedule(InjectRate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if times := rate.Times(3); times[1] != 0.25 {
 		t.Errorf("rate schedule second release at %g, want 1/4 s", times[1])
 	}
-	if t0, err := sc.InjectionSchedule(InjectT0); err != nil || t0.Times(2)[1] != 0 {
+	if t0, err := sc.injectionSchedule(InjectT0); err != nil || t0.Times(2)[1] != 0 {
 		t.Errorf("t0 schedule = %v/%v, want all-zero releases", t0, err)
 	}
-	if _, err := sc.InjectionSchedule("poisson"); err == nil {
+	if _, err := sc.injectionSchedule("poisson"); err == nil {
 		t.Error("unknown injection built a schedule")
 	}
 }
@@ -138,7 +135,7 @@ func TestCampaignInjectionCells(t *testing.T) {
 	sc := tinyScale()
 	c := NewCampaign(sc)
 	c.Injection = InjectStagger
-	for _, k := range c.DatasetKeys(Astro) {
+	for _, k := range c.datasetKeys(Astro) {
 		if k.Injection != InjectStagger {
 			t.Fatalf("%s: enumerated without the campaign injection", k.Label())
 		}

@@ -37,11 +37,11 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 	serial.RunAll()
 	parallel.RunAll()
 
-	keys := serial.AllKeys()
-	if got := serial.NumResults(); got != len(keys) {
+	keys := serial.allKeys()
+	if got := serial.numResults(); got != len(keys) {
 		t.Fatalf("serial campaign ran %d cells, want %d", got, len(keys))
 	}
-	if got := parallel.NumResults(); got != len(keys) {
+	if got := parallel.numResults(); got != len(keys) {
 		t.Fatalf("parallel campaign ran %d cells, want %d", got, len(keys))
 	}
 
@@ -93,7 +93,7 @@ func TestParallelInjectionCampaignMatchesSerial(t *testing.T) {
 	serial.RunAll()
 	parallel.RunAll()
 
-	keys := serial.AllKeys()
+	keys := serial.allKeys()
 	sawStall := false
 	for _, k := range keys {
 		if !k.Injection.Enabled() {
@@ -191,8 +191,8 @@ func TestRunSingleflight(t *testing.T) {
 	}
 	wg.Wait()
 
-	if c.NumResults() != 1 {
-		t.Errorf("results = %d, want 1", c.NumResults())
+	if c.numResults() != 1 {
+		t.Errorf("results = %d, want 1", c.numResults())
 	}
 	for i := 1; i < callers; i++ {
 		if outs[i].Summary != outs[0].Summary {
@@ -208,8 +208,8 @@ func TestRunKeysDedup(t *testing.T) {
 	c.Workers = 4
 	k := Key{Dataset: Fusion, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}
 	c.RunKeys([]Key{k, k, k, k})
-	if c.NumResults() != 1 {
-		t.Errorf("results = %d, want 1", c.NumResults())
+	if c.numResults() != 1 {
+		t.Errorf("results = %d, want 1", c.numResults())
 	}
 }
 
@@ -242,7 +242,7 @@ func TestObserveCampaignDeterministic(t *testing.T) {
 	parallel.Workers = 8
 	parallel.Observe = true
 
-	keys := serial.DatasetKeys(Astro)
+	keys := serial.datasetKeys(Astro)
 	plain.RunKeys(keys)
 	serial.RunKeys(keys)
 	parallel.RunKeys(keys)

@@ -50,22 +50,26 @@ func (cb cellBytes) equal(o cellBytes) bool {
 }
 
 // untaped runs k's cell the way the campaign did before it had tapes: a
-// freshly built problem straight into core.Run.
-func untaped(t *testing.T, k Key, sc Scale) cellBytes {
+// freshly built problem straight into core.Run, on the machine a campaign
+// with the given Tune (nil for none) would build.
+func untaped(t *testing.T, k Key, sc Scale, tune func(*core.Config)) cellBytes {
 	t.Helper()
 	prob, err := BuildInjectedProblem(k.Dataset, k.Seeding, sc, k.Unsteady, k.Injection)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := KeyMachineConfig(k, sc)
+	if tune != nil {
+		tune(&cfg)
+	}
 	cfg.Trace = obs.NewDigest()
 	res, err := core.Run(prob, cfg)
 	rep := cfg.Trace.Report()
 	return cellOf(t, res, &rep, err)
 }
 
-// simulated runs k's cell through the campaign's tape admission, as one
-// stretch of work.
+// simulated runs k's cell on the campaign's tape for its problem, as
+// one stretch of work.
 func simulated(t *testing.T, c *Campaign, k Key) cellBytes {
 	t.Helper()
 	c.enter()
@@ -128,12 +132,48 @@ func tapeCells(sc Scale) []Key {
 	return append(keys, Key{Dataset: Thermal, Seeding: Sparse, Alg: core.StaticAlloc, Procs: procs, Faults: FaultsKill})
 }
 
+// lineSteps is what recording k's whole problem integrates: the steps of
+// the fault-free cell (a kill plan makes survivors redo some, which a
+// tape delivers a second time and integrates once).
+func lineSteps(t *testing.T, k Key, sc Scale, tune func(*core.Config)) int64 {
+	t.Helper()
+	k.Faults = ""
+	return untaped(t, k, sc, tune).steps
+}
+
+// checkRole runs k's cell on c and holds it to want, the untaped run's
+// bytes, and holds the ledger to what the cell must have done: every step
+// it delivers comes from the tape, it integrates the records steps of the
+// lines nobody had recorded — none, for a cell that finds the tape
+// complete, so a "replay" that quietly integrated fails here — and it
+// begins a tape exactly when its problem holds none. A cell that fails by
+// design is checked for its bytes alone.
+func checkRole(t *testing.T, c *Campaign, k Key, want cellBytes, role string, records int64) {
+	t.Helper()
+	before := c.TapeStats()
+	if got := simulated(t, c, k); !got.equal(want) {
+		t.Errorf("%s %s: differs from the untaped run\n got %+v\nwant %+v", k.Label(), role, got, want)
+	}
+	if want.err != "" {
+		return
+	}
+	st := c.TapeStats()
+	integrated, replayed, recordings := st.StepsIntegrated-before.StepsIntegrated, st.StepsReplayed-before.StepsReplayed, st.Recordings-before.Recordings
+	wantRecordings := int64(0)
+	if records > 0 {
+		wantRecordings = 1
+	}
+	if integrated != records || replayed != want.steps || recordings != wantRecordings {
+		t.Errorf("%s %s: integrated %d, replayed %d, recordings %d; want %d, %d, %d",
+			k.Label(), role, integrated, replayed, recordings, records, want.steps, wantRecordings)
+	}
+}
+
 // TestTapeByteIdentity holds every cell of the matrix, in every role the
 // campaign can give it, to the bytes of an untaped core.Run: (a) the
-// problem's first cell, which runs untaped; (b) the recorder; (c) a
-// replayer; and (d) recorder and replayer again after the idle campaign
-// lost the tape to the garbage collector. The ledger is checked along the
-// way, so a "replay" that quietly integrated would fail here too.
+// problem's first cell, which records; (b) a replayer; and (c) recorder
+// and replayer again after the idle campaign lost the tape to the garbage
+// collector.
 func TestTapeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("about two hundred simulations")
@@ -141,57 +181,69 @@ func TestTapeByteIdentity(t *testing.T) {
 	sc := goldenScale()
 	failing := 0
 	for _, k := range tapeCells(sc) {
-		label := k.Label()
-		want := untaped(t, k, sc)
+		want := untaped(t, k, sc, nil)
 		if want.err != "" {
 			failing++
 		}
 		c := NewCampaign(sc)
 		c.Observe = true
-		check := func(role string, recordings, dropped int64, replays bool) {
-			t.Helper()
-			before := c.TapeStats()
-			if got := simulated(t, c, k); !got.equal(want) {
-				t.Errorf("%s %s: differs from the untaped run\n got %+v\nwant %+v", label, role, got, want)
-			}
-			if want.err != "" {
-				return // a failing recorder completes nothing; every later cell records again
-			}
-			st := c.TapeStats()
-			if st.Recordings != recordings || st.DroppedIdle != dropped {
-				t.Errorf("%s %s: recordings %d, dropped idle %d; want %d, %d", label, role, st.Recordings, st.DroppedIdle, recordings, dropped)
-			}
-			if got := st.StepsReplayed > before.StepsReplayed; got != replays {
-				t.Errorf("%s %s: replayed steps %d -> %d, want replay = %v", label, role, before.StepsReplayed, st.StepsReplayed, replays)
-			}
-			if replays && st.StepsIntegrated != before.StepsIntegrated {
-				t.Errorf("%s %s: a replaying cell integrated %d steps", label, role, st.StepsIntegrated-before.StepsIntegrated)
-			}
-		}
+		records := lineSteps(t, k, sc, nil)
 
-		c.enter() // stay busy: the tape is held strongly from (b) to (c)
-		check("(a) first cell, untaped", 0, 0, false)
-		check("(b) recording", 1, 0, false)
-		check("(c) replaying", 1, 0, true)
+		c.enter() // stay busy: the tape is held strongly from (a) to (b)
+		checkRole(t, c, k, want, "(a) first cell, recording", records)
+		checkRole(t, c, k, want, "(b) replaying", 0)
 		c.leave()
 		collectIdleTapes(t, c) // idle: the tape is only weakly held, and goes
 		c.enter()
-		check("(d) recording again", 2, 1, false)
-		check("(d) replaying again", 2, 1, true)
+		checkRole(t, c, k, want, "(c) recording again", records)
+		checkRole(t, c, k, want, "(c) replaying again", 0)
 		c.leave()
+		if st := c.TapeStats(); want.err == "" && st.DroppedIdle != 1 {
+			t.Errorf("%s: %d tapes dropped at idle, want 1", k.Label(), st.DroppedIdle)
+		}
 	}
 	if failing < 2 {
 		t.Errorf("%d cells of the matrix fail by design, want the Figure 13 OOM and static's refusal at least", failing)
 	}
 }
 
-// TestTapeConcurrentCells is (e): the twelve cells of one problem (four
-// algorithms, three processor counts) run from four goroutines, on
-// whatever interleaving of untaped, recording, waiting and replaying
-// cells the scheduler produces, each byte-identical to its untaped run —
-// through execute (which also yields the per-processor columns) and
-// through the public RunKeys path. One problem is plain, one contains the
-// Figure 13 OOM, whose cells fail as recorders.
+// TestTapeNoGeometryCells: cells that shed their streamlines' geometry on
+// every send (core.Config.NoGeometry) and cells that carry it share their
+// problem's tape, whichever of them recorded it.
+func TestTapeNoGeometryCells(t *testing.T) {
+	sc := goldenScale()
+	static := Key{Dataset: Astro, Seeding: Sparse, Alg: core.StaticAlloc, Procs: sc.ProcCounts[0]}
+	hybrid := static
+	hybrid.Alg = core.HybridMS
+	// Static's cells shed geometry, hybrid's carry it.
+	tune := func(cfg *core.Config) { cfg.NoGeometry = cfg.Algorithm == core.StaticAlloc }
+	shed, carried := untaped(t, static, sc, tune), untaped(t, hybrid, sc, tune)
+	if full := untaped(t, static, sc, nil); shed.equal(full) {
+		t.Fatal("NoGeometry left static's cell unchanged — the case is vacuous")
+	}
+	for _, order := range [][2]Key{{hybrid, static}, {static, hybrid}} {
+		c := NewCampaign(sc)
+		c.Observe = true
+		c.Tune = tune
+		c.enter()
+		for i, k := range order {
+			want := carried
+			if k == static {
+				want = shed
+			}
+			checkRole(t, c, k, want, []string{"recording", "replaying the other's tape"}[i], []int64{want.steps, 0}[i])
+		}
+		c.leave()
+	}
+}
+
+// TestTapeConcurrentCells is (d): the twelve cells of one problem (four
+// algorithms, three processor counts) run from four goroutines, sharing
+// the recording of one tape on whatever interleaving the scheduler
+// produces, each byte-identical to its untaped run — through execute
+// (which also yields the per-processor columns) and through the public
+// RunKeys path. One problem is plain, one contains the Figure 13 OOM,
+// whose cells fail with the lines they touched recorded.
 func TestTapeConcurrentCells(t *testing.T) {
 	sc := goldenScale()
 	for _, problem := range []struct {
@@ -205,16 +257,15 @@ func TestTapeConcurrentCells(t *testing.T) {
 			}
 		}
 		want := make(map[Key]cellBytes, len(keys))
-		var steps int64
+		var steps, delivered int64
 		failing := 0
 		for _, k := range keys {
-			want[k] = untaped(t, k, sc)
+			want[k] = untaped(t, k, sc, nil)
 			if want[k].err != "" {
 				failing++
 			}
-		}
-		for _, k := range keys {
 			steps = max(steps, want[k].steps) // every cell that succeeds delivers the same steps
+			delivered += want[k].steps
 		}
 
 		c := NewCampaign(sc)
@@ -241,10 +292,13 @@ func TestTapeConcurrentCells(t *testing.T) {
 		if st.Recordings == 0 || st.StepsReplayed == 0 {
 			t.Errorf("%s/%s: ledger %+v: nothing was recorded or nothing replayed", problem.ds, problem.seeding, st)
 		}
-		if failing == 0 && st.StepsIntegrated != steps {
-			// One recorder integrates the problem once; everyone else
-			// waited for it. (A failing recorder integrates a part.)
-			t.Errorf("%s/%s: taped cells integrated %d steps, want the problem's %d exactly once", problem.ds, problem.seeding, st.StepsIntegrated, steps)
+		if st.StepsIntegrated != steps || st.Recordings != 1 || (failing == 0 && st.StepsReplayed != delivered) {
+			// Whoever touches a streamline first records its line, and
+			// cells that meet there wait for the one line, so the problem
+			// is integrated once between them, the cells that fail
+			// included.
+			t.Errorf("%s/%s: ledger %+v, want one tape, the problem's %d steps integrated exactly once and %d replayed",
+				problem.ds, problem.seeding, st, steps, delivered)
 		}
 
 		pub := NewCampaign(sc)
@@ -273,37 +327,53 @@ func TestTapeConcurrentCells(t *testing.T) {
 	}
 }
 
-// TestTapeAdmission: a problem asked for once gets no tape, and neither
-// does a configuration that hands its streamlines out or sheds their
-// geometry, however often it is asked for.
+// TestTapeAdmission: every cell runs on its problem's tape — the first
+// records the lines and replays them, every later one replays them —
+// whatever the configuration: cells that shed geometry replay like any
+// other, and cells that hand their curves out hold the tape too but
+// integrate, since it has no curve to hand out, and record nothing.
 func TestTapeAdmission(t *testing.T) {
 	sc := goldenScale()
+	procs := sc.ProcCounts[0]
 	c := NewCampaign(sc)
+	var steps int64
 	for _, ds := range Datasets() {
 		for _, seeding := range Seedings() {
-			c.Run(Key{Dataset: ds, Seeding: seeding, Alg: core.LoadOnDemand, Procs: sc.ProcCounts[0]})
+			steps += c.Run(Key{Dataset: ds, Seeding: seeding, Alg: core.LoadOnDemand, Procs: procs}).Summary.Steps
 		}
 	}
-	if st := c.TapeStats(); st != (TapeStats{}) {
-		t.Errorf("one cell per problem left a tape ledger: %+v", st)
+	first := c.TapeStats()
+	if first.Recordings != 6 || first.Lines == 0 || first.BytesPeak == 0 || first.StepsIntegrated != steps || first.StepsReplayed != steps {
+		t.Errorf("one cell per problem: %+v, want six tapes, %d steps integrated and as many replayed", first, steps)
 	}
-	for _, e := range c.problems {
-		if e.cells != 1 || e.tape != nil || e.idle.Value() != nil {
-			t.Errorf("a problem asked for once has cells=%d and a tape", e.cells)
+	for _, ds := range Datasets() {
+		for _, seeding := range Seedings() {
+			c.Run(Key{Dataset: ds, Seeding: seeding, Alg: core.WorkStealing, Procs: procs})
 		}
+	}
+	want := first
+	want.StepsReplayed = 2 * steps
+	if st := c.TapeStats(); st != want {
+		t.Errorf("a second cell per problem: %+v, want %+v", st, want)
 	}
 
-	for _, tune := range []func(*core.Config){
-		func(cfg *core.Config) { cfg.CollectTraces = true },
-		func(cfg *core.Config) { cfg.NoGeometry = true },
+	for name, tune := range map[string]func(*core.Config){
+		"CollectTraces": func(cfg *core.Config) { cfg.CollectTraces = true },
+		"NoGeometry":    func(cfg *core.Config) { cfg.NoGeometry = true },
 	} {
 		c := NewCampaign(sc)
 		c.Tune = tune
+		var delivered int64
 		for _, alg := range core.Algorithms() {
-			c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: sc.ProcCounts[0]})
+			delivered += c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: procs}).Summary.Steps
 		}
-		if st := c.TapeStats(); st != (TapeStats{}) {
-			t.Errorf("an untapeable configuration left a tape ledger: %+v", st)
+		st := c.TapeStats()
+		wantIntegrated, wantReplayed, wantLines := delivered/4, delivered, true
+		if name == "CollectTraces" {
+			wantIntegrated, wantReplayed, wantLines = delivered, 0, false
+		}
+		if st.Recordings != 1 || st.StepsReplayed != wantReplayed || st.StepsIntegrated != wantIntegrated || (st.Lines > 0) != wantLines {
+			t.Errorf("%s: %+v, want one tape, %d steps integrated, %d replayed", name, st, wantIntegrated, wantReplayed)
 		}
 	}
 }
@@ -341,70 +411,5 @@ func TestTapeIdleLifetime(t *testing.T) {
 	c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: sc.ProcCounts[0]})
 	if st := c.TapeStats(); st.Recordings != 2 {
 		t.Errorf("the cell after the drop did not record again: %+v", st)
-	}
-}
-
-// TestTapeBudget: past the budget the least recently attached unused
-// tape of another problem goes; a tape that would pass the budget alone
-// is closed, and its cells neither wait nor differ.
-func TestTapeBudget(t *testing.T) {
-	sc := goldenScale()
-	procs := sc.ProcCounts[0]
-	cells := func(c *Campaign, ds Dataset, n int) {
-		t.Helper()
-		for _, alg := range core.Algorithms()[:n] {
-			k := Key{Dataset: ds, Seeding: Sparse, Alg: alg, Procs: procs}
-			if got, want := simulated(t, c, k), untaped(t, k, sc); !got.equal(want) {
-				t.Errorf("%s: differs from the untaped run", k.Label())
-			}
-		}
-	}
-
-	// Size the two tapes on an unbounded campaign.
-	c := NewCampaign(sc)
-	c.Observe = true
-	c.enter()
-	cells(c, Astro, 2)
-	astro := c.problem(Astro, Sparse, false, InjectT0).tape.Bytes()
-	cells(c, Fusion, 2)
-	fusion := c.problem(Fusion, Sparse, false, InjectT0).tape.Bytes()
-	c.leave()
-	if st := c.TapeStats(); st.Evictions != 0 || st.BytesPeak != astro+fusion {
-		t.Fatalf("unbounded campaign: %+v, want no evictions and a peak of %d", st, astro+fusion)
-	}
-
-	// Room for either, not both: recording fusion evicts astro.
-	c = NewCampaign(sc)
-	c.Observe = true
-	c.tapeLimit = max(astro, fusion) + 1
-	c.enter()
-	defer c.leave()
-	cells(c, Astro, 3)
-	cells(c, Fusion, 3)
-	if st := c.TapeStats(); st.Evictions != 1 || st.Recordings != 2 || st.BytesPeak > astro+fusion {
-		t.Errorf("after two problems on a budget for one: %+v, want one eviction, two recordings", st)
-	}
-	if c.problem(Astro, Sparse, false, InjectT0).tape != nil || c.problem(Fusion, Sparse, false, InjectT0).tape == nil {
-		t.Error("the eviction did not take the older, unused tape")
-	}
-	cells(c, Astro, 1)
-	if st := c.TapeStats(); st.Recordings != 3 || st.Evictions != 2 {
-		t.Errorf("an evicted problem's next cell: %+v, want a third recording and fusion evicted", st)
-	}
-
-	// Room for neither: the tape closes, keeps a part, and serves it.
-	c = NewCampaign(sc)
-	c.Observe = true
-	c.tapeLimit = astro / 2
-	c.enter()
-	defer c.leave()
-	cells(c, Astro, 4)
-	tape := c.problem(Astro, Sparse, false, InjectT0).tape
-	st := c.TapeStats()
-	if !tape.Closed() || tape.Bytes() > c.tapeLimit || st.BytesPeak > c.tapeLimit {
-		t.Errorf("closed=%v bytes=%d peak=%d on a limit of %d", tape.Closed(), tape.Bytes(), st.BytesPeak, c.tapeLimit)
-	}
-	if st.Recordings != 1 || st.Lines == 0 || st.StepsReplayed == 0 {
-		t.Errorf("a closed tape: %+v, want one recording, some lines, some replay", st)
 	}
 }

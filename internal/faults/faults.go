@@ -114,9 +114,9 @@ func (p Plan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Parse reads the "p@t[,p@t...]" flag syntax produced by String. An
+// parse reads the "p@t[,p@t...]" flag syntax produced by String. An
 // empty string is the empty plan.
-func Parse(s string) (Plan, error) {
+func parse(s string) (Plan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return Plan{}, nil

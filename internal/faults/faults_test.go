@@ -81,7 +81,7 @@ func TestStringParseRoundTrip(t *testing.T) {
 	if s != "0@0.125,2@0.5" {
 		t.Fatalf("String = %q, want canonical 0@0.125,2@0.5", s)
 	}
-	back, err := Parse(s)
+	back, err := parse(s)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", s, err)
 	}
@@ -94,16 +94,16 @@ func TestStringParseRoundTrip(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if p, err := Parse("  "); err != nil || p.Enabled() {
+	if p, err := parse("  "); err != nil || p.Enabled() {
 		t.Errorf("Parse(blank) = (%+v, %v), want empty plan", p, err)
 	}
 	for _, bad := range []string{"3", "x@1", "1@y", "0@1,,"} {
-		if _, err := Parse(bad); err == nil {
+		if _, err := parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted malformed input", bad)
 		}
 	}
 	// Whitespace around parts is tolerated; order is canonicalized.
-	p, err := Parse(" 2@3 , 0@1 ")
+	p, err := parse(" 2@3 , 0@1 ")
 	if err != nil {
 		t.Fatalf("Parse with spaces: %v", err)
 	}

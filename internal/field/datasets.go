@@ -47,7 +47,7 @@ func (s Supernova) Bounds() vec.AABB {
 	return vec.Box(vec.Of(-1, -1, -1), vec.Of(1, 1, 1))
 }
 
-// Name implements Named.
+// Name implements named.
 func (s Supernova) Name() string { return "supernova" }
 
 // Eval implements Field.
@@ -148,7 +148,7 @@ func (t Tokamak) Bounds() vec.AABB {
 	return vec.Box(vec.Of(-1, -1, -0.4), vec.Of(1, 1, 0.4))
 }
 
-// Name implements Named.
+// Name implements named.
 func (t Tokamak) Name() string { return "tokamak" }
 
 // Eval implements Field.
@@ -233,7 +233,7 @@ func (t ThermalHydraulics) Bounds() vec.AABB {
 	return vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1))
 }
 
-// Name implements Named.
+// Name implements named.
 func (t ThermalHydraulics) Name() string { return "thermal" }
 
 // Eval implements Field.

@@ -28,9 +28,9 @@ type Field interface {
 	Bounds() vec.AABB
 }
 
-// Named is implemented by fields that carry a human-readable name, used in
+// named is implemented by fields that carry a human-readable name, used in
 // reports and rendered figures.
-type Named interface {
+type named interface {
 	Name() string
 }
 
@@ -48,7 +48,7 @@ func (u Uniform) Eval(vec.V3) vec.V3 { return u.V }
 // Bounds implements Field.
 func (u Uniform) Bounds() vec.AABB { return u.Box }
 
-// Name implements Named.
+// Name implements named.
 func (u Uniform) Name() string { return "uniform" }
 
 // Linear is an affine field v(x) = A·x + B with diagonal A. Trilinear
@@ -66,7 +66,7 @@ func (l Linear) Eval(p vec.V3) vec.V3 { return l.A.Mul(p).Add(l.B) }
 // Bounds implements Field.
 func (l Linear) Bounds() vec.AABB { return l.Box }
 
-// Name implements Named.
+// Name implements named.
 func (l Linear) Name() string { return "linear" }
 
 // Rotation is rigid rotation about the Z axis with angular velocity Omega:
@@ -85,7 +85,7 @@ func (r Rotation) Eval(p vec.V3) vec.V3 {
 // Bounds implements Field.
 func (r Rotation) Bounds() vec.AABB { return r.Box }
 
-// Name implements Named.
+// Name implements named.
 func (r Rotation) Name() string { return "rotation" }
 
 // Exact returns the closed-form streamline point after time t starting
@@ -107,7 +107,7 @@ func (s Saddle) Eval(p vec.V3) vec.V3 { return vec.V3{X: p.X, Y: -p.Y, Z: 0} }
 // Bounds implements Field.
 func (s Saddle) Bounds() vec.AABB { return s.Box }
 
-// Name implements Named.
+// Name implements named.
 func (s Saddle) Name() string { return "saddle" }
 
 // Exact returns the closed-form solution after time t from p0.
@@ -136,7 +136,7 @@ func (f ABC) Eval(p vec.V3) vec.V3 {
 // Bounds implements Field.
 func (f ABC) Bounds() vec.AABB { return f.Box }
 
-// Name implements Named.
+// Name implements named.
 func (f ABC) Name() string { return "abc" }
 
 // DefaultABC returns the standard A=1, B=sqrt(2/3), C=sqrt(1/3) ABC flow on
@@ -165,9 +165,9 @@ func (s Scaled) Eval(p vec.V3) vec.V3 { return s.F.Eval(p).Scale(s.S) }
 // Bounds implements Field.
 func (s Scaled) Bounds() vec.AABB { return s.F.Bounds() }
 
-// Name implements Named.
+// Name implements named.
 func (s Scaled) Name() string {
-	if n, ok := s.F.(Named); ok {
+	if n, ok := s.F.(named); ok {
 		return n.Name()
 	}
 	return "scaled"

@@ -219,7 +219,7 @@ func TestThermalFiniteEverywhere(t *testing.T) {
 
 func TestDatasetNames(t *testing.T) {
 	cases := []struct {
-		f    Named
+		f    named
 		want string
 	}{
 		{DefaultSupernova(), "supernova"},

@@ -65,7 +65,7 @@ func DefaultPulsingSupernova() PulsingSupernova {
 	}
 }
 
-// Name implements Named.
+// Name implements named.
 func (s PulsingSupernova) Name() string { return "supernova-pulsing" }
 
 // TimeRange implements FieldT.
@@ -111,7 +111,7 @@ func DefaultSawtoothTokamak() SawtoothTokamak {
 	}
 }
 
-// Name implements Named.
+// Name implements named.
 func (t SawtoothTokamak) Name() string { return "tokamak-sawtooth" }
 
 // TimeRange implements FieldT.
@@ -157,7 +157,7 @@ func DefaultSwitchingThermal() SwitchingThermal {
 	}
 }
 
-// Name implements Named.
+// Name implements named.
 func (t SwitchingThermal) Name() string { return "thermal-switching" }
 
 // TimeRange implements FieldT.

@@ -18,7 +18,7 @@ func unsteadyVariants() []FieldT {
 
 func TestUnsteadyFieldsFiniteOverSpaceTime(t *testing.T) {
 	for _, f := range unsteadyVariants() {
-		name := f.(Named).Name()
+		name := f.(named).Name()
 		b := f.Bounds()
 		t0, t1 := f.TimeRange()
 		if !(t1 > t0) {
@@ -53,7 +53,7 @@ func TestUnsteadyFieldsFrozenEvalMatchesT0(t *testing.T) {
 	// The embedded Field interface must answer the field frozen at its
 	// initial time, so FieldT values slot in wherever a Field is wanted.
 	for _, f := range unsteadyVariants() {
-		name := f.(Named).Name()
+		name := f.(named).Name()
 		t0, _ := f.TimeRange()
 		for _, p := range []vec.V3{
 			f.Bounds().Center(),
@@ -70,7 +70,7 @@ func TestUnsteadyFieldsActuallyVary(t *testing.T) {
 	// Guard against a variant degenerating into its steady base: at some
 	// probe point, mid-range time must differ from the initial time.
 	for _, f := range unsteadyVariants() {
-		name := f.(Named).Name()
+		name := f.(named).Name()
 		t0, t1 := f.TimeRange()
 		varies := false
 		for _, p := range probePoints(f.Bounds()) {

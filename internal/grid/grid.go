@@ -133,9 +133,9 @@ func (d Decomposition) Bounds(id BlockID) vec.AABB {
 	return vec.AABB{Min: min, Max: min.Add(bs)}
 }
 
-// GhostBounds returns the block extent grown by the ghost layers, clipped
+// ghostBounds returns the block extent grown by the ghost layers, clipped
 // to the domain.
-func (d Decomposition) GhostBounds(id BlockID) vec.AABB {
+func (d Decomposition) ghostBounds(id BlockID) vec.AABB {
 	b := d.Bounds(id)
 	bs := d.BlockSize()
 	cell := vec.Of(
@@ -227,9 +227,9 @@ func (d Decomposition) BlockBytes() int64 {
 	return bytes
 }
 
-// CellsTotal returns the total cell count of the spatial mesh (ghost
+// cellsTotal returns the total cell count of the spatial mesh (ghost
 // cells excluded, time slices not multiplied).
-func (d Decomposition) CellsTotal() int64 {
+func (d Decomposition) cellsTotal() int64 {
 	c := int64(d.CellsPerAxis)
 	return c * c * c * int64(d.NumSpatialBlocks())
 }

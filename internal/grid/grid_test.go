@@ -142,7 +142,7 @@ func TestBlockBytes(t *testing.T) {
 
 func TestCellsTotal(t *testing.T) {
 	d := unitDecomp(8, 8, 8, 100)
-	if got := d.CellsTotal(); got != 512*1_000_000 {
+	if got := d.cellsTotal(); got != 512*1_000_000 {
 		t.Errorf("CellsTotal = %d", got)
 	}
 }
@@ -292,7 +292,7 @@ func TestPropBlockCentersLocateToSelf(t *testing.T) {
 // domain.
 func TestGhostBoundsClippedToDomain(t *testing.T) {
 	d := NewDecomposition(vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1)), 2, 2, 2, 8)
-	corner := d.GhostBounds(0) // block at the domain's min corner
+	corner := d.ghostBounds(0) // block at the domain's min corner
 	if corner.Min != d.Domain.Min {
 		t.Errorf("corner ghost bounds min = %v, want clipped to domain min %v", corner.Min, d.Domain.Min)
 	}

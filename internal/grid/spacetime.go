@@ -58,18 +58,18 @@ func (d Decomposition) SpaceTimeID(spatial BlockID, epoch int) BlockID {
 	return BlockID(epoch*d.NumSpatialBlocks()) + spatial
 }
 
-// SliceTime returns the simulation time of stored slice i; slice indices
+// sliceTime returns the simulation time of stored slice i; slice indices
 // run 0..TimeSlices−1, and epoch e spans [SliceTime(e), SliceTime(e+1)].
-func (d Decomposition) SliceTime(i int) float64 {
+func (d Decomposition) sliceTime(i int) float64 {
 	if !d.Unsteady() {
 		return d.T0
 	}
 	return d.T0 + (d.T1-d.T0)*float64(i)/float64(d.TimeSlices-1)
 }
 
-// EpochOf returns the epoch containing time t, clamped to the valid
+// epochOf returns the epoch containing time t, clamped to the valid
 // range (so t ≤ T0 maps to the first epoch and t ≥ T1 to the last).
-func (d Decomposition) EpochOf(t float64) int {
+func (d Decomposition) epochOf(t float64) int {
 	if !d.Unsteady() || d.T1 <= d.T0 {
 		return 0
 	}
@@ -87,18 +87,18 @@ func (d Decomposition) EpochOf(t float64) int {
 // steady decompositions both ends are T0.
 func (d Decomposition) EpochBounds(id BlockID) (t0, t1 float64) {
 	e := d.Epoch(id)
-	return d.SliceTime(e), d.SliceTime(e + 1)
+	return d.sliceTime(e), d.sliceTime(e + 1)
 }
 
-// LocateAt returns the space-time block owning position p at time t
+// locateAt returns the space-time block owning position p at time t
 // (spatial ownership per Locate, epoch per EpochOf). For steady
 // decompositions it is identical to Locate.
-func (d Decomposition) LocateAt(p vec.V3, t float64) (BlockID, bool) {
+func (d Decomposition) locateAt(p vec.V3, t float64) (BlockID, bool) {
 	b, ok := d.Locate(p)
 	if !ok {
 		return NoBlock, false
 	}
-	return d.SpaceTimeID(b, d.EpochOf(t)), true
+	return d.SpaceTimeID(b, d.epochOf(t)), true
 }
 
 // EvaluatorT answers time-dependent field queries over (at least) one

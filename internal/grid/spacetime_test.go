@@ -63,10 +63,10 @@ func TestSpaceTimeIDs(t *testing.T) {
 
 func TestSliceTimeAndEpochOf(t *testing.T) {
 	d := unsteadyDecomp()
-	if d.SliceTime(0) != 0 || d.SliceTime(4) != 2 {
-		t.Errorf("slice times: %g..%g, want 0..2", d.SliceTime(0), d.SliceTime(4))
+	if d.sliceTime(0) != 0 || d.sliceTime(4) != 2 {
+		t.Errorf("slice times: %g..%g, want 0..2", d.sliceTime(0), d.sliceTime(4))
 	}
-	if got := d.SliceTime(2); math.Abs(got-1) > 1e-12 {
+	if got := d.sliceTime(2); math.Abs(got-1) > 1e-12 {
 		t.Errorf("SliceTime(2) = %g, want 1", got)
 	}
 	cases := []struct {
@@ -76,14 +76,14 @@ func TestSliceTimeAndEpochOf(t *testing.T) {
 		{-1, 0}, {0, 0}, {0.49, 0}, {0.5, 1}, {1.99, 3}, {2, 3}, {5, 3},
 	}
 	for _, c := range cases {
-		if got := d.EpochOf(c.t); got != c.want {
+		if got := d.epochOf(c.t); got != c.want {
 			t.Errorf("EpochOf(%g) = %d, want %d", c.t, got, c.want)
 		}
 	}
 	// Epoch bounds tile the time range.
 	for e := 0; e < d.Epochs(); e++ {
 		t0, t1 := d.EpochBounds(d.SpaceTimeID(0, e))
-		if t0 != d.SliceTime(e) || t1 != d.SliceTime(e+1) {
+		if t0 != d.sliceTime(e) || t1 != d.sliceTime(e+1) {
 			t.Errorf("epoch %d bounds [%g, %g]", e, t0, t1)
 		}
 	}
@@ -96,11 +96,11 @@ func TestLocateAt(t *testing.T) {
 	if !ok {
 		t.Fatal("Locate failed in-domain")
 	}
-	id, ok := d.LocateAt(p, 1.2)
+	id, ok := d.locateAt(p, 1.2)
 	if !ok || d.Spatial(id) != spatial || d.Epoch(id) != 2 {
 		t.Errorf("LocateAt = (%d, %v): spatial %d epoch %d", id, ok, d.Spatial(id), d.Epoch(id))
 	}
-	if _, ok := d.LocateAt(vec.Of(2, 2, 2), 0.5); ok {
+	if _, ok := d.locateAt(vec.Of(2, 2, 2), 0.5); ok {
 		t.Error("LocateAt accepted an out-of-domain point")
 	}
 }
@@ -112,8 +112,8 @@ func TestUnsteadyBlockBytesDoubled(t *testing.T) {
 	if u.BlockBytes() != 2*s.BlockBytes() {
 		t.Errorf("unsteady block bytes %d, want 2× steady %d", u.BlockBytes(), s.BlockBytes())
 	}
-	if u.CellsTotal() != s.CellsTotal() {
-		t.Errorf("CellsTotal changed with time slicing: %d vs %d", u.CellsTotal(), s.CellsTotal())
+	if u.cellsTotal() != s.cellsTotal() {
+		t.Errorf("CellsTotal changed with time slicing: %d vs %d", u.cellsTotal(), s.cellsTotal())
 	}
 }
 
@@ -195,7 +195,7 @@ func TestAnalyticProviderTServesAllEpochs(t *testing.T) {
 		if !ok {
 			t.Fatal("analytic unsteady evaluator is not an EvaluatorT")
 		}
-		tm := dd.SliceTime(e)
+		tm := dd.sliceTime(e)
 		if got, want := tev.EvalAt(p, tm), f.EvalAt(p, tm); got != want {
 			t.Errorf("epoch %d: EvalAt = %v, want %v", e, got, want)
 		}

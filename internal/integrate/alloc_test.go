@@ -40,7 +40,7 @@ func TestStepAllocFree(t *testing.T) {
 	s := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
 	p := vec.Of(0.3, 0.1, 0.05)
 	run := func() {
-		if _, err := StepWith(s, f, p, 0); err != nil {
+		if _, err := stepWith(s, f, p, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,13 +17,13 @@ import (
 func fuzzField(sel uint8) Evaluator {
 	switch sel % 4 {
 	case 0:
-		return EvalFunc(field.Rotation{Omega: 1.3}.Eval)
+		return evalFunc(field.Rotation{Omega: 1.3}.Eval)
 	case 1:
-		return EvalFunc(field.DefaultABC().Eval)
+		return evalFunc(field.DefaultABC().Eval)
 	case 2:
-		return EvalFunc(field.Saddle{}.Eval)
+		return evalFunc(field.Saddle{}.Eval)
 	default:
-		return EvalFunc(field.Uniform{V: vec.Of(0.4, -0.2, 0.1)}.Eval)
+		return evalFunc(field.Uniform{V: vec.Of(0.4, -0.2, 0.1)}.Eval)
 	}
 }
 
@@ -98,11 +98,11 @@ func FuzzDoPri5StepAcceptance(f *testing.F) {
 		// The non-autonomous solver on a time-frozen field must walk the
 		// exact same path — this is what makes steady campaigns and
 		// pathline campaigns comparable.
-		tf := TimeEvalFunc(func(q vec.V3, _ float64) vec.V3 { return ev.Eval(q) })
+		tf := timeEvalFunc(func(q vec.V3, _ float64) vec.V3 { return ev.Eval(q) })
 		s3 := NewDoPri5(opts)
-		res3, err3 := s3.StepT(tf, p, 0)
+		res3, err3 := stepTWith(s3, tf, p, 0)
 		if err3 != nil || res3.P != res.P || res3.T != res.T || s3.H != s.H {
-			t.Fatalf("StepT diverged from Step on a frozen field: %+v vs %+v", res, res3)
+			t.Fatalf("stepTWith diverged from Step on a frozen field: %+v vs %+v", res, res3)
 		}
 	})
 }

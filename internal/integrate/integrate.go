@@ -30,11 +30,11 @@ type Evaluator interface {
 	Eval(p vec.V3) vec.V3
 }
 
-// EvalFunc adapts a plain function to the Evaluator interface.
-type EvalFunc func(p vec.V3) vec.V3
+// evalFunc adapts a plain function to the Evaluator interface.
+type evalFunc func(p vec.V3) vec.V3
 
 // Eval implements Evaluator.
-func (f EvalFunc) Eval(p vec.V3) vec.V3 { return f(p) }
+func (f evalFunc) Eval(p vec.V3) vec.V3 { return f(p) }
 
 // Options controls adaptive integration.
 type Options struct {
@@ -53,8 +53,8 @@ type Options struct {
 	MinSpeed float64
 }
 
-// Defaults fills unset options with production values.
-func (o Options) Defaults() Options {
+// defaults fills unset options with production values.
+func (o Options) defaults() Options {
 	if o.Tol <= 0 {
 		o.Tol = 1e-6
 	}
@@ -102,8 +102,8 @@ func (s StopReason) String() string {
 	}
 }
 
-// ErrNonFinite is returned when the field produces NaN or Inf.
-var ErrNonFinite = errors.New("integrate: field returned non-finite value")
+// errNonFinite is returned when the field produces NaN or Inf.
+var errNonFinite = errors.New("integrate: field returned non-finite value")
 
 // Dormand–Prince RK5(4) tableau (the DOPRI5 coefficients), as untyped
 // constants so the unrolled stages below fold them into immediates. The
@@ -159,7 +159,7 @@ type DoPri5 struct {
 
 // NewDoPri5 returns an integrator with the given options.
 func NewDoPri5(opts Options) *DoPri5 {
-	return &DoPri5{Opts: opts.Defaults()}
+	return &DoPri5{Opts: opts.defaults()}
 }
 
 // StepResult reports one adaptive step.
@@ -171,18 +171,18 @@ type StepResult struct {
 }
 
 // Step advances one accepted adaptive step from (p, t), updating the
-// internal step size. It returns ErrNonFinite if the field misbehaves.
+// internal step size. It returns errNonFinite if the field misbehaves.
 func (s *DoPri5) Step(f Evaluator, p vec.V3, t float64) (StepResult, error) {
-	return StepWith(s, f, p, t)
+	return stepWith(s, f, p, t)
 }
 
-// StepWith is Step generic over the evaluator type, so hot loops can
+// stepWith is Step generic over the evaluator type, so hot loops can
 // instantiate it at a concrete field type and skip interface dispatch.
 // The arithmetic is identical to Step for every instantiation.
-func StepWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, error) {
+func stepWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, error) {
 	k0 := f.Eval(p)
 	if !k0.IsFinite() {
-		return StepResult{Evals: 1}, ErrNonFinite
+		return StepResult{Evals: 1}, errNonFinite
 	}
 	if s.H == 0 {
 		s.H = s.initialStepFrom(k0)
@@ -212,37 +212,37 @@ func stepFrom[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, k0 vec.V3) (res 
 		k1 := f.Eval(q)
 		evals++
 		if !k1.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA20)).Add(k1.Scale(h * cA21))
 		k2 := f.Eval(q)
 		evals++
 		if !k2.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA30)).Add(k1.Scale(h * cA31)).Add(k2.Scale(h * cA32))
 		k3 := f.Eval(q)
 		evals++
 		if !k3.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA40)).Add(k1.Scale(h * cA41)).Add(k2.Scale(h * cA42)).Add(k3.Scale(h * cA43))
 		k4 := f.Eval(q)
 		evals++
 		if !k4.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA50)).Add(k1.Scale(h * cA51)).Add(k2.Scale(h * cA52)).Add(k3.Scale(h * cA53)).Add(k4.Scale(h * cA54))
 		k5 := f.Eval(q)
 		evals++
 		if !k5.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		p5 := p.Add(k0.Scale(h * cA60)).Add(k2.Scale(h * cA62)).Add(k3.Scale(h * cA63)).Add(k4.Scale(h * cA64)).Add(k5.Scale(h * cA65))
 		k6v := f.Eval(p5)
 		evals++
 		if !k6v.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		p4 := p.Add(k0.Scale(h * cB40)).Add(k2.Scale(h * cB42)).Add(k3.Scale(h * cB43)).Add(k4.Scale(h * cB44)).Add(k5.Scale(h * cB45)).Add(k6v.Scale(h * cB46))
 		errEst := p5.Dist(p4)
@@ -420,23 +420,19 @@ type TimeEvaluator interface {
 	EvalAt(p vec.V3, t float64) vec.V3
 }
 
-// TimeEvalFunc adapts a function to TimeEvaluator.
-type TimeEvalFunc func(p vec.V3, t float64) vec.V3
+// timeEvalFunc adapts a function to TimeEvaluator.
+type timeEvalFunc func(p vec.V3, t float64) vec.V3
 
 // EvalAt implements TimeEvaluator.
-func (f TimeEvalFunc) EvalAt(p vec.V3, t float64) vec.V3 { return f(p, t) }
+func (f timeEvalFunc) EvalAt(p vec.V3, t float64) vec.V3 { return f(p, t) }
 
-// StepT advances one accepted adaptive step of the non-autonomous system,
-// evaluating the field at the proper stage times t + c_i·h.
-func (s *DoPri5) StepT(f TimeEvaluator, p vec.V3, t float64) (StepResult, error) {
-	return StepTWith(s, f, p, t)
-}
-
-// StepTWith is StepT generic over the evaluator type; see StepWith.
-func StepTWith[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, error) {
+// stepTWith advances one accepted adaptive step of the non-autonomous
+// system, evaluating the field at the proper stage times t + c_i·h;
+// generic over the evaluator type like stepWith.
+func stepTWith[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, error) {
 	k0 := f.EvalAt(p, t)
 	if !k0.IsFinite() {
-		return StepResult{Evals: 1}, ErrNonFinite
+		return StepResult{Evals: 1}, errNonFinite
 	}
 	if s.H == 0 {
 		s.H = s.initialStepFrom(k0)
@@ -458,37 +454,37 @@ func stepFromT[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64, k0 vec.V3) 
 		k1 := f.EvalAt(q, t+cC1*h)
 		evals++
 		if !k1.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA20)).Add(k1.Scale(h * cA21))
 		k2 := f.EvalAt(q, t+cC2*h)
 		evals++
 		if !k2.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA30)).Add(k1.Scale(h * cA31)).Add(k2.Scale(h * cA32))
 		k3 := f.EvalAt(q, t+cC3*h)
 		evals++
 		if !k3.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA40)).Add(k1.Scale(h * cA41)).Add(k2.Scale(h * cA42)).Add(k3.Scale(h * cA43))
 		k4 := f.EvalAt(q, t+cC4*h)
 		evals++
 		if !k4.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA50)).Add(k1.Scale(h * cA51)).Add(k2.Scale(h * cA52)).Add(k3.Scale(h * cA53)).Add(k4.Scale(h * cA54))
 		k5 := f.EvalAt(q, t+h)
 		evals++
 		if !k5.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		p5 := p.Add(k0.Scale(h * cA60)).Add(k2.Scale(h * cA62)).Add(k3.Scale(h * cA63)).Add(k4.Scale(h * cA64)).Add(k5.Scale(h * cA65))
 		k6v := f.EvalAt(p5, t+h)
 		evals++
 		if !k6v.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
+			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
 		}
 		p4 := p.Add(k0.Scale(h * cB40)).Add(k2.Scale(h * cB42)).Add(k3.Scale(h * cB43)).Add(k4.Scale(h * cB44)).Add(k5.Scale(h * cB45)).Add(k6v.Scale(h * cB46))
 		errEst := p5.Dist(p4)
@@ -570,12 +566,12 @@ func AdvectTWith[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64, lim Advec
 	}
 }
 
-// RK4 is a classical fixed-step fourth-order Runge–Kutta integrator, used
+// rk4 is a classical fixed-step fourth-order Runge–Kutta integrator, used
 // as a baseline in convergence tests.
-type RK4 struct{ H float64 }
+type rk4 struct{ H float64 }
 
 // Step advances one fixed step.
-func (r RK4) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
+func (r rk4) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
 	h := r.H
 	k1 := f.Eval(p)
 	k2 := f.Eval(p.Add(k1.Scale(h / 2)))
@@ -585,11 +581,11 @@ func (r RK4) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
 	return p.Add(inc), t + h
 }
 
-// Euler is the first-order explicit Euler integrator, used as a baseline
+// euler is the first-order explicit Euler integrator, used as a baseline
 // in convergence tests.
-type Euler struct{ H float64 }
+type euler struct{ H float64 }
 
 // Step advances one fixed step.
-func (e Euler) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
+func (e euler) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
 	return p.Add(f.Eval(p).Scale(e.H)), t + e.H
 }

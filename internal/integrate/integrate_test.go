@@ -134,7 +134,7 @@ func TestDoPri5StopCritical(t *testing.T) {
 }
 
 func TestDoPri5NonFiniteField(t *testing.T) {
-	evil := EvalFunc(func(p vec.V3) vec.V3 {
+	evil := evalFunc(func(p vec.V3) vec.V3 {
 		if p.X > 0.5 {
 			return vec.Of(math.NaN(), 0, 0)
 		}
@@ -189,7 +189,7 @@ func TestRK4FourthOrderConvergence(t *testing.T) {
 	p0 := vec.Of(1, 0, 0)
 	T := 1.0
 	errAt := func(h float64) float64 {
-		r := RK4{H: h}
+		r := rk4{H: h}
 		p, tm := p0, 0.0
 		for tm < T-h/2 {
 			p, tm = r.Step(f, p, tm)
@@ -209,7 +209,7 @@ func TestEulerFirstOrderConvergence(t *testing.T) {
 	p0 := vec.Of(1, 0, 0)
 	T := 1.0
 	errAt := func(h float64) float64 {
-		e := Euler{H: h}
+		e := euler{H: h}
 		p, tm := p0, 0.0
 		for tm < T-h/2 {
 			p, tm = e.Step(f, p, tm)
@@ -232,7 +232,7 @@ func TestDoPri5BeatsEulerAtEqualWork(t *testing.T) {
 	dpErr := res.P.Dist(f.Exact(p0, res.T))
 	// Give Euler the same number of field evaluations.
 	h := math.Pi / float64(res.Evals)
-	e := Euler{H: h}
+	e := euler{H: h}
 	p, tm := p0, 0.0
 	for tm < math.Pi-h/2 {
 		p, tm = e.Step(f, p, tm)
@@ -244,12 +244,12 @@ func TestDoPri5BeatsEulerAtEqualWork(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.Defaults()
+	o := Options{}.defaults()
 	if o.Tol <= 0 || o.HMin <= 0 || o.MinSpeed <= 0 {
 		t.Errorf("Defaults left zero values: %+v", o)
 	}
 	// Explicit values survive.
-	o = Options{Tol: 1e-3, HMin: 1e-4, MinSpeed: 1e-5}.Defaults()
+	o = Options{Tol: 1e-3, HMin: 1e-4, MinSpeed: 1e-5}.defaults()
 	if o.Tol != 1e-3 || o.HMin != 1e-4 || o.MinSpeed != 1e-5 {
 		t.Errorf("Defaults clobbered explicit values: %+v", o)
 	}
@@ -298,7 +298,7 @@ func TestAdvectTMatchesAdvectOnAutonomousField(t *testing.T) {
 	rA := sA.Advect(f, seed, 0, lim)
 
 	sT := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
-	rT := sT.AdvectT(TimeEvalFunc(func(p vec.V3, _ float64) vec.V3 { return f.Eval(p) }), seed, 0, lim)
+	rT := sT.AdvectT(timeEvalFunc(func(p vec.V3, _ float64) vec.V3 { return f.Eval(p) }), seed, 0, lim)
 
 	if rA.P != rT.P || rA.Steps != rT.Steps || rA.Reason != rT.Reason {
 		t.Errorf("AdvectT diverged from Advect: %v/%d/%v vs %v/%d/%v",
@@ -318,7 +318,7 @@ func TestAdvectTMatchesAdvectOnAutonomousField(t *testing.T) {
 // conditions: the absolute MaxTime horizon (with the final step clamped
 // to land exactly on it) and the out-of-bounds exit.
 func TestAdvectTStopsOnLimits(t *testing.T) {
-	uniform := TimeEvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1, 0, 0) })
+	uniform := timeEvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1, 0, 0) })
 	s := NewDoPri5(Options{Tol: 1e-8, HMax: 0.1})
 	res := s.AdvectT(uniform, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 1})
 	if res.Reason != StopMaxTime || res.T != 1 {
@@ -337,7 +337,7 @@ func TestAdvectTStopsOnLimits(t *testing.T) {
 // field that goes NaN mid-trajectory must stop with StopError both at
 // the first sample and inside a step.
 func TestAdvectTNonFiniteField(t *testing.T) {
-	evil := TimeEvalFunc(func(p vec.V3, _ float64) vec.V3 {
+	evil := timeEvalFunc(func(p vec.V3, _ float64) vec.V3 {
 		if p.X > 0.5 {
 			return vec.Of(math.NaN(), 0, 0)
 		}
@@ -359,7 +359,7 @@ func TestAdvectTNonFiniteField(t *testing.T) {
 // TestAdvectTMinSpeed covers the critical-point exit of the
 // non-autonomous loop.
 func TestAdvectTMinSpeed(t *testing.T) {
-	still := TimeEvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1e-15, 0, 0) })
+	still := timeEvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1e-15, 0, 0) })
 	s := NewDoPri5(Options{Tol: 1e-8, HMax: 0.1, MinSpeed: 1e-9})
 	res := s.AdvectT(still, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 10})
 	if res.Reason != StopCritical {
@@ -372,7 +372,7 @@ func TestAdvectTMinSpeed(t *testing.T) {
 // solution x(T) = T²/2 + T/2, which a solver evaluating every stage at
 // the step's start time would get wrong.
 func TestAdvectTTimeDependentAccuracy(t *testing.T) {
-	rhs := TimeEvalFunc(func(_ vec.V3, t float64) vec.V3 { return vec.Of(t+0.5, 0, 0) })
+	rhs := timeEvalFunc(func(_ vec.V3, t float64) vec.V3 { return vec.Of(t+0.5, 0, 0) })
 	s := NewDoPri5(Options{Tol: 1e-9, HMax: 0.1})
 	res := s.AdvectT(rhs, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 2})
 	if want := 3.0; math.Abs(res.P.X-want) > 1e-7 { // T²/2 + T/2 at T=2

@@ -64,7 +64,7 @@ func runCorpus(t *testing.T, root string, analyzers []*Analyzer, pkgPaths ...str
 	var diags []Diagnostic
 	var wants []*expectation
 	for _, path := range pkgPaths {
-		u, err := LoadTestdata("testdata/"+root, path)
+		u, err := loadTestdata("testdata/"+root, path)
 		if err != nil {
 			t.Fatalf("loading corpus %s/%s: %v", root, path, err)
 		}
@@ -102,15 +102,15 @@ func TestCorpora(t *testing.T) {
 		analyzers []*Analyzer
 		pkgs      []string
 	}{
-		{"det_bad", []*Analyzer{DetLint}, []string{"repro/internal/seeds"}},
-		{"det_good", []*Analyzer{DetLint}, []string{"repro/internal/seeds", "example.com/other"}},
-		{"simtime_bad", []*Analyzer{SimTime}, []string{"repro/internal/core"}},
-		{"simtime_good", []*Analyzer{SimTime}, []string{"repro/internal/core"}},
-		{"keyaxis_bad", []*Analyzer{KeyAxis}, []string{"repro/internal/experiments", "repro/cmd/badtool"}},
-		{"keyaxis_good", []*Analyzer{KeyAxis}, []string{"repro/internal/experiments", "repro/cmd/goodtool"}},
-		{"metriccol_bad", []*Analyzer{MetricCol}, []string{"repro/internal/metrics"}},
-		{"metriccol_good", []*Analyzer{MetricCol}, []string{"repro/internal/metrics"}},
-		{"allow", []*Analyzer{DetLint}, []string{"repro/internal/seeds"}},
+		{"det_bad", []*Analyzer{detLint}, []string{"repro/internal/seeds"}},
+		{"det_good", []*Analyzer{detLint}, []string{"repro/internal/seeds", "example.com/other"}},
+		{"simtime_bad", []*Analyzer{simTime}, []string{"repro/internal/core"}},
+		{"simtime_good", []*Analyzer{simTime}, []string{"repro/internal/core"}},
+		{"keyaxis_bad", []*Analyzer{keyAxis}, []string{"repro/internal/experiments", "repro/cmd/badtool"}},
+		{"keyaxis_good", []*Analyzer{keyAxis}, []string{"repro/internal/experiments", "repro/cmd/goodtool"}},
+		{"metriccol_bad", []*Analyzer{metricCol}, []string{"repro/internal/metrics"}},
+		{"metriccol_good", []*Analyzer{metricCol}, []string{"repro/internal/metrics"}},
+		{"allow", []*Analyzer{detLint}, []string{"repro/internal/seeds"}},
 	}
 	for _, c := range cases {
 		c := c

@@ -25,10 +25,10 @@ import (
 	"strings"
 )
 
-// DetPackages is the set of packages whose code must be deterministic:
+// detPackages is the set of packages whose code must be deterministic:
 // every package a simulation result flows through. Test files are
 // exempt (they assert determinism rather than produce results).
-var DetPackages = map[string]bool{
+var detPackages = map[string]bool{
 	"repro/internal/sim":         true,
 	"repro/internal/core":        true,
 	"repro/internal/faults":      true,
@@ -54,16 +54,16 @@ var globalRandExempt = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 }
 
-// DetLint rejects wall-clock reads, global math/rand use and
+// detLint rejects wall-clock reads, global math/rand use and
 // order-leaking map iteration in the deterministic packages.
-var DetLint = &Analyzer{
+var detLint = &Analyzer{
 	Name: "detlint",
 	Doc:  "forbid wall-clock time, global math/rand and order-leaking map iteration in the deterministic packages",
 	Run:  runDetLint,
 }
 
 func runDetLint(pass *Pass) error {
-	if !DetPackages[pass.Pkg.Path()] {
+	if !detPackages[pass.Pkg.Path()] {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -97,11 +97,11 @@ func detCheckCalls(pass *Pass, body ast.Node) {
 		switch funcPkgPath(fn) {
 		case "time":
 			if wallClockFuncs[fn.Name()] {
-				pass.Reportf(call.Pos(), "call to time.%s: deterministic packages must not observe wall-clock time (use virtual sim time)", fn.Name())
+				pass.reportf(call.Pos(), "call to time.%s: deterministic packages must not observe wall-clock time (use virtual sim time)", fn.Name())
 			}
 		case "math/rand", "math/rand/v2":
 			if !globalRandExempt[fn.Name()] {
-				pass.Reportf(call.Pos(), "call to global rand.%s: deterministic packages must use an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
+				pass.reportf(call.Pos(), "call to global rand.%s: deterministic packages must use an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
 			}
 		}
 		return true
@@ -139,7 +139,7 @@ func detCheckMapBody(pass *Pass, rng *ast.RangeStmt, enclosing ast.Node) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch stmt := n.(type) {
 		case *ast.SendStmt:
-			pass.Reportf(stmt.Pos(), "channel send inside range over map: iteration order becomes observable")
+			pass.reportf(stmt.Pos(), "channel send inside range over map: iteration order becomes observable")
 		case *ast.AssignStmt:
 			for i, rhs := range stmt.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
@@ -150,7 +150,7 @@ func detCheckMapBody(pass *Pass, rng *ast.RangeStmt, enclosing ast.Node) {
 				if target != nil && sortedAfter(pass, target, rng, enclosing) {
 					continue // collect-then-sort: order cannot escape
 				}
-				pass.Reportf(call.Pos(), "append inside range over map: slice order depends on map iteration (sort the keys first, or sort the result before use)")
+				pass.reportf(call.Pos(), "append inside range over map: slice order depends on map iteration (sort the keys first, or sort the result before use)")
 			}
 		case *ast.CallExpr:
 			detCheckMapBodyCall(pass, stmt)
@@ -170,7 +170,7 @@ func detCheckMapBodyCall(pass *Pass, call *ast.CallExpr) {
 	if fn.Signature().Recv() == nil {
 		// Package-level ordered-output writers.
 		if funcPkgPath(fn) == "fmt" && (strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")) {
-			pass.Reportf(call.Pos(), "fmt.%s inside range over map: output order depends on map iteration", name)
+			pass.reportf(call.Pos(), "fmt.%s inside range over map: output order depends on map iteration", name)
 		}
 		return
 	}
@@ -192,13 +192,13 @@ func detCheckMapBodyCall(pass *Pass, call *ast.CallExpr) {
 	}
 	switch {
 	case strings.HasPrefix(pkgPath, "crypto/") || pkgPath == "hash" || strings.HasPrefix(pkgPath, "hash/"):
-		pass.Reportf(call.Pos(), "feeding a digest (%s.%s.%s) inside range over map: the hash depends on map iteration order", pkgPath, typeName, name)
+		pass.reportf(call.Pos(), "feeding a digest (%s.%s.%s) inside range over map: the hash depends on map iteration order", pkgPath, typeName, name)
 	case pkgPath == "strings" && typeName == "Builder",
 		pkgPath == "bytes" && typeName == "Buffer",
 		pkgPath == "bufio" && typeName == "Writer":
-		pass.Reportf(call.Pos(), "writing ordered output (%s.%s.%s) inside range over map: rendered order depends on map iteration", pkgPath, typeName, name)
+		pass.reportf(call.Pos(), "writing ordered output (%s.%s.%s) inside range over map: rendered order depends on map iteration", pkgPath, typeName, name)
 	case pkgPath == "io":
-		pass.Reportf(call.Pos(), "writing to an %s.%s inside range over map: write order depends on map iteration (and may feed a digest)", pkgPath, typeName)
+		pass.reportf(call.Pos(), "writing to an %s.%s inside range over map: write order depends on map iteration (and may feed a digest)", pkgPath, typeName)
 	}
 }
 

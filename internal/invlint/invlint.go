@@ -15,7 +15,7 @@
 //     virtual-time primitives, never OS time, goroutines or bare
 //     channel operations.
 //   - keyaxis: every axis of experiments.Key must be rendered by Label,
-//     enumerated by DatasetKeys and consumed by the execution path, and
+//     enumerated by datasetKeys and consumed by the execution path, and
 //     cmd wiring must set every axis explicitly.
 //   - metriccol: every exported counter in the metrics package must be
 //     aggregated, rendered as a table column, and touched by a test.
@@ -54,7 +54,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant proved.
 	Doc string
 	// Run reports the analyzer's findings on one package via
-	// Pass.Reportf.
+	// Pass.reportf.
 	Run func(*Pass) error
 }
 
@@ -75,8 +75,8 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),
@@ -101,7 +101,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full invariant suite in presentation order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetLint, SimTime, KeyAxis, MetricCol}
+	return []*Analyzer{detLint, simTime, keyAxis, metricCol}
 }
 
 // AnalyzerByName resolves one analyzer of the suite.

@@ -10,7 +10,7 @@
 // contract:
 //
 //  1. (Key).Label must read every Key field.
-//  2. (*Campaign).DatasetKeys — the enumerator all sweeps and the CLI
+//  2. (*Campaign).datasetKeys — the enumerator all sweeps and the CLI
 //     flags drive — must set every Key field.
 //  3. Every Key field must be consumed by the execution path
 //     ((*Campaign).execute, KeyMachineConfig or (*Campaign).problem):
@@ -47,15 +47,15 @@ var keyContract = struct {
 	decoder    string   // must set every field (canonical wire decoding)
 }{
 	label:      "Label",
-	enumerator: "DatasetKeys",
+	enumerator: "datasetKeys",
 	consumers:  []string{"execute", "KeyMachineConfig", "problem"},
 	encoder:    "CanonicalJSON",
 	decoder:    "ParseKey",
 }
 
-// KeyAxis proves every experiments.Key axis is rendered, enumerated,
+// keyAxis proves every experiments.Key axis is rendered, enumerated,
 // consumed and wired.
-var KeyAxis = &Analyzer{
+var keyAxis = &Analyzer{
 	Name: "keyaxis",
 	Doc:  "every experiments.Key axis must appear in the label renderer, the key enumerator, the execution path and the CLI wiring",
 	Run:  runKeyAxis,
@@ -141,7 +141,7 @@ func runKeyAxisContract(pass *Pass) {
 		reportMissing(pass, fd, fields, reads,
 			"Key.%s is not rendered by %s: two cells differing only in %s would print identically")
 	} else {
-		pass.Reportf(pass.Files[0].Pos(), "keyaxis contract: no %s function found on Key", keyContract.label)
+		pass.reportf(pass.Files[0].Pos(), "keyaxis contract: no %s function found on Key", keyContract.label)
 	}
 
 	if fd, ok := decls[keyContract.enumerator]; ok {
@@ -149,7 +149,7 @@ func runKeyAxisContract(pass *Pass) {
 		reportMissing(pass, fd, fields, sets,
 			"Key.%s is not set by %s: campaign sweeps can never enumerate the %s axis")
 	} else {
-		pass.Reportf(pass.Files[0].Pos(), "keyaxis contract: no %s enumerator found", keyContract.enumerator)
+		pass.reportf(pass.Files[0].Pos(), "keyaxis contract: no %s enumerator found", keyContract.enumerator)
 	}
 
 	if fd, ok := decls[keyContract.encoder]; ok {
@@ -157,7 +157,7 @@ func runKeyAxisContract(pass *Pass) {
 		reportMissing(pass, fd, fields, reads,
 			"Key.%s is not encoded by %s: two cells differing only in %s would share one cache address")
 	} else {
-		pass.Reportf(pass.Files[0].Pos(), "keyaxis contract: no %s encoder found", keyContract.encoder)
+		pass.reportf(pass.Files[0].Pos(), "keyaxis contract: no %s encoder found", keyContract.encoder)
 	}
 
 	if fd, ok := decls[keyContract.decoder]; ok {
@@ -165,7 +165,7 @@ func runKeyAxisContract(pass *Pass) {
 		reportMissing(pass, fd, fields, sets,
 			"Key.%s is not decoded by %s: the axis silently zeroes on every request arriving from the wire")
 	} else {
-		pass.Reportf(pass.Files[0].Pos(), "keyaxis contract: no %s decoder found", keyContract.decoder)
+		pass.reportf(pass.Files[0].Pos(), "keyaxis contract: no %s decoder found", keyContract.decoder)
 	}
 
 	consumed := make(map[string]bool)
@@ -179,7 +179,7 @@ func runKeyAxisContract(pass *Pass) {
 		}
 	}
 	if len(present) == 0 {
-		pass.Reportf(pass.Files[0].Pos(), "keyaxis contract: none of the execution-path functions (%s) found", strings.Join(keyContract.consumers, ", "))
+		pass.reportf(pass.Files[0].Pos(), "keyaxis contract: none of the execution-path functions (%s) found", strings.Join(keyContract.consumers, ", "))
 		return
 	}
 	var missing []string
@@ -190,7 +190,7 @@ func runKeyAxisContract(pass *Pass) {
 	}
 	sort.Strings(missing)
 	for _, f := range missing {
-		pass.Reportf(named.Obj().Pos(), "Key.%s is never consumed by the execution path (%s): the axis widens the cache identity without changing any run", f, strings.Join(present, "/"))
+		pass.reportf(named.Obj().Pos(), "Key.%s is never consumed by the execution path (%s): the axis widens the cache identity without changing any run", f, strings.Join(present, "/"))
 	}
 }
 
@@ -205,7 +205,7 @@ func reportMissing(pass *Pass, fd *ast.FuncDecl, fields []string, got map[string
 	}
 	sort.Strings(missing)
 	for _, f := range missing {
-		pass.Reportf(fd.Pos(), format, f, fd.Name.Name, f)
+		pass.reportf(fd.Pos(), format, f, fd.Name.Name, f)
 	}
 }
 
@@ -293,7 +293,7 @@ func runKeyAxisLiterals(pass *Pass) {
 				}
 				if len(missing) > 0 {
 					sort.Strings(missing)
-					pass.Reportf(lit.Pos(), "experiments.Key literal does not wire axis %s: command wiring must set every axis explicitly (zero values included)", strings.Join(missing, ", "))
+					pass.reportf(lit.Pos(), "experiments.Key literal does not wire axis %s: command wiring must set every axis explicitly (zero values included)", strings.Join(missing, ", "))
 				}
 				return false // one finding per literal, not per nested node
 			})

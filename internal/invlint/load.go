@@ -7,7 +7,7 @@
 //   - RunVetConfig speaks the `go vet -vettool` unitchecker protocol:
 //     cmd/go hands the tool a JSON config naming the files and the
 //     export data of every dependency (see unitchecker.go).
-//   - LoadTestdata type-checks an analysistest-style corpus rooted at
+//   - loadTestdata type-checks an analysistest-style corpus rooted at
 //     testdata/<case>/src, resolving in-corpus imports from source and
 //     everything else through the export-data importer.
 package invlint
@@ -245,10 +245,10 @@ func loadTestdataDir(ti *testdataImporter, path, dir string) (*Unit, error) {
 // library through it).
 var stdCache = &exportCache{files: make(map[string]string)}
 
-// LoadTestdata loads the corpus package rooted at root/src/<path> (the
+// loadTestdata loads the corpus package rooted at root/src/<path> (the
 // analysistest testdata layout). Corpus-internal imports resolve from
 // source under root/src; all others through `go list -export`.
-func LoadTestdata(root, path string) (*Unit, error) {
+func loadTestdata(root, path string) (*Unit, error) {
 	fset := token.NewFileSet()
 	ti := &testdataImporter{
 		root:     filepath.Join(root, "src"),

@@ -29,9 +29,9 @@ var metricsIdentityFields = map[string]bool{
 	"Proc": true,
 }
 
-// MetricCol proves every exported metrics counter is aggregated,
+// metricCol proves every exported metrics counter is aggregated,
 // rendered and tested.
-var MetricCol = &Analyzer{
+var metricCol = &Analyzer{
 	Name: "metriccol",
 	Doc:  "every exported metrics counter must be aggregated, have a table column and be touched by a test",
 	Run:  runMetricCol,
@@ -63,11 +63,11 @@ func runMetricCol(pass *Pass) error {
 			reads := structFieldReads(pass, fd.Body, procStats)
 			forEachExportedField(procStats, func(name string) {
 				if !metricsIdentityFields[name] && !reads[name] {
-					pass.Reportf(fieldPos(procStats, name), "ProcStats.%s is not aggregated by Aggregate: the counter is recorded per processor but never reaches the run Summary", name)
+					pass.reportf(fieldPos(procStats, name), "ProcStats.%s is not aggregated by Aggregate: the counter is recorded per processor but never reaches the run Summary", name)
 				}
 			})
 		} else {
-			pass.Reportf(pass.Files[0].Pos(), "metriccol contract: no Aggregate method found")
+			pass.reportf(pass.Files[0].Pos(), "metriccol contract: no Aggregate method found")
 		}
 	}
 
@@ -76,11 +76,11 @@ func runMetricCol(pass *Pass) error {
 			reads := structFieldReads(pass, fd.Body, summary)
 			forEachExportedField(summary, func(name string) {
 				if !metricsIdentityFields[name] && !reads[name] {
-					pass.Reportf(fieldPos(summary, name), "Summary.%s has no table column: (TableRow).format never renders it, so no table or CSV can report the counter", name)
+					pass.reportf(fieldPos(summary, name), "Summary.%s has no table column: (TableRow).format never renders it, so no table or CSV can report the counter", name)
 				}
 			})
 		} else {
-			pass.Reportf(pass.Files[0].Pos(), "metriccol contract: no format column renderer found")
+			pass.reportf(pass.Files[0].Pos(), "metriccol contract: no format column renderer found")
 		}
 	}
 
@@ -99,7 +99,7 @@ func runMetricCol(pass *Pass) error {
 			}
 			forEachExportedField(st, func(name string) {
 				if !metricsIdentityFields[name] && !refs[kind+"."+name] {
-					pass.Reportf(fieldPos(st, name), "%s.%s is not touched by any test in the metrics package: a broken counter would go unnoticed", kind, name)
+					pass.reportf(fieldPos(st, name), "%s.%s is not touched by any test in the metrics package: a broken counter would go unnoticed", kind, name)
 				}
 			})
 		}

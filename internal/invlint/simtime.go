@@ -26,9 +26,9 @@ import (
 // simPkgPath is the import path of the discrete-event kernel.
 const simPkgPath = "repro/internal/sim"
 
-// SimTime forbids OS-time blocking, bare channel operations and
+// simTime forbids OS-time blocking, bare channel operations and
 // goroutine spawns in code reachable from a sim.Proc body.
-var SimTime = &Analyzer{
+var simTime = &Analyzer{
 	Name: "simtime",
 	Doc:  "only virtual-time primitives may block in code reachable from a sim.Proc body",
 	Run:  runSimTime,
@@ -144,14 +144,14 @@ func simCheckBody(pass *Pass, body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch stmt := n.(type) {
 		case *ast.GoStmt:
-			pass.Reportf(stmt.Pos(), "goroutine spawned in sim-reachable code: the kernel schedules exactly one process at a time (use Kernel.Spawn)")
+			pass.reportf(stmt.Pos(), "goroutine spawned in sim-reachable code: the kernel schedules exactly one process at a time (use Kernel.Spawn)")
 		case *ast.SelectStmt:
-			pass.Reportf(stmt.Pos(), "select in sim-reachable code: bare channel waits bypass the virtual clock (use Proc.Recv/RecvUntil)")
+			pass.reportf(stmt.Pos(), "select in sim-reachable code: bare channel waits bypass the virtual clock (use Proc.Recv/RecvUntil)")
 		case *ast.SendStmt:
-			pass.Reportf(stmt.Pos(), "channel send in sim-reachable code: bare channel operations bypass the virtual clock (use Proc.Send)")
+			pass.reportf(stmt.Pos(), "channel send in sim-reachable code: bare channel operations bypass the virtual clock (use Proc.Send)")
 		case *ast.UnaryExpr:
 			if stmt.Op.String() == "<-" {
-				pass.Reportf(stmt.Pos(), "channel receive in sim-reachable code: bare channel operations bypass the virtual clock (use Proc.Recv)")
+				pass.reportf(stmt.Pos(), "channel receive in sim-reachable code: bare channel operations bypass the virtual clock (use Proc.Recv)")
 			}
 		case *ast.CallExpr:
 			fn := calleeFunc(pass.Info, stmt)
@@ -160,12 +160,12 @@ func simCheckBody(pass *Pass, body ast.Node) {
 			}
 			if fn.Signature().Recv() == nil {
 				if funcPkgPath(fn) == "time" && simBlockingTime[fn.Name()] {
-					pass.Reportf(stmt.Pos(), "time.%s in sim-reachable code: OS time must not block a simulated process (use Proc.Sleep/RecvUntil)", fn.Name())
+					pass.reportf(stmt.Pos(), "time.%s in sim-reachable code: OS time must not block a simulated process (use Proc.Sleep/RecvUntil)", fn.Name())
 				}
 				return true
 			}
 			if pkgPath, typeName, ok := namedTypePath(fn.Signature().Recv().Type()); ok && pkgPath == "sync" && simBlockingSync[fn.Name()] {
-				pass.Reportf(stmt.Pos(), "sync.%s.%s in sim-reachable code: real synchronization must not block a simulated process", typeName, fn.Name())
+				pass.reportf(stmt.Pos(), "sync.%s.%s in sim-reachable code: real synchronization must not block a simulated process", typeName, fn.Name())
 			}
 		}
 		return true

@@ -23,9 +23,9 @@ type Campaign struct {
 	results map[Key]int
 }
 
-// DatasetKeys enumerates the sweep — but never sets Inject, so no sweep
+// datasetKeys enumerates the sweep — but never sets Inject, so no sweep
 // can ever exercise the axis.
-func (c *Campaign) DatasetKeys(ds string, procs []int) []Key { // want "Key\.Inject is not set by DatasetKeys"
+func (c *Campaign) datasetKeys(ds string, procs []int) []Key { // want "Key\.Inject is not set by datasetKeys"
 	var out []Key
 	for _, p := range procs {
 		out = append(out, Key{Dataset: ds, Procs: p})

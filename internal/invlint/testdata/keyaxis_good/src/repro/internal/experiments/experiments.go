@@ -21,8 +21,8 @@ type Campaign struct {
 	results map[Key]int
 }
 
-// DatasetKeys enumerates every axis, Inject on both settings.
-func (c *Campaign) DatasetKeys(ds string, procs []int) []Key {
+// datasetKeys enumerates every axis, Inject on both settings.
+func (c *Campaign) datasetKeys(ds string, procs []int) []Key {
 	var out []Key
 	for _, p := range procs {
 		out = append(out, Key{Dataset: ds, Procs: p, Inject: false})

@@ -18,10 +18,10 @@ import (
 	"os"
 )
 
-// VetConfig is the JSON payload cmd/go writes for a vet tool (the
+// vetConfig is the JSON payload cmd/go writes for a vet tool (the
 // vetConfig struct of cmd/go/internal/work; field names are the
 // protocol).
-type VetConfig struct {
+type vetConfig struct {
 	// ID is the unit's identifier (usually the import path).
 	ID string
 	// Compiler is the toolchain name ("gc").
@@ -64,7 +64,7 @@ func RunVetConfig(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cfg VetConfig
+	var cfg vetConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return nil, fmt.Errorf("invlint: parsing vet config %s: %w", cfgPath, err)
 	}

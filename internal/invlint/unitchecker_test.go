@@ -35,7 +35,7 @@ func writeVetUnit(t *testing.T, src string) (cfgPath, vetxPath string) {
 		t.Fatal(err)
 	}
 	vetxPath = filepath.Join(dir, "vet.out")
-	cfg := VetConfig{
+	cfg := vetConfig{
 		ID:          "repro/internal/seeds",
 		Compiler:    "gc",
 		Dir:         dir,
@@ -66,7 +66,7 @@ func stamp() int64 { return time.Now().UnixNano() }
 
 func TestRunVetConfigReportsFindings(t *testing.T) {
 	cfgPath, vetxPath := writeVetUnit(t, vetBadSrc)
-	diags, err := RunVetConfig(cfgPath, []*Analyzer{DetLint})
+	diags, err := RunVetConfig(cfgPath, []*Analyzer{detLint})
 	if err != nil {
 		t.Fatalf("RunVetConfig: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestRunVetConfigVetxOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfg VetConfig
+	var cfg vetConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRunVetConfigVetxOnly(t *testing.T) {
 	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunVetConfig(cfgPath, []*Analyzer{DetLint})
+	diags, err := RunVetConfig(cfgPath, []*Analyzer{detLint})
 	if err != nil {
 		t.Fatalf("RunVetConfig: %v", err)
 	}
@@ -116,12 +116,12 @@ package seeds
 func oops() undefinedType { return nil }
 `
 	cfgPath, _ := writeVetUnit(t, broken)
-	if _, err := RunVetConfig(cfgPath, []*Analyzer{DetLint}); err == nil {
+	if _, err := RunVetConfig(cfgPath, []*Analyzer{detLint}); err == nil {
 		t.Error("expected a type-check error without SucceedOnTypecheckFailure")
 	}
 
 	data, _ := os.ReadFile(cfgPath)
-	var cfg VetConfig
+	var cfg vetConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func oops() undefinedType { return nil }
 	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunVetConfig(cfgPath, []*Analyzer{DetLint})
+	diags, err := RunVetConfig(cfgPath, []*Analyzer{detLint})
 	if err != nil || len(diags) != 0 {
 		t.Errorf("SucceedOnTypecheckFailure: diags=%v err=%v, want clean success", diags, err)
 	}

@@ -11,13 +11,13 @@
 //     BENCH_*.json trajectory artifacts), and float64 values use Go's
 //     shortest round-trip formatting, so decode∘encode is the identity
 //     on the bytes as well as the values.
-//   - SummaryCodecVersion names the layout. Any change to Summary's
+//   - summaryCodecVersion names the layout. Any change to Summary's
 //     field set or order changes the bytes; callers persisting
 //     canonical summaries fold the version into their addresses, so
 //     bumping it invalidates stale entries instead of mixing layouts.
 //
 // TestSummaryCanonicalPinned holds the exact bytes; if it fails, bump
-// SummaryCodecVersion rather than regenerate the golden.
+// summaryCodecVersion rather than regenerate the golden.
 package metrics
 
 import (
@@ -26,10 +26,10 @@ import (
 	"fmt"
 )
 
-// SummaryCodecVersion names the canonical Summary wire layout. Bump it
+// summaryCodecVersion names the canonical Summary wire layout. Bump it
 // whenever a Summary field is added, removed, renamed or reordered —
 // every one of those changes the canonical bytes.
-const SummaryCodecVersion = "summary/v1"
+const summaryCodecVersion = "summary/v1"
 
 // CanonicalJSON renders the summary's canonical wire encoding: one JSON
 // object, fields in Summary declaration order, floats in shortest

@@ -57,7 +57,7 @@ func TestSummaryCanonicalRoundTrip(t *testing.T) {
 }
 
 // TestSummaryCanonicalPinned pins a prefix of the canonical bytes. If
-// this fails the wire layout changed — bump SummaryCodecVersion (which
+// this fails the wire layout changed — bump summaryCodecVersion (which
 // invalidates persistent caches) instead of updating the golden
 // silently.
 func TestSummaryCanonicalPinned(t *testing.T) {

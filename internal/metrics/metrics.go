@@ -425,9 +425,9 @@ func CSV(rows []TableRow, cols []string) string {
 	return b.String()
 }
 
-// TopProcsByBusy returns the n busiest processors, for load-imbalance
+// topProcsByBusy returns the n busiest processors, for load-imbalance
 // diagnostics.
-func (c *Collector) TopProcsByBusy(n int) []ProcStats {
+func (c *Collector) topProcsByBusy(n int) []ProcStats {
 	all := c.All()
 	sort.Slice(all, func(i, j int) bool {
 		bi := all[i].ComputeTime + all[i].IOTime + all[i].CommTime

@@ -55,8 +55,8 @@ func (d *Digest) Add(v float64) {
 	d.buckets[bucketOf(v)]++
 }
 
-// Merge folds o into d. Merging is commutative and associative.
-func (d *Digest) Merge(o *Digest) {
+// merge folds o into d. Merging is commutative and associative.
+func (d *Digest) merge(o *Digest) {
 	if o.count == 0 {
 		return
 	}
@@ -79,9 +79,9 @@ func (d *Digest) Count() int64 { return d.count }
 // Sum returns the exact sum of all samples.
 func (d *Digest) Sum() float64 { return d.sum }
 
-// Quantile returns the approximate q-quantile (q in [0, 1]), clamped
+// quantile returns the approximate q-quantile (q in [0, 1]), clamped
 // to the exact observed [min, max]. Zero if the digest is empty.
-func (d *Digest) Quantile(q float64) float64 {
+func (d *Digest) quantile(q float64) float64 {
 	if d.count == 0 {
 		return 0
 	}
@@ -128,9 +128,9 @@ func (d *Digest) Summary() DigestSummary {
 		Sum:   d.sum,
 		Min:   d.min,
 		Max:   d.max,
-		P50:   d.Quantile(0.50),
-		P95:   d.Quantile(0.95),
-		P99:   d.Quantile(0.99),
+		P50:   d.quantile(0.50),
+		P95:   d.quantile(0.95),
+		P99:   d.quantile(0.99),
 	}
 }
 

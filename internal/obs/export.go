@@ -42,7 +42,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		comma()
 		bw.WriteString(`{"name":"`)
 		bw.WriteString(e.Kind.String())
-		if e.Kind.IsSpan() {
+		if e.Kind.isSpan() {
 			bw.WriteString(`","cat":"span","ph":"X","ts":`)
 			us(e.Time)
 			bw.WriteString(`,"dur":`)

@@ -107,8 +107,8 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// IsSpan reports whether the kind is an activity span (vs a mark).
-func (k Kind) IsSpan() bool { return k <= SpanIdle }
+// isSpan reports whether the kind is an activity span (vs a mark).
+func (k Kind) isSpan() bool { return k <= SpanIdle }
 
 // Event is one trace record. Span events cover [Time, Time+Dur); marks
 // have Dur == 0. A and B are kind-specific arguments (see the Kind

@@ -117,19 +117,19 @@ func TestDigestQuantiles(t *testing.T) {
 		t.Fatalf("count/sum = %d, %g", d.Count(), d.Sum())
 	}
 	for _, tc := range []struct{ q, want float64 }{{0.50, 0.5}, {0.95, 0.95}, {0.99, 0.99}} {
-		got := d.Quantile(tc.q)
+		got := d.quantile(tc.q)
 		if rel := got/tc.want - 1; rel < -0.001 || rel > 0.05 {
 			t.Errorf("q%.0f = %g, want within (-0.1%%, +5%%) of %g", tc.q*100, got, tc.want)
 		}
 	}
-	if got := d.Quantile(0); got != 1e-3 {
+	if got := d.quantile(0); got != 1e-3 {
 		t.Errorf("q0 = %g, want exact min", got)
 	}
-	if got := d.Quantile(1); got != 1 {
+	if got := d.quantile(1); got != 1 {
 		t.Errorf("q1 = %g, want exact max", got)
 	}
 	var empty Digest
-	if empty.Quantile(0.5) != 0 || (empty.Summary() != DigestSummary{}) {
+	if empty.quantile(0.5) != 0 || (empty.Summary() != DigestSummary{}) {
 		t.Error("empty digest should summarize to zeros")
 	}
 }
@@ -146,7 +146,7 @@ func TestDigestMergeAdditive(t *testing.T) {
 		}
 	}
 	merged := a
-	merged.Merge(&b)
+	merged.merge(&b)
 	ms, ws := merged.Summary(), whole.Summary()
 	// Sums may differ in the last ulp (float addition order); everything
 	// else — counts, extremes, quantiles — must match exactly.
@@ -159,7 +159,7 @@ func TestDigestMergeAdditive(t *testing.T) {
 	}
 	before := merged.Summary()
 	var empty Digest
-	merged.Merge(&empty)
+	merged.merge(&empty)
 	if merged.Summary() != before {
 		t.Fatal("merging an empty digest changed the summary")
 	}

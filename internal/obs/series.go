@@ -90,7 +90,7 @@ func (r *Recorder) Series(interval float64) []Sample {
 				dResident[j]--
 			}
 		}
-		if !e.Kind.IsSpan() || e.Kind == SpanIdle {
+		if !e.Kind.isSpan() || e.Kind == SpanIdle {
 			continue
 		}
 		s, t := e.Time, e.Time+e.Dur

@@ -52,9 +52,6 @@ const (
 	Both Policy = "both"
 )
 
-// Policies lists all policies in presentation order.
-func Policies() []Policy { return []Policy{Off, Neighbor, Temporal, Both} }
-
 // Validate reports a descriptive error for unknown policies. The empty
 // string is accepted as Off so zero-valued configurations mean
 // "no prefetching".
@@ -73,8 +70,8 @@ func (p Policy) Enabled() bool { return p == Neighbor || p == Temporal || p == B
 // Spatial reports whether the neighbor predictor runs.
 func (p Policy) Spatial() bool { return p == Neighbor || p == Both }
 
-// TemporalOn reports whether the temporal predictor runs.
-func (p Policy) TemporalOn() bool { return p == Temporal || p == Both }
+// temporalOn reports whether the temporal predictor runs.
+func (p Policy) temporalOn() bool { return p == Temporal || p == Both }
 
 // Config parameterizes the subsystem: which predictors run and how far
 // ahead each looks.
@@ -133,18 +130,17 @@ func (p *Predictor) Depth() int { return p.cfg.depth() }
 // e+1" analogue. A temporal-only policy on a steady run is a no-op
 // everywhere, including here.
 func (p *Predictor) PreloadEnabled() bool {
-	return p.cfg.Policy.Spatial() || (p.cfg.Policy.TemporalOn() && p.d.Unsteady())
+	return p.cfg.Policy.Spatial() || (p.cfg.Policy.temporalOn() && p.d.Unsteady())
 }
 
 // direction returns the streamline's current direction of travel,
 // estimated from its last accepted step; ok is false before any step has
 // been taken (no travel history, nothing to extrapolate).
 func direction(sl *trace.Streamline) (vec.V3, bool) {
-	n := len(sl.Points)
-	if n < 2 {
+	if sl.Verts < 2 {
 		return vec.V3{}, false
 	}
-	dir := sl.P.Sub(sl.Points[n-2])
+	dir := sl.P.Sub(sl.Prev)
 	if dir.Norm2() == 0 {
 		return vec.V3{}, false
 	}
@@ -175,7 +171,7 @@ func (p *Predictor) OnExit(prev grid.BlockID, sl *trace.Streamline) []grid.Block
 			out = append(out, p.march(sl.Block, sl.P, dir, p.cfg.depth()-1)...)
 		}
 	}
-	if temporalMove && p.cfg.Policy.TemporalOn() {
+	if temporalMove && p.cfg.Policy.temporalOn() {
 		if !demanded {
 			out = append(out, sl.Block)
 		}
@@ -187,7 +183,7 @@ func (p *Predictor) OnExit(prev grid.BlockID, sl *trace.Streamline) []grid.Block
 // nextEpochs returns up to n future epochs of id's spatial block, when
 // the temporal predictor is on and the decomposition has them.
 func (p *Predictor) nextEpochs(id grid.BlockID, n int) []grid.BlockID {
-	if !p.cfg.Policy.TemporalOn() || !p.d.Unsteady() {
+	if !p.cfg.Policy.temporalOn() || !p.d.Unsteady() {
 		return nil
 	}
 	spatial := p.d.Spatial(id)

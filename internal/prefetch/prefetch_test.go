@@ -35,7 +35,7 @@ func movingStreamline(d grid.Decomposition, prev, p vec.V3) *trace.Streamline {
 }
 
 func TestPolicyValidate(t *testing.T) {
-	for _, p := range append(Policies(), Policy("")) {
+	for _, p := range []Policy{Off, Neighbor, Temporal, Both, ""} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%q rejected: %v", p, err)
 		}
@@ -49,7 +49,7 @@ func TestPolicyValidate(t *testing.T) {
 	if !Neighbor.Spatial() || !Both.Spatial() || Temporal.Spatial() {
 		t.Error("Spatial gating wrong")
 	}
-	if !Temporal.TemporalOn() || !Both.TemporalOn() || Neighbor.TemporalOn() {
+	if !Temporal.temporalOn() || !Both.temporalOn() || Neighbor.temporalOn() {
 		t.Error("TemporalOn gating wrong")
 	}
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // Gantt colors, one per activity span kind plus the kill tick. Exported
-// through GanttColor so tests and legends stay in sync with the
+// through ganttColor so tests and legends stay in sync with the
 // renderer.
 var ganttColors = map[obs.Kind][3]byte{
 	obs.SpanCompute: {70, 200, 95},  // green: integration work
@@ -16,9 +16,9 @@ var ganttColors = map[obs.Kind][3]byte{
 	obs.MarkKill:    {255, 55, 55},  // red: fail-stop fault
 }
 
-// GanttColor returns the color a span kind (or the kill mark) renders
+// ganttColor returns the color a span kind (or the kill mark) renders
 // with, and whether the kind is drawn at all.
-func GanttColor(k obs.Kind) (r, g, b byte, ok bool) {
+func ganttColor(k obs.Kind) (r, g, b byte, ok bool) {
 	c, ok := ganttColors[k]
 	return c[0], c[1], c[2], ok
 }
@@ -45,7 +45,7 @@ func ganttPriority(k obs.Kind) float64 {
 
 // Gantt renders a recorded event stream as a per-processor timeline —
 // the paper's Gantt charts: one horizontal lane per processor, virtual
-// time on the x axis, activity spans as colored bars (see GanttColor)
+// time on the x axis, activity spans as colored bars (see ganttColor)
 // and fail-stop kills as full-height red ticks. Instant marks other
 // than kills are not drawn; they would be sub-pixel at any useful
 // scale. The image is a pure function of the event stream, so it is
@@ -57,7 +57,7 @@ func Gantt(events []obs.Event, numProcs, w, h int) *Image {
 	if h <= 0 {
 		h = 512
 	}
-	img := NewImage(w, h)
+	img := newImage(w, h)
 	if numProcs <= 0 || len(events) == 0 {
 		return img
 	}

@@ -25,7 +25,7 @@ func ganttFixture() []obs.Event {
 
 func wantColor(t *testing.T, img *Image, x, y int, k obs.Kind) {
 	t.Helper()
-	wr, wg, wb, ok := GanttColor(k)
+	wr, wg, wb, ok := ganttColor(k)
 	if !ok {
 		t.Fatalf("kind %s has no gantt color", k)
 	}
@@ -54,7 +54,7 @@ func TestGantt(t *testing.T) {
 		t.Fatal("gantt drew nothing")
 	}
 	// The undrawn mark kind must not have a color.
-	if _, _, _, ok := GanttColor(obs.MarkBlockLoad); ok {
+	if _, _, _, ok := ganttColor(obs.MarkBlockLoad); ok {
 		t.Error("block-load marks should not render")
 	}
 }

@@ -26,8 +26,8 @@ type Camera struct {
 	FOV float64
 }
 
-// DefaultCamera looks at the center of box from a three-quarter view.
-func DefaultCamera(box vec.AABB) Camera {
+// defaultCamera looks at the center of box from a three-quarter view.
+func defaultCamera(box vec.AABB) Camera {
 	c := box.Center()
 	r := box.Size().Norm()
 	return Camera{
@@ -45,8 +45,8 @@ type Image struct {
 	depth []float64 // camera-space depth per pixel
 }
 
-// NewImage allocates a black image.
-func NewImage(w, h int) *Image {
+// newImage allocates a black image.
+func newImage(w, h int) *Image {
 	img := &Image{W: w, H: h, pix: make([]byte, 3*w*h), depth: make([]float64, w*h)}
 	for i := range img.depth {
 		img.depth[i] = math.Inf(1)
@@ -180,9 +180,9 @@ func Streamlines(sls []*trace.Streamline, box vec.AABB, opts Options) *Image {
 		opts.Palette = Plasma
 	}
 	if (opts.Camera == Camera{}) {
-		opts.Camera = DefaultCamera(box)
+		opts.Camera = defaultCamera(box)
 	}
-	img := NewImage(opts.Width, opts.Height)
+	img := newImage(opts.Width, opts.Height)
 	pr := newProjector(opts.Camera, opts.Width, opts.Height)
 
 	for _, sl := range sls {

@@ -19,7 +19,7 @@ func line(id int, pts ...vec.V3) *trace.Streamline {
 var unitBox = vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1))
 
 func TestImageSetRespectsDepth(t *testing.T) {
-	im := NewImage(4, 4)
+	im := newImage(4, 4)
 	im.Set(1, 1, 5, 10, 20, 30)
 	im.Set(1, 1, 9, 99, 99, 99) // farther: must not overwrite
 	r, g, b := im.At(1, 1)
@@ -34,7 +34,7 @@ func TestImageSetRespectsDepth(t *testing.T) {
 }
 
 func TestImageSetClipsBounds(t *testing.T) {
-	im := NewImage(2, 2)
+	im := newImage(2, 2)
 	// Out-of-bounds writes must not panic.
 	im.Set(-1, 0, 1, 255, 255, 255)
 	im.Set(5, 5, 1, 255, 255, 255)
@@ -44,7 +44,7 @@ func TestImageSetClipsBounds(t *testing.T) {
 }
 
 func TestWritePPMFormat(t *testing.T) {
-	im := NewImage(3, 2)
+	im := newImage(3, 2)
 	im.Set(0, 0, 1, 255, 0, 0)
 	var buf bytes.Buffer
 	if err := im.WritePPM(&buf); err != nil {
@@ -121,7 +121,7 @@ func TestColorByZ(t *testing.T) {
 
 func TestDefaultCameraSeesBox(t *testing.T) {
 	box := vec.Box(vec.Of(-2, -1, 0), vec.Of(2, 1, 3))
-	cam := DefaultCamera(box)
+	cam := defaultCamera(box)
 	if cam.Eye.Dist(box.Center()) <= 0 {
 		t.Error("camera at box center")
 	}
@@ -147,7 +147,7 @@ func TestProjectionDepthOrder(t *testing.T) {
 }
 
 func TestCoverageCounts(t *testing.T) {
-	im := NewImage(10, 10)
+	im := newImage(10, 10)
 	if im.Coverage() != 0 {
 		t.Error("fresh image not empty")
 	}

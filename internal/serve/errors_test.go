@@ -16,7 +16,7 @@ import (
 // TestSaturatedErrorMessage pins the admission-failure text clients see
 // in 429 bodies.
 func TestSaturatedErrorMessage(t *testing.T) {
-	e := &SaturatedError{Tenant: "acme", Limit: 8}
+	e := &saturatedError{Tenant: "acme", Limit: 8}
 	msg := e.Error()
 	for _, want := range []string{`"acme"`, "8", "retry"} {
 		if !strings.Contains(msg, want) {
@@ -73,7 +73,7 @@ func TestStoreIOFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir2, EntryVersion), []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir2, entryVersion), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := st2.Put(sc, k, entry); err == nil {
@@ -103,7 +103,7 @@ func TestNewConfigValidation(t *testing.T) {
 		defer cancel()
 		s.Drain(ctx)
 	}()
-	if s.CacheLen(false) != 0 || s.CacheLen(true) != 0 {
+	if s.cacheLen(false) != 0 || s.cacheLen(true) != 0 {
 		t.Error("CacheLen without a disk store should be 0")
 	}
 }

@@ -9,11 +9,11 @@
 // flooding ten thousand cells delays its own tail, not the single-cell
 // tenant behind it. Admission control is a per-tenant cap on
 // outstanding (queued + running) tasks: past it, submissions fail fast
-// with a SaturatedError (HTTP 429) instead of growing an unbounded
+// with a saturatedError (HTTP 429) instead of growing an unbounded
 // queue.
 //
 // Draining flips the scheduler closed: new submissions fail with
-// ErrDraining, already-accepted tasks run to completion, and Drain
+// errDraining, already-accepted tasks run to completion, and Drain
 // returns when the last worker parks — the SIGTERM path of cmd/slserve.
 package serve
 
@@ -26,18 +26,18 @@ import (
 	"repro/internal/experiments"
 )
 
-// ErrDraining rejects submissions after a drain has begun.
-var ErrDraining = errors.New("serve: draining, not accepting new work")
+// errDraining rejects submissions after a drain has begun.
+var errDraining = errors.New("serve: draining, not accepting new work")
 
-// SaturatedError rejects a submission that would push a tenant past its
+// saturatedError rejects a submission that would push a tenant past its
 // admission cap.
-type SaturatedError struct {
+type saturatedError struct {
 	Tenant string
 	Limit  int
 }
 
 // Error renders the admission failure.
-func (e *SaturatedError) Error() string {
+func (e *saturatedError) Error() string {
 	return fmt.Sprintf("serve: tenant %q has %d tasks outstanding (limit): retry when in-flight requests finish", e.Tenant, e.Limit)
 }
 
@@ -91,7 +91,7 @@ func (s *scheduler) submit(tenant string, keys []experiments.Key, observed bool)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrDraining
+		return nil, errDraining
 	}
 	tq := s.tenants[tenant]
 	if tq == nil {
@@ -99,7 +99,7 @@ func (s *scheduler) submit(tenant string, keys []experiments.Key, observed bool)
 		s.tenants[tenant] = tq
 	}
 	if tq.pending+len(keys) > s.limit {
-		return nil, &SaturatedError{Tenant: tenant, Limit: s.limit}
+		return nil, &saturatedError{Tenant: tenant, Limit: s.limit}
 	}
 	tasks := make([]*task, len(keys))
 	for i, k := range keys {

@@ -91,7 +91,7 @@ func TestSchedulerAdmissionCap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit at the cap: %v", err)
 	}
-	var sat *SaturatedError
+	var sat *saturatedError
 	if _, err := s.submit("T", keysN(1, 10), false); !errors.As(err, &sat) {
 		t.Fatalf("submit past the cap = %v, want SaturatedError", err)
 	}
@@ -125,7 +125,7 @@ func TestSchedulerDrain(t *testing.T) {
 		t.Fatalf("drain with blocked workers = %v, want deadline exceeded", err)
 	}
 	// ...and new work is already refused.
-	if _, err := s.submit("T", keysN(1, 10), false); !errors.Is(err, ErrDraining) {
+	if _, err := s.submit("T", keysN(1, 10), false); !errors.Is(err, errDraining) {
 		t.Fatalf("submit while draining = %v, want ErrDraining", err)
 	}
 

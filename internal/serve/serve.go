@@ -163,16 +163,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Drain stops admission (new submissions fail with ErrDraining → 503),
+// Drain stops admission (new submissions fail with errDraining → 503),
 // lets every accepted cell finish and land in the cache, and returns
 // when the workers have parked or ctx expires.
 func (s *Server) Drain(ctx context.Context) error {
 	return s.sched.drain(ctx)
 }
 
-// CacheLen counts the disk-cached entries for the server's scale — a
+// cacheLen counts the disk-cached entries for the server's scale — a
 // test and smoke-check diagnostic.
-func (s *Server) CacheLen(observed bool) int {
+func (s *Server) cacheLen(observed bool) int {
 	if s.store == nil {
 		return 0
 	}
@@ -256,9 +256,9 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []exper
 	tasks := make([]*task, 0, len(keys))
 	ts, err := s.sched.submit(tenant, keys, observed)
 	if err != nil {
-		var sat *SaturatedError
+		var sat *saturatedError
 		switch {
-		case errors.Is(err, ErrDraining):
+		case errors.Is(err, errDraining):
 			writeError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.As(err, &sat):
 			writeError(w, http.StatusTooManyRequests, err.Error())

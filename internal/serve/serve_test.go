@@ -103,8 +103,8 @@ func TestServeCellComputesThenServesFromDisk(t *testing.T) {
 	if _, err := metrics.ParseSummary(r0.Summary); err != nil {
 		t.Fatalf("summary is not canonical: %v", err)
 	}
-	if s.CacheLen(false) != 1 {
-		t.Fatalf("disk cache has %d entries, want 1", s.CacheLen(false))
+	if s.cacheLen(false) != 1 {
+		t.Fatalf("disk cache has %d entries, want 1", s.cacheLen(false))
 	}
 
 	second := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody))
@@ -251,8 +251,8 @@ func TestObservationIsASeparateCachePopulation(t *testing.T) {
 	if obs.Digest != plain.Digest {
 		t.Fatalf("observation changed the cell identity: %s vs %s", obs.Digest, plain.Digest)
 	}
-	if s.CacheLen(false) != 1 || s.CacheLen(true) != 1 {
-		t.Fatalf("cache populations: unobserved=%d observed=%d, want 1 and 1", s.CacheLen(false), s.CacheLen(true))
+	if s.cacheLen(false) != 1 || s.cacheLen(true) != 1 {
+		t.Fatalf("cache populations: unobserved=%d observed=%d, want 1 and 1", s.cacheLen(false), s.cacheLen(true))
 	}
 }
 
@@ -336,7 +336,7 @@ func TestTimeoutWarmsCacheAnyway(t *testing.T) {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body.String())
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for s.CacheLen(false) == 0 {
+	for s.cacheLen(false) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("timed-out computation never reached the cache")
 		}

@@ -5,7 +5,7 @@
 // key's content address (the SHA-256 digest of its canonical JSON
 // encoding, DESIGN.md §14). The store is a plain directory tree —
 //
-//	<root>/<EntryVersion>/<scope>/<digest[:2]>/<digest>.json
+//	<root>/<entryVersion>/<scope>/<digest[:2]>/<digest>.json
 //
 // — with one JSON Entry per cell, written atomically (temp file +
 // rename) so a crashed or concurrent writer can never leave a torn
@@ -32,12 +32,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// EntryVersion names the on-disk cache entry layout. It must change
+// entryVersion names the on-disk cache entry layout. It must change
 // whenever the entry schema, the key codec (experiments.KeyCodecVersion)
 // or the summary codec (metrics.SummaryCodecVersion) changes; because it
 // is a path component, a bump atomically orphans — rather than corrupts
 // — every entry written under the old rules.
-const EntryVersion = "cell.v1"
+const entryVersion = "cell.v1"
 
 // Scope names one cache population: entries are only byte-comparable
 // within a (scale, observed) pair.
@@ -65,7 +65,7 @@ func (sc Scope) dir() string {
 // static-allocation OOM, static's typed fault refusal) are results too,
 // and caching them makes repeat failures as free as repeat successes.
 type Entry struct {
-	// V is EntryVersion at write time.
+	// V is entryVersion at write time.
 	V string `json:"v"`
 	// Scale and Observed echo the scope for self-description and are
 	// verified on read.
@@ -90,7 +90,7 @@ type Entry struct {
 // valid reports whether the entry is well-formed for scope sc and
 // addressed by digest.
 func (e *Entry) valid(sc Scope, digest string) bool {
-	if e.V != EntryVersion || e.Scale != sc.Scale || e.Observed != sc.Observed {
+	if e.V != entryVersion || e.Scale != sc.Scale || e.Observed != sc.Observed {
 		return false
 	}
 	if (len(e.Summary) == 0) == (e.Error == "") {
@@ -128,7 +128,7 @@ func OpenStore(dir string) (*Store, error) {
 
 // path maps an address to its entry file.
 func (st *Store) path(sc Scope, digest string) string {
-	return filepath.Join(st.root, EntryVersion, sc.dir(), digest[:2], digest+".json")
+	return filepath.Join(st.root, entryVersion, sc.dir(), digest[:2], digest+".json")
 }
 
 // Get looks up the cached outcome of k in scope sc. Missing, torn,
@@ -159,7 +159,7 @@ func (st *Store) Get(sc Scope, k experiments.Key) (Entry, bool, error) {
 // The write is atomic: concurrent Puts of the same (deterministic)
 // outcome are harmless last-writer-wins renames.
 func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
-	e.V = EntryVersion
+	e.V = entryVersion
 	e.Scale = sc.Scale
 	e.Observed = sc.Observed
 	e.Key = k.CanonicalJSON()
@@ -199,7 +199,7 @@ func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 // and the stats endpoint, not a hot path.
 func (st *Store) Len(sc Scope) int {
 	n := 0
-	root := filepath.Join(st.root, EntryVersion, sc.dir())
+	root := filepath.Join(st.root, entryVersion, sc.dir())
 	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
 			n++

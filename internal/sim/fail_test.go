@@ -33,8 +33,8 @@ func TestFailReleasesHeldResourceSlot(t *testing.T) {
 	if grantedAt != 2 {
 		t.Errorf("waiter granted at t=%g, want the fault instant t=2", grantedAt)
 	}
-	if r.InUse() != 0 {
-		t.Errorf("InUse = %d after everyone released, slot leaked", r.InUse())
+	if r.inUse != 0 {
+		t.Errorf("InUse = %d after everyone released, slot leaked", r.inUse)
 	}
 }
 
@@ -69,8 +69,8 @@ func TestFailSkipsDeadQueuedWaiter(t *testing.T) {
 	if grantedAt != 5 {
 		t.Errorf("w2 granted at t=%g, want 5 (holder's release, skipping dead w1)", grantedAt)
 	}
-	if r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Errorf("resource not drained: inUse=%d queue=%d", r.InUse(), r.QueueLen())
+	if r.inUse != 0 || len(r.queue) != 0 {
+		t.Errorf("resource not drained: inUse=%d queue=%d", r.inUse, len(r.queue))
 	}
 }
 

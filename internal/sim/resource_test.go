@@ -73,14 +73,14 @@ func TestResourceReleaseTransfersSlot(t *testing.T) {
 		r.Release()
 		// The waiter wakes at t=1 but has not run yet; the slot must
 		// already be accounted to it.
-		inUseAtHandoff = r.InUse()
-		queueAtHandoff = r.QueueLen()
+		inUseAtHandoff = r.inUse
+		queueAtHandoff = len(r.queue)
 	})
 	k.Spawn("waiter", func(p *Proc) {
 		p.Sleep(0.5)
 		r.Acquire(p)
-		if r.InUse() != 1 {
-			t.Errorf("InUse after transfer = %d, want 1", r.InUse())
+		if r.inUse != 1 {
+			t.Errorf("InUse after transfer = %d, want 1", r.inUse)
 		}
 		r.Release()
 	})
@@ -140,8 +140,8 @@ func TestTryAcquire(t *testing.T) {
 	}
 	r.Release()
 	r.Release()
-	if r.InUse() != 0 {
-		t.Fatalf("InUse = %d after all releases", r.InUse())
+	if r.inUse != 0 {
+		t.Fatalf("InUse = %d after all releases", r.inUse)
 	}
 	// With a waiter queued, even a freshly released slot belongs to the
 	// queue, not to opportunists.
@@ -171,7 +171,7 @@ func TestTryAcquire(t *testing.T) {
 func TestEventWaitAndFire(t *testing.T) {
 	k := New()
 	e := NewEvent(k)
-	if e.Fired() {
+	if e.fired {
 		t.Fatal("new event already fired")
 	}
 	var wokeAt, lateAt, idle float64
@@ -192,7 +192,7 @@ func TestEventWaitAndFire(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Fired() {
+	if !e.fired {
 		t.Error("event not marked fired")
 	}
 	if wokeAt != 2 {

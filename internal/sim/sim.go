@@ -500,19 +500,19 @@ func (p *Proc) TryRecv() (any, bool) {
 // Pending returns the number of queued messages without consuming them.
 func (p *Proc) Pending() int { return len(p.inbox) - p.inboxHead }
 
-// DeadlockError reports processes that were still blocked when the event
+// deadlockError reports processes that were still blocked when the event
 // queue drained.
-type DeadlockError struct {
+type deadlockError struct {
 	Stuck []string
 }
 
 // Error implements error.
-func (e *DeadlockError) Error() string {
+func (e *deadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock, %d process(es) still blocked: %v", len(e.Stuck), e.Stuck)
 }
 
 // Run executes the simulation until every process has finished or no
-// further progress is possible. It returns a *DeadlockError if processes
+// further progress is possible. It returns a *deadlockError if processes
 // remain blocked with an empty event queue; blocked processes are then
 // forcibly unwound so no goroutines leak.
 func (k *Kernel) Run() error {
@@ -566,7 +566,7 @@ func (k *Kernel) Run() error {
 	}
 	if len(stuck) > 0 {
 		sort.Strings(stuck)
-		return &DeadlockError{Stuck: stuck}
+		return &deadlockError{Stuck: stuck}
 	}
 	return nil
 }
@@ -643,12 +643,6 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// InUse returns the number of occupied slots.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting for a slot.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 // Event is a one-shot completion signal: processes Wait (blocking in
 // virtual time) until Fire is called from a kernel callback or another
 // process. Waiting after Fire returns immediately. It is the completion
@@ -663,9 +657,6 @@ type Event struct {
 
 // NewEvent creates an unfired event on k.
 func NewEvent(k *Kernel) *Event { return &Event{k: k} }
-
-// Fired reports whether Fire has been called.
-func (e *Event) Fired() bool { return e.fired }
 
 // Wait blocks p until the event fires; the wait is recorded as idle time.
 func (e *Event) Wait(p *Proc) {

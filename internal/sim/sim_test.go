@@ -184,7 +184,7 @@ func TestDeadlockDetection(t *testing.T) {
 	k.Spawn("stuck", func(p *Proc) { p.Recv() })
 	k.Spawn("fine", func(p *Proc) { p.Sleep(1) })
 	err := k.Run()
-	de, ok := err.(*DeadlockError)
+	de, ok := err.(*deadlockError)
 	if !ok {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
@@ -357,8 +357,8 @@ func TestResourceCapacityTwo(t *testing.T) {
 	if maxEnd != 6 {
 		t.Errorf("4 jobs × 3s at capacity 2 ended at %g, want 6", maxEnd)
 	}
-	if r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Errorf("resource not drained: inUse=%d queue=%d", r.InUse(), r.QueueLen())
+	if r.inUse != 0 || len(r.queue) != 0 {
+		t.Errorf("resource not drained: inUse=%d queue=%d", r.inUse, len(r.queue))
 	}
 }
 

@@ -127,14 +127,14 @@ func TestPrefetchInstallsWithoutBlocking(t *testing.T) {
 		if c.Prefetch(3) {
 			t.Error("duplicate prefetch issued for an in-flight block")
 		}
-		if !c.InFlight(3) || c.InFlightCount() != 1 {
+		if _, issued := c.inflight[3]; !issued || len(c.inflight) != 1 {
 			t.Error("in-flight read not tracked")
 		}
 		if c.Has(3) {
 			t.Error("block resident before the read completed")
 		}
 		p.Sleep(2) // compute while the read streams in
-		if !c.Has(3) || c.InFlightCount() != 0 {
+		if !c.Has(3) || len(c.inflight) != 0 {
 			t.Error("prefetch did not install after the read time")
 		}
 		before := p.Now()
@@ -312,7 +312,7 @@ func TestInflightCountsTowardResidentBytes(t *testing.T) {
 	}
 }
 
-// TestReadSplitsQueueTime: DiskModel.Read separates shared-server queue
+// TestReadSplitsQueueTime: DiskModel.read separates shared-server queue
 // wait (IOQueueTime) from the total stall (IOTime), which includes it.
 func TestReadSplitsQueueTime(t *testing.T) {
 	stats := metrics.NewCollector(2)
@@ -322,7 +322,7 @@ func TestReadSplitsQueueTime(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		k.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
-			d.Read(p, 1e6, stats.P(i)) // 1 s transfer each
+			d.read(p, 1e6, stats.P(i)) // 1 s transfer each
 		})
 	}
 	if err := k.Run(); err != nil {

@@ -40,9 +40,9 @@ func DefaultDisk() DiskModel {
 	return DiskModel{LatencySec: 0.01, BandwidthBytesSec: 500e6}
 }
 
-// ReadTime returns the uncontended time to read one object of the given
+// readTime returns the uncontended time to read one object of the given
 // size.
-func (d DiskModel) ReadTime(bytes int64) float64 {
+func (d DiskModel) readTime(bytes int64) float64 {
 	t := d.LatencySec
 	if d.BandwidthBytesSec > 0 {
 		t += float64(bytes) / d.BandwidthBytesSec
@@ -50,11 +50,11 @@ func (d DiskModel) ReadTime(bytes int64) float64 {
 	return t
 }
 
-// Read charges proc the I/O cost of reading bytes, honoring shared-disk
+// read charges proc the I/O cost of reading bytes, honoring shared-disk
 // contention, and records it in stats. The shared-disk queue wait is
 // additionally broken out as IOQueueTime (still counted inside IOTime),
 // so contention stalls are separable from transfer time.
-func (d DiskModel) Read(p *sim.Proc, bytes int64, stats *metrics.ProcStats) {
+func (d DiskModel) read(p *sim.Proc, bytes int64, stats *metrics.ProcStats) {
 	start := p.Now()
 	if d.Shared != nil {
 		d.Shared.Acquire(p)
@@ -71,12 +71,12 @@ func (d DiskModel) Read(p *sim.Proc, bytes int64, stats *metrics.ProcStats) {
 		if d.Trace != nil {
 			d.Trace.Span(p.ID(), obs.SpanIOQueue, start, acquired, bytes, 0)
 		}
-		p.Sleep(d.ReadTime(bytes))
+		p.Sleep(d.readTime(bytes))
 		if d.Trace != nil {
 			d.Trace.Span(p.ID(), obs.SpanIO, acquired, p.Now(), bytes, 0)
 		}
 	} else {
-		p.Sleep(d.ReadTime(bytes))
+		p.Sleep(d.readTime(bytes))
 		if d.Trace != nil {
 			d.Trace.Span(p.ID(), obs.SpanIO, start, p.Now(), bytes, 0)
 		}
@@ -86,7 +86,7 @@ func (d DiskModel) Read(p *sim.Proc, bytes int64, stats *metrics.ProcStats) {
 	}
 }
 
-// ReadAsync issues a speculative non-blocking read of bytes on kernel k,
+// readAsync issues a speculative non-blocking read of bytes on kernel k,
 // reporting whether it was issued. The shared I/O servers are honored
 // opportunistically: the read claims a server only if one is idle right
 // now (sim.Resource.TryAcquire) and is refused otherwise, so speculation
@@ -97,11 +97,11 @@ func (d DiskModel) Read(p *sim.Proc, bytes int64, stats *metrics.ProcStats) {
 // data is available. No process is blocked and no I/O time is charged —
 // the caller decides what part of the read, if any, anyone ended up
 // waiting for.
-func (d DiskModel) ReadAsync(k *sim.Kernel, bytes int64, done func()) bool {
+func (d DiskModel) readAsync(k *sim.Kernel, bytes int64, done func()) bool {
 	if d.Shared != nil && !d.Shared.TryAcquire() {
 		return false
 	}
-	k.After(d.ReadTime(bytes), func() {
+	k.After(d.readTime(bytes), func() {
 		if d.Shared != nil {
 			d.Shared.Release()
 		}
@@ -184,9 +184,6 @@ func NewCache(proc *sim.Proc, provider grid.Provider, disk DiskModel, capacity i
 	}
 }
 
-// Capacity returns the configured block capacity (<= 0 for unbounded).
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Len returns the number of resident blocks.
 func (c *Cache) Len() int { return len(c.entries) }
 
@@ -265,7 +262,7 @@ func (c *Cache) Get(id grid.BlockID) grid.Evaluator {
 		}
 	}
 	// Miss: read from disk.
-	c.disk.Read(c.proc, c.provider.Decomp().BlockBytes(), c.stats)
+	c.disk.read(c.proc, c.provider.Decomp().BlockBytes(), c.stats)
 	if c.stats != nil {
 		c.stats.BlocksLoaded++
 	}
@@ -284,7 +281,7 @@ func (c *Cache) Get(id grid.BlockID) grid.Evaluator {
 // is already resident or in flight, when the per-cache in-flight limit
 // is reached, or when every shared I/O server is busy (speculation soaks
 // up idle bandwidth but never queues ahead of demand reads; see
-// DiskModel.ReadAsync). An issued read installs the block (most recently
+// DiskModel.readAsync). An issued read installs the block (most recently
 // used, evicting over capacity) on completion and blocks no process. Its
 // in-flight buffer counts toward ResidentBytes, so speculative reads are
 // charged against the memory budget like resident blocks. A prefetched
@@ -306,7 +303,7 @@ func (c *Cache) Prefetch(id grid.BlockID) bool {
 	}
 	k := c.proc.Kernel()
 	fl := &inflightRead{done: sim.NewEvent(k), issued: k.Now()}
-	issued := c.disk.ReadAsync(k, c.provider.Decomp().BlockBytes(), func() {
+	issued := c.disk.readAsync(k, c.provider.Decomp().BlockBytes(), func() {
 		delete(c.inflight, id)
 		if c.stats != nil {
 			c.stats.BlocksLoaded++
@@ -353,15 +350,6 @@ func (c *Cache) consumePrefetch(id grid.BlockID) {
 // monopolize the shared I/O servers ahead of its peers' demand reads,
 // nor flood its own cache faster than it consumes.
 func (c *Cache) SetPrefetchLimit(n int) { c.maxInflight = n }
-
-// InFlight reports whether block id has an issued, unfinished prefetch.
-func (c *Cache) InFlight(id grid.BlockID) bool {
-	_, ok := c.inflight[id]
-	return ok
-}
-
-// InFlightCount returns the number of issued, unfinished prefetch reads.
-func (c *Cache) InFlightCount() int { return len(c.inflight) }
 
 // ResidentBytes returns the simulated memory held by resident blocks
 // plus the buffers of in-flight prefetch reads.

@@ -33,12 +33,12 @@ func runInProc(t *testing.T, body func(p *sim.Proc)) *sim.Kernel {
 
 func TestDiskReadTime(t *testing.T) {
 	d := DiskModel{LatencySec: 0.01, BandwidthBytesSec: 100e6}
-	if got := d.ReadTime(100e6); got != 1.01 {
+	if got := d.readTime(100e6); got != 1.01 {
 		t.Errorf("ReadTime = %g, want 1.01", got)
 	}
 	// Zero bandwidth means latency only.
 	d2 := DiskModel{LatencySec: 0.5}
-	if got := d2.ReadTime(1e9); got != 0.5 {
+	if got := d2.readTime(1e9); got != 0.5 {
 		t.Errorf("latency-only ReadTime = %g", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestDiskReadChargesTime(t *testing.T) {
 	stats := metrics.NewCollector(1)
 	d := DiskModel{LatencySec: 1, BandwidthBytesSec: 1e6}
 	k := runInProc(t, func(p *sim.Proc) {
-		d.Read(p, 2e6, stats.P(0))
+		d.read(p, 2e6, stats.P(0))
 	})
 	if k.Now() != 3 {
 		t.Errorf("read ended at %g, want 3", k.Now())
@@ -67,7 +67,7 @@ func TestSharedDiskContention(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		k.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
-			d.Read(p, 1e6, stats.P(i))
+			d.read(p, 1e6, stats.P(i))
 		})
 	}
 	if err := k.Run(); err != nil {

@@ -26,8 +26,8 @@ func TestDiskReadTraceSpans(t *testing.T) {
 	rec := obs.New()
 	k := sim.New()
 	d := DiskModel{LatencySec: 1, Shared: sim.NewResource(k, 1), Trace: rec}
-	k.Spawn("a", func(p *sim.Proc) { d.Read(p, 0, nil) })
-	k.Spawn("b", func(p *sim.Proc) { d.Read(p, 0, nil) })
+	k.Spawn("a", func(p *sim.Proc) { d.read(p, 0, nil) })
+	k.Spawn("b", func(p *sim.Proc) { d.read(p, 0, nil) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDiskReadTraceSpans(t *testing.T) {
 	rec2 := obs.New()
 	d2 := DiskModel{LatencySec: 0.5, Trace: rec2}
 	k2 := sim.New()
-	k2.Spawn("solo", func(p *sim.Proc) { d2.Read(p, 0, nil) })
+	k2.Spawn("solo", func(p *sim.Proc) { d2.read(p, 0, nil) })
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,12 @@
 // wire encoding and the byte-size model used by the communication-time
 // metric. Two sizes matter (paper §8): the full record including geometry,
 // and the compact "solver state only" form proposed as future work.
+//
+// The simulated machine needs a streamline's geometry only as a size, and
+// the prefetch predictor only its last two points, so both are state of
+// their own (Verts, Prev and P) that every Append maintains. The curve
+// itself, Points, is output: a streamline created with a nil Points keeps
+// none, and costs the host nothing per step.
 package trace
 
 import (
@@ -90,7 +96,17 @@ type Streamline struct {
 	// the streamline, never the integration time T or the geometry.
 	Release float64
 
-	// Points is the accumulated geometry, starting with the seed.
+	// Verts counts the vertices of the accumulated geometry, the seed
+	// included: what the memory and wire sizes are computed from. Prev is
+	// the position before the last accepted step, with P the two-point
+	// tail a direction of travel is read from; it means nothing while
+	// Verts < 2.
+	Verts int
+	Prev  vec.V3
+
+	// Points is the accumulated geometry itself, starting with the seed —
+	// len(Points) == Verts — or nil for a streamline that keeps no curve:
+	// only a run that hands its curves out needs them.
 	Points []vec.V3
 }
 
@@ -109,20 +125,32 @@ func NewAt(id int, seed vec.V3, block grid.BlockID, release float64) *Streamline
 		P:       seed,
 		Block:   block,
 		Release: release,
+		Verts:   1,
 		Points:  []vec.V3{seed},
 	}
 }
 
 // Append extends the geometry with points (positions after each accepted
-// step) and moves the head to the last one. Growth doubles the backing
-// array: the runtime's append tapers to ~1.25× for large slices, which
-// would make a long streamline recopy its whole geometry every few
-// advance calls; doubling keeps total copying linear in the final size.
+// step) and moves the head to the last one; a streamline that keeps no
+// curve only counts them. Growth doubles the backing array: the runtime's
+// append tapers to ~1.25× for large slices, which would make a long
+// streamline recopy its whole geometry every few advance calls; doubling
+// keeps total copying linear in the final size.
 func (s *Streamline) Append(points []vec.V3) {
-	if len(points) == 0 {
+	n := len(points)
+	if n == 0 {
 		return
 	}
-	if need := len(s.Points) + len(points); need > cap(s.Points) {
+	s.Prev = s.P
+	if n > 1 {
+		s.Prev = points[n-2]
+	}
+	s.P = points[n-1]
+	s.Verts += n
+	if s.Points == nil {
+		return
+	}
+	if need := len(s.Points) + n; need > cap(s.Points) {
 		newCap := 2 * cap(s.Points)
 		if newCap < need {
 			newCap = need
@@ -132,12 +160,6 @@ func (s *Streamline) Append(points []vec.V3) {
 		s.Points = grown
 	}
 	s.Points = append(s.Points, points...)
-	s.P = points[len(points)-1]
-}
-
-// GeometryBytes returns the simulated size of the accumulated geometry.
-func (s *Streamline) GeometryBytes() int64 {
-	return int64(len(s.Points)) * PointBytes
 }
 
 // WireBytes returns the simulated size of communicating this streamline.
@@ -146,12 +168,12 @@ func (s *Streamline) WireBytes(geometry bool) int64 {
 	if !geometry {
 		return StateBytes
 	}
-	return StateBytes + s.GeometryBytes()
+	return StateBytes + int64(s.Verts)*PointBytes
 }
 
 // MemoryBytes returns the simulated resident memory of this streamline on
 // a processor (geometry dominates).
-func (s *Streamline) MemoryBytes() int64 { return StateBytes + s.GeometryBytes() }
+func (s *Streamline) MemoryBytes() int64 { return s.WireBytes(true) }
 
 // ArcLength returns the polyline length of the geometry.
 func (s *Streamline) ArcLength() float64 {
@@ -162,17 +184,10 @@ func (s *Streamline) ArcLength() float64 {
 	return total
 }
 
-// Clone returns a deep copy.
-func (s *Streamline) Clone() *Streamline {
-	c := *s
-	c.Points = append([]vec.V3(nil), s.Points...)
-	return &c
-}
-
 // String implements fmt.Stringer.
 func (s *Streamline) String() string {
 	return fmt.Sprintf("streamline %d: %s, %d pts, block %d, t=%.4g",
-		s.ID, s.Status, len(s.Points), s.Block, s.T)
+		s.ID, s.Status, s.Verts, s.Block, s.T)
 }
 
 // Marshal encodes the streamline (with geometry) to a compact binary
@@ -229,18 +244,22 @@ func Unmarshal(data []byte) (*Streamline, error) {
 	s.Steps = int(int64(getU()))
 	s.Status = Status(int64(getU()))
 	s.Block = grid.BlockID(int64(getU()))
-	n := int(int64(getU()))
-	if n < 0 || len(data)-at < n*3*word {
+	// Compared by division: n*3*word overflows for a hostile count.
+	n := int64(getU())
+	if n < 0 || n > int64(len(data)-at)/(3*word) {
 		return nil, fmt.Errorf("trace: corrupt point count %d", n)
 	}
+	s.Verts = int(n)
 	s.Points = make([]vec.V3, n)
-	for i := 0; i < n; i++ {
+	for i := range s.Points {
 		s.Points[i] = vec.Of(getF(), getF(), getF())
 	}
+	s.P = s.Seed
 	if n > 0 {
 		s.P = s.Points[n-1]
-	} else {
-		s.P = s.Seed
+	}
+	if n > 1 {
+		s.Prev = s.Points[n-2]
 	}
 	return s, nil
 }

@@ -75,9 +75,6 @@ func (v V3) Lerp(w V3, t float64) V3 {
 // Abs returns the component-wise absolute value.
 func (v V3) Abs() V3 { return V3{math.Abs(v.X), math.Abs(v.Y), math.Abs(v.Z)} }
 
-// MaxComponent returns the largest component of v.
-func (v V3) MaxComponent() float64 { return math.Max(v.X, math.Max(v.Y, v.Z)) }
-
 // MinComponent returns the smallest component of v.
 func (v V3) MinComponent() float64 { return math.Min(v.X, math.Min(v.Y, v.Z)) }
 
@@ -121,10 +118,10 @@ func (b AABB) Contains(p V3) bool {
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
 }
 
-// ContainsExclusive reports whether p lies inside the box where the upper
+// containsExclusive reports whether p lies inside the box where the upper
 // faces are excluded. Block ownership tests use this so that every point in
 // the domain maps to exactly one block.
-func (b AABB) ContainsExclusive(p V3) bool {
+func (b AABB) containsExclusive(p V3) bool {
 	return p.X >= b.Min.X && p.X < b.Max.X &&
 		p.Y >= b.Min.Y && p.Y < b.Max.Y &&
 		p.Z >= b.Min.Z && p.Z < b.Max.Z

@@ -95,9 +95,6 @@ func TestIsFinite(t *testing.T) {
 
 func TestMinMaxComponents(t *testing.T) {
 	v := Of(-1, 5, 2)
-	if v.MaxComponent() != 5 {
-		t.Errorf("MaxComponent = %v", v.MaxComponent())
-	}
 	if v.MinComponent() != -1 {
 		t.Errorf("MinComponent = %v", v.MinComponent())
 	}
@@ -126,7 +123,7 @@ func TestBoxContains(t *testing.T) {
 		if got := b.Contains(c.p); got != c.in {
 			t.Errorf("Contains(%v) = %v, want %v", c.p, got, c.in)
 		}
-		if got := b.ContainsExclusive(c.p); got != c.inEx {
+		if got := b.containsExclusive(c.p); got != c.inEx {
 			t.Errorf("ContainsExclusive(%v) = %v, want %v", c.p, got, c.inEx)
 		}
 	}
