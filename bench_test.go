@@ -1,6 +1,8 @@
 // Benchmarks regenerating the paper's evaluation, one per figure
-// (Figures 5–16), plus microbenchmarks of the substrates and ablations of
-// the design choices called out in DESIGN.md §5.
+// (Figures 5–16), plus ablations of the design choices called out in
+// DESIGN.md §5 and one benchmark per extension campaign. The per-layer
+// micro-benchmarks live in bench/probes.go, under the names
+// BENCHMARK.json declares.
 //
 // Figure benchmarks run the small-scale campaign configuration and report
 // the simulated metrics as custom benchmark outputs (vwall-s, vio-s,
@@ -22,7 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/prefetch"
 	"repro/internal/seeds"
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -323,26 +324,8 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 	}
 }
 
-// --- substrate microbenchmarks (real time) ---
-
-func BenchmarkDoPri5Step(b *testing.B) {
-	f := field.DefaultABC()
-	s := integrate.NewDoPri5(integrate.Options{Tol: 1e-6})
-	p := vec.Of(1, 1, 1)
-	t := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := s.Step(f, p, t)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, t = res.P, res.T
-		if !f.Bounds().Contains(p) {
-			p = vec.Of(1, 1, 1)
-		}
-	}
-}
-
+// BenchmarkTrilinearInterp prices one sampled-block query, the one
+// substrate bench/probes.go does not report.
 func BenchmarkTrilinearInterp(b *testing.B) {
 	f := field.DefaultABC()
 	d := grid.NewDecomposition(f.Bounds(), 1, 1, 1, 32)
@@ -356,72 +339,19 @@ func BenchmarkTrilinearInterp(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkFieldEval(b *testing.B) {
-	cases := []struct {
-		name string
-		f    field.Field
-	}{
-		{"supernova", field.DefaultSupernova()},
-		{"tokamak", field.DefaultTokamak()},
-		{"thermal", field.DefaultThermalHydraulics()},
-		{"abc", field.DefaultABC()},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			pts := seeds.SparseRandom(tc.f.Bounds(), 1024, 11)
-			b.ResetTimer()
-			var sink vec.V3
-			for i := 0; i < b.N; i++ {
-				sink = tc.f.Eval(pts[i%len(pts)])
-			}
-			_ = sink
-		})
-	}
-}
-
-func BenchmarkSimKernelEvents(b *testing.B) {
-	// Measures raw discrete-event throughput: one process sleeping b.N
-	// times.
-	k := sim.New()
-	k.Spawn("bench", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1e-6)
-		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkLRUCache(b *testing.B) {
-	f := field.DefaultABC()
-	d := grid.NewDecomposition(f.Bounds(), 8, 8, 8, 4)
-	prov := grid.AnalyticProvider{F: f, D: d}
-	stats := metrics.NewCollector(1)
-	k := sim.New()
-	k.Spawn("bench", func(p *sim.Proc) {
-		c := store.NewCache(p, prov, store.DiskModel{}, 64, stats.P(0))
-		for i := 0; i < b.N; i++ {
-			c.Get(grid.BlockID(i % 512))
-		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkStreamlineMarshal(b *testing.B) {
+// BenchmarkStreamlineUnmarshal prices decoding a 1000-point streamline,
+// the half of the wire codec bench/probes.go does not report
+// (trace.marshal_ns_per_point is the encode).
+func BenchmarkStreamlineUnmarshal(b *testing.B) {
 	sl := trace.New(1, vec.Of(0.5, 0.5, 0.5), 0)
 	pts := make([]vec.V3, 1000)
 	for i := range pts {
 		pts[i] = vec.Of(float64(i), float64(i)*2, float64(i)*3)
 	}
 	sl.Append(pts)
+	data := sl.Marshal()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data := sl.Marshal()
 		if _, err := trace.Unmarshal(data); err != nil {
 			b.Fatal(err)
 		}
@@ -628,35 +558,4 @@ func BenchmarkUnsteadyCampaign(b *testing.B) {
 			b.ReportMetric(float64(s.EpochCrossings), "epochs")
 		})
 	}
-}
-
-// BenchmarkAdvectDispatch prices the field-evaluator inner loop both
-// ways on the same thermal streamline: through the integrate.Evaluator
-// interface (the pre-§12 inner loop) and through the generic
-// instantiation core's workers now select (DESIGN.md §12). The gap is
-// the cost of dynamic dispatch per RK stage — the generic path lets the
-// field's Eval inline into the stepper.
-func BenchmarkAdvectDispatch(b *testing.B) {
-	f := field.DefaultThermalHydraulics()
-	s := integrate.NewDoPri5(integrate.Options{Tol: 1e-6, HMax: 0.01})
-	lim := integrate.AdvectLimits{Bounds: f.Bounds(), MaxSteps: 512}
-	seed := vec.Of(0.05, 0.43, 0.56)
-	b.Run("interface", func(b *testing.B) {
-		var buf []vec.V3
-		for i := 0; i < b.N; i++ {
-			s.H = 0
-			lim.Buf = buf
-			res := s.Advect(f, seed, 0, lim)
-			buf = res.Points[:0]
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		var buf []vec.V3
-		for i := 0; i < b.N; i++ {
-			s.H = 0
-			lim.Buf = buf
-			res := integrate.AdvectWith(s, f, seed, 0, lim)
-			buf = res.Points[:0]
-		}
-	})
 }

@@ -36,7 +36,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -276,9 +275,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			if failed > 0 {
 				fmt.Fprintf(stdout, "%d/%d checks failed\n", failed, len(report))
-				if !strings.Contains(sc.Name, "paper") {
-					fmt.Fprintln(stdout, "(some claims only manifest at larger scales; try -scale paper)")
-				}
 			}
 		}
 		if failed > 0 {

@@ -1,21 +1,15 @@
 // Command slvet runs the repository's determinism-contract analyzers
-// (internal/invlint, DESIGN.md §10) over Go packages. It speaks two
-// protocols:
-//
-// Standalone, over go list patterns (exit 1 on findings):
-//
-//	slvet ./...
-//	slvet -a detlint,simtime ./internal/core
-//
-// As a vet tool, driven by cmd/go (the argument is a vet .cfg file; the
-// -V=full handshake and the vetx fact files are part of the protocol):
+// (internal/invlint, DESIGN.md §10) as a vet tool, driven by cmd/go: the
+// argument is a vet .cfg file, and the -V=full handshake and the vetx
+// fact files are part of the protocol.
 //
 //	go build -o /tmp/slvet ./cmd/slvet
 //	go vet -vettool=/tmp/slvet ./...
+//	go vet -vettool=/tmp/slvet -a detlint,simtime ./internal/core
 //
-// Both modes run the same four analyzers — detlint, simtime, keyaxis,
-// metriccol — and honor the same //lint:allow annotations. Exit status
-// 0 means the tree proves the contract.
+// It runs four analyzers — detlint, simtime, keyaxis, metriccol — which
+// honor //lint:allow annotations. Exit status 0 means the unit proves
+// the contract; slvet does not load packages itself.
 package main
 
 import (
@@ -85,47 +79,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		// Unit-checker mode: one compilation unit described by cmd/go.
-		diags, err := invlint.RunVetConfig(rest[0], analyzers)
-		if err != nil {
-			fmt.Fprintf(stderr, "slvet: %v\n", err)
-			return 1
-		}
-		if len(diags) > 0 {
-			cwd, _ := os.Getwd()
-			fmt.Fprint(stderr, invlint.FormatDiagnostics(cwd, diags))
-			return 2
-		}
-		return 0
+	if len(rest) != 1 || !strings.HasSuffix(rest[0], ".cfg") {
+		fmt.Fprintln(stderr, "usage: go vet -vettool=/tmp/slvet [-a analyzers] ./...  (slvet is a vet tool: go build -o /tmp/slvet ./cmd/slvet)")
+		return 2
 	}
-
-	if len(rest) == 0 {
-		rest = []string{"."}
-	}
-	cwd, err := os.Getwd()
+	// One compilation unit described by cmd/go.
+	diags, err := invlint.RunVetConfig(rest[0], analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "slvet: %v\n", err)
 		return 1
 	}
-	units, err := invlint.LoadPatterns(cwd, rest...)
-	if err != nil {
-		fmt.Fprintf(stderr, "slvet: %v\n", err)
-		return 1
+	if len(diags) > 0 {
+		cwd, _ := os.Getwd()
+		fmt.Fprint(stderr, invlint.FormatDiagnostics(cwd, diags))
+		return 2
 	}
-	exit := 0
-	for _, u := range units {
-		diags, err := invlint.RunUnit(u, analyzers)
-		if err != nil {
-			fmt.Fprintf(stderr, "slvet: %v\n", err)
-			return 1
-		}
-		if len(diags) > 0 {
-			exit = 1
-			fmt.Fprint(stdout, invlint.FormatDiagnostics(cwd, diags))
-		}
-	}
-	return exit
+	return 0
 }
 
 // selfHash returns a short content hash of the running executable, the

@@ -51,12 +51,16 @@ func TestUnknownAnalyzer(t *testing.T) {
 	}
 }
 
-// TestStandaloneClean runs the real suite over a real package of the
-// deterministic set; the tree is expected to prove the contract.
-func TestStandaloneClean(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-a", "detlint,metriccol", "repro/internal/metrics"}, &out, &errOut)
-	if code != 0 {
-		t.Errorf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
+// TestStandaloneRefused: slvet is a vet tool only. Handed package
+// patterns instead of a .cfg it points at the vettool form and exits 2.
+func TestStandaloneRefused(t *testing.T) {
+	for _, args := range [][]string{{"./..."}, {"-a", "detlint,metriccol", "repro/internal/metrics"}, {}} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "go vet -vettool=") || strings.Count(errOut.String(), "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one usage line naming the vettool form", args, errOut.String())
+		}
 	}
 }

@@ -1,15 +1,12 @@
 // Package analysis implements the downstream analyses the paper motivates
 // streamline computation with (Section 2.1): Poincaré puncture plots (the
 // fusion community's standard view of field-line topology, called out in
-// Section 8), Lagrangian analysis via finite-time Lyapunov exponents
-// (FTLE, the "many thousands to millions of streamlines" workload), and
-// summary statistics over streamline ensembles.
+// Section 8) and Lagrangian analysis via finite-time Lyapunov exponents
+// (FTLE, the "many thousands to millions of streamlines" workload).
 package analysis
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/grid"
 	"repro/internal/integrate"
@@ -60,24 +57,6 @@ func Punctures(sls []*trace.Streamline, plane Plane) []Puncture {
 				prev = d
 			}
 		}
-	}
-	return out
-}
-
-// punctureSection maps punctures into 2D section coordinates (u, w) on
-// the plane, using a deterministic in-plane basis.
-func punctureSection(punctures []Puncture, plane Plane) [][2]float64 {
-	n := plane.Normal.Normalized()
-	ref := vec.Of(1, 0, 0)
-	if math.Abs(n.X) > 0.9 {
-		ref = vec.Of(0, 1, 0)
-	}
-	u := n.Cross(ref).Normalized()
-	w := n.Cross(u).Normalized()
-	out := make([][2]float64, len(punctures))
-	for i, p := range punctures {
-		d := p.P.Sub(plane.Point)
-		out[i] = [2]float64{d.Dot(u), d.Dot(w)}
 	}
 	return out
 }
@@ -226,66 +205,4 @@ func maxInt3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-// stats summarizes a streamline ensemble.
-type stats struct {
-	Count       int
-	TotalPoints int
-	TotalSteps  int
-	// Arc length distribution.
-	MeanLength   float64
-	MedianLength float64
-	MaxLength    float64
-	// Termination breakdown by status.
-	ByStatus map[trace.Status]int
-	// BlocksVisited histograms how many distinct blocks each streamline's
-	// geometry passed through (a proxy for its communication/IO cost).
-	MeanBlocksVisited float64
-	MaxBlocksVisited  int
-}
-
-// summarize computes ensemble statistics; d locates geometry in blocks.
-func summarize(sls []*trace.Streamline, d grid.Decomposition) stats {
-	s := stats{ByStatus: make(map[trace.Status]int)}
-	lengths := make([]float64, 0, len(sls))
-	totalBlocks := 0
-	for _, sl := range sls {
-		s.Count++
-		s.TotalPoints += len(sl.Points)
-		s.TotalSteps += sl.Steps
-		l := sl.ArcLength()
-		lengths = append(lengths, l)
-		if l > s.MaxLength {
-			s.MaxLength = l
-		}
-		s.ByStatus[sl.Status]++
-		visited := map[grid.BlockID]bool{}
-		for _, p := range sl.Points {
-			if b, ok := d.Locate(p); ok {
-				visited[b] = true
-			}
-		}
-		totalBlocks += len(visited)
-		if len(visited) > s.MaxBlocksVisited {
-			s.MaxBlocksVisited = len(visited)
-		}
-	}
-	if s.Count > 0 {
-		var sum float64
-		for _, l := range lengths {
-			sum += l
-		}
-		s.MeanLength = sum / float64(s.Count)
-		sort.Float64s(lengths)
-		s.MedianLength = lengths[s.Count/2]
-		s.MeanBlocksVisited = float64(totalBlocks) / float64(s.Count)
-	}
-	return s
-}
-
-// String implements fmt.Stringer.
-func (s stats) String() string {
-	return fmt.Sprintf("streamlines=%d points=%d meanLen=%.3f medianLen=%.3f maxLen=%.3f meanBlocks=%.1f",
-		s.Count, s.TotalPoints, s.MeanLength, s.MedianLength, s.MaxLength, s.MeanBlocksVisited)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/field"
-	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -72,20 +71,6 @@ func TestPuncturesRotationCircle(t *testing.T) {
 		if math.Abs(math.Abs(p.P.X)-1) > 1e-3 {
 			t.Errorf("crossing at %v, want |x|=1", p.P)
 		}
-	}
-}
-
-func TestPunctureSectionCoordinates(t *testing.T) {
-	pl := Plane{Point: vec.Of(0, 0, 0), Normal: vec.Of(0, 0, 1)}
-	ps := []Puncture{{P: vec.Of(0.3, -0.4, 0)}}
-	uv := punctureSection(ps, pl)
-	if len(uv) != 1 {
-		t.Fatal("missing section point")
-	}
-	// In-plane radius must be preserved.
-	r := math.Hypot(uv[0][0], uv[0][1])
-	if math.Abs(r-0.5) > 1e-12 {
-		t.Errorf("section radius = %g, want 0.5", r)
 	}
 }
 
@@ -159,42 +144,5 @@ func TestFTLEFieldIndexing(t *testing.T) {
 	f.Values[(1*3+2)*2+1] = 42 // (i=1, j=2, k=1)
 	if f.At(1, 2, 1) != 42 {
 		t.Error("At indexing wrong")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	d := grid.NewDecomposition(vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1)), 2, 2, 2, 4)
-	a := lineOf(0, vec.Of(0.1, 0.1, 0.1), vec.Of(0.9, 0.1, 0.1)) // crosses 2 blocks
-	a.Status = trace.OutOfBounds
-	a.Steps = 10
-	b := lineOf(1, vec.Of(0.2, 0.2, 0.2), vec.Of(0.3, 0.2, 0.2)) // stays in 1 block
-	b.Status = trace.MaxedOut
-	b.Steps = 5
-	s := summarize([]*trace.Streamline{a, b}, d)
-	if s.Count != 2 || s.TotalPoints != 4 || s.TotalSteps != 15 {
-		t.Errorf("counts wrong: %+v", s)
-	}
-	if math.Abs(s.MeanLength-0.45) > 1e-12 {
-		t.Errorf("MeanLength = %g", s.MeanLength)
-	}
-	if s.MaxLength != 0.8 {
-		t.Errorf("MaxLength = %g", s.MaxLength)
-	}
-	if s.ByStatus[trace.OutOfBounds] != 1 || s.ByStatus[trace.MaxedOut] != 1 {
-		t.Errorf("ByStatus = %v", s.ByStatus)
-	}
-	if s.MaxBlocksVisited != 2 || math.Abs(s.MeanBlocksVisited-1.5) > 1e-12 {
-		t.Errorf("blocks visited: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty String")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	d := grid.NewDecomposition(vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1)), 1, 1, 1, 2)
-	s := summarize(nil, d)
-	if s.Count != 0 || s.MeanLength != 0 {
-		t.Errorf("empty stats: %+v", s)
 	}
 }

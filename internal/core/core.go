@@ -28,7 +28,9 @@
 //
 // All four trace either workload: steady streamlines, or — when the
 // problem's decomposition is time-sliced (DESIGN.md §7) — unsteady
-// pathlines through space-time blocks, with no per-algorithm forks.
+// pathlines through space-time blocks, with no per-algorithm forks and
+// one solver call (advect: one switch from the evaluator's concrete type
+// to integrate's one loop, DESIGN.md §12).
 // All four produce identical geometry for a given problem —
 // parallelization strategy must not change the numerics — which the
 // integration tests and golden digests verify.
@@ -931,16 +933,15 @@ func (w *worker) checkMemory(what string) bool {
 // Geometry growth is tracked against the memory budget.
 //
 // This one loop serves both workloads: when the decomposition is
-// time-sliced and the provider's evaluator answers time-dependent
-// queries (grid.EvaluatorT), the integration switches to the
-// non-autonomous solver and is additionally bounded by the current
-// block's epoch — crossing the epoch boundary moves the pathline to the
+// time-sliced the solver is handed the evaluator's time-dependent face
+// (grid.EvaluatorT) and the segment is additionally bounded by the
+// current block's epoch — crossing the epoch boundary moves the pathline to the
 // next space-time block exactly as leaving the spatial bounds moves a
 // streamline to a neighbor block. None of the four algorithms special-
 // case time: block handoff, caching and communication see only BlockIDs.
 func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AABB) {
 	p := w.run.prob
-	lim, epoch, tev, ok := w.segment(sl, ev, bounds)
+	lim, epoch, unsteady, ok := w.segment(sl, ev, bounds)
 	if !ok {
 		return
 	}
@@ -953,7 +954,7 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 	before := sl.MemoryBytes()
 	var res integrate.AdvectResult
 	if p.Tape == nil || sl.Points != nil {
-		res = w.integrate(sl, ev, tev, lim)
+		res = w.integrate(sl, ev, unsteady, lim)
 		w.run.integrated += int64(res.Steps)
 	} else if segs := p.Tape.line(w, sl.ID); sl.Seg < len(segs) {
 		res = segs[sl.Seg].replay(sl)
@@ -965,7 +966,7 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 		return
 	}
 	sl.Seg++
-	if tev != nil {
+	if unsteady {
 		w.stats.PathlineSteps += int64(res.Steps)
 	}
 	w.geomBytes += sl.MemoryBytes() - before
@@ -986,10 +987,10 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 
 // segment returns the limits of sl's next segment inside evaluator ev:
 // the block's bounds, what is left of the step budget and, when the
-// decomposition is time-sliced, the end of the block's epoch, with the
-// evaluator's time-dependent face. It fails the run, and reports false,
-// when an unsteady problem is served an evaluator that has none.
-func (w *worker) segment(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AABB) (lim integrate.AdvectLimits, epoch int, tev grid.EvaluatorT, ok bool) {
+// decomposition is time-sliced — unsteady — the end of the block's epoch.
+// It fails the run, and reports false, when an unsteady problem is served
+// an evaluator without a time-dependent face.
+func (w *worker) segment(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AABB) (lim integrate.AdvectLimits, epoch int, unsteady, ok bool) {
 	p := w.run.prob
 	d := p.Provider.Decomp()
 	lim = integrate.AdvectLimits{
@@ -999,12 +1000,12 @@ func (w *worker) segment(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 		Buf:      w.ptsBuf,
 	}
 	if !d.Unsteady() {
-		return lim, 0, nil, true
+		return lim, 0, false, true
 	}
-	if tev, ok = ev.(grid.EvaluatorT); !ok {
+	if _, ok = ev.(grid.EvaluatorT); !ok {
 		w.run.fail(fmt.Errorf("core: unsteady decomposition served a time-independent evaluator for block %d", sl.Block))
 		sl.Status = trace.Failed
-		return lim, 0, nil, false
+		return lim, 0, true, false
 	}
 	// Integrate at most to the end of this block's epoch; the data
 	// beyond it lives in a different (space-time) block.
@@ -1012,7 +1013,7 @@ func (w *worker) segment(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 	if lim.MaxTime == 0 || horizon < lim.MaxTime {
 		lim.MaxTime = horizon
 	}
-	return lim, d.Epoch(sl.Block), tev, true
+	return lim, d.Epoch(sl.Block), true, true
 }
 
 // leave moves sl out of the segment that ended as res says — into the
@@ -1066,11 +1067,11 @@ func (w *worker) record(id int) []tapeSeg {
 	// without another advance call.
 	for sl.Status == trace.Active && sl.Steps < p.maxSteps() {
 		ev := p.Provider.Block(sl.Block)
-		lim, epoch, tev, ok := w.segment(sl, ev, d.Bounds(sl.Block))
+		lim, epoch, unsteady, ok := w.segment(sl, ev, d.Bounds(sl.Block))
 		if !ok {
 			break
 		}
-		res := w.integrate(sl, ev, tev, lim)
+		res := w.integrate(sl, ev, unsteady, lim)
 		segs = append(segs, tapeSeg{steps: sl.Steps, t: sl.T, h: sl.H, p: sl.P, prev: sl.Prev, reason: res.Reason})
 		p.leave(sl, res, epoch)
 	}
@@ -1080,16 +1081,11 @@ func (w *worker) record(id int) []tapeSeg {
 
 // integrate runs the solver over one segment — from sl's state to a
 // limit of lim — and moves sl's head, geometry and step size to where
-// it stopped. tev is non-nil exactly when the problem is unsteady.
-func (w *worker) integrate(sl *trace.Streamline, ev grid.Evaluator, tev grid.EvaluatorT, lim integrate.AdvectLimits) integrate.AdvectResult {
+// it stopped.
+func (w *worker) integrate(sl *trace.Streamline, ev grid.Evaluator, unsteady bool, lim integrate.AdvectLimits) integrate.AdvectResult {
 	solver := w.solver
 	solver.H = sl.H
-	var res integrate.AdvectResult
-	if tev != nil {
-		res = advectUnsteady(solver, tev, sl.P, sl.T, lim)
-	} else {
-		res = advectSteady(solver, ev, sl.P, sl.T, lim)
-	}
+	res := advect(solver, ev, unsteady, sl.P, sl.T, lim)
 	sl.Append(res.Points)
 	// Append copied the geometry into the streamline, so the scratch
 	// buffer (possibly regrown inside the integrator) is free to reuse.
@@ -1100,48 +1096,48 @@ func (w *worker) integrate(sl *trace.Streamline, ev grid.Evaluator, tev grid.Eva
 	return res
 }
 
-// advectSteady runs steady advection devirtualized: the analytic
-// evaluator wrapper and the sampled block — the only evaluator types the
-// providers serve — are unwrapped to concrete types, so the integrator's
-// generic instantiation calls the field directly instead of through two
-// interface hops per evaluation. Unknown evaluator types fall back to
-// the interface path; every branch computes identical values.
-func advectSteady(s *integrate.DoPri5, ev grid.Evaluator, pos vec.V3, t float64, lim integrate.AdvectLimits) integrate.AdvectResult {
-	switch e := ev.(type) {
-	case grid.FieldEvaluator:
-		switch f := e.F.(type) {
-		case field.Supernova:
-			return integrate.AdvectWith(s, f, pos, t, lim)
-		case field.Tokamak:
-			return integrate.AdvectWith(s, f, pos, t, lim)
-		case field.ThermalHydraulics:
-			return integrate.AdvectWith(s, f, pos, t, lim)
-		}
-		return integrate.AdvectWith(s, e, pos, t, lim)
+// advect runs the solver over one segment: one switch from the
+// evaluator's concrete type — the six analytic campaign fields and the
+// two sampled evaluators are everything the providers serve — to the
+// integrator's one loop instantiated at that type, so a stage evaluation
+// is a call on the field value, not on a grid.Evaluator holding it
+// (DESIGN.md §12 prices the difference, and BenchmarkAdvectDispatch
+// reprices it). Any other evaluator takes the interface path; every arm
+// computes identical values. A time-varying evaluator integrates the
+// non-autonomous system only when the problem is unsteady (segment has
+// checked that ev is a grid.EvaluatorT then); serving a steady problem it
+// answers through its time-frozen Eval like any other.
+func advect(s *integrate.DoPri5, ev grid.Evaluator, unsteady bool, pos vec.V3, t float64, lim integrate.AdvectLimits) integrate.AdvectResult {
+	switch f := ev.(type) {
+	case field.Supernova:
+		return integrate.AdvectWith(s, f, pos, t, lim)
+	case field.Tokamak:
+		return integrate.AdvectWith(s, f, pos, t, lim)
+	case field.ThermalHydraulics:
+		return integrate.AdvectWith(s, f, pos, t, lim)
 	case *grid.SampledBlock:
-		return integrate.AdvectWith(s, e, pos, t, lim)
+		return integrate.AdvectWith(s, f, pos, t, lim)
+	case field.PulsingSupernova:
+		if unsteady {
+			return integrate.AdvectTWith(s, f, pos, t, lim)
+		}
+	case field.SawtoothTokamak:
+		if unsteady {
+			return integrate.AdvectTWith(s, f, pos, t, lim)
+		}
+	case field.SwitchingThermal:
+		if unsteady {
+			return integrate.AdvectTWith(s, f, pos, t, lim)
+		}
+	case *grid.SampledEpoch:
+		if unsteady {
+			return integrate.AdvectTWith(s, f, pos, t, lim)
+		}
+	}
+	if unsteady {
+		return s.AdvectT(ev.(grid.EvaluatorT), pos, t, lim)
 	}
 	return s.Advect(ev, pos, t, lim)
-}
-
-// advectUnsteady is advectSteady for the non-autonomous pathline
-// integration; see there for the dispatch story.
-func advectUnsteady(s *integrate.DoPri5, ev grid.EvaluatorT, pos vec.V3, t float64, lim integrate.AdvectLimits) integrate.AdvectResult {
-	switch e := ev.(type) {
-	case grid.FieldEvaluatorT:
-		switch f := e.F.(type) {
-		case field.PulsingSupernova:
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		case field.SawtoothTokamak:
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		case field.SwitchingThermal:
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		}
-		return integrate.AdvectTWith(s, e, pos, t, lim)
-	case *grid.SampledEpoch:
-		return integrate.AdvectTWith(s, e, pos, t, lim)
-	}
-	return s.AdvectT(ev, pos, t, lim)
 }
 
 // timeEps guards float comparisons against the integration-time horizon:

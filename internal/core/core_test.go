@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -681,73 +682,106 @@ func TestUnsteadySampledProvider(t *testing.T) {
 	}
 }
 
-// rotEval hits advectSteady's outer fallback: an Evaluator that is
-// neither a FieldEvaluator nor a *SampledBlock.
-type rotEval struct{}
-
-func (rotEval) Eval(p vec.V3) vec.V3 { return vec.Of(-p.Y, p.X, 0.05) }
-
-// rotEvalT is rotEval for the unsteady fallback.
+// rotEvalT hits advect's fallbacks: an evaluator that is none of the
+// types the switch names.
 type rotEvalT struct{}
 
 func (rotEvalT) Eval(p vec.V3) vec.V3              { return vec.Of(-p.Y, p.X, 0.05) }
-func (rotEvalT) EvalAt(p vec.V3, _ float64) vec.V3 { return vec.Of(-p.Y, p.X, 0.05) }
+func (rotEvalT) EvalAt(p vec.V3, t float64) vec.V3 { return vec.Of(-p.Y, p.X, 0.05+t) }
 
 // TestAdvectDispatchArmsMatchInterfacePath proves the devirtualizing
-// type switches are pure dispatch: for every evaluator shape — each
-// named concrete field, the generic field wrapper, the sampled block
-// and the unknown-type fallback — advectSteady/advectUnsteady must
-// reproduce the plain interface path bit for bit.
+// type switch is pure dispatch: for every evaluator shape — each named
+// concrete field, both sampled evaluators, a field the switch does not
+// name and a type it has never heard of — advect must reproduce the
+// plain interface path bit for bit, geometry included. Every
+// time-varying evaluator is run both ways: as the non-autonomous system
+// of an unsteady problem, and frozen through Eval when it serves a
+// steady one.
 func TestAdvectDispatchArmsMatchInterfacePath(t *testing.T) {
 	opts := integrate.Options{Tol: 1e-6, HMax: 0.01}
 	seed := vec.Of(0.31, 0.42, 0.23)
+	box := vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1))
 
-	steady := map[string]grid.Evaluator{
-		"supernova": grid.FieldEvaluator{F: field.DefaultSupernova()},
-		"tokamak":   grid.FieldEvaluator{F: field.DefaultTokamak()},
-		"thermal":   grid.FieldEvaluator{F: field.DefaultThermalHydraulics()},
-		"wrapped":   grid.FieldEvaluator{F: field.DefaultABC()},
-		"fallback":  rotEval{},
+	pulsing := field.DefaultPulsingSupernova()
+	d := grid.NewDecomposition(pulsing.Bounds(), 2, 2, 2, 8)
+	dT := d
+	dT.TimeSlices = 5
+	dT.T0, dT.T1 = pulsing.TimeRange()
+	evs := map[string]grid.Evaluator{
+		"supernova": field.DefaultSupernova(),
+		"tokamak":   field.DefaultTokamak(),
+		"thermal":   field.DefaultThermalHydraulics(),
+		"unnamed":   field.DefaultABC(),
+		"sampled":   grid.SampleBlock(pulsing.Supernova, d, 0),
+		"pulsing":   pulsing,
+		"sawtooth":  field.DefaultSawtoothTokamak(),
+		"switching": field.DefaultSwitchingThermal(),
+		"epoch":     grid.SampledProviderT{F: pulsing, D: dT}.Block(0),
+		"unknown":   rotEvalT{},
 	}
-	{
-		f := field.DefaultSupernova()
-		d := grid.NewDecomposition(f.Bounds(), 2, 2, 2, 8)
-		steady["sampled"] = grid.SampleBlock(f, d, 0)
-	}
-	for name, ev := range steady {
-		lim := integrate.AdvectLimits{Bounds: vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1)), MaxSteps: 50}
-		sFast := integrate.NewDoPri5(opts)
-		fast := advectSteady(sFast, ev, seed, 0, lim)
-		sRef := integrate.NewDoPri5(opts)
-		ref := sRef.Advect(ev, seed, 0, lim)
-		if fast.P != ref.P || fast.Steps != ref.Steps || fast.Reason != ref.Reason {
-			t.Errorf("%s: dispatch arm diverged: %v/%d/%v vs %v/%d/%v",
-				name, fast.P, fast.Steps, fast.Reason, ref.P, ref.Steps, ref.Reason)
+	for name, ev := range evs {
+		tev, timeVarying := ev.(grid.EvaluatorT)
+		for _, unsteady := range []bool{false, true} {
+			if unsteady && !timeVarying {
+				continue // segment fails such a run before advect sees it
+			}
+			lim := integrate.AdvectLimits{Bounds: box, MaxSteps: 50}
+			sFast, sRef := integrate.NewDoPri5(opts), integrate.NewDoPri5(opts)
+			var fast, ref integrate.AdvectResult
+			if unsteady {
+				lim.MaxTime = 0.5
+				fast = advect(sFast, ev, true, seed, 0.1, lim)
+				ref = sRef.AdvectT(tev, seed, 0.1, lim)
+			} else {
+				fast = advect(sFast, ev, false, seed, 0, lim)
+				ref = sRef.Advect(ev, seed, 0, lim)
+			}
+			if fast.Steps == 0 || fast.T != ref.T || fast.Evals != ref.Evals || fast.Reason != ref.Reason ||
+				sFast.H != sRef.H || !slices.Equal(fast.Points, ref.Points) {
+				t.Errorf("%s (unsteady=%v): dispatch arm diverged: %v/%d/%v vs %v/%d/%v",
+					name, unsteady, fast.P, fast.Steps, fast.Reason, ref.P, ref.Steps, ref.Reason)
+			}
 		}
 	}
+}
 
-	unsteady := map[string]grid.EvaluatorT{
-		"pulsing":   grid.FieldEvaluatorT{F: field.DefaultPulsingSupernova()},
-		"sawtooth":  grid.FieldEvaluatorT{F: field.DefaultSawtoothTokamak()},
-		"switching": grid.FieldEvaluatorT{F: field.DefaultSwitchingThermal()},
-		"fallback":  rotEvalT{},
-	}
-	{
-		f := field.DefaultPulsingSupernova()
-		d := grid.NewDecomposition(f.Bounds(), 2, 2, 2, 8)
-		d.TimeSlices = 5
-		d.T0, d.T1 = f.TimeRange()
-		unsteady["sampled"] = grid.SampledProviderT{F: f, D: d}.Block(0).(grid.EvaluatorT)
-	}
-	for name, ev := range unsteady {
-		lim := integrate.AdvectLimits{Bounds: vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1)), MaxSteps: 50, MaxTime: 0.5}
-		sFast := integrate.NewDoPri5(opts)
-		fast := advectUnsteady(sFast, ev, seed, 0.1, lim)
-		sRef := integrate.NewDoPri5(opts)
-		ref := sRef.AdvectT(ev, seed, 0.1, lim)
-		if fast.P != ref.P || fast.Steps != ref.Steps || fast.Reason != ref.Reason {
-			t.Errorf("%s: dispatch arm diverged: %v/%d/%v vs %v/%d/%v",
-				name, fast.P, fast.Steps, fast.Reason, ref.P, ref.Steps, ref.Reason)
+// BenchmarkAdvectDispatch prices the concrete-type switch advect keeps,
+// on the three steady campaign fields: the same streamline through
+// advect (the field unwrapped to its concrete type) and through
+// (*DoPri5).Advect (one interface call per stage), in ns per accepted
+// step. It is the number that decides whether the switch stays
+// (DESIGN.md §12):
+//
+//	go test -run '^$' -bench AdvectDispatch -count 8 ./internal/core
+func BenchmarkAdvectDispatch(b *testing.B) {
+	tok := field.DefaultTokamak()
+	for _, tc := range []struct {
+		name string
+		f    field.Field
+		seed vec.V3
+	}{
+		{"astro", field.DefaultSupernova(), vec.Of(0.3, 0.1, 0.05)},
+		{"fusion", tok, vec.Of(tok.MajorRadius+0.1, 0, 0)},
+		{"thermal", field.DefaultThermalHydraulics(), vec.Of(0.05, 0.43, 0.56)},
+	} {
+		for _, path := range []string{"switch", "interface"} {
+			b.Run(tc.name+"/"+path, func(b *testing.B) {
+				s := integrate.NewDoPri5(integrate.Options{Tol: 1e-6, HMax: 0.01})
+				lim := integrate.AdvectLimits{Bounds: tc.f.Bounds(), MaxSteps: 512}
+				steps := 0
+				for i := 0; i < b.N; i++ {
+					s.H = 0
+					var res integrate.AdvectResult
+					if path == "switch" {
+						res = advect(s, tc.f, false, tc.seed, 0, lim)
+					} else {
+						res = s.Advect(tc.f, tc.seed, 0, lim)
+					}
+					lim.Buf = res.Points[:0]
+					steps += res.Steps
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+			})
 		}
 	}
 }

@@ -92,7 +92,7 @@ func checkFile(fset *token.FileSet, file *ast.File) []finding {
 					// Methods on unexported receivers never appear in
 					// godoc (e.g. interface plumbing on private types),
 					// matching revive's exported rule.
-					if !receiverExported(d.Recv) {
+					if base := receiverBase(d.Recv); base == nil || !base.IsExported() {
 						continue
 					}
 					kind = "method"
@@ -124,11 +124,11 @@ func checkFile(fset *token.FileSet, file *ast.File) []finding {
 	return findings
 }
 
-// receiverExported reports whether a method's receiver names an exported
-// base type (pointers and generic instantiations unwrapped).
-func receiverExported(recv *ast.FieldList) bool {
+// receiverBase returns the identifier of a method receiver's base type
+// (pointers and generic instantiations unwrapped), nil for a function.
+func receiverBase(recv *ast.FieldList) *ast.Ident {
 	if recv == nil || len(recv.List) == 0 {
-		return false
+		return nil
 	}
 	t := recv.List[0].Type
 	for {
@@ -140,9 +140,9 @@ func receiverExported(recv *ast.FieldList) bool {
 		case *ast.IndexListExpr:
 			t = tt.X
 		case *ast.Ident:
-			return tt.IsExported()
+			return tt
 		default:
-			return false
+			return nil
 		}
 	}
 }

@@ -265,9 +265,28 @@ func TestCheckDirSkipsTestdata(t *testing.T) {
 	}
 }
 
+// designMaxKiB caps DESIGN.md at the size PR 16 left it, rounded up to
+// the next KiB. The file describes the design as it stands; how it got
+// there is CHANGES.md's. The cap only moves down — ROADMAP's target is
+// 40 — so a PR that adds a section trims one.
+const designMaxKiB = 57
+
+// TestDesignSize holds DESIGN.md under designMaxKiB.
+func TestDesignSize(t *testing.T) {
+	st, err := os.Stat(filepath.Join(repoRoot(t), "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() > designMaxKiB<<10 {
+		t.Errorf("DESIGN.md is %d bytes, over the %d KiB cap: move history to CHANGES.md, or say less", st.Size(), designMaxKiB)
+	}
+}
+
 // TestDeadExports keeps the cut list empty (ROADMAP aim 2): an exported
 // identifier under internal/ that nothing outside its package refers to
-// is un-exported or deleted, not kept.
+// is un-exported or deleted, and an unexported function, method or type
+// under internal/ or cmd/ that only _test.go files refer to is deleted or
+// moved into one.
 func TestDeadExports(t *testing.T) {
 	findings, err := checkDeadExports(repoRoot(t))
 	if err != nil {
@@ -279,9 +298,14 @@ func TestDeadExports(t *testing.T) {
 }
 
 // TestDeadExportCheckerBites proves the dead-export lint bites, and on
-// what: a name only its own package and tests use is a finding; a name
-// another package selects, a type an exported signature exposes, a method
-// selected anywhere else and the siblings of a live constant are not.
+// what. Exports: a name only its own package and tests use is a finding;
+// a name another package selects, a type an exported signature exposes, a
+// method selected anywhere else and the siblings of a live constant are
+// not. Test-only code: an unexported function or method only a test
+// calls, one nothing calls but itself, and a type only its own methods
+// name are findings; what a non-test file refers to, main, a method
+// nothing selects and an exported name another package's test uses are
+// not.
 func TestDeadExportCheckerBites(t *testing.T) {
 	root := t.TempDir()
 	for name, src := range map[string]string{
@@ -306,9 +330,24 @@ const (
 
 const Lonely = 1
 
-func unexported() { Dead(); Exposed{}.Uncalled(); _ = Orphan{} }
+func helper() { Dead(); Exposed{}.Uncalled(); _ = Orphan{} }
+
+func onlyTested() {}
+
+func recursive() { recursive() }
+
+func (Exposed) peek() {}
+
+func (Exposed) implicit() {}
+
+type island struct{}
+
+func (island) String() string { return island{}.String() }
+
+func Oracle() { helper() }
 `,
-		"internal/a/a_test.go": "package a\n\nvar _ = Lonely\n",
+		"internal/a/a_test.go": "package a\n\nfunc init() { _ = Lonely; onlyTested(); Exposed{}.peek() }\n",
+		"internal/b/b_test.go": "package b\n\nimport \"m/internal/a\"\n\nvar _ = a.Oracle\n",
 		"cmd/x/main.go":        "package main\n\nimport \"m/internal/a\"\n\nfunc main() { a.Used().Called(); _ = a.Second }\n",
 		"testdata/skip.go":     "package broken !",
 	} {
@@ -326,9 +365,11 @@ func unexported() { Dead(); Exposed{}.Uncalled(); _ = Orphan{} }
 	}
 	var got []string
 	for _, f := range findings {
-		got = append(got, strings.Fields(f.What)[1])
+		got = append(got, strings.Join(strings.Fields(f.What)[:2], " "))
 	}
-	if want := "Orphan Dead Uncalled Lonely"; strings.Join(got, " ") != want {
-		t.Errorf("dead exports %v, want %s", got, want)
+	want := "exported Orphan, exported Dead, exported Uncalled, exported Lonely, " +
+		"test-only onlyTested, test-only recursive, test-only peek, test-only island"
+	if strings.Join(got, ", ") != want {
+		t.Errorf("findings %v, want %s", got, want)
 	}
 }

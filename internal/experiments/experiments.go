@@ -380,7 +380,7 @@ func BuildUnsteadyProblem(ds Dataset, seeding Seeding, sc Scale, tslices int) (c
 
 // memoryBudget sizes the per-processor memory limit against one block
 // model: Static's pinned share of all blocks at the smallest processor
-// count, plus the LRU cache, plus one quarter of the dense thermal
+// count, plus the LRU cache, plus one eighth of the dense thermal
 // result geometry. Steady and unsteady budgets differ only in the
 // decomposition handed in (epochs multiply the block count, time
 // slicing doubles the block bytes).
@@ -396,9 +396,9 @@ func memoryBudget(sc Scale, d grid.Decomposition) int64 {
 // steadyMemoryBudget returns the per-processor memory limit for the
 // campaign's steady cells: enough for the pinned static-allocation
 // working set at the smallest processor count plus the block cache plus
-// one quarter of the dense thermal result geometry. A single processor holding ALL dense thermal
-// results therefore exceeds it — the paper's Figure 13 OOM — while every
-// balanced distribution fits.
+// one eighth of the dense thermal result geometry. A single processor
+// holding ALL dense thermal results therefore exceeds it — the paper's
+// Figure 13 OOM — while every balanced distribution fits.
 func steadyMemoryBudget(sc Scale) int64 {
 	return memoryBudget(sc, grid.Decomposition{CellsPerAxis: sc.CellsPerAxis, Ghost: 1})
 }
@@ -635,13 +635,6 @@ func (c *Campaign) Cached(k Key) (Outcome, bool) {
 	defer c.mu.Unlock()
 	out, ok := c.results[k]
 	return out, ok
-}
-
-// numResults returns how many configurations have been computed so far.
-func (c *Campaign) numResults() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.results)
 }
 
 // Run executes (or returns the cached result of) one configuration. If

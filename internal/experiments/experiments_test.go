@@ -11,6 +11,13 @@ import (
 	"repro/internal/store"
 )
 
+// numResults counts the campaign's memoized cells.
+func (c *Campaign) numResults() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.results)
+}
+
 func TestFiguresCoverPaper(t *testing.T) {
 	figs := Figures()
 	if len(figs) != 12 {

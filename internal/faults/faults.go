@@ -114,32 +114,6 @@ func (p Plan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// parse reads the "p@t[,p@t...]" flag syntax produced by String. An
-// empty string is the empty plan.
-func parse(s string) (Plan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return Plan{}, nil
-	}
-	var p Plan
-	for _, part := range strings.Split(s, ",") {
-		proc, at, ok := strings.Cut(strings.TrimSpace(part), "@")
-		if !ok {
-			return Plan{}, fmt.Errorf("faults: %q is not proc@time", part)
-		}
-		pr, err := strconv.Atoi(proc)
-		if err != nil {
-			return Plan{}, fmt.Errorf("faults: bad processor in %q: %v", part, err)
-		}
-		t, err := strconv.ParseFloat(at, 64)
-		if err != nil {
-			return Plan{}, fmt.Errorf("faults: bad time in %q: %v", part, err)
-		}
-		p.Events = append(p.Events, Event{Proc: pr, Time: t})
-	}
-	return p.Canonicalize(), nil
-}
-
 // UnrecoverableError is the typed outcome of injecting a fault into an
 // algorithm that cannot recover from it. Static allocation is the
 // canonical case: a processor's block ownership and resident

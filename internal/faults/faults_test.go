@@ -1,7 +1,9 @@
 package faults
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -73,6 +75,33 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want error containing %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// parse is String's inverse, the round-trip tests' oracle: it reads the
+// "p@t[,p@t...]" syntax back into a canonical plan. An empty string is the
+// empty plan.
+func parse(s string) (Plan, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return Plan{}, nil
+	}
+	var p Plan
+	for _, part := range strings.Split(s, ",") {
+		proc, at, ok := strings.Cut(strings.TrimSpace(part), "@")
+		if !ok {
+			return Plan{}, fmt.Errorf("faults: %q is not proc@time", part)
+		}
+		pr, err := strconv.Atoi(proc)
+		if err != nil {
+			return Plan{}, fmt.Errorf("faults: bad processor in %q: %v", part, err)
+		}
+		t, err := strconv.ParseFloat(at, 64)
+		if err != nil {
+			return Plan{}, fmt.Errorf("faults: bad time in %q: %v", part, err)
+		}
+		p.Events = append(p.Events, Event{Proc: pr, Time: t})
+	}
+	return p.Canonicalize(), nil
 }
 
 func TestStringParseRoundTrip(t *testing.T) {

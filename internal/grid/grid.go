@@ -11,8 +11,9 @@
 //   - Sampled blocks materialize node-centered vector data over the block
 //     extent (plus ghost nodes) and answer queries by trilinear
 //     interpolation — the same data path a real dataset would use.
-//   - Virtual blocks delegate to an analytic field while still reporting
-//     the byte size the materialized block would occupy. The scaling
+//   - Virtual blocks are the analytic field itself, served for every
+//     block (a field.Field is an Evaluator), while still reporting the
+//     byte size the materialized block would occupy. The scaling
 //     studies use these so 512-block × 1M-cell configurations stay
 //     runnable (see DESIGN.md §2).
 package grid
@@ -133,29 +134,11 @@ func (d Decomposition) Bounds(id BlockID) vec.AABB {
 	return vec.AABB{Min: min, Max: min.Add(bs)}
 }
 
-// ghostBounds returns the block extent grown by the ghost layers, clipped
-// to the domain.
-func (d Decomposition) ghostBounds(id BlockID) vec.AABB {
-	b := d.Bounds(id)
-	bs := d.BlockSize()
-	cell := vec.Of(
-		bs.X/float64(d.CellsPerAxis),
-		bs.Y/float64(d.CellsPerAxis),
-		bs.Z/float64(d.CellsPerAxis),
-	)
-	g := float64(d.Ghost)
-	grown := vec.AABB{
-		Min: b.Min.Sub(cell.Scale(g)),
-		Max: b.Max.Add(cell.Scale(g)),
-	}
-	return grown.Intersect(d.Domain)
-}
-
 // Locate returns the spatial (epoch-0) block that owns point p.
 // Ownership is exclusive: a point on an interior face belongs to the
 // higher-index block (lower faces are inclusive). Points on the domain's
 // upper faces are owned by the last block along that axis; points outside
-// return (NoBlock, false). For time-sliced lookups use LocateAt.
+// return (NoBlock, false).
 func (d Decomposition) Locate(p vec.V3) (BlockID, bool) {
 	if !d.Domain.Contains(p) {
 		return NoBlock, false
@@ -227,13 +210,6 @@ func (d Decomposition) BlockBytes() int64 {
 	return bytes
 }
 
-// cellsTotal returns the total cell count of the spatial mesh (ghost
-// cells excluded, time slices not multiplied).
-func (d Decomposition) cellsTotal() int64 {
-	c := int64(d.CellsPerAxis)
-	return c * c * c * int64(d.NumSpatialBlocks())
-}
-
 // Evaluator answers field queries over (at least) one block's extent.
 type Evaluator interface {
 	Eval(p vec.V3) vec.V3
@@ -257,20 +233,11 @@ type AnalyticProvider struct {
 	D Decomposition
 }
 
-// Block implements Provider.
-func (a AnalyticProvider) Block(BlockID) Evaluator { return FieldEvaluator{a.F} }
+// Block implements Provider: the field itself answers for every block.
+func (a AnalyticProvider) Block(BlockID) Evaluator { return a.F }
 
 // Decomp implements Provider.
 func (a AnalyticProvider) Decomp() Decomposition { return a.D }
-
-// FieldEvaluator adapts a field.Field to the Evaluator interface. It is
-// exported so hot loops can type-switch on it and instantiate their
-// inner integration at the concrete field type, bypassing the double
-// interface dispatch (Evaluator → Field) it otherwise implies.
-type FieldEvaluator struct{ F field.Field }
-
-// Eval implements Evaluator.
-func (e FieldEvaluator) Eval(p vec.V3) vec.V3 { return e.F.Eval(p) }
 
 // SampledProvider materializes blocks by sampling a source field onto
 // node-centered arrays, exactly as a dataset read from disk would be, and

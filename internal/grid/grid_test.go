@@ -140,13 +140,6 @@ func TestBlockBytes(t *testing.T) {
 	}
 }
 
-func TestCellsTotal(t *testing.T) {
-	d := unitDecomp(8, 8, 8, 100)
-	if got := d.cellsTotal(); got != 512*1_000_000 {
-		t.Errorf("CellsTotal = %d", got)
-	}
-}
-
 func TestSampledBlockReproducesLinearField(t *testing.T) {
 	// Trilinear interpolation is exact for affine fields.
 	f := field.Linear{
@@ -287,18 +280,40 @@ func TestPropBlockCentersLocateToSelf(t *testing.T) {
 	}
 }
 
-// TestGhostBoundsClippedToDomain covers the ghost-layer extent: interior
-// blocks grow by whole cells on every face, boundary blocks clip to the
-// domain.
+// ghostBounds returns the block extent grown by the ghost layers, clipped
+// to the domain: the region a provider's evaluator must cover.
+func ghostBounds(d Decomposition, id BlockID) vec.AABB {
+	b := d.Bounds(id)
+	bs := d.BlockSize()
+	cell := vec.Of(
+		bs.X/float64(d.CellsPerAxis),
+		bs.Y/float64(d.CellsPerAxis),
+		bs.Z/float64(d.CellsPerAxis),
+	)
+	g := float64(d.Ghost)
+	grown := vec.AABB{
+		Min: b.Min.Sub(cell.Scale(g)),
+		Max: b.Max.Add(cell.Scale(g)),
+	}
+	return grown.Intersect(d.Domain)
+}
+
+// TestGhostBoundsClippedToDomain covers the ghost-layer extent a sampled
+// block has to span: interior faces grow by whole cells, boundary faces
+// clip to the domain, and the block's samples cover all of it.
 func TestGhostBoundsClippedToDomain(t *testing.T) {
 	d := NewDecomposition(vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1)), 2, 2, 2, 8)
-	corner := d.ghostBounds(0) // block at the domain's min corner
+	corner := ghostBounds(d, 0) // block at the domain's min corner
 	if corner.Min != d.Domain.Min {
 		t.Errorf("corner ghost bounds min = %v, want clipped to domain min %v", corner.Min, d.Domain.Min)
 	}
 	plain := d.Bounds(0)
 	if !(corner.Max.X > plain.Max.X && corner.Max.Y > plain.Max.Y && corner.Max.Z > plain.Max.Z) {
 		t.Errorf("ghost bounds %v do not grow past the block bounds %v on the interior faces", corner, plain)
+	}
+	sampled := SampleBlock(field.DefaultSupernova(), d, 0).Bounds()
+	if got := sampled.Intersect(corner); got != corner {
+		t.Errorf("sampled extent %v does not cover the ghost bounds %v", sampled, corner)
 	}
 }
 

@@ -59,28 +59,12 @@ func (d Decomposition) SpaceTimeID(spatial BlockID, epoch int) BlockID {
 }
 
 // sliceTime returns the simulation time of stored slice i; slice indices
-// run 0..TimeSlices−1, and epoch e spans [SliceTime(e), SliceTime(e+1)].
+// run 0..TimeSlices−1, and epoch e spans [sliceTime(e), sliceTime(e+1)].
 func (d Decomposition) sliceTime(i int) float64 {
 	if !d.Unsteady() {
 		return d.T0
 	}
 	return d.T0 + (d.T1-d.T0)*float64(i)/float64(d.TimeSlices-1)
-}
-
-// epochOf returns the epoch containing time t, clamped to the valid
-// range (so t ≤ T0 maps to the first epoch and t ≥ T1 to the last).
-func (d Decomposition) epochOf(t float64) int {
-	if !d.Unsteady() || d.T1 <= d.T0 {
-		return 0
-	}
-	e := int(float64(d.TimeSlices-1) * (t - d.T0) / (d.T1 - d.T0))
-	if e < 0 {
-		e = 0
-	}
-	if e > d.TimeSlices-2 {
-		e = d.TimeSlices - 2
-	}
-	return e
 }
 
 // EpochBounds returns the time window [t0, t1] of block id's epoch. For
@@ -90,22 +74,12 @@ func (d Decomposition) EpochBounds(id BlockID) (t0, t1 float64) {
 	return d.sliceTime(e), d.sliceTime(e + 1)
 }
 
-// locateAt returns the space-time block owning position p at time t
-// (spatial ownership per Locate, epoch per EpochOf). For steady
-// decompositions it is identical to Locate.
-func (d Decomposition) locateAt(p vec.V3, t float64) (BlockID, bool) {
-	b, ok := d.Locate(p)
-	if !ok {
-		return NoBlock, false
-	}
-	return d.SpaceTimeID(b, d.epochOf(t)), true
-}
-
 // EvaluatorT answers time-dependent field queries over (at least) one
-// space-time block's extent. The engine's shared advance loop detects it
-// on any Evaluator a provider returns and switches to non-autonomous
-// integration, which is how all four algorithms trace pathlines through
-// one code path.
+// space-time block's extent. Every evaluator an unsteady decomposition's
+// provider serves must be one: the engine's shared advance loop hands
+// the solver EvalAt instead of Eval when the problem is time-sliced,
+// which is how all four algorithms trace pathlines through one code
+// path. Every field.FieldT is an EvaluatorT.
 type EvaluatorT interface {
 	Evaluator
 	// EvalAt returns the field value at position p and time t.
@@ -122,27 +96,13 @@ type AnalyticProviderT struct {
 	D Decomposition // must have TimeSlices > 1
 }
 
-// Block implements Provider; the evaluator is valid at any time, so one
-// value serves every epoch of the spatial block.
-func (a AnalyticProviderT) Block(BlockID) Evaluator { return FieldEvaluatorT{a.F} }
+// Block implements Provider: the field itself is valid at any time, so it
+// serves every epoch of every spatial block. Its time-frozen Eval (the
+// Evaluator view every FieldT carries) answers at the field's T0.
+func (a AnalyticProviderT) Block(BlockID) Evaluator { return a.F }
 
 // Decomp implements Provider.
 func (a AnalyticProviderT) Decomp() Decomposition { return a.D }
-
-// FieldEvaluatorT adapts a FieldT to EvaluatorT; its time-frozen Eval
-// (required by the Evaluator interface) answers at the field's T0. Like
-// FieldEvaluator it is exported so hot loops can type-switch down to
-// the concrete field type.
-type FieldEvaluatorT struct{ F field.FieldT }
-
-// Eval implements Evaluator, frozen at the field's initial time.
-func (e FieldEvaluatorT) Eval(p vec.V3) vec.V3 {
-	t0, _ := e.F.TimeRange()
-	return e.F.EvalAt(p, t0)
-}
-
-// EvalAt implements EvaluatorT.
-func (e FieldEvaluatorT) EvalAt(p vec.V3, t float64) vec.V3 { return e.F.EvalAt(p, t) }
 
 // SampledProviderT materializes space-time blocks the way a real
 // time-sliced dataset read would: the two stored slices bounding the

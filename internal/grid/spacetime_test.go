@@ -69,39 +69,17 @@ func TestSliceTimeAndEpochOf(t *testing.T) {
 	if got := d.sliceTime(2); math.Abs(got-1) > 1e-12 {
 		t.Errorf("SliceTime(2) = %g, want 1", got)
 	}
-	cases := []struct {
-		t    float64
-		want int
-	}{
-		{-1, 0}, {0, 0}, {0.49, 0}, {0.5, 1}, {1.99, 3}, {2, 3}, {5, 3},
-	}
-	for _, c := range cases {
-		if got := d.epochOf(c.t); got != c.want {
-			t.Errorf("EpochOf(%g) = %d, want %d", c.t, got, c.want)
-		}
-	}
-	// Epoch bounds tile the time range.
+	// Epoch bounds tile the time range: epoch e of any spatial block runs
+	// from slice e to slice e+1.
 	for e := 0; e < d.Epochs(); e++ {
-		t0, t1 := d.EpochBounds(d.SpaceTimeID(0, e))
+		id := d.SpaceTimeID(3, e)
+		if d.Epoch(id) != e {
+			t.Errorf("Epoch(SpaceTimeID(3, %d)) = %d", e, d.Epoch(id))
+		}
+		t0, t1 := d.EpochBounds(id)
 		if t0 != d.sliceTime(e) || t1 != d.sliceTime(e+1) {
 			t.Errorf("epoch %d bounds [%g, %g]", e, t0, t1)
 		}
-	}
-}
-
-func TestLocateAt(t *testing.T) {
-	d := unsteadyDecomp()
-	p := vec.Of(0.75, 0.25, 0.25)
-	spatial, ok := d.Locate(p)
-	if !ok {
-		t.Fatal("Locate failed in-domain")
-	}
-	id, ok := d.locateAt(p, 1.2)
-	if !ok || d.Spatial(id) != spatial || d.Epoch(id) != 2 {
-		t.Errorf("LocateAt = (%d, %v): spatial %d epoch %d", id, ok, d.Spatial(id), d.Epoch(id))
-	}
-	if _, ok := d.locateAt(vec.Of(2, 2, 2), 0.5); ok {
-		t.Error("LocateAt accepted an out-of-domain point")
 	}
 }
 
@@ -111,9 +89,6 @@ func TestUnsteadyBlockBytesDoubled(t *testing.T) {
 	u.TimeSlices, u.T1 = 5, 2
 	if u.BlockBytes() != 2*s.BlockBytes() {
 		t.Errorf("unsteady block bytes %d, want 2× steady %d", u.BlockBytes(), s.BlockBytes())
-	}
-	if u.cellsTotal() != s.cellsTotal() {
-		t.Errorf("CellsTotal changed with time slicing: %d vs %d", u.cellsTotal(), s.cellsTotal())
 	}
 }
 
@@ -208,8 +183,9 @@ func TestAnalyticProviderTServesAllEpochs(t *testing.T) {
 
 // TestProviderTDecompAndFrozenEval covers the provider plumbing the hot
 // loops bypass since the devirtualization: both unsteady providers must
-// echo their decomposition, and FieldEvaluatorT's time-frozen Eval (the
-// Evaluator-interface view of a FieldT) must answer at the field's T0.
+// echo their decomposition, and the analytic one serves the field itself,
+// whose time-frozen Eval (the Evaluator-interface view of a FieldT) must
+// answer at the field's T0.
 func TestProviderTDecompAndFrozenEval(t *testing.T) {
 	f := field.DefaultPulsingSupernova()
 	d := unsteadyDecomp()
@@ -223,9 +199,9 @@ func TestProviderTDecompAndFrozenEval(t *testing.T) {
 		t.Errorf("SampledProviderT.Decomp lost the decomposition")
 	}
 
-	ev, ok := ap.Block(0).(FieldEvaluatorT)
+	ev, ok := ap.Block(0).(field.PulsingSupernova)
 	if !ok {
-		t.Fatalf("AnalyticProviderT.Block = %T, want FieldEvaluatorT", ap.Block(0))
+		t.Fatalf("AnalyticProviderT.Block = %T, want the field itself", ap.Block(0))
 	}
 	t0, _ := f.TimeRange()
 	p := vec.Of(0.3, 0.4, 0.5)

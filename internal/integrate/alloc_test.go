@@ -32,20 +32,22 @@ func TestAdvectAllocFreeWithBuffer(t *testing.T) {
 	}
 }
 
-// TestStepAllocFree gates the single-step entry point the same way: one
-// adaptive step through the interface-free generic instantiation must
-// not allocate.
+// TestStepAllocFree gates a single step the same way: a fresh solver's
+// first adaptive step — initial step size, six stages, the controller —
+// through the generic instantiation must not allocate.
 func TestStepAllocFree(t *testing.T) {
 	f := field.DefaultSupernova()
 	s := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
+	lim := AdvectLimits{Bounds: f.Bounds(), MaxSteps: 1, Buf: make([]vec.V3, 0, 1)}
 	p := vec.Of(0.3, 0.1, 0.05)
 	run := func() {
-		if _, err := stepWith(s, f, p, 0); err != nil {
-			t.Fatal(err)
+		s.H = 0
+		if res := AdvectWith(s, f, p, 0, lim); res.Steps != 1 {
+			t.Fatalf("took %d steps, stopped on %v", res.Steps, res.Reason)
 		}
 	}
 	run()
 	if n := testing.AllocsPerRun(50, run); n > 0 {
-		t.Errorf("StepWith allocates %.2f times per call, want 0", n)
+		t.Errorf("one step allocates %.2f times, want 0", n)
 	}
 }

@@ -27,6 +27,14 @@ func fuzzField(sel uint8) Evaluator {
 	}
 }
 
+// stepOnce takes one adaptive step from (p, 0): the advect loop with a
+// one-step budget and no spatial bound.
+func stepOnce(s *DoPri5, f Evaluator, p vec.V3) AdvectResult {
+	inf := math.Inf(1)
+	everywhere := vec.Box(vec.Of(-inf, -inf, -inf), vec.Of(inf, inf, inf))
+	return s.Advect(f, p, 0, AdvectLimits{Bounds: everywhere, MaxSteps: 1})
+}
+
 func clampRange(v, lo, hi float64) float64 {
 	v = math.Abs(v)
 	if !(v >= lo) || math.IsInf(v, 0) {
@@ -61,15 +69,15 @@ func FuzzDoPri5StepAcceptance(f *testing.F) {
 		p := vec.Of(px, py, pz)
 
 		s := NewDoPri5(opts)
-		res, err := s.Step(ev, p, 0)
-		if err != nil {
-			t.Fatalf("finite field returned error: %v", err)
+		res := stepOnce(s, ev, p)
+		if res.Reason == StopCritical {
+			t.Skip() // the saddle's fixed point: no step to take
 		}
 		// Acceptance invariants: the step is accepted, time advances,
 		// the position is finite, and the adapted step size respects
 		// the configured bounds.
-		if !res.Accepted {
-			t.Fatal("Step returned without accepting")
+		if res.Steps != 1 || res.Reason != StopMaxSteps {
+			t.Fatalf("finite field: %d steps, stopped on %v", res.Steps, res.Reason)
 		}
 		if !(res.T > 0) {
 			t.Fatalf("time did not advance: T=%g", res.T)
@@ -90,19 +98,9 @@ func FuzzDoPri5StepAcceptance(f *testing.F) {
 		// Determinism: an identical solver takes the identical step,
 		// bit for bit — the property every handoff in core relies on.
 		s2 := NewDoPri5(opts)
-		res2, err2 := s2.Step(ev, p, 0)
-		if err2 != nil || res2.P != res.P || res2.T != res.T || s2.H != s.H {
+		res2 := stepOnce(s2, ev, p)
+		if res2.P != res.P || res2.T != res.T || s2.H != s.H {
 			t.Fatalf("same state, different step: %+v vs %+v", res, res2)
-		}
-
-		// The non-autonomous solver on a time-frozen field must walk the
-		// exact same path — this is what makes steady campaigns and
-		// pathline campaigns comparable.
-		tf := timeEvalFunc(func(q vec.V3, _ float64) vec.V3 { return ev.Eval(q) })
-		s3 := NewDoPri5(opts)
-		res3, err3 := stepTWith(s3, tf, p, 0)
-		if err3 != nil || res3.P != res.P || res3.T != res.T || s3.H != s.H {
-			t.Fatalf("stepTWith diverged from Step on a frozen field: %+v vs %+v", res, res3)
 		}
 	})
 }

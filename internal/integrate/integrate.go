@@ -1,40 +1,52 @@
-// Package integrate provides the numerical ODE solvers used to trace
-// streamlines: dx/dt = v(x).
+// Package integrate provides the numerical ODE solver used to trace
+// streamlines, dx/dt = v(x), and pathlines, dx/dt = v(x, t).
 //
 // The paper (Section 2.1) integrates with "a scheme of Runge-Kutta type
 // with adaptive stepsize control as proposed by Dormand and Prince"; this
 // package implements that Dormand–Prince 5(4) embedded pair with a
-// standard PI step-size controller, plus fixed-step RK4 and Euler
-// baselines used by convergence tests.
+// standard step-size controller. It is written once, for the
+// non-autonomous system the paper's Section 8 treats as the general
+// case: one stage ladder (step) and one advect loop (AdvectTWith). The
+// steady entry points hand the same loop a field that ignores t.
 //
 // The hot loop is written for the simulated campaigns, where field
 // evaluation dominates the run time (DESIGN.md §12): the stages are
-// unrolled against the tableau constants, the step core is generic over
-// the evaluator so callers can instantiate it at a concrete field type
-// (no interface dispatch), and the first-same-as-last (FSAL) property of
-// the Dormand–Prince pair is exploited to evaluate the field six — not
-// eight — times per accepted step. Every reuse returns bit-for-bit the
-// value the old code recomputed, so the golden geometry digests cannot
-// move.
+// unrolled against the tableau constants, the loop is generic over the
+// evaluator so callers can instantiate it at a concrete field type (no
+// interface dispatch), and the first-same-as-last (FSAL) property of the
+// Dormand–Prince pair is exploited to evaluate the field six — not
+// eight — times per accepted step. Every reused value is bit-for-bit the
+// one a fresh evaluation would return, so the golden geometry digests
+// cannot move.
 package integrate
 
 import (
-	"errors"
 	"math"
 
 	"repro/internal/vec"
 )
 
-// Evaluator is the right-hand side of the ODE: a vector field query.
+// Evaluator is the right-hand side of the autonomous ODE dx/dt = v(x):
+// a vector field query.
 type Evaluator interface {
 	Eval(p vec.V3) vec.V3
 }
 
-// evalFunc adapts a plain function to the Evaluator interface.
-type evalFunc func(p vec.V3) vec.V3
+// TimeEvaluator is the right-hand side of the non-autonomous ODE
+// dx/dt = v(x, t) used for pathlines in time-varying fields (the paper's
+// Section 8 extension). It is the one system the solver integrates; a
+// streamline is the case whose field ignores t.
+type TimeEvaluator interface {
+	EvalAt(p vec.V3, t float64) vec.V3
+}
 
-// Eval implements Evaluator.
-func (f evalFunc) Eval(p vec.V3) vec.V3 { return f(p) }
+// steady presents an Evaluator as the TimeEvaluator that ignores t, so
+// Advect is AdvectT: the stage times are computed and dropped, and every
+// stage value is the float the field returns for the position alone.
+type steady[E Evaluator] struct{ e E }
+
+// EvalAt implements TimeEvaluator.
+func (s steady[E]) EvalAt(p vec.V3, _ float64) vec.V3 { return s.e.Eval(p) }
 
 // Options controls adaptive integration.
 type Options struct {
@@ -102,9 +114,6 @@ func (s StopReason) String() string {
 	}
 }
 
-// errNonFinite is returned when the field produces NaN or Inf.
-var errNonFinite = errors.New("integrate: field returned non-finite value")
-
 // Dormand–Prince RK5(4) tableau (the DOPRI5 coefficients), as untyped
 // constants so the unrolled stages below fold them into immediates. The
 // sixth A row doubles as the 5th-order weights (FSAL); cB4* are the
@@ -162,95 +171,77 @@ func NewDoPri5(opts Options) *DoPri5 {
 	return &DoPri5{Opts: opts.defaults()}
 }
 
-// StepResult reports one adaptive step.
-type StepResult struct {
-	P        vec.V3  // new position
-	T        float64 // new integration time
-	Evals    int     // field evaluations consumed (including rejected trials)
-	Accepted bool
+// stepped is one accepted adaptive step.
+type stepped struct {
+	p     vec.V3  // new position
+	t     float64 // new integration time
+	evals int     // field evaluations consumed, rejected trials included
+	k     vec.V3  // the field at (p, t) when fsal: the next step's first stage
+	fsal  bool
 }
 
-// Step advances one accepted adaptive step from (p, t), updating the
-// internal step size. It returns errNonFinite if the field misbehaves.
-func (s *DoPri5) Step(f Evaluator, p vec.V3, t float64) (StepResult, error) {
-	return stepWith(s, f, p, t)
-}
-
-// stepWith is Step generic over the evaluator type, so hot loops can
-// instantiate it at a concrete field type and skip interface dispatch.
-// The arithmetic is identical to Step for every instantiation.
-func stepWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, error) {
-	k0 := f.Eval(p)
-	if !k0.IsFinite() {
-		return StepResult{Evals: 1}, errNonFinite
-	}
-	if s.H == 0 {
-		s.H = s.initialStepFrom(k0)
-	}
-	res, _, _, err := stepFrom(s, f, p, t, k0)
-	res.Evals++ // k0 above
-	return res, err
-}
-
-// stepFrom is the adaptive-step core: it takes k0 = f.Eval(p) from the
-// caller (not counted in its Evals) so the value can be shared with the
-// caller's speed check and, via the FSAL property, with the previous
-// accepted step's final stage. k0 does not depend on the trial step
-// size, so rejected trials reuse it instead of re-evaluating.
+// step is the adaptive-step core: it advances the non-autonomous system
+// one accepted step from (p, t), evaluating each stage at its own time
+// t + c_i·h, and leaves the next step size in s.H. It takes
+// k0 = f.EvalAt(p, t) from the caller (not counted in evals) so the value
+// can be shared with the caller's speed check and, via the FSAL property,
+// with the previous accepted step's final stage. k0 does not depend on
+// the trial step size, so rejected trials reuse it instead of
+// re-evaluating. ok is false when the field returned a non-finite value.
 //
 // The sixth stage's sample point is accumulated with exactly the
 // 5th-order weight sequence, so it IS the accepted position p5
-// bit-for-bit; stepFrom therefore computes p5 once, evaluates the final
-// stage there, and on acceptance returns that value as k6 (with
-// fsal=true) — bit-identical to what the next step's k0 would be.
-func stepFrom[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, k0 vec.V3) (res StepResult, k6 vec.V3, fsal bool, err error) {
+// bit-for-bit; step therefore computes p5 once, evaluates the final stage
+// at (p5, t+h) — exactly where the next step's k0 would be taken — and on
+// acceptance returns that value as k with fsal set.
+func step[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64, k0 vec.V3) (res stepped, ok bool) {
 	o := s.Opts
 	evals := 0
 	for try := 0; try < 64; try++ {
 		h := s.H
 		q := p.Add(k0.Scale(h * cA10))
-		k1 := f.Eval(q)
+		k1 := f.EvalAt(q, t+cC1*h)
 		evals++
 		if !k1.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
+			return stepped{evals: evals}, false
 		}
 		q = p.Add(k0.Scale(h * cA20)).Add(k1.Scale(h * cA21))
-		k2 := f.Eval(q)
+		k2 := f.EvalAt(q, t+cC2*h)
 		evals++
 		if !k2.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
+			return stepped{evals: evals}, false
 		}
 		q = p.Add(k0.Scale(h * cA30)).Add(k1.Scale(h * cA31)).Add(k2.Scale(h * cA32))
-		k3 := f.Eval(q)
+		k3 := f.EvalAt(q, t+cC3*h)
 		evals++
 		if !k3.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
+			return stepped{evals: evals}, false
 		}
 		q = p.Add(k0.Scale(h * cA40)).Add(k1.Scale(h * cA41)).Add(k2.Scale(h * cA42)).Add(k3.Scale(h * cA43))
-		k4 := f.Eval(q)
+		k4 := f.EvalAt(q, t+cC4*h)
 		evals++
 		if !k4.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
+			return stepped{evals: evals}, false
 		}
 		q = p.Add(k0.Scale(h * cA50)).Add(k1.Scale(h * cA51)).Add(k2.Scale(h * cA52)).Add(k3.Scale(h * cA53)).Add(k4.Scale(h * cA54))
-		k5 := f.Eval(q)
+		k5 := f.EvalAt(q, t+h)
 		evals++
 		if !k5.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
+			return stepped{evals: evals}, false
 		}
 		p5 := p.Add(k0.Scale(h * cA60)).Add(k2.Scale(h * cA62)).Add(k3.Scale(h * cA63)).Add(k4.Scale(h * cA64)).Add(k5.Scale(h * cA65))
-		k6v := f.Eval(p5)
+		k6 := f.EvalAt(p5, t+h)
 		evals++
-		if !k6v.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
+		if !k6.IsFinite() {
+			return stepped{evals: evals}, false
 		}
-		p4 := p.Add(k0.Scale(h * cB40)).Add(k2.Scale(h * cB42)).Add(k3.Scale(h * cB43)).Add(k4.Scale(h * cB44)).Add(k5.Scale(h * cB45)).Add(k6v.Scale(h * cB46))
+		p4 := p.Add(k0.Scale(h * cB40)).Add(k2.Scale(h * cB42)).Add(k3.Scale(h * cB43)).Add(k4.Scale(h * cB44)).Add(k5.Scale(h * cB45)).Add(k6.Scale(h * cB46))
 		errEst := p5.Dist(p4)
 		if errEst <= o.Tol || h <= o.HMin {
 			// Accept; grow the step for next time (classic 0.9 safety,
 			// order-5 exponent).
 			s.H = nextStep(h, errEst, o)
-			return StepResult{P: p5, T: t + h, Evals: evals, Accepted: true}, k6v, true, nil
+			return stepped{p: p5, t: t + h, evals: evals, k: k6, fsal: true}, true
 		}
 		// Reject: shrink and retry.
 		s.H = nextStep(h, errEst, o)
@@ -264,8 +255,7 @@ func stepFrom[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, k0 vec.V3) (res 
 	// Tolerance unreachable: accept a minimal Euler step (from k0, the
 	// already-evaluated field at p) rather than spinning.
 	s.H = o.HMin
-	h := s.H
-	return StepResult{P: p.Add(k0.Scale(h)), T: t + h, Evals: evals, Accepted: true}, vec.V3{}, false, nil
+	return stepped{p: p.Add(k0.Scale(s.H)), t: t + s.H, evals: evals}, true
 }
 
 func nextStep(h, errEst float64, o Options) float64 {
@@ -340,24 +330,35 @@ type AdvectResult struct {
 	Points []vec.V3   // positions after each accepted step (geometry)
 }
 
-// Advect integrates from (p, t) until a limit is reached, collecting the
-// intermediate geometry. The caller owns domain semantics: typically
-// Bounds is the current block's box, so StopOutOfBlock signals a block
-// transition.
+// Advect integrates the autonomous system from (p, t) until a limit is
+// reached, collecting the intermediate geometry. The caller owns domain
+// semantics: typically Bounds is the current block's box, so
+// StopOutOfBlock signals a block transition.
 func (s *DoPri5) Advect(f Evaluator, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
-	return AdvectWith(s, f, p, t, lim)
+	return AdvectTWith(s, steady[Evaluator]{f}, p, t, lim)
 }
 
-// AdvectWith is Advect generic over the evaluator type: instantiated at
-// a concrete field type it runs the whole inner loop without interface
-// dispatch. The per-iteration speed check doubles as the step's first
-// stage, and after an accepted step the FSAL value is carried into the
-// next iteration, for six field evaluations per accepted step in steady
-// state. All reused values are bit-identical to the ones previously
-// recomputed.
+// AdvectWith is Advect generic over the evaluator type; see AdvectTWith.
 func AdvectWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
+	return AdvectTWith(s, steady[E]{f}, p, t, lim)
+}
+
+// AdvectT integrates the non-autonomous system from (p, t) under the same
+// limits as Advect; MaxTime is the absolute time horizon.
+func (s *DoPri5) AdvectT(f TimeEvaluator, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
+	return AdvectTWith(s, f, p, t, lim)
+}
+
+// AdvectTWith is the advect loop, generic over the evaluator type:
+// instantiated at a concrete field type it runs the whole inner loop
+// without interface dispatch. The per-iteration speed check doubles as
+// the step's first stage, and after an accepted step the FSAL value is
+// carried into the next iteration, for six field evaluations per accepted
+// step in steady state. All reused values are bit-identical to the ones
+// a fresh evaluation would return.
+func AdvectTWith[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
 	res := AdvectResult{P: p, T: t, Points: lim.Buf[:0]}
-	var v vec.V3 // field at res.P: fresh, or the last step's FSAL stage
+	var v vec.V3 // field at (res.P, res.T): fresh, or the last step's FSAL stage
 	haveV := false
 	for {
 		if lim.MaxSteps > 0 && res.Steps >= lim.MaxSteps {
@@ -369,10 +370,9 @@ func AdvectWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimi
 			return res
 		}
 		if !haveV {
-			v = f.Eval(res.P)
+			v = f.EvalAt(res.P, res.T)
 			res.Evals++ // the speed check below
 		}
-		haveV = false
 		if v.Norm() < s.Opts.MinSpeed {
 			res.Reason = StopCritical
 			return res
@@ -395,197 +395,20 @@ func AdvectWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimi
 				s.H = remain
 			}
 		}
-		step, k6, fsal, err := stepFrom(s, f, res.P, res.T, v)
-		res.Evals += step.Evals
-		if err != nil {
+		st, ok := step(s, f, res.P, res.T, v)
+		res.Evals += st.evals
+		if !ok {
 			res.Reason = StopError
 			return res
 		}
-		res.P = step.P
-		res.T = step.T
+		res.P = st.p
+		res.T = st.t
 		res.Steps++
-		res.Points = append(res.Points, step.P)
+		res.Points = append(res.Points, st.p)
 		if !lim.Bounds.Contains(res.P) {
 			res.Reason = StopOutOfBlock
 			return res
 		}
-		v, haveV = k6, fsal
+		v, haveV = st.k, st.fsal
 	}
-}
-
-// TimeEvaluator is the right-hand side of the non-autonomous ODE
-// dx/dt = v(x, t) used for pathlines in time-varying fields (the paper's
-// Section 8 extension).
-type TimeEvaluator interface {
-	EvalAt(p vec.V3, t float64) vec.V3
-}
-
-// timeEvalFunc adapts a function to TimeEvaluator.
-type timeEvalFunc func(p vec.V3, t float64) vec.V3
-
-// EvalAt implements TimeEvaluator.
-func (f timeEvalFunc) EvalAt(p vec.V3, t float64) vec.V3 { return f(p, t) }
-
-// stepTWith advances one accepted adaptive step of the non-autonomous
-// system, evaluating the field at the proper stage times t + c_i·h;
-// generic over the evaluator type like stepWith.
-func stepTWith[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, error) {
-	k0 := f.EvalAt(p, t)
-	if !k0.IsFinite() {
-		return StepResult{Evals: 1}, errNonFinite
-	}
-	if s.H == 0 {
-		s.H = s.initialStepFrom(k0)
-	}
-	res, _, _, err := stepFromT(s, f, p, t, k0)
-	res.Evals++ // k0 above
-	return res, err
-}
-
-// stepFromT is stepFrom for the non-autonomous system. The final stage
-// is evaluated at (p5, t+h) — exactly where the next step's k0 would be
-// taken — so the FSAL reuse carries over unchanged.
-func stepFromT[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64, k0 vec.V3) (res StepResult, k6 vec.V3, fsal bool, err error) {
-	o := s.Opts
-	evals := 0
-	for try := 0; try < 64; try++ {
-		h := s.H
-		q := p.Add(k0.Scale(h * cA10))
-		k1 := f.EvalAt(q, t+cC1*h)
-		evals++
-		if !k1.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
-		}
-		q = p.Add(k0.Scale(h * cA20)).Add(k1.Scale(h * cA21))
-		k2 := f.EvalAt(q, t+cC2*h)
-		evals++
-		if !k2.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
-		}
-		q = p.Add(k0.Scale(h * cA30)).Add(k1.Scale(h * cA31)).Add(k2.Scale(h * cA32))
-		k3 := f.EvalAt(q, t+cC3*h)
-		evals++
-		if !k3.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
-		}
-		q = p.Add(k0.Scale(h * cA40)).Add(k1.Scale(h * cA41)).Add(k2.Scale(h * cA42)).Add(k3.Scale(h * cA43))
-		k4 := f.EvalAt(q, t+cC4*h)
-		evals++
-		if !k4.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
-		}
-		q = p.Add(k0.Scale(h * cA50)).Add(k1.Scale(h * cA51)).Add(k2.Scale(h * cA52)).Add(k3.Scale(h * cA53)).Add(k4.Scale(h * cA54))
-		k5 := f.EvalAt(q, t+h)
-		evals++
-		if !k5.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
-		}
-		p5 := p.Add(k0.Scale(h * cA60)).Add(k2.Scale(h * cA62)).Add(k3.Scale(h * cA63)).Add(k4.Scale(h * cA64)).Add(k5.Scale(h * cA65))
-		k6v := f.EvalAt(p5, t+h)
-		evals++
-		if !k6v.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, errNonFinite
-		}
-		p4 := p.Add(k0.Scale(h * cB40)).Add(k2.Scale(h * cB42)).Add(k3.Scale(h * cB43)).Add(k4.Scale(h * cB44)).Add(k5.Scale(h * cB45)).Add(k6v.Scale(h * cB46))
-		errEst := p5.Dist(p4)
-		if errEst <= o.Tol || h <= o.HMin {
-			s.H = nextStep(h, errEst, o)
-			return StepResult{P: p5, T: t + h, Evals: evals, Accepted: true}, k6v, true, nil
-		}
-		s.H = nextStep(h, errEst, o)
-		if s.H >= h {
-			s.H = h / 2
-		}
-		if s.H < o.HMin {
-			s.H = o.HMin
-		}
-	}
-	s.H = o.HMin
-	return StepResult{P: p.Add(k0.Scale(s.H)), T: t + s.H, Evals: evals, Accepted: true}, vec.V3{}, false, nil
-}
-
-// AdvectT integrates the non-autonomous system from (p, t) under the same
-// limits as Advect; MaxTime is the absolute time horizon.
-func (s *DoPri5) AdvectT(f TimeEvaluator, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
-	return AdvectTWith(s, f, p, t, lim)
-}
-
-// AdvectTWith is AdvectT generic over the evaluator type; see AdvectWith
-// for the dispatch and evaluation-reuse story, which carries over to the
-// non-autonomous system unchanged.
-func AdvectTWith[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
-	res := AdvectResult{P: p, T: t, Points: lim.Buf[:0]}
-	var v vec.V3 // field at (res.P, res.T): fresh, or the FSAL carry
-	haveV := false
-	for {
-		if lim.MaxSteps > 0 && res.Steps >= lim.MaxSteps {
-			res.Reason = StopMaxSteps
-			return res
-		}
-		if lim.MaxTime > 0 && res.T >= lim.MaxTime {
-			res.Reason = StopMaxTime
-			return res
-		}
-		if !haveV {
-			v = f.EvalAt(res.P, res.T)
-			res.Evals++
-		}
-		haveV = false
-		if v.Norm() < s.Opts.MinSpeed {
-			res.Reason = StopCritical
-			return res
-		}
-		if !v.IsFinite() {
-			res.Reason = StopError
-			return res
-		}
-		if s.H == 0 {
-			// Same first-step horizon clamp as Advect.
-			s.H = s.initialStepFrom(v)
-		}
-		if lim.MaxTime > 0 {
-			if remain := lim.MaxTime - res.T; s.H > remain {
-				s.H = remain
-			}
-		}
-		step, k6, fsal, err := stepFromT(s, f, res.P, res.T, v)
-		res.Evals += step.Evals
-		if err != nil {
-			res.Reason = StopError
-			return res
-		}
-		res.P = step.P
-		res.T = step.T
-		res.Steps++
-		res.Points = append(res.Points, step.P)
-		if !lim.Bounds.Contains(res.P) {
-			res.Reason = StopOutOfBlock
-			return res
-		}
-		v, haveV = k6, fsal
-	}
-}
-
-// rk4 is a classical fixed-step fourth-order Runge–Kutta integrator, used
-// as a baseline in convergence tests.
-type rk4 struct{ H float64 }
-
-// Step advances one fixed step.
-func (r rk4) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
-	h := r.H
-	k1 := f.Eval(p)
-	k2 := f.Eval(p.Add(k1.Scale(h / 2)))
-	k3 := f.Eval(p.Add(k2.Scale(h / 2)))
-	k4 := f.Eval(p.Add(k3.Scale(h)))
-	inc := k1.Add(k2.Scale(2)).Add(k3.Scale(2)).Add(k4).Scale(h / 6)
-	return p.Add(inc), t + h
-}
-
-// euler is the first-order explicit Euler integrator, used as a baseline
-// in convergence tests.
-type euler struct{ H float64 }
-
-// Step advances one fixed step.
-func (e euler) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
-	return p.Add(f.Eval(p).Scale(e.H)), t + e.H
 }

@@ -11,6 +11,37 @@ import (
 
 var bigBox = vec.Box(vec.Of(-100, -100, -100), vec.Of(100, 100, 100))
 
+// evalFunc adapts a plain function to the Evaluator interface.
+type evalFunc func(p vec.V3) vec.V3
+
+func (f evalFunc) Eval(p vec.V3) vec.V3 { return f(p) }
+
+// timeEvalFunc adapts a function to TimeEvaluator.
+type timeEvalFunc func(p vec.V3, t float64) vec.V3
+
+func (f timeEvalFunc) EvalAt(p vec.V3, t float64) vec.V3 { return f(p, t) }
+
+// rk4 is a classical fixed-step fourth-order Runge–Kutta integrator, the
+// convergence tests' baseline.
+type rk4 struct{ H float64 }
+
+func (r rk4) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
+	h := r.H
+	k1 := f.Eval(p)
+	k2 := f.Eval(p.Add(k1.Scale(h / 2)))
+	k3 := f.Eval(p.Add(k2.Scale(h / 2)))
+	k4 := f.Eval(p.Add(k3.Scale(h)))
+	inc := k1.Add(k2.Scale(2)).Add(k3.Scale(2)).Add(k4).Scale(h / 6)
+	return p.Add(inc), t + h
+}
+
+// euler is the first-order explicit Euler integrator, the other baseline.
+type euler struct{ H float64 }
+
+func (e euler) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
+	return p.Add(f.Eval(p).Scale(e.H)), t + e.H
+}
+
 // advectFor integrates until time T with no spatial bound.
 func advectFor(s *DoPri5, f Evaluator, p0 vec.V3, T float64) AdvectResult {
 	return s.Advect(f, p0, 0, AdvectLimits{Bounds: bigBox, MaxTime: T})
@@ -280,36 +311,6 @@ func TestPropEnergyConservationOnRotation(t *testing.T) {
 		r1 := math.Hypot(res.P.X, res.P.Y)
 		if math.Abs(r1-r0) > 1e-4 {
 			t.Fatalf("radius drift %g from %v", math.Abs(r1-r0), p0)
-		}
-	}
-}
-
-// TestAdvectTMatchesAdvectOnAutonomousField pins the non-autonomous
-// entry points against the autonomous ones: wrapping a steady field as a
-// TimeEvaluator that ignores t must reproduce Advect's geometry exactly,
-// step for step, through both the interface entry (AdvectT) and the
-// generic one (AdvectTWith).
-func TestAdvectTMatchesAdvectOnAutonomousField(t *testing.T) {
-	f := field.DefaultSupernova()
-	lim := AdvectLimits{Bounds: f.Bounds(), MaxSteps: 200}
-	seed := vec.Of(0.3, 0.1, 0.05)
-
-	sA := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
-	rA := sA.Advect(f, seed, 0, lim)
-
-	sT := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
-	rT := sT.AdvectT(timeEvalFunc(func(p vec.V3, _ float64) vec.V3 { return f.Eval(p) }), seed, 0, lim)
-
-	if rA.P != rT.P || rA.Steps != rT.Steps || rA.Reason != rT.Reason {
-		t.Errorf("AdvectT diverged from Advect: %v/%d/%v vs %v/%d/%v",
-			rT.P, rT.Steps, rT.Reason, rA.P, rA.Steps, rA.Reason)
-	}
-	if len(rA.Points) != len(rT.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(rT.Points), len(rA.Points))
-	}
-	for i := range rA.Points {
-		if rA.Points[i] != rT.Points[i] {
-			t.Fatalf("geometry diverged at point %d: %v vs %v", i, rT.Points[i], rA.Points[i])
 		}
 	}
 }

@@ -1,10 +1,159 @@
 package invlint
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"go/importer"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// The corpus loader: loadTestdata type-checks an analysistest-style
+// corpus rooted at testdata/<case>/src, resolving in-corpus imports from
+// source and everything else through `go list -export`.
+
+// listJSON is the subset of `go list -json` output the loader consumes.
+type listJSON struct {
+	ImportPath string
+	Export     string
+}
+
+// goList runs `go list -export -deps -json` on the given patterns and
+// parses the concatenated JSON documents it emits.
+func goList(patterns ...string) ([]listJSON, error) {
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, patterns...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("invlint: go list %v: %v\n%s", patterns, err, stderr.String())
+	}
+	var pkgs []listJSON
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listJSON
+		if err := dec.Decode(&p); err != nil {
+			if err == io.EOF {
+				return pkgs, nil
+			}
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// exportCache maps import paths to export-data files, lazily populated
+// by `go list -export`. One is shared by every corpus (stdCache), so a
+// missing import costs one `go list` harvest per test binary.
+type exportCache struct {
+	mu    sync.Mutex
+	files map[string]string
+}
+
+// lookup returns a reader over the export data for path, running
+// `go list -export` on a miss. It has the signature go/importer's gc
+// lookup wants.
+func (c *exportCache) lookup(path string) (io.ReadCloser, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.files[path]
+	if !ok {
+		pkgs, err := goList(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range pkgs {
+			if p.Export != "" {
+				c.files[p.ImportPath] = p.Export
+			}
+		}
+		if f, ok = c.files[path]; !ok {
+			return nil, fmt.Errorf("invlint: no export data for %q", path)
+		}
+	}
+	return os.Open(f)
+}
+
+// testdataImporter resolves imports for a corpus: paths present under
+// root are type-checked from source (recursively); everything else
+// falls through to the export-data importer, so corpora can import both
+// fake in-corpus packages (a stub repro/internal/sim, say) and the real
+// standard library.
+type testdataImporter struct {
+	root     string
+	fset     *token.FileSet
+	std      types.Importer
+	packages map[string]*types.Package
+}
+
+// Import implements types.Importer.
+func (ti *testdataImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := ti.packages[path]; ok {
+		return pkg, nil
+	}
+	dir := filepath.Join(ti.root, filepath.FromSlash(path))
+	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+		return ti.std.Import(path)
+	}
+	u, err := loadTestdataDir(ti, path, dir)
+	if err != nil {
+		return nil, err
+	}
+	ti.packages[path] = u.Pkg
+	return u.Pkg, nil
+}
+
+// loadTestdataDir parses and type-checks one corpus directory.
+func loadTestdataDir(ti *testdataImporter, path, dir string) (*unit, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	if len(names) == 0 {
+		return nil, fmt.Errorf("invlint: no Go files in corpus %s", dir)
+	}
+	files, err := parseFiles(ti.fset, dir, names)
+	if err != nil {
+		return nil, err
+	}
+	return checkUnit(ti.fset, path, files, ti)
+}
+
+// stdCache backs every testdata importer with one process-wide export
+// harvest (module-independent: corpora import only the standard
+// library through it).
+var stdCache = &exportCache{files: make(map[string]string)}
+
+// loadTestdata loads the corpus package rooted at root/src/<path> (the
+// analysistest testdata layout). Corpus-internal imports resolve from
+// source under root/src; all others through `go list -export`.
+func loadTestdata(root, path string) (*unit, error) {
+	fset := token.NewFileSet()
+	ti := &testdataImporter{
+		root:     filepath.Join(root, "src"),
+		fset:     fset,
+		std:      importer.ForCompiler(fset, "gc", stdCache.lookup),
+		packages: make(map[string]*types.Package),
+	}
+	dir := filepath.Join(ti.root, filepath.FromSlash(path))
+	return loadTestdataDir(ti, path, dir)
+}
 
 // wantRe extracts the quoted regexes of a `// want "re1" "re2"` comment,
 // the analysistest expectation syntax.
@@ -21,7 +170,7 @@ type expectation struct {
 
 // collectWants scans the unit's files for `// want` comments. A mark on
 // line L expects a diagnostic on L (the analysistest convention).
-func collectWants(t *testing.T, u *Unit) []*expectation {
+func collectWants(t *testing.T, u *unit) []*expectation {
 	t.Helper()
 	var wants []*expectation
 	for _, f := range u.Files {
@@ -68,7 +217,7 @@ func runCorpus(t *testing.T, root string, analyzers []*Analyzer, pkgPaths ...str
 		if err != nil {
 			t.Fatalf("loading corpus %s/%s: %v", root, path, err)
 		}
-		ds, err := RunUnit(u, analyzers)
+		ds, err := runUnit(u, analyzers)
 		if err != nil {
 			t.Fatalf("running analyzers on %s/%s: %v", root, path, err)
 		}
@@ -148,40 +297,6 @@ func TestDiagnosticString(t *testing.T) {
 	d.Pos.Filename, d.Pos.Line, d.Pos.Column = "x.go", 3, 7
 	if got, want := d.String(), "x.go:3:7: boom (detlint)"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-// TestLoadPatternsSelf loads this package through the standalone loader
-// and checks the unit includes its test files (metriccol relies on
-// that).
-func TestLoadPatternsSelf(t *testing.T) {
-	units, err := LoadPatterns("", "repro/internal/invlint")
-	if err != nil {
-		t.Fatalf("LoadPatterns: %v", err)
-	}
-	if len(units) != 1 {
-		t.Fatalf("got %d units, want 1", len(units))
-	}
-	u := units[0]
-	if u.Pkg.Path() != "repro/internal/invlint" {
-		t.Errorf("loaded %q", u.Pkg.Path())
-	}
-	hasTest := false
-	for _, f := range u.Files {
-		if isTestFile(u.Fset, f) {
-			hasTest = true
-		}
-	}
-	if !hasTest {
-		t.Error("unit is missing in-package test files")
-	}
-	// The suite over its own loader's output must be clean.
-	diags, err := RunUnit(u, Analyzers())
-	if err != nil {
-		t.Fatalf("RunUnit: %v", err)
-	}
-	if len(diags) != 0 {
-		t.Errorf("unexpected findings on invlint itself: %v", diags)
 	}
 }
 

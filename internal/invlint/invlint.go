@@ -114,9 +114,9 @@ func AnalyzerByName(name string) (*Analyzer, bool) {
 	return nil, false
 }
 
-// Unit is one loadable compilation unit: a parsed, type-checked package
+// unit is one loadable compilation unit: a parsed, type-checked package
 // ready to be analyzed.
-type Unit struct {
+type unit struct {
 	// Fset maps token positions of Files.
 	Fset *token.FileSet
 	// Files are the unit's parsed source files.
@@ -176,12 +176,12 @@ func parseAllows(fset *token.FileSet, file *ast.File, known map[string]bool) []*
 	return marks
 }
 
-// RunUnit applies analyzers to a unit and returns the surviving
+// runUnit applies analyzers to a unit and returns the surviving
 // diagnostics: findings annotated with a well-formed lint:allow on the
 // same or the preceding line are suppressed; malformed annotations and
 // annotations that suppressed nothing are reported as findings of their
 // own, so the exception mechanism stays narrow and auditable.
-func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
+func runUnit(u *unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{

@@ -107,5 +107,5 @@ func RunVetConfig(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return nil, err
 	}
-	return RunUnit(u, analyzers)
+	return runUnit(u, analyzers)
 }

@@ -12,7 +12,7 @@ import (
 // loaders do, so the synthetic vet configs below look like cmd/go's.
 func timeExport(t *testing.T) string {
 	t.Helper()
-	pkgs, err := goList("", "time")
+	pkgs, err := goList("time")
 	if err != nil {
 		t.Fatalf("go list time: %v", err)
 	}

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -423,22 +422,4 @@ func CSV(rows []TableRow, cols []string) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// topProcsByBusy returns the n busiest processors, for load-imbalance
-// diagnostics.
-func (c *Collector) topProcsByBusy(n int) []ProcStats {
-	all := c.All()
-	sort.Slice(all, func(i, j int) bool {
-		bi := all[i].ComputeTime + all[i].IOTime + all[i].CommTime
-		bj := all[j].ComputeTime + all[j].IOTime + all[j].CommTime
-		if bi != bj {
-			return bi > bj
-		}
-		return all[i].Proc < all[j].Proc
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n]
 }

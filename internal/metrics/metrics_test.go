@@ -324,18 +324,3 @@ func TestCounterRoundTrip(t *testing.T) {
 			s.TotalIdle, s.PathlineSteps, s.EpochCrossings)
 	}
 }
-
-func TestTopProcsByBusy(t *testing.T) {
-	c := NewCollector(3)
-	c.P(0).ComputeTime = 1
-	c.P(1).ComputeTime = 5
-	c.P(2).IOTime = 3
-	top := c.topProcsByBusy(2)
-	if len(top) != 2 || top[0].Proc != 1 || top[1].Proc != 2 {
-		t.Errorf("top = %+v", top)
-	}
-	// Request beyond length clamps.
-	if got := len(c.topProcsByBusy(10)); got != 3 {
-		t.Errorf("clamped top len = %d", got)
-	}
-}

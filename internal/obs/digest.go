@@ -55,24 +55,6 @@ func (d *Digest) Add(v float64) {
 	d.buckets[bucketOf(v)]++
 }
 
-// merge folds o into d. Merging is commutative and associative.
-func (d *Digest) merge(o *Digest) {
-	if o.count == 0 {
-		return
-	}
-	if d.count == 0 || o.min < d.min {
-		d.min = o.min
-	}
-	if d.count == 0 || o.max > d.max {
-		d.max = o.max
-	}
-	d.count += o.count
-	d.sum += o.sum
-	for i := range d.buckets {
-		d.buckets[i] += o.buckets[i]
-	}
-}
-
 // Count returns the number of samples folded in.
 func (d *Digest) Count() int64 { return d.count }
 

@@ -134,37 +134,6 @@ func TestDigestQuantiles(t *testing.T) {
 	}
 }
 
-func TestDigestMergeAdditive(t *testing.T) {
-	var a, b, whole Digest
-	for i := 1; i <= 200; i++ {
-		v := float64(i*i) * 1e-6
-		whole.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	merged := a
-	merged.merge(&b)
-	ms, ws := merged.Summary(), whole.Summary()
-	// Sums may differ in the last ulp (float addition order); everything
-	// else — counts, extremes, quantiles — must match exactly.
-	if math.Abs(ms.Sum-ws.Sum) > 1e-9*math.Abs(ws.Sum) {
-		t.Fatalf("merged sum %g vs whole %g", ms.Sum, ws.Sum)
-	}
-	ms.Sum, ws.Sum = 0, 0
-	if ms != ws {
-		t.Fatalf("merge not additive:\nmerged %+v\nwhole  %+v", ms, ws)
-	}
-	before := merged.Summary()
-	var empty Digest
-	merged.merge(&empty)
-	if merged.Summary() != before {
-		t.Fatal("merging an empty digest changed the summary")
-	}
-}
-
 func TestChromeTraceSchema(t *testing.T) {
 	r := New()
 	record(r)

@@ -4,9 +4,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Gantt colors, one per activity span kind plus the kill tick. Exported
-// through ganttColor so tests and legends stay in sync with the
-// renderer.
+// Gantt colors, one per activity span kind plus the kill tick; a kind
+// without an entry is not drawn.
 var ganttColors = map[obs.Kind][3]byte{
 	obs.SpanCompute: {70, 200, 95},  // green: integration work
 	obs.SpanIO:      {80, 130, 255}, // blue: block transfer
@@ -14,13 +13,6 @@ var ganttColors = map[obs.Kind][3]byte{
 	obs.SpanComm:    {255, 175, 50}, // orange: messaging overhead
 	obs.SpanIdle:    {70, 70, 80},   // gray: blocked in a message wait
 	obs.MarkKill:    {255, 55, 55},  // red: fail-stop fault
-}
-
-// ganttColor returns the color a span kind (or the kill mark) renders
-// with, and whether the kind is drawn at all.
-func ganttColor(k obs.Kind) (r, g, b byte, ok bool) {
-	c, ok := ganttColors[k]
-	return c[0], c[1], c[2], ok
 }
 
 // ganttPriority breaks ties when spans overlap on one processor lane:
@@ -45,7 +37,7 @@ func ganttPriority(k obs.Kind) float64 {
 
 // Gantt renders a recorded event stream as a per-processor timeline —
 // the paper's Gantt charts: one horizontal lane per processor, virtual
-// time on the x axis, activity spans as colored bars (see ganttColor)
+// time on the x axis, activity spans as colored bars (see ganttColors)
 // and fail-stop kills as full-height red ticks. Instant marks other
 // than kills are not drawn; they would be sub-pixel at any useful
 // scale. The image is a pure function of the event stream, so it is

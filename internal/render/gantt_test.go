@@ -25,13 +25,13 @@ func ganttFixture() []obs.Event {
 
 func wantColor(t *testing.T, img *Image, x, y int, k obs.Kind) {
 	t.Helper()
-	wr, wg, wb, ok := ganttColor(k)
+	want, ok := ganttColors[k]
 	if !ok {
 		t.Fatalf("kind %s has no gantt color", k)
 	}
 	r, g, b := img.At(x, y)
-	if r != wr || g != wg || b != wb {
-		t.Errorf("pixel (%d,%d) = (%d,%d,%d), want %s (%d,%d,%d)", x, y, r, g, b, k, wr, wg, wb)
+	if [3]byte{r, g, b} != want {
+		t.Errorf("pixel (%d,%d) = (%d,%d,%d), want %s %v", x, y, r, g, b, k, want)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestGantt(t *testing.T) {
 		t.Fatal("gantt drew nothing")
 	}
 	// The undrawn mark kind must not have a color.
-	if _, _, _, ok := ganttColor(obs.MarkBlockLoad); ok {
+	if _, ok := ganttColors[obs.MarkBlockLoad]; ok {
 		t.Error("block-load marks should not render")
 	}
 }

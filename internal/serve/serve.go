@@ -170,15 +170,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.sched.drain(ctx)
 }
 
-// cacheLen counts the disk-cached entries for the server's scale — a
-// test and smoke-check diagnostic.
-func (s *Server) cacheLen(observed bool) int {
-	if s.store == nil {
-		return 0
-	}
-	return s.store.Len(Scope{Scale: s.cfg.ScaleName, Observed: observed})
-}
-
 // execTask serves one cell: disk store, then campaign memo (with its
 // singleflight), then fresh computation — writing back to the store on
 // the way out. Runs on a scheduler worker.
@@ -253,8 +244,7 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []exper
 	if tenant == "" {
 		tenant = "anon"
 	}
-	tasks := make([]*task, 0, len(keys))
-	ts, err := s.sched.submit(tenant, keys, observed)
+	tasks, err := s.sched.submit(tenant, keys, observed)
 	if err != nil {
 		var sat *saturatedError
 		switch {
@@ -267,7 +257,6 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []exper
 		}
 		return
 	}
-	tasks = append(tasks, ts...)
 
 	ctx := r.Context()
 	if s.cfg.Timeout > 0 {

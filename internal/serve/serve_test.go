@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,6 +62,26 @@ func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 const cellBody = `{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2}`
 
 // post performs one request against the server's handler.
+// storeLen counts the entry files cached under scope sc.
+func storeLen(st *Store, sc Scope) int {
+	n := 0
+	filepath.WalkDir(filepath.Join(st.root, entryVersion, sc.dir()), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
+			n++
+		}
+		return nil
+	})
+	return n
+}
+
+// cacheLen counts the disk-cached entries for the server's scale.
+func (s *Server) cacheLen(observed bool) int {
+	if s.store == nil {
+		return 0
+	}
+	return storeLen(s.store, Scope{Scale: s.cfg.ScaleName, Observed: observed})
+}
+
 func post(s *Server, method, target, tenant, body string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(method, target, strings.NewReader(body))
 	if tenant != "" {

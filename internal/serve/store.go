@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -193,18 +192,4 @@ func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 		return fmt.Errorf("serve: cache write: %w", err)
 	}
 	return nil
-}
-
-// Len counts the entries cached under scope sc — a diagnostic for tests
-// and the stats endpoint, not a hot path.
-func (st *Store) Len(sc Scope) int {
-	n := 0
-	root := filepath.Join(st.root, entryVersion, sc.dir())
-	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
-			n++
-		}
-		return nil
-	})
-	return n
 }

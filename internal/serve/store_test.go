@@ -53,8 +53,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if !bytes.Equal(e.Summary, sum) {
 		t.Fatalf("summary bytes changed across the store:\n got %s\nwant %s", e.Summary, sum)
 	}
-	if st.Len(sc) != 1 {
-		t.Fatalf("Len = %d, want 1", st.Len(sc))
+	if n := storeLen(st, sc); n != 1 {
+		t.Fatalf("store holds %d entries, want 1", n)
 	}
 
 	// Other scopes are separate populations.

@@ -118,15 +118,6 @@ func (b AABB) Contains(p V3) bool {
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
 }
 
-// containsExclusive reports whether p lies inside the box where the upper
-// faces are excluded. Block ownership tests use this so that every point in
-// the domain maps to exactly one block.
-func (b AABB) containsExclusive(p V3) bool {
-	return p.X >= b.Min.X && p.X < b.Max.X &&
-		p.Y >= b.Min.Y && p.Y < b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z < b.Max.Z
-}
-
 // Size returns the box edge lengths.
 func (b AABB) Size() V3 { return b.Max.Sub(b.Min) }
 
