@@ -1,9 +1,10 @@
 // Command slserve runs the campaign as a long-lived service: an HTTP
 // server that accepts campaign cells as canonical key JSON (DESIGN.md
-// §14) and answers with their metrics summaries, backed by a persistent
-// content-addressed result cache. Because every cell is a deterministic
-// function of its key, a cache hit — in-memory or across a restart — is
-// byte-identical to a fresh computation.
+// §14) and answers with their metrics summaries, backed by one
+// content-addressed result cache: the -cache directory, which survives
+// restarts, or without the flag a bounded map in memory. Because every
+// cell is a deterministic function of its key, a cache hit — from either
+// — is byte-identical to a fresh computation.
 //
 // Endpoints:
 //
@@ -62,7 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workers      = fs.Int("workers", 0, "concurrent cell computations; 0 means one per CPU core")
 		tenantLimit  = fs.Int("tenant-limit", 64, "max outstanding cells per tenant before 429")
 		timeout      = fs.Duration("timeout", 2*time.Minute, "per-request wait bound before 504; 0 waits forever")
-		cacheDir     = fs.String("cache", "", "persistent result cache directory (empty = memory-only)")
+		cacheDir     = fs.String("cache", "", "persistent result cache directory (empty = memory-only, bounded)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound for in-flight cells")
 		verbose      = fs.Bool("v", false, "log each computed cell and cache anomaly to stderr")
 	)

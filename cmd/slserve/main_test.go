@@ -152,8 +152,8 @@ func TestServeSmoke(t *testing.T) {
 }
 
 // TestServeSmokeMemoryOnly boots without -cache (memory-only) and with
-// -v: the second identical request must be a campaign-memo hit, and the
-// verbose log must land on stderr.
+// -v: the second identical request must be a hit on the in-memory store,
+// and the verbose log must land on stderr.
 func TestServeSmokeMemoryOnly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

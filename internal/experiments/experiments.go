@@ -8,13 +8,14 @@
 // configuration (512 blocks × 1M cells, 20k seeds) and reduced
 // CI/benchmark configurations share one code path.
 //
-// A Campaign memoizes at three levels: results by Key, problems by
-// (dataset, seeding, unsteady, injection), and — since the sweep runs
-// each problem under every algorithm and processor count — the
-// integration itself, as one segment tape per problem (tape.go): a
-// streamline is integrated by the first cell that touches it and
-// replayed by every cell, and the outcome is byte-identical to
-// integrating it in each.
+// A Campaign memoizes at three levels: results by Key (Run retains
+// them; Compute executes without retaining, for a caller that keeps a
+// cache of its own), problems by (dataset, seeding, unsteady,
+// injection), and — since the sweep runs each problem under every
+// algorithm and processor count — the integration itself, as one
+// segment tape per problem (tape.go): a streamline is integrated by the
+// first cell that touches it and replayed by every cell, and the outcome
+// is byte-identical to integrating it in each.
 package experiments
 
 import (
@@ -523,11 +524,12 @@ type Outcome struct {
 }
 
 // Campaign runs and caches the full evaluation at one scale. A Campaign
-// is safe for concurrent use: Run may be called from any number of
-// goroutines, and the batch entry points (RunKeys, RunAll, FigureRows)
-// execute missing cells on a bounded worker pool (see parallel.go). Every
-// sweep cell is an independent deterministic simulation, so results are
-// bit-identical regardless of execution order or worker count.
+// is safe for concurrent use: Run and Compute may be called from any
+// number of goroutines, and the batch entry points (RunKeys, RunAll,
+// FigureRows) execute missing cells on a bounded worker pool (see
+// parallel.go). Every sweep cell is an independent deterministic
+// simulation, so results are bit-identical regardless of execution order
+// or worker count.
 type Campaign struct {
 	Scale Scale
 	// Workers bounds how many sweep cells the batch entry points execute
@@ -558,15 +560,15 @@ type Campaign struct {
 	// every cell under that processor-loss scenario — the slbench
 	// -faults mode. Explicitly-built Keys are unaffected.
 	Faults FaultMode
-	// Observe attaches a constant-memory obs recorder to every executed
-	// cell and stores its percentile report in Outcome.Obs — the slbench
-	// -json percentile block. Cells are cached by Key alone, so set it
-	// before the first Run.
+	// Observe attaches a constant-memory obs recorder to every cell Run
+	// executes and stores its percentile report in Outcome.Obs — the
+	// slbench -json percentile block. Run retains cells by Key alone, so
+	// set it before the first Run; Compute takes the choice per call.
 	Observe bool
 
 	mu       sync.Mutex
 	results  map[Key]Outcome
-	inflight map[Key]chan struct{}
+	inflight map[flightKey]*flight
 
 	probMu   sync.Mutex
 	problems map[problemKey]*problemEntry
@@ -585,7 +587,7 @@ func NewCampaign(sc Scale) *Campaign {
 	return &Campaign{
 		Scale:    sc,
 		results:  make(map[Key]Outcome),
-		inflight: make(map[Key]chan struct{}),
+		inflight: make(map[flightKey]*flight),
 		problems: make(map[problemKey]*problemEntry),
 	}
 }
@@ -628,7 +630,8 @@ func (c *Campaign) problem(ds Dataset, seeding Seeding, unsteady bool, inject In
 	return e
 }
 
-// Cached returns the outcome for k only if it has already been computed.
+// Cached returns the outcome for k only if a Run has retained it; what
+// Compute executes never shows here.
 func (c *Campaign) Cached(k Key) (Outcome, bool) {
 	k = k.normalized()
 	c.mu.Lock()
@@ -637,48 +640,75 @@ func (c *Campaign) Cached(k Key) (Outcome, bool) {
 	return out, ok
 }
 
-// Run executes (or returns the cached result of) one configuration. If
-// another goroutine is already executing k, Run waits for that result
-// instead of duplicating the work.
+// Run returns the retained outcome of k, or computes it with the
+// campaign's Observe setting and retains it: the memo in front of
+// Compute.
 func (c *Campaign) Run(k Key) Outcome {
-	k = k.normalized()
-	for {
-		c.mu.Lock()
-		if out, ok := c.results[k]; ok {
-			c.mu.Unlock()
-			return out
-		}
-		ch, busy := c.inflight[k]
-		if busy {
-			c.mu.Unlock()
-			<-ch // another goroutine is on it; wait and re-check
-			continue
-		}
-		ch = make(chan struct{})
-		c.inflight[k] = ch
-		c.mu.Unlock()
-
-		c.enter()
-		res, rep, err := c.execute(k)
-		c.leave()
-		out := Outcome{Key: k, Obs: rep, Err: err}
-		if err == nil {
-			out.Summary = res.Summary
-		}
-
-		c.mu.Lock()
-		c.results[k] = out
-		delete(c.inflight, k)
-		c.mu.Unlock()
-		close(ch)
-		c.logOutcome(out)
+	if out, ok := c.Cached(k); ok {
 		return out
 	}
+	return c.Compute(k, c.Observe, func(out Outcome) {
+		c.mu.Lock()
+		c.results[out.Key] = out
+		c.mu.Unlock()
+	})
+}
+
+// flightKey names one execution in progress. Observed and unobserved
+// runs of a key differ in their outcome (Obs, and the summary's
+// TraceEvents/TraceBytes), so they never share one.
+type flightKey struct {
+	key     Key
+	observe bool
+}
+
+// flight is an execution in progress: out is final once done is closed.
+type flight struct {
+	done chan struct{}
+	out  Outcome
+}
+
+// Compute executes k, with the obs recorder attached if observe is set,
+// and retains nothing: the caller owns the outcome (cmd/slserve's cache
+// is internal/serve's Store). Identical calls in flight share one
+// execution. keep, if non-nil, runs once, on the call that executes,
+// before the waiting calls are released or any later call can start a
+// new execution — a cache filled there is filled by the time any other
+// caller has the outcome.
+func (c *Campaign) Compute(k Key, observe bool, keep func(Outcome)) Outcome {
+	fk := flightKey{k.normalized(), observe}
+	c.mu.Lock()
+	if f, busy := c.inflight[fk]; busy {
+		c.mu.Unlock()
+		<-f.done
+		return f.out
+	}
+	f := &flight{done: make(chan struct{})}
+	c.inflight[fk] = f
+	c.mu.Unlock()
+
+	c.enter()
+	res, rep, err := c.execute(fk.key, observe)
+	c.leave()
+	f.out = Outcome{Key: fk.key, Obs: rep, Err: err}
+	if err == nil {
+		f.out.Summary = res.Summary
+	}
+	if keep != nil {
+		keep(f.out)
+	}
+
+	c.mu.Lock()
+	delete(c.inflight, fk)
+	c.mu.Unlock()
+	close(f.done)
+	c.logOutcome(f.out)
+	return f.out
 }
 
 // execute performs the simulation for one configuration (no caching):
 // the memoized problem, with its segment tape (tape.go), on k's machine.
-func (c *Campaign) execute(k Key) (*core.Result, *obs.Report, error) {
+func (c *Campaign) execute(k Key, observe bool) (*core.Result, *obs.Report, error) {
 	e := c.problem(k.Dataset, k.Seeding, k.Unsteady, k.Injection)
 	if e.err != nil {
 		return nil, nil, e.err
@@ -687,7 +717,7 @@ func (c *Campaign) execute(k Key) (*core.Result, *obs.Report, error) {
 	if c.Tune != nil {
 		c.Tune(&cfg)
 	}
-	if c.Observe {
+	if observe {
 		cfg.Trace = obs.NewDigest()
 	}
 	prob := e.prob

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -198,6 +199,124 @@ func TestRunSingleflight(t *testing.T) {
 		if outs[i].Summary != outs[0].Summary {
 			t.Errorf("caller %d observed a different summary", i)
 		}
+	}
+}
+
+// TestComputeRetainsNothing: Compute is execution without the memo — two
+// sequential calls execute twice (counted through Tune) and Cached never
+// sees them — and Run after Compute still executes once and retains.
+func TestComputeRetainsNothing(t *testing.T) {
+	c := NewCampaign(tinyScale())
+	executions := 0
+	c.Tune = func(*core.Config) { executions++ }
+	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: "t0"}
+
+	a := c.Compute(k, false, nil)
+	b := c.Compute(k, false, nil)
+	if executions != 2 || c.numResults() != 0 {
+		t.Fatalf("two Computes: %d executions, %d results retained; want 2 and 0", executions, c.numResults())
+	}
+	if _, ok := c.Cached(k); ok {
+		t.Fatal("Cached sees a cell only Compute ran")
+	}
+	if a.Err != nil || a.Summary != b.Summary || a.Key != k.normalized() {
+		t.Fatalf("Compute outcomes differ or failed: %+v vs %+v", a, b)
+	}
+	if len(c.inflight) != 0 {
+		t.Fatalf("%d flights left behind", len(c.inflight))
+	}
+
+	r := c.Run(k)
+	c.Run(k)
+	if executions != 3 || c.numResults() != 1 {
+		t.Fatalf("Run, twice, after Compute: %d executions, %d retained; want 3 and 1", executions, c.numResults())
+	}
+	if got, ok := c.Cached(k); !ok || got.Summary != r.Summary || r.Summary != a.Summary {
+		t.Fatal("Run did not retain the outcome Compute produced")
+	}
+}
+
+// TestComputeSharesOneFlight: N concurrent Computes of one key execute
+// once, keep runs once — on the executing call, before anyone is
+// released — and every caller returns with keep's effect visible. The
+// execution is held in Tune until every caller is on its way in. Run
+// with -race: kept is written by keep and read by every caller bare.
+func TestComputeSharesOneFlight(t *testing.T) {
+	const callers = 8
+	c := NewCampaign(tinyScale())
+	var started sync.WaitGroup
+	started.Add(callers)
+	executions := 0
+	c.Tune = func(*core.Config) {
+		started.Wait()
+		executions++
+	}
+	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}
+
+	var kept *Outcome
+	keeps := 0
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			started.Done()
+			out := c.Compute(k, false, func(out Outcome) {
+				keeps++
+				kept = &out
+			})
+			if kept == nil || kept.Summary != out.Summary || out.Err != nil {
+				t.Errorf("caller %d returned before keep's effect was visible, or with another outcome", i)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if executions != 1 || keeps != 1 {
+		t.Fatalf("%d concurrent Computes: %d executions, %d keeps; want 1 and 1", callers, executions, keeps)
+	}
+}
+
+// TestComputeObserveIsPerCall: an observed and an unobserved Compute of
+// one key do not share a flight — both are held in Tune until both are
+// there — and their outcomes differ only in Obs and in the summary's
+// TraceEvents/TraceBytes meta-counters.
+func TestComputeObserveIsPerCall(t *testing.T) {
+	c := NewCampaign(tinyScale())
+	arrived := make(chan struct{}, 2) // one send per execution
+	both := make(chan struct{})
+	c.Tune = func(*core.Config) {
+		arrived <- struct{}{}
+		<-both
+	}
+	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}
+
+	var plain, observed Outcome
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); plain = c.Compute(k, false, nil) }()
+	go func() { defer wg.Done(); observed = c.Compute(k, true, nil) }()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(30 * time.Second):
+			close(both)
+			t.Fatal("the observed and the unobserved Compute share one execution")
+		}
+	}
+	close(both)
+	wg.Wait()
+
+	if plain.Obs != nil || observed.Obs == nil {
+		t.Fatalf("Obs: unobserved %v, observed %v; want nil and a report", plain.Obs, observed.Obs)
+	}
+	sum := observed.Summary
+	if sum.TraceEvents != observed.Obs.Events || sum.TraceBytes != observed.Obs.Bytes || sum.TraceEvents == 0 {
+		t.Errorf("meta-counters (%d ev, %d by) disagree with the report (%d ev, %d by)",
+			sum.TraceEvents, sum.TraceBytes, observed.Obs.Events, observed.Obs.Bytes)
+	}
+	sum.TraceEvents, sum.TraceBytes = 0, 0
+	if sum != plain.Summary {
+		t.Errorf("observation changed the summary\nobserved: %+v\nplain:    %+v", sum, plain.Summary)
 	}
 }
 

@@ -74,7 +74,7 @@ func simulated(t *testing.T, c *Campaign, k Key) cellBytes {
 	t.Helper()
 	c.enter()
 	defer c.leave()
-	res, rep, err := c.execute(k.normalized())
+	res, rep, err := c.execute(k.normalized(), c.Observe)
 	return cellOf(t, res, rep, err)
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -103,25 +104,22 @@ func TestNewConfigValidation(t *testing.T) {
 		defer cancel()
 		s.Drain(ctx)
 	}()
-	if s.cacheLen(false) != 0 || s.cacheLen(true) != 0 {
-		t.Error("CacheLen without a disk store should be 0")
+	if s.store.tier != "memory" || s.cacheLen(false) != 0 || s.cacheLen(true) != 0 {
+		t.Errorf("a Server without a CacheDir should start on an empty memory store, got %q", s.store.tier)
 	}
 }
 
 // TestCorruptCacheFallsBackToCompute plants a directory at the cell's
-// cache address so both the read and the write-back fail, and checks the
-// request still succeeds (fresh computation) while the failures are
-// logged — corruption costs a recompute, never a wrong or failed answer.
+// cache address so both the read and the write-back fail, and checks
+// that concurrent requests all still succeed (fresh computation, shared
+// or repeated) while the failures are logged — corruption costs a
+// recompute, never a wrong or failed answer. The log function takes no
+// lock of its own: Config.Log promises serialized calls. Run with -race.
 func TestCorruptCacheFallsBackToCompute(t *testing.T) {
-	var mu sync.Mutex
 	var logged []string
 	s := newTestServer(t, func(c *Config) {
 		c.CacheDir = t.TempDir()
-		c.Log = func(msg string) {
-			mu.Lock()
-			logged = append(logged, msg)
-			mu.Unlock()
-		}
+		c.Log = func(msg string) { logged = append(logged, msg) }
 	})
 	k, err := experiments.ParseKey([]byte(cellBody))
 	if err != nil {
@@ -132,13 +130,23 @@ func TestCorruptCacheFallsBackToCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody))
-	r := resp.Rows[0]
-	if r.Cached || r.Source != "computed" || r.Error != "" {
-		t.Fatalf("squatted cache should force a fresh computation, got cached=%v source=%q err=%q", r.Cached, r.Source, r.Error)
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := post(s, http.MethodPost, "/v1/cell", "", cellBody)
+			var resp Response
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || len(resp.Rows) != 1 {
+				t.Errorf("status %d, body %s", w.Code, w.Body.String())
+				return
+			}
+			if r := resp.Rows[0]; r.Cached || r.Source != "computed" || r.Error != "" || len(r.Summary) == 0 {
+				t.Errorf("squatted cache should force a fresh computation, got cached=%v source=%q err=%q", r.Cached, r.Source, r.Error)
+			}
+		}()
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	wg.Wait()
 	var sawRead, sawWrite bool
 	for _, msg := range logged {
 		sawRead = sawRead || strings.Contains(msg, "cache read")

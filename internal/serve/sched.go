@@ -10,7 +10,9 @@
 // tenant behind it. Admission control is a per-tenant cap on
 // outstanding (queued + running) tasks: past it, submissions fail fast
 // with a saturatedError (HTTP 429) instead of growing an unbounded
-// queue.
+// queue. A tenant's queue exists only while it has tasks outstanding, so
+// the set of queues is bounded by the work admitted, not by how many
+// X-Tenant values have ever been seen.
 //
 // Draining flips the scheduler closed: new submissions fail with
 // errDraining, already-accepted tasks run to completion, and Drain
@@ -46,15 +48,14 @@ func (e *saturatedError) Error() string {
 // cache or fresh computation).
 type task struct {
 	key      experiments.Key
-	tenant   string
-	observed bool // run with the obs recorder (separate cache population)
+	tenant   string // names the task's queue in scheduler.tenants
+	observed bool   // run with the obs recorder (separate cache population)
 	row      Row
 	done     chan struct{}
 }
 
 // tenantQ is one tenant's FIFO plus its admission accounting.
 type tenantQ struct {
-	name    string
 	items   []*task
 	ringed  bool // queue currently holds a ring slot
 	pending int  // queued + running, the admission count
@@ -67,8 +68,8 @@ type scheduler struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	tenants map[string]*tenantQ
-	ring    []*tenantQ // round-robin order over tenants with queued work
+	tenants map[string]*tenantQ // tenants with tasks outstanding
+	ring    []*tenantQ          // round-robin order over tenants with queued work
 	closed  bool
 	wg      sync.WaitGroup
 }
@@ -95,12 +96,12 @@ func (s *scheduler) submit(tenant string, keys []experiments.Key, observed bool)
 	}
 	tq := s.tenants[tenant]
 	if tq == nil {
-		tq = &tenantQ{name: tenant}
-		s.tenants[tenant] = tq
+		tq = &tenantQ{} // joins s.tenants once admitted
 	}
 	if tq.pending+len(keys) > s.limit {
 		return nil, &saturatedError{Tenant: tenant, Limit: s.limit}
 	}
+	s.tenants[tenant] = tq
 	tasks := make([]*task, len(keys))
 	for i, k := range keys {
 		tasks[i] = &task{key: k, tenant: tenant, observed: observed, done: make(chan struct{})}
@@ -143,7 +144,9 @@ func (s *scheduler) worker() {
 		s.exec(t)
 
 		s.mu.Lock()
-		tq.pending--
+		if tq.pending--; tq.pending == 0 {
+			delete(s.tenants, t.tenant)
+		}
 		s.mu.Unlock()
 		close(t.done)
 	}

@@ -1,16 +1,19 @@
 // Package serve is the campaign-as-a-service layer: a long-lived HTTP
 // server that accepts campaign cells (canonical experiments.Key JSON,
 // DESIGN.md §14) and returns their metrics.Summary rows, backed by a
-// persistent content-addressed result cache.
+// content-addressed result cache.
 //
-// The request path is three nested caches, cheapest first: the disk
-// store (survives restarts, shared across processes), the in-memory
-// experiments.Campaign memo (plus its singleflight, so N concurrent
-// identical requests compute once), and finally the simulation itself.
-// Because every cell is a deterministic function of its Key, a cached
-// response's summary bytes are identical to a freshly computed one —
-// the server splices stored canonical encodings verbatim rather than
-// re-marshaling decoded structs.
+// The request path is one cache and the simulation behind it: the Store
+// answers (from its directory, which survives restarts and is shared
+// across processes, or — without one — from a bounded map in memory),
+// or the server's experiments.Campaign computes the cell and the
+// Store keeps it. The campaign shares one execution between identical
+// requests in flight and the write-back happens before it lets any of
+// them go, so N concurrent identical requests compute once and every
+// later one hits. Because every cell is a deterministic function of its
+// Key, a cached response's summary bytes are identical to a freshly
+// computed one — the server splices stored canonical encodings verbatim
+// rather than re-marshaling decoded structs.
 //
 // Multi-tenancy is fair, not first-come-first-served: requests carry an
 // X-Tenant header, each tenant gets a bounded FIFO, and the worker pool
@@ -29,9 +32,9 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -59,31 +62,31 @@ type Config struct {
 	// the deadline. A timed-out computation continues in the background
 	// and lands in the cache.
 	Timeout time.Duration
-	// CacheDir roots the persistent result store; empty disables disk
-	// caching (memory-only).
+	// CacheDir roots the persistent result store; empty keeps results in
+	// memory instead, up to memCacheBytes of them.
 	CacheDir string
-	// Tune, when non-nil, adjusts every cell's machine configuration
-	// (the slrun steal-parameter knobs). It must be deterministic — the
-	// cache trusts Key identity alone — and it becomes part of the
-	// server's identity: a cache directory must never be shared between
-	// servers with different Tune functions.
-	Tune func(*core.Config)
-	// Log, when non-nil, receives one line per served cell and per cache
-	// anomaly. Calls are serialized by the underlying campaign.
+	// Log, when non-nil, receives one line per computed cell and per
+	// cache anomaly. Calls are serialized by the Server.
 	Log func(string)
 }
 
+// memCacheBytes bounds the result payloads a Server without a CacheDir
+// keeps: room for tens of thousands of cells (a summary with its
+// percentile block is about a kilobyte), a fixed ceiling on a process
+// that serves for months.
+const memCacheBytes = 64 << 20
+
 // Row is one served cell in a Response. Summary and Percentiles are
 // spliced verbatim from canonical encodings, so equal keys yield
-// byte-equal payloads no matter which cache tier answered.
+// byte-equal payloads whether the cache or a computation answered.
 type Row struct {
 	// Label is the cell's human-readable campaign label.
 	Label string `json:"label"`
 	// Digest is the cell's content address (sha256 of the canonical key
 	// encoding) — the handle for cache inspection.
 	Digest string `json:"digest"`
-	// Cached reports whether any cache tier (disk or memory) answered;
-	// Source says which ("disk", "memory", "computed").
+	// Cached reports whether the cache answered; Source names its medium
+	// ("disk", "memory") or says "computed".
 	Cached bool   `json:"cached"`
 	Source string `json:"source"`
 	// Error is the cell's deterministic failure, exclusive with Summary.
@@ -108,13 +111,11 @@ type Response struct {
 // Server computes and caches campaign cells over HTTP. Create one with
 // New; it implements http.Handler.
 type Server struct {
-	cfg     Config
-	scale   experiments.Scale
-	camp    *experiments.Campaign // unobserved population
-	campObs *experiments.Campaign // observed population (separate memo: summaries differ)
-	store   *Store                // nil when disk caching is off
-	sched   *scheduler
-	mux     *http.ServeMux
+	cfg   Config
+	camp  *experiments.Campaign // computes what the store misses, retains nothing
+	store *Store
+	sched *scheduler
+	mux   *http.ServeMux
 }
 
 // New assembles a Server from cfg and starts its worker pool.
@@ -135,20 +136,22 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TenantLimit <= 0 {
 		cfg.TenantLimit = 64
 	}
-	s := &Server{cfg: cfg, scale: sc}
-	s.camp = experiments.NewCampaign(sc)
-	s.camp.Tune = cfg.Tune
+	if log := cfg.Log; log != nil {
+		// One lock for every line, the workers' and the campaign's alike.
+		var mu sync.Mutex
+		cfg.Log = func(line string) {
+			mu.Lock()
+			defer mu.Unlock()
+			log(line)
+		}
+	}
+	s := &Server{cfg: cfg, camp: experiments.NewCampaign(sc), store: newMemStore(memCacheBytes)}
 	s.camp.Log = cfg.Log
-	s.campObs = experiments.NewCampaign(sc)
-	s.campObs.Tune = cfg.Tune
-	s.campObs.Log = cfg.Log
-	s.campObs.Observe = true
 	if cfg.CacheDir != "" {
-		st, err := OpenStore(cfg.CacheDir)
-		if err != nil {
+		var err error
+		if s.store, err = OpenStore(cfg.CacheDir); err != nil {
 			return nil, err
 		}
-		s.store = st
 	}
 	s.sched = newScheduler(cfg.Workers, cfg.TenantLimit, s.execTask)
 	s.mux = http.NewServeMux()
@@ -170,71 +173,53 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.sched.drain(ctx)
 }
 
-// execTask serves one cell: disk store, then campaign memo (with its
-// singleflight), then fresh computation — writing back to the store on
-// the way out. Runs on a scheduler worker.
+// execTask serves one cell on a scheduler worker: from the store, or by
+// computing it. The write-back runs inside the campaign's flight, so a
+// request that finds no flight to join finds the entry.
 func (s *Server) execTask(t *task) {
 	scope := Scope{Scale: s.cfg.ScaleName, Observed: t.observed}
-	row := Row{Label: t.key.Label(), Digest: t.key.Digest()}
-	if s.store != nil {
-		e, ok, err := s.store.Get(scope, t.key)
-		if err != nil && s.cfg.Log != nil {
-			s.cfg.Log("serve: " + err.Error())
-		}
-		if ok {
-			row.Cached = true
-			row.Source = "disk"
-			row.Error = e.Error
-			row.Summary = e.Summary
-			row.Percentiles = e.Percentiles
-			t.row = row
-			return
+	t.row = Row{Label: t.key.Label(), Digest: t.key.Digest(), Cached: true, Source: s.store.tier}
+	e, have, err := s.store.Get(scope, t.key)
+	s.logErr(err)
+	if !have {
+		t.row.Cached, t.row.Source = false, "computed"
+		out := s.camp.Compute(t.key, t.observed, func(out experiments.Outcome) {
+			if e, have = entryOf(out); have {
+				s.logErr(s.store.Put(scope, t.key, e))
+			}
+		})
+		if !have { // the flight was another request's
+			e, _ = entryOf(out)
 		}
 	}
-	camp := s.camp
-	if t.observed {
-		camp = s.campObs
-	}
-	out, hit := camp.Cached(t.key)
-	if !hit {
-		out = camp.Run(t.key)
-	}
-	row.Cached = hit
-	if hit {
-		row.Source = "memory"
-	} else {
-		row.Source = "computed"
-	}
-	var entry Entry
+	t.row.Error, t.row.Summary, t.row.Percentiles = e.Error, e.Summary, e.Percentiles
+}
+
+// entryOf encodes an outcome as the payload it is cached and served as.
+// ok is false for a summary that does not encode — unreachable for real
+// ones (plain finite numerics); if it ever fires the row fails with the
+// reason and the cache is skipped rather than handed a made-up entry.
+func entryOf(out experiments.Outcome) (e Entry, ok bool) {
 	if out.Err != nil {
-		row.Error = out.Err.Error()
-		entry.Error = row.Error
+		e.Error = out.Err.Error()
+	} else if data, err := out.Summary.CanonicalJSON(); err != nil {
+		return Entry{Error: fmt.Sprintf("encode summary: %v", err)}, false
 	} else {
-		data, err := out.Summary.CanonicalJSON()
-		if err != nil {
-			// Unreachable for real summaries (plain finite numerics); if
-			// it ever fires, fail the row and skip the cache rather than
-			// persisting a malformed entry.
-			row.Error = fmt.Sprintf("encode summary: %v", err)
-			t.row = row
-			return
-		}
-		row.Summary = data
-		entry.Summary = data
+		e.Summary = data
 	}
 	if out.Obs != nil {
-		data, err := json.Marshal(out.Obs)
-		if err == nil {
-			row.Percentiles = data
-			entry.Percentiles = data
+		if data, err := json.Marshal(out.Obs); err == nil {
+			e.Percentiles = data
 		}
 	}
-	if s.store != nil {
-		if err := s.store.Put(scope, t.key, entry); err != nil && s.cfg.Log != nil {
-			s.cfg.Log("serve: " + err.Error())
-		}
+	return e, true
+}
+
+// logErr reports a cache anomaly; the request goes on without the cache.
+func (s *Server) logErr(err error) {
+	if err != nil && s.cfg.Log != nil {
+		s.cfg.Log("serve: " + err.Error())
 	}
-	t.row = row
 }
 
 // serveCells is the shared request tail: admit, wait (bounded by the
@@ -243,6 +228,11 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []exper
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = "anon"
+	}
+	if len(keys) > s.cfg.TenantLimit {
+		// Admission is all-or-nothing, so this batch could never be admitted.
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d cells exceeds the per-tenant limit of %d outstanding cells: split it", len(keys), s.cfg.TenantLimit))
+		return
 	}
 	tasks, err := s.sched.submit(tenant, keys, observed)
 	if err != nil {

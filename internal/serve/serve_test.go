@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,11 +12,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
@@ -61,10 +60,28 @@ func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 
 const cellBody = `{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2}`
 
-// post performs one request against the server's handler.
-// storeLen counts the entry files cached under scope sc.
+// media lists the two cache media with the Config change that selects
+// each: tests of behaviour the medium must not change range over it.
+func media(t *testing.T) map[string]func(*Config) {
+	return map[string]func(*Config){
+		"disk":   func(c *Config) { c.CacheDir = t.TempDir() },
+		"memory": func(*Config) {},
+	}
+}
+
+// storeLen counts the entries cached under scope sc.
 func storeLen(st *Store, sc Scope) int {
 	n := 0
+	if st.mem != nil {
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+		for a := range st.mem {
+			if a.scope == sc {
+				n++
+			}
+		}
+		return n
+	}
 	filepath.WalkDir(filepath.Join(st.root, entryVersion, sc.dir()), func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
 			n++
@@ -74,14 +91,12 @@ func storeLen(st *Store, sc Scope) int {
 	return n
 }
 
-// cacheLen counts the disk-cached entries for the server's scale.
+// cacheLen counts the cached entries for the server's scale.
 func (s *Server) cacheLen(observed bool) int {
-	if s.store == nil {
-		return 0
-	}
 	return storeLen(s.store, Scope{Scale: s.cfg.ScaleName, Observed: observed})
 }
 
+// post performs one request against the server's handler.
 func post(s *Server, method, target, tenant, body string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(method, target, strings.NewReader(body))
 	if tenant != "" {
@@ -108,69 +123,113 @@ func decodeResponse(t *testing.T, w *httptest.ResponseRecorder) Response {
 	return resp
 }
 
+// TestServeCellComputesThenServesFromDisk: the first request computes,
+// the second is a hit on the store's medium with the same bytes.
 func TestServeCellComputesThenServesFromDisk(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.CacheDir = t.TempDir() })
+	for medium, set := range media(t) {
+		t.Run(medium, func(t *testing.T) {
+			s := newTestServer(t, set)
 
-	first := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody))
-	if len(first.Rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(first.Rows))
-	}
-	r0 := first.Rows[0]
-	if r0.Cached || r0.Source != "computed" {
-		t.Fatalf("first hit cached=%v source=%q, want fresh computation", r0.Cached, r0.Source)
-	}
-	if r0.Error != "" {
-		t.Fatalf("cell failed: %s", r0.Error)
-	}
-	if _, err := metrics.ParseSummary(r0.Summary); err != nil {
-		t.Fatalf("summary is not canonical: %v", err)
-	}
-	if s.cacheLen(false) != 1 {
-		t.Fatalf("disk cache has %d entries, want 1", s.cacheLen(false))
-	}
+			first := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody))
+			if len(first.Rows) != 1 {
+				t.Fatalf("got %d rows, want 1", len(first.Rows))
+			}
+			r0 := first.Rows[0]
+			if r0.Cached || r0.Source != "computed" {
+				t.Fatalf("first hit cached=%v source=%q, want fresh computation", r0.Cached, r0.Source)
+			}
+			if r0.Error != "" {
+				t.Fatalf("cell failed: %s", r0.Error)
+			}
+			if _, err := metrics.ParseSummary(r0.Summary); err != nil {
+				t.Fatalf("summary is not canonical: %v", err)
+			}
+			if s.cacheLen(false) != 1 {
+				t.Fatalf("cache has %d entries, want 1", s.cacheLen(false))
+			}
 
-	second := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody))
-	r1 := second.Rows[0]
-	if !r1.Cached || r1.Source != "disk" {
-		t.Fatalf("second hit cached=%v source=%q, want disk", r1.Cached, r1.Source)
-	}
-	if !bytes.Equal(r0.Summary, r1.Summary) {
-		t.Fatalf("cached summary differs from fresh:\n fresh %s\ncached %s", r0.Summary, r1.Summary)
-	}
-	if r0.Digest != r1.Digest {
-		t.Fatalf("digest changed: %s vs %s", r0.Digest, r1.Digest)
+			second := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody))
+			r1 := second.Rows[0]
+			if !r1.Cached || r1.Source != medium {
+				t.Fatalf("second hit cached=%v source=%q, want %s", r1.Cached, r1.Source, medium)
+			}
+			if !bytes.Equal(r0.Summary, r1.Summary) {
+				t.Fatalf("cached summary differs from fresh:\n fresh %s\ncached %s", r0.Summary, r1.Summary)
+			}
+			if r0.Digest != r1.Digest {
+				t.Fatalf("digest changed: %s vs %s", r0.Digest, r1.Digest)
+			}
+		})
 	}
 }
 
-// TestConcurrentIdenticalRequestsComputeOnce is the singleflight pin:
-// N racing identical requests must run the simulation exactly once.
-// Run with -race.
-func TestConcurrentIdenticalRequestsComputeOnce(t *testing.T) {
-	var computes atomic.Int64
-	s := newTestServer(t, func(c *Config) {
-		c.Tune = func(*core.Config) { computes.Add(1) }
-	})
-
-	const n = 8
-	var wg sync.WaitGroup
-	rows := make([]Row, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody))
-			rows[i] = resp.Rows[0]
-		}(i)
-	}
-	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("%d racing requests ran the simulation %d times, want 1", n, got)
-	}
-	for i := 1; i < n; i++ {
-		if !bytes.Equal(rows[i].Summary, rows[0].Summary) {
-			t.Fatalf("request %d got different summary bytes", i)
+// TestMediaAnswerAlike: a memory hit and a disk hit of one observed cell
+// carry the same summary and percentile bytes.
+func TestMediaAnswerAlike(t *testing.T) {
+	hits := map[string]Row{}
+	for medium, set := range media(t) {
+		s := newTestServer(t, set)
+		post(s, http.MethodPost, "/v1/cell?observe=1", "", cellBody)
+		hits[medium] = decodeResponse(t, post(s, http.MethodPost, "/v1/cell?observe=1", "", cellBody)).Rows[0]
+		if hits[medium].Source != medium {
+			t.Fatalf("second request answered by %q, want %s", hits[medium].Source, medium)
 		}
+	}
+	d, m := hits["disk"], hits["memory"]
+	if len(d.Percentiles) == 0 || !bytes.Equal(d.Summary, m.Summary) || !bytes.Equal(d.Percentiles, m.Percentiles) {
+		t.Fatalf("the media answer differently:\n disk   %s %s\n memory %s %s", d.Summary, d.Percentiles, m.Summary, m.Percentiles)
+	}
+}
+
+// TestConcurrentIdenticalRequestsComputeOnce is the exactly-once pin: N
+// racing identical requests run the simulation once — counted by the
+// campaign's one log line per executed cell — and a request after them
+// is a hit, because the write-back precedes the flight's release. Run
+// with -race.
+func TestConcurrentIdenticalRequestsComputeOnce(t *testing.T) {
+	for medium, set := range media(t) {
+		t.Run(medium, func(t *testing.T) {
+			computes := 0
+			s := newTestServer(t, func(c *Config) {
+				set(c)
+				c.Log = func(line string) {
+					if !strings.HasPrefix(line, "serve:") {
+						computes++ // serialized by the Server
+					}
+				}
+			})
+
+			const n = 8
+			var wg sync.WaitGroup
+			rows := make([]Row, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					w := post(s, http.MethodPost, "/v1/cell", "", cellBody)
+					var resp Response
+					if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || len(resp.Rows) != 1 {
+						t.Errorf("request %d: status %d, body %s", i, w.Code, w.Body.String())
+						return
+					}
+					rows[i] = resp.Rows[0]
+				}(i)
+			}
+			wg.Wait()
+			late := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody)).Rows[0]
+			if late.Source != medium {
+				t.Errorf("a request after the race was answered by %q, want %s", late.Source, medium)
+			}
+
+			if computes != 1 {
+				t.Fatalf("%d racing requests ran the simulation %d times, want 1", n, computes)
+			}
+			for i := range rows {
+				if !bytes.Equal(rows[i].Summary, late.Summary) || len(late.Summary) == 0 {
+					t.Fatalf("request %d got different summary bytes", i)
+				}
+			}
+		})
 	}
 }
 
@@ -223,6 +282,38 @@ func TestTenantsProgressUnderSaturatedPool(t *testing.T) {
 	}
 }
 
+// TestTenantQueuesAreDropped: the scheduler keeps a queue per tenant with
+// work outstanding, not per X-Tenant value ever seen — a thousand
+// one-request tenants and a never-seen tenant turned away at the door
+// leave nothing behind.
+func TestTenantQueuesAreDropped(t *testing.T) {
+	s := newTestServer(t, nil)
+	post(s, http.MethodPost, "/v1/cell", "", cellBody) // fill the cache
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 250; i++ {
+				if w := post(s, http.MethodPost, "/v1/cell", fmt.Sprintf("tenant-%d-%d", c, i), cellBody); w.Code != http.StatusOK {
+					t.Errorf("tenant-%d-%d: status %d: %s", c, i, w.Code, w.Body.String())
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	var sat *saturatedError
+	if _, err := s.sched.submit("never-seen", make([]experiments.Key, s.cfg.TenantLimit+1), false); !errors.As(err, &sat) {
+		t.Fatalf("submit past the cap = %v, want a saturatedError", err)
+	}
+	s.sched.mu.Lock()
+	defer s.sched.mu.Unlock()
+	if n := len(s.sched.tenants); n != 0 {
+		t.Fatalf("%d tenant queues outlive their work, want 0", n)
+	}
+}
+
 // TestCacheSurvivesRestart is the persistence pin: a second server
 // process (simulated by a second Server over the same directory) serves
 // the identical summary bytes from disk.
@@ -260,39 +351,53 @@ func TestCacheSurvivesRestart(t *testing.T) {
 }
 
 func TestObservationIsASeparateCachePopulation(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.CacheDir = t.TempDir() })
+	for medium, set := range media(t) {
+		t.Run(medium, func(t *testing.T) {
+			s := newTestServer(t, set)
 
-	plain := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody)).Rows[0]
-	if len(plain.Percentiles) != 0 {
-		t.Fatalf("unobserved row carries percentiles: %s", plain.Percentiles)
-	}
-	obs := decodeResponse(t, post(s, http.MethodPost, "/v1/cell?observe=1", "", cellBody)).Rows[0]
-	if len(obs.Percentiles) == 0 {
-		t.Fatal("observed row has no percentiles")
-	}
-	if obs.Digest != plain.Digest {
-		t.Fatalf("observation changed the cell identity: %s vs %s", obs.Digest, plain.Digest)
-	}
-	if s.cacheLen(false) != 1 || s.cacheLen(true) != 1 {
-		t.Fatalf("cache populations: unobserved=%d observed=%d, want 1 and 1", s.cacheLen(false), s.cacheLen(true))
+			plain := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody)).Rows[0]
+			if len(plain.Percentiles) != 0 {
+				t.Fatalf("unobserved row carries percentiles: %s", plain.Percentiles)
+			}
+			obs := decodeResponse(t, post(s, http.MethodPost, "/v1/cell?observe=1", "", cellBody)).Rows[0]
+			if len(obs.Percentiles) == 0 {
+				t.Fatal("observed row has no percentiles")
+			}
+			if obs.Cached {
+				t.Fatal("the observed request was answered from the unobserved population")
+			}
+			if obs.Digest != plain.Digest {
+				t.Fatalf("observation changed the cell identity: %s vs %s", obs.Digest, plain.Digest)
+			}
+			if s.cacheLen(false) != 1 || s.cacheLen(true) != 1 {
+				t.Fatalf("cache populations: unobserved=%d observed=%d, want 1 and 1", s.cacheLen(false), s.cacheLen(true))
+			}
+		})
 	}
 }
 
 func TestBatchAliasSpellingsCollapse(t *testing.T) {
-	s := newTestServer(t, nil)
-	// The same cell twice: canonical spelling and alias spellings of the
-	// zero axes ("t0" injection, "off" prefetch).
-	body := `{"cells":[` + cellBody + `,` +
-		`{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2,"injection":"t0","prefetch":"off"}]}`
-	resp := decodeResponse(t, post(s, http.MethodPost, "/v1/cells", "", body))
-	if len(resp.Rows) != 2 {
-		t.Fatalf("%d rows, want 2", len(resp.Rows))
-	}
-	if resp.Rows[0].Digest != resp.Rows[1].Digest {
-		t.Fatalf("alias spelling got its own cache address: %s vs %s", resp.Rows[0].Digest, resp.Rows[1].Digest)
-	}
-	if !bytes.Equal(resp.Rows[0].Summary, resp.Rows[1].Summary) {
-		t.Fatal("alias spelling got different summary bytes")
+	for medium, set := range media(t) {
+		t.Run(medium, func(t *testing.T) {
+			s := newTestServer(t, set)
+			// The same cell twice: canonical spelling and alias spellings of the
+			// zero axes ("t0" injection, "off" prefetch).
+			body := `{"cells":[` + cellBody + `,` +
+				`{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2,"injection":"t0","prefetch":"off"}]}`
+			resp := decodeResponse(t, post(s, http.MethodPost, "/v1/cells", "", body))
+			if len(resp.Rows) != 2 {
+				t.Fatalf("%d rows, want 2", len(resp.Rows))
+			}
+			if resp.Rows[0].Digest != resp.Rows[1].Digest {
+				t.Fatalf("alias spelling got its own cache address: %s vs %s", resp.Rows[0].Digest, resp.Rows[1].Digest)
+			}
+			if !bytes.Equal(resp.Rows[0].Summary, resp.Rows[1].Summary) {
+				t.Fatal("alias spelling got different summary bytes")
+			}
+			if s.cacheLen(false) != 1 {
+				t.Fatalf("two spellings of one cell filled %d cache entries, want 1", s.cacheLen(false))
+			}
+		})
 	}
 }
 
@@ -315,6 +420,8 @@ func TestRequestValidation(t *testing.T) {
 		{"batch no cells", http.MethodPost, "/v1/cells", `{"cells":[]}`, http.StatusBadRequest},
 		{"batch bad envelope", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `],"mode":"fast"}`, http.StatusBadRequest},
 		{"batch bad cell", http.MethodPost, "/v1/cells", `{"cells":[{"dataset":"astro"}]}`, http.StatusBadRequest},
+		// One cell more than TenantLimit: a 429 here could never clear.
+		{"batch over limit", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + strings.Repeat(","+cellBody, 32) + `]}`, http.StatusBadRequest},
 		{"health ok", http.MethodGet, "/healthz", "", http.StatusOK},
 		{"health method", http.MethodPost, "/healthz", "", http.StatusMethodNotAllowed},
 	}

@@ -1,24 +1,28 @@
-// The persistent content-addressed result cache.
+// The content-addressed result cache.
 //
 // Every campaign cell is a deterministic function of its
 // experiments.Key, so a cell's outcome can be cached forever under the
 // key's content address (the SHA-256 digest of its canonical JSON
-// encoding, DESIGN.md §14). The store is a plain directory tree —
+// encoding, DESIGN.md §14). A Store keeps entries on one of two media,
+// fixed when it is built. The directory medium is a plain tree —
 //
 //	<root>/<entryVersion>/<scope>/<digest[:2]>/<digest>.json
 //
 // — with one JSON Entry per cell, written atomically (temp file +
 // rename) so a crashed or concurrent writer can never leave a torn
-// entry behind. Scope separates cache populations that are NOT
+// entry behind. The memory medium is a map under the same addresses
+// that holds at most a fixed number of payload bytes and drops the
+// oldest entry first. Scope separates cache populations that are NOT
 // byte-comparable even for equal keys: the scale (different problem
 // sizes) and whether the campaign ran with the observation recorder
 // attached (observation is non-perturbing except for the documented
 // TraceEvents/TraceBytes meta-counters, which do land in the Summary).
 //
-// Reads are paranoid: an entry that fails to parse, carries the wrong
+// Both media hold only what Put has validated. Directory reads are
+// paranoid besides: an entry that fails to parse, carries the wrong
 // version or scope, or whose embedded key does not digest to its own
-// address is treated as a cache miss, never served. Corruption can cost
-// a recompute; it can never serve the wrong cell.
+// address is treated as a cache miss, never served. Corruption — like
+// eviction — can cost a recompute; it can never serve the wrong cell.
 package serve
 
 import (
@@ -26,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -107,11 +112,29 @@ func (e *Entry) valid(sc Scope, digest string) bool {
 	return true
 }
 
-// Store is the on-disk cache. The zero value is unusable; OpenStore
-// validates the root. A Store is safe for concurrent use: writes are
-// atomic renames and reads verify what they find.
+// Store is the result cache, on the medium its constructor chose: a
+// directory (OpenStore) or a bounded in-process map (newMemStore). The
+// zero value is unusable. A Store is safe for concurrent use: directory
+// writes are atomic renames and reads verify what they find; the map is
+// behind a lock that a hit only read-locks.
 type Store struct {
-	root string
+	tier string // what Row.Source calls a hit: "disk" or "memory"
+	root string // the directory medium's root
+
+	// The memory medium: payloads (Summary, Percentiles, Error — the
+	// address already encodes the version, the scope and the key) in
+	// mem, their addresses oldest first in order, size payload bytes in
+	// all and never more than limit.
+	mu          sync.RWMutex
+	mem         map[memAddr]Entry
+	order       []memAddr
+	size, limit int
+}
+
+// memAddr addresses one entry of the memory medium.
+type memAddr struct {
+	scope  Scope
+	digest string
 }
 
 // OpenStore opens (creating if needed) a cache rooted at dir.
@@ -122,7 +145,13 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: open cache: %w", err)
 	}
-	return &Store{root: dir}, nil
+	return &Store{tier: "disk", root: dir}, nil
+}
+
+// newMemStore returns a cache in memory that holds at most limit payload
+// bytes.
+func newMemStore(limit int) *Store {
+	return &Store{tier: "memory", mem: make(map[memAddr]Entry), limit: limit}
 }
 
 // path maps an address to its entry file.
@@ -130,11 +159,19 @@ func (st *Store) path(sc Scope, digest string) string {
 	return filepath.Join(st.root, entryVersion, sc.dir(), digest[:2], digest+".json")
 }
 
-// Get looks up the cached outcome of k in scope sc. Missing, torn,
-// stale-versioned and tampered entries all report a miss; the only
-// error condition is an I/O failure other than non-existence.
+// Get looks up the cached outcome of k in scope sc. Missing, evicted,
+// torn, stale-versioned and tampered entries all report a miss; the only
+// error condition is an I/O failure other than non-existence. The memory
+// medium returns the payload fields alone, and shares their bytes with
+// every other hit: do not modify them.
 func (st *Store) Get(sc Scope, k experiments.Key) (Entry, bool, error) {
 	digest := k.Digest()
+	if st.mem != nil {
+		st.mu.RLock()
+		e, ok := st.mem[memAddr{sc, digest}]
+		st.mu.RUnlock()
+		return e, ok, nil
+	}
 	data, err := os.ReadFile(st.path(sc, digest))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -152,11 +189,12 @@ func (st *Store) Get(sc Scope, k experiments.Key) (Entry, bool, error) {
 	return e, true, nil
 }
 
-// Put persists the outcome of k in scope sc. The entry's V, Scale,
+// Put caches the outcome of k in scope sc. The entry's V, Scale,
 // Observed and Key fields are filled in by Put; callers supply only the
-// payload (Summary or Error, plus Percentiles in observed scopes).
-// The write is atomic: concurrent Puts of the same (deterministic)
-// outcome are harmless last-writer-wins renames.
+// payload (Summary or Error, plus Percentiles in observed scopes), and
+// leave its bytes alone afterwards — the memory medium keeps them.
+// A directory write is atomic: concurrent Puts of the same
+// (deterministic) outcome are harmless last-writer-wins renames.
 func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 	e.V = entryVersion
 	e.Scale = sc.Scale
@@ -165,6 +203,10 @@ func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 	digest := k.Digest()
 	if !e.valid(sc, digest) {
 		return fmt.Errorf("serve: refusing to cache malformed entry for %s (need exactly one of summary/error)", k.Label())
+	}
+	if st.mem != nil {
+		st.putMem(memAddr{sc, digest}, Entry{Summary: e.Summary, Percentiles: e.Percentiles, Error: e.Error})
+		return nil
 	}
 	data, err := json.Marshal(&e)
 	if err != nil {
@@ -192,4 +234,25 @@ func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 		return fmt.Errorf("serve: cache write: %w", err)
 	}
 	return nil
+}
+
+// putMem stores payload p at address a and then drops entries, oldest
+// first, until the payload bytes fit the limit again. Oldest-first rather
+// than least-recently-used keeps a hit free of writes; every entry can
+// be recomputed, so the order decides cost, never correctness.
+func (st *Store) putMem(a memAddr, p Entry) {
+	payload := func(e Entry) int { return len(e.Summary) + len(e.Percentiles) + len(e.Error) }
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	old, had := st.mem[a]
+	if !had {
+		st.order = append(st.order, a)
+	}
+	st.mem[a] = p
+	st.size += payload(p) - payload(old)
+	for st.size > st.limit {
+		st.size -= payload(st.mem[st.order[0]])
+		delete(st.mem, st.order[0])
+		st.order = st.order[1:]
+	}
 }
