@@ -10,12 +10,12 @@
 //
 // A Campaign memoizes at three levels: results by Key (Run retains
 // them; Compute executes without retaining, for a caller that keeps a
-// cache of its own), problems by (dataset, seeding, unsteady,
-// injection), and — since the sweep runs each problem under every
-// algorithm and processor count — the integration itself, as one
-// segment tape per problem (tape.go): a streamline is integrated by the
-// first cell that touches it and replayed by every cell, and the outcome
-// is byte-identical to integrating it in each.
+// cache of its own), problems by (dataset, seeding, unsteady), and —
+// since the sweep runs each problem under every algorithm, processor
+// count and release schedule — the integration itself, as one segment
+// tape per problem (tape.go): a streamline is integrated by the first
+// cell that touches it and replayed by every cell, and the outcome is
+// byte-identical to integrating it in each.
 package experiments
 
 import (
@@ -592,14 +592,15 @@ func NewCampaign(sc Scale) *Campaign {
 	}
 }
 
-// problemKey indexes the memoized problems: every figure cell that shares
-// a (dataset, seeding, unsteady, injection) tuple shares one
-// grid/field/seed/schedule construction.
+// problemKey is a problem's identity — what reaches the integrator and
+// nothing else: the dataset, the seeding, steady or unsteady. Every cell
+// of such a triple shares one grid/field/seed construction and one
+// segment tape (tape.go). A Key's other axes, the injection schedule
+// among them, move no curve and stay out (slvet's keyaxis rule 6).
 type problemKey struct {
 	ds       Dataset
 	seeding  Seeding
 	unsteady bool
-	inject   Injection
 }
 
 // problemEntry builds its problem exactly once, even under concurrent
@@ -611,12 +612,14 @@ type problemEntry struct {
 	problemTape
 }
 
-// problem returns the memo entry holding the BuildInjectedProblem result
-// for (ds, seeding, unsteady, injection), built on first demand. The
-// entry's Problem is shared between concurrent core.Run calls; that is
-// safe because Run treats the problem as read-only (see core.Run).
-func (c *Campaign) problem(ds Dataset, seeding Seeding, unsteady bool, inject Injection) *problemEntry {
-	pk := problemKey{ds: ds, seeding: seeding, unsteady: unsteady, inject: inject.normalized()}
+// problem returns the memo entry of k's problem: the uninjected
+// BuildInjectedProblem result for k's (dataset, seeding, unsteady), built
+// on first demand. The entry's Problem is shared between concurrent
+// core.Run calls; that is safe because Run treats the problem as
+// read-only (see core.Run) and execute writes a cell's release schedule
+// into its own copy.
+func (c *Campaign) problem(k Key) *problemEntry {
+	pk := problemKey{ds: k.Dataset, seeding: k.Seeding, unsteady: k.Unsteady}
 	c.probMu.Lock()
 	e, ok := c.problems[pk]
 	if !ok {
@@ -625,7 +628,7 @@ func (c *Campaign) problem(ds Dataset, seeding Seeding, unsteady bool, inject In
 	}
 	c.probMu.Unlock()
 	e.once.Do(func() {
-		e.prob, e.err = BuildInjectedProblem(ds, seeding, c.Scale, unsteady, pk.inject)
+		e.prob, e.err = BuildInjectedProblem(pk.ds, pk.seeding, c.Scale, pk.unsteady, InjectT0)
 	})
 	return e
 }
@@ -707,11 +710,18 @@ func (c *Campaign) Compute(k Key, observe bool, keep func(Outcome)) Outcome {
 }
 
 // execute performs the simulation for one configuration (no caching):
-// the memoized problem, with its segment tape (tape.go), on k's machine.
+// a copy of the memoized problem carrying k's release schedule — the
+// schedule gates when a seed starts, never where its curve goes, so the
+// copy runs on the one segment tape (tape.go) of every cell of the
+// problem — on k's machine.
 func (c *Campaign) execute(k Key, observe bool) (*core.Result, *obs.Report, error) {
-	e := c.problem(k.Dataset, k.Seeding, k.Unsteady, k.Injection)
+	e := c.problem(k)
 	if e.err != nil {
 		return nil, nil, e.err
+	}
+	prob := e.prob
+	if err := applyInjection(&prob, k.Injection, c.Scale); err != nil {
+		return nil, nil, err
 	}
 	cfg := KeyMachineConfig(k, c.Scale)
 	if c.Tune != nil {
@@ -720,7 +730,6 @@ func (c *Campaign) execute(k Key, observe bool) (*core.Result, *obs.Report, erro
 	if observe {
 		cfg.Trace = obs.NewDigest()
 	}
-	prob := e.prob
 	prob.Tape = c.attachTape(e)
 	defer c.detachTape()
 	// Label the run for CPU profiling: every sample taken inside this

@@ -76,9 +76,11 @@ func (sc Scale) injectionSchedule(inj Injection) (seeds.Schedule, error) {
 
 // applyInjection assigns the problem's per-seed release times from the
 // schedule inj names at this scale, validating the schedule invariants
-// (count conservation, monotonicity, window containment) once per built
-// problem. An all-at-t0 injection leaves the problem untouched (nil
-// Release), so the canonical cells run exactly the code they always ran.
+// (count conservation, monotonicity, window containment). It writes
+// prob.Release and nothing else, so a campaign cell applies it to its own
+// copy of a shared problem. An all-at-t0 injection leaves the problem
+// untouched (nil Release) and allocates nothing, so the canonical cells
+// run exactly the code they always ran.
 func applyInjection(prob *core.Problem, inj Injection, sc Scale) error {
 	if !inj.Enabled() {
 		return nil

@@ -164,11 +164,14 @@ func TestProblemMemoization(t *testing.T) {
 	}
 	// The memoized problem is shared: a second fetch returns the same
 	// entry, not a rebuild.
-	e1 := c.problem(Astro, Sparse, false, InjectT0)
+	k := Key{Dataset: Astro, Seeding: Sparse}
+	e1 := c.problem(k)
 	if e1.err != nil {
 		t.Fatal(e1.err)
 	}
-	if e2 := c.problem(Astro, Sparse, false, InjectT0); len(e1.prob.Seeds) == 0 || e1 != e2 {
+	// Every axis that moves no curve names the same problem.
+	k.Alg, k.Procs, k.Injection = core.HybridMS, 4, InjectStagger
+	if e2 := c.problem(k); len(e1.prob.Seeds) == 0 || e1 != e2 {
 		t.Error("problem(Astro, Sparse) rebuilt instead of memoized")
 	}
 }

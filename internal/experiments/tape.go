@@ -1,13 +1,14 @@
 // Segment tapes: integrate once, simulate many (DESIGN.md §12).
 //
-// Every cell of a problem — whatever its algorithm, processor count,
-// prefetch policy or fault plan — integrates the same streamlines
-// through the same block-exit segments (core.Tape explains why), so the
-// campaign keeps one tape per memoized problem and hands it to every
-// cell. core does the recording and the replaying — a line is recorded
-// by whichever cell touches its streamline first, so cells that meet on
-// a fresh problem share the integration and wait for each other one
-// streamline at most; this file decides only how long a tape lives. A tape holds segment
+// Every cell of a problem — a dataset, a seeding, steady or unsteady —
+// integrates the same streamlines through the same block-exit segments
+// whatever its algorithm, processor count, prefetch policy, release
+// schedule or fault plan (core.Tape explains why), so the campaign keeps
+// one tape per memoized problem and hands it to every cell. core does
+// the recording and the replaying — a line is recorded by whichever cell
+// touches its streamline first, so cells that meet on a fresh problem
+// share the integration and wait for each other one streamline at most;
+// this file decides only how long a tape lives. A tape holds segment
 // records and no geometry — a few megabytes for the largest problem — so
 // there is no bound to manage.
 
@@ -32,8 +33,9 @@ type TapeStats struct {
 	// StepsReplayed those its cells were delivered from a line.
 	StepsIntegrated int64 `json:"steps_integrated"`
 	StepsReplayed   int64 `json:"steps_replayed"`
-	// Recordings counts tapes begun: one per problem, and one more each
-	// time a tape dropped while idle is needed again.
+	// Recordings counts tapes begun: one per problem — per (dataset,
+	// seeding, steady/unsteady) the campaign ran — and one more each time
+	// a tape dropped while idle is needed again.
 	Recordings int64 `json:"recordings"`
 	// DroppedIdle counts tapes the garbage collector took while the
 	// campaign was idle.

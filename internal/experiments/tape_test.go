@@ -327,6 +327,116 @@ func TestTapeConcurrentCells(t *testing.T) {
 	}
 }
 
+// injections is every release schedule a Key can name.
+var injections = []Injection{InjectT0, InjectStagger, InjectBurst, InjectRate}
+
+// TestTapeSharedAcrossInjection: a release schedule gates when a seed
+// starts and never where its curve goes, so the cells of a (dataset,
+// seeding, steady/unsteady) triple share one tape whatever their
+// schedules. Whichever cell comes first records; the others integrate
+// nothing and still match their untaped runs byte for byte; four
+// schedules arriving at once integrate the problem once between them and
+// write only their own copies of it.
+func TestTapeSharedAcrossInjection(t *testing.T) {
+	sc := goldenScale()
+	algs := core.Algorithms()
+	for _, base := range []Key{
+		{Dataset: Astro, Seeding: Dense, Procs: sc.ProcCounts[0]},
+		{Dataset: Astro, Seeding: Sparse, Procs: sc.ProcCounts[0], Unsteady: true},
+	} {
+		keys := make([]Key, len(injections))
+		want := make([]cellBytes, len(injections))
+		for i, inj := range injections {
+			keys[i] = base
+			keys[i].Alg, keys[i].Injection = algs[i], inj
+			want[i] = untaped(t, keys[i], sc, nil)
+		}
+		if want[0].equal(want[1]) {
+			t.Fatalf("%s: a staggered release left the cell unchanged — the case is vacuous", keys[1].Label())
+		}
+		records := lineSteps(t, keys[0], sc, nil)
+
+		for _, order := range [][]int{{0, 1, 2, 3}, {1, 0}} {
+			c := NewCampaign(sc)
+			c.Observe = true
+			c.enter() // stay busy: the tape is held strongly throughout
+			for n, i := range order {
+				role, steps := "replaying another schedule's tape", int64(0)
+				if n == 0 {
+					role, steps = "recording", records
+				}
+				checkRole(t, c, keys[i], want[i], role, steps)
+			}
+			c.leave()
+		}
+
+		c := NewCampaign(sc)
+		c.Observe = true
+		var wg sync.WaitGroup
+		for i := range keys {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := simulated(t, c, keys[i]); !got.equal(want[i]) {
+					t.Errorf("%s: concurrent cell differs from the untaped run", keys[i].Label())
+				}
+			}()
+		}
+		wg.Wait()
+		if st := c.TapeStats(); st.StepsIntegrated != records || st.Recordings != 1 {
+			t.Errorf("%s, four schedules at once: ledger %+v, want one tape and the problem's %d steps integrated exactly once",
+				base.Label(), st, records)
+		}
+		if e := c.problem(base); e.prob.Release != nil {
+			t.Errorf("%s: a cell wrote its release schedule into the shared problem", base.Label())
+		}
+	}
+}
+
+// TestTapeLedgerColdShape runs the shape of bench's serve_cold — every
+// dataset, seeding, steady and unsteady, under each of the four release
+// schedules, one cell each, with algorithm, prefetch policy and kill plan
+// rotated across them — and holds the ledger to twelve tapes and twelve
+// integrations, priced from untaped runs.
+func TestTapeLedgerColdShape(t *testing.T) {
+	sc := goldenScale()
+	top := sc.ProcCounts[len(sc.ProcCounts)-1]
+	algs := core.Algorithms()
+	policies := []prefetch.Policy{"", prefetch.Neighbor, prefetch.Temporal, prefetch.Both}
+	var keys []Key
+	var steps int64
+	for _, ds := range Datasets() {
+		for _, seeding := range Seedings() {
+			for _, unsteady := range []bool{false, true} {
+				id := Key{Dataset: ds, Seeding: seeding, Alg: core.LoadOnDemand, Procs: top, Unsteady: unsteady}
+				steps += lineSteps(t, id, sc, nil)
+				for _, inj := range injections {
+					i := len(keys)
+					k := id
+					k.Alg, k.Prefetch, k.Injection = algs[(i+i/4)%4], policies[(i/4+i/16)%4], inj
+					if i%3 == 2 && k.Alg != core.StaticAlloc {
+						k.Faults = FaultsKill
+					}
+					keys = append(keys, k)
+				}
+			}
+		}
+	}
+	c := NewCampaign(sc)
+	c.Workers = 2
+	c.RunKeys(keys) // one stretch of work: no tape is dropped on the way
+	// What the cells that succeed deliver; the Figure 13 OOM delivers some too.
+	var delivered int64
+	for _, k := range keys {
+		delivered += c.Run(k).Summary.Steps
+	}
+	st := c.TapeStats()
+	if st.Recordings != 12 || st.StepsIntegrated != steps || st.StepsReplayed < delivered {
+		t.Errorf("%d cells: ledger %+v, want 12 tapes, %d steps integrated and at least %d replayed",
+			len(keys), st, steps, delivered)
+	}
+}
+
 // TestTapeAdmission: every cell runs on its problem's tape — the first
 // records the lines and replays them, every later one replays them —
 // whatever the configuration: cells that shed geometry replay like any
@@ -384,7 +494,7 @@ func TestTapeAdmission(t *testing.T) {
 func TestTapeIdleLifetime(t *testing.T) {
 	sc := goldenScale()
 	c := NewCampaign(sc)
-	e := c.problem(Astro, Sparse, false, InjectT0)
+	e := c.problem(Key{Dataset: Astro, Seeding: Sparse})
 	for _, alg := range []core.Algorithm{core.StaticAlloc, core.LoadOnDemand} {
 		c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: sc.ProcCounts[0]})
 	}

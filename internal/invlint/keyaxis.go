@@ -25,11 +25,18 @@
 //     axis would alias distinct cells onto one digest), and ParseKey —
 //     the request-decode path — must set every field (an unset axis
 //     arriving from the network would silently run as its zero value).
+//  6. The tape identity (DESIGN.md §12): every Key field is declared
+//     curve-moving or not, and (*Campaign).problem — whose memo entry
+//     holds the problem's segment tape — reads every axis that moves a
+//     curve (else two problems with different lines alias one tape) and
+//     no axis that does not (else identical lines are integrated once
+//     per value of it).
 package invlint
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -45,12 +52,18 @@ var keyContract = struct {
 	consumers  []string // together must read every field
 	encoder    string   // must read every field (canonical wire encoding)
 	decoder    string   // must set every field (canonical wire decoding)
+	problem    string   // must read every curve axis and no machine axis
+	curve      []string // axes that change a streamline's curve
+	machine    []string // axes that change only the machine simulating it
 }{
 	label:      "Label",
 	enumerator: "datasetKeys",
 	consumers:  []string{"execute", "KeyMachineConfig", "problem"},
 	encoder:    "CanonicalJSON",
 	decoder:    "ParseKey",
+	problem:    "problem",
+	curve:      []string{"Dataset", "Seeding", "Unsteady"},
+	machine:    []string{"Alg", "Procs", "Prefetch", "Injection", "Faults"},
 }
 
 // keyAxis proves every experiments.Key axis is rendered, enumerated,
@@ -116,7 +129,8 @@ func keyFieldNames(st *types.Struct) []string {
 	return names
 }
 
-// runKeyAxisContract checks rules 1–3 inside the experiments package.
+// runKeyAxisContract checks rules 1–3, 5 and 6 inside the experiments
+// package.
 func runKeyAxisContract(pass *Pass) {
 	named, st := keyStruct(pass)
 	if named == nil {
@@ -168,6 +182,8 @@ func runKeyAxisContract(pass *Pass) {
 		pass.reportf(pass.Files[0].Pos(), "keyaxis contract: no %s decoder found", keyContract.decoder)
 	}
 
+	runKeyAxisTape(pass, named, fields, decls[keyContract.problem])
+
 	consumed := make(map[string]bool)
 	var present []string
 	for _, name := range keyContract.consumers {
@@ -191,6 +207,28 @@ func runKeyAxisContract(pass *Pass) {
 	sort.Strings(missing)
 	for _, f := range missing {
 		pass.reportf(named.Obj().Pos(), "Key.%s is never consumed by the execution path (%s): the axis widens the cache identity without changing any run", f, strings.Join(present, "/"))
+	}
+}
+
+// runKeyAxisTape checks rule 6: the declaration of every field, and the
+// problem memo's reads against it. A package without the memo function
+// is held to the declaration alone.
+func runKeyAxisTape(pass *Pass, named *types.Named, fields []string, problem *ast.FuncDecl) {
+	var reads map[string]bool
+	if problem != nil {
+		reads = keyFieldReads(pass, problem.Body, named)
+	}
+	for _, f := range fields {
+		curve, machine := slices.Contains(keyContract.curve, f), slices.Contains(keyContract.machine, f)
+		switch {
+		case curve == machine:
+			pass.reportf(named.Obj().Pos(), "Key.%s is not declared in exactly one of keyContract.curve and keyContract.machine: declare whether it moves a curve", f)
+		case problem == nil:
+		case curve && !reads[f]:
+			pass.reportf(problem.Pos(), "Key.%s moves a curve but is not read by %s: problems that differ only in %s would share one segment tape", f, problem.Name.Name, f)
+		case machine && reads[f]:
+			pass.reportf(problem.Pos(), "Key.%s moves no curve but is read by %s: identical streamlines would be integrated once per %s", f, problem.Name.Name, f)
+		}
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package experiments is a keyaxis flagging corpus: the Inject axis
 // was added to Key but never threaded through the contract functions —
-// the missing-memo-axis bug class.
+// the missing-memo-axis bug class — nor declared curve-moving or not, and
+// the problem memo is keyed by the wrong axes.
 package experiments
 
 import "strconv"
 
 // Key identifies one campaign cell.
-type Key struct { // want "Key\.Inject is never consumed by the execution path"
+type Key struct { // want "Key\.Inject is never consumed by the execution path" "Key\.Inject is not declared in exactly one of keyContract\.curve and keyContract\.machine"
 	Dataset string
 	Procs   int
 	Inject  bool
@@ -33,10 +34,17 @@ func (c *Campaign) datasetKeys(ds string, procs []int) []Key { // want "Key\.Inj
 	return out
 }
 
+// problem memoizes what is integrated — under the wrong identity: it
+// ignores Dataset, so two datasets' streamlines alias one tape, and reads
+// Procs, so one dataset's are integrated once per processor count.
+func (c *Campaign) problem(k Key) int { // want "Key\.Dataset moves a curve but is not read by problem" "Key\.Procs moves no curve but is read by problem"
+	return k.Procs
+}
+
 // execute runs one cell; it reads Dataset and Procs but ignores Inject,
 // so the axis widens the cache identity without changing any run.
 func (c *Campaign) execute(k Key) int {
-	return len(k.Dataset) * k.Procs
+	return len(k.Dataset) * c.problem(k)
 }
 
 // CanonicalJSON encodes the cache address — but forgets the Inject

@@ -7,6 +7,6 @@ import "repro/internal/experiments"
 
 func main() {
 	k := experiments.Key{Dataset: "astro", Procs: 8}
-	k.Inject = true
+	k.Injection = true
 	_ = k.Label()
 }
