@@ -457,6 +457,37 @@ func TestHybridTopology(t *testing.T) {
 	}
 }
 
+// TestMasterModelOrder pins the orders the hybrid master's decisions run
+// in, which it no longer gets from sorting per decision: a slave's loaded
+// set reads ascending however it grew, and of several equally busy blocks
+// the lowest wins.
+func TestMasterModelOrder(t *testing.T) {
+	s := &slaveRec{}
+	for _, b := range []grid.BlockID{9, 2, 40, 2, 17, 9, 0} {
+		s.loaded = insertSorted(s.loaded, b)
+	}
+	if want := []grid.BlockID{0, 2, 9, 17, 40}; !slices.Equal(s.loaded, want) {
+		t.Errorf("loaded set %v, want %v", s.loaded, want)
+	}
+	if !s.has(17) || s.has(16) || s.has(41) || (&slaveRec{}).has(0) {
+		t.Errorf("has disagrees with the loaded set %v", s.loaded)
+	}
+	// Run repeatedly: a map walk that leaned on iteration order would
+	// answer differently sooner or later.
+	for range 50 {
+		s.perBlock = map[grid.BlockID]int{31: 4, 5: 7, 17: 9, 12: 7, 3: 1, 8: 7}
+		if b, n := busiest(s, false); b != 17 || n != 9 {
+			t.Fatalf("busiest = block %d (%d), want the loaded block 17 (9)", b, n)
+		}
+		if b, n := busiest(s, true); b != 5 || n != 7 {
+			t.Fatalf("busiest unloaded = block %d (%d), want 5 (7), the lowest of three sevens", b, n)
+		}
+	}
+	if b, n := busiest(&slaveRec{}, true); b != grid.NoBlock || n != 0 {
+		t.Errorf("busiest of an idle slave = block %d (%d), want none", b, n)
+	}
+}
+
 func TestStaticOwner(t *testing.T) {
 	for _, tc := range []struct{ blocks, procs int }{
 		{64, 4}, {64, 7}, {10, 3}, {5, 8}, {512, 512},

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/comm"
 	"repro/internal/faults"
@@ -112,12 +112,12 @@ func sortedBlocks[V any](m map[grid.BlockID]V) []grid.BlockID {
 	for b := range m {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // insertSorted adds v to the ascending set s (a no-op when present).
-func insertSorted(s []int, v int) []int {
+func insertSorted[T cmp.Ordered](s []T, v T) []T {
 	i, found := slices.BinarySearch(s, v)
 	if found {
 		return s
@@ -477,12 +477,22 @@ func (s *slave) runAsMaster(pm msgPromote) {
 // slaveRec is the master's model of one slave, updated from statuses and
 // optimistically adjusted when instructions are sent.
 type slaveRec struct {
-	ep              int
-	active          int
-	perBlock        map[grid.BlockID]int
-	loaded          map[grid.BlockID]bool
+	ep       int
+	active   int
+	perBlock map[grid.BlockID]int
+	// loaded is the slave's resident set, ascending, so that the rules
+	// that walk it (steps 3 and 4) sort nothing per decision: it is sorted
+	// once where a status lands and grows by insertSorted where the master
+	// has the slave load a block.
+	loaded          []grid.BlockID
 	needsWork       bool
 	hintOutstanding bool
+}
+
+// has reports whether the slave holds, or has been told to load, block b.
+func (s *slaveRec) has(b grid.BlockID) bool {
+	_, ok := slices.BinarySearch(s.loaded, b)
+	return ok
 }
 
 type master struct {
@@ -536,7 +546,6 @@ func (m *master) addSlave(ep int) *slaveRec {
 	rec := &slaveRec{
 		ep:       ep,
 		perBlock: make(map[grid.BlockID]int),
-		loaded:   make(map[grid.BlockID]bool),
 	}
 	m.slaves[ep] = rec
 	m.order = insertSorted(m.order, ep)
@@ -709,10 +718,9 @@ func (m *master) onStatus(st msgStatus) {
 	}
 	rec.active = st.active
 	rec.perBlock = st.perBlock
-	rec.loaded = make(map[grid.BlockID]bool, len(st.loaded))
-	for _, b := range st.loaded {
-		rec.loaded[b] = true
-	}
+	// st.loaded arrives in MRU order: sorted here, once per status.
+	rec.loaded = append(rec.loaded[:0], st.loaded...)
+	slices.Sort(rec.loaded)
 	rec.needsWork = st.needsWork
 	rec.hintOutstanding = false
 
@@ -844,7 +852,7 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 	}
 
 	// Step 4 (Assign-loaded): seeds in a block S already has in memory.
-	for _, b := range sortedBlocks(s.loaded) {
+	for _, b := range s.loaded {
 		if len(m.pool[b]) > 0 {
 			m.assignSeedsFrom(s, b)
 			return true
@@ -876,7 +884,7 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 				b, n = busiest(busy, false)
 			}
 			if n > 0 {
-				if !s.loaded[b] {
+				if !s.has(b) {
 					m.instructLoad(s, b)
 				}
 				m.w.end.Send(busy.ep, msgSendHint{to: s.ep, blocks: []grid.BlockID{b}})
@@ -888,14 +896,15 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 }
 
 // busiest returns s's block holding the most streamlines — among its
-// unloaded blocks only, when unloadedOnly is set.
+// unloaded blocks only, when unloadedOnly is set — and of several such
+// the lowest.
 func busiest(s *slaveRec, unloadedOnly bool) (grid.BlockID, int) {
 	best, bestN := grid.NoBlock, 0
-	for _, b := range sortedBlocks(s.perBlock) {
-		if unloadedOnly && s.loaded[b] {
+	for b, n := range s.perBlock {
+		if unloadedOnly && s.has(b) {
 			continue
 		}
-		if n := s.perBlock[b]; n > bestN {
+		if n > bestN || n == bestN && b < best {
 			best, bestN = b, n
 		}
 	}
@@ -918,26 +927,16 @@ func (m *master) force(from, to *slaveRec, b grid.BlockID) bool {
 	return true
 }
 
-// stranded lists, ascending, the blocks where s holds streamlines it
-// cannot advance because the block is not loaded there — only those
-// loaded at to, when to is given.
-func stranded(s, to *slaveRec) []grid.BlockID {
-	blocks := make([]grid.BlockID, 0, len(s.perBlock))
-	for b, n := range s.perBlock {
-		if n > 0 && !s.loaded[b] && (to == nil || to.loaded[b]) {
-			blocks = append(blocks, b)
-		}
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	return blocks
-}
-
-// forceOffload implements step 1: S sends streamlines in unloaded blocks
-// to the first group member having that block loaded.
+// forceOffload implements step 1: S sends the streamlines it cannot
+// advance — those in blocks it has not loaded, ascending — to the first
+// group member having that block loaded.
 func (m *master) forceOffload(s *slaveRec) {
-	for _, b := range stranded(s, nil) {
+	for _, b := range sortedBlocks(s.perBlock) {
+		if s.perBlock[b] == 0 || s.has(b) {
+			continue
+		}
 		for _, ep := range m.order {
-			if t := m.slaves[ep]; t != s && t.loaded[b] && m.force(s, t, b) {
+			if t := m.slaves[ep]; t != s && t.has(b) && m.force(s, t, b) {
 				break
 			}
 		}
@@ -945,15 +944,16 @@ func (m *master) forceOffload(s *slaveRec) {
 }
 
 // forceToward implements step 3: other slaves send S their streamlines
-// stranded in blocks S has loaded.
+// stranded in blocks S has loaded — peers ascending, and each peer's
+// blocks ascending.
 func (m *master) forceToward(s *slaveRec) (sent bool) {
 	for _, ep := range m.order {
 		t := m.slaves[ep]
 		if t == s {
 			continue
 		}
-		for _, b := range stranded(t, s) {
-			if m.force(t, s, b) {
+		for _, b := range s.loaded {
+			if t.perBlock[b] > 0 && !t.has(b) && m.force(t, s, b) {
 				sent = true
 			}
 		}
@@ -989,19 +989,19 @@ func (m *master) busiestSlave(excludeEP int) *slaveRec {
 // instructLoad sends the Load rule and updates the model.
 func (m *master) instructLoad(s *slaveRec, b grid.BlockID) {
 	m.w.end.Send(s.ep, msgLoad{block: b})
-	s.loaded[b] = true
+	s.loaded = insertSorted(s.loaded, b)
 }
 
 // assignSeeds sends s up to N seeds from the pool's most-populated
 // block (Assign-unloaded), if the pool holds any.
 func (m *master) assignSeeds(s *slaveRec) {
-	b, bestN := grid.NoBlock, 0
-	for _, blk := range sortedBlocks(m.pool) {
-		if n := len(m.pool[blk]); n > bestN {
-			b, bestN = blk, n
+	best, bestN := grid.NoBlock, 0
+	for b, recs := range m.pool {
+		if n := len(recs); n > bestN || n == bestN && b < best {
+			best, bestN = b, n
 		}
 	}
-	m.assignSeedsFrom(s, b)
+	m.assignSeedsFrom(s, best)
 }
 
 // assignSeedsFrom sends up to N seeds from block b to s (Assign-loaded
@@ -1028,7 +1028,7 @@ func (m *master) assignSeedsFrom(s *slaveRec, b grid.BlockID) {
 	m.w.sendingRecs = nil
 	s.active += n
 	s.perBlock[b] += n
-	s.loaded[b] = true
+	s.loaded = insertSorted(s.loaded, b)
 }
 
 // onSeedRequest shares up to W·N seeds with a starving peer master.
