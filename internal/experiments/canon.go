@@ -34,6 +34,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
 
 	"repro/internal/core"
@@ -143,7 +144,7 @@ func ParseKey(data []byte) (Key, error) {
 	if err := dec.Decode(&w); err != nil {
 		return Key{}, fmt.Errorf("experiments: bad key encoding: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Key{}, fmt.Errorf("experiments: bad key encoding: trailing data after the key object")
 	}
 	if w.V != "" && w.V != keyCodecVersion {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,6 +79,10 @@ func TestParseKeyRejects(t *testing.T) {
 		{"unknown field", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8,"tenant":"eve"}`, "unknown field"},
 		{"version skew", `{"v":"key/v999","dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8}`, "codec version mismatch"},
 		{"trailing data", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8}{}`, "trailing data"},
+		// Closing delimiters are what json.Decoder.More answers false to.
+		{"trailing brace", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8}}`, "trailing data"},
+		{"trailing bracket", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8}]`, "trailing data"},
+		{"trailing spaced bracket", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8} ]`, "trailing data"},
 		{"not json", `procs=8`, "bad key encoding"},
 	}
 	for _, tc := range cases {
@@ -128,14 +133,19 @@ func TestParseKeyNormalizesAliases(t *testing.T) {
 // Invalid keys must fail Validate symmetrically with ParseKey: an input
 // the validator rejects that the decoder would accept (or vice versa)
 // is an asymmetry between the in-process and network identity rules.
+//
+// tail is appended to the canonical encoding before it is decoded: JSON
+// whitespace changes nothing, anything else is trailing data and an
+// error — the closing delimiters included.
 func FuzzKeyRoundTrip(f *testing.F) {
-	f.Add("astro", "sparse", "ondemand", 8, false, "", "", "")
-	f.Add("fusion", "dense", "stealing", 32, true, "both", "burst", "kill")
-	f.Add("thermal", "dense", "static", 1, false, "off", "t0", "off")
-	f.Add("astro", "sparse", "hybrid", 64, true, "temporal", "rate", "")
-	f.Add("galaxy", "sparse", "hybrid", 8, false, "psychic", "maybe", "zap")
-	f.Add("astro", "sparse", "hybrid", 0, false, "", "off", "")
-	f.Fuzz(func(t *testing.T, ds, seeding, alg string, procs int, unsteady bool, pf, inj, fm string) {
+	f.Add("astro", "sparse", "ondemand", 8, false, "", "", "", "")
+	f.Add("fusion", "dense", "stealing", 32, true, "both", "burst", "kill", " \n")
+	f.Add("thermal", "dense", "static", 1, false, "off", "t0", "off", "}")
+	f.Add("astro", "sparse", "hybrid", 64, true, "temporal", "rate", "", "]")
+	f.Add("astro", "sparse", "ondemand", 8, false, "", "", "", " ]")
+	f.Add("galaxy", "sparse", "hybrid", 8, false, "psychic", "maybe", "zap", "")
+	f.Add("astro", "sparse", "hybrid", 0, false, "", "off", "", "")
+	f.Fuzz(func(t *testing.T, ds, seeding, alg string, procs int, unsteady bool, pf, inj, fm, tail string) {
 		k := Key{
 			Dataset:   Dataset(ds),
 			Seeding:   Seeding(seeding),
@@ -154,9 +164,15 @@ func FuzzKeyRoundTrip(f *testing.F) {
 			return
 		}
 		enc := k.CanonicalJSON()
-		got, err := ParseKey(enc)
+		got, err := ParseKey(append(slices.Clone(enc), tail...))
+		if strings.Trim(tail, " \t\r\n") != "" {
+			if err == nil {
+				t.Fatalf("ParseKey accepted %s followed by %q", enc, tail)
+			}
+			return
+		}
 		if err != nil {
-			t.Fatalf("ParseKey rejected its own canonical encoding %s: %v", enc, err)
+			t.Fatalf("ParseKey rejected its own canonical encoding %s (followed by %q): %v", enc, tail, err)
 		}
 		want := k.normalized()
 		if got != want {

@@ -211,19 +211,18 @@ func runKeyAxisContract(pass *Pass) {
 }
 
 // runKeyAxisTape checks rule 6: the declaration of every field, and the
-// problem memo's reads against it. A package without the memo function
-// is held to the declaration alone.
+// problem memo's reads against it.
 func runKeyAxisTape(pass *Pass, named *types.Named, fields []string, problem *ast.FuncDecl) {
-	var reads map[string]bool
-	if problem != nil {
-		reads = keyFieldReads(pass, problem.Body, named)
+	if problem == nil {
+		pass.reportf(pass.Files[0].Pos(), "keyaxis contract: no %s memo found", keyContract.problem)
+		return
 	}
+	reads := keyFieldReads(pass, problem.Body, named)
 	for _, f := range fields {
 		curve, machine := slices.Contains(keyContract.curve, f), slices.Contains(keyContract.machine, f)
 		switch {
 		case curve == machine:
 			pass.reportf(named.Obj().Pos(), "Key.%s is not declared in exactly one of keyContract.curve and keyContract.machine: declare whether it moves a curve", f)
-		case problem == nil:
 		case curve && !reads[f]:
 			pass.reportf(problem.Pos(), "Key.%s moves a curve but is not read by %s: problems that differ only in %s would share one segment tape", f, problem.Name.Name, f)
 		case machine && reads[f]:

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // summaryCodecVersion names the canonical Summary wire layout. Bump it
@@ -57,7 +58,7 @@ func ParseSummary(data []byte) (Summary, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Summary{}, fmt.Errorf("metrics: bad summary encoding: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Summary{}, fmt.Errorf("metrics: bad summary encoding: trailing data after the summary object")
 	}
 	return s, nil

@@ -80,8 +80,14 @@ func TestParseSummaryStrict(t *testing.T) {
 	if _, err := ParseSummary([]byte(`{"NumProcs":2,"FutureColumn":1}`)); err == nil {
 		t.Error("ParseSummary accepted an unknown field")
 	}
-	if _, err := ParseSummary([]byte(`{"NumProcs":2}{}`)); err == nil {
-		t.Error("ParseSummary accepted trailing data")
+	// The closing delimiters are what json.Decoder.More answers false to.
+	for _, tail := range []string{"{}", "}", "]", " ]"} {
+		if _, err := ParseSummary([]byte(`{"NumProcs":2}` + tail)); err == nil {
+			t.Errorf("ParseSummary accepted trailing data %q", tail)
+		}
+	}
+	if _, err := ParseSummary([]byte(`{"NumProcs":2}` + " \n")); err != nil {
+		t.Errorf("ParseSummary rejected trailing whitespace: %v", err)
 	}
 	if _, err := ParseSummary([]byte(`not json`)); err == nil {
 		t.Error("ParseSummary accepted garbage")

@@ -324,7 +324,7 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		writeError(w, http.StatusBadRequest, "decode request: trailing data after JSON object")
 		return
 	}

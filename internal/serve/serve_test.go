@@ -417,6 +417,14 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown dataset", http.MethodPost, "/v1/cell", `{"dataset":"galaxy","seeding":"sparse","alg":"ondemand","procs":2}`, http.StatusBadRequest},
 		{"version skew", http.MethodPost, "/v1/cell", `{"v":"key/v9","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2}`, http.StatusBadRequest},
 		{"trailing data", http.MethodPost, "/v1/cell", cellBody + `{"again":true}`, http.StatusBadRequest},
+		// Closing delimiters are what json.Decoder.More answers false to.
+		{"trailing brace", http.MethodPost, "/v1/cell", cellBody + `}`, http.StatusBadRequest},
+		{"trailing bracket", http.MethodPost, "/v1/cell", cellBody + `]`, http.StatusBadRequest},
+		{"trailing spaced bracket", http.MethodPost, "/v1/cell", cellBody + ` ]`, http.StatusBadRequest},
+		{"batch trailing data", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `]}{}`, http.StatusBadRequest},
+		{"batch trailing brace", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `]}}`, http.StatusBadRequest},
+		{"batch trailing bracket", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `]}]`, http.StatusBadRequest},
+		{"batch trailing spaced bracket", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `]} ]`, http.StatusBadRequest},
 		{"batch no cells", http.MethodPost, "/v1/cells", `{"cells":[]}`, http.StatusBadRequest},
 		{"batch bad envelope", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `],"mode":"fast"}`, http.StatusBadRequest},
 		{"batch bad cell", http.MethodPost, "/v1/cells", `{"cells":[{"dataset":"astro"}]}`, http.StatusBadRequest},
