@@ -589,7 +589,7 @@ type runState struct {
 // fail records the first fatal error and halts the kernel: every
 // surviving process is unwound deterministically at the current instant
 // instead of being stranded until the event queue drains into a
-// deadlock report (the old behavior that Run had to paper over).
+// deadlock report, and one that has not run yet never starts.
 func (r *runState) fail(err error) {
 	if r.err == nil {
 		r.err = err

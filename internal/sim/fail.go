@@ -1,6 +1,6 @@
 // Processor failure: first-class, deterministic death of a simulated
 // process. A fault plan (internal/faults) schedules Proc.FailAt calls;
-// at the fault instant the kernel unwinds the victim's goroutine through
+// at the fault instant the kernel unwinds the victim's body through
 // the same procKilled panic used for end-of-run cleanup, runs its
 // deferred cleanups (releasing any Resource slots it holds), and then
 // notifies every registered watcher in virtual time. Because the fault
@@ -44,29 +44,26 @@ func (p *Proc) FailAt(t float64) {
 	p.k.At(t, func() { p.k.Fail(p) })
 }
 
-// Fail kills p at the current virtual time: the process's goroutine is
+// Fail kills p at the current virtual time: the process's body is
 // unwound through the procKilled panic (running its deferred cleanups,
 // e.g. releasing a held Resource slot), after which each watcher
-// registered with Watch is notified in registration order. Failing a
-// process that already finished or failed is a no-op. Fail must not be
-// called from p's own body — a process cannot outlive its own unwind —
-// but calling it from kernel callbacks (the fault-plan path) or from
-// another process is safe.
+// registered with Watch is notified in registration order. A process
+// that has not run yet is failed without its body ever being entered.
+// Failing a process that already finished or failed is a no-op. Fail
+// must not be called from p's own body — a process cannot outlive its
+// own unwind — but calling it from kernel callbacks (the fault-plan
+// path) or from another process's body is safe: the unwind is a nested
+// resume that returns to Fail's caller.
 func (k *Kernel) Fail(p *Proc) {
 	if p.done || p.killed {
 		return
 	}
 	p.failed = true
-	p.killed = true
 	// A victim killed mid-RecvUntil leaves a deadline timer behind;
 	// cancel it so it neither pins the dead process in the event heap
 	// nor charges it idle time at the virtual deadline.
 	k.cancelTimer(p)
-	// The victim is parked in <-p.resume (every process not currently
-	// executing is); resuming it makes yield panic procKilled, and the
-	// recover in run signals ctl once the stack has unwound.
-	p.resume <- struct{}{}
-	<-k.ctl
+	p.kill()
 	for _, w := range p.watchers {
 		k.Deliver(w.p, w.msg, w.delay)
 	}
@@ -100,10 +97,10 @@ func (k *Kernel) SetDeadLetter(fn func(to *Proc, msg any)) { k.deadLetter = fn }
 
 // Halt stops the simulation deterministically at the current virtual
 // time: Run unwinds every unfinished process (in spawn order, running
-// their deferred cleanups) and returns nil instead of reporting a
-// deadlock. It is the error path's answer to stranded peers — when one
-// process aborts a run, the others must not hang until the event queue
-// drains.
+// their deferred cleanups; a process that has not run yet never enters
+// its body) and returns nil instead of reporting a deadlock. It is the
+// error path's answer to stranded peers — when one process aborts a
+// run, the others must not hang until the event queue drains.
 func (k *Kernel) Halt() { k.halted = true }
 
 // Halted reports whether Halt has been called.

@@ -9,21 +9,23 @@
 // explicit charges for computation, I/O and communication applied by the
 // layers above.
 //
-// Execution model: exactly one process runs at a time (sequential
-// coroutine scheduling), so the simulation is fully deterministic — the
-// same inputs produce the same event order, the same virtual timings and
-// the same results, which the property tests rely on.
+// Execution model: every process is a coroutine (iter.Pull) that the
+// kernel resumes and that yields back when it blocks, so exactly one runs
+// at a time and the simulation is fully deterministic — the same inputs
+// produce the same event order, the same virtual timings and the same
+// results, which the property tests rely on.
 //
 // The kernel is on every simulated operation's path, so its event queue
 // is a concrete-typed hand-rolled heap (no container/heap `any` boxing),
 // the built-in wake sources (Sleep, Deliver, RecvUntil deadlines) are
 // tagged events rather than closures, spent events are recycled through
 // a free list, and an uncontended Sleep advances the clock without
-// touching the event queue or the scheduler goroutine at all.
+// touching the event queue or switching coroutines at all.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -143,7 +145,6 @@ type Kernel struct {
 	runnable   []*Proc
 	runHead    int // index of the next runnable entry (consumed prefix is nil)
 	procs      []*Proc
-	ctl        chan struct{}
 	running    bool
 	halted     bool
 	deadLetter func(to *Proc, msg any)
@@ -162,9 +163,7 @@ type Kernel struct {
 func (k *Kernel) SetIdleHook(fn func(p *Proc, start, end float64)) { k.idleHook = fn }
 
 // New returns an empty kernel at virtual time 0.
-func New() *Kernel {
-	return &Kernel{ctl: make(chan struct{})}
-}
+func New() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
@@ -234,20 +233,23 @@ func (k *Kernel) At(t float64, fn func()) {
 // After schedules fn to run d seconds from now.
 func (k *Kernel) After(d float64, fn func()) { k.At(k.now+d, fn) }
 
-// procKilled is the panic payload used to unwind a process's goroutine:
-// at end of run for processes still blocked, on Kernel.Halt for a
+// procKilled is the panic payload used to unwind a parked process's
+// body: at end of run for processes still blocked, on Kernel.Halt for a
 // deliberately aborted run, and at a scheduled fault instant for
-// processes killed mid-run by Kernel.Fail (see fail.go).
+// processes killed mid-run by Kernel.Fail (see fail.go). It never
+// leaves the package: Proc.run recovers it.
 type procKilled struct{}
 
-// Proc is one simulated processor. Its body function runs on its own
-// goroutine but only ever executes while the kernel has handed it control,
-// so process code needs no locking.
+// Proc is one simulated processor. Its body function is a coroutine: it
+// executes only between a next() that resumes it and the park that
+// yields back, so process code needs no locking.
 type Proc struct {
 	k         *Kernel
 	id        int
 	name      string
-	resume    chan struct{}
+	next      func() (struct{}, bool) // resume the body until it parks or returns
+	stop      func()                  // make a parked park return false; a body not yet started never runs
+	park      func(struct{}) bool     // switch back to whoever resumed; false once stopped
 	inbox     []any
 	inboxHead int    // index of the oldest unconsumed message
 	timer     *event // pending RecvUntil deadline, nil when none
@@ -262,7 +264,6 @@ type Proc struct {
 
 	idleStart float64
 	idleTotal float64
-	body      func(p *Proc)
 }
 
 // beginBlock marks the process blocked and returns a wake token. Every
@@ -286,37 +287,42 @@ func (k *Kernel) wake(p *Proc, seq uint64) {
 }
 
 // Spawn registers a new process; its body starts running (at the current
-// virtual time) once Run reaches it. Spawning from inside a running
+// virtual time) once Run reaches it, and not before: a process killed or
+// halted first never enters its body. Spawning from inside a running
 // process is allowed.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		id:     len(k.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		body:   body,
-	}
+	p := &Proc{k: k, id: len(k.procs), name: name}
+	p.next, p.stop = iter.Pull(func(park func(struct{}) bool) {
+		p.park = park
+		p.run(body)
+	})
 	k.procs = append(k.procs, p)
 	k.runnable = append(k.runnable, p)
-	go p.run()
 	return p
 }
 
-func (p *Proc) run() {
-	<-p.resume
+// run is what the coroutine executes: the body, with the procKilled
+// unwind swallowed. Any other panic travels on (through iter.Pull) to
+// whoever resumed the process, so it surfaces from Kernel.Run on its
+// caller's goroutine.
+func (p *Proc) run(body func(p *Proc)) {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(procKilled); ok {
-				p.done = true
-				p.k.ctl <- struct{}{}
-				return
-			}
+		if r := recover(); r != nil && r != (procKilled{}) {
 			panic(r)
 		}
 	}()
-	p.body(p)
+	body(p)
 	p.done = true
-	p.k.ctl <- struct{}{}
+}
+
+// kill ends a process that is not executing: a parked body unwinds
+// through the procKilled panic (its deferred cleanups run before kill
+// returns, to kill's caller and nobody else), and a body that never
+// started is never entered.
+func (p *Proc) kill() {
+	p.killed = true
+	p.stop()
+	p.done = true
 }
 
 // ID returns the process index (dense from 0 in spawn order).
@@ -335,11 +341,10 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // waiting for messages.
 func (p *Proc) IdleTime() float64 { return p.idleTotal }
 
-// yield hands control back to the kernel and blocks until resumed.
+// yield hands control back to whoever resumed this process and parks
+// until the next resume; a process stopped while parked unwinds here.
 func (p *Proc) yield() {
-	p.k.ctl <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.park(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -511,10 +516,14 @@ func (e *deadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock, %d process(es) still blocked: %v", len(e.Stuck), e.Stuck)
 }
 
-// Run executes the simulation until every process has finished or no
-// further progress is possible. It returns a *deadlockError if processes
-// remain blocked with an empty event queue; blocked processes are then
-// forcibly unwound so no goroutines leak.
+// Run executes the simulation until every process has finished, no
+// further progress is possible, or Halt is called. It returns a
+// *deadlockError if processes remain blocked with an empty event queue.
+// Whichever way the loop ends, every unfinished process is then killed
+// in spawn order — a parked body unwinds, one that never started is not
+// entered — so no coroutine outlives a Run that returns. A body that
+// panics with a value of its own panics out of Run with that value, on
+// the goroutine of Run's caller.
 func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sim: kernel already running")
@@ -534,8 +543,7 @@ func (k *Kernel) Run() error {
 			if p.done || p.killed {
 				continue
 			}
-			p.resume <- struct{}{}
-			<-k.ctl
+			p.next()
 			continue
 		}
 		if len(k.events) > 0 {
@@ -554,9 +562,7 @@ func (k *Kernel) Run() error {
 	for _, p := range k.procs {
 		if !p.done {
 			stuck = append(stuck, p.name)
-			p.killed = true
-			p.resume <- struct{}{}
-			<-k.ctl
+			p.kill()
 		}
 	}
 	if k.halted {
