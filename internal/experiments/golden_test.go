@@ -189,6 +189,10 @@ func TestGoldenDigests(t *testing.T) {
 					t.Fatalf("%s/%s under tracing: %v", key, alg, err)
 				}
 				sums[fmt.Sprintf("%s/%s/traced", key, alg)] = summaryDigest(t, res.Summary, nil)
+				// A summary pins counts, not order; the event-stream hash
+				// pins every message, load and decision in the order it
+				// happened.
+				sums[fmt.Sprintf("%s/%s/stream", key, alg)] = fmt.Sprintf("%016x", cfg.Trace.Hash())
 				if cfg.Trace.Report().Events == 0 {
 					t.Errorf("%s/%s: traced run recorded no events — the dimension is vacuous", key, alg)
 				}
