@@ -7,10 +7,13 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
+	"repro/internal/metrics"
 	"repro/internal/seeds"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -458,9 +461,9 @@ func TestHybridTopology(t *testing.T) {
 }
 
 // TestMasterModelOrder pins the orders the hybrid master's decisions run
-// in, which it no longer gets from sorting per decision: a slave's loaded
-// set reads ascending however it grew, and of several equally busy blocks
-// the lowest wins.
+// in, none of them sorted per decision: a slave's loaded set reads
+// ascending however it grew, and of several equally busy blocks in its
+// perBlock the lowest wins.
 func TestMasterModelOrder(t *testing.T) {
 	s := &slaveRec{}
 	for _, b := range []grid.BlockID{9, 2, 40, 2, 17, 9, 0} {
@@ -472,19 +475,86 @@ func TestMasterModelOrder(t *testing.T) {
 	if !s.has(17) || s.has(16) || s.has(41) || (&slaveRec{}).has(0) {
 		t.Errorf("has disagrees with the loaded set %v", s.loaded)
 	}
-	// Run repeatedly: a map walk that leaned on iteration order would
-	// answer differently sooner or later.
-	for range 50 {
-		s.perBlock = map[grid.BlockID]int{31: 4, 5: 7, 17: 9, 12: 7, 3: 1, 8: 7}
-		if b, n := busiest(s, false); b != 17 || n != 9 {
-			t.Fatalf("busiest = block %d (%d), want the loaded block 17 (9)", b, n)
-		}
-		if b, n := busiest(s, true); b != 5 || n != 7 {
-			t.Fatalf("busiest unloaded = block %d (%d), want 5 (7), the lowest of three sevens", b, n)
-		}
+	for _, e := range []blockEntry[tally]{{31, 4}, {5, 7}, {17, 9}, {12, 7}, {3, 1}, {8, 7}} {
+		s.perBlock.set(e.b, e.v)
+	}
+	if b, n := busiest(s, false); b != 17 || n != 9 {
+		t.Errorf("busiest = block %d (%d), want the loaded block 17 (9)", b, n)
+	}
+	if b, n := busiest(s, true); b != 5 || n != 7 {
+		t.Errorf("busiest unloaded = block %d (%d), want 5 (7), the lowest of three sevens", b, n)
 	}
 	if b, n := busiest(&slaveRec{}, true); b != grid.NoBlock || n != 0 {
 		t.Errorf("busiest of an idle slave = block %d (%d), want none", b, n)
+	}
+}
+
+// TestForceOffloadWalksPastForcedBlocks pins step 1 over the list a force
+// edits under it: a slave (endpoint 1) holds unloaded blocks {3: 2, 5: 1,
+// 9: 4}, and each force drops the block it moves from the slave's
+// perBlock while forceOffload walks that perBlock. Every block must be
+// visited once, in ascending order — the forced ones leave, the rest
+// stay — and the slave must be told exactly those forces, in that order.
+func TestForceOffloadWalksPastForcedBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		peerLoaded       [2]grid.BlockID // the block endpoints 2 and 3 hold
+		forced, stays    string
+		peer2, peer3     string
+		slaveActiveAfter int
+	}{
+		{[2]grid.BlockID{3, 9}, "[3→2 9→3]", "5:1 (total 1)", "3:2 (total 2)", "9:4 (total 4)", 1},
+		// A skipped block would go unforced here: 5 sits right after 3.
+		{[2]grid.BlockID{3, 5}, "[3→2 5→3]", "9:4 (total 4)", "3:2 (total 2)", "5:1 (total 1)", 4},
+	} {
+		p := testProblem(4)
+		cfg := testConfig(HybridMS, 4)
+		cfg.Cost = DefaultCost()
+		r := &runState{prob: &p, cfg: &cfg, kernel: sim.New(), collect: metrics.NewCollector(4)}
+		r.fabric = comm.NewFabric(cfg.Net)
+		var forced []string
+		var mw *worker
+		proc := r.kernel.Spawn("master", func(*sim.Proc) {
+			s := &slaveRec{ep: 1}
+			for _, e := range []blockEntry[tally]{{9, 4}, {3, 2}, {5, 1}} {
+				s.perBlock.set(e.b, e.v)
+				s.active += int(e.v)
+			}
+			peers := [2]*slaveRec{{ep: 2}, {ep: 3}}
+			for i, peer := range peers {
+				peer.loaded = []grid.BlockID{tc.peerLoaded[i]}
+			}
+			m := &master{r: r, w: mw, slaves: []*slaveRec{s, peers[0], peers[1]}}
+			m.forceOffload(s)
+			if got := dumpBlocks(&s.perBlock); got != tc.stays || s.active != tc.slaveActiveAfter {
+				t.Errorf("peers hold %v: slave keeps %s (active %d), want %s (active %d)",
+					tc.peerLoaded, got, s.active, tc.stays, tc.slaveActiveAfter)
+			}
+			for i, want := range []string{tc.peer2, tc.peer3} {
+				if got := dumpBlocks(&peers[i].perBlock); got != want || peers[i].active != peers[i].perBlock.total() {
+					t.Errorf("peers hold %v: endpoint %d models %s (active %d), want %s",
+						tc.peerLoaded, peers[i].ep, got, peers[i].active, want)
+				}
+			}
+		})
+		mw = r.newWorker(proc, 0, 0)
+		var sw *worker
+		proc = r.kernel.Spawn("slave", func(p *sim.Proc) {
+			p.Sleep(1)
+			for env, ok := sw.end.TryRecv(); ok; env, ok = sw.end.TryRecv() {
+				f := env.Payload.(msgSendForce)
+				forced = append(forced, fmt.Sprintf("%d→%d", f.block, f.to))
+			}
+		})
+		sw = r.newWorker(proc, 1, 0)
+		for ep := 2; ep <= 3; ep++ {
+			r.newWorker(r.kernel.Spawn(fmt.Sprint("peer-", ep), func(*sim.Proc) {}), ep, 0)
+		}
+		if err := r.kernel.Run(); err != nil {
+			t.Fatalf("kernel: %v", err)
+		}
+		if got := fmt.Sprint(forced); got != tc.forced {
+			t.Errorf("peers hold %v: slave told %s, want %s", tc.peerLoaded, got, tc.forced)
+		}
 	}
 }
 

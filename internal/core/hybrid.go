@@ -70,19 +70,21 @@ type msgSendHint struct {
 func (m msgSendHint) Bytes() int64 { return 16 + int64(len(m.blocks))*8 }
 
 // msgStatus is the slave→master state report driving all master
-// decisions.
+// decisions. The master adopts perBlock as its model of the slave, so the
+// message owns it, as it owns loaded.
 type msgStatus struct {
 	slave          int // endpoint index
 	active         int
-	perBlock       map[grid.BlockID]int // active streamlines by current block
-	loaded         []grid.BlockID
+	perBlock       blocks[tally]  // active streamlines by current block, ascending
+	loaded         []grid.BlockID // resident blocks, most recently used first
 	completedDelta int
 	needsWork      bool // no further workable streamlines after this report
 }
 
-// Bytes implements comm.Message.
+// Bytes implements comm.Message: a status carries one (block, count) pair
+// per block holding streamlines.
 func (m msgStatus) Bytes() int64 {
-	return 64 + int64(len(m.perBlock))*16 + int64(len(m.loaded))*8
+	return 64 + int64(m.perBlock.len())*16 + int64(len(m.loaded))*8
 }
 
 // msgTerminate shuts a slave down.
@@ -104,17 +106,6 @@ type msgSeedShare struct{ recs []seedRec }
 func (m msgSeedShare) Bytes() int64 { return 16 + int64(len(m.recs))*32 }
 
 // --- topology ---
-
-// sortedBlocks returns the keys of a block-keyed map in ascending order,
-// so that decision loops are deterministic.
-func sortedBlocks[V any](m map[grid.BlockID]V) []grid.BlockID {
-	out := make([]grid.BlockID, 0, len(m))
-	for b := range m {
-		out = append(out, b)
-	}
-	slices.Sort(out)
-	return out
-}
 
 // insertSorted adds v to the ascending set s (a no-op when present).
 func insertSorted[T cmp.Ordered](s []T, v T) []T {
@@ -138,18 +129,6 @@ func checkHybrid(c *Config) error {
 		return errors.New("core: hybrid needs at least 1 master and 1 slave")
 	}
 	return nil
-}
-
-// takeTail removes and returns the last n of the streamlines filed
-// under block b.
-func takeTail(by map[grid.BlockID][]*trace.Streamline, b grid.BlockID, n int) []*trace.Streamline {
-	sls := by[b]
-	if n == len(sls) {
-		delete(by, b)
-	} else {
-		by[b] = sls[:len(sls)-n]
-	}
-	return sls[len(sls)-n:]
 }
 
 // hybridTopology computes master/slave counts: one master per W slaves.
@@ -205,12 +184,15 @@ func (r *runState) buildHybrid() {
 
 // --- slave ---
 
+// slave is one Hybrid worker: it advances the streamlines it holds
+// through its resident blocks and leaves every other decision to its
+// master.
 type slave struct {
 	r      *runState
 	w      *worker
 	master int // master endpoint index
 
-	byBlock        map[grid.BlockID][]*trace.Streamline // active, by current block
+	byBlock        blocks[pile[*trace.Streamline]] // active, piled by current block
 	active         int
 	completedDelta int
 	done           bool
@@ -225,7 +207,7 @@ type slave struct {
 }
 
 func newSlave(r *runState, w *worker, master int) *slave {
-	s := &slave{r: r, w: w, master: master, byBlock: make(map[grid.BlockID][]*trace.Streamline)}
+	s := &slave{r: r, w: w, master: master}
 	r.hybSlaves[w.end.Index()] = s
 	w.resident = s.resident
 	return s
@@ -235,8 +217,8 @@ func newSlave(r *runState, w *worker, master int) *slave {
 // one in hand mid-advance — for the salvage.
 func (s *slave) resident() ([]*trace.Streamline, []seedRec) {
 	var sls []*trace.Streamline
-	for _, b := range sortedBlocks(s.byBlock) {
-		sls = append(sls, s.byBlock[b]...)
+	for _, p := range s.byBlock.all() {
+		sls = append(sls, p...)
 	}
 	if s.inHand != nil {
 		sls = append(sls, s.inHand)
@@ -282,15 +264,14 @@ func (s *slave) run() {
 // pickWorkable returns an active streamline residing in a loaded block,
 // preferring most-recently-used blocks.
 func (s *slave) pickWorkable() (*trace.Streamline, grid.Evaluator) {
-	for _, b := range s.w.cache.Loaded() {
-		sls := s.byBlock[b]
-		if len(sls) == 0 {
-			continue
+	for b := range s.w.cache.Loaded() {
+		if len(s.byBlock.get(b)) > 0 {
+			sl := takeLast(&s.byBlock, b, 1)[0]
+			// TryGet moves b to the front of the MRU list this loop walks:
+			// return at once, the walk must not go on past that move.
+			ev, _ := s.w.cache.TryGet(b)
+			return sl, ev
 		}
-		sl := sls[len(sls)-1]
-		s.byBlock[b] = sls[:len(sls)-1]
-		ev, _ := s.w.cache.TryGet(b)
-		return sl, ev
 	}
 	return nil, nil
 }
@@ -298,8 +279,8 @@ func (s *slave) pickWorkable() (*trace.Streamline, grid.Evaluator) {
 // workableCount counts active streamlines in loaded blocks.
 func (s *slave) workableCount() int {
 	n := 0
-	for _, b := range s.w.cache.Loaded() {
-		n += len(s.byBlock[b])
+	for b := range s.w.cache.Loaded() {
+		n += len(s.byBlock.get(b))
 	}
 	return n
 }
@@ -329,7 +310,7 @@ func (s *slave) advanceInLoaded(sl *trace.Streamline, ev grid.Evaluator) {
 			// the master's decisions — if the master assigns it back here
 			// (or Load-rules the block), the I/O has partly happened.
 			s.w.prefetchOnExit(prev, sl)
-			s.byBlock[sl.Block] = append(s.byBlock[sl.Block], sl)
+			push(&s.byBlock, sl.Block, sl)
 			s.inHand = nil
 			return
 		}
@@ -343,22 +324,16 @@ func (s *slave) addStreamline(sl *trace.Streamline) {
 	// migrated arrivals were advanced by their sender.
 	s.w.noteActivated(1)
 	s.w.adoptStreamline(sl)
-	s.byBlock[sl.Block] = append(s.byBlock[sl.Block], sl)
+	push(&s.byBlock, sl.Block, sl)
 	s.active++
 }
 
 func (s *slave) sendStatus(needsWorkIfIdle bool) {
-	per := make(map[grid.BlockID]int, len(s.byBlock))
-	for b, sls := range s.byBlock {
-		if len(sls) > 0 {
-			per[b] = len(sls)
-		}
-	}
 	st := msgStatus{
 		slave:          s.w.end.Index(),
 		active:         s.active,
-		perBlock:       per,
-		loaded:         s.w.cache.Loaded(),
+		perBlock:       s.byBlock.tallies(),
+		loaded:         slices.AppendSeq(make([]grid.BlockID, 0, s.w.cache.Len()), s.w.cache.Loaded()),
 		completedDelta: s.completedDelta,
 		needsWork:      needsWorkIfIdle && s.workableCount() <= 1,
 	}
@@ -422,15 +397,12 @@ func (s *slave) handle(env comm.Envelope) bool {
 func (s *slave) offload(to int, blocks []grid.BlockID, keepHalf bool) {
 	var out []*trace.Streamline
 	for _, b := range blocks {
-		sls := s.byBlock[b]
-		if len(sls) == 0 {
-			continue
-		}
+		sls := s.byBlock.get(b) // empty when b holds none: give is 0
 		give := len(sls)
 		if keepHalf && s.w.cache.Has(b) {
 			give = (len(sls) + 1) / 2
 		}
-		taken := takeTail(s.byBlock, b, give)
+		taken := takeLast(&s.byBlock, b, give)
 		if out == nil && give == len(sls) {
 			out = taken // a whole pile: nothing else refers to the slice, send it as is
 		} else {
@@ -463,7 +435,6 @@ func (s *slave) runAsMaster(pm msgPromote) {
 		w.releaseStreamline(sl)
 	}
 	w.noteDeactivated(s.active)
-	s.byBlock = nil
 	r.hybSlaves[ep] = nil
 	sortRecs(recs)
 
@@ -477,9 +448,12 @@ func (s *slave) runAsMaster(pm msgPromote) {
 // slaveRec is the master's model of one slave, updated from statuses and
 // optimistically adjusted when instructions are sent.
 type slaveRec struct {
-	ep       int
-	active   int
-	perBlock map[grid.BlockID]int
+	ep     int
+	active int
+	// perBlock counts the slave's streamlines by current block, ascending:
+	// its last status's list, adopted as is, then moved by every force
+	// and assignment the master sends.
+	perBlock blocks[tally]
 	// loaded is the slave's resident set, ascending, so that the rules
 	// that walk it (steps 3 and 4) sort nothing per decision: it is sorted
 	// once where a status lands and grows by insertSorted where the master
@@ -495,15 +469,15 @@ func (s *slaveRec) has(b grid.BlockID) bool {
 	return ok
 }
 
+// master is one Hybrid master: its model of each slave in the group,
+// its unassigned seeds, and the rule loop that decides from them.
 type master struct {
 	r      *runState
 	w      *worker
-	index  int               // endpoint index: the master ordinal, or a promoted slave's endpoint
-	slaves map[int]*slaveRec // by endpoint
-	order  []int             // deterministic slave iteration order
+	index  int         // endpoint index: the master ordinal, or a promoted slave's endpoint
+	slaves []*slaveRec // ascending by endpoint, the order every rule visits them in
 
-	pool      map[grid.BlockID][]seedRec // unassigned released seeds by block
-	poolCount int
+	pool blocks[pile[seedRec]] // unassigned released seeds, piled by block
 	// future holds this master's seeds whose injection schedule has not
 	// released them yet; they are invisible to every assignment rule and
 	// to master-to-master sharing until released into the pool.
@@ -527,8 +501,6 @@ func newMaster(r *runState, w *worker, index int, group []int, pool []seedRec) *
 		r:      r,
 		w:      w,
 		index:  index,
-		slaves: make(map[int]*slaveRec),
-		pool:   make(map[grid.BlockID][]seedRec),
 		future: releaseQueue[seedRec]{key: recKey},
 		rng:    rand.New(rand.NewSource(int64(7919 + index))),
 	}
@@ -541,15 +513,16 @@ func newMaster(r *runState, w *worker, index int, group []int, pool []seedRec) *
 	return m
 }
 
+// findSlave returns the position of the slave at endpoint ep in
+// m.slaves, or where it would go, and whether it is modeled.
+func (m *master) findSlave(ep int) (int, bool) {
+	return slices.BinarySearchFunc(m.slaves, ep, func(s *slaveRec, ep int) int { return cmp.Compare(s.ep, ep) })
+}
+
 // addSlave starts modeling the slave at endpoint ep.
-func (m *master) addSlave(ep int) *slaveRec {
-	rec := &slaveRec{
-		ep:       ep,
-		perBlock: make(map[grid.BlockID]int),
-	}
-	m.slaves[ep] = rec
-	m.order = insertSorted(m.order, ep)
-	return rec
+func (m *master) addSlave(ep int) {
+	i, _ := m.findSlave(ep)
+	m.slaves = slices.Insert(m.slaves, i, &slaveRec{ep: ep})
 }
 
 // takeRecs folds seed records into the assignable pool, parking those
@@ -566,17 +539,14 @@ func (m *master) takeRecs(recs []seedRec) {
 	}
 }
 
-func (m *master) poolAdd(rec seedRec) {
-	m.pool[rec.block] = append(m.pool[rec.block], rec)
-	m.poolCount++
-}
+func (m *master) poolAdd(rec seedRec) { push(&m.pool, rec.block, rec) }
 
 // resident lists the master's unassigned seeds for the salvage: the
 // released pool in block order, then the parked tail in release order.
 func (m *master) resident() ([]*trace.Streamline, []seedRec) {
 	var recs []seedRec
-	for _, b := range sortedBlocks(m.pool) {
-		recs = append(recs, m.pool[b]...)
+	for _, p := range m.pool.all() {
+		recs = append(recs, p...)
 	}
 	return nil, append(recs, m.future.ordered()...)
 }
@@ -620,8 +590,8 @@ func (m *master) run() {
 	} else {
 		// Initial allocation: every slave receives N seeds through the
 		// Assign-unloaded rule.
-		for _, ep := range m.order {
-			m.assignSeeds(m.slaves[ep])
+		for _, s := range m.slaves {
+			m.assignSeeds(s)
 		}
 	}
 
@@ -677,8 +647,8 @@ func (m *master) run() {
 
 // terminate shuts down this master's slaves and exits.
 func (m *master) terminate() {
-	for _, ep := range m.order {
-		m.w.end.Send(ep, msgTerminate{})
+	for _, s := range m.slaves {
+		m.w.end.Send(s.ep, msgTerminate{})
 	}
 	m.done = true
 }
@@ -706,7 +676,7 @@ func (m *master) onCompleted(count int) {
 }
 
 func (m *master) onStatus(st msgStatus) {
-	rec, ok := m.slaves[st.slave]
+	i, ok := m.findSlave(st.slave)
 	if !ok {
 		// A remastered slave's first status can arrive before this
 		// (promoted) master modeled it; adopt live reporters, ignore
@@ -714,8 +684,9 @@ func (m *master) onStatus(st msgStatus) {
 		if !m.r.faultsOn || !m.r.running(st.slave) {
 			return
 		}
-		rec = m.addSlave(st.slave)
+		m.slaves = slices.Insert(m.slaves, i, &slaveRec{ep: st.slave})
 	}
+	rec := m.slaves[i]
 	rec.active = st.active
 	rec.perBlock = st.perBlock
 	// st.loaded arrives in MRU order: sorted here, once per status.
@@ -745,8 +716,7 @@ func (m *master) onStatus(st msgStatus) {
 // request (which would livelock two idle masters in a message loop).
 func (m *master) applyRules(allowSeedRequest bool) {
 	assignedAny, starved := false, false
-	for _, ep := range m.order {
-		s := m.slaves[ep]
+	for _, s := range m.slaves {
 		if !s.needsWork {
 			continue
 		}
@@ -761,7 +731,7 @@ func (m *master) applyRules(allowSeedRequest bool) {
 	// plan the peer set is the live master endpoints (promoted masters
 	// included, dead ones excluded); without faults it is the original
 	// ring, drawn with the original rng sequence.
-	if allowSeedRequest && !assignedAny && starved && m.poolCount == 0 && !m.requestedSeed {
+	if allowSeedRequest && !assignedAny && starved && m.pool.total() == 0 && !m.requestedSeed {
 		peer := -1
 		if m.r.faultsOn {
 			if peers := m.peerMasters(); len(peers) > 0 {
@@ -796,11 +766,11 @@ func (m *master) addRecs(recs []seedRec, fresh bool) {
 // onSlaveDead drops a dead slave from the model; its streamlines come
 // back separately as a msgAdoptPool from the recovery layer.
 func (m *master) onSlaveDead(ep int) {
-	if _, ok := m.slaves[ep]; !ok {
+	i, ok := m.findSlave(ep)
+	if !ok {
 		return
 	}
-	delete(m.slaves, ep)
-	m.order = removeInt(m.order, ep)
+	m.slaves = slices.Delete(m.slaves, i, i+1)
 	m.applyRules(false)
 	m.shedIfSlaveless()
 }
@@ -809,7 +779,7 @@ func (m *master) onSlaveDead(ep int) {
 // still has slaves to integrate them, once every slave of its own has
 // died. With no other master left either, the run cannot finish.
 func (m *master) shedIfSlaveless() {
-	if !m.r.faultsOn || m.done || len(m.order) > 0 || (m.poolCount == 0 && len(m.future.items) == 0) {
+	if !m.r.faultsOn || m.done || len(m.slaves) > 0 || (m.pool.total() == 0 && len(m.future.items) == 0) {
 		return
 	}
 	peers := m.peerMasters()
@@ -823,8 +793,7 @@ func (m *master) shedIfSlaveless() {
 		return
 	}
 	_, recs := m.resident()
-	m.pool = make(map[grid.BlockID][]seedRec)
-	m.poolCount = 0
+	m.pool = blocks[pile[seedRec]]{}
 	m.future.items = nil
 	m.r.deliverLocal(peers[0], msgAdoptPool{recs: recs})
 }
@@ -853,14 +822,14 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 
 	// Step 4 (Assign-loaded): seeds in a block S already has in memory.
 	for _, b := range s.loaded {
-		if len(m.pool[b]) > 0 {
+		if len(m.pool.get(b)) > 0 {
 			m.assignSeedsFrom(s, b)
 			return true
 		}
 	}
 
 	// Step 5 (Assign-unloaded): any seeds at all.
-	if m.poolCount > 0 {
+	if m.pool.total() > 0 {
 		m.assignSeeds(s)
 		return true
 	}
@@ -899,44 +868,41 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 // unloaded blocks only, when unloadedOnly is set — and of several such
 // the lowest.
 func busiest(s *slaveRec, unloadedOnly bool) (grid.BlockID, int) {
-	best, bestN := grid.NoBlock, 0
-	for b, n := range s.perBlock {
-		if unloadedOnly && s.has(b) {
-			continue
-		}
-		if n > bestN || n == bestN && b < best {
-			best, bestN = b, n
-		}
+	var skip func(grid.BlockID) bool
+	if unloadedOnly {
+		skip = s.has
 	}
-	return best, bestN
+	b, n := s.perBlock.fullest(skip)
+	return b, int(n)
 }
 
 // force instructs from to send its streamlines in block b to to (the
 // Send-force rule) and updates the model — unless that would raise to's
 // load above NO ("will not increase the load on S2 above NO").
 func (m *master) force(from, to *slaveRec, b grid.BlockID) bool {
-	n := from.perBlock[b]
-	if to.active+n > m.r.cfg.Hybrid.NO {
+	n := from.perBlock.get(b)
+	if to.active+int(n) > m.r.cfg.Hybrid.NO {
 		return false
 	}
 	m.w.end.Send(from.ep, msgSendForce{block: b, to: to.ep})
-	to.active += n
-	to.perBlock[b] += n
-	from.active -= n
-	delete(from.perBlock, b)
+	to.active += int(n)
+	to.perBlock.set(b, to.perBlock.get(b)+n)
+	from.active -= int(n)
+	from.perBlock.set(b, 0)
 	return true
 }
 
 // forceOffload implements step 1: S sends the streamlines it cannot
 // advance — those in blocks it has not loaded, ascending — to the first
-// group member having that block loaded.
+// group member having that block loaded. A force drops the block's entry
+// from the walk it happens under; the walk goes on from the next block.
 func (m *master) forceOffload(s *slaveRec) {
-	for _, b := range sortedBlocks(s.perBlock) {
-		if s.perBlock[b] == 0 || s.has(b) {
+	for b := range s.perBlock.all() {
+		if s.has(b) {
 			continue
 		}
-		for _, ep := range m.order {
-			if t := m.slaves[ep]; t != s && t.has(b) && m.force(s, t, b) {
+		for _, t := range m.slaves {
+			if t != s && t.has(b) && m.force(s, t, b) {
 				break
 			}
 		}
@@ -947,13 +913,12 @@ func (m *master) forceOffload(s *slaveRec) {
 // stranded in blocks S has loaded — peers ascending, and each peer's
 // blocks ascending.
 func (m *master) forceToward(s *slaveRec) (sent bool) {
-	for _, ep := range m.order {
-		t := m.slaves[ep]
+	for _, t := range m.slaves {
 		if t == s {
 			continue
 		}
 		for _, b := range s.loaded {
-			if t.perBlock[b] > 0 && !t.has(b) && m.force(t, s, b) {
+			if t.perBlock.get(b) > 0 && !t.has(b) && m.force(t, s, b) {
 				sent = true
 			}
 		}
@@ -966,8 +931,7 @@ func (m *master) forceToward(s *slaveRec) (sent bool) {
 func (m *master) busiestSlave(excludeEP int) *slaveRec {
 	bestN := 0
 	var candidates []*slaveRec
-	for _, e := range m.order {
-		s := m.slaves[e]
+	for _, s := range m.slaves {
 		if s.ep == excludeEP || s.active == 0 {
 			continue
 		}
@@ -993,65 +957,39 @@ func (m *master) instructLoad(s *slaveRec, b grid.BlockID) {
 }
 
 // assignSeeds sends s up to N seeds from the pool's most-populated
-// block (Assign-unloaded), if the pool holds any.
+// block, the lowest of a tie (Assign-unloaded), if the pool holds any.
 func (m *master) assignSeeds(s *slaveRec) {
-	best, bestN := grid.NoBlock, 0
-	for b, recs := range m.pool {
-		if n := len(recs); n > bestN || n == bestN && b < best {
-			best, bestN = b, n
-		}
-	}
-	m.assignSeedsFrom(s, best)
+	b, _ := m.pool.fullest(nil)
+	m.assignSeedsFrom(s, b)
 }
 
-// assignSeedsFrom sends up to N seeds from block b to s (Assign-loaded
-// when s holds b).
+// assignSeedsFrom sends s up to N seeds from the head of block b's pile
+// (Assign-loaded when s holds b).
 func (m *master) assignSeedsFrom(s *slaveRec, b grid.BlockID) {
-	recs := m.pool[b]
-	if len(recs) == 0 {
+	n := min(m.r.cfg.Hybrid.N, len(m.pool.get(b)))
+	if n == 0 {
 		return
 	}
-	n := m.r.cfg.Hybrid.N
-	if n > len(recs) {
-		n = len(recs)
-	}
-	batch := recs[:n]
-	rest := recs[n:]
-	if len(rest) == 0 {
-		delete(m.pool, b)
-	} else {
-		m.pool[b] = rest
-	}
-	m.poolCount -= n
+	batch := takeFirst(&m.pool, b, n)
 	m.w.sendingRecs = batch
 	m.w.end.Send(s.ep, msgAssign{recs: batch, block: b})
 	m.w.sendingRecs = nil
 	s.active += n
-	s.perBlock[b] += n
+	s.perBlock.set(b, s.perBlock.get(b)+tally(n))
 	s.loaded = insertSorted(s.loaded, b)
 }
 
-// onSeedRequest shares up to W·N seeds with a starving peer master.
+// onSeedRequest shares up to W·N seeds with a starving peer master, from
+// the heads of its piles in ascending block order.
 func (m *master) onSeedRequest(from int) {
 	share := []seedRec{}
 	want := m.r.cfg.Hybrid.W * m.r.cfg.Hybrid.N
-	if m.poolCount > 2*want { // only share surplus
-		for _, b := range sortedBlocks(m.pool) {
+	if m.pool.total() > 2*want { // only share surplus
+		for b, recs := range m.pool.all() {
 			if len(share) >= want {
 				break
 			}
-			take := want - len(share)
-			recs := m.pool[b]
-			if take > len(recs) {
-				take = len(recs)
-			}
-			share = append(share, recs[:take]...)
-			if take == len(recs) {
-				delete(m.pool, b)
-			} else {
-				m.pool[b] = recs[take:]
-			}
-			m.poolCount -= take
+			share = append(share, takeFirst(&m.pool, b, min(want-len(share), len(recs)))...)
 		}
 	}
 	m.w.sendingRecs = share

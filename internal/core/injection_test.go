@@ -186,7 +186,7 @@ func TestPoolParkActivationOrdering(t *testing.T) {
 		if pl.active != 4 {
 			t.Fatalf("active = %d, want 4 (parked seeds are owned)", pl.active)
 		}
-		if got := len(pl.pending[9]); got != 1 {
+		if got := len(pl.pending.get(9)); got != 1 {
 			t.Fatalf("released-now count = %d, want 1 (only ID 2)", got)
 		}
 		if w.stats.ActivePeak != 1 {
@@ -198,14 +198,14 @@ func TestPoolParkActivationOrdering(t *testing.T) {
 
 		// releaseReady before the deadline must move nothing.
 		pl.releaseReady()
-		if got := len(pl.pending[9]); got != 1 {
+		if got := len(pl.pending.get(9)); got != 1 {
 			t.Fatalf("early releaseReady moved seeds: pending=%d", got)
 		}
 
 		// Advance past the tie: both 0.2-releases activate, ID order.
 		w.proc.Sleep(0.3)
 		pl.releaseReady()
-		q := pl.pending[9]
+		q := pl.pending.get(9)
 		if len(q) != 3 {
 			t.Fatalf("after t=0.3: pending = %d, want 3", len(q))
 		}
@@ -232,8 +232,8 @@ func TestPoolParkActivationOrdering(t *testing.T) {
 				w.stats.ReleaseStalls, w.stats.ReleaseStallTime)
 		}
 		pl.releaseReady()
-		if len(pl.parked.items) != 0 || len(pl.pending[9]) != 4 {
-			t.Errorf("final state: parked=%d pending=%d, want 0/4", len(pl.parked.items), len(pl.pending[9]))
+		if len(pl.parked.items) != 0 || len(pl.pending.get(9)) != 4 {
+			t.Errorf("final state: parked=%d pending=%d, want 0/4", len(pl.parked.items), len(pl.pending.get(9)))
 		}
 		if w.stats.ActivePeak != 4 {
 			t.Errorf("final ActivePeak = %d, want 4", w.stats.ActivePeak)

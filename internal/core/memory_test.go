@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -147,8 +146,8 @@ func TestPoolPendingAndWorkableRouting(t *testing.T) {
 		elsewhere := trace.New(1, p.Provider.Decomp().Bounds(7).Center(), 7)
 		pl.adopt(inLoaded)
 		pl.adopt(elsewhere)
-		if len(pl.workable) != 1 || len(pl.pending[7]) != 1 {
-			t.Fatalf("routing wrong: workable=%d pending[7]=%d", len(pl.workable), len(pl.pending[7]))
+		if len(pl.workable) != 1 || len(pl.pending.get(7)) != 1 {
+			t.Fatalf("routing wrong: workable=%d pending[7]=%d", len(pl.workable), len(pl.pending.get(7)))
 		}
 		if pl.active != 2 {
 			t.Errorf("active = %d, want 2", pl.active)
@@ -163,8 +162,8 @@ func TestPoolPendingAndWorkableRouting(t *testing.T) {
 		if terminated := pl.advanceOne(); terminated {
 			t.Error("advanceOne terminated a streamline with its block missing")
 		}
-		if len(pl.pending[3]) != 1 {
-			t.Errorf("evicted streamline not re-pended: pending[3]=%d", len(pl.pending[3]))
+		if len(pl.pending.get(3)) != 1 {
+			t.Errorf("evicted streamline not re-pended: pending[3]=%d", len(pl.pending.get(3)))
 		}
 		if w.stats.BlocksPurged == 0 {
 			t.Error("eviction not counted toward block efficiency")
@@ -186,13 +185,13 @@ func TestPoolLoadBestPicksMostBlocked(t *testing.T) {
 		if !w.cache.Has(9) {
 			t.Error("loadBest did not read the most-blocked block")
 		}
-		if len(pl.workable) != 2 || len(pl.pending) != 1 {
-			t.Errorf("after loadBest: workable=%d pending=%d", len(pl.workable), len(pl.pending))
+		if len(pl.workable) != 2 || pl.pending.len() != 1 {
+			t.Errorf("after loadBest: workable=%d pending=%d", len(pl.workable), pl.pending.len())
 		}
 		// Tie: equal counts break toward the lower block ID.
 		pl2 := newPool(r, w)
-		pl2.pending[grid.BlockID(12)] = []*trace.Streamline{trace.New(3, d.Bounds(12).Center(), 12)}
-		pl2.pending[grid.BlockID(4)] = []*trace.Streamline{trace.New(4, d.Bounds(4).Center(), 4)}
+		push(&pl2.pending, 12, trace.New(3, d.Bounds(12).Center(), 12))
+		push(&pl2.pending, 4, trace.New(4, d.Bounds(4).Center(), 4))
 		pl2.active = 2
 		pl2.loadBest()
 		if !w.cache.Has(4) {
@@ -245,7 +244,7 @@ func TestPoolLoadBestChargesBudget(t *testing.T) {
 	cfg.MemoryBudget = p.Provider.Decomp().BlockBytes() / 2
 	r := withWorker(t, p, cfg, func(r *runState, w *worker) {
 		pl := newPool(r, w)
-		pl.pending[grid.BlockID(0)] = []*trace.Streamline{trace.New(0, vec.Of(0.5, 0.5, 0.5), 0)}
+		push(&pl.pending, 0, trace.New(0, vec.Of(0.5, 0.5, 0.5), 0))
 		pl.active = 1
 		pl.loadBest()
 	})

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/trace"
@@ -10,8 +10,8 @@ import (
 
 // pool is the Load On Demand inner loop (paper Section 4.2), shared by
 // the ondemand and stealing rows (poolWorker, stealing.go): streamlines
-// whose current block is resident are workable; the rest wait in pending
-// keyed by block, and a block is read from disk only when nothing is
+// whose current block is resident are workable; the rest wait in pending,
+// piled by block, and a block is read from disk only when nothing is
 // workable.
 //
 // Seeds whose injection schedule releases them in the future (DESIGN.md
@@ -22,7 +22,7 @@ type pool struct {
 	r *runState
 	w *worker
 
-	pending  map[grid.BlockID][]*trace.Streamline
+	pending  blocks[pile[*trace.Streamline]]
 	workable []*trace.Streamline
 	parked   releaseQueue[*trace.Streamline]
 	active   int
@@ -34,7 +34,7 @@ type pool struct {
 }
 
 func newPool(r *runState, w *worker) *pool {
-	pl := &pool{r: r, w: w, pending: make(map[grid.BlockID][]*trace.Streamline)}
+	pl := &pool{r: r, w: w}
 	pl.parked.key = slKey
 	w.resident = pl.resident
 	return pl
@@ -44,8 +44,8 @@ func newPool(r *runState, w *worker) *pool {
 // parked, and the one in hand mid-advance — for the salvage.
 func (pl *pool) resident() ([]*trace.Streamline, []seedRec) {
 	var sls []*trace.Streamline
-	for _, b := range sortedBlocks(pl.pending) {
-		sls = append(sls, pl.pending[b]...)
+	for _, p := range pl.pending.all() {
+		sls = append(sls, p...)
 	}
 	sls = append(append(sls, pl.workable...), pl.parked.items...)
 	if pl.inHand != nil {
@@ -60,7 +60,7 @@ func (pl *pool) place(sl *trace.Streamline) {
 	if _, ok := pl.w.cache.TryGet(sl.Block); ok {
 		pl.workable = append(pl.workable, sl)
 	} else {
-		pl.pending[sl.Block] = append(pl.pending[sl.Block], sl)
+		push(&pl.pending, sl.Block, sl)
 	}
 }
 
@@ -100,7 +100,7 @@ func (pl *pool) advanceOne() (terminated bool) {
 	ev, ok := pl.w.cache.TryGet(sl.Block)
 	if !ok {
 		// Evicted while it waited; back to pending.
-		pl.pending[sl.Block] = append(pl.pending[sl.Block], sl)
+		push(&pl.pending, sl.Block, sl)
 		return false
 	}
 	prev := sl.Block
@@ -132,16 +132,10 @@ func (pl *pool) advanceOne() (terminated bool) {
 }
 
 // loadBest reads the pending block that unblocks the most streamlines
-// (deterministic tie-break on block ID) and makes its streamlines
-// workable. Callers must bail out if the run failed.
+// (the lowest of a tie) and makes its streamlines workable. Callers must
+// bail out if the run failed.
 func (pl *pool) loadBest() {
-	best := grid.NoBlock
-	bestCount := 0
-	for b, sls := range pl.pending {
-		if len(sls) > bestCount || (len(sls) == bestCount && (best == grid.NoBlock || b < best)) {
-			best, bestCount = b, len(sls)
-		}
-	}
+	best, _ := pl.pending.fullest(nil)
 	if best == grid.NoBlock {
 		// All remaining streamlines vanished from pending: impossible
 		// unless bookkeeping broke.
@@ -161,29 +155,22 @@ func (pl *pool) loadBest() {
 	if !pl.w.checkMemory("block cache") {
 		return
 	}
-	pl.workable = append(pl.workable, pl.pending[best]...)
-	delete(pl.pending, best)
+	pl.workable = append(pl.workable, pl.pending.get(best)...)
+	pl.pending.set(best, nil)
 }
 
 // runnersUp returns up to n pending blocks other than best, most-wanted
-// first (deterministic tie-break on block ID) — the blocks loadBest
-// would pick next.
+// first (the lowest of a tie) — the blocks loadBest would pick next.
 func (pl *pool) runnersUp(best grid.BlockID, n int) []grid.BlockID {
-	out := make([]grid.BlockID, 0, len(pl.pending))
-	for b := range pl.pending {
+	out := make([]grid.BlockID, 0, pl.pending.len())
+	for b := range pl.pending.all() {
 		if b != best {
 			out = append(out, b)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := len(pl.pending[out[i]]), len(pl.pending[out[j]])
-		if ci != cj {
-			return ci > cj
-		}
-		return out[i] < out[j]
+	// Stable, so blocks of equal count keep their ascending walk order.
+	slices.SortStableFunc(out, func(x, y grid.BlockID) int {
+		return len(pl.pending.get(y)) - len(pl.pending.get(x))
 	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
+	return out[:min(n, len(out))]
 }

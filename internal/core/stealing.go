@@ -183,7 +183,7 @@ func (pw *poolWorker) run(mine []seedRec) {
 			}
 			continue
 		}
-		if len(pw.pool.pending) > 0 {
+		if pw.pool.pending.len() > 0 {
 			// No more work on loaded blocks: read the block that unblocks
 			// the most streamlines.
 			pw.pool.loadBest()
@@ -362,16 +362,11 @@ func (pw *poolWorker) pickLoot() []*trace.Streamline {
 		return nil
 	}
 	var loot []*trace.Streamline
-	for _, b := range sortedBlocks(pl.pending) {
+	for b, sls := range pl.pending.all() {
 		if len(loot) >= target {
 			break
 		}
-		sls := pl.pending[b]
-		take := target - len(loot)
-		if take > len(sls) {
-			take = len(sls)
-		}
-		loot = append(loot, takeTail(pl.pending, b, take)...)
+		loot = append(loot, takeLast(&pl.pending, b, min(target-len(loot), len(sls)))...)
 	}
 	if take := target - len(loot); take > 0 && len(pl.workable) > 0 {
 		if take > len(pl.workable) {

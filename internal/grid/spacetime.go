@@ -15,8 +15,8 @@ import (
 //	BlockID = epoch × NumSpatialBlocks + spatialID
 //
 // so that every existing consumer of dense BlockIDs — the static 1/n
-// ownership split, the LRU cache keys, the hybrid master's per-block
-// maps, the work pool's pending index — handles space-time blocks with
+// ownership split, the LRU cache keys, the block-sorted lists work waits
+// in (the pool's, the slave's, the master's) — handles space-time blocks with
 // no changes at all. A pathline crossing an epoch boundary is exactly a
 // streamline crossing a block face: it triggers the same communication
 // (Static), cache misses (Load On Demand / stealing) and master

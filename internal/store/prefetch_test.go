@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -91,16 +92,16 @@ func TestCacheUnboundedLoadedOrder(t *testing.T) {
 		for _, id := range []grid.BlockID{4, 9, 2, 6} {
 			c.Get(id)
 		}
-		if got := fmt.Sprint(c.Loaded()); got != "[6 2 9 4]" {
+		if got := fmt.Sprint(slices.Collect(c.Loaded())); got != "[6 2 9 4]" {
 			t.Errorf("Loaded = %v, want [6 2 9 4]", got)
 		}
 		c.TryGet(9) // touch via TryGet
-		if got := fmt.Sprint(c.Loaded()); got != "[9 6 2 4]" {
+		if got := fmt.Sprint(slices.Collect(c.Loaded())); got != "[9 6 2 4]" {
 			t.Errorf("Loaded after TryGet = %v, want [9 6 2 4]", got)
 		}
 		c.Get(4) // touch via Get
 		c.Get(4) // touching the head is a no-op
-		if got := fmt.Sprint(c.Loaded()); got != "[4 9 6 2]" {
+		if got := fmt.Sprint(slices.Collect(c.Loaded())); got != "[4 9 6 2]" {
 			t.Errorf("Loaded after Get = %v, want [4 9 6 2]", got)
 		}
 		if stats.P(0).BlocksPurged != 0 {

@@ -12,6 +12,7 @@ package store
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/grid"
 	"repro/internal/metrics"
@@ -193,13 +194,14 @@ func (c *Cache) Has(id grid.BlockID) bool {
 	return ok
 }
 
-// Loaded returns the resident block IDs in most-recently-used order.
-func (c *Cache) Loaded() []grid.BlockID {
-	out := make([]grid.BlockID, 0, len(c.entries))
-	for e := c.head; e != nil; e = e.next {
-		out = append(out, e.id)
+// Loaded walks the resident block IDs in most-recently-used order,
+// copying nothing. TryGet and Get reorder the list being walked: a loop
+// that calls either must stop walking after the call.
+func (c *Cache) Loaded() iter.Seq[grid.BlockID] {
+	return func(yield func(grid.BlockID) bool) {
+		for e := c.head; e != nil && yield(e.id); e = e.next {
+		}
 	}
-	return out
 }
 
 // Pin marks a block as non-evictable (Static Allocation pins its owned

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,7 +154,7 @@ func TestCacheLoadedOrder(t *testing.T) {
 		c.Get(5)
 		c.Get(7)
 		c.Get(5)
-		got := fmt.Sprint(c.Loaded())
+		got := fmt.Sprint(slices.Collect(c.Loaded()))
 		if got != "[5 7]" {
 			t.Errorf("Loaded = %v (MRU first)", got)
 		}
