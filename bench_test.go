@@ -1,13 +1,10 @@
-// Benchmarks regenerating the paper's evaluation, one per figure
-// (Figures 5–16), plus ablations of the design choices called out in
-// DESIGN.md §5 and one benchmark per extension campaign. The per-layer
-// micro-benchmarks live in bench/probes.go, under the names
-// BENCHMARK.json declares.
-//
-// Figure benchmarks run the small-scale campaign configuration and report
-// the simulated metrics as custom benchmark outputs (vwall-s, vio-s,
-// vcomm-s, E); real time measures the simulator's own cost. Use
-// cmd/slbench for the full default- or paper-scale tables.
+// Benchmarks of the design choices called out in DESIGN.md §5 (the
+// ablations) and one benchmark per extension campaign, at the small
+// scale, reporting simulated metrics as custom benchmark outputs
+// (vwall-s, vio-s, vcomm-s, E); real time measures the simulator's own
+// cost. The paper's figures are `slbench -scale small` tables and the
+// benchmark's paper_sweep workload; the per-layer micro-benchmarks live
+// in bench/probes.go, under the names BENCHMARK.json declares.
 package repro
 
 import (
@@ -28,123 +25,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
-
-// benchFigure runs one (dataset, seeding, metric) cell of the evaluation
-// for every algorithm at the middle processor count of the small scale.
-func benchFigure(b *testing.B, ds experiments.Dataset, seeding experiments.Seeding, metric string) {
-	sc := experiments.SmallScale()
-	procs := sc.ProcCounts[len(sc.ProcCounts)/2]
-	prob, err := experiments.BuildProblem(ds, seeding, sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, alg := range core.Algorithms() {
-		b.Run(string(alg), func(b *testing.B) {
-			cfg := experiments.MachineConfig(alg, procs, sc)
-			var last *core.Result
-			var failErr error
-			for i := 0; i < b.N; i++ {
-				last, failErr = core.Run(prob, cfg)
-			}
-			if failErr != nil {
-				// Expected for Figure 13 dense/static: report the OOM as
-				// a metric rather than failing the bench.
-				b.ReportMetric(1, "oom")
-				return
-			}
-			s := last.Summary
-			switch metric {
-			case "wall":
-				b.ReportMetric(s.WallClock, "vwall-s")
-			case "io":
-				b.ReportMetric(s.TotalIO, "vio-s")
-			case "comm":
-				b.ReportMetric(s.TotalComm, "vcomm-s")
-			case "efficiency":
-				b.ReportMetric(s.BlockEfficiency, "E")
-			}
-			b.ReportMetric(float64(s.Steps)/float64(b.N), "steps/run")
-		})
-	}
-}
-
-// --- Figures 5-8: astrophysics ---
-
-func BenchmarkFigure05AstroWallClock(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Astro, s, "wall") })
-	}
-}
-
-func BenchmarkFigure06AstroIO(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Astro, s, "io") })
-	}
-}
-
-func BenchmarkFigure07AstroBlockEfficiency(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Astro, s, "efficiency") })
-	}
-}
-
-func BenchmarkFigure08AstroComm(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Astro, s, "comm") })
-	}
-}
-
-// --- Figures 9-12: fusion ---
-
-func BenchmarkFigure09FusionWallClock(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Fusion, s, "wall") })
-	}
-}
-
-func BenchmarkFigure10FusionIO(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Fusion, s, "io") })
-	}
-}
-
-func BenchmarkFigure11FusionComm(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Fusion, s, "comm") })
-	}
-}
-
-func BenchmarkFigure12FusionBlockEfficiency(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Fusion, s, "efficiency") })
-	}
-}
-
-// --- Figures 13-16: thermal hydraulics ---
-
-func BenchmarkFigure13ThermalWallClock(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Thermal, s, "wall") })
-	}
-}
-
-func BenchmarkFigure14ThermalIO(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Thermal, s, "io") })
-	}
-}
-
-func BenchmarkFigure15ThermalComm(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Thermal, s, "comm") })
-	}
-}
-
-func BenchmarkFigure16ThermalBlockEfficiency(b *testing.B) {
-	for _, s := range experiments.Seedings() {
-		b.Run(string(s), func(b *testing.B) { benchFigure(b, experiments.Thermal, s, "efficiency") })
-	}
-}
 
 // --- ablations (DESIGN.md §5) ---
 

@@ -8,6 +8,15 @@
 // independent simulations, so they execute concurrently on a worker pool
 // sized by -j (one worker per CPU core by default).
 //
+// The machine-axis flags — -unsteady, -tslices, -prefetch,
+// -prefetch-depth, -inject, -inject-waves, -faults — are slrun's too,
+// defined and checked once by experiments.AxisFlags. Here they set the
+// axes of every figure cell, and each enabled axis adds its columns to
+// the tables (Key.AxisColumns: unsteady tables gain epochs and psteps).
+// -tslices and -prefetch-depth also tune the -shapes checks' own cells.
+// slrun's -fault-time and -fault-procs have no slbench counterpart: kill
+// cells use the scale's schedule.
+//
 // Usage:
 //
 //	slbench                       # all figures at the default scale
@@ -41,7 +50,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/prefetch"
 )
 
 func main() {
@@ -60,16 +68,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose    = fs.Bool("v", false, "log every run as it completes")
 		shapes     = fs.Bool("shapes", false, "verify the paper's qualitative claims and report")
 		jobs       = fs.Int("j", 0, "sweep cells to run concurrently; 0 means one per CPU core")
-		unsteady   = fs.Bool("unsteady", false, "run the figure sweeps as pathline (time-sliced) campaigns")
-		tslices    = fs.Int("tslices", 0, "stored time slices for unsteady cells (0 = scale default)")
-		pfPolicy   = fs.String("prefetch", "off", "run every cell with predictive block prefetching: off, neighbor, temporal, or both (DESIGN.md §8)")
-		pfDepth    = fs.Int("prefetch-depth", 0, "lookahead per prefetch predictor (0 = scale default)")
-		injName    = fs.String("inject", "off", "run every cell with a seed-release schedule: off (all at t0), stagger, burst, or rate (DESIGN.md §9)")
-		injWaves   = fs.Int("inject-waves", 0, "release waves for the burst injection schedule (0 = scale default)")
-		faultsStr  = fs.String("faults", "off", "run every cell under a processor-loss scenario: off or kill (DESIGN.md §11)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof allocation profile (after the campaign) to this file")
 		compare    = fs.String("compare", "", "check this run against a checked-in BENCH_*.json trajectory file: exit 1 on schema drift, warn (only) when throughput fell >25% below it")
+		axes       = experiments.AxisFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -87,79 +89,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "slbench: unknown scale %q\n", *scaleName)
 		return 2
 	}
-	if *tslices != 0 {
-		// -tslices shapes the unsteady cells, which only exist under
-		// -unsteady (figure sweeps) or -shapes (the §8 pathline checks);
-		// anywhere else the flag would be silently ignored.
-		if !*unsteady && !*shapes {
-			fmt.Fprintln(stderr, "slbench: -tslices requires -unsteady or -shapes")
-			return 2
-		}
-		if *tslices < 2 {
-			fmt.Fprintf(stderr, "slbench: need at least 2 time slices, got %d\n", *tslices)
-			return 2
-		}
-		sc.TimeSlices = *tslices
-	}
-
-	pf := prefetch.Policy(*pfPolicy)
-	if err := pf.Validate(); err != nil {
-		fmt.Fprintf(stderr, "slbench: %v\n", err)
-		return 2
-	}
-	if *pfDepth != 0 {
-		// -prefetch-depth shapes prefetching cells, which exist under
-		// -prefetch (figure sweeps) or -shapes (the §8 async-I/O checks);
-		// anywhere else the flag would be silently ignored.
-		if !pf.Enabled() && !*shapes {
-			fmt.Fprintln(stderr, "slbench: -prefetch-depth requires -prefetch or -shapes")
-			return 2
-		}
-		if *pfDepth < 0 {
-			fmt.Fprintf(stderr, "slbench: negative -prefetch-depth %d\n", *pfDepth)
-			return 2
-		}
-		sc.PrefetchDepth = *pfDepth
-	}
-
-	inj := experiments.Injection(*injName)
-	if err := inj.Validate(); err != nil {
-		fmt.Fprintf(stderr, "slbench: %v\n", err)
-		return 2
-	}
-	if *injWaves != 0 {
-		// -inject-waves shapes the burst schedule, which only exists
-		// under -inject burst (the §9 shape checks use the stagger
-		// schedule); anywhere else the flag would be silently ignored.
-		if inj != experiments.InjectBurst {
-			fmt.Fprintln(stderr, "slbench: -inject-waves requires -inject burst")
-			return 2
-		}
-		if *injWaves < 1 {
-			fmt.Fprintf(stderr, "slbench: need at least 1 injection wave, got %d\n", *injWaves)
-			return 2
-		}
-		sc.InjectWaves = *injWaves
-	}
-
-	fm := experiments.FaultMode(*faultsStr)
-	if err := fm.Validate(); err != nil {
+	cell, err := axes(&sc, *shapes)
+	if err != nil {
 		fmt.Fprintf(stderr, "slbench: %v\n", err)
 		return 2
 	}
 
 	c := experiments.NewCampaign(sc)
 	c.Workers = *jobs
-	c.Unsteady = *unsteady
-	if pf.Enabled() {
-		c.Prefetch = pf
-	}
-	if inj.Enabled() {
-		c.Injection = inj
-	}
-	if fm.Enabled() {
-		c.Faults = fm
-	}
+	c.Cell = cell
 	// The JSON report carries the percentile block, so -json campaigns
 	// run with the constant-memory observer attached; observation never
 	// changes the metrics (pinned by the golden and campaign tests).
@@ -183,6 +121,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		selected = append(selected, fig)
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "slbench: no selected figure shows dataset %q (datasets: astro, fusion, thermal)\n", *dataset)
+		return 2
 	}
 
 	// Execute the whole selection as one batch so the pool stays full

@@ -19,6 +19,9 @@ func TestRunBadFlags(t *testing.T) {
 		{"-figure", "99"},
 		{"-nosuchflag"},
 		{"-csv", "-json"},
+		{"-scale", "small", "-dataset", "bogus"},
+		{"-scale", "small", "-figure", "5", "-dataset", "fusion"}, // selects no figure
+		{"-fault-procs", "2"}, // slrun's flag, not slbench's
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

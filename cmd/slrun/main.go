@@ -7,6 +7,11 @@
 // list; the sweep then runs its cells concurrently (-j workers, one per
 // CPU core by default) and prints one summary line per processor count.
 //
+// The machine-axis flags of the next four paragraphs (-unsteady,
+// -tslices, -prefetch, -prefetch-depth, -inject, -inject-waves, -faults)
+// are slbench's too, defined and checked once by experiments.AxisFlags;
+// -fault-time, -fault-procs and the -steal-* flags are slrun's own.
+//
 // With -unsteady the same experiment traces pathlines instead: the
 // dataset's time-varying field is served as a time-sliced decomposition
 // (-tslices stored slices, default per scale) and every algorithm
@@ -66,7 +71,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -74,25 +78,29 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/prefetch"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// parseProcs parses the -procs flag: one count or a comma-separated list.
-func parseProcs(s string) ([]int, error) {
+// parseProcs expands the -procs flag — one count or a comma-separated
+// list — into one copy of k per count, each checked by Key.Validate.
+func parseProcs(s string, k experiments.Key) ([]experiments.Key, error) {
 	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
+	keys := make([]experiments.Key, 0, len(parts))
 	for _, part := range parts {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
+		if err != nil {
 			return nil, fmt.Errorf("bad processor count %q", part)
 		}
-		out = append(out, n)
+		k.Procs = n
+		if err := k.Validate(); err != nil {
+			return nil, err
+		}
+		keys = append(keys, k)
 	}
-	return out, nil
+	return keys, nil
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -110,18 +118,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stealBatch  = fs.Int("steal-batch", 0, "stealing: streamlines per steal batch (0 = default 8)")
 		stealFanout = fs.Int("steal-fanout", 0, "stealing: victims probed per hungry round (0 = all peers)")
 		stealVictim = fs.String("steal-victim", "", "stealing: victim policy, random or roundrobin (empty = random)")
-		unsteady    = fs.Bool("unsteady", false, "trace pathlines through the dataset's time-varying field (DESIGN.md §7)")
-		tslices     = fs.Int("tslices", 0, "with -unsteady: stored time slices (0 = scale default)")
-		prefetchPol = fs.String("prefetch", "off", "predictive block prefetching: off, neighbor, temporal, or both (DESIGN.md §8)")
-		prefetchD   = fs.Int("prefetch-depth", 0, "with -prefetch: lookahead per predictor (0 = scale default)")
-		injectName  = fs.String("inject", "off", "seed-release schedule: off (all at t0), stagger, burst, or rate (DESIGN.md §9)")
-		injectWaves = fs.Int("inject-waves", 0, "with -inject burst: release waves across the injection window (0 = scale default)")
-		faultsName  = fs.String("faults", "off", "processor-loss scenario: off or kill (DESIGN.md §11)")
 		faultTime   = fs.Float64("fault-time", 0, "with -faults: virtual second of the kill (0 = scale default)")
 		faultProcs  = fs.Int("fault-procs", 0, "with -faults: how many low ranks die (0 = scale default)")
 		traceOut    = fs.String("trace", "", "write the run's virtual-time event stream as Chrome trace-event JSON to this file (single -procs only)")
 		timelineOut = fs.String("timeline", "", "write the run's fixed-interval time series to this file: CSV, or JSON with a .json suffix (single -procs only)")
 		sampleIvl   = fs.Float64("sample-interval", 0, "with -timeline: sampling bin width in virtual seconds (0 = wall clock / 256)")
+		axes        = experiments.AxisFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -135,23 +137,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "slrun: unknown scale %q\n", *scaleName)
 		return 2
 	}
-	procCounts, err := parseProcs(*procsFlag)
+	k, err := axes(&sc, false)
 	if err != nil {
 		fmt.Fprintf(stderr, "slrun: %v\n", err)
 		return 2
 	}
 	// Reject bad experiment names up front so a typo is a usage error
 	// (exit 2) on every path, not a per-cell "run failed" (exit 1).
-	if !slices.Contains(experiments.Datasets(), experiments.Dataset(*dataset)) {
-		fmt.Fprintf(stderr, "slrun: unknown dataset %q\n", *dataset)
-		return 2
-	}
-	if !slices.Contains(experiments.Seedings(), experiments.Seeding(*seeding)) {
-		fmt.Fprintf(stderr, "slrun: unknown seeding %q\n", *seeding)
-		return 2
-	}
-	if !slices.Contains(core.Algorithms(), core.Algorithm(*alg)) {
-		fmt.Fprintf(stderr, "slrun: unknown algorithm %q\n", *alg)
+	k.Dataset, k.Seeding, k.Alg = experiments.Dataset(*dataset), experiments.Seeding(*seeding), core.Algorithm(*alg)
+	keys, err := parseProcs(*procsFlag, k)
+	if err != nil {
+		fmt.Fprintf(stderr, "slrun: %v\n", err)
 		return 2
 	}
 	steal := core.StealParams{
@@ -163,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The -steal-* flags only mean something to the stealing
 		// algorithm; accepting them elsewhere would let a user believe
 		// they tuned something that was silently ignored.
-		if core.Algorithm(*alg) != core.WorkStealing {
+		if k.Alg != core.WorkStealing {
 			fmt.Fprintf(stderr, "slrun: -steal-* flags require -alg stealing (got %q)\n", *alg)
 			return 2
 		}
@@ -176,61 +172,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *tslices != 0 && !*unsteady {
-		fmt.Fprintln(stderr, "slrun: -tslices requires -unsteady")
-		return 2
-	}
-	if *unsteady {
-		if *tslices != 0 {
-			sc.TimeSlices = *tslices
-		}
-		if sc.TimeSlices < 2 {
-			fmt.Fprintf(stderr, "slrun: need at least 2 time slices, got %d\n", sc.TimeSlices)
-			return 2
-		}
-	}
-	pf := prefetch.Policy(*prefetchPol)
-	if err := pf.Validate(); err != nil {
-		fmt.Fprintf(stderr, "slrun: %v\n", err)
-		return 2
-	}
-	inj := experiments.Injection(*injectName)
-	if err := inj.Validate(); err != nil {
-		fmt.Fprintf(stderr, "slrun: %v\n", err)
-		return 2
-	}
-	if *injectWaves != 0 {
-		// -inject-waves shapes the burst schedule; anywhere else the flag
-		// would be silently ignored.
-		if inj != experiments.InjectBurst {
-			fmt.Fprintln(stderr, "slrun: -inject-waves requires -inject burst")
-			return 2
-		}
-		if *injectWaves < 1 {
-			fmt.Fprintf(stderr, "slrun: need at least 1 injection wave, got %d\n", *injectWaves)
-			return 2
-		}
-		sc.InjectWaves = *injectWaves
-	}
-	if *prefetchD != 0 {
-		if !pf.Enabled() {
-			fmt.Fprintln(stderr, "slrun: -prefetch-depth requires -prefetch")
-			return 2
-		}
-		if *prefetchD < 0 {
-			fmt.Fprintf(stderr, "slrun: negative -prefetch-depth %d\n", *prefetchD)
-			return 2
-		}
-		sc.PrefetchDepth = *prefetchD
-	}
-	fm := experiments.FaultMode(*faultsName)
-	if err := fm.Validate(); err != nil {
-		fmt.Fprintf(stderr, "slrun: %v\n", err)
-		return 2
-	}
 	if *faultTime != 0 || *faultProcs != 0 {
 		// Overrides without a scenario would be silently ignored.
-		if !fm.Enabled() {
+		if !k.Faults.Enabled() {
 			fmt.Fprintln(stderr, "slrun: -fault-time/-fault-procs require -faults kill")
 			return 2
 		}
@@ -257,15 +201,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if len(procCounts) > 1 {
+	if len(keys) > 1 {
 		// The trace and timeline describe one run; a sweep has many.
 		if *traceOut != "" || *timelineOut != "" {
 			fmt.Fprintln(stderr, "slrun: -trace/-timeline require a single -procs count")
 			return 2
 		}
-		return runSweep(sc, *dataset, *seeding, *alg, procCounts, *jobs, *unsteady, pf, inj, fm, steal, stdout, stderr)
+		return runSweep(sc, keys, *jobs, steal, stdout)
 	}
-	return runSingle(sc, *dataset, *seeding, *alg, procCounts[0], *perProc, *topN, *unsteady, pf, inj, fm, steal, *traceOut, *timelineOut, *sampleIvl, stdout, stderr)
+	return runSingle(sc, keys[0], steal, *perProc, *topN, *traceOut, *timelineOut, *sampleIvl, stdout, stderr)
 }
 
 // writeFile creates path and streams fn's output into it, reporting the
@@ -296,33 +240,15 @@ func applySteal(cfg *core.Config, steal core.StealParams) {
 	}
 }
 
-// runSweep executes one (dataset, seeding, algorithm) cell at several
-// processor counts on the campaign worker pool and prints a summary table.
-func runSweep(sc experiments.Scale, dataset, seeding, alg string, procCounts []int, jobs int, unsteady bool, pf prefetch.Policy, inj experiments.Injection, fm experiments.FaultMode, steal core.StealParams, stdout, stderr io.Writer) int {
+// runSweep executes one cell — keys differing only in processor count —
+// on the campaign worker pool and prints a summary table.
+func runSweep(sc experiments.Scale, keys []experiments.Key, jobs int, steal core.StealParams, stdout io.Writer) int {
 	// The campaign keeps the scale's own ProcCounts so MemoryBudget (which
 	// derives from the sweep minimum) matches what a single -procs run of
-	// the same scale would use; the sweep cells come from the explicit key
-	// list below.
+	// the same scale would use; the sweep cells are the explicit keys.
 	c := experiments.NewCampaign(sc)
 	c.Workers = jobs
 	c.Tune = func(cfg *core.Config) { applySteal(cfg, steal) }
-
-	keys := make([]experiments.Key, 0, len(procCounts))
-	for _, p := range procCounts {
-		k := experiments.Key{
-			Dataset:   experiments.Dataset(dataset),
-			Seeding:   experiments.Seeding(seeding),
-			Alg:       core.Algorithm(alg),
-			Procs:     p,
-			Unsteady:  unsteady,
-			Injection: inj,
-			Faults:    fm,
-		}
-		if pf.Enabled() {
-			k.Prefetch = pf
-		}
-		keys = append(keys, k)
-	}
 	c.RunKeys(keys)
 
 	rows := make([]metrics.TableRow, 0, len(keys))
@@ -334,19 +260,7 @@ func runSweep(sc experiments.Scale, dataset, seeding, alg string, procCounts []i
 		}
 		rows = append(rows, metrics.TableRow{Label: k.Label(), Summary: out.Summary, Err: out.Err})
 	}
-	cols := []string{"wall", "io", "ioq", "comm", "efficiency"}
-	if unsteady {
-		cols = append(cols, "epochs", "psteps")
-	}
-	if pf.Enabled() {
-		cols = append(cols, "hidden", "prefetch", "pfwaste")
-	}
-	if inj.Enabled() {
-		cols = append(cols, "apeak", "rstalls")
-	}
-	if fm.Enabled() {
-		cols = append(cols, "lost", "adopted", "reforms", "failovers", "sendfail")
-	}
+	cols := append([]string{"wall", "io", "ioq", "comm", "efficiency"}, keys[0].AxisColumns()...)
 	fmt.Fprint(stdout, metrics.Table(rows, cols))
 	if failed > 0 {
 		// Match the single-run convention: any failed cell (e.g. the
@@ -356,18 +270,14 @@ func runSweep(sc experiments.Scale, dataset, seeding, alg string, procCounts []i
 	return 0
 }
 
-// runSingle executes one configuration and prints the detailed report.
-func runSingle(sc experiments.Scale, dataset, seeding, alg string, procs int, perProc bool, topN int, unsteady bool, pf prefetch.Policy, inj experiments.Injection, fm experiments.FaultMode, steal core.StealParams, traceOut, timelineOut string, sampleIvl float64, stdout, stderr io.Writer) int {
-	prob, err := experiments.BuildInjectedProblem(experiments.Dataset(dataset), experiments.Seeding(seeding), sc, unsteady, inj)
+// runSingle executes one cell and prints the detailed report.
+func runSingle(sc experiments.Scale, k experiments.Key, steal core.StealParams, perProc bool, topN int, traceOut, timelineOut string, sampleIvl float64, stdout, stderr io.Writer) int {
+	prob, err := experiments.BuildInjectedProblem(k.Dataset, k.Seeding, sc, k.Unsteady, k.Injection)
 	if err != nil {
 		fmt.Fprintln(stderr, "slrun:", err)
 		return 2
 	}
-	cfg := experiments.KeyMachineConfig(experiments.Key{
-		Dataset: experiments.Dataset(dataset), Seeding: experiments.Seeding(seeding),
-		Alg: core.Algorithm(alg), Procs: procs, Unsteady: unsteady, Prefetch: pf,
-		Injection: inj, Faults: fm,
-	}, sc)
+	cfg := experiments.KeyMachineConfig(k, sc)
 	applySteal(&cfg, steal)
 	if traceOut != "" || timelineOut != "" {
 		cfg.Trace = obs.New()
@@ -375,13 +285,13 @@ func runSingle(sc experiments.Scale, dataset, seeding, alg string, procs int, pe
 	d := prob.Provider.Decomp()
 	workload := "streamlines"
 	blocks := fmt.Sprintf("%d blocks", d.NumBlocks())
-	if unsteady {
+	if k.Unsteady {
 		workload = "pathlines"
 		blocks = fmt.Sprintf("%d space-time blocks (%d spatial x %d epochs)",
 			d.NumBlocks(), d.NumSpatialBlocks(), d.Epochs())
 	}
 	fmt.Fprintf(stdout, "running %s/%s %s with %s on %d processors (%d seeds, %s, budget %d MB)\n",
-		dataset, seeding, workload, alg, procs, len(prob.Seeds),
+		k.Dataset, k.Seeding, workload, k.Alg, k.Procs, len(prob.Seeds),
 		blocks, cfg.MemoryBudget>>20)
 
 	res, err := core.Run(prob, cfg)
@@ -425,23 +335,23 @@ func runSingle(sc experiments.Scale, dataset, seeding, alg string, procs int, pe
 	fmt.Fprintf(stdout, "streamlines done    %10d\n", s.StreamlinesCompleted)
 	fmt.Fprintf(stdout, "peak memory         %10d MB\n", s.PeakMemoryBytes>>20)
 	fmt.Fprintf(stdout, "load imbalance      %10.2f\n", s.Imbalance)
-	if core.Algorithm(alg) == core.WorkStealing {
+	if k.Alg == core.WorkStealing {
 		fmt.Fprintf(stdout, "steals (hit/tried)  %7d/%d\n", s.StealHits, s.StealAttempts)
 		fmt.Fprintf(stdout, "tokens passed       %10d\n", s.TokensPassed)
 	}
-	if unsteady {
+	if k.Unsteady {
 		fmt.Fprintf(stdout, "epoch crossings     %10d\n", s.EpochCrossings)
 	}
-	if pf.Enabled() {
+	if k.Prefetch.Enabled() {
 		fmt.Fprintf(stdout, "prefetch (hit/issued) %5d/%d   (%d wasted)\n",
 			s.PrefetchHits, s.PrefetchIssued, s.PrefetchWasted)
 		fmt.Fprintf(stdout, "I/O hidden          %10.3f s\n", s.IOHiddenTime)
 	}
-	if inj.Enabled() {
+	if k.Injection.Enabled() {
 		fmt.Fprintf(stdout, "active peak         %10d   streamlines on one processor\n", s.ActivePeak)
 		fmt.Fprintf(stdout, "release stalls      %10d   (%.3f s parked)\n", s.ReleaseStalls, s.ReleaseStallTime)
 	}
-	if fm.Enabled() {
+	if k.Faults.Enabled() {
 		fmt.Fprintf(stdout, "processors lost     %10d   (%d seeds adopted)\n", s.ProcsLost, s.SeedsAdopted)
 		fmt.Fprintf(stdout, "ring reforms        %10d\n", s.RingReforms)
 		fmt.Fprintf(stdout, "master failovers    %10d\n", s.MasterFailovers)

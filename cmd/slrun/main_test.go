@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 func TestParseProcs(t *testing.T) {
@@ -22,8 +25,9 @@ func TestParseProcs(t *testing.T) {
 		{"8,zero", nil, false},
 		{"-4", nil, false},
 	}
+	k := experiments.Key{Dataset: experiments.Astro, Seeding: experiments.Sparse, Alg: core.HybridMS}
 	for _, tc := range cases {
-		got, err := parseProcs(tc.in)
+		got, err := parseProcs(tc.in, k)
 		if tc.ok != (err == nil) {
 			t.Errorf("parseProcs(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
 			continue
@@ -36,7 +40,7 @@ func TestParseProcs(t *testing.T) {
 			continue
 		}
 		for i := range got {
-			if got[i] != tc.want[i] {
+			if k.Procs = tc.want[i]; got[i] != k {
 				t.Errorf("parseProcs(%q) = %v, want %v", tc.in, got, tc.want)
 				break
 			}

@@ -13,6 +13,9 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-dataset", "bogus"}, &out, &errw); code != 2 {
 		t.Errorf("bad dataset: run = %d, want 2", code)
 	}
+	if code := run([]string{"-seeding", "bogus"}, &out, &errw); code != 2 {
+		t.Errorf("bad seeding: run = %d, want 2", code)
+	}
 	if code := run([]string{"-nosuchflag"}, &out, &errw); code != 2 {
 		t.Errorf("bad flag: run = %d, want 2", code)
 	}

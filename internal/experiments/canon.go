@@ -69,7 +69,7 @@ type keyWire struct {
 // processor count. Alias spellings of the zero axes ("off", "t0") are
 // valid — normalization, not validation, is their job.
 func (k Key) Validate() error {
-	if !slices.Contains(Datasets(), k.Dataset) {
+	if !slices.Contains(datasets(), k.Dataset) {
 		return fmt.Errorf("experiments: unknown dataset %q (valid: astro, fusion, thermal)", k.Dataset)
 	}
 	if !slices.Contains(Seedings(), k.Seeding) {

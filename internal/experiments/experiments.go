@@ -48,8 +48,8 @@ const (
 	Thermal Dataset = "thermal" // twin-inlet mixing box (Nek5000 stand-in)
 )
 
-// Datasets lists all datasets in presentation order.
-func Datasets() []Dataset { return []Dataset{Astro, Fusion, Thermal} }
+// datasets lists all datasets in presentation order.
+func datasets() []Dataset { return []Dataset{Astro, Fusion, Thermal} }
 
 // Seeding selects the initial-condition placement of Section 3.1.
 type Seeding string
@@ -288,6 +288,9 @@ func BuildProblem(ds Dataset, seeding Seeding, sc Scale) (core.Problem, error) {
 	case Astro, Fusion, Thermal:
 	default:
 		return core.Problem{}, fmt.Errorf("experiments: unknown dataset %q", ds)
+	}
+	if seeding != Sparse && seeding != Dense {
+		return core.Problem{}, fmt.Errorf("experiments: unknown seeding %q (valid: sparse, dense)", seeding)
 	}
 	f := ds.Field()
 	d := grid.NewDecomposition(f.Bounds(), sc.BlocksPerAxis, sc.BlocksPerAxis, sc.BlocksPerAxis, sc.CellsPerAxis)
@@ -544,22 +547,12 @@ type Campaign struct {
 	// must be deterministic: results are cached by Key alone, so Tune must
 	// give every execution of the same key the same configuration.
 	Tune func(*core.Config)
-	// Unsteady, when set, makes the key enumerators (datasetKeys, allKeys,
-	// FigureKeys) emit the time-sliced pathline variant of every cell —
-	// the slbench -unsteady mode. Explicitly-built Keys are unaffected.
-	Unsteady bool
-	// Prefetch, when an enabled policy, makes the key enumerators emit
-	// every cell with that prefetch policy — the slbench -prefetch mode.
-	// Explicitly-built Keys are unaffected.
-	Prefetch prefetch.Policy
-	// Injection, when an enabled schedule, makes the key enumerators
-	// emit every cell with that seed-release schedule — the slbench
-	// -inject mode. Explicitly-built Keys are unaffected.
-	Injection Injection
-	// Faults, when an enabled mode, makes the key enumerators emit
-	// every cell under that processor-loss scenario — the slbench
-	// -faults mode. Explicitly-built Keys are unaffected.
-	Faults FaultMode
+	// Cell is the template of the key enumerators (datasetKeys, allKeys,
+	// FigureKeys): every cell they emit copies its machine axes —
+	// Unsteady, Prefetch, Injection and Faults, the Key the slbench axis
+	// flags build (AxisFlags). Its Dataset, Seeding, Alg and Procs are
+	// ignored, and explicitly-built Keys are unaffected.
+	Cell Key
 	// Observe attaches a constant-memory obs recorder to every cell Run
 	// executes and stores its percentile report in Outcome.Obs — the
 	// slbench -json percentile block. Run retains cells by Key alone, so
@@ -765,16 +758,12 @@ func (c *Campaign) logOutcome(out Outcome) {
 // algorithms, all processor counts) in presentation order.
 func (c *Campaign) datasetKeys(ds Dataset) []Key {
 	var keys []Key
-	pf := prefetch.Policy("")
-	if c.Prefetch.Enabled() {
-		pf = c.Prefetch
-	}
+	t := c.Cell.normalized()
 	for _, seeding := range Seedings() {
 		for _, alg := range core.Algorithms() {
 			for _, procs := range c.Scale.ProcCounts {
 				keys = append(keys, Key{Dataset: ds, Seeding: seeding, Alg: alg, Procs: procs,
-					Unsteady: c.Unsteady, Prefetch: pf, Injection: c.Injection.normalized(),
-					Faults: c.Faults.normalized()})
+					Unsteady: t.Unsteady, Prefetch: t.Prefetch, Injection: t.Injection, Faults: t.Faults})
 			}
 		}
 	}
@@ -784,7 +773,7 @@ func (c *Campaign) datasetKeys(ds Dataset) []Key {
 // allKeys enumerates the complete campaign in presentation order.
 func (c *Campaign) allKeys() []Key {
 	var keys []Key
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		keys = append(keys, c.datasetKeys(ds)...)
 	}
 	return keys
@@ -856,27 +845,33 @@ func (c *Campaign) FigureRows(fig Figure) []metrics.TableRow {
 	return rows
 }
 
-// FigureColumns returns the metric columns a figure's table renders: the
-// figure's own metric, plus the epoch-crossing count when the campaign
-// runs unsteady (pathline) cells, plus the hidden-I/O and hit/issue
-// columns when it runs prefetching cells, plus the active-peak and
-// release-stall columns when it runs staggered-injection cells, plus
-// the loss/recovery columns when it runs fault-injecting cells.
-func (c *Campaign) FigureColumns(fig Figure) []string {
-	cols := []string{fig.Metric}
-	if c.Unsteady {
-		cols = append(cols, "epochs")
+// AxisColumns returns the metric columns a table of cells like k adds
+// for k's machine axes, after its own: the epoch-crossing and
+// pathline-step counts for unsteady cells, the hidden-I/O and
+// hit/issue/waste columns for prefetching cells, the active-peak and
+// release-stall columns for staggered-injection cells, and the
+// loss/recovery columns for fault-injecting cells.
+func (k Key) AxisColumns() []string {
+	var cols []string
+	if k.Unsteady {
+		cols = append(cols, "epochs", "psteps")
 	}
-	if c.Prefetch.Enabled() {
+	if k.Prefetch.Enabled() {
 		cols = append(cols, "hidden", "prefetch", "pfwaste")
 	}
-	if c.Injection.Enabled() {
+	if k.Injection.Enabled() {
 		cols = append(cols, "apeak", "rstalls")
 	}
-	if c.Faults.Enabled() {
+	if k.Faults.Enabled() {
 		cols = append(cols, "lost", "adopted", "reforms", "failovers", "sendfail")
 	}
 	return cols
+}
+
+// FigureColumns returns the metric columns a figure's table renders: the
+// figure's own metric, then the campaign template's AxisColumns.
+func (c *Campaign) FigureColumns(fig Figure) []string {
+	return append([]string{fig.Metric}, c.Cell.AxisColumns()...)
 }
 
 // FigureTable renders one figure as an aligned text table.

@@ -48,7 +48,7 @@ func TestFiguresCoverPaper(t *testing.T) {
 
 func TestBuildProblemAllDatasets(t *testing.T) {
 	sc := SmallScale()
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		for _, seeding := range Seedings() {
 			prob, err := BuildProblem(ds, seeding, sc)
 			if err != nil {
@@ -64,6 +64,9 @@ func TestBuildProblemAllDatasets(t *testing.T) {
 	}
 	if _, err := BuildProblem(Dataset("nope"), Sparse, sc); err == nil {
 		t.Error("unknown dataset accepted")
+	}
+	if _, err := BuildProblem(Astro, Seeding("nope"), sc); err == nil {
+		t.Error("unknown seeding accepted")
 	}
 }
 
@@ -255,7 +258,7 @@ func TestScalesAreOrdered(t *testing.T) {
 }
 
 func TestDatasetFields(t *testing.T) {
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		f := ds.Field()
 		if f.Bounds().Volume() <= 0 {
 			t.Errorf("%s: empty field bounds", ds)
@@ -271,7 +274,7 @@ func TestDatasetFields(t *testing.T) {
 
 func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 	sc := SmallScale()
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		for _, seeding := range Seedings() {
 			prob, err := BuildUnsteadyProblem(ds, seeding, sc, sc.TimeSlices)
 			if err != nil {
@@ -363,7 +366,7 @@ func TestCampaignUnsteadyFlagFlipsKeys(t *testing.T) {
 			t.Fatal("steady campaign emitted unsteady keys")
 		}
 	}
-	c.Unsteady = true
+	c.Cell.Unsteady = true
 	for _, k := range c.allKeys() {
 		if !k.Unsteady {
 			t.Fatal("unsteady campaign emitted steady keys")
@@ -471,7 +474,7 @@ func TestCampaignPrefetchFlagFlipsKeys(t *testing.T) {
 			t.Fatal("plain campaign emitted prefetch keys")
 		}
 	}
-	c.Prefetch = prefetch.Both
+	c.Cell.Prefetch = prefetch.Both
 	for _, k := range c.allKeys() {
 		if k.Prefetch != prefetch.Both {
 			t.Fatal("prefetch campaign emitted non-prefetch keys")
@@ -480,7 +483,7 @@ func TestCampaignPrefetchFlagFlipsKeys(t *testing.T) {
 }
 
 func TestDatasetFieldTs(t *testing.T) {
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		f := ds.FieldT()
 		if f.Bounds() != ds.Field().Bounds() {
 			t.Errorf("%s: unsteady bounds differ from steady", ds)
@@ -534,8 +537,8 @@ func TestFigureColumnsFollowAxes(t *testing.T) {
 	if got := c.FigureColumns(fig); len(got) != 1 || got[0] != fig.Metric {
 		t.Errorf("plain campaign columns = %v", got)
 	}
-	c.Unsteady, c.Prefetch, c.Injection, c.Faults = true, prefetch.Both, InjectStagger, FaultsKill
-	want := []string{fig.Metric, "epochs", "hidden", "prefetch", "pfwaste", "apeak", "rstalls",
+	c.Cell = Key{Unsteady: true, Prefetch: prefetch.Both, Injection: InjectStagger, Faults: FaultsKill}
+	want := []string{fig.Metric, "epochs", "psteps", "hidden", "prefetch", "pfwaste", "apeak", "rstalls",
 		"lost", "adopted", "reforms", "failovers", "sendfail"}
 	if got := c.FigureColumns(fig); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("all-axes columns = %v, want %v", got, want)

@@ -96,7 +96,7 @@ func TestGoldenDigests(t *testing.T) {
 	// summary digest per run this test executes anyway, keyed
 	// <dataset>/<workload>/<alg>/<variant>.
 	sums := map[string]string{}
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		for _, unsteady := range []bool{false, true} {
 			workload := "steady"
 			if unsteady {

@@ -134,7 +134,7 @@ func TestCampaignInjectionCells(t *testing.T) {
 	}
 	sc := tinyScale()
 	c := NewCampaign(sc)
-	c.Injection = InjectStagger
+	c.Cell.Injection = InjectStagger
 	for _, k := range c.datasetKeys(Astro) {
 		if k.Injection != InjectStagger {
 			t.Fatalf("%s: enumerated without the campaign injection", k.Label())

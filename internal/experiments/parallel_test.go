@@ -86,10 +86,10 @@ func TestParallelInjectionCampaignMatchesSerial(t *testing.T) {
 	sc := tinyScale()
 	serial := NewCampaign(sc)
 	serial.Workers = 1
-	serial.Injection = InjectStagger
+	serial.Cell.Injection = InjectStagger
 	parallel := NewCampaign(sc)
 	parallel.Workers = 8
-	parallel.Injection = InjectStagger
+	parallel.Cell.Injection = InjectStagger
 
 	serial.RunAll()
 	parallel.RunAll()
@@ -155,7 +155,7 @@ func TestProblemMemoization(t *testing.T) {
 	c := NewCampaign(tinyScale())
 	c.Workers = 4
 	c.RunAll()
-	want := len(Datasets()) * len(Seedings())
+	want := len(datasets()) * len(Seedings())
 	c.probMu.Lock()
 	got := len(c.problems)
 	c.probMu.Unlock()

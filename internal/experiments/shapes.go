@@ -32,7 +32,7 @@ type ShapeResult struct {
 func ShapeKeys(c *Campaign) []Key {
 	top := c.Scale.ProcCounts[len(c.Scale.ProcCounts)-1]
 	var keys []Key
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		for _, seeding := range Seedings() {
 			for _, alg := range core.Algorithms() {
 				keys = append(keys, Key{Dataset: ds, Seeding: seeding, Alg: alg, Procs: top})

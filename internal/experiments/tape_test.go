@@ -110,7 +110,7 @@ func collectIdleTapes(t *testing.T, c *Campaign) {
 func tapeCells(sc Scale) []Key {
 	procs := sc.ProcCounts[0]
 	var keys []Key
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		for _, seeding := range Seedings() {
 			for _, alg := range core.Algorithms() {
 				keys = append(keys, Key{Dataset: ds, Seeding: seeding, Alg: alg, Procs: procs})
@@ -405,7 +405,7 @@ func TestTapeLedgerColdShape(t *testing.T) {
 	policies := []prefetch.Policy{"", prefetch.Neighbor, prefetch.Temporal, prefetch.Both}
 	var keys []Key
 	var steps int64
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		for _, seeding := range Seedings() {
 			for _, unsteady := range []bool{false, true} {
 				id := Key{Dataset: ds, Seeding: seeding, Alg: core.LoadOnDemand, Procs: top, Unsteady: unsteady}
@@ -447,7 +447,7 @@ func TestTapeAdmission(t *testing.T) {
 	procs := sc.ProcCounts[0]
 	c := NewCampaign(sc)
 	var steps int64
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		for _, seeding := range Seedings() {
 			steps += c.Run(Key{Dataset: ds, Seeding: seeding, Alg: core.LoadOnDemand, Procs: procs}).Summary.Steps
 		}
@@ -456,7 +456,7 @@ func TestTapeAdmission(t *testing.T) {
 	if first.Recordings != 6 || first.Lines == 0 || first.BytesPeak == 0 || first.StepsIntegrated != steps || first.StepsReplayed != steps {
 		t.Errorf("one cell per problem: %+v, want six tapes, %d steps integrated and as many replayed", first, steps)
 	}
-	for _, ds := range Datasets() {
+	for _, ds := range datasets() {
 		for _, seeding := range Seedings() {
 			c.Run(Key{Dataset: ds, Seeding: seeding, Alg: core.WorkStealing, Procs: procs})
 		}

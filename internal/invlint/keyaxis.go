@@ -10,8 +10,9 @@
 // contract:
 //
 //  1. (Key).Label must read every Key field.
-//  2. (*Campaign).datasetKeys — the enumerator all sweeps and the CLI
-//     flags drive — must set every Key field.
+//  2. (*Campaign).datasetKeys — the enumerator of every sweep, which
+//     copies the machine axes of the Campaign.Cell template the CLI axis
+//     flags build (AxisFlags) — must set every Key field.
 //  3. Every Key field must be consumed by the execution path
 //     ((*Campaign).execute, KeyMachineConfig or (*Campaign).problem):
 //     an axis that only widens the cache identity is a bug.
