@@ -66,11 +66,13 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -359,15 +361,20 @@ func runSingle(sc experiments.Scale, k experiments.Key, steal core.StealParams, 
 	}
 
 	if perProc {
+		// Busiest first (compute + I/O + comm); ties stay in index order.
+		procs := res.PerProc
+		slices.SortStableFunc(procs, func(a, b metrics.ProcStats) int { return cmp.Compare(busy(b), busy(a)) })
+		if topN > 0 && topN < len(procs) {
+			procs = procs[:topN]
+		}
 		fmt.Fprintln(stdout, "\nbusiest processors:")
-		for i, ps := range res.PerProc {
-			busy := ps.ComputeTime + ps.IOTime + ps.CommTime
-			if i >= topN && topN > 0 {
-				break
-			}
+		for _, ps := range procs {
 			fmt.Fprintf(stdout, "  proc %4d: busy=%8.3fs io=%8.3fs comm=%8.3fs steps=%9d loads=%5d done=%d\n",
-				ps.Proc, busy, ps.IOTime, ps.CommTime, ps.Steps, ps.BlocksLoaded, ps.StreamlinesCompleted)
+				ps.Proc, busy(ps), ps.IOTime, ps.CommTime, ps.Steps, ps.BlocksLoaded, ps.StreamlinesCompleted)
 		}
 	}
 	return 0
 }
+
+// busy is a processor's working time: compute, I/O and communication.
+func busy(ps metrics.ProcStats) float64 { return ps.ComputeTime + ps.IOTime + ps.CommTime }

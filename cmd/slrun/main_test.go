@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -98,11 +100,45 @@ func TestRunSingleSmallScale(t *testing.T) {
 		t.Fatalf("run = %d, stderr: %s", code, errw.String())
 	}
 	got := out.String()
-	for _, want := range []string{"wall clock", "block efficiency", "busiest processors", "proc    0"} {
+	for _, want := range []string{"wall clock", "block efficiency", "busiest processors"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
+	// -top 2 lists two processors, the first of them the busiest of all
+	// eight (-top 0 lists every one).
+	top := busyColumn(t, got)
+	var all bytes.Buffer
+	args[len(args)-1] = "0"
+	if code := run(args, &all, &errw); code != 0 {
+		t.Fatalf("run -top 0 = %d, stderr: %s", code, errw.String())
+	}
+	every := busyColumn(t, all.String())
+	if len(top) != 2 || len(every) != 8 {
+		t.Fatalf("listed %d and %d processors, want 2 and 8:\n%s", len(top), len(every), got)
+	}
+	if top[0] != slices.Max(every) {
+		t.Errorf("first listed processor is busy %g s, the run's busiest %g s:\n%s", top[0], slices.Max(every), got)
+	}
+}
+
+// busyColumn parses the busy= seconds of slrun's -perproc lines.
+func busyColumn(t *testing.T, out string) []float64 {
+	t.Helper()
+	var busy []float64
+	for _, line := range strings.Split(out, "\n") {
+		_, rest, ok := strings.Cut(line, "busy=")
+		if !ok {
+			continue
+		}
+		field, _, _ := strings.Cut(strings.TrimSpace(rest), "s")
+		v, err := strconv.ParseFloat(field, 64)
+		if err != nil {
+			t.Fatalf("bad busy field in %q: %v", line, err)
+		}
+		busy = append(busy, v)
+	}
+	return busy
 }
 
 func TestRunStealingWithFlags(t *testing.T) {

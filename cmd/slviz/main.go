@@ -55,9 +55,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if *maxSteps <= 0 {
-		fmt.Fprintf(stderr, "slviz: -steps must be positive (got %d)\n", *maxSteps)
-		return 2
+	for _, size := range []struct {
+		name string
+		v    int
+	}{{"steps", *maxSteps}, {"lines", *lines}, {"width", *width}, {"height", *height}} {
+		if size.v <= 0 {
+			fmt.Fprintf(stderr, "slviz: -%s must be positive (got %d)\n", size.name, size.v)
+			return 2
+		}
 	}
 	if !*gantt && (*alg != "" || *procs != 0) {
 		// The geometry renderings always use the fixed ondemand/4

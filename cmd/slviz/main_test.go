@@ -19,8 +19,15 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-nosuchflag"}, &out, &errw); code != 2 {
 		t.Errorf("bad flag: run = %d, want 2", code)
 	}
-	if code := run([]string{"-steps", "0"}, &out, &errw); code != 2 {
-		t.Errorf("-steps 0: run = %d, want 2", code)
+	for _, args := range [][]string{
+		{"-steps", "0"},
+		{"-lines", "0"}, {"-lines", "-3"},
+		{"-width", "-5"}, {"-width", "0"},
+		{"-height", "0"}, {"-gantt", "-height", "-1"},
+	} {
+		if code := run(args, &out, &errw); code != 2 {
+			t.Errorf("run(%v) = %d, want 2", args, code)
+		}
 	}
 }
 

@@ -88,11 +88,12 @@ func NewFabric(net Network) *Fabric { return &Fabric{net: net} }
 
 // SetTracer installs a trace recorder: every endpoint then emits comm
 // spans for the messaging overhead it charges plus send/recv marks for
-// delivered traffic. A nil recorder (the default) keeps the messaging
-// hot path free of any tracing cost beyond one branch.
+// delivered traffic. A nil recorder (the default) records nothing; the
+// hooks are the recorder's inlined nil-receiver no-ops.
 func (f *Fabric) SetTracer(r *obs.Recorder) { f.tr = r }
 
-// Attach registers proc on the fabric and returns its endpoint.
+// Attach registers proc on the fabric and returns its endpoint, which
+// charges its communication counters to stats. stats is required.
 func (f *Fabric) Attach(proc *sim.Proc, stats *metrics.ProcStats) *Endpoint {
 	e := &Endpoint{fabric: f, proc: proc, index: len(f.endpoints), stats: stats}
 	f.endpoints = append(f.endpoints, e)
@@ -120,36 +121,27 @@ func (e *Endpoint) Proc() *sim.Proc { return e.proc }
 // as traffic, so the sent/received mirror holds for delivered messages.
 func (e *Endpoint) Send(to int, payload Message) {
 	n := e.fabric.net
-	cost := n.PostOverheadSec + n.transferTime(payload.Bytes())
+	bytes := payload.Bytes()
 	start := e.proc.Now()
-	e.proc.Sleep(cost)
+	e.proc.Sleep(n.PostOverheadSec + n.transferTime(bytes))
+	now := e.proc.Now()
+	e.stats.CommTime += now - start
+	// The posting cost is real even when the peer is dead and the
+	// message carries no traffic; the span keeps the sender's lane
+	// gap-free.
+	e.fabric.tr.Span(e.index, obs.SpanComm, start, now, int64(to), bytes)
 	dst := e.fabric.endpoints[to]
 	if dst.proc.Failed() {
-		if e.stats != nil {
-			e.stats.CommTime += e.proc.Now() - start
-			e.stats.SendFailed++
-		}
-		if tr := e.fabric.tr; tr != nil {
-			// The posting cost is real even though the message carries no
-			// traffic; the span keeps the sender's lane gap-free. No send
-			// mark: marks mirror the delivered-traffic counters.
-			tr.Span(e.index, obs.SpanComm, start, e.proc.Now(), int64(to), payload.Bytes())
-		}
-		// Still schedule the delivery: it will land on a failed process
-		// and be routed to the kernel's dead-letter hook, which is how
-		// the recovery layer salvages work posted into the void (e.g.
+		// No send mark: marks mirror the delivered-traffic counters. The
+		// delivery is still scheduled: it lands on a failed process and
+		// is routed to the kernel's dead-letter hook, which is how the
+		// recovery layer salvages work posted into the void (e.g.
 		// streamlines offloaded to a peer that just died).
-		e.proc.Send(dst.proc, Envelope{From: e.index, Payload: payload}, n.LatencySec)
-		return
-	}
-	if e.stats != nil {
-		e.stats.CommTime += e.proc.Now() - start
+		e.stats.SendFailed++
+	} else {
 		e.stats.MsgsSent++
-		e.stats.BytesSent += payload.Bytes()
-	}
-	if tr := e.fabric.tr; tr != nil {
-		tr.Span(e.index, obs.SpanComm, start, e.proc.Now(), int64(to), payload.Bytes())
-		tr.Mark(e.index, obs.MarkSend, e.proc.Now(), int64(to), payload.Bytes())
+		e.stats.BytesSent += bytes
+		e.fabric.tr.Mark(e.index, obs.MarkSend, now, int64(to), bytes)
 	}
 	e.proc.Send(dst.proc, Envelope{From: e.index, Payload: payload}, n.LatencySec)
 }
@@ -168,15 +160,12 @@ func (e *Endpoint) recvCharge(env Envelope) {
 	e.hasInHand = true
 	e.proc.Sleep(n.RecvOverheadSec)
 	e.hasInHand = false
-	if e.stats != nil {
-		e.stats.CommTime += e.proc.Now() - start
-		e.stats.MsgsRecv++
-		e.stats.BytesRecv += env.Payload.Bytes()
-	}
-	if tr := e.fabric.tr; tr != nil {
-		tr.Span(e.index, obs.SpanComm, start, e.proc.Now(), int64(env.From), env.Payload.Bytes())
-		tr.Mark(e.index, obs.MarkRecv, e.proc.Now(), int64(env.From), env.Payload.Bytes())
-	}
+	bytes, now := env.Payload.Bytes(), e.proc.Now()
+	e.stats.CommTime += now - start
+	e.stats.MsgsRecv++
+	e.stats.BytesRecv += bytes
+	e.fabric.tr.Span(e.index, obs.SpanComm, start, now, int64(env.From), bytes)
+	e.fabric.tr.Mark(e.index, obs.MarkRecv, now, int64(env.From), bytes)
 }
 
 // Recv blocks until a message arrives and returns it; receive overhead is

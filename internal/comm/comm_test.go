@@ -188,7 +188,7 @@ func TestFabricAccessors(t *testing.T) {
 	k := sim.New()
 	f := NewFabric(DefaultNetwork())
 	p := k.Spawn("x", func(p *sim.Proc) {})
-	e := f.Attach(p, nil)
+	e := f.Attach(p, metrics.NewCollector(1).P(0))
 	if len(f.endpoints) != 1 || f.Endpoint(0) != e || e.Index() != 0 || e.Proc() != p {
 		t.Error("fabric accessors inconsistent")
 	}
@@ -207,17 +207,28 @@ func TestTransferTimeZeroBandwidth(t *testing.T) {
 	}
 }
 
-func TestNilStatsSafe(t *testing.T) {
-	// Endpoints with nil stats (e.g. auxiliary processes) must not panic.
-	k := sim.New()
-	f := NewFabric(Network{})
-	endpoints := make([]*Endpoint, 2)
-	pa := k.Spawn("a", func(p *sim.Proc) { endpoints[0].Send(1, Sized(8)) })
-	endpoints[0] = f.Attach(pa, nil)
-	pb := k.Spawn("b", func(p *sim.Proc) { endpoints[1].Recv() })
-	endpoints[1] = f.Attach(pb, nil)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
+// countingMsg is a Message that counts its Bytes calls.
+type countingMsg struct{ calls *int }
+
+func (m countingMsg) Bytes() int64 {
+	*m.calls++
+	return 8
+}
+
+// TestUntracedSendRecvCallBytesOnce pins the untraced messaging hot
+// path: with no recorder installed, a Send and a receive each ask the
+// payload its size exactly once, and the nil recorder's hooks cost no
+// further evaluation of it.
+func TestUntracedSendRecvCallBytesOnce(t *testing.T) {
+	var calls, atSend int
+	fabricPair(t, Network{LatencySec: 0.001, BandwidthBytesSec: 1e9},
+		func(e *Endpoint, peer int) {
+			e.Send(peer, countingMsg{&calls})
+			atSend = calls
+		},
+		func(e *Endpoint, _ int) { e.Recv() })
+	if atSend != 1 || calls-atSend != 1 {
+		t.Errorf("Bytes calls: Send %d, receive %d; want 1 each", atSend, calls-atSend)
 	}
 }
 

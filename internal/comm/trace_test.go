@@ -3,6 +3,7 @@ package comm
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -16,15 +17,16 @@ func TestTraceMirrorsTrafficCounters(t *testing.T) {
 	net := Network{LatencySec: 0.5, PostOverheadSec: 0.01, RecvOverheadSec: 0.02}
 	f := NewFabric(net)
 	f.SetTracer(rec)
+	stats := metrics.NewCollector(2)
 	var endA, endB *Endpoint
 	procB := k.Spawn("b", func(p *sim.Proc) {
 		endB.Recv()
 	})
-	endB = f.Attach(procB, nil)
+	endB = f.Attach(procB, stats.P(0))
 	procA := k.Spawn("a", func(p *sim.Proc) {
 		endA.Send(endB.Index(), Sized(100))
 	})
-	endA = f.Attach(procA, nil)
+	endA = f.Attach(procA, stats.P(1))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +65,9 @@ func TestTraceMirrorsTrafficCounters(t *testing.T) {
 	f2 := NewFabric(net)
 	var a2, b2 *Endpoint
 	pb2 := k2.Spawn("b", func(p *sim.Proc) { b2.Recv() })
-	b2 = f2.Attach(pb2, nil)
+	b2 = f2.Attach(pb2, stats.P(0))
 	pa2 := k2.Spawn("a", func(p *sim.Proc) { a2.Send(b2.Index(), Sized(1)) })
-	a2 = f2.Attach(pa2, nil)
+	a2 = f2.Attach(pa2, stats.P(1))
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -372,8 +372,9 @@ type Config struct {
 	// steal, token and recovery marks. Tracing is purely observational —
 	// geometry, metrics and golden digests are bit-identical with it on
 	// or off (only the TraceEvents/TraceBytes meta-counters differ), and
-	// a nil recorder (the default) costs one branch per hook site. Not a
-	// campaign axis: it never participates in experiments.Key.
+	// a nil recorder (the default) records nothing: every hook is the
+	// recorder's inlined nil-receiver no-op. Not a campaign axis: it
+	// never participates in experiments.Key.
 	Trace *obs.Recorder
 }
 
@@ -500,14 +501,12 @@ func Run(p Problem, cfg Config) (*Result, error) {
 		return nil, simErr
 	}
 
-	if r.tr != nil {
-		// Fold the trace volume into the metrics as the two meta-counters
-		// (zero whenever tracing is off — the one deliberate exception to
-		// the tracing-on/off bit-identity of the Summary).
-		for i := 0; i < cfg.Procs; i++ {
-			st := r.collect.P(i)
-			st.TraceEvents, st.TraceBytes = r.tr.ProcCount(i)
-		}
+	// Fold the trace volume into the metrics as the two meta-counters
+	// (zero whenever tracing is off — the one deliberate exception to
+	// the tracing-on/off bit-identity of the Summary).
+	for i := 0; i < cfg.Procs; i++ {
+		st := r.collect.P(i)
+		st.TraceEvents, st.TraceBytes = r.tr.ProcCount(i)
 	}
 	res := &Result{
 		Summary: r.collect.Aggregate(),
@@ -537,8 +536,8 @@ type runState struct {
 	// pf predicts prefetch targets; nil when cfg.Prefetch is off, so
 	// every hook gates on a nil check alone.
 	pf *prefetch.Predictor
-	// tr records trace events; nil when cfg.Trace is unset, so every
-	// emission site gates on a nil check alone.
+	// tr records trace events; nil when cfg.Trace is unset, and then
+	// every emission site's call is a no-op.
 	tr *obs.Recorder
 
 	err      error // first fatal in-simulation error (e.g. OOM)
@@ -607,9 +606,7 @@ func (r *runState) failed() bool { return r.err != nil }
 func (r *runState) complete(w *worker, sl *trace.Streamline) {
 	w.stats.StreamlinesCompleted++
 	w.noteDeactivated(1)
-	if r.tr != nil {
-		r.tr.Mark(w.end.Index(), obs.MarkComplete, w.proc.Now(), int64(sl.ID), int64(sl.Steps))
-	}
+	r.tr.Mark(w.end.Index(), obs.MarkComplete, w.proc.Now(), int64(sl.ID), int64(sl.Steps))
 	if r.cfg.CollectTraces {
 		r.finished = append(r.finished, sl)
 	}
@@ -718,9 +715,7 @@ func (q *releaseQueue[T]) release(w *worker, activate func(T)) (moved bool) {
 			break
 		}
 		q.items = q.items[1:]
-		if tr := w.run.tr; tr != nil {
-			tr.Mark(w.end.Index(), obs.MarkRelease, now, int64(id), 0)
-		}
+		w.run.tr.Mark(w.end.Index(), obs.MarkRelease, now, int64(id), 0)
 		activate(x)
 		moved = true
 	}
@@ -780,12 +775,8 @@ func (r *runState) newWorker(proc *sim.Proc, statIdx, cacheBlocks int) *worker {
 		stats:  stats,
 		solver: integrate.NewDoPri5(r.prob.IntOpts),
 	}
-	// Tests build bare runStates without Run()'s registries; skip the
-	// fault-recovery registration there.
-	if statIdx < len(r.procs) {
-		r.procs[statIdx] = proc
-		r.workers[statIdx] = w
-	}
+	r.procs[statIdx] = proc
+	r.workers[statIdx] = w
 	return w
 }
 
@@ -877,11 +868,9 @@ func (w *worker) stallForRelease(next float64) (env comm.Envelope, got bool) {
 	if !got {
 		w.stats.ReleaseStalls++
 		w.stats.ReleaseStallTime += w.proc.Now() - start
-		if tr := w.run.tr; tr != nil {
-			// The stall interval itself arrives via the kernel idle hook;
-			// the mark attributes it to injection starvation.
-			tr.Mark(w.end.Index(), obs.MarkPark, start, 0, 0)
-		}
+		// The stall interval itself arrives via the kernel idle hook;
+		// the mark attributes it to injection starvation.
+		w.run.tr.Mark(w.end.Index(), obs.MarkPark, start, 0, 0)
 	}
 	return env, got
 }
@@ -975,11 +964,10 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 	cost := float64(res.Steps) * w.run.cfg.Cost.SecPerStep
 	start := w.proc.Now()
 	w.proc.Sleep(cost)
-	w.stats.ComputeTime += w.proc.Now() - start
+	now := w.proc.Now()
+	w.stats.ComputeTime += now - start
 	w.stats.Steps += int64(res.Steps)
-	if tr := w.run.tr; tr != nil {
-		tr.Span(w.end.Index(), obs.SpanCompute, start, w.proc.Now(), int64(sl.ID), int64(res.Steps))
-	}
+	w.run.tr.Span(w.end.Index(), obs.SpanCompute, start, now, int64(sl.ID), int64(res.Steps))
 	if p.leave(sl, res, epoch) {
 		w.stats.EpochCrossings++
 	}

@@ -509,7 +509,8 @@ func TestForceOffloadWalksPastForcedBlocks(t *testing.T) {
 		p := testProblem(4)
 		cfg := testConfig(HybridMS, 4)
 		cfg.Cost = DefaultCost()
-		r := &runState{prob: &p, cfg: &cfg, kernel: sim.New(), collect: metrics.NewCollector(4)}
+		r := &runState{prob: &p, cfg: &cfg, kernel: sim.New(), collect: metrics.NewCollector(4),
+			procs: make([]*sim.Proc, 4), workers: make([]*worker, 4)}
 		r.fabric = comm.NewFabric(cfg.Net)
 		var forced []string
 		var mw *worker

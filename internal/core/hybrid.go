@@ -426,9 +426,7 @@ func (s *slave) runAsMaster(pm msgPromote) {
 	ep := w.end.Index()
 	w.stats.MasterFailovers++
 	w.stats.SeedsAdopted += int64(len(pm.recs))
-	if tr := r.tr; tr != nil {
-		tr.Mark(ep, obs.MarkFailover, w.proc.Now(), int64(len(pm.flock)), int64(len(pm.recs)))
-	}
+	r.tr.Mark(ep, obs.MarkFailover, w.proc.Now(), int64(len(pm.flock)), int64(len(pm.recs)))
 	sls, _ := s.resident()
 	recs := r.rewind(append([]seedRec(nil), pm.recs...), sls)
 	for _, sl := range sls {
@@ -755,8 +753,8 @@ func (m *master) addRecs(recs []seedRec, fresh bool) {
 	m.takeRecs(recs)
 	if fresh {
 		m.w.stats.SeedsAdopted += int64(len(recs))
-		if tr := m.r.tr; tr != nil && len(recs) > 0 {
-			tr.Mark(m.w.end.Index(), obs.MarkAdopt, m.w.proc.Now(), int64(len(recs)), 0)
+		if len(recs) > 0 {
+			m.r.tr.Mark(m.w.end.Index(), obs.MarkAdopt, m.w.proc.Now(), int64(len(recs)), 0)
 		}
 	}
 	m.applyRules(false)

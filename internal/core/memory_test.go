@@ -26,6 +26,8 @@ func withWorker(t *testing.T, p Problem, cfg Config, body func(r *runState, w *w
 		cfg:     &cfg,
 		kernel:  sim.New(),
 		collect: metrics.NewCollector(1),
+		procs:   make([]*sim.Proc, 1),
+		workers: make([]*worker, 1),
 	}
 	r.fabric = comm.NewFabric(cfg.Net)
 	var w *worker
@@ -264,6 +266,8 @@ func TestSendStreamlinesReleasesMemory(t *testing.T) {
 		cfg:     &cfg,
 		kernel:  sim.New(),
 		collect: metrics.NewCollector(2),
+		procs:   make([]*sim.Proc, 2),
+		workers: make([]*worker, 2),
 	}
 	if r.cfg.Cost.SecPerStep == 0 {
 		r.cfg.Cost = DefaultCost()

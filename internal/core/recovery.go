@@ -228,9 +228,7 @@ func (r *runState) failProc(idx int) {
 		return
 	}
 	r.collect.P(idx).ProcsLost++
-	if r.tr != nil {
-		r.tr.Mark(idx, obs.MarkKill, r.kernel.Now(), 0, 0)
-	}
+	r.tr.Mark(idx, obs.MarkKill, r.kernel.Now(), 0, 0)
 	r.alg.died(r, idx, r.deadEnvelopes(idx))
 }
 

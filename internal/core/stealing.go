@@ -242,9 +242,7 @@ func (pw *poolWorker) handle(env comm.Envelope) bool {
 			pw.pool.adopt(sl)
 		}
 		pw.w.stats.StealHits++
-		if tr := pw.r.tr; tr != nil {
-			tr.Mark(pw.me, obs.MarkStealHit, pw.w.proc.Now(), int64(env.From), int64(len(m.sls)))
-		}
+		pw.r.tr.Mark(pw.me, obs.MarkStealHit, pw.w.proc.Now(), int64(env.From), int64(len(m.sls)))
 		pw.outstanding = false
 		pw.resetProbes()
 		pw.w.checkMemory("stolen streamlines")
@@ -274,9 +272,7 @@ func (pw *poolWorker) handle(env comm.Envelope) bool {
 			pw.pool.adopt(pw.r.streamline(rec))
 		}
 		pw.w.stats.SeedsAdopted += int64(len(m.recs))
-		if tr := pw.r.tr; tr != nil {
-			tr.Mark(pw.me, obs.MarkAdopt, pw.w.proc.Now(), int64(len(m.recs)), 0)
-		}
+		pw.r.tr.Mark(pw.me, obs.MarkAdopt, pw.w.proc.Now(), int64(len(m.recs)), 0)
 		if pw.stealer != nil {
 			pw.resetProbes()
 		}
@@ -332,9 +328,7 @@ func (pw *poolWorker) probe() {
 	pw.outstanding = true
 	pw.probeVictim = victim
 	pw.w.stats.StealAttempts++
-	if tr := pw.r.tr; tr != nil {
-		tr.Mark(pw.me, obs.MarkStealProbe, pw.w.proc.Now(), int64(victim), 0)
-	}
+	pw.r.tr.Mark(pw.me, obs.MarkStealProbe, pw.w.proc.Now(), int64(victim), 0)
 	pw.w.end.Send(victim, msgStealReq{})
 }
 
@@ -424,9 +418,7 @@ func (pw *poolWorker) passToken() {
 	}
 	pw.holding = false
 	pw.w.stats.TokensPassed++
-	if tr := pw.r.tr; tr != nil {
-		tr.Mark(pw.me, obs.MarkTokenPass, pw.w.proc.Now(), int64(next), 0)
-	}
+	pw.r.tr.Mark(pw.me, obs.MarkTokenPass, pw.w.proc.Now(), int64(next), 0)
 	pw.w.end.Send(next, msgToken{counts: pw.counts})
 	pw.r.tokenHolder = -1
 }

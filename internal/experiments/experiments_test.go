@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -218,7 +219,18 @@ func TestShapeChecksSmallScale(t *testing.T) {
 		"Fig 11: Static communication is higher for dense fusion seeds":                 true,
 		"Fig 13: dense thermal — Load-On-Demand outperforms Hybrid (compute hides I/O)": true,
 	}
-	for _, r := range CheckShapes(c) {
+	// slbench -shapes prewarms ShapeKeys on the worker pool, then runs the
+	// checks serially: ShapeKeys must list every cell CheckShapes reads,
+	// or the checks execute the missing ones one at a time.
+	var executions atomic.Int64
+	c.Tune = func(*core.Config) { executions.Add(1) }
+	c.RunKeys(ShapeKeys(c))
+	prewarmed := executions.Load()
+	results := CheckShapes(c)
+	if n := executions.Load() - prewarmed; n != 0 {
+		t.Errorf("CheckShapes executed %d cells ShapeKeys does not list", n)
+	}
+	for _, r := range results {
 		if !r.OK && !allowFail[r.Claim] {
 			t.Errorf("shape check failed: %s (%s)", r.Claim, r.Detail)
 		}

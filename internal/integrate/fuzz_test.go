@@ -47,20 +47,19 @@ func clampRange(v, lo, hi float64) float64 {
 }
 
 func FuzzDoPri5StepAcceptance(f *testing.F) {
-	f.Add(1e-6, 0.05, 0.3, -0.4, 0.2, 0.0, uint8(0))
-	f.Add(1e-4, 0.0, 1.0, 1.0, 1.0, 0.01, uint8(1))
-	f.Add(1e-9, 0.001, -0.7, 0.1, 0.0, 0.5, uint8(2))
-	f.Add(1e-2, 0.5, 0.0, 0.0, 0.0, 1e-8, uint8(3))
-	f.Add(1e-7, 0.02, 2.9, -2.9, 2.9, 0.0, uint8(1))
+	f.Add(1e-6, 0.05, 0.3, -0.4, 0.2, uint8(0))
+	f.Add(1e-4, 0.0, 1.0, 1.0, 1.0, uint8(1))
+	f.Add(1e-9, 0.001, -0.7, 0.1, 0.0, uint8(2))
+	f.Add(1e-2, 0.5, 0.0, 0.0, 0.0, uint8(3))
+	f.Add(1e-7, 0.02, 2.9, -2.9, 2.9, uint8(1))
 
-	f.Fuzz(func(t *testing.T, tol, hmax, px, py, pz, h0 float64, sel uint8) {
+	f.Fuzz(func(t *testing.T, tol, hmax, px, py, pz float64, sel uint8) {
 		if !vec.Of(px, py, pz).IsFinite() {
 			t.Skip()
 		}
 		opts := Options{
 			Tol:  clampRange(tol, 1e-10, 1e-1),
 			HMax: clampRange(hmax, 0, 1),
-			H0:   clampRange(h0, 0, 1),
 		}
 		if opts.HMax == 0 {
 			opts.HMax = 0 // no cap is a valid configuration

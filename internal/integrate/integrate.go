@@ -52,8 +52,6 @@ func (s steady[E]) EvalAt(p vec.V3, _ float64) vec.V3 { return s.e.Eval(p) }
 type Options struct {
 	// Tol is the per-step error tolerance (absolute, on position).
 	Tol float64
-	// H0 is the initial step size; 0 picks one from the field magnitude.
-	H0 float64
 	// HMin is the smallest allowed step; steps clamp here rather than
 	// failing, so integration always progresses.
 	HMin float64

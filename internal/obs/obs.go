@@ -1,8 +1,9 @@
 // Package obs is the deterministic virtual-time tracing and time-series
 // subsystem: the sim kernel, comm fabric, block store and the core
 // algorithms emit structured events (processor state spans, block
-// traffic, message traffic, steal/token/recovery marks) into a Recorder
-// through nil-guarded hooks that cost nothing when tracing is off.
+// traffic, message traffic, steal/token/recovery marks) into a Recorder.
+// A nil *Recorder is tracing off: Span and Mark on it are inlined no-ops,
+// so an emission site is one unguarded call.
 //
 // Everything in this package is derived from *virtual* time — the
 // deterministic simulation clock — so a trace is a pure function of the
@@ -198,8 +199,14 @@ func (r *Recorder) SetReleases(times []float64) {
 
 // Span records an activity span covering [start, end) on processor
 // proc. Zero-length spans are dropped: they render to nothing and
-// would only bloat the trace.
+// would only bloat the trace. On a nil Recorder it records nothing.
 func (r *Recorder) Span(proc int, k Kind, start, end float64, a, b int64) {
+	if r != nil {
+		r.span(proc, k, start, end, a, b)
+	}
+}
+
+func (r *Recorder) span(proc int, k Kind, start, end float64, a, b int64) {
 	if end <= start {
 		return
 	}
@@ -213,8 +220,15 @@ func (r *Recorder) Span(proc int, k Kind, start, end float64, a, b int64) {
 	r.add(Event{Time: start, Dur: dur, A: a, B: b, Proc: int32(proc), Kind: k})
 }
 
-// Mark records an instantaneous event at time t on processor proc.
+// Mark records an instantaneous event at time t on processor proc. On a
+// nil Recorder it records nothing.
 func (r *Recorder) Mark(proc int, k Kind, t float64, a, b int64) {
+	if r != nil {
+		r.mark(proc, k, t, a, b)
+	}
+}
+
+func (r *Recorder) mark(proc int, k Kind, t float64, a, b int64) {
 	switch k {
 	case MarkSend:
 		q := r.pending[pairKey{int32(proc), int32(a)}]
@@ -283,9 +297,9 @@ func (r *Recorder) Hash() uint64 { return r.hash }
 func (r *Recorder) NumProcs() int { return len(r.counts) }
 
 // ProcCount returns the events recorded for processor i and their
-// accounting size in bytes (EventBytes each).
+// accounting size in bytes (EventBytes each); zero on a nil Recorder.
 func (r *Recorder) ProcCount(i int) (events, bytes int64) {
-	if i < 0 || i >= len(r.counts) {
+	if r == nil || i < 0 || i >= len(r.counts) {
 		return 0, 0
 	}
 	return r.counts[i].events, r.counts[i].bytes

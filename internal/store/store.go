@@ -28,10 +28,10 @@ type DiskModel struct {
 	// of I/O servers, so aggregate bandwidth is bounded regardless of
 	// processor count.
 	Shared *sim.Resource
-	// Trace, when non-nil, receives io/ioqueue spans for every demand
-	// read and block load/evict/prefetch marks from caches over this
-	// disk. Nil (the default) keeps the read path tracing-free beyond
-	// one branch.
+	// Trace receives io/ioqueue spans for every demand read and block
+	// load/evict/prefetch marks from caches over this disk. Nil (the
+	// default) records nothing: the recorder's hooks are inlined
+	// nil-receiver no-ops.
 	Trace *obs.Recorder
 }
 
@@ -57,6 +57,7 @@ func (d DiskModel) readTime(bytes int64) float64 {
 // so contention stalls are separable from transfer time.
 func (d DiskModel) read(p *sim.Proc, bytes int64, stats *metrics.ProcStats) {
 	start := p.Now()
+	acquired := start
 	if d.Shared != nil {
 		d.Shared.Acquire(p)
 		// Deferred so the slot is released even if p is killed by a
@@ -65,26 +66,13 @@ func (d DiskModel) read(p *sim.Proc, bytes int64, stats *metrics.ProcStats) {
 		// reader is granted the server a dead processor can no longer
 		// use.
 		defer d.Shared.Release()
-		acquired := p.Now()
-		if stats != nil {
-			stats.IOQueueTime += acquired - start
-		}
-		if d.Trace != nil {
-			d.Trace.Span(p.ID(), obs.SpanIOQueue, start, acquired, bytes, 0)
-		}
-		p.Sleep(d.readTime(bytes))
-		if d.Trace != nil {
-			d.Trace.Span(p.ID(), obs.SpanIO, acquired, p.Now(), bytes, 0)
-		}
-	} else {
-		p.Sleep(d.readTime(bytes))
-		if d.Trace != nil {
-			d.Trace.Span(p.ID(), obs.SpanIO, start, p.Now(), bytes, 0)
-		}
+		acquired = p.Now()
+		stats.IOQueueTime += acquired - start
+		d.Trace.Span(p.ID(), obs.SpanIOQueue, start, acquired, bytes, 0)
 	}
-	if stats != nil {
-		stats.IOTime += p.Now() - start
-	}
+	p.Sleep(d.readTime(bytes))
+	d.Trace.Span(p.ID(), obs.SpanIO, acquired, p.Now(), bytes, 0)
+	stats.IOTime += p.Now() - start
 }
 
 // readAsync issues a speculative non-blocking read of bytes on kernel k,
@@ -142,6 +130,9 @@ type Cache struct {
 	disk     DiskModel
 	stats    *metrics.ProcStats
 	capacity int // max resident blocks; <= 0 means unbounded
+	// blockBytes is the provider's block size, the bytes every read of
+	// this cache transfers and every resident block holds.
+	blockBytes int64
 
 	entries map[grid.BlockID]*entry
 	head    *entry // most recently used
@@ -170,18 +161,20 @@ type entry struct {
 }
 
 // NewCache creates a cache for proc over provider with the given capacity
-// in blocks (<= 0 for unbounded).
+// in blocks (<= 0 for unbounded), charging its I/O and block counters to
+// stats. stats is required.
 func NewCache(proc *sim.Proc, provider grid.Provider, disk DiskModel, capacity int, stats *metrics.ProcStats) *Cache {
 	return &Cache{
-		proc:     proc,
-		provider: provider,
-		disk:     disk,
-		stats:    stats,
-		capacity: capacity,
-		entries:  make(map[grid.BlockID]*entry),
-		pinned:   make(map[grid.BlockID]bool),
-		inflight: make(map[grid.BlockID]*inflightRead),
-		unused:   make(map[grid.BlockID]float64),
+		proc:       proc,
+		provider:   provider,
+		disk:       disk,
+		stats:      stats,
+		capacity:   capacity,
+		blockBytes: provider.Decomp().BlockBytes(),
+		entries:    make(map[grid.BlockID]*entry),
+		pinned:     make(map[grid.BlockID]bool),
+		inflight:   make(map[grid.BlockID]*inflightRead),
+		unused:     make(map[grid.BlockID]float64),
 	}
 }
 
@@ -241,14 +234,9 @@ func (c *Cache) Get(id grid.BlockID) grid.Evaluator {
 		}
 		start := c.proc.Now()
 		fl.done.Wait(c.proc)
-		if c.stats != nil {
-			c.stats.IOTime += c.proc.Now() - start
-		}
-		if c.disk.Trace != nil {
-			// The residual wait for an in-flight prefetch is demand I/O.
-			c.disk.Trace.Span(c.proc.ID(), obs.SpanIO, start, c.proc.Now(),
-				c.provider.Decomp().BlockBytes(), 0)
-		}
+		c.stats.IOTime += c.proc.Now() - start
+		// The residual wait for an in-flight prefetch is demand I/O.
+		c.disk.Trace.Span(c.proc.ID(), obs.SpanIO, start, c.proc.Now(), c.blockBytes, 0)
 		// Count a hit only if the completion's install survived: a
 		// completion-time eviction (all-pinned overflow) already counted
 		// the read as wasted, and the loop will repeat it synchronously —
@@ -256,21 +244,15 @@ func (c *Cache) Get(id grid.BlockID) grid.Evaluator {
 		// issued read (hits + wasted must stay ≤ issued).
 		if _, ok := c.entries[id]; ok {
 			delete(c.unused, id) // consumed here, not via consumePrefetch
-			if c.stats != nil {
-				waited := c.proc.Now() - start
-				c.stats.PrefetchHits++
-				c.stats.IOHiddenTime += (c.proc.Now() - fl.issued) - waited
-			}
+			waited := c.proc.Now() - start
+			c.stats.PrefetchHits++
+			c.stats.IOHiddenTime += (c.proc.Now() - fl.issued) - waited
 		}
 	}
 	// Miss: read from disk.
-	c.disk.read(c.proc, c.provider.Decomp().BlockBytes(), c.stats)
-	if c.stats != nil {
-		c.stats.BlocksLoaded++
-	}
-	if c.disk.Trace != nil {
-		c.disk.Trace.Mark(c.proc.ID(), obs.MarkBlockLoad, c.proc.Now(), int64(id), 0)
-	}
+	c.disk.read(c.proc, c.blockBytes, c.stats)
+	c.stats.BlocksLoaded++
+	c.disk.Trace.Mark(c.proc.ID(), obs.MarkBlockLoad, c.proc.Now(), int64(id), 0)
 	e := &entry{id: id, eval: c.provider.Block(id)}
 	c.entries[id] = e
 	c.pushFront(e)
@@ -305,14 +287,10 @@ func (c *Cache) Prefetch(id grid.BlockID) bool {
 	}
 	k := c.proc.Kernel()
 	fl := &inflightRead{done: sim.NewEvent(k), issued: k.Now()}
-	issued := c.disk.readAsync(k, c.provider.Decomp().BlockBytes(), func() {
+	issued := c.disk.readAsync(k, c.blockBytes, func() {
 		delete(c.inflight, id)
-		if c.stats != nil {
-			c.stats.BlocksLoaded++
-		}
-		if c.disk.Trace != nil {
-			c.disk.Trace.Mark(c.proc.ID(), obs.MarkBlockLoad, k.Now(), int64(id), 0)
-		}
+		c.stats.BlocksLoaded++
+		c.disk.Trace.Mark(c.proc.ID(), obs.MarkBlockLoad, k.Now(), int64(id), 0)
 		e := &entry{id: id, eval: c.provider.Block(id)}
 		c.entries[id] = e
 		c.pushFront(e)
@@ -324,12 +302,8 @@ func (c *Cache) Prefetch(id grid.BlockID) bool {
 		return false // no idle I/O server: speculation must not queue
 	}
 	c.inflight[id] = fl
-	if c.stats != nil {
-		c.stats.PrefetchIssued++
-	}
-	if c.disk.Trace != nil {
-		c.disk.Trace.Mark(c.proc.ID(), obs.MarkPrefetch, k.Now(), int64(id), 0)
-	}
+	c.stats.PrefetchIssued++
+	c.disk.Trace.Mark(c.proc.ID(), obs.MarkPrefetch, k.Now(), int64(id), 0)
 	return true
 }
 
@@ -341,10 +315,8 @@ func (c *Cache) consumePrefetch(id grid.BlockID) {
 		return
 	}
 	delete(c.unused, id)
-	if c.stats != nil {
-		c.stats.PrefetchHits++
-		c.stats.IOHiddenTime += hidden
-	}
+	c.stats.PrefetchHits++
+	c.stats.IOHiddenTime += hidden
 }
 
 // SetPrefetchLimit bounds the number of concurrently in-flight prefetch
@@ -356,7 +328,7 @@ func (c *Cache) SetPrefetchLimit(n int) { c.maxInflight = n }
 // ResidentBytes returns the simulated memory held by resident blocks
 // plus the buffers of in-flight prefetch reads.
 func (c *Cache) ResidentBytes() int64 {
-	return int64(len(c.entries)+len(c.inflight)) * c.provider.Decomp().BlockBytes()
+	return int64(len(c.entries)+len(c.inflight)) * c.blockBytes
 }
 
 // evictOver purges LRU unpinned entries until within capacity.
@@ -376,16 +348,10 @@ func (c *Cache) evictOver() {
 		delete(c.entries, victim.id)
 		if _, ok := c.unused[victim.id]; ok {
 			delete(c.unused, victim.id)
-			if c.stats != nil {
-				c.stats.PrefetchWasted++
-			}
+			c.stats.PrefetchWasted++
 		}
-		if c.stats != nil {
-			c.stats.BlocksPurged++
-		}
-		if c.disk.Trace != nil {
-			c.disk.Trace.Mark(c.proc.ID(), obs.MarkBlockEvict, c.proc.Now(), int64(victim.id), 0)
-		}
+		c.stats.BlocksPurged++
+		c.disk.Trace.Mark(c.proc.ID(), obs.MarkBlockEvict, c.proc.Now(), int64(victim.id), 0)
 	}
 }
 

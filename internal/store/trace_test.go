@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -26,8 +27,9 @@ func TestDiskReadTraceSpans(t *testing.T) {
 	rec := obs.New()
 	k := sim.New()
 	d := DiskModel{LatencySec: 1, Shared: sim.NewResource(k, 1), Trace: rec}
-	k.Spawn("a", func(p *sim.Proc) { d.read(p, 0, nil) })
-	k.Spawn("b", func(p *sim.Proc) { d.read(p, 0, nil) })
+	stats := metrics.NewCollector(2)
+	k.Spawn("a", func(p *sim.Proc) { d.read(p, 0, stats.P(0)) })
+	k.Spawn("b", func(p *sim.Proc) { d.read(p, 0, stats.P(1)) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestDiskReadTraceSpans(t *testing.T) {
 	rec2 := obs.New()
 	d2 := DiskModel{LatencySec: 0.5, Trace: rec2}
 	k2 := sim.New()
-	k2.Spawn("solo", func(p *sim.Proc) { d2.read(p, 0, nil) })
+	k2.Spawn("solo", func(p *sim.Proc) { d2.read(p, 0, stats.P(0)) })
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestCacheTraceMarks(t *testing.T) {
 	prov := testProvider()
 	d := DiskModel{LatencySec: 0.01, Trace: rec}
 	runInProc(t, func(p *sim.Proc) {
-		c := NewCache(p, prov, d, 2, nil)
+		c := NewCache(p, prov, d, 2, metrics.NewCollector(1).P(0))
 		c.Get(0)
 		c.Get(1)
 		c.Get(2) // evicts block 0
@@ -98,14 +100,14 @@ func TestCacheTraceMarks(t *testing.T) {
 
 // TestCacheResidentHitAllocs is the disabled-tracing allocation gate for
 // the block-access hot path: with no recorder installed, resident-block
-// hits (TryGet and Get) must not allocate — the nil trace guard must
-// stay free. This is the path every integration step takes.
+// hits (TryGet and Get) must not allocate — the nil recorder's hooks
+// must stay free. This is the path every integration step takes.
 func TestCacheResidentHitAllocs(t *testing.T) {
 	prov := testProvider()
 	var c *Cache
 	k := sim.New()
 	k.Spawn("warm", func(p *sim.Proc) {
-		c = NewCache(p, prov, DefaultDisk(), 4, nil)
+		c = NewCache(p, prov, DefaultDisk(), 4, metrics.NewCollector(1).P(0))
 		c.Get(0)
 		c.Get(1)
 	})
