@@ -18,8 +18,9 @@
 // tenant's flood cannot starve another's single cell. Past the
 // per-tenant cap the server answers 429; past -timeout, 504 (the
 // computation continues and lands in the cache for the retry); during
-// shutdown, 503. SIGINT/SIGTERM starts a graceful drain: admission
-// stops, in-flight cells finish and persist, then the process exits.
+// shutdown, 503; to a request body over 1 MiB, 413. SIGINT/SIGTERM
+// starts a graceful drain: admission stops, in-flight cells finish and
+// persist, then the process exits.
 //
 // Usage examples:
 //

@@ -638,12 +638,12 @@ func (c *Campaign) Cached(k Key) (Outcome, bool) {
 
 // Run returns the retained outcome of k, or computes it with the
 // campaign's Observe setting and retains it: the memo in front of
-// Compute.
+// Compute, consulted again by the call that takes the flight.
 func (c *Campaign) Run(k Key) Outcome {
 	if out, ok := c.Cached(k); ok {
 		return out
 	}
-	return c.Compute(k, c.Observe, func(out Outcome) {
+	return c.Compute(k, c.Observe, func() (Outcome, bool) { return c.Cached(k) }, func(out Outcome) {
 		c.mu.Lock()
 		c.results[out.Key] = out
 		c.mu.Unlock()
@@ -667,11 +667,16 @@ type flight struct {
 // Compute executes k, with the obs recorder attached if observe is set,
 // and retains nothing: the caller owns the outcome (cmd/slserve's cache
 // is internal/serve's Store). Identical calls in flight share one
-// execution. keep, if non-nil, runs once, on the call that executes,
-// before the waiting calls are released or any later call can start a
-// new execution — a cache filled there is filled by the time any other
-// caller has the outcome.
-func (c *Campaign) Compute(k Key, observe bool, keep func(Outcome)) Outcome {
+// execution. The call that takes a flight first asks lookup, if
+// non-nil, for the caller's cached outcome: a hit is the flight's
+// outcome and nothing executes, which closes the window between a
+// caller's cache miss and its arrival here, during which an identical
+// flight may have filled the cache and ended. Otherwise keep, if
+// non-nil, runs once, on the call that executes, before the waiting
+// calls are released or any later call can start a new execution — a
+// cache filled there is filled by the time any other caller has the
+// outcome.
+func (c *Campaign) Compute(k Key, observe bool, lookup func() (Outcome, bool), keep func(Outcome)) Outcome {
 	fk := flightKey{k.normalized(), observe}
 	c.mu.Lock()
 	if f, busy := c.inflight[fk]; busy {
@@ -683,22 +688,30 @@ func (c *Campaign) Compute(k Key, observe bool, keep func(Outcome)) Outcome {
 	c.inflight[fk] = f
 	c.mu.Unlock()
 
-	c.enter()
-	res, rep, err := c.execute(fk.key, observe)
-	c.leave()
-	f.out = Outcome{Key: fk.key, Obs: rep, Err: err}
-	if err == nil {
-		f.out.Summary = res.Summary
+	hit := false
+	if lookup != nil {
+		f.out, hit = lookup()
 	}
-	if keep != nil {
-		keep(f.out)
+	if !hit {
+		c.enter()
+		res, rep, err := c.execute(fk.key, observe)
+		c.leave()
+		f.out = Outcome{Key: fk.key, Obs: rep, Err: err}
+		if err == nil {
+			f.out.Summary = res.Summary
+		}
+		if keep != nil {
+			keep(f.out)
+		}
 	}
 
 	c.mu.Lock()
 	delete(c.inflight, fk)
 	c.mu.Unlock()
 	close(f.done)
-	c.logOutcome(f.out)
+	if !hit {
+		c.logOutcome(f.out)
+	}
 	return f.out
 }
 

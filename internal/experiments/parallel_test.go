@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -214,8 +215,8 @@ func TestComputeRetainsNothing(t *testing.T) {
 	c.Tune = func(*core.Config) { executions++ }
 	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: "t0"}
 
-	a := c.Compute(k, false, nil)
-	b := c.Compute(k, false, nil)
+	a := c.Compute(k, false, nil, nil)
+	b := c.Compute(k, false, nil, nil)
 	if executions != 2 || c.numResults() != 0 {
 		t.Fatalf("two Computes: %d executions, %d results retained; want 2 and 0", executions, c.numResults())
 	}
@@ -264,7 +265,7 @@ func TestComputeSharesOneFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started.Done()
-			out := c.Compute(k, false, func(out Outcome) {
+			out := c.Compute(k, false, nil, func(out Outcome) {
 				keeps++
 				kept = &out
 			})
@@ -276,6 +277,52 @@ func TestComputeSharesOneFlight(t *testing.T) {
 	wg.Wait()
 	if executions != 1 || keeps != 1 {
 		t.Fatalf("%d concurrent Computes: %d executions, %d keeps; want 1 and 1", callers, executions, keeps)
+	}
+}
+
+// TestComputeLookupHitExecutesNothing: the call that takes a flight asks
+// lookup first. A hit is the outcome of every caller of that flight —
+// nothing executes, keep does not run, nothing is logged — and a miss
+// executes as before. The callers are on their way in before the lookup
+// answers; one that arrives after the flight has ended asks lookup
+// itself, so every caller gets the hit either way. Run with -race.
+func TestComputeLookupHitExecutesNothing(t *testing.T) {
+	const callers = 8
+	c := NewCampaign(tinyScale())
+	executions, keeps, logged := 0, 0, 0
+	c.Tune = func(*core.Config) { executions++ }
+	c.Log = func(string) { logged++ }
+	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}
+	cached := Outcome{Key: k, Err: errors.New("cached elsewhere")}
+
+	var started sync.WaitGroup
+	started.Add(callers)
+	hit := func() (Outcome, bool) {
+		started.Wait()
+		return cached, true
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			started.Done()
+			if out := c.Compute(k, false, hit, func(Outcome) { keeps++ }); out.Err != cached.Err {
+				t.Errorf("caller %d got %+v, want the lookup's outcome", i, out)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if executions != 0 || keeps != 0 || logged != 0 {
+		t.Fatalf("a lookup hit: %d executions, %d keeps, %d log lines; want none", executions, keeps, logged)
+	}
+
+	miss := func() (Outcome, bool) { return Outcome{}, false }
+	if out := c.Compute(k, false, miss, func(Outcome) { keeps++ }); out.Err != nil || executions != 1 || keeps != 1 || logged != 1 {
+		t.Fatalf("a lookup miss: err %v, %d executions, %d keeps, %d log lines; want 1 each", out.Err, executions, keeps, logged)
+	}
+	if len(c.inflight) != 0 {
+		t.Fatalf("%d flights left behind", len(c.inflight))
 	}
 }
 
@@ -296,8 +343,8 @@ func TestComputeObserveIsPerCall(t *testing.T) {
 	var plain, observed Outcome
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); plain = c.Compute(k, false, nil) }()
-	go func() { defer wg.Done(); observed = c.Compute(k, true, nil) }()
+	go func() { defer wg.Done(); plain = c.Compute(k, false, nil, nil) }()
+	go func() { defer wg.Done(); observed = c.Compute(k, true, nil, nil) }()
 	for i := 0; i < 2; i++ {
 		select {
 		case <-arrived:

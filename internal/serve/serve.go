@@ -20,7 +20,7 @@
 // round-robins across tenants (see sched.go). Past the per-tenant
 // admission cap the server answers 429; during a drain, 503; past the
 // request timeout, 504 — but the computation keeps running so the cache
-// is warm for the retry.
+// is warm for the retry; to a body over maxBodyBytes, 413.
 package serve
 
 import (
@@ -32,10 +32,14 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // Schema versions the response layout; bump on breaking shape changes
@@ -174,8 +178,11 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // execTask serves one cell on a scheduler worker: from the store, or by
-// computing it. The write-back runs inside the campaign's flight, so a
-// request that finds no flight to join finds the entry.
+// computing it. The write-back runs inside the campaign's flight, and a
+// call that takes a flight looks in the store once more before it
+// executes, so a request that misses while an identical one is between
+// its write-back and the end of its flight finds the entry rather than
+// computing it again.
 func (s *Server) execTask(t *task) {
 	scope := Scope{Scale: s.cfg.ScaleName, Observed: t.observed}
 	t.row = Row{Label: t.key.Label(), Digest: t.key.Digest(), Cached: true, Source: s.store.tier}
@@ -183,7 +190,18 @@ func (s *Server) execTask(t *task) {
 	s.logErr(err)
 	if !have {
 		t.row.Cached, t.row.Source = false, "computed"
-		out := s.camp.Compute(t.key, t.observed, func(out experiments.Outcome) {
+		lookup := func() (out experiments.Outcome, hit bool) {
+			e, hit, err = s.store.Get(scope, t.key)
+			s.logErr(err)
+			if hit {
+				out, hit = outcomeOf(t.key, e)
+			}
+			if have = hit; hit {
+				t.row.Cached, t.row.Source = true, s.store.tier
+			}
+			return out, hit
+		}
+		out := s.camp.Compute(t.key, t.observed, lookup, func(out experiments.Outcome) {
 			if e, have = entryOf(out); have {
 				s.logErr(s.store.Put(scope, t.key, e))
 			}
@@ -213,6 +231,27 @@ func entryOf(out experiments.Outcome) (e Entry, ok bool) {
 		}
 	}
 	return e, true
+}
+
+// outcomeOf decodes a cached payload into the outcome entryOf encodes it
+// from, for the requests that share a flight whose lookup hit. ok is
+// false for percentiles that are not an obs.Report.
+func outcomeOf(k experiments.Key, e Entry) (out experiments.Outcome, ok bool) {
+	out.Key = k
+	if e.Error != "" {
+		out.Err = errors.New(e.Error)
+	} else if sum, err := metrics.ParseSummary(e.Summary); err != nil {
+		return out, false
+	} else {
+		out.Summary = sum
+	}
+	if len(e.Percentiles) > 0 {
+		out.Obs = new(obs.Report)
+		if err := json.Unmarshal(e.Percentiles, out.Obs); err != nil {
+			return out, false
+		}
+	}
+	return out, true
 }
 
 // logErr reports a cache anomaly; the request goes on without the cache.
@@ -266,7 +305,9 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []exper
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(encodeResponse(resp))
 }
 
 // handleHealth answers liveness probes.
@@ -286,9 +327,8 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	k, err := experiments.ParseKey(body)
@@ -312,9 +352,8 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var req cellsRequest
@@ -357,16 +396,90 @@ func observeParam(r *http.Request) bool {
 // hundred bytes, so a megabyte is generous for any sane batch.
 const maxBodyBytes = 1 << 20
 
-// readBody drains a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readBody drains a bounded request body, or answers the request: 413
+// past maxBodyBytes, 400 for an empty or unreadable body.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		return nil, fmt.Errorf("read request body: %w", err)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "read request body: "+err.Error())
+	case len(body) == 0:
+		writeError(w, http.StatusBadRequest, "empty request body")
+	default:
+		return body, true
 	}
-	if len(body) == 0 {
-		return nil, errors.New("empty request body")
+	return nil, false
+}
+
+// encodeResponse renders resp as json.Marshal does, plus a newline — the
+// bytes writeJSON would write, which FuzzResponseEncoding pins — into
+// one buffer sized up front. Summary and Percentiles are spliced as they
+// are, where json.Marshal would re-scan them to compact them: every
+// payload a Server serves is already compact, canonical or cached by Put
+// from a canonical encoding.
+func encodeResponse(resp Response) []byte {
+	n := len(`{"schema":"","scale":"","rows":[]}`+"\n") + len(resp.Schema) + len(resp.Scale)
+	for _, r := range resp.Rows {
+		n += len(`{"label":"","digest":"","cached":false,"source":"","error":"","summary":,"percentiles":},`) +
+			len(r.Label) + len(r.Digest) + len(r.Source) + len(r.Error) + len(r.Summary) + len(r.Percentiles)
 	}
-	return body, nil
+	b := make([]byte, 0, n)
+	b = append(b, `{"schema":`...)
+	b = appendString(b, resp.Schema)
+	b = append(b, `,"scale":`...)
+	b = appendString(b, resp.Scale)
+	b = append(b, `,"rows":`...)
+	if resp.Rows == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, r := range resp.Rows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"label":`...)
+			b = appendString(b, r.Label)
+			b = append(b, `,"digest":`...)
+			b = appendString(b, r.Digest)
+			b = append(b, `,"cached":`...)
+			b = strconv.AppendBool(b, r.Cached)
+			b = append(b, `,"source":`...)
+			b = appendString(b, r.Source)
+			if r.Error != "" {
+				b = append(b, `,"error":`...)
+				b = appendString(b, r.Error)
+			}
+			if len(r.Summary) > 0 {
+				b = append(b, `,"summary":`...)
+				b = append(b, r.Summary...)
+			}
+			if len(r.Percentiles) > 0 {
+				b = append(b, `,"percentiles":`...)
+				b = append(b, r.Percentiles...)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...)
+}
+
+// appendString appends s quoted as encoding/json quotes it. A string
+// that needs no escape — every digest, source, scale and label — is
+// copied; any other goes through json.Marshal.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // writeJSON marshals v as the response body.

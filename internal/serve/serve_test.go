@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // tinyScale is a deliberately minuscule campaign scale so service tests
@@ -83,7 +84,7 @@ func storeLen(st *Store, sc Scope) int {
 		return n
 	}
 	filepath.WalkDir(filepath.Join(st.root, entryVersion, sc.dir()), func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".entry") {
 			n++
 		}
 		return nil
@@ -430,6 +431,8 @@ func TestRequestValidation(t *testing.T) {
 		{"batch bad cell", http.MethodPost, "/v1/cells", `{"cells":[{"dataset":"astro"}]}`, http.StatusBadRequest},
 		// One cell more than TenantLimit: a 429 here could never clear.
 		{"batch over limit", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + strings.Repeat(","+cellBody, 32) + `]}`, http.StatusBadRequest},
+		{"oversized body", http.MethodPost, "/v1/cell", strings.Repeat(" ", maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"batch oversized body", http.MethodPost, "/v1/cells", strings.Repeat(" ", maxBodyBytes+1), http.StatusRequestEntityTooLarge},
 		{"health ok", http.MethodGet, "/healthz", "", http.StatusOK},
 		{"health method", http.MethodPost, "/healthz", "", http.StatusMethodNotAllowed},
 	}
@@ -478,5 +481,105 @@ func TestTimeoutWarmsCacheAnyway(t *testing.T) {
 			t.Fatal("timed-out computation never reached the cache")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// encodingCases are responses whose strings exercise every escape
+// encoding/json applies, and whose shapes cover a miss, percentiles, an
+// error row and a batch.
+func encodingCases(t *testing.T) map[string]Response {
+	t.Helper()
+	sum := testSummary(t)
+	pct, err := json.Marshal(obs.Report{Events: 7, Bytes: 280, Hash: 1<<63 + 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := Row{Label: "astro/sparse/ondemand/8", Digest: strings.Repeat("ab", 32), Cached: true, Source: "disk", Summary: sum}
+	failed := func(label, errText string) Row {
+		return Row{Label: label, Digest: hit.Digest, Source: "computed", Error: errText}
+	}
+	one := func(label, errText string) Response {
+		return Response{Schema: Schema, Scale: "small", Rows: []Row{failed(label, errText)}}
+	}
+	observed := hit
+	observed.Percentiles = pct
+	miss := hit
+	miss.Cached, miss.Source = false, "computed"
+	return map[string]Response{
+		"hit":                   {Schema: Schema, Scale: "small", Rows: []Row{hit}},
+		"cached false":          {Schema: Schema, Scale: "small", Rows: []Row{miss}},
+		"percentiles":           {Schema: Schema, Scale: "small", Rows: []Row{observed}},
+		"three rows":            {Schema: Schema, Scale: "small", Rows: []Row{hit, failed("thermal/dense/static/2", "out of memory"), observed}},
+		"no rows":               {Schema: Schema, Scale: "small", Rows: []Row{}},
+		"nil rows":              {Schema: Schema, Scale: "small"},
+		"html":                  one(`<script>a && b</script>`, `x<y>z&w`),
+		"quote and backslash":   one(`say "hi"`, `C:\dir\"file"`),
+		"control bytes":         one("\x00\x01\x07\x1f\x7f", "\b\f\n\r\t\v"),
+		"line separators":       one("a\u2028b", "c\u2029d"),
+		"non-ASCII":             one("Zürich — 東京", "🚀 \ufffd é"),
+		"invalid UTF-8":         one("a\xffb\xc3(", "\xed\xa0\x80 \xf4\x90\x80\x80 \xe2\x80"),
+		"empty label and error": one("", ""),
+	}
+}
+
+// TestResponseEncoding pins encodeResponse to encoding/json: each case's
+// body is json.Marshal(resp) and a newline, byte for byte.
+func TestResponseEncoding(t *testing.T) {
+	for name, resp := range encodingCases(t) {
+		t.Run(name, func(t *testing.T) {
+			want, err := json.Marshal(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := encodeResponse(resp); !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("encodeResponse differs from encoding/json:\n got %q\nwant %q", got, want)
+			}
+		})
+	}
+}
+
+// FuzzResponseEncoding holds encodeResponse to json.Marshal+"\n" for
+// any label and error text, in a two-row batch with both payloads.
+func FuzzResponseEncoding(f *testing.F) {
+	for _, s := range []string{"astro/sparse/ondemand/8", `<>&"\`, "\x00\x1f\x7f\n\t", "\u2028\u2029", "東京 🚀", "\xff\xc3(\xed\xa0\x80"} {
+		f.Add(s, s)
+	}
+	f.Fuzz(func(t *testing.T, label, errText string) {
+		row := Row{Label: label, Digest: label, Cached: true, Source: "memory", Error: errText,
+			Summary: json.RawMessage(`{"NumProcs":8}`), Percentiles: json.RawMessage(`{"events":1}`)}
+		resp := Response{Schema: Schema, Scale: label, Rows: []Row{row, {Label: errText, Source: "computed"}}}
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encodeResponse(resp); !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("encodeResponse differs from encoding/json:\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// TestOutcomeOfInvertsEntryOf: the outcome a flight whose lookup hit
+// hands the requests sharing it encodes back to the cached payload, byte
+// for byte; percentiles that are not a report are no outcome.
+func TestOutcomeOfInvertsEntryOf(t *testing.T) {
+	k := testKey(t)
+	pct, err := json.Marshal(obs.Report{Events: 3, Bytes: 120, Hash: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]Entry{
+		"summary":        {Summary: testSummary(t)},
+		"error":          {Error: "out of memory"},
+		"observed":       {Summary: testSummary(t), Percentiles: pct},
+		"observed error": {Error: "out of memory", Percentiles: pct},
+	} {
+		out, ok := outcomeOf(k, e)
+		back, _ := entryOf(out)
+		if !ok || !bytes.Equal(back.Summary, e.Summary) || back.Error != e.Error || !bytes.Equal(back.Percentiles, e.Percentiles) {
+			t.Errorf("%s: entryOf(outcomeOf(e)) = %+v (ok %v), want %+v", name, back, ok, e)
+		}
+	}
+	if _, ok := outcomeOf(k, Entry{Summary: testSummary(t), Percentiles: json.RawMessage(`[1]`)}); ok {
+		t.Error("percentiles that are not a report decoded")
 	}
 }

@@ -6,11 +6,21 @@
 // encoding, DESIGN.md §14). A Store keeps entries on one of two media,
 // fixed when it is built. The directory medium is a plain tree —
 //
-//	<root>/<entryVersion>/<scope>/<digest[:2]>/<digest>.json
+//	<root>/<entryVersion>/<scope>/<digest[:2]>/<digest>.entry
 //
-// — with one JSON Entry per cell, written atomically (temp file +
+// — with one entry file per cell, written atomically (temp file +
 // rename) so a crashed or concurrent writer can never leave a torn
-// entry behind. The memory medium is a map under the same addresses
+// entry behind. An entry file is framed, not a JSON document:
+//
+//	cell.v2 <scope> <canonical key>\n
+//	<s> <e> <p>\n
+//	<summary><error><percentiles>
+//
+// The head line is everything the address stands for. The frame line
+// gives the byte lengths of the three payload values after it, each
+// exactly what a response splices: the canonical summary or the
+// JSON-quoted error (one of them empty), and the percentile block in
+// observed scopes. The memory medium is a map under the same addresses
 // that holds at most a fixed number of payload bytes and drops the
 // oldest entry first. Scope separates cache populations that are NOT
 // byte-comparable even for equal keys: the scale (different problem
@@ -19,29 +29,34 @@
 // TraceEvents/TraceBytes meta-counters, which do land in the Summary).
 //
 // Both media hold only what Put has validated. Directory reads are
-// paranoid besides: an entry that fails to parse, carries the wrong
-// version or scope, or whose embedded key does not digest to its own
-// address is treated as a cache miss, never served. Corruption — like
-// eviction — can cost a recompute; it can never serve the wrong cell.
+// paranoid besides: a file whose head is not the one Put writes for the
+// requested scope and key (another version, scope or cell), whose length
+// disagrees with its frame (cut or extended at any byte), or whose
+// payload Put would refuse is a cache miss, never served. Corruption —
+// like eviction — can cost a recompute; it can never serve the wrong
+// cell.
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
 
-// entryVersion names the on-disk cache entry layout. It must change
-// whenever the entry schema, the key codec (experiments.KeyCodecVersion)
-// or the summary codec (metrics.SummaryCodecVersion) changes; because it
-// is a path component, a bump atomically orphans — rather than corrupts
-// — every entry written under the old rules.
-const entryVersion = "cell.v1"
+// entryVersion names the on-disk cache entry layout and opens every
+// entry's head. It must change whenever the entry layout, the key codec
+// (experiments.KeyCodecVersion) or the summary codec
+// (metrics.SummaryCodecVersion) changes; because it is a path component,
+// a bump atomically orphans — rather than corrupts — every entry written
+// under the old rules.
+const entryVersion = "cell.v2"
 
 // Scope names one cache population: entries are only byte-comparable
 // within a (scale, observed) pair.
@@ -64,44 +79,31 @@ func (sc Scope) dir() string {
 	return sc.Scale
 }
 
-// Entry is one cached cell outcome. Exactly one of Summary and Error is
-// set, mirroring experiments.Outcome: deterministic failures (the
-// static-allocation OOM, static's typed fault refusal) are results too,
-// and caching them makes repeat failures as free as repeat successes.
+// Entry is one cached cell outcome: the payload alone, since the
+// version, the scope and the key are its address. Exactly one of Summary
+// and Error is set, mirroring experiments.Outcome: deterministic
+// failures (the static-allocation OOM, static's typed fault refusal) are
+// results too, and caching them makes repeat failures as free as repeat
+// successes.
 type Entry struct {
-	// V is entryVersion at write time.
-	V string `json:"v"`
-	// Scale and Observed echo the scope for self-description and are
-	// verified on read.
-	Scale    string `json:"scale"`
-	Observed bool   `json:"observed,omitempty"`
-	// Key is the cell's canonical key encoding — the preimage of the
-	// entry's address, re-verified on read.
-	Key json.RawMessage `json:"key"`
 	// Summary is the canonical metrics.Summary encoding
 	// (metrics.CanonicalJSON). Responses splice these bytes verbatim,
 	// which is what makes a cache hit byte-identical to the fresh
 	// computation.
-	Summary json.RawMessage `json:"summary,omitempty"`
+	Summary json.RawMessage
 	// Percentiles is the cell's obs.Report block, present only in
 	// observed scopes.
-	Percentiles json.RawMessage `json:"percentiles,omitempty"`
+	Percentiles json.RawMessage
 	// Error is the deterministic failure text for cells that cannot
 	// complete (e.g. the paper's Figure 13 OOM).
-	Error string `json:"error,omitempty"`
+	Error string
 }
 
-// valid reports whether the entry is well-formed for scope sc and
-// addressed by digest.
-func (e *Entry) valid(sc Scope, digest string) bool {
-	if e.V != entryVersion || e.Scale != sc.Scale || e.Observed != sc.Observed {
-		return false
-	}
+// valid reports whether Put accepts e: exactly one of summary and
+// error, a summary the strict metrics.ParseSummary decodes, and
+// percentiles that are JSON.
+func (e *Entry) valid() bool {
 	if (len(e.Summary) == 0) == (e.Error == "") {
-		return false // exactly one of summary/error
-	}
-	k, err := experiments.ParseKey(e.Key)
-	if err != nil || k.Digest() != digest {
 		return false
 	}
 	if len(e.Summary) > 0 {
@@ -109,7 +111,92 @@ func (e *Entry) valid(sc Scope, digest string) bool {
 			return false
 		}
 	}
-	return true
+	return len(e.Percentiles) == 0 || json.Valid(e.Percentiles)
+}
+
+// head renders the first line of k's entry file in scope sc: the layout
+// version, the scope and the canonical key. Put writes it and Get
+// compares it, so one comparison proves a file holds the entry asked
+// for.
+func head(sc Scope, k experiments.Key) []byte {
+	key, dir := k.CanonicalJSON(), sc.dir()
+	h := make([]byte, 0, len(entryVersion)+len(dir)+len(key)+3)
+	h = append(h, entryVersion+" "...)
+	h = append(h, dir...)
+	h = append(h, ' ')
+	h = append(h, key...)
+	return append(h, '\n')
+}
+
+// encodeEntry appends e's frame line and payload values to its head.
+func encodeEntry(head []byte, e Entry) []byte {
+	var quoted []byte
+	if e.Error != "" {
+		quoted = appendString(nil, e.Error)
+	}
+	b := strconv.AppendInt(head, int64(len(e.Summary)), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(quoted)), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(e.Percentiles)), 10)
+	b = append(b, '\n')
+	b = append(b, e.Summary...)
+	b = append(b, quoted...)
+	return append(b, e.Percentiles...)
+}
+
+// decodeEntry reads an entry file that must open with head. Its payload
+// values alias data.
+func decodeEntry(data, head []byte) (Entry, bool) {
+	rest, ok := bytes.CutPrefix(data, head)
+	if !ok {
+		return Entry{}, false
+	}
+	frame, rest, ok := bytes.Cut(rest, []byte{'\n'})
+	if !ok {
+		return Entry{}, false
+	}
+	n, ok := parseFrame(frame, len(rest))
+	if !ok || n[0]+n[1]+n[2] != len(rest) {
+		return Entry{}, false
+	}
+	var v [3][]byte
+	for i, l := range n {
+		if l > 0 {
+			v[i] = rest[:l:l]
+		}
+		rest = rest[l:]
+	}
+	e := Entry{Summary: v[0], Percentiles: v[2]}
+	if v[1] != nil && (json.Unmarshal(v[1], &e.Error) != nil || e.Error == "") {
+		return Entry{}, false
+	}
+	if !e.valid() {
+		return Entry{}, false
+	}
+	return e, true
+}
+
+// parseFrame reads a frame line: three decimal lengths, each at most
+// limit, separated by single spaces. Signs, empty or extra fields and
+// any other byte are not a frame.
+func parseFrame(line []byte, limit int) (n [3]int, ok bool) {
+	f, digits := 0, 0
+	for _, c := range line {
+		switch {
+		case c == ' ' && digits > 0 && f < len(n)-1:
+			f, digits = f+1, 0
+		case '0' <= c && c <= '9':
+			n[f] = n[f]*10 + int(c-'0')
+			digits++
+			if n[f] > limit {
+				return n, false
+			}
+		default:
+			return n, false
+		}
+	}
+	return n, f == len(n)-1 && digits > 0
 }
 
 // Store is the result cache, on the medium its constructor chose: a
@@ -121,10 +208,8 @@ type Store struct {
 	tier string // what Row.Source calls a hit: "disk" or "memory"
 	root string // the directory medium's root
 
-	// The memory medium: payloads (Summary, Percentiles, Error — the
-	// address already encodes the version, the scope and the key) in
-	// mem, their addresses oldest first in order, size payload bytes in
-	// all and never more than limit.
+	// The memory medium: payloads in mem, their addresses oldest first
+	// in order, size payload bytes in all and never more than limit.
 	mu          sync.RWMutex
 	mem         map[memAddr]Entry
 	order       []memAddr
@@ -156,14 +241,15 @@ func newMemStore(limit int) *Store {
 
 // path maps an address to its entry file.
 func (st *Store) path(sc Scope, digest string) string {
-	return filepath.Join(st.root, entryVersion, sc.dir(), digest[:2], digest+".json")
+	return filepath.Join(st.root, entryVersion, sc.dir(), digest[:2], digest+".entry")
 }
 
 // Get looks up the cached outcome of k in scope sc. Missing, evicted,
-// torn, stale-versioned and tampered entries all report a miss; the only
-// error condition is an I/O failure other than non-existence. The memory
-// medium returns the payload fields alone, and shares their bytes with
-// every other hit: do not modify them.
+// torn, stale-versioned, misplaced and tampered entries all report a
+// miss; the only error condition is an I/O failure other than
+// non-existence. Both media return the payload alone; its bytes are
+// shared — with every other hit on the memory medium — so do not modify
+// them.
 func (st *Store) Get(sc Scope, k experiments.Key) (Entry, bool, error) {
 	digest := k.Digest()
 	if st.mem != nil {
@@ -179,39 +265,25 @@ func (st *Store) Get(sc Scope, k experiments.Key) (Entry, bool, error) {
 		}
 		return Entry{}, false, fmt.Errorf("serve: cache read: %w", err)
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return Entry{}, false, nil // torn or foreign file: a miss, not a failure
-	}
-	if !e.valid(sc, digest) {
-		return Entry{}, false, nil
-	}
-	return e, true, nil
+	e, ok := decodeEntry(data, head(sc, k))
+	return e, ok, nil
 }
 
-// Put caches the outcome of k in scope sc. The entry's V, Scale,
-// Observed and Key fields are filled in by Put; callers supply only the
-// payload (Summary or Error, plus Percentiles in observed scopes), and
-// leave its bytes alone afterwards — the memory medium keeps them.
-// A directory write is atomic: concurrent Puts of the same
-// (deterministic) outcome are harmless last-writer-wins renames.
+// Put caches the outcome of k in scope sc: the payload (Summary or
+// Error, plus Percentiles in observed scopes), whose bytes the caller
+// leaves alone afterwards — the memory medium keeps them. A directory
+// write is atomic: concurrent Puts of the same (deterministic) outcome
+// are harmless last-writer-wins renames.
 func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
-	e.V = entryVersion
-	e.Scale = sc.Scale
-	e.Observed = sc.Observed
-	e.Key = k.CanonicalJSON()
-	digest := k.Digest()
-	if !e.valid(sc, digest) {
-		return fmt.Errorf("serve: refusing to cache malformed entry for %s (need exactly one of summary/error)", k.Label())
+	if !e.valid() {
+		return fmt.Errorf("serve: refusing to cache malformed entry for %s (need exactly one of summary/error, a canonical summary and JSON percentiles)", k.Label())
 	}
+	digest := k.Digest()
 	if st.mem != nil {
-		st.putMem(memAddr{sc, digest}, Entry{Summary: e.Summary, Percentiles: e.Percentiles, Error: e.Error})
+		st.putMem(memAddr{sc, digest}, e)
 		return nil
 	}
-	data, err := json.Marshal(&e)
-	if err != nil {
-		return fmt.Errorf("serve: cache encode: %w", err)
-	}
+	data := encodeEntry(head(sc, k), e)
 	path := st.path(sc, digest)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("serve: cache write: %w", err)

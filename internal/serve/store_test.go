@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -11,10 +12,11 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // testKey is a valid campaign cell for store exercises.
-func testKey(t *testing.T) experiments.Key {
+func testKey(t testing.TB) experiments.Key {
 	t.Helper()
 	k, err := experiments.ParseKey([]byte(`{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":8}`))
 	if err != nil {
@@ -24,7 +26,7 @@ func testKey(t *testing.T) experiments.Key {
 }
 
 // testSummary is a canonical summary payload for store exercises.
-func testSummary(t *testing.T) []byte {
+func testSummary(t testing.TB) []byte {
 	t.Helper()
 	s := metrics.Summary{NumProcs: 8, WallClock: 1.5, Steps: 1234}
 	data, err := s.CanonicalJSON()
@@ -190,47 +192,143 @@ func TestMemStoreBound(t *testing.T) {
 	}
 }
 
-// TestStoreParanoidReads proves corruption costs a recompute, never a
-// wrong answer: torn, tampered and stale-versioned entries all read as
-// misses.
-func TestStoreParanoidReads(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
+// paranoidStore is a directory Store and the entry files Put writes into
+// it for testKey: a plain summary, an error, and an observed summary with
+// percentiles.
+type paranoidStore struct {
+	*Store
+	key                     experiments.Key
+	plain, failed, observed []byte
+}
+
+// plainScope and observedScope are the two populations of one scale.
+var plainScope, observedScope = Scope{Scale: "small"}, Scope{Scale: "small", Observed: true}
+
+func newParanoidStore(t testing.TB) *paranoidStore {
+	t.Helper()
+	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	k := testKey(t)
-	sc := Scope{Scale: "small"}
-	corrupt := func(t *testing.T, mutate func([]byte) []byte) {
-		t.Helper()
-		if err := st.Put(sc, k, Entry{Summary: testSummary(t)}); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		path := st.path(sc, k.Digest())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read entry: %v", err)
-		}
-		if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
-			t.Fatalf("rewrite entry: %v", err)
-		}
-		if _, ok, err := st.Get(sc, k); err != nil || ok {
-			t.Fatalf("Get on corrupted entry = ok=%v err=%v, want silent miss", ok, err)
-		}
+	ps := &paranoidStore{Store: st, key: testKey(t)}
+	pct, err := json.Marshal(obs.Report{Events: 12, Bytes: 480, Hash: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.plain = ps.written(t, plainScope, ps.key, Entry{Summary: testSummary(t)})
+	ps.failed = ps.written(t, plainScope, ps.key, Entry{Error: "out of memory: static allocation needs 3 GB"})
+	ps.observed = ps.written(t, observedScope, ps.key, Entry{Summary: testSummary(t), Percentiles: pct})
+	return ps
+}
+
+// written Puts e and returns the file it became.
+func (ps *paranoidStore) written(t testing.TB, sc Scope, k experiments.Key, e Entry) []byte {
+	t.Helper()
+	if err := ps.Put(sc, k, e); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	data, err := os.ReadFile(ps.path(sc, k.Digest()))
+	if err != nil {
+		t.Fatalf("read entry: %v", err)
+	}
+	return data
+}
+
+// plant writes data at the address of the store's key in scope sc and
+// reads it back through Get.
+func (ps *paranoidStore) plant(t testing.TB, sc Scope, data []byte) (Entry, bool, error) {
+	t.Helper()
+	if err := os.WriteFile(ps.path(sc, ps.key.Digest()), data, 0o644); err != nil {
+		t.Fatalf("plant entry: %v", err)
+	}
+	return ps.Get(sc, ps.key)
+}
+
+// TestStoreParanoidReads proves corruption costs a recompute, never a
+// wrong answer: torn (at any byte), tampered, stale-versioned, misplaced
+// and over-long entries all read as misses.
+func TestStoreParanoidReads(t *testing.T) {
+	ps := newParanoidStore(t)
+	other := ps.key
+	other.Procs = 16
+	foreign := ps.written(t, plainScope, other, Entry{Summary: testSummary(t)})
+	sum := testSummary(t)
+	unknownField := append(sum[:len(sum)-1:len(sum)-1], `,"Unknown":1}`...)
+	entryHead := head(plainScope, ps.key)
+
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"torn write", ps.plain[:len(ps.plain)/2]},
+		{"version skew", bytes.Replace(ps.plain, []byte(entryVersion), []byte("cell.v0"), 1)},
+		// The stored key no longer is the requested one.
+		{"tampered key", bytes.Replace(ps.plain, []byte(`"procs":8`), []byte(`"procs":16`), 1)},
+		{"foreign file", []byte("not an entry at all")},
+		{"scope skew", ps.observed},
+		{"another cell's entry", foreign},
+		{"appended bytes", append(ps.plain[:len(ps.plain):len(ps.plain)], '\n')},
+		{"summary and error", encodeEntry(entryHead, Entry{Summary: sum, Error: "out of memory"})},
+		{"unknown summary field", encodeEntry(entryHead, Entry{Summary: unknownField})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if bytes.Equal(tc.data, ps.plain) {
+				t.Fatal("the corruption changed nothing")
+			}
+			if _, ok, err := ps.plant(t, plainScope, tc.data); err != nil || ok {
+				t.Fatalf("Get on corrupted entry = ok=%v err=%v, want silent miss", ok, err)
+			}
+		})
 	}
 
-	t.Run("torn write", func(t *testing.T) {
-		corrupt(t, func(d []byte) []byte { return d[:len(d)/2] })
+	// An observed entry with percentiles, a plain summary entry and an
+	// error entry, each cut at every byte offset: the frame makes every
+	// cut detectable, the one right after a complete summary included.
+	t.Run("torn at every byte", func(t *testing.T) {
+		for _, whole := range []struct {
+			sc   Scope
+			data []byte
+		}{{observedScope, ps.observed}, {plainScope, ps.plain}, {plainScope, ps.failed}} {
+			if _, ok, err := ps.plant(t, whole.sc, whole.data); err != nil || !ok {
+				t.Fatalf("the whole %s entry: ok=%v err=%v, want a hit", whole.sc.dir(), ok, err)
+			}
+			for cut := range len(whole.data) {
+				if _, ok, err := ps.plant(t, whole.sc, whole.data[:cut]); err != nil || ok {
+					t.Fatalf("%s entry cut at byte %d of %d: ok=%v err=%v, want silent miss", whole.sc.dir(), cut, len(whole.data), ok, err)
+				}
+			}
+		}
 	})
-	t.Run("version skew", func(t *testing.T) {
-		corrupt(t, func(d []byte) []byte { return bytes.Replace(d, []byte("cell.v1"), []byte("cell.v0"), 1) })
-	})
-	t.Run("tampered key", func(t *testing.T) {
-		// The stored key no longer digests to the entry's address.
-		corrupt(t, func(d []byte) []byte { return bytes.Replace(d, []byte(`"procs":8`), []byte(`"procs":16`), 1) })
-	})
-	t.Run("foreign file", func(t *testing.T) {
-		corrupt(t, func([]byte) []byte { return []byte("not json at all") })
+}
+
+// FuzzStoreEntry plants arbitrary bytes at an entry's address. Get never
+// panics or fails on them, and a hit is a fixed point: Put of what Get
+// returned, then Get, returns the same payload bytes.
+func FuzzStoreEntry(f *testing.F) {
+	ps := newParanoidStore(f)
+	f.Add(ps.plain, false)
+	f.Add(ps.failed, false)
+	f.Add(ps.observed, true)
+	f.Fuzz(func(t *testing.T, data []byte, observed bool) {
+		sc := Scope{Scale: "small", Observed: observed}
+		e, ok, err := ps.plant(t, sc, data)
+		if err != nil {
+			t.Fatalf("Get on planted bytes: %v", err)
+		}
+		if !ok {
+			return
+		}
+		if err := ps.Put(sc, ps.key, e); err != nil {
+			t.Fatalf("Put of a hit: %v", err)
+		}
+		again, ok, err := ps.Get(sc, ps.key)
+		if err != nil || !ok {
+			t.Fatalf("Get after re-Put: ok=%v err=%v", ok, err)
+		}
+		if !bytes.Equal(again.Summary, e.Summary) || again.Error != e.Error || !bytes.Equal(again.Percentiles, e.Percentiles) {
+			t.Fatalf("a hit is not a fixed point:\n got %+v\nwant %+v", again, e)
+		}
 	})
 }
 
@@ -250,7 +348,7 @@ func TestStoreLeavesNoTempDroppings(t *testing.T) {
 		}
 	}
 	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(path) != ".json" {
+		if err == nil && !d.IsDir() && filepath.Ext(path) != ".entry" {
 			t.Errorf("stray non-entry file %s", path)
 		}
 		return nil
