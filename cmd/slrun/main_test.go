@@ -55,6 +55,10 @@ func TestRunBadFlags(t *testing.T) {
 		{"-scale", "bogus"},
 		{"-procs", "0"},
 		{"-procs", "8,oops"},
+		// Over the processor bound: a usage error, not an out-of-memory
+		// crash.
+		{"-procs", "200000000"},
+		{"-procs", "8,200000000"},
 		{"-nosuchflag"},
 		// Bad experiment names are usage errors on the single-run AND
 		// sweep paths, never per-cell simulation failures.

@@ -7,9 +7,8 @@
 //	go vet -vettool=/tmp/slvet ./...
 //	go vet -vettool=/tmp/slvet -a detlint,simtime ./internal/core
 //
-// It runs four analyzers — detlint, simtime, keyaxis, metriccol — which
-// honor //lint:allow annotations. Exit status 0 means the unit proves
-// the contract; slvet does not load packages itself.
+// It runs two analyzers, detlint and simtime. Exit status 0 means the
+// unit proves the contract; slvet does not load packages itself.
 package main
 
 import (

@@ -20,8 +20,9 @@
 // The determinism contract itself is proved at compile time by slvet
 // (cmd/slvet, internal/invlint), a go/analysis-style linter that runs
 // under go vet -vettool and flags wall-clock reads, global rand,
-// order-sensitive map iteration, host-time blocking in simulated code,
-// half-wired experiment axes and invisible metrics counters.
+// order-sensitive map iteration and host-time blocking in simulated
+// code; reflect-driven tests hold every experiment axis and metrics
+// counter wired.
 //
 // See README.md for a tour and DESIGN.md for the system inventory,
 // substitutions, design-choice notes, the work-stealing scheme

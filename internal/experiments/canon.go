@@ -21,11 +21,11 @@
 //     the field set or normalization rules must bump it so persistent
 //     caches cannot serve entries written under other rules.
 //
-// The slvet keyaxis analyzer holds CanonicalJSON and ParseKey to the
-// same contract as the label renderer and the sweep enumerator: the
-// encoder must read every Key field and the decoder must set every Key
-// field, so adding an axis without wiring it through the wire format is
-// a build failure (DESIGN.md §10, §14).
+// TestKeyFieldIdentity holds CanonicalJSON and ParseKey to the same
+// contract as the label renderer and the sweep enumerator: two keys that
+// differ in any one field encode apart and each decodes back to itself,
+// so an axis added without wiring it through the wire format fails a
+// test (DESIGN.md §10, §14).
 package experiments
 
 import (
@@ -64,10 +64,26 @@ type keyWire struct {
 	Faults    string `json:"faults,omitempty"`
 }
 
+// maxProcs bounds a cell's processor count. Every scale's sweep stays
+// at or under 512; a count far above it would only ask the machine
+// model for more memory than the host has, an unrecoverable fault.
+const maxProcs = 4096
+
+// procsError is Validate's refusal of a processor count outside
+// [1, maxProcs].
+type procsError struct{ procs int }
+
+func (e *procsError) Error() string {
+	if e.procs < 1 {
+		return fmt.Sprintf("experiments: need at least 1 processor, got %d", e.procs)
+	}
+	return fmt.Sprintf("experiments: %d processors is over the limit of %d", e.procs, maxProcs)
+}
+
 // Validate rejects keys that do not name a real campaign cell: unknown
-// datasets, seedings, algorithms, axis spellings, or a non-positive
-// processor count. Alias spellings of the zero axes ("off", "t0") are
-// valid — normalization, not validation, is their job.
+// datasets, seedings, algorithms, axis spellings, or a processor count
+// outside [1, maxProcs]. Alias spellings of the zero axes ("off", "t0")
+// are valid — normalization, not validation, is their job.
 func (k Key) Validate() error {
 	if !slices.Contains(datasets(), k.Dataset) {
 		return fmt.Errorf("experiments: unknown dataset %q (valid: astro, fusion, thermal)", k.Dataset)
@@ -78,8 +94,8 @@ func (k Key) Validate() error {
 	if !slices.Contains(core.Algorithms(), k.Alg) {
 		return fmt.Errorf("experiments: unknown algorithm %q (valid: static, ondemand, hybrid, stealing)", k.Alg)
 	}
-	if k.Procs < 1 {
-		return fmt.Errorf("experiments: need at least 1 processor, got %d", k.Procs)
+	if k.Procs < 1 || k.Procs > maxProcs {
+		return &procsError{k.Procs}
 	}
 	if err := k.Prefetch.Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -61,7 +62,8 @@ func TestKeyAliasesShareOneDigest(t *testing.T) {
 // TestParseKeyRejects enumerates the network-input failure modes the
 // strict decoder must catch: unknown axis values (which pre-ParseKey
 // would have half-run as their nearest real axis), unknown fields,
-// version skew, trailing data, and non-positive processor counts.
+// version skew, trailing data, and processor counts outside
+// [1, maxProcs].
 func TestParseKeyRejects(t *testing.T) {
 	cases := []struct {
 		name, in, wantErr string
@@ -71,6 +73,10 @@ func TestParseKeyRejects(t *testing.T) {
 		{"unknown algorithm", `{"dataset":"astro","seeding":"sparse","alg":"magic","procs":8}`, "unknown algorithm"},
 		{"zero procs", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":0}`, "at least 1 processor"},
 		{"negative procs", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":-4}`, "at least 1 processor"},
+		// A count the host cannot allocate a machine for is refused here,
+		// never run out of memory.
+		{"procs over the limit", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":4097}`, "over the limit of 4096"},
+		{"hostile procs", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":200000000}`, "over the limit"},
 		{"bad prefetch", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8,"prefetch":"psychic"}`, "unknown policy"},
 		{"bad injection", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8,"injection":"maybe"}`, "unknown injection"},
 		// The alias/split bug class: "zap" used to materialize the kill
@@ -95,6 +101,17 @@ func TestParseKeyRejects(t *testing.T) {
 				t.Errorf("ParseKey(%s) error %q does not mention %q", tc.in, err, tc.wantErr)
 			}
 		})
+	}
+	// The bound is typed, and every scale's sweep fits under it.
+	var pe *procsError
+	if err := (Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: maxProcs + 1}).Validate(); !errors.As(err, &pe) {
+		t.Errorf("Validate with %d processors = %v, want a *procsError", maxProcs+1, err)
+	}
+	for _, name := range []string{"small", "default", "paper"} {
+		sc, _ := ScaleByName(name)
+		if n := slices.Max(sc.ProcCounts); n > maxProcs {
+			t.Errorf("scale %s sweeps %d processors, over maxProcs %d", name, n, maxProcs)
+		}
 	}
 }
 
@@ -145,6 +162,7 @@ func FuzzKeyRoundTrip(f *testing.F) {
 	f.Add("astro", "sparse", "ondemand", 8, false, "", "", "", " ]")
 	f.Add("galaxy", "sparse", "hybrid", 8, false, "psychic", "maybe", "zap", "")
 	f.Add("astro", "sparse", "hybrid", 0, false, "", "off", "", "")
+	f.Add("astro", "sparse", "hybrid", 200000000, false, "", "", "", "")
 	f.Fuzz(func(t *testing.T, ds, seeding, alg string, procs int, unsteady bool, pf, inj, fm, tail string) {
 		k := Key{
 			Dataset:   Dataset(ds),

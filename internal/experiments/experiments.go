@@ -589,7 +589,8 @@ func NewCampaign(sc Scale) *Campaign {
 // nothing else: the dataset, the seeding, steady or unsteady. Every cell
 // of such a triple shares one grid/field/seed construction and one
 // segment tape (tape.go). A Key's other axes, the injection schedule
-// among them, move no curve and stay out (slvet's keyaxis rule 6).
+// among them, move no curve and stay out (TestKeyFieldIdentity holds the
+// split).
 type problemKey struct {
 	ds       Dataset
 	seeding  Seeding

@@ -157,10 +157,7 @@ func TestProblemMemoization(t *testing.T) {
 	c.Workers = 4
 	c.RunAll()
 	want := len(datasets()) * len(Seedings())
-	c.probMu.Lock()
-	got := len(c.problems)
-	c.probMu.Unlock()
-	if got != want {
+	if got := c.numProblems(); got != want {
 		t.Errorf("problems built = %d, want %d (one per dataset × seeding)", got, want)
 	}
 	// The memoized problem is shared: a second fetch returns the same

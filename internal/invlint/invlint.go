@@ -4,9 +4,8 @@
 // golden SHA-256 geometry digests, the experiments.Key result cache —
 // rests on one invariant: a run is a pure function of its inputs, so two
 // executions of the same Key are bit-identical. The golden tests enforce
-// that contract dynamically, after a violation has already landed; the
-// analyzers in this package reject the violating code before it ever
-// runs (DESIGN.md §10):
+// that contract dynamically, on the inputs they happen to run; the two
+// analyzers here guard what no test can observe (DESIGN.md §10):
 //
 //   - detlint: the deterministic packages must not read wall-clock time,
 //     use the global math/rand source, or let map iteration order leak
@@ -14,26 +13,16 @@
 //   - simtime: code reachable from a sim.Proc body may block only on
 //     virtual-time primitives, never OS time, goroutines or bare
 //     channel operations.
-//   - keyaxis: every axis of experiments.Key must be rendered by Label,
-//     enumerated by datasetKeys and consumed by the execution path, and
-//     cmd wiring must set every axis explicitly.
-//   - metriccol: every exported counter in the metrics package must be
-//     aggregated, rendered as a table column, and touched by a test.
+//
+// The Key and counter identities are behaviour, and tests hold them:
+// TestKeyFieldIdentity in internal/experiments, TestProcStatsAggregated
+// and TestSummaryRendered in internal/metrics.
 //
 // The analyzers mirror the golang.org/x/tools/go/analysis shape
 // (Analyzer, Pass, diagnostics with positions) but are built entirely on
 // the standard library's go/ast, go/types and go/importer, because this
 // module deliberately has no external dependencies. cmd/slvet drives
-// them either standalone (slvet ./...) or as a go vet -vettool.
-//
-// Intentional exceptions are annotated in the source as
-//
-//	//lint:allow <analyzer> <reason>
-//
-// on (or immediately above) the offending line. The reason is mandatory
-// — an unexplained exception is itself reported — and a stale annotation
-// that no longer suppresses anything is reported too, so the exception
-// list can only shrink.
+// them as a go vet -vettool.
 package invlint
 
 import (
@@ -48,8 +37,7 @@ import (
 // Analyzer is one invariant checker, mirroring the x/tools go/analysis
 // Analyzer shape on the standard library.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and lint:allow
-	// annotations.
+	// Name identifies the analyzer in diagnostics and the -a flag.
 	Name string
 	// Doc is a one-paragraph description of the invariant proved.
 	Doc string
@@ -101,7 +89,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full invariant suite in presentation order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{detLint, simTime, keyAxis, metricCol}
+	return []*Analyzer{detLint, simTime}
 }
 
 // AnalyzerByName resolves one analyzer of the suite.
@@ -127,60 +115,8 @@ type unit struct {
 	Info *types.Info
 }
 
-// allowMark is one parsed //lint:allow annotation.
-type allowMark struct {
-	analyzer string
-	reason   string
-	pos      token.Position
-	used     bool
-	bad      string // non-empty when the annotation is malformed
-}
-
-// allowPrefix introduces an intentional-exception annotation.
-const allowPrefix = "//lint:allow"
-
-// parseAllows scans a file's comments for lint:allow annotations. The
-// accepted form is "//lint:allow <analyzer> <reason>"; a missing
-// analyzer name, an unknown analyzer name or an empty reason marks the
-// annotation malformed so it can be reported rather than silently
-// ignored.
-func parseAllows(fset *token.FileSet, file *ast.File, known map[string]bool) []*allowMark {
-	var marks []*allowMark
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, allowPrefix) {
-				continue
-			}
-			rest := strings.TrimPrefix(c.Text, allowPrefix)
-			m := &allowMark{pos: fset.Position(c.Pos())}
-			if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-				// e.g. //lint:allowed — not ours.
-				continue
-			}
-			fields := strings.Fields(rest)
-			switch {
-			case len(fields) == 0:
-				m.bad = "missing analyzer name"
-			case !known[fields[0]]:
-				m.bad = fmt.Sprintf("unknown analyzer %q", fields[0])
-			case len(fields) == 1:
-				m.analyzer = fields[0]
-				m.bad = "missing reason (the exception must say why)"
-			default:
-				m.analyzer = fields[0]
-				m.reason = strings.Join(fields[1:], " ")
-			}
-			marks = append(marks, m)
-		}
-	}
-	return marks
-}
-
-// runUnit applies analyzers to a unit and returns the surviving
-// diagnostics: findings annotated with a well-formed lint:allow on the
-// same or the preceding line are suppressed; malformed annotations and
-// annotations that suppressed nothing are reported as findings of their
-// own, so the exception mechanism stays narrow and auditable.
+// runUnit applies analyzers to a unit and returns their diagnostics in
+// position order.
 func runUnit(u *unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -196,53 +132,8 @@ func runUnit(u *unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("invlint: %s: %w", a.Name, err)
 		}
 	}
-
-	known := make(map[string]bool)
-	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	// Allow marks index: file -> line -> marks. A mark on line L covers
-	// findings on L (trailing comment) and L+1 (comment line above).
-	marks := make(map[string]map[int][]*allowMark)
-	var all []*allowMark
-	for _, f := range u.Files {
-		for _, m := range parseAllows(u.Fset, f, known) {
-			byLine, ok := marks[m.pos.Filename]
-			if !ok {
-				byLine = make(map[int][]*allowMark)
-				marks[m.pos.Filename] = byLine
-			}
-			byLine[m.pos.Line] = append(byLine[m.pos.Line], m)
-			all = append(all, m)
-		}
-	}
-
-	kept := diags[:0]
-	for _, d := range diags {
-		if m := matchAllow(marks, d); m != nil {
-			m.used = true
-			continue
-		}
-		kept = append(kept, d)
-	}
-	for _, m := range all {
-		switch {
-		case m.bad != "":
-			kept = append(kept, Diagnostic{
-				Analyzer: "allow",
-				Pos:      m.pos,
-				Message:  fmt.Sprintf("malformed %s annotation: %s", allowPrefix, m.bad),
-			})
-		case !m.used:
-			kept = append(kept, Diagnostic{
-				Analyzer: "allow",
-				Pos:      m.pos,
-				Message:  fmt.Sprintf("stale %s %s annotation: it suppresses nothing", allowPrefix, m.analyzer),
-			})
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := kept[i], kept[j]
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -254,24 +145,7 @@ func runUnit(u *unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return kept, nil
-}
-
-// matchAllow finds a well-formed allow mark covering d, preferring the
-// same line over the line above.
-func matchAllow(marks map[string]map[int][]*allowMark, d Diagnostic) *allowMark {
-	byLine, ok := marks[d.Pos.Filename]
-	if !ok {
-		return nil
-	}
-	for _, line := range [2]int{d.Pos.Line, d.Pos.Line - 1} {
-		for _, m := range byLine[line] {
-			if m.bad == "" && m.analyzer == d.Analyzer {
-				return m
-			}
-		}
-	}
-	return nil
+	return diags, nil
 }
 
 // --- shared analyzer helpers ---

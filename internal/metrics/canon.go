@@ -11,13 +11,14 @@
 //     BENCH_*.json trajectory artifacts), and float64 values use Go's
 //     shortest round-trip formatting, so decode∘encode is the identity
 //     on the bytes as well as the values.
-//   - summaryCodecVersion names the layout. Any change to Summary's
-//     field set or order changes the bytes; callers persisting
-//     canonical summaries fold the version into their addresses, so
-//     bumping it invalidates stale entries instead of mixing layouts.
+//   - The layout has no version of its own. ParseSummary rejects an
+//     unknown field but zeroes a missing one, so an entry written before
+//     a field was added still parses. The persistent cache's entryVersion
+//     is what orphans such entries: internal/serve's
+//     TestEntryVersionPinsCodecs pins the bytes of Summary{} beside it
+//     and fails until a layout change bumps it.
 //
-// TestSummaryCanonicalPinned holds the exact bytes; if it fails, bump
-// summaryCodecVersion rather than regenerate the golden.
+// TestSummaryCanonicalPinned holds a prefix of the exact bytes.
 package metrics
 
 import (
@@ -26,11 +27,6 @@ import (
 	"fmt"
 	"io"
 )
-
-// summaryCodecVersion names the canonical Summary wire layout. Bump it
-// whenever a Summary field is added, removed, renamed or reordered —
-// every one of those changes the canonical bytes.
-const summaryCodecVersion = "summary/v1"
 
 // CanonicalJSON renders the summary's canonical wire encoding: one JSON
 // object, fields in Summary declaration order, floats in shortest
@@ -47,10 +43,10 @@ func (s Summary) CanonicalJSON() ([]byte, error) {
 	return b, nil
 }
 
-// ParseSummary decodes a canonical summary encoding. The decode is
-// strict — unknown fields and trailing data are errors — so a cache
-// entry written under a different (newer or older) Summary layout is
-// detected instead of silently dropping columns.
+// ParseSummary decodes a canonical summary encoding. Unknown fields and
+// trailing data are errors, so an entry written under a newer layout is
+// refused instead of silently dropping columns; a missing field decodes
+// as zero.
 func ParseSummary(data []byte) (Summary, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

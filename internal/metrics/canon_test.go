@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -57,9 +58,9 @@ func TestSummaryCanonicalRoundTrip(t *testing.T) {
 }
 
 // TestSummaryCanonicalPinned pins a prefix of the canonical bytes. If
-// this fails the wire layout changed — bump summaryCodecVersion (which
-// invalidates persistent caches) instead of updating the golden
-// silently.
+// this fails the wire layout changed, and the persistent cache's
+// entryVersion must change with it (internal/serve's
+// TestEntryVersionPinsCodecs).
 func TestSummaryCanonicalPinned(t *testing.T) {
 	enc, err := Summary{NumProcs: 2, WallClock: 1.5, Steps: 10}.CanonicalJSON()
 	if err != nil {
@@ -92,4 +93,33 @@ func TestParseSummaryStrict(t *testing.T) {
 	if _, err := ParseSummary([]byte(`not json`)); err == nil {
 		t.Error("ParseSummary accepted garbage")
 	}
+}
+
+// FuzzParseSummary feeds the cache reader's summary decoder hostile
+// bytes: it must never panic, and whatever it accepts must re-encode
+// through CanonicalJSON and parse back to the same value.
+func FuzzParseSummary(f *testing.F) {
+	enc, err := sampleSummary().CanonicalJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	f.Add(append(slices.Clone(enc), '}'))
+	f.Add([]byte(`{"NumProcs":2,"FutureColumn":1}`))
+	f.Add([]byte(`{"NumProcs":2,"Steps":9223372036854775808}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSummary(data)
+		if err != nil {
+			return
+		}
+		re, err := s.CanonicalJSON()
+		if err != nil {
+			t.Fatalf("accepted %q but cannot re-encode it: %v", data, err)
+		}
+		back, err := ParseSummary(re)
+		if err != nil || back != s {
+			t.Fatalf("accepted %q as %+v, re-encoded %s, parsed back %+v, %v", data, s, re, back, err)
+		}
+	})
 }

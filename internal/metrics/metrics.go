@@ -28,9 +28,9 @@ type ProcStats struct {
 	// MsgsRecv and BytesRecv are exact mirrors of the sent totals in the
 	// lossless simulated network (pinned by TestCounterRoundTrip), so the
 	// Summary aggregates only the sent side.
-	MsgsRecv  int64 //lint:allow metriccol recv mirrors sent in the lossless sim; only the sent side is aggregated
+	MsgsRecv  int64
 	BytesSent int64
-	BytesRecv int64 //lint:allow metriccol recv mirrors sent in the lossless sim; only the sent side is aggregated
+	BytesRecv int64
 
 	StreamlinesCompleted int64
 	PeakMemoryBytes      int64

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -222,13 +223,71 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// tableColumns is every column (TableRow).format renders.
+var tableColumns = []string{"procs", "wall", "io", "ioq", "hidden", "comm", "idle", "compute", "efficiency", "msgs", "bytes", "loads", "purges", "steps", "done", "peakmem", "imbalance", "steals", "tokens", "prefetch", "pfwaste", "epochs", "psteps", "apeak", "rstalls", "rstall-s", "lost", "adopted", "reforms", "failovers", "sendfail", "trace-ev", "trace-by"}
+
 func TestTableAllColumns(t *testing.T) {
 	c := NewCollector(1)
 	c.P(0).EndTime = 1
-	cols := []string{"procs", "wall", "io", "ioq", "hidden", "comm", "idle", "compute", "efficiency", "msgs", "bytes", "loads", "purges", "steps", "done", "peakmem", "imbalance", "steals", "tokens", "prefetch", "pfwaste", "epochs", "psteps", "apeak", "rstalls", "rstall-s", "trace-ev", "trace-by"}
-	out := Table([]TableRow{{Label: "x", Summary: c.Aggregate()}}, cols)
+	out := Table([]TableRow{{Label: "x", Summary: c.Aggregate()}}, tableColumns)
 	if strings.Contains(out, "?") {
 		t.Errorf("a known column rendered as unknown:\n%s", out)
+	}
+}
+
+// aggregateExempt names the ProcStats fields Aggregate does not read,
+// each with its reason.
+var aggregateExempt = map[string]string{
+	"Proc":      "the record's identity, not a counter",
+	"MsgsRecv":  "mirrors MsgsSent in the lossless network; the sent side is aggregated",
+	"BytesRecv": "mirrors BytesSent in the lossless network; the sent side is aggregated",
+}
+
+// setDistinct puts a nonzero value in a counter field.
+func setDistinct(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Float64:
+		v.SetFloat(0.375)
+	default:
+		t.Fatalf("no distinct value for %s", v.Type())
+	}
+}
+
+// TestProcStatsAggregated proves every ProcStats counter reaches the run
+// Summary: a distinct value in any one field changes what Aggregate
+// returns, except in the fields aggregateExempt names, where it must not.
+func TestProcStatsAggregated(t *testing.T) {
+	base := NewCollector(1).Aggregate()
+	pt := reflect.TypeFor[ProcStats]()
+	for i := range pt.NumField() {
+		name := pt.Field(i).Name
+		c := NewCollector(1)
+		setDistinct(t, reflect.ValueOf(c.P(0)).Elem().Field(i))
+		changed := c.Aggregate() != base
+		if reason, exempt := aggregateExempt[name]; exempt && changed {
+			t.Errorf("ProcStats.%s is exempt (%s) but changes the Summary", name, reason)
+		} else if !exempt && !changed {
+			t.Errorf("ProcStats.%s is not aggregated: the counter is recorded per processor but never reaches the run Summary", name)
+		}
+	}
+}
+
+// TestSummaryRendered proves every Summary field has a table column: a
+// distinct value in any one field changes the table rendered over
+// tableColumns.
+func TestSummaryRendered(t *testing.T) {
+	render := func(s Summary) string { return Table([]TableRow{{Label: "x", Summary: s}}, tableColumns) }
+	base := render(Summary{})
+	st := reflect.TypeFor[Summary]()
+	for i := range st.NumField() {
+		var s Summary
+		setDistinct(t, reflect.ValueOf(&s).Elem().Field(i))
+		if render(s) == base {
+			t.Errorf("Summary.%s has no table column: no table or CSV can report it", st.Field(i).Name)
+		}
 	}
 }
 
@@ -242,12 +301,11 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-// TestCounterRoundTrip pins the full counter pipeline: every exported
-// ProcStats counter set on a single processor must surface in the
-// Summary (sums, maxes, or — for the recv mirrors — equal the sent side
-// that is aggregated in its place). The metriccol analyzer (cmd/slvet)
-// requires every counter to be touched by a test; this is that test for
-// any counter without scenario coverage of its own.
+// TestCounterRoundTrip pins how the counter pipeline combines values:
+// ProcStats counters set on a single processor surface in the Summary as
+// sums, maxes, or — for the recv mirrors — equal the sent side that is
+// aggregated in its place. TestProcStatsAggregated proves that every
+// counter arrives; this test pins the arithmetic.
 func TestCounterRoundTrip(t *testing.T) {
 	c := NewCollector(1)
 	*c.P(0) = ProcStats{

@@ -417,6 +417,11 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown field", http.MethodPost, "/v1/cell", `{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2,"speed":"ludicrous"}`, http.StatusBadRequest},
 		{"unknown dataset", http.MethodPost, "/v1/cell", `{"dataset":"galaxy","seeding":"sparse","alg":"ondemand","procs":2}`, http.StatusBadRequest},
 		{"version skew", http.MethodPost, "/v1/cell", `{"v":"key/v9","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2}`, http.StatusBadRequest},
+		// A processor count no host could allocate is refused before it
+		// reaches the machine model; "health ok" below proves the daemon
+		// still answers.
+		{"hostile procs", http.MethodPost, "/v1/cell", `{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":200000000}`, http.StatusBadRequest},
+		{"batch hostile procs", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `,{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":4097}]}`, http.StatusBadRequest},
 		{"trailing data", http.MethodPost, "/v1/cell", cellBody + `{"again":true}`, http.StatusBadRequest},
 		// Closing delimiters are what json.Decoder.More answers false to.
 		{"trailing brace", http.MethodPost, "/v1/cell", cellBody + `}`, http.StatusBadRequest},

@@ -51,11 +51,11 @@ import (
 )
 
 // entryVersion names the on-disk cache entry layout and opens every
-// entry's head. It must change whenever the entry layout, the key codec
-// (experiments.KeyCodecVersion) or the summary codec
-// (metrics.SummaryCodecVersion) changes; because it is a path component,
-// a bump atomically orphans — rather than corrupts — every entry written
-// under the old rules.
+// entry's head. It must change whenever the entry layout or the
+// canonical bytes of experiments.Key or metrics.Summary change
+// (TestEntryVersionPinsCodecs holds the codecs' bytes beside it);
+// because it is a path component, a bump atomically orphans — rather
+// than corrupts — every entry written under the old rules.
 const entryVersion = "cell.v2"
 
 // Scope names one cache population: entries are only byte-comparable

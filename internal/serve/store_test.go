@@ -354,3 +354,27 @@ func TestStoreLeavesNoTempDroppings(t *testing.T) {
 		return nil
 	})
 }
+
+// TestEntryVersionPinsCodecs pins the canonical bytes of the two codecs
+// an entry is made of beside the entryVersion they are stored under.
+// ParseSummary zeroes a missing field, so a Summary field added without
+// a bump would leave every older entry a valid hit, spliced without the
+// field while fresh cells carry it.
+func TestEntryVersionPinsCodecs(t *testing.T) {
+	const (
+		version = "cell.v2"
+		summary = `{"NumProcs":0,"WallClock":0,"TotalIO":0,"TotalIOQueue":0,"TotalComm":0,"TotalCompute":0,"TotalIdle":0,"BlocksLoaded":0,"BlocksPurged":0,"BlockEfficiency":0,"MsgsSent":0,"BytesSent":0,"Steps":0,"StreamlinesCompleted":0,"PeakMemoryBytes":0,"StealAttempts":0,"StealHits":0,"TokensPassed":0,"PrefetchIssued":0,"PrefetchHits":0,"PrefetchWasted":0,"IOHiddenTime":0,"ActivePeak":0,"ReleaseStalls":0,"ReleaseStallTime":0,"ProcsLost":0,"SeedsAdopted":0,"RingReforms":0,"MasterFailovers":0,"SendFailed":0,"PathlineSteps":0,"EpochCrossings":0,"TraceEvents":0,"TraceBytes":0,"Imbalance":0}`
+		key     = `{"v":"key/v1","dataset":"","seeding":"","alg":"","procs":0}`
+	)
+	sum, err := metrics.Summary{}.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := experiments.Key{}.CanonicalJSON()
+	switch changed := string(sum) != summary || string(k) != key; {
+	case changed && entryVersion == version:
+		t.Fatalf("the canonical Summary or Key bytes changed under entryVersion %q: bump entryVersion\nsummary %s\nkey     %s", entryVersion, sum, k)
+	case changed || entryVersion != version:
+		t.Fatalf("entryVersion is %q: pin it here with the current codec bytes\nsummary %s\nkey     %s", entryVersion, sum, k)
+	}
+}
