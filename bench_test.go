@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/field"
@@ -399,15 +398,6 @@ func BenchmarkFaultRecoveryCampaign(b *testing.B) {
 				b.ReportMetric(float64(s.MasterFailovers), "failovers")
 			})
 		}
-	}
-}
-
-// BenchmarkFTLE measures the flow-map analysis built on the integrator.
-func BenchmarkFTLE(b *testing.B) {
-	f := field.DefaultABC()
-	box := vec.Box(vec.Of(1, 1, 3), vec.Of(5, 5, 3.2))
-	for i := 0; i < b.N; i++ {
-		analysis.FTLE(f, box, 8, 8, 1, analysis.FTLEOptions{T: 2, IntOpts: integrate.Options{Tol: 1e-5}})
 	}
 }
 

@@ -210,10 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if !r.OK {
 					status = "FAIL"
 				}
-				fmt.Fprintf(stdout, "  [%s] %s\n", status, r.Claim)
-				if r.Detail != "" {
-					fmt.Fprintf(stdout, "         %s\n", r.Detail)
-				}
+				fmt.Fprintf(stdout, "  [%s] %s\n         %s\n", status, r.Claim, r.Detail)
 			}
 			if failed > 0 {
 				fmt.Fprintf(stdout, "%d/%d checks failed\n", failed, len(report))
@@ -241,11 +238,11 @@ const minCompareElapsed = 1e-9
 // emits. Simulated metrics are deterministic for a given scale; only
 // the host block varies between runs.
 type jsonReport struct {
-	Schema  string       `json:"schema"`
-	Scale   string       `json:"scale"`
-	Figures []jsonFigure `json:"figures"`
-	Shapes  []jsonShape  `json:"shape_checks,omitempty"`
-	Host    jsonHost     `json:"host"`
+	Schema  string                    `json:"schema"`
+	Scale   string                    `json:"scale"`
+	Figures []jsonFigure              `json:"figures"`
+	Shapes  []experiments.ShapeResult `json:"shape_checks,omitempty"`
+	Host    jsonHost                  `json:"host"`
 }
 
 // jsonFigure is one paper figure's sweep: the rendered columns and one
@@ -268,13 +265,6 @@ type jsonRow struct {
 	// step counts. Additive to the v1 schema — older trajectory files
 	// simply decode it as nil.
 	Percentiles *obs.Report `json:"percentiles,omitempty"`
-}
-
-// jsonShape is one qualitative claim check (-shapes).
-type jsonShape struct {
-	Claim  string `json:"claim"`
-	OK     bool   `json:"ok"`
-	Detail string `json:"detail,omitempty"`
 }
 
 // jsonHost records where and how long the campaign ran — the only
@@ -380,6 +370,7 @@ func writeJSONReport(w io.Writer, c *experiments.Campaign, scale string, figs []
 	rep := jsonReport{
 		Schema: benchSchema,
 		Scale:  scale,
+		Shapes: shapes,
 		Host: jsonHost{
 			GoOS:           runtime.GOOS,
 			GoArch:         runtime.GOARCH,
@@ -404,9 +395,6 @@ func writeJSONReport(w io.Writer, c *experiments.Campaign, scale string, figs []
 			jf.Rows = append(jf.Rows, jr)
 		}
 		rep.Figures = append(rep.Figures, jf)
-	}
-	for _, r := range shapes {
-		rep.Shapes = append(rep.Shapes, jsonShape{Claim: r.Claim, OK: r.OK, Detail: r.Detail})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -158,6 +159,50 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 	if rep.Host.ElapsedSeconds <= 0 || rep.Host.GoVersion == "" {
 		t.Errorf("host block incomplete: %+v", rep.Host)
+	}
+}
+
+// TestRunShapesJSON checks the -shapes block of the -json report: every
+// claim decodes with a finite got, bound and margin whose sign agrees with
+// its verdict, and exactly the small-scale allow list of
+// TestShapeChecksSmallScale (internal/experiments) fails.
+func TestRunShapesJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign too slow for -short")
+	}
+	var out, errw bytes.Buffer
+	if code := run([]string{"-scale", "small", "-figure", "5", "-shapes", "-json", "-j", "4"}, &out, &errw); code != 1 {
+		t.Fatalf("run = %d, want 1 (small-scale claims fail), stderr: %s", code, errw.String())
+	}
+	var rep jsonReport
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("output is not valid JSON: %v", err)
+	}
+	if len(rep.Shapes) != 35 {
+		t.Errorf("shape_checks has %d entries, want 35", len(rep.Shapes))
+	}
+	wantFail := map[string]bool{
+		"Fig 5 (sparse): Hybrid stays within 1.5x of the best astro wall clock":         true,
+		"Fig 8: Static communicates more than Hybrid (astro sparse)":                    true,
+		"Fig 11: Static communication is higher for dense fusion seeds":                 true,
+		"Fig 13: dense thermal — Load-On-Demand outperforms Hybrid (compute hides I/O)": true,
+	}
+	for _, s := range rep.Shapes {
+		for _, v := range []float64{s.Got, s.Bound, s.Margin} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Errorf("%s: got=%v bound=%v margin=%v, want finite", s.Claim, s.Got, s.Bound, s.Margin)
+			}
+		}
+		holds := s.Margin >= 0
+		if strings.Contains(s.Detail, " < ") || strings.Contains(s.Detail, " > ") {
+			holds = s.Margin > 0
+		}
+		if s.OK != holds {
+			t.Errorf("%s: ok=%v disagrees with margin %+.3g (%s)", s.Claim, s.OK, s.Margin, s.Detail)
+		}
+		if s.OK == wantFail[s.Claim] {
+			t.Errorf("%s: ok=%v, want %v (%s)", s.Claim, s.OK, !wantFail[s.Claim], s.Detail)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -212,8 +213,7 @@ func TestShapeChecksSmallScale(t *testing.T) {
 		// seeds) compress the cost structure so much that these four
 		// relative claims lose their regime. They fail ONLY here:
 		// `slbench -shapes` at the default scale passes every check
-		// (exit 0), which the threshold calibrations in shapes.go
-		// record measured values for.
+		// (exit 0) and prints each claim's margin.
 		"Fig 5 (sparse): Hybrid stays within 1.5x of the best astro wall clock":         true,
 		"Fig 8: Static communicates more than Hybrid (astro sparse)":                    true,
 		"Fig 11: Static communication is higher for dense fusion seeds":                 true,
@@ -232,8 +232,41 @@ func TestShapeChecksSmallScale(t *testing.T) {
 	}
 	for _, r := range results {
 		if !r.OK && !allowFail[r.Claim] {
-			t.Errorf("shape check failed: %s (%s)", r.Claim, r.Detail)
+			t.Errorf("shape check failed: %s: %s (margin %+.3g)", r.Claim, r.Detail, r.Margin)
 		}
+	}
+}
+
+// TestShapeChecksFailedCell: a claim that reads the summary of a failed
+// cell fails and names that cell, rather than comparing the zero summary.
+// Every Hybrid cell runs out of memory here, so no claim that reads one
+// may pass.
+func TestShapeChecksFailedCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign too slow for -short")
+	}
+	c := NewCampaign(SmallScale())
+	c.Tune = func(cfg *core.Config) {
+		if cfg.Algorithm == core.HybridMS {
+			cfg.MemoryBudget = 1
+		}
+	}
+	c.RunKeys(ShapeKeys(c))
+	results := CheckShapes(c)
+	readsHybrid := 0
+	for i, s := range shapes {
+		r := &reader{c: c, record: true}
+		s.check(r)
+		if !slices.ContainsFunc(r.keys, func(k Key) bool { return k.Alg == core.HybridMS }) {
+			continue
+		}
+		readsHybrid++
+		if res := results[i]; res.OK || res.Margin >= 0 || !strings.Contains(res.Detail, "/hybrid/") || !strings.Contains(res.Detail, "oom") {
+			t.Errorf("%s: ok=%v margin=%+.3g detail %q, want a failure naming the hybrid cell's OOM", res.Claim, res.OK, res.Margin, res.Detail)
+		}
+	}
+	if readsHybrid == 0 {
+		t.Error("no claim reads a Hybrid cell")
 	}
 }
 
@@ -387,38 +420,25 @@ func TestCampaignUnsteadyFlagFlipsKeys(t *testing.T) {
 }
 
 func TestShapeKeysIncludeUnsteadyCells(t *testing.T) {
+	// ShapeKeys is derived from the claims: each cell they read, once —
+	// the four unsteady astro cells of the §8 pathline claim among them —
+	// and no cell that no claim reads.
 	c := NewCampaign(SmallScale())
-	un, pf, inj := 0, 0, 0
+	top := c.Scale.ProcCounts[len(c.Scale.ProcCounts)-1]
+	seen := map[Key]bool{}
 	for _, k := range ShapeKeys(c) {
-		if k.Prefetch.Enabled() {
-			pf++
-			if k.Dataset != Astro || k.Seeding != Sparse || k.Alg != core.LoadOnDemand {
-				t.Errorf("unexpected prefetch shape cell %v", k.Label())
-			}
-			continue
+		if seen[k] {
+			t.Errorf("ShapeKeys lists %s twice", k.Label())
 		}
-		if k.Injection.Enabled() {
-			inj++
-			if k.Dataset != Astro || k.Injection != InjectStagger {
-				t.Errorf("unexpected injection shape cell %v", k.Label())
-			}
-			continue
-		}
-		if k.Unsteady {
-			un++
-			if k.Dataset != Astro || k.Seeding != Sparse {
-				t.Errorf("unexpected unsteady shape cell %v", k.Label())
-			}
+		seen[k] = true
+	}
+	for _, alg := range core.Algorithms() {
+		if k := (Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: top, Unsteady: true}); !seen[k] {
+			t.Errorf("ShapeKeys lacks %s", k.Label())
 		}
 	}
-	if un != len(core.Algorithms()) {
-		t.Errorf("unsteady shape cells = %d, want one per algorithm", un)
-	}
-	if pf != 2 {
-		t.Errorf("prefetch shape cells = %d, want 2 (neighbor steady + temporal unsteady)", pf)
-	}
-	if inj != 3 {
-		t.Errorf("injection shape cells = %d, want 3 (static+ondemand dense, ondemand unsteady)", inj)
+	if k := (Key{Dataset: Thermal, Seeding: Sparse, Alg: core.WorkStealing, Procs: top}); seen[k] {
+		t.Errorf("ShapeKeys lists %s, which no claim reads", k.Label())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -12,441 +14,165 @@ import (
 	"repro/internal/store"
 )
 
-// ShapeResult is one qualitative claim from the paper's Section 5 checked
-// against this campaign's measurements.
+// ShapeResult is one qualitative claim checked against the campaign: the
+// comparison Got op Bound that decides it, and its signed log margin —
+// ln(Bound/Got) for ≤ and <, ln(Got/Bound) for ≥ and > — positive when
+// the claim holds with room, zero on a tie, negative when it fails.
+// Detail renders the comparison, or names the cell whose outcome broke
+// the claim.
 type ShapeResult struct {
-	Claim  string
-	OK     bool
-	Detail string
+	Claim  string  `json:"claim"`
+	OK     bool    `json:"ok"`
+	Got    float64 `json:"got"`
+	Bound  float64 `json:"bound"`
+	Margin float64 `json:"margin"`
+	Detail string  `json:"detail"`
 }
 
-// ShapeKeys enumerates the configurations CheckShapes consults — every
-// dataset × seeding × algorithm at the scale's top processor count, plus
-// the unsteady astro cells the pathline checks compare, plus the
-// prefetching astro cells the §8 async-I/O checks compare against their
-// prefetch-off counterparts, plus the staggered-injection cells the §9
-// checks compare against their all-at-t0 counterparts, plus the
-// fault-injected cells the §11 checks compare against their fault-free
-// counterparts — so callers can prewarm them on the worker pool before
-// the (serial) checks.
+// ShapeKeys enumerates the cells CheckShapes reads — exactly those, in
+// first-read order — so callers can prewarm them on the worker pool
+// before the (serial) checks. It runs every claim once against a reader
+// that records keys and returns zero outcomes.
 func ShapeKeys(c *Campaign) []Key {
-	top := c.Scale.ProcCounts[len(c.Scale.ProcCounts)-1]
-	var keys []Key
-	for _, ds := range datasets() {
-		for _, seeding := range Seedings() {
-			for _, alg := range core.Algorithms() {
-				keys = append(keys, Key{Dataset: ds, Seeding: seeding, Alg: alg, Procs: top})
-			}
-		}
+	r := &reader{c: c, record: true}
+	for _, s := range shapes {
+		s.check(r)
 	}
-	for _, alg := range core.Algorithms() {
-		keys = append(keys, Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: top, Unsteady: true})
-	}
-	keys = append(keys,
-		Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: top, Prefetch: prefetch.Neighbor},
-		Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: top, Unsteady: true, Prefetch: prefetch.Temporal},
-		Key{Dataset: Astro, Seeding: Dense, Alg: core.StaticAlloc, Procs: top, Injection: InjectStagger},
-		Key{Dataset: Astro, Seeding: Dense, Alg: core.LoadOnDemand, Procs: top, Injection: InjectStagger},
-		Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: top, Unsteady: true, Injection: InjectStagger},
-	)
-	for _, alg := range core.Algorithms() {
-		keys = append(keys, Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: top, Faults: FaultsKill})
-	}
-	return keys
+	return r.keys
 }
 
 // CheckShapes verifies the paper's qualitative findings — who wins, by
 // roughly what factor, and where the boundary cases fall — against the
-// campaign, plus the expected orderings of the work-stealing extension
-// (DESIGN.md §6) against the paper's three algorithms. Absolute numbers
+// campaign, plus the expected orderings of the extensions (DESIGN.md §6,
+// §8, §9, §11) against the paper's three algorithms. Absolute numbers
 // are not compared (our substrate is a simulator, not JaguarPF); the
 // shapes are.
 func CheckShapes(c *Campaign) []ShapeResult {
-	top := c.Scale.ProcCounts[len(c.Scale.ProcCounts)-1]
-
-	get := func(ds Dataset, seeding Seeding, alg core.Algorithm) Outcome {
-		return c.Run(Key{Dataset: ds, Seeding: seeding, Alg: alg, Procs: top})
-	}
-	sum := func(ds Dataset, seeding Seeding, alg core.Algorithm) metrics.Summary {
-		return get(ds, seeding, alg).Summary
-	}
-
-	var out []ShapeResult
-	add := func(claim string, ok bool, detail string) {
-		out = append(out, ShapeResult{Claim: claim, OK: ok, Detail: detail})
-	}
-
-	// --- Astrophysics (Figures 5–8) ---
-	{
-		// Sparse astro: the paper's hybrid margin over Static was a few
-		// percent on JaguarPF; in this simulator Static's pinned-once I/O
-		// ideal wins the sparse case outright at the default scale, so the
-		// claim is calibrated to competitiveness — hybrid within 1.5× of
-		// the best — rather than strict victory (measured 1.35× at
-		// default scale).
-		h := sum(Astro, Sparse, core.HybridMS).WallClock
-		s := sum(Astro, Sparse, core.StaticAlloc).WallClock
-		l := sum(Astro, Sparse, core.LoadOnDemand).WallClock
-		best := math.Min(s, l)
-		add("Fig 5 (sparse): Hybrid stays within 1.5x of the best astro wall clock",
-			h <= 1.5*best,
-			fmt.Sprintf("hybrid=%.3f static=%.3f ondemand=%.3f", h, s, l))
-	}
-	{
-		// Dense astro keeps the paper's strict ordering: dynamic
-		// assignment clearly beats both baselines.
-		h := sum(Astro, Dense, core.HybridMS).WallClock
-		s := sum(Astro, Dense, core.StaticAlloc).WallClock
-		l := sum(Astro, Dense, core.LoadOnDemand).WallClock
-		add("Fig 5 (dense): Hybrid has the best astro wall clock",
-			h <= s*1.05 && h <= l*1.05,
-			fmt.Sprintf("hybrid=%.3f static=%.3f ondemand=%.3f", h, s, l))
-	}
-	{
-		lIO := sum(Astro, Sparse, core.LoadOnDemand).TotalIO
-		sIO := sum(Astro, Sparse, core.StaticAlloc).TotalIO
-		hIO := sum(Astro, Sparse, core.HybridMS).TotalIO
-		add("Fig 6: Load-On-Demand spends far more I/O time than Static (astro)",
-			lIO >= 3*sIO,
-			fmt.Sprintf("ondemand=%.2f static=%.2f", lIO, sIO))
-		// The paper's Figure 6 shows hybrid I/O above Static's ideal but
-		// far below Load-On-Demand's; measured 10.1× Static at the
-		// default scale, so the bound is one order of magnitude (12×).
-		add("Fig 6: Hybrid I/O stays within an order of magnitude of the Static ideal (astro)",
-			hIO <= 12*sIO,
-			fmt.Sprintf("hybrid=%.2f static=%.2f", hIO, sIO))
-	}
-	for _, seeding := range Seedings() {
-		sE := sum(Astro, seeding, core.StaticAlloc).BlockEfficiency
-		lE := sum(Astro, seeding, core.LoadOnDemand).BlockEfficiency
-		hE := sum(Astro, seeding, core.HybridMS).BlockEfficiency
-		add(fmt.Sprintf("Fig 7 (%s): block efficiency Static=1, Hybrid at or above Load-On-Demand", seeding),
-			sE == 1 && hE >= lE,
-			fmt.Sprintf("static=%.3f hybrid=%.3f ondemand=%.3f", sE, hE, lE))
-	}
-	{
-		sSparse := sum(Astro, Sparse, core.StaticAlloc).TotalComm
-		hSparse := sum(Astro, Sparse, core.HybridMS).TotalComm
-		sDense := sum(Astro, Dense, core.StaticAlloc).TotalComm
-		hDense := sum(Astro, Dense, core.HybridMS).TotalComm
-		// Strict-factor calibration: the default-scale ratio is 1.4 (the
-		// shorter advections communicate less geometry per crossing than
-		// at paper scale), so the threshold asks for a clear >1.2 gap
-		// rather than the paper-scale 1.5×.
-		add("Fig 8: Static communicates more than Hybrid (astro sparse)",
-			sSparse > 1.2*hSparse,
-			fmt.Sprintf("static=%.4f hybrid=%.4f ratio=%.1f", sSparse, hSparse, ratio(sSparse, hSparse)))
-		add("Fig 8: the Static/Hybrid communication gap widens for dense seeds (astro)",
-			ratio(sDense, hDense) > ratio(sSparse, hSparse),
-			fmt.Sprintf("dense ratio=%.1f sparse ratio=%.1f", ratio(sDense, hDense), ratio(sSparse, hSparse)))
-	}
-
-	// --- Fusion (Figures 9–12) ---
-	{
-		s := sum(Fusion, Sparse, core.StaticAlloc).WallClock
-		h := sum(Fusion, Sparse, core.HybridMS).WallClock
-		add("Fig 9: Static and Hybrid perform comparably on fusion",
-			within(s, h, 3),
-			fmt.Sprintf("static=%.3f hybrid=%.3f", s, h))
-		l := sum(Fusion, Sparse, core.LoadOnDemand).WallClock
-		add("Fig 9: Load-On-Demand performs poorly for sparse fusion seeds",
-			l > 2*s,
-			fmt.Sprintf("ondemand=%.3f static=%.3f", l, s))
-		lD := sum(Fusion, Dense, core.LoadOnDemand).WallClock
-		sD := sum(Fusion, Dense, core.StaticAlloc).WallClock
-		add("Fig 9: dense seeding narrows the Load-On-Demand gap (working set fits cache)",
-			lD/sD < l/s,
-			fmt.Sprintf("dense ratio=%.1f sparse ratio=%.1f", lD/sD, l/s))
-	}
-	{
-		lIO := sum(Fusion, Dense, core.LoadOnDemand).TotalIO
-		sIO := sum(Fusion, Dense, core.StaticAlloc).TotalIO
-		add("Fig 10: Load-On-Demand performs more I/O on fusion",
-			lIO > sIO,
-			fmt.Sprintf("ondemand=%.2f static=%.2f", lIO, sIO))
-	}
-	{
-		sD := sum(Fusion, Dense, core.StaticAlloc).TotalComm
-		sS := sum(Fusion, Sparse, core.StaticAlloc).TotalComm
-		add("Fig 11: Static communication is higher for dense fusion seeds",
-			sD > sS,
-			fmt.Sprintf("dense=%.4f sparse=%.4f", sD, sS))
-	}
-	{
-		// The paper reads Figure 12 as fusion paying for more block
-		// replication than astro. At reduced scales the per-slave caches
-		// never overflow, so purge-based block efficiency sits at 1.000
-		// for both datasets and cannot discriminate; the replication
-		// itself — total hybrid block loads against the 1-load-per-block
-		// ideal — still can, and is what the claim checks (measured
-		// 1.7× more fusion loads at both small and default scales).
-		fus := sum(Fusion, Sparse, core.HybridMS)
-		ast := sum(Astro, Sparse, core.HybridMS)
-		add("Fig 12: Hybrid replicates blocks more on fusion than astro (more replication pays)",
-			fus.BlocksLoaded > ast.BlocksLoaded,
-			fmt.Sprintf("fusion loads=%d (E=%.3f) astro loads=%d (E=%.3f)",
-				fus.BlocksLoaded, fus.BlockEfficiency, ast.BlocksLoaded, ast.BlockEfficiency))
-	}
-
-	// --- Thermal hydraulics (Figures 13–16) ---
-	{
-		s := sum(Thermal, Sparse, core.StaticAlloc).WallClock
-		l := sum(Thermal, Sparse, core.LoadOnDemand).WallClock
-		h := sum(Thermal, Sparse, core.HybridMS).WallClock
-		lo, hi := minMax3(s, l, h)
-		add("Fig 13: sparse thermal — all three algorithms are comparable",
-			hi <= 8*lo,
-			fmt.Sprintf("static=%.3f ondemand=%.3f hybrid=%.3f", s, l, h))
-	}
-	{
-		outD := get(Thermal, Dense, core.StaticAlloc)
-		var oom *store.OOMError
-		add("Fig 13: dense thermal — Static Allocation runs out of memory",
-			outD.Err != nil && errors.As(outD.Err, &oom),
-			fmt.Sprintf("err=%v", outD.Err))
-		l := sum(Thermal, Dense, core.LoadOnDemand).WallClock
-		h := sum(Thermal, Dense, core.HybridMS).WallClock
-		add("Fig 13: dense thermal — Load-On-Demand outperforms Hybrid (compute hides I/O)",
-			l <= h,
-			fmt.Sprintf("ondemand=%.3f hybrid=%.3f", l, h))
-	}
-	{
-		lIO := sum(Thermal, Dense, core.LoadOnDemand).TotalIO
-		lWall := sum(Thermal, Dense, core.LoadOnDemand).WallClock
-		add("Fig 14: dense thermal — Load-On-Demand I/O is minor relative to its runtime",
-			lIO < float64(top)*lWall/2,
-			fmt.Sprintf("totalIO=%.3f procs×wall=%.3f", lIO, float64(top)*lWall))
-	}
-
-	// --- Work stealing (DESIGN.md §6): is the master earning its keep? ---
-	// The decentralized fourth algorithm interrogates the paper's central
-	// claim by removing exactly one ingredient — the master's global view —
-	// while keeping dynamic load balancing.
-	{
-		st := get(Astro, Sparse, core.WorkStealing)
-		add("§6: stealing engages — probes hit at the top processor count (astro sparse)",
-			st.Err == nil && st.Summary.StealHits > 0 && st.Summary.TokensPassed > 0,
-			fmt.Sprintf("hits=%d/%d tokens=%d", st.Summary.StealHits, st.Summary.StealAttempts, st.Summary.TokensPassed))
-	}
-	{
-		// Stolen pending streamlines cost the thief block loads the victim
-		// might have amortized, so stealing pays somewhat more I/O than
-		// Load On Demand — but stays within a factor of two, nowhere near
-		// Static's ideal or the master-directed Hybrid placement.
-		stIO := sum(Astro, Sparse, core.WorkStealing).TotalIO
-		lIO := sum(Astro, Sparse, core.LoadOnDemand).TotalIO
-		add("§6: stealing inherits Load-On-Demand's I/O profile (astro sparse)",
-			within(stIO, lIO, 2),
-			fmt.Sprintf("stealing=%.2f ondemand=%.2f", stIO, lIO))
-	}
-	{
-		stA := sum(Astro, Dense, core.WorkStealing).WallClock
-		lA := sum(Astro, Dense, core.LoadOnDemand).WallClock
-		stF := sum(Fusion, Dense, core.WorkStealing).WallClock
-		lF := sum(Fusion, Dense, core.LoadOnDemand).WallClock
-		add("§6: dynamic balancing pays on dense seeds — stealing beats Load On Demand (astro, fusion)",
-			stA < lA && stF < lF,
-			fmt.Sprintf("astro stealing=%.3f ondemand=%.3f; fusion stealing=%.3f ondemand=%.3f", stA, lA, stF, lF))
-	}
-	{
-		stat := get(Thermal, Dense, core.StaticAlloc)
-		st := get(Thermal, Dense, core.WorkStealing)
-		add("§6: dense seeding — stealing's even split survives the budget that kills Static",
-			stat.Err != nil && st.Err == nil,
-			fmt.Sprintf("static err=%v, stealing err=%v", stat.Err, st.Err))
-	}
-	for _, seeding := range Seedings() {
-		h := sum(Fusion, seeding, core.HybridMS).WallClock
-		st := sum(Fusion, seeding, core.WorkStealing).WallClock
-		add(fmt.Sprintf("§6 (%s): stealing loses to Hybrid when block contention dominates (fusion)", seeding),
-			h < st,
-			fmt.Sprintf("hybrid=%.3f stealing=%.3f", h, st))
-	}
-	{
-		stComm := sum(Fusion, Sparse, core.WorkStealing).TotalComm
-		hComm := sum(Fusion, Sparse, core.HybridMS).TotalComm
-		add("§6: decentralized probing communicates less than master/slave coordination (fusion sparse)",
-			stComm < hComm,
-			fmt.Sprintf("stealing=%.4f hybrid=%.4f", stComm, hComm))
-	}
-
-	// --- Unsteady pathlines (paper §8, DESIGN.md §7) ---
-	getU := func(ds Dataset, seeding Seeding, alg core.Algorithm) Outcome {
-		return c.Run(Key{Dataset: ds, Seeding: seeding, Alg: alg, Procs: top, Unsteady: true})
-	}
-	{
-		// Time-varying flow is the paper's named next frontier; the
-		// first claim is simply that the whole machinery reaches it:
-		// every algorithm completes the pathline campaign and its
-		// pathlines genuinely sweep across time slabs.
-		ok := true
-		detail := ""
-		for _, alg := range core.Algorithms() {
-			o := getU(Astro, Sparse, alg)
-			ok = ok && o.Err == nil && o.Summary.EpochCrossings > 0 &&
-				o.Summary.StreamlinesCompleted > 0
-			detail += fmt.Sprintf("%s: err=%v done=%d epochs=%d; ",
-				alg, o.Err, o.Summary.StreamlinesCompleted, o.Summary.EpochCrossings)
+	out := make([]ShapeResult, 0, len(shapes))
+	for _, s := range shapes {
+		r := &reader{c: c}
+		t := s.check(r)
+		res := ShapeResult{Claim: s.claim, OK: t.holds(), Got: t.got, Bound: t.bound, Margin: t.margin()}
+		res.Detail = fmt.Sprintf("%.6g %s %.6g (margin %+.3g)", t.got, t.op, t.bound, res.Margin)
+		if r.broken != "" {
+			res = ShapeResult{Claim: s.claim, Margin: -maxMargin, Detail: r.broken}
 		}
-		add("§8: all four algorithms trace unsteady astro pathlines across epochs",
-			ok, detail)
+		out = append(out, res)
 	}
-	{
-		// The paper predicts pathline I/O stresses caching hardest:
-		// time-sliced blocks double cache pressure and every epoch
-		// boundary is a cold block, so Load-On-Demand's LRU thrashes
-		// while Hybrid's master placement groups pathlines per
-		// space-time block — the I/O gap between them widens relative
-		// to the steady case.
-		lS := sum(Astro, Sparse, core.LoadOnDemand).TotalIO
-		hS := sum(Astro, Sparse, core.HybridMS).TotalIO
-		lU := getU(Astro, Sparse, core.LoadOnDemand).Summary.TotalIO
-		hU := getU(Astro, Sparse, core.HybridMS).Summary.TotalIO
-		add("§8: time slicing widens Load-On-Demand's I/O gap over Hybrid (astro sparse pathlines)",
-			ratio(lU, hU) > ratio(lS, hS),
-			fmt.Sprintf("unsteady ondemand/hybrid=%.2f steady=%.2f (ondemand %.2f->%.2f, hybrid %.2f->%.2f)",
-				ratio(lU, hU), ratio(lS, hS), lS, lU, hS, hU))
-	}
-
-	// --- Asynchronous prefetching (paper §8, DESIGN.md §8) ---
-	{
-		// The paper's I/O cost is Load-On-Demand's blocking read at every
-		// miss; §8 proposes hiding it. Neighbor prefetching issues the
-		// next spatial block from each streamline's exit while the pool
-		// keeps computing, so the same campaign cell must stall strictly
-		// less on I/O with it on — and report genuinely hidden read time.
-		off := get(Astro, Sparse, core.LoadOnDemand)
-		pf := c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: top, Prefetch: prefetch.Neighbor})
-		add("§8: neighbor prefetch strictly cuts Load-On-Demand's I/O stall time (astro sparse)",
-			pf.Err == nil && off.Err == nil &&
-				pf.Summary.TotalIO < off.Summary.TotalIO && pf.Summary.IOHiddenTime > 0,
-			fmt.Sprintf("io %.3f -> %.3f, hidden=%.3f (hits %d/%d issued)",
-				off.Summary.TotalIO, pf.Summary.TotalIO, pf.Summary.IOHiddenTime,
-				pf.Summary.PrefetchHits, pf.Summary.PrefetchIssued))
-	}
-	{
-		// Pathlines add the epoch-boundary stall: every crossing is a
-		// cold space-time block. Temporal prefetching streams epoch e+1
-		// in while epoch e still computes, cutting the same cell's total
-		// I/O stall on the unsteady campaign.
-		off := getU(Astro, Sparse, core.LoadOnDemand)
-		pf := c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: top, Unsteady: true, Prefetch: prefetch.Temporal})
-		add("§8: temporal prefetch cuts unsteady epoch-boundary I/O stalls (astro sparse pathlines)",
-			pf.Err == nil && off.Err == nil &&
-				pf.Summary.TotalIO < off.Summary.TotalIO && pf.Summary.IOHiddenTime > 0,
-			fmt.Sprintf("io %.3f -> %.3f, hidden=%.3f (hits %d/%d issued)",
-				off.Summary.TotalIO, pf.Summary.TotalIO, pf.Summary.IOHiddenTime,
-				pf.Summary.PrefetchHits, pf.Summary.PrefetchIssued))
-	}
-
-	// --- Staggered seed release (paper §8's in-situ outlook, DESIGN.md §9) ---
-	{
-		// The paper's dense-seeding story is Static's structural
-		// imbalance: whoever owns the seed blocks does nearly all the
-		// work. Staggering the release leaves that structure untouched —
-		// the same processors own the same work — but erodes the dynamic
-		// algorithms' advantage, because an even 1/n split cannot balance
-		// work that does not exist yet: starved processors idle between
-		// releases and Load-On-Demand's busy spread widens. The gap
-		// between Static's imbalance and ondemand's therefore narrows
-		// under staggered injection (measured 8.8 -> 7.9 at the default
-		// scale, 4.5 -> 4.0 at the small scale).
-		sT0 := sum(Astro, Dense, core.StaticAlloc).Imbalance
-		lT0 := sum(Astro, Dense, core.LoadOnDemand).Imbalance
-		sSt := c.Run(Key{Dataset: Astro, Seeding: Dense, Alg: core.StaticAlloc, Procs: top, Injection: InjectStagger}).Summary.Imbalance
-		lSt := c.Run(Key{Dataset: Astro, Seeding: Dense, Alg: core.LoadOnDemand, Procs: top, Injection: InjectStagger}).Summary.Imbalance
-		add("§9: staggered release narrows Static's imbalance gap over ondemand (astro dense)",
-			ratio(sSt, lSt) < ratio(sT0, lT0),
-			fmt.Sprintf("gap t0=%.2f (static %.2f / ondemand %.2f) -> staggered=%.2f (static %.2f / ondemand %.2f)",
-				ratio(sT0, lT0), sT0, lT0, ratio(sSt, lSt), sSt, lSt))
-	}
-	{
-		// The streak-line cache-pressure scenario the paper's Section 8
-		// anticipates, on the unsteady workload where every wave restarts
-		// in epoch-0 blocks that earlier pathlines have pushed out of the
-		// LRU: continuous staggered injection strictly raises ondemand's
-		// block replication over the one-wave (t0) release. At the same
-		// time the t0 release is the worst case for the shared
-		// filesystem — every processor demands its cold start at the same
-		// instant — so staggering strictly cuts the total I/O stall even
-		// as it loads more blocks (queue wait dominates the stall;
-		// measured 55s -> 45s at the default scale, 4.1s -> 2.1s small).
-		off := getU(Astro, Sparse, core.LoadOnDemand).Summary
-		st := c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: top, Unsteady: true, Injection: InjectStagger}).Summary
-		add("§9: staggered injection raises ondemand's unsteady replication yet smooths the t0 I/O burst (astro pathlines)",
-			st.BlocksLoaded > off.BlocksLoaded && st.TotalIO < off.TotalIO,
-			fmt.Sprintf("loads %d -> %d, io %.3f -> %.3f (queue %.3f -> %.3f), stalls=%d",
-				off.BlocksLoaded, st.BlocksLoaded, off.TotalIO, st.TotalIO,
-				off.TotalIOQueue, st.TotalIOQueue, st.ReleaseStalls))
-	}
-
-	// --- Deterministic fault recovery (DESIGN.md §11) ---
-	getF := func(alg core.Algorithm) Outcome {
-		return c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: top, Faults: FaultsKill})
-	}
-	{
-		// Static allocation pins blocks AND results to ranks; losing one
-		// takes its share of the answer with it. The contract is a typed
-		// refusal, not a wrong result.
-		o := getF(core.StaticAlloc)
-		var ue *faults.UnrecoverableError
-		add("§11: static allocation cannot survive processor loss — it fails with the typed error",
-			o.Err != nil && errors.As(o.Err, &ue),
-			fmt.Sprintf("err=%v", o.Err))
-	}
-	{
-		// The recoverable three adopt the dead processor's streamlines
-		// and still finish every seed — the same completion count as
-		// their fault-free runs. The peer-to-peer algorithms must show
-		// genuine adoption (the victim held streamlines when it died);
-		// hybrid's dead coordinator may already have drained its pool to
-		// its slaves, so for it the loss itself is the evidence.
-		ok := true
-		detail := ""
-		for _, alg := range []core.Algorithm{core.LoadOnDemand, core.WorkStealing, core.HybridMS} {
-			of := getF(alg)
-			base := get(Astro, Sparse, alg)
-			ok = ok && of.Err == nil && base.Err == nil &&
-				of.Summary.StreamlinesCompleted == base.Summary.StreamlinesCompleted &&
-				of.Summary.ProcsLost >= 1
-			if alg != core.HybridMS {
-				ok = ok && of.Summary.SeedsAdopted > 0
-			}
-			detail += fmt.Sprintf("%s: err=%v done=%d/%d lost=%d adopted=%d; ",
-				alg, of.Err, of.Summary.StreamlinesCompleted, base.Summary.StreamlinesCompleted,
-				of.Summary.ProcsLost, of.Summary.SeedsAdopted)
-		}
-		add("§11: survivors adopt the lost processor's streamlines and complete every seed (astro sparse)",
-			ok, detail)
-	}
-	{
-		// Killing processor 0 takes the stealing ring's initial token
-		// holder, yet recovery is peer-local: drop the dead peer, adopt
-		// its seeds, regenerate the token. The wall-clock penalty stays
-		// bounded (measured ≤1.15× fault-free at the small and default
-		// scales; the bound allows 1.6×).
-		st := getF(core.WorkStealing).Summary
-		free := sum(Astro, Sparse, core.WorkStealing)
-		add("§11: stealing re-forms its ring and keeps the fault penalty bounded (astro sparse)",
-			st.RingReforms >= 1 && st.WallClock <= 1.6*free.WallClock,
-			fmt.Sprintf("wall %.3f -> %.3f (%.2fx), reforms=%d",
-				free.WallClock, st.WallClock, ratio(st.WallClock, free.WallClock), st.RingReforms))
-	}
-	{
-		// The same kill takes hybrid's coordinator master, and recovery
-		// is structural: a slave is promoted, the pool reassigned, the
-		// completion ledger rebuilt — a failover spike stealing never
-		// pays. The paper's master is hybrid's strength and its single
-		// point of fragility.
-		h := getF(core.HybridMS).Summary
-		free := sum(Astro, Sparse, core.HybridMS)
-		add("§11: hybrid pays a master-failover spike to recover (astro sparse)",
-			h.MasterFailovers >= 1 && h.WallClock > free.WallClock,
-			fmt.Sprintf("wall %.3f -> %.3f (%.2fx), failovers=%d",
-				free.WallClock, h.WallClock, ratio(h.WallClock, free.WallClock), h.MasterFailovers))
-	}
-
 	return out
+}
+
+// reader is how a claim reads the campaign: every cell at the scale's top
+// processor count. Reading the summary of a cell that failed, or expecting
+// an error of a cell that did not return it, breaks the claim, whatever
+// comparison it then returns; broken names the first such cell. A
+// recording reader runs nothing: it collects the keys and returns zero
+// outcomes, so a claim must read all of its cells before it branches on
+// one.
+type reader struct {
+	c      *Campaign
+	record bool
+	keys   []Key
+	broken string
+}
+
+func (r *reader) top() int { return r.c.Scale.ProcCounts[len(r.c.Scale.ProcCounts)-1] }
+
+func (r *reader) outcome(k Key) Outcome {
+	k.Procs = r.top()
+	if !r.record {
+		return r.c.Run(k)
+	}
+	if !slices.Contains(r.keys, k) {
+		r.keys = append(r.keys, k)
+	}
+	return Outcome{Key: k}
+}
+
+func (r *reader) breaks(detail string) {
+	if r.broken == "" {
+		r.broken = detail
+	}
+}
+
+// cell returns k's summary.
+func (r *reader) cell(k Key) metrics.Summary {
+	o := r.outcome(k)
+	if o.Err != nil {
+		r.breaks(fmt.Sprintf("%s: %v", o.Key.Label(), o.Err))
+	}
+	return o.Summary
+}
+
+// sum returns the summary of a steady, fault-free cell.
+func (r *reader) sum(ds Dataset, seeding Seeding, alg core.Algorithm) metrics.Summary {
+	return r.cell(Key{Dataset: ds, Seeding: seeding, Alg: alg})
+}
+
+// fails reports whether k's run failed with an error errors.As finds in
+// target.
+func (r *reader) fails(k Key, target any) bool {
+	o := r.outcome(k)
+	if errors.As(o.Err, target) {
+		return true
+	}
+	r.breaks(fmt.Sprintf("%s: err=%v, want %v", o.Key.Label(), o.Err, reflect.TypeOf(target).Elem()))
+	return false
+}
+
+// term is one comparison got op bound.
+type term struct {
+	got, bound float64
+	op         string
+}
+
+func le(got, bound float64) term { return term{got, bound, "≤"} }
+func lt(got, bound float64) term { return term{got, bound, "<"} }
+func ge(got, bound float64) term { return term{got, bound, "≥"} }
+func gt(got, bound float64) term { return term{got, bound, ">"} }
+
+// atLeastOne turns a count that must be nonzero into a comparison.
+func atLeastOne(n int64) term { return ge(float64(n), 1) }
+
+// within holds when a and b are within factor of each other.
+func within(a, b, factor float64) term {
+	return tightest(le(ratio(a, b), factor), le(ratio(b, a), factor))
+}
+
+// tightest is a conjunction: it reports a failing term if one fails, and
+// otherwise the term that holds with the least margin.
+func tightest(ts ...term) term {
+	best := ts[0]
+	for _, t := range ts[1:] {
+		if best.holds() && !t.holds() || t.holds() == best.holds() && t.margin() < best.margin() {
+			best = t
+		}
+	}
+	return best
+}
+
+func (t term) holds() bool {
+	switch t.op {
+	case "≤":
+		return t.got <= t.bound
+	case "<":
+		return t.got < t.bound
+	case "≥":
+		return t.got >= t.bound
+	}
+	return t.got > t.bound
+}
+
+// maxMargin bounds every margin to ±ln(1e9), ratio's value for a zero
+// denominator, so margins stay finite (encoding/json rejects ±Inf).
+var maxMargin = math.Log(1e9)
+
+func (t term) margin() float64 {
+	m := ratio(t.bound, t.got)
+	if t.op == "≥" || t.op == ">" {
+		m = ratio(t.got, t.bound)
+	}
+	return math.Max(-maxMargin, math.Min(maxMargin, math.Log(m)))
 }
 
 func ratio(a, b float64) float64 {
@@ -459,19 +185,323 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-func within(a, b, factor float64) bool {
-	return ratio(a, b) <= factor && ratio(b, a) <= factor
+// shape is one claim: its text, and the comparison that decides it.
+type shape struct {
+	claim string
+	check func(r *reader) term
 }
 
-func minMax3(a, b, c float64) (lo, hi float64) {
-	lo, hi = a, a
-	for _, v := range []float64{b, c} {
-		if v < lo {
-			lo = v
+// shapes is every claim CheckShapes checks, in report order.
+var shapes = []shape{
+	// --- Astrophysics (Figures 5–8) ---
+
+	// The paper's sparse hybrid margin over Static was a few percent on
+	// JaguarPF; in this simulator Static's pinned-once I/O ideal wins the
+	// sparse case outright, so the claim is competitiveness — hybrid
+	// within 1.5× of the best — rather than strict victory.
+	{"Fig 5 (sparse): Hybrid stays within 1.5x of the best astro wall clock", func(r *reader) term {
+		h := r.sum(Astro, Sparse, core.HybridMS).WallClock
+		s := r.sum(Astro, Sparse, core.StaticAlloc).WallClock
+		l := r.sum(Astro, Sparse, core.LoadOnDemand).WallClock
+		return le(h, 1.5*math.Min(s, l))
+	}},
+	// Dense astro keeps the paper's strict ordering: dynamic assignment
+	// beats both baselines (within 5 %).
+	{"Fig 5 (dense): Hybrid has the best astro wall clock", func(r *reader) term {
+		h := r.sum(Astro, Dense, core.HybridMS).WallClock
+		s := r.sum(Astro, Dense, core.StaticAlloc).WallClock
+		l := r.sum(Astro, Dense, core.LoadOnDemand).WallClock
+		return le(h, 1.05*math.Min(s, l))
+	}},
+	{"Fig 6: Load-On-Demand spends far more I/O time than Static (astro)", func(r *reader) term {
+		l := r.sum(Astro, Sparse, core.LoadOnDemand).TotalIO
+		s := r.sum(Astro, Sparse, core.StaticAlloc).TotalIO
+		return ge(l, 3*s)
+	}},
+	// The paper's Figure 6 shows hybrid I/O above Static's ideal but far
+	// below Load-On-Demand's: within one order of magnitude (12×).
+	{"Fig 6: Hybrid I/O stays within an order of magnitude of the Static ideal (astro)", func(r *reader) term {
+		h := r.sum(Astro, Sparse, core.HybridMS).TotalIO
+		s := r.sum(Astro, Sparse, core.StaticAlloc).TotalIO
+		return le(h, 12*s)
+	}},
+	{"Fig 7 (sparse): block efficiency Static=1, Hybrid at or above Load-On-Demand", func(r *reader) term {
+		return blockEfficiency(r, Sparse)
+	}},
+	{"Fig 7 (dense): block efficiency Static=1, Hybrid at or above Load-On-Demand", func(r *reader) term {
+		return blockEfficiency(r, Dense)
+	}},
+	// The shorter advections of the reduced scales communicate less
+	// geometry per crossing than at paper scale, so the claim asks for a
+	// clear >1.2 gap rather than the paper-scale 1.5×.
+	{"Fig 8: Static communicates more than Hybrid (astro sparse)", func(r *reader) term {
+		s := r.sum(Astro, Sparse, core.StaticAlloc).TotalComm
+		h := r.sum(Astro, Sparse, core.HybridMS).TotalComm
+		return gt(s, 1.2*h)
+	}},
+	{"Fig 8: the Static/Hybrid communication gap widens for dense seeds (astro)", func(r *reader) term {
+		sSparse := r.sum(Astro, Sparse, core.StaticAlloc).TotalComm
+		hSparse := r.sum(Astro, Sparse, core.HybridMS).TotalComm
+		sDense := r.sum(Astro, Dense, core.StaticAlloc).TotalComm
+		hDense := r.sum(Astro, Dense, core.HybridMS).TotalComm
+		return gt(ratio(sDense, hDense), ratio(sSparse, hSparse))
+	}},
+
+	// --- Fusion (Figures 9–12) ---
+	{"Fig 9: Static and Hybrid perform comparably on fusion", func(r *reader) term {
+		s := r.sum(Fusion, Sparse, core.StaticAlloc).WallClock
+		h := r.sum(Fusion, Sparse, core.HybridMS).WallClock
+		return within(s, h, 3)
+	}},
+	{"Fig 9: Load-On-Demand performs poorly for sparse fusion seeds", func(r *reader) term {
+		l := r.sum(Fusion, Sparse, core.LoadOnDemand).WallClock
+		s := r.sum(Fusion, Sparse, core.StaticAlloc).WallClock
+		return gt(l, 2*s)
+	}},
+	{"Fig 9: dense seeding narrows the Load-On-Demand gap (working set fits cache)", func(r *reader) term {
+		l := r.sum(Fusion, Sparse, core.LoadOnDemand).WallClock
+		s := r.sum(Fusion, Sparse, core.StaticAlloc).WallClock
+		lD := r.sum(Fusion, Dense, core.LoadOnDemand).WallClock
+		sD := r.sum(Fusion, Dense, core.StaticAlloc).WallClock
+		return lt(ratio(lD, sD), ratio(l, s))
+	}},
+	{"Fig 10: Load-On-Demand performs more I/O on fusion", func(r *reader) term {
+		l := r.sum(Fusion, Dense, core.LoadOnDemand).TotalIO
+		s := r.sum(Fusion, Dense, core.StaticAlloc).TotalIO
+		return gt(l, s)
+	}},
+	{"Fig 11: Static communication is higher for dense fusion seeds", func(r *reader) term {
+		dense := r.sum(Fusion, Dense, core.StaticAlloc).TotalComm
+		sparse := r.sum(Fusion, Sparse, core.StaticAlloc).TotalComm
+		return gt(dense, sparse)
+	}},
+	// The paper reads Figure 12 as fusion paying for more block
+	// replication than astro. At reduced scales the per-slave caches never
+	// overflow, so purge-based block efficiency sits at 1.000 for both
+	// datasets and cannot discriminate; the replication itself — total
+	// hybrid block loads against the 1-load-per-block ideal — still can.
+	{"Fig 12: Hybrid replicates blocks more on fusion than astro (more replication pays)", func(r *reader) term {
+		fus := r.sum(Fusion, Sparse, core.HybridMS).BlocksLoaded
+		ast := r.sum(Astro, Sparse, core.HybridMS).BlocksLoaded
+		return gt(float64(fus), float64(ast))
+	}},
+
+	// --- Thermal hydraulics (Figures 13–16) ---
+	{"Fig 13: sparse thermal — all three algorithms are comparable", func(r *reader) term {
+		s := r.sum(Thermal, Sparse, core.StaticAlloc).WallClock
+		l := r.sum(Thermal, Sparse, core.LoadOnDemand).WallClock
+		h := r.sum(Thermal, Sparse, core.HybridMS).WallClock
+		return le(math.Max(s, math.Max(l, h)), 8*math.Min(s, math.Min(l, h)))
+	}},
+	{"Fig 13: dense thermal — Static Allocation runs out of memory", func(r *reader) term {
+		var oom *store.OOMError
+		if !r.fails(Key{Dataset: Thermal, Seeding: Dense, Alg: core.StaticAlloc}, &oom) {
+			return term{}
 		}
-		if v > hi {
-			hi = v
+		return gt(float64(oom.NeededBytes), float64(oom.BudgetBytes))
+	}},
+	{"Fig 13: dense thermal — Load-On-Demand outperforms Hybrid (compute hides I/O)", func(r *reader) term {
+		l := r.sum(Thermal, Dense, core.LoadOnDemand).WallClock
+		h := r.sum(Thermal, Dense, core.HybridMS).WallClock
+		return le(l, h)
+	}},
+	{"Fig 14: dense thermal — Load-On-Demand I/O is minor relative to its runtime", func(r *reader) term {
+		l := r.sum(Thermal, Dense, core.LoadOnDemand)
+		return lt(l.TotalIO, float64(r.top())*l.WallClock/2)
+	}},
+
+	// --- Work stealing (DESIGN.md §6): is the master earning its keep? ---
+	// The decentralized fourth algorithm interrogates the paper's central
+	// claim by removing exactly one ingredient — the master's global view —
+	// while keeping dynamic load balancing.
+	{"§6: stealing engages — probes hit at the top processor count (astro sparse)", func(r *reader) term {
+		st := r.sum(Astro, Sparse, core.WorkStealing)
+		return tightest(atLeastOne(st.StealHits), atLeastOne(st.TokensPassed))
+	}},
+	// Stolen pending streamlines cost the thief block loads the victim
+	// might have amortized, so stealing pays somewhat more I/O than Load
+	// On Demand — but stays within a factor of two, nowhere near Static's
+	// ideal or the master-directed Hybrid placement.
+	{"§6: stealing inherits Load-On-Demand's I/O profile (astro sparse)", func(r *reader) term {
+		st := r.sum(Astro, Sparse, core.WorkStealing).TotalIO
+		l := r.sum(Astro, Sparse, core.LoadOnDemand).TotalIO
+		return within(st, l, 2)
+	}},
+	{"§6: dynamic balancing pays on dense seeds — stealing beats Load On Demand (astro, fusion)", func(r *reader) term {
+		stA := r.sum(Astro, Dense, core.WorkStealing).WallClock
+		lA := r.sum(Astro, Dense, core.LoadOnDemand).WallClock
+		stF := r.sum(Fusion, Dense, core.WorkStealing).WallClock
+		lF := r.sum(Fusion, Dense, core.LoadOnDemand).WallClock
+		return tightest(lt(stA, lA), lt(stF, lF))
+	}},
+	// Stealing's peak fits the per-processor budget Static's pinned
+	// results overrun.
+	{"§6: dense seeding — stealing's even split survives the budget that kills Static", func(r *reader) term {
+		st := r.sum(Thermal, Dense, core.WorkStealing)
+		var oom *store.OOMError
+		if !r.fails(Key{Dataset: Thermal, Seeding: Dense, Alg: core.StaticAlloc}, &oom) {
+			return term{}
 		}
-	}
-	return
+		budget := float64(oom.BudgetBytes)
+		return tightest(gt(float64(oom.NeededBytes), budget), le(float64(st.PeakMemoryBytes), budget))
+	}},
+	{"§6 (sparse): stealing loses to Hybrid when block contention dominates (fusion)", func(r *reader) term {
+		return stealingLosesToHybrid(r, Sparse)
+	}},
+	{"§6 (dense): stealing loses to Hybrid when block contention dominates (fusion)", func(r *reader) term {
+		return stealingLosesToHybrid(r, Dense)
+	}},
+	{"§6: decentralized probing communicates less than master/slave coordination (fusion sparse)", func(r *reader) term {
+		st := r.sum(Fusion, Sparse, core.WorkStealing).TotalComm
+		h := r.sum(Fusion, Sparse, core.HybridMS).TotalComm
+		return lt(st, h)
+	}},
+
+	// --- Unsteady pathlines (paper §8, DESIGN.md §7) ---
+
+	// Time-varying flow is the paper's named next frontier; the first
+	// claim is simply that the whole machinery reaches it: every algorithm
+	// completes the pathline campaign and its pathlines genuinely sweep
+	// across time slabs.
+	{"§8: all four algorithms trace unsteady astro pathlines across epochs", func(r *reader) term {
+		var ts []term
+		for _, alg := range core.Algorithms() {
+			u := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Unsteady: true})
+			ts = append(ts, atLeastOne(u.EpochCrossings), atLeastOne(u.StreamlinesCompleted))
+		}
+		return tightest(ts...)
+	}},
+	// The paper predicts pathline I/O stresses caching hardest: time-sliced
+	// blocks double cache pressure and every epoch boundary is a cold
+	// block, so Load-On-Demand's LRU thrashes while Hybrid's master
+	// placement groups pathlines per space-time block — the I/O gap
+	// between them widens relative to the steady case.
+	{"§8: time slicing widens Load-On-Demand's I/O gap over Hybrid (astro sparse pathlines)", func(r *reader) term {
+		lS := r.sum(Astro, Sparse, core.LoadOnDemand).TotalIO
+		hS := r.sum(Astro, Sparse, core.HybridMS).TotalIO
+		lU := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Unsteady: true}).TotalIO
+		hU := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Unsteady: true}).TotalIO
+		return gt(ratio(lU, hU), ratio(lS, hS))
+	}},
+
+	// --- Asynchronous prefetching (paper §8, DESIGN.md §8) ---
+
+	// The paper's I/O cost is Load-On-Demand's blocking read at every
+	// miss; §8 proposes hiding it. Neighbor prefetching issues the next
+	// spatial block from each streamline's exit while the pool keeps
+	// computing, so the same campaign cell must stall strictly less on
+	// I/O with it on — and report genuinely hidden read time.
+	{"§8: neighbor prefetch strictly cuts Load-On-Demand's I/O stall time (astro sparse)", func(r *reader) term {
+		return prefetchCutsIO(r, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand}, prefetch.Neighbor)
+	}},
+	// Pathlines add the epoch-boundary stall: every crossing is a cold
+	// space-time block. Temporal prefetching streams epoch e+1 in while
+	// epoch e still computes, cutting the same cell's total I/O stall.
+	{"§8: temporal prefetch cuts unsteady epoch-boundary I/O stalls (astro sparse pathlines)", func(r *reader) term {
+		return prefetchCutsIO(r, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Unsteady: true}, prefetch.Temporal)
+	}},
+
+	// --- Staggered seed release (paper §8's in-situ outlook, DESIGN.md §9) ---
+
+	// The paper's dense-seeding story is Static's structural imbalance:
+	// whoever owns the seed blocks does nearly all the work. Staggering
+	// the release leaves that structure untouched but erodes the dynamic
+	// algorithms' advantage, because an even 1/n split cannot balance work
+	// that does not exist yet: starved processors idle between releases
+	// and Load-On-Demand's busy spread widens, so the gap narrows.
+	{"§9: staggered release narrows Static's imbalance gap over ondemand (astro dense)", func(r *reader) term {
+		sT0 := r.sum(Astro, Dense, core.StaticAlloc).Imbalance
+		lT0 := r.sum(Astro, Dense, core.LoadOnDemand).Imbalance
+		sSt := r.cell(Key{Dataset: Astro, Seeding: Dense, Alg: core.StaticAlloc, Injection: InjectStagger}).Imbalance
+		lSt := r.cell(Key{Dataset: Astro, Seeding: Dense, Alg: core.LoadOnDemand, Injection: InjectStagger}).Imbalance
+		return lt(ratio(sSt, lSt), ratio(sT0, lT0))
+	}},
+	// The streak-line cache-pressure scenario the paper's Section 8
+	// anticipates, on the unsteady workload where every wave restarts in
+	// epoch-0 blocks that earlier pathlines have pushed out of the LRU:
+	// continuous staggered injection strictly raises ondemand's block
+	// replication over the one-wave (t0) release. At the same time the t0
+	// release is the worst case for the shared filesystem — every
+	// processor demands its cold start at the same instant — so staggering
+	// strictly cuts the total I/O stall (queue wait dominates it) even as
+	// it loads more blocks.
+	{"§9: staggered injection raises ondemand's unsteady replication yet smooths the t0 I/O burst (astro pathlines)", func(r *reader) term {
+		k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Unsteady: true}
+		t0 := r.cell(k)
+		k.Injection = InjectStagger
+		st := r.cell(k)
+		return tightest(gt(float64(st.BlocksLoaded), float64(t0.BlocksLoaded)), lt(st.TotalIO, t0.TotalIO))
+	}},
+
+	// --- Deterministic fault recovery (DESIGN.md §11) ---
+
+	// Static allocation pins blocks AND results to ranks; losing one takes
+	// its share of the answer with it. The contract is a typed refusal,
+	// not a wrong result, and a refusal carries no quantity: it holds at
+	// margin 0.
+	{"§11: static allocation cannot survive processor loss — it fails with the typed error", func(r *reader) term {
+		var ue *faults.UnrecoverableError
+		r.fails(Key{Dataset: Astro, Seeding: Sparse, Alg: core.StaticAlloc, Faults: FaultsKill}, &ue)
+		return ge(1, 1)
+	}},
+	// The recoverable three adopt the dead processor's streamlines and
+	// still finish every seed — the same completion count as their
+	// fault-free runs. The peer-to-peer algorithms must show genuine
+	// adoption (the victim held streamlines when it died); hybrid's dead
+	// coordinator may already have drained its pool to its slaves, so for
+	// it the loss itself is the evidence.
+	{"§11: survivors adopt the lost processor's streamlines and complete every seed (astro sparse)", func(r *reader) term {
+		var ts []term
+		for _, alg := range []core.Algorithm{core.LoadOnDemand, core.WorkStealing, core.HybridMS} {
+			f := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Faults: FaultsKill})
+			done, want := float64(f.StreamlinesCompleted), float64(r.sum(Astro, Sparse, alg).StreamlinesCompleted)
+			ts = append(ts, ge(done, want), le(done, want), atLeastOne(f.ProcsLost))
+			if alg != core.HybridMS {
+				ts = append(ts, atLeastOne(f.SeedsAdopted))
+			}
+		}
+		return tightest(ts...)
+	}},
+	// Killing processor 0 takes the stealing ring's initial token holder,
+	// yet recovery is peer-local: drop the dead peer, adopt its seeds,
+	// regenerate the token. The wall-clock penalty stays bounded (1.6×).
+	{"§11: stealing re-forms its ring and keeps the fault penalty bounded (astro sparse)", func(r *reader) term {
+		f := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: core.WorkStealing, Faults: FaultsKill})
+		free := r.sum(Astro, Sparse, core.WorkStealing).WallClock
+		return tightest(atLeastOne(f.RingReforms), le(f.WallClock, 1.6*free))
+	}},
+	// The same kill takes hybrid's coordinator master, and recovery is
+	// structural: a slave is promoted, the pool reassigned, the completion
+	// ledger rebuilt — a failover spike stealing never pays. The paper's
+	// master is hybrid's strength and its single point of fragility.
+	{"§11: hybrid pays a master-failover spike to recover (astro sparse)", func(r *reader) term {
+		f := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Faults: FaultsKill})
+		free := r.sum(Astro, Sparse, core.HybridMS).WallClock
+		return tightest(atLeastOne(f.MasterFailovers), gt(f.WallClock, free))
+	}},
+}
+
+// blockEfficiency is Figure 7: Static loads each block once (E = 1, and
+// E never exceeds 1), and Hybrid's efficiency is at or above Load On
+// Demand's.
+func blockEfficiency(r *reader, seeding Seeding) term {
+	s := r.sum(Astro, seeding, core.StaticAlloc).BlockEfficiency
+	h := r.sum(Astro, seeding, core.HybridMS).BlockEfficiency
+	l := r.sum(Astro, seeding, core.LoadOnDemand).BlockEfficiency
+	return tightest(ge(s, 1), ge(h, l))
+}
+
+func stealingLosesToHybrid(r *reader, seeding Seeding) term {
+	h := r.sum(Fusion, seeding, core.HybridMS).WallClock
+	st := r.sum(Fusion, seeding, core.WorkStealing).WallClock
+	return lt(h, st)
+}
+
+// prefetchCutsIO compares cell k with and without policy p: strictly less
+// I/O stall, and some read time genuinely hidden.
+func prefetchCutsIO(r *reader, k Key, p prefetch.Policy) term {
+	off := r.cell(k)
+	k.Prefetch = p
+	on := r.cell(k)
+	return tightest(lt(on.TotalIO, off.TotalIO), gt(on.IOHiddenTime, 0))
 }

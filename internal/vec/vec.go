@@ -75,9 +75,6 @@ func (v V3) Lerp(w V3, t float64) V3 {
 // Abs returns the component-wise absolute value.
 func (v V3) Abs() V3 { return V3{math.Abs(v.X), math.Abs(v.Y), math.Abs(v.Z)} }
 
-// MinComponent returns the smallest component of v.
-func (v V3) MinComponent() float64 { return math.Min(v.X, math.Min(v.Y, v.Z)) }
-
 // IsFinite reports whether all components are finite numbers. It is
 // called after every field evaluation on the integrator's hot path, so
 // it is written branch free: x−x is exactly +0 for every finite x

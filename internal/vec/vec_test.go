@@ -94,10 +94,6 @@ func TestIsFinite(t *testing.T) {
 }
 
 func TestMinMaxComponents(t *testing.T) {
-	v := Of(-1, 5, 2)
-	if v.MinComponent() != -1 {
-		t.Errorf("MinComponent = %v", v.MinComponent())
-	}
 	if got := Min(Of(1, 5, 2), Of(3, 4, 0)); got != Of(1, 4, 0) {
 		t.Errorf("Min = %v", got)
 	}
