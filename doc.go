@@ -17,9 +17,9 @@
 // makes streak-line-style continuous injection a first-class workload:
 // seeds released over time reshape load balance and I/O burstiness while
 // every particle's geometry stays pinned by the same golden digests.
-// The determinism contract itself is proved at compile time by slvet
-// (cmd/slvet, internal/invlint), a go/analysis-style linter that runs
-// under go vet -vettool and flags wall-clock reads, global rand,
+// The determinism contract itself is proved statically by
+// internal/invlint, go/analysis-style checkers that go test runs over
+// every package of the module, flagging wall-clock reads, global rand,
 // order-sensitive map iteration and host-time blocking in simulated
 // code; reflect-driven tests hold every experiment axis and metrics
 // counter wired.
@@ -32,7 +32,7 @@
 //
 //   - internal/core: the four algorithms (core.Run)
 //   - internal/experiments: datasets, machine model, figure harness
-//   - internal/invlint: the slvet analyzer suite
-//   - cmd/slbench, cmd/slrun, cmd/slviz, cmd/slvet: command-line tools
+//   - internal/invlint: the determinism analyzers, run as tests
+//   - cmd/slbench, cmd/slrun, cmd/slviz, cmd/slserve: command-line tools
 //   - examples/: runnable walkthroughs (see examples/README.md)
 package repro

@@ -44,9 +44,9 @@ func (u *use) mark(test bool) {
 // business.) A reference from inside the declaration itself (recursion, a
 // type's own methods) does not count; main and init are referred to by
 // the runtime; a method nothing selects is left alone, because interfaces
-// and fmt call methods without naming them. internal/doclint itself is
-// exempt: its check* entry points are its tests' subject, not their
-// helpers.
+// and fmt call methods without naming them. internal/doclint and
+// internal/invlint are exempt: they are linters that run as tests, and
+// their entry points are those tests' subject, not their helpers.
 //
 // The check is syntactic: a package-level name is referred to by any
 // identifier of that name in its own directory and by `pkg.Name`
@@ -185,7 +185,7 @@ func checkDeadExports(root string) ([]finding, error) {
 			if !live(d) && !liveGroups[d.group] {
 				what = fmt.Sprintf("exported %s has no reference outside %s: un-export or delete it", d.name, d.dir)
 			}
-		case d.kind == 'v' || d.dir == "internal/doclint" || u.prod:
+		case d.kind == 'v' || d.dir == "internal/doclint" || d.dir == "internal/invlint" || u.prod:
 		case u.test || d.kind != 'm' && d.name != "main" && d.name != "init":
 			what = fmt.Sprintf("test-only %s has no reference in a non-test file: delete it, or move it into a _test.go file", d.name)
 		}

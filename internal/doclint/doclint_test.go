@@ -227,7 +227,7 @@ func TestSlugify(t *testing.T) {
 		"Quick start":            "quick-start",
 		"§10 Invariants as lint": "10-invariants-as-lint",
 		"I/O model":              "io-model",
-		"`slvet` tooling":        "slvet-tooling",
+		"`invlint` tooling":      "invlint-tooling",
 		"Already-lower_case":     "already-lower_case",
 	}
 	for in, want := range cases {

@@ -22,16 +22,23 @@ import (
 // corpus rooted at testdata/<case>/src, resolving in-corpus imports from
 // source and everything else through `go list -export`.
 
-// listJSON is the subset of `go list -json` output the loader consumes.
+// listJSON is the subset of `go list -json` output the loaders consume.
 type listJSON struct {
 	ImportPath string
 	Export     string
+	// Dir and GoFiles locate the package's non-test sources.
+	Dir     string
+	GoFiles []string
+	// Deps lists every package the package imports, directly or not.
+	Deps []string
+	// DepOnly marks a package listed only as a dependency of a match.
+	DepOnly bool
 }
 
 // goList runs `go list -export -deps -json` on the given patterns and
 // parses the concatenated JSON documents it emits.
 func goList(patterns ...string) ([]listJSON, error) {
-	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, patterns...)...)
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json=ImportPath,Export,Dir,GoFiles,Deps,DepOnly"}, patterns...)...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -211,11 +218,7 @@ func runCorpus(t *testing.T, root string, analyzers []*Analyzer, pkgPaths ...str
 		if err != nil {
 			t.Fatalf("loading corpus %s/%s: %v", root, path, err)
 		}
-		ds, err := runUnit(u, analyzers)
-		if err != nil {
-			t.Fatalf("running analyzers on %s/%s: %v", root, path, err)
-		}
-		diags = append(diags, ds...)
+		diags = append(diags, runUnit(u, analyzers)...)
 		wants = append(wants, collectWants(t, u)...)
 	}
 	for _, d := range diags {
@@ -259,47 +262,11 @@ func TestCorpora(t *testing.T) {
 	}
 }
 
-// TestAnalyzersRegistered pins the suite: detlint and simtime,
-// resolvable by name, each documented.
-func TestAnalyzersRegistered(t *testing.T) {
-	all := Analyzers()
-	if len(all) != 2 {
-		t.Fatalf("suite has %d analyzers, want 2", len(all))
-	}
-	for _, a := range all {
-		if a.Doc == "" {
-			t.Errorf("analyzer %s has no Doc", a.Name)
-		}
-		got, ok := AnalyzerByName(a.Name)
-		if !ok || got != a {
-			t.Errorf("AnalyzerByName(%q) = %v, %v", a.Name, got, ok)
-		}
-	}
-	if _, ok := AnalyzerByName("nope"); ok {
-		t.Error("AnalyzerByName accepted an unknown name")
-	}
-}
-
 // TestDiagnosticString pins the vet-style rendering used in error output.
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{Analyzer: "detlint", Message: "boom"}
 	d.Pos.Filename, d.Pos.Line, d.Pos.Column = "x.go", 3, 7
 	if got, want := d.String(), "x.go:3:7: boom (detlint)"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-// TestFormatDiagnostics checks path relativization against the invoking
-// directory.
-func TestFormatDiagnostics(t *testing.T) {
-	var d Diagnostic
-	d.Analyzer = "simtime"
-	d.Message = "m"
-	d.Pos.Filename, d.Pos.Line, d.Pos.Column = "/a/b/c.go", 1, 2
-	if got := FormatDiagnostics("/a", []Diagnostic{d}); got != "b/c.go:1:2: m (simtime)\n" {
-		t.Errorf("relative: %q", got)
-	}
-	if got := FormatDiagnostics("/zzz", []Diagnostic{d}); got != "/a/b/c.go:1:2: m (simtime)\n" {
-		t.Errorf("escaping rel paths must stay absolute: %q", got)
 	}
 }

@@ -1,8 +1,8 @@
 // Package invlint is a suite of static analyzers that prove the
-// repository's determinism contract at build time. Every result this
-// reproduction reports — the figure tables, the §6–§9 shape checks, the
-// golden SHA-256 geometry digests, the experiments.Key result cache —
-// rests on one invariant: a run is a pure function of its inputs, so two
+// repository's determinism contract. Every result this reproduction
+// reports — the figure tables, the §6–§9 shape checks, the golden
+// SHA-256 geometry digests, the experiments.Key result cache — rests on
+// one invariant: a run is a pure function of its inputs, so two
 // executions of the same Key are bit-identical. The golden tests enforce
 // that contract dynamically, on the inputs they happen to run; the two
 // analyzers here guard what no test can observe (DESIGN.md §10):
@@ -21,8 +21,9 @@
 // The analyzers mirror the golang.org/x/tools/go/analysis shape
 // (Analyzer, Pass, diagnostics with positions) but are built entirely on
 // the standard library's go/ast, go/types and go/importer, because this
-// module deliberately has no external dependencies. cmd/slvet drives
-// them as a go vet -vettool.
+// module deliberately has no external dependencies. They run as tests:
+// TestTreeHoldsContract checks the module itself under go test, and
+// TestCorpora checks each analyzer against its testdata corpora.
 package invlint
 
 import (
@@ -37,13 +38,11 @@ import (
 // Analyzer is one invariant checker, mirroring the x/tools go/analysis
 // Analyzer shape on the standard library.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and the -a flag.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is a one-paragraph description of the invariant proved.
-	Doc string
 	// Run reports the analyzer's findings on one package via
 	// Pass.reportf.
-	Run func(*Pass) error
+	Run func(*Pass)
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -87,21 +86,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
-// Analyzers returns the full invariant suite in presentation order.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{detLint, simTime}
-}
-
-// AnalyzerByName resolves one analyzer of the suite.
-func AnalyzerByName(name string) (*Analyzer, bool) {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 // unit is one loadable compilation unit: a parsed, type-checked package
 // ready to be analyzed.
 type unit struct {
@@ -117,20 +101,17 @@ type unit struct {
 
 // runUnit applies analyzers to a unit and returns their diagnostics in
 // position order.
-func runUnit(u *unit, analyzers []*Analyzer) ([]Diagnostic, error) {
+func runUnit(u *unit, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
+		a.Run(&Pass{
 			Analyzer: a,
 			Fset:     u.Fset,
 			Files:    u.Files,
 			Pkg:      u.Pkg,
 			Info:     u.Info,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("invlint: %s: %w", a.Name, err)
-		}
+		})
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -145,7 +126,7 @@ func runUnit(u *unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, nil
+	return diags
 }
 
 // --- shared analyzer helpers ---

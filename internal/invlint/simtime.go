@@ -28,15 +28,11 @@ const simPkgPath = "repro/internal/sim"
 
 // simTime forbids OS-time blocking, bare channel operations and
 // goroutine spawns in code reachable from a sim.Proc body.
-var simTime = &Analyzer{
-	Name: "simtime",
-	Doc:  "only virtual-time primitives may block in code reachable from a sim.Proc body",
-	Run:  runSimTime,
-}
+var simTime = &Analyzer{Name: "simtime", Run: runSimTime}
 
-func runSimTime(pass *Pass) error {
+func runSimTime(pass *Pass) {
 	if pass.Pkg.Path() == simPkgPath {
-		return nil // the primitives' own implementation
+		return // the primitives' own implementation
 	}
 
 	// Collect the package's function declarations and their objects.
@@ -101,7 +97,6 @@ func runSimTime(pass *Pass) error {
 	for n := range reach {
 		simCheckBody(pass, n.decl.Body)
 	}
-	return nil
 }
 
 // funcTakesProc reports whether fn has a *sim.Proc parameter or

@@ -83,17 +83,27 @@ func TestStoreIOFailures(t *testing.T) {
 }
 
 // TestNewConfigValidation covers server assembly: scale resolution by
-// name, the unknown-scale refusal, and a cache root that cannot open.
+// name, and the refusals — an unknown scale, a custom scale under a name
+// that is not its own (the name scopes the cache, so its cells would be
+// served as another scale's), and a cache root that cannot open.
 func TestNewConfigValidation(t *testing.T) {
-	if _, err := New(Config{ScaleName: "no-such-scale"}); err == nil {
-		t.Error("New with an unknown scale name should fail")
-	}
 	file := filepath.Join(t.TempDir(), "occupied")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{ScaleName: "small", CacheDir: filepath.Join(file, "sub")}); err == nil {
-		t.Error("New with an unopenable cache dir should fail")
+	tiny, small := tinyScale(), experiments.SmallScale()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unknown scale", Config{ScaleName: "no-such-scale"}},
+		{"custom scale under another name", Config{ScaleName: "small", Scale: &tiny}},
+		{"custom scale under a built-in name", Config{ScaleName: "small", Scale: &small}},
+		{"unopenable cache dir", Config{ScaleName: "small", CacheDir: filepath.Join(file, "sub")}},
+	} {
+		if _, err := New(c.cfg); err == nil {
+			t.Errorf("%s: New should fail", c.name)
+		}
 	}
 	s, err := New(Config{ScaleName: "small"})
 	if err != nil {

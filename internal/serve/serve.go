@@ -53,8 +53,9 @@ type Config struct {
 	// the server computes at. It scopes the disk cache and is echoed in
 	// every response.
 	ScaleName string
-	// Scale optionally overrides the named scale's parameters (tests use
-	// tiny custom scales); nil resolves ScaleName via ScaleByName.
+	// Scale optionally supplies a custom scale (tests use tiny ones); nil
+	// resolves ScaleName via ScaleByName. Its Name must be ScaleName and
+	// must not name a built-in scale, since the name scopes the cache.
 	Scale *experiments.Scale
 	// Workers bounds concurrent cell computations; <=0 means
 	// runtime.NumCPU().
@@ -124,15 +125,14 @@ type Server struct {
 
 // New assembles a Server from cfg and starts its worker pool.
 func New(cfg Config) (*Server, error) {
-	sc := experiments.Scale{}
-	if cfg.Scale != nil {
+	sc, builtin := experiments.ScaleByName(cfg.ScaleName)
+	switch {
+	case cfg.Scale == nil && !builtin:
+		return nil, fmt.Errorf("serve: unknown scale %q", cfg.ScaleName)
+	case cfg.Scale != nil && (builtin || cfg.Scale.Name != cfg.ScaleName):
+		return nil, fmt.Errorf("serve: custom scale %q served as %q: the name scopes the cache, so a custom scale needs its own, neither another's nor a built-in one", cfg.Scale.Name, cfg.ScaleName)
+	case cfg.Scale != nil:
 		sc = *cfg.Scale
-	} else {
-		var ok bool
-		sc, ok = experiments.ScaleByName(cfg.ScaleName)
-		if !ok {
-			return nil, fmt.Errorf("serve: unknown scale %q", cfg.ScaleName)
-		}
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
