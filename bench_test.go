@@ -283,7 +283,7 @@ func BenchmarkPrefetchCampaign(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	unsteady, err := experiments.BuildUnsteadyProblem(experiments.Astro, experiments.Sparse, sc, sc.TimeSlices)
+	unsteady, err := experiments.BuildUnsteadyProblem(experiments.Astro, experiments.Sparse, sc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func BenchmarkFaultRecoveryCampaign(b *testing.B) {
 func BenchmarkUnsteadyCampaign(b *testing.B) {
 	sc := experiments.SmallScale()
 	procs := sc.ProcCounts[len(sc.ProcCounts)/2]
-	prob, err := experiments.BuildUnsteadyProblem(experiments.Astro, experiments.Sparse, sc, sc.TimeSlices)
+	prob, err := experiments.BuildUnsteadyProblem(experiments.Astro, experiments.Sparse, sc)
 	if err != nil {
 		b.Fatal(err)
 	}

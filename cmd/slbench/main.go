@@ -8,14 +8,13 @@
 // independent simulations, so they execute concurrently on a worker pool
 // sized by -j (one worker per CPU core by default).
 //
-// The machine-axis flags — -unsteady, -tslices, -prefetch,
-// -prefetch-depth, -inject, -inject-waves, -faults — are slrun's too,
-// defined and checked once by experiments.AxisFlags. Here they set the
-// axes of every figure cell, and each enabled axis adds its columns to
-// the tables (Key.AxisColumns: unsteady tables gain epochs and psteps).
-// -tslices and -prefetch-depth also tune the -shapes checks' own cells.
-// slrun's -fault-time and -fault-procs have no slbench counterpart: kill
-// cells use the scale's schedule.
+// The machine-axis flags — -unsteady, -prefetch, -inject, -faults — are
+// slrun's too, defined and checked once by experiments.AxisFlags. Here
+// they set the axes of every figure cell, and each enabled axis adds its
+// columns to the tables (Key.AxisColumns: unsteady tables gain epochs
+// and psteps). The -scale alone sets the rest of the machine — time
+// slices, prefetch depth, injection waves and kill time — so a scale
+// name and a row label name one cell wherever they are read.
 //
 // Usage:
 //
@@ -26,13 +25,12 @@
 //	slbench -json                 # one JSON report (the BENCH_*.json schema)
 //	slbench -shapes               # also check the paper's qualitative claims
 //	slbench -j 1                  # serial execution (same tables, slower)
-//	slbench -unsteady             # the same sweeps as pathline campaigns
-//	slbench -unsteady -tslices 9  # finer time slicing (DESIGN.md §7)
+//	slbench -unsteady             # the same sweeps as pathline campaigns (§7)
 //	slbench -prefetch neighbor    # every cell with async prefetching (§8)
-//	slbench -unsteady -prefetch both -prefetch-depth 3
+//	slbench -unsteady -prefetch both
 //	slbench -inject stagger       # every cell with staggered seeding (§9)
-//	slbench -inject burst -inject-waves 8
-//	slbench -faults kill          # every cell losing processors mid-run (§11)
+//	slbench -inject burst         # bursty rake seeding
+//	slbench -faults kill          # every cell losing processor 0 mid-run (§11)
 package main
 
 import (
@@ -89,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "slbench: unknown scale %q\n", *scaleName)
 		return 2
 	}
-	cell, err := axes(&sc, *shapes)
+	cell, err := axes()
 	if err != nil {
 		fmt.Fprintf(stderr, "slbench: %v\n", err)
 		return 2

@@ -22,7 +22,6 @@ func TestRunBadFlags(t *testing.T) {
 		{"-csv", "-json"},
 		{"-scale", "small", "-dataset", "bogus"},
 		{"-scale", "small", "-figure", "5", "-dataset", "fusion"}, // selects no figure
-		{"-fault-procs", "2"}, // slrun's flag, not slbench's
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
@@ -462,19 +461,6 @@ func TestCompareTrajectoryGuards(t *testing.T) {
 	}
 }
 
-func TestRunBadTimeSlices(t *testing.T) {
-	cases := [][]string{
-		{"-unsteady", "-tslices", "1"}, // too few slices
-		{"-tslices", "9"},              // no unsteady cells to shape
-	}
-	for _, args := range cases {
-		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 {
-			t.Errorf("run(%v) = %d, want 2", args, code)
-		}
-	}
-}
-
 func TestRunPrefetchFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign too slow for -short")
@@ -495,8 +481,6 @@ func TestRunPrefetchFigure(t *testing.T) {
 func TestRunBadPrefetchFlags(t *testing.T) {
 	cases := [][]string{
 		{"-prefetch", "sideways"},
-		{"-prefetch", "neighbor", "-prefetch-depth", "-1"},
-		{"-prefetch-depth", "2"}, // no prefetch cells to shape
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
@@ -511,7 +495,7 @@ func TestRunInjectFigure(t *testing.T) {
 		t.Skip("campaign too slow for -short")
 	}
 	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-figure", "5", "-inject", "burst", "-inject-waves", "2"}
+	args := []string{"-scale", "small", "-figure", "5", "-inject", "burst"}
 	if code := run(args, &out, &errw); code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, errw.String())
 	}
@@ -526,10 +510,6 @@ func TestRunInjectFigure(t *testing.T) {
 func TestRunBadInjectFlags(t *testing.T) {
 	cases := [][]string{
 		{"-inject", "sideways"},
-		{"-inject", "burst", "-inject-waves", "-2"},
-		{"-inject-waves", "4"},            // no burst cells to shape
-		{"-shapes", "-inject-waves", "4"}, // the shape checks have no burst cells either
-		{"-inject", "stagger", "-inject-waves", "4"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

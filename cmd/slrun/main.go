@@ -2,37 +2,35 @@
 // cluster and reports its metrics — the one-experiment counterpart to
 // slbench's full sweep. All four algorithms are available: the paper's
 // static, ondemand and hybrid, plus the decentralized stealing extension
-// (DESIGN.md §6), whose batch size, probe fanout and victim policy are
-// tunable with the -steal-* flags. -procs also accepts a comma-separated
-// list; the sweep then runs its cells concurrently (-j workers, one per
-// CPU core by default) and prints one summary line per processor count.
+// (DESIGN.md §6). -procs also accepts a comma-separated list; the sweep
+// then runs its cells concurrently (-j workers, one per CPU core by
+// default) and prints one summary line per processor count.
 //
 // The machine-axis flags of the next four paragraphs (-unsteady,
-// -tslices, -prefetch, -prefetch-depth, -inject, -inject-waves, -faults)
-// are slbench's too, defined and checked once by experiments.AxisFlags;
-// -fault-time, -fault-procs and the -steal-* flags are slrun's own.
+// -prefetch, -inject, -faults) are slbench's too, defined and checked
+// once by experiments.AxisFlags. Everything else about the machine — its
+// time slices, prefetch depth, injection waves and kill time — is the
+// -scale's: a scale name and the axes name one machine.
 //
 // With -unsteady the same experiment traces pathlines instead: the
 // dataset's time-varying field is served as a time-sliced decomposition
-// (-tslices stored slices, default per scale) and every algorithm
-// works on space-time blocks (DESIGN.md §7).
+// and every algorithm works on space-time blocks (DESIGN.md §7).
 //
 // With -prefetch the asynchronous prefetching subsystem (DESIGN.md §8)
 // predicts upcoming blocks — spatially from streamline exits (neighbor),
 // temporally across epochs (temporal), or both — and overlaps their
-// reads with computation; -prefetch-depth tunes the lookahead.
+// reads with computation.
 //
 // With -inject the seeds are released over time instead of all at t0
 // (DESIGN.md §9): uniformly staggered (stagger), in bursty waves
-// (burst, tuned by -inject-waves), or rate-limited (rate). Injection
-// reshapes when work exists — and so the load balance — but never any
-// particle's geometry.
+// (burst), or rate-limited (rate). Injection reshapes when work exists —
+// and so the load balance — but never any particle's geometry.
 //
-// With -faults kill the scale's fault scenario takes down the lowest
-// ranks mid-run (DESIGN.md §11): -fault-time and -fault-procs override
-// when and how many. The dynamic algorithms recover and finish every
-// streamline bit-identically; static allocation fails with a typed
-// error, which is the experiment's point.
+// With -faults kill the scale's fault scenario takes down processor 0
+// mid-run (DESIGN.md §11); it needs at least 2 processors. The dynamic
+// algorithms recover and finish every streamline bit-identically;
+// static allocation fails with a typed error, which is the experiment's
+// point.
 //
 // With -trace the run records its virtual-time event stream
 // (DESIGN.md §13) and exports it as Chrome trace-event JSON — load the
@@ -49,17 +47,15 @@
 //
 //	slrun -dataset astro -seeding sparse -alg hybrid -procs 128
 //	slrun -dataset thermal -seeding dense -alg static   # reproduces the OOM
-//	slrun -alg ondemand -perproc                        # per-processor stats
+//	slrun -alg ondemand -perproc -top 3                 # three busiest processors
 //	slrun -alg hybrid -procs 8,16,32,64 -j 4            # strong-scaling sweep
-//	slrun -alg stealing -steal-batch 16 -steal-victim roundrobin
+//	slrun -alg stealing                                 # decentralized stealing
 //	slrun -unsteady -alg ondemand                       # pathline campaign
-//	slrun -unsteady -tslices 9 -alg hybrid              # finer time slicing
 //	slrun -alg ondemand -prefetch neighbor              # hide I/O behind compute
-//	slrun -unsteady -alg ondemand -prefetch both -prefetch-depth 3
+//	slrun -unsteady -alg ondemand -prefetch both        # spatial and temporal
 //	slrun -alg ondemand -inject stagger                 # streak-line seeding
-//	slrun -alg hybrid -inject burst -inject-waves 8     # bursty rake seeding
+//	slrun -alg hybrid -inject burst                     # bursty rake seeding
 //	slrun -alg stealing -faults kill                    # lose proc 0 mid-run
-//	slrun -alg hybrid -faults kill -fault-procs 2       # kill both low ranks
 //	slrun -alg hybrid -trace out.json                   # Perfetto Gantt trace
 //	slrun -alg ondemand -timeline series.csv            # virtual-time series
 //	slrun -alg ondemand -timeline s.json -sample-interval 0.01
@@ -117,11 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		perProc     = fs.Bool("perproc", false, "print per-processor statistics (single -procs only)")
 		topN        = fs.Int("top", 5, "with -perproc, show the N busiest processors")
 		jobs        = fs.Int("j", 0, "sweep cells to run concurrently; 0 means one per CPU core")
-		stealBatch  = fs.Int("steal-batch", 0, "stealing: streamlines per steal batch (0 = default 8)")
-		stealFanout = fs.Int("steal-fanout", 0, "stealing: victims probed per hungry round (0 = all peers)")
-		stealVictim = fs.String("steal-victim", "", "stealing: victim policy, random or roundrobin (empty = random)")
-		faultTime   = fs.Float64("fault-time", 0, "with -faults: virtual second of the kill (0 = scale default)")
-		faultProcs  = fs.Int("fault-procs", 0, "with -faults: how many low ranks die (0 = scale default)")
 		traceOut    = fs.String("trace", "", "write the run's virtual-time event stream as Chrome trace-event JSON to this file (single -procs only)")
 		timelineOut = fs.String("timeline", "", "write the run's fixed-interval time series to this file: CSV, or JSON with a .json suffix (single -procs only)")
 		sampleIvl   = fs.Float64("sample-interval", 0, "with -timeline: sampling bin width in virtual seconds (0 = wall clock / 256)")
@@ -139,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "slrun: unknown scale %q\n", *scaleName)
 		return 2
 	}
-	k, err := axes(&sc, false)
+	k, err := axes()
 	if err != nil {
 		fmt.Fprintf(stderr, "slrun: %v\n", err)
 		return 2
@@ -152,46 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "slrun: %v\n", err)
 		return 2
 	}
-	steal := core.StealParams{
-		Batch:  *stealBatch,
-		Fanout: *stealFanout,
-		Victim: core.VictimPolicy(*stealVictim),
-	}
-	if steal != (core.StealParams{}) {
-		// The -steal-* flags only mean something to the stealing
-		// algorithm; accepting them elsewhere would let a user believe
-		// they tuned something that was silently ignored.
-		if k.Alg != core.WorkStealing {
-			fmt.Fprintf(stderr, "slrun: -steal-* flags require -alg stealing (got %q)\n", *alg)
-			return 2
-		}
-		if steal.Batch < 0 || steal.Fanout < 0 {
-			fmt.Fprintf(stderr, "slrun: negative -steal-batch/-steal-fanout (%d/%d)\n", steal.Batch, steal.Fanout)
-			return 2
-		}
-		if err := steal.Validate(); err != nil {
-			fmt.Fprintf(stderr, "slrun: %v\n", err)
-			return 2
-		}
-	}
-	if *faultTime != 0 || *faultProcs != 0 {
-		// Overrides without a scenario would be silently ignored.
-		if !k.Faults.Enabled() {
-			fmt.Fprintln(stderr, "slrun: -fault-time/-fault-procs require -faults kill")
-			return 2
-		}
-		if *faultTime < 0 || *faultProcs < 0 {
-			fmt.Fprintf(stderr, "slrun: negative -fault-time/-fault-procs (%g/%d)\n", *faultTime, *faultProcs)
-			return 2
-		}
-		if *faultTime != 0 {
-			sc.FaultTime = *faultTime
-		}
-		if *faultProcs != 0 {
-			sc.FaultProcs = *faultProcs
-		}
-	}
-
 	if *sampleIvl != 0 {
 		// An interval without a timeline would be silently ignored.
 		if *timelineOut == "" {
@@ -203,15 +154,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	// A -top left at its default is not a request; an explicit one
+	// without -perproc would be silently ignored.
+	topSet := false
+	fs.Visit(func(f *flag.Flag) { topSet = topSet || f.Name == "top" })
+	if topSet && !*perProc {
+		fmt.Fprintln(stderr, "slrun: -top requires -perproc")
+		return 2
+	}
 	if len(keys) > 1 {
-		// The trace and timeline describe one run; a sweep has many.
+		// The trace, timeline and per-processor block describe one run; a
+		// sweep has many.
 		if *traceOut != "" || *timelineOut != "" {
 			fmt.Fprintln(stderr, "slrun: -trace/-timeline require a single -procs count")
 			return 2
 		}
-		return runSweep(sc, keys, *jobs, steal, stdout)
+		if *perProc {
+			fmt.Fprintln(stderr, "slrun: -perproc requires a single -procs count")
+			return 2
+		}
+		return runSweep(sc, keys, *jobs, stdout)
 	}
-	return runSingle(sc, keys[0], steal, *perProc, *topN, *traceOut, *timelineOut, *sampleIvl, stdout, stderr)
+	return runSingle(sc, keys[0], *perProc, *topN, *traceOut, *timelineOut, *sampleIvl, stdout, stderr)
 }
 
 // writeFile creates path and streams fn's output into it, reporting the
@@ -228,29 +192,14 @@ func writeFile(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
-// applySteal folds the -steal-* flag overrides into a machine config,
-// keeping the campaign defaults for any flag left at its zero value.
-func applySteal(cfg *core.Config, steal core.StealParams) {
-	if steal.Batch > 0 {
-		cfg.Steal.Batch = steal.Batch
-	}
-	if steal.Fanout > 0 {
-		cfg.Steal.Fanout = steal.Fanout
-	}
-	if steal.Victim != "" {
-		cfg.Steal.Victim = steal.Victim
-	}
-}
-
 // runSweep executes one cell — keys differing only in processor count —
 // on the campaign worker pool and prints a summary table.
-func runSweep(sc experiments.Scale, keys []experiments.Key, jobs int, steal core.StealParams, stdout io.Writer) int {
+func runSweep(sc experiments.Scale, keys []experiments.Key, jobs int, stdout io.Writer) int {
 	// The campaign keeps the scale's own ProcCounts so MemoryBudget (which
 	// derives from the sweep minimum) matches what a single -procs run of
 	// the same scale would use; the sweep cells are the explicit keys.
 	c := experiments.NewCampaign(sc)
 	c.Workers = jobs
-	c.Tune = func(cfg *core.Config) { applySteal(cfg, steal) }
 	c.RunKeys(keys)
 
 	rows := make([]metrics.TableRow, 0, len(keys))
@@ -273,14 +222,13 @@ func runSweep(sc experiments.Scale, keys []experiments.Key, jobs int, steal core
 }
 
 // runSingle executes one cell and prints the detailed report.
-func runSingle(sc experiments.Scale, k experiments.Key, steal core.StealParams, perProc bool, topN int, traceOut, timelineOut string, sampleIvl float64, stdout, stderr io.Writer) int {
+func runSingle(sc experiments.Scale, k experiments.Key, perProc bool, topN int, traceOut, timelineOut string, sampleIvl float64, stdout, stderr io.Writer) int {
 	prob, err := experiments.BuildInjectedProblem(k.Dataset, k.Seeding, sc, k.Unsteady, k.Injection)
 	if err != nil {
 		fmt.Fprintln(stderr, "slrun:", err)
 		return 2
 	}
 	cfg := experiments.KeyMachineConfig(k, sc)
-	applySteal(&cfg, steal)
 	if traceOut != "" || timelineOut != "" {
 		cfg.Trace = obs.New()
 	}

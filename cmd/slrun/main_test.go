@@ -67,16 +67,12 @@ func TestRunBadFlags(t *testing.T) {
 		{"-seeding", "bogus", "-procs", "8,16"},
 		{"-alg", "bogus"},
 		{"-alg", "bogus", "-procs", "8,16"},
-		{"-alg", "stealing", "-steal-victim", "bogus"},
-		{"-alg", "stealing", "-steal-batch", "-5"},
-		{"-alg", "stealing", "-steal-fanout", "-1"},
-		// Steal flags are meaningless for the other algorithms; reject
-		// rather than silently ignore.
-		{"-alg", "hybrid", "-steal-batch", "16"},
 		{"-prefetch", "sideways"},
-		{"-prefetch", "neighbor", "-prefetch-depth", "-2"},
-		// Depth without a policy would be silently ignored; reject.
-		{"-prefetch-depth", "3"},
+		// The per-processor block describes one run, and -top shapes only
+		// that block: either would be silently ignored.
+		{"-scale", "small", "-alg", "ondemand", "-procs", "8,16", "-perproc", "-top", "2"},
+		{"-scale", "small", "-alg", "ondemand", "-procs", "8,16", "-perproc"},
+		{"-scale", "small", "-alg", "ondemand", "-procs", "8", "-top", "2"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
@@ -145,14 +141,13 @@ func busyColumn(t *testing.T, out string) []float64 {
 	return busy
 }
 
-func TestRunStealingWithFlags(t *testing.T) {
+func TestRunStealingSingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
 	}
 	var out, errw bytes.Buffer
 	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "stealing", "-procs", "8", "-steal-batch", "4", "-steal-fanout", "2",
-		"-steal-victim", "roundrobin"}
+		"-alg", "stealing", "-procs", "8"}
 	if code := run(args, &out, &errw); code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, errw.String())
 	}
@@ -170,7 +165,7 @@ func TestRunPrefetchSingle(t *testing.T) {
 	}
 	var out, errw bytes.Buffer
 	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "ondemand", "-procs", "8", "-prefetch", "neighbor", "-prefetch-depth", "2"}
+		"-alg", "ondemand", "-procs", "8", "-prefetch", "neighbor"}
 	if code := run(args, &out, &errw); code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, errw.String())
 	}
@@ -206,7 +201,7 @@ func TestRunInjectSingle(t *testing.T) {
 	}
 	var out, errw bytes.Buffer
 	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "ondemand", "-procs", "8", "-inject", "burst", "-inject-waves", "3"}
+		"-alg", "ondemand", "-procs", "8", "-inject", "burst"}
 	if code := run(args, &out, &errw); code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, errw.String())
 	}
@@ -239,9 +234,6 @@ func TestRunInjectSweep(t *testing.T) {
 func TestRunBadInjectFlags(t *testing.T) {
 	cases := [][]string{
 		{"-inject", "sideways"},
-		{"-inject", "burst", "-inject-waves", "-1"},
-		{"-inject", "stagger", "-inject-waves", "4"}, // waves shape burst only
-		{"-inject-waves", "4"},                       // no burst cells to shape
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
@@ -287,19 +279,6 @@ func TestRunSweepSmallScale(t *testing.T) {
 	}
 }
 
-func TestRunUnsteadyFlagValidation(t *testing.T) {
-	cases := [][]string{
-		{"-tslices", "4"},              // -tslices without -unsteady
-		{"-unsteady", "-tslices", "1"}, // too few slices
-	}
-	for _, args := range cases {
-		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 {
-			t.Errorf("run(%v) = %d, want 2", args, code)
-		}
-	}
-}
-
 func TestRunUnsteadySingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
@@ -324,7 +303,7 @@ func TestRunUnsteadySweep(t *testing.T) {
 	}
 	var out, errw bytes.Buffer
 	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "stealing", "-procs", "8,16", "-unsteady", "-tslices", "3", "-j", "2"}
+		"-alg", "stealing", "-procs", "8,16", "-unsteady", "-j", "2"}
 	if code := run(args, &out, &errw); code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, errw.String())
 	}
@@ -360,7 +339,7 @@ func TestRunFaultSweep(t *testing.T) {
 	}
 	var out, errw bytes.Buffer
 	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "hybrid", "-procs", "8,16", "-faults", "kill", "-fault-procs", "2", "-j", "2"}
+		"-alg", "hybrid", "-procs", "8,16", "-faults", "kill", "-j", "2"}
 	if code := run(args, &out, &errw); code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, errw.String())
 	}
@@ -393,10 +372,11 @@ func TestRunFaultStaticFails(t *testing.T) {
 func TestRunBadFaultFlags(t *testing.T) {
 	cases := [][]string{
 		{"-faults", "sideways"},
-		{"-fault-time", "1"},                      // override without a scenario
-		{"-fault-procs", "2"},                     // override without a scenario
-		{"-faults", "kill", "-fault-time", "-1"},  // negative instant
-		{"-faults", "kill", "-fault-procs", "-2"}, // negative victim count
+		// The kill scenario takes processor 0: one processor leaves none
+		// to survive it, and the cell would run fault-free under a kill
+		// label.
+		{"-scale", "small", "-dataset", "thermal", "-alg", "ondemand", "-procs", "1", "-faults", "kill"},
+		{"-scale", "small", "-alg", "hybrid", "-procs", "1,8", "-faults", "kill"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

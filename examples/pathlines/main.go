@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	unsteady, err := experiments.BuildUnsteadyProblem(experiments.Astro, experiments.Sparse, sc, sc.TimeSlices)
+	unsteady, err := experiments.BuildUnsteadyProblem(experiments.Astro, experiments.Sparse, sc)
 	if err != nil {
 		log.Fatal(err)
 	}

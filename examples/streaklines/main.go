@@ -48,7 +48,7 @@ func main() {
 	fmt.Printf("geometry digests (%d processors, reference t0/static %s...):\n", procs, reference[:16])
 	schedules := []seeds.Schedule{
 		seeds.UniformStagger(0, sc.InjectWindow),
-		seeds.BurstWaves(0, sc.InjectWindow, sc.InjectWaves),
+		seeds.BurstWaves(0, sc.InjectWindow, 4), // the campaign's burst schedule
 		seeds.RateLimit(0, sc.InjectWindow, sc.InjectRate),
 	}
 	for _, sched := range schedules {

@@ -137,8 +137,7 @@ var policies = map[Algorithm]policy{
 		check: checkHybrid,
 		died:  (*runState).hybridDied, route: (*runState).routeToMaster},
 	WorkStealing: {build: (*runState).buildPoolWorkers, balance: balanceSteal, finish: finishByToken,
-		check: func(c *Config) error { return c.Steal.Validate() },
-		died:  (*runState).poolWorkerDied, route: (*runState).routeToSuccessor},
+		died: (*runState).poolWorkerDied, route: (*runState).routeToSuccessor},
 }
 
 // Problem describes one streamline computation: the dataset, the seed
@@ -223,16 +222,10 @@ func (p *Problem) maxSteps() int {
 	return p.MaxSteps
 }
 
-// CostModel converts algorithmic work into virtual time.
-type CostModel struct {
-	// SecPerStep is the CPU cost of one accepted Runge–Kutta step
-	// (including its field evaluations/interpolations).
-	SecPerStep float64
-}
-
-// DefaultCost returns a cost model loosely calibrated to 2009-era
-// per-core advection throughput (~200k adaptive steps/s).
-func DefaultCost() CostModel { return CostModel{SecPerStep: 5e-6} }
+// secPerStep is the virtual CPU cost of one accepted Runge–Kutta step
+// (including its field evaluations/interpolations), loosely calibrated
+// to 2009-era per-core advection throughput (~200k adaptive steps/s).
+const secPerStep = 5e-6
 
 // HybridParams are the tuning constants of the Hybrid Master/Slave
 // algorithm, with the paper's published defaults.
@@ -265,58 +258,23 @@ func (h HybridParams) defaults() HybridParams {
 	return h
 }
 
-// VictimPolicy selects how the work-stealing algorithm picks probe
-// targets.
-type VictimPolicy string
-
-// Victim policies for work stealing.
-const (
-	// victimRandom probes peers in a fresh random permutation each hungry
-	// round (deterministic: every processor carries its own seeded RNG).
-	victimRandom VictimPolicy = "random"
-	// victimRoundRobin walks the processor ring from wherever the last
-	// probe left off.
-	victimRoundRobin VictimPolicy = "roundrobin"
-)
-
-// StealParams are the tuning constants of the Work Stealing algorithm.
+// StealParams are the tuning constants of the Work Stealing algorithm: a
+// hungry processor probes every live peer, in a fresh random order each
+// round.
 type StealParams struct {
 	// Batch is the maximum number of streamlines a victim hands over per
 	// successful probe (0 = DefaultSteal's 8).
 	Batch int
-	// Fanout is how many distinct victims a hungry processor probes
-	// before it goes quiet and waits for the termination token to re-arm
-	// it (0 = all peers, the liveness-maximizing default).
-	Fanout int
-	// Victim selects the probe-target policy (empty = victimRandom).
-	Victim VictimPolicy
 }
 
-// DefaultSteal returns the work-stealing defaults: batches of 8, probe
-// every peer, random victim order.
-func DefaultSteal() StealParams {
-	return StealParams{Batch: 8, Fanout: 0, Victim: victimRandom}
-}
+// DefaultSteal returns the work-stealing default: batches of 8.
+func DefaultSteal() StealParams { return StealParams{Batch: 8} }
 
 func (s StealParams) defaults() StealParams {
-	d := DefaultSteal()
 	if s.Batch <= 0 {
-		s.Batch = d.Batch
-	}
-	if s.Victim == "" {
-		s.Victim = d.Victim
+		s.Batch = DefaultSteal().Batch
 	}
 	return s
-}
-
-// Validate reports a descriptive error for malformed steal parameters.
-func (s StealParams) Validate() error {
-	switch s.Victim {
-	case "", victimRandom, victimRoundRobin:
-		return nil
-	default:
-		return fmt.Errorf("core: unknown victim policy %q", s.Victim)
-	}
 }
 
 // Config describes the simulated machine and the strategy to run.
@@ -325,7 +283,6 @@ type Config struct {
 	Algorithm Algorithm
 	Disk      store.DiskModel
 	Net       comm.Network
-	Cost      CostModel
 
 	// CacheBlocks is the per-processor LRU capacity in blocks for Load
 	// On Demand and for Hybrid slaves (0 = unbounded). Static Allocation
@@ -429,9 +386,6 @@ func Run(p Problem, cfg Config) (*Result, error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Cost.SecPerStep == 0 {
-		cfg.Cost = DefaultCost()
 	}
 	cfg.Hybrid = cfg.Hybrid.defaults()
 	cfg.Steal = cfg.Steal.defaults()
@@ -961,7 +915,7 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 	w.geomBytes += sl.MemoryBytes() - before
 
 	// Charge virtual compute time.
-	cost := float64(res.Steps) * w.run.cfg.Cost.SecPerStep
+	cost := float64(res.Steps) * secPerStep
 	start := w.proc.Now()
 	w.proc.Sleep(cost)
 	now := w.proc.Now()

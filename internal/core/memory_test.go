@@ -18,9 +18,6 @@ import (
 // memory-accounting internals can be exercised in isolation.
 func withWorker(t *testing.T, p Problem, cfg Config, body func(r *runState, w *worker)) *runState {
 	t.Helper()
-	if cfg.Cost.SecPerStep == 0 {
-		cfg.Cost = DefaultCost()
-	}
 	r := &runState{
 		prob:    &p,
 		cfg:     &cfg,
@@ -268,9 +265,6 @@ func TestSendStreamlinesReleasesMemory(t *testing.T) {
 		collect: metrics.NewCollector(2),
 		procs:   make([]*sim.Proc, 2),
 		workers: make([]*worker, 2),
-	}
-	if r.cfg.Cost.SecPerStep == 0 {
-		r.cfg.Cost = DefaultCost()
 	}
 	r.fabric = comm.NewFabric(cfg.Net)
 	var w0, w1 *worker

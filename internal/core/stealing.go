@@ -30,9 +30,10 @@ import (
 //     release schedule holds the token through the stall, which keeps the
 //     completion-sum argument intact and prevents a zero-cost ring spin
 //     at one virtual instant while the whole ring is starved.
-//   - A hungry processor probes at most Fanout distinct victims, then
-//     goes quiet until the token's next visit re-arms it — probe traffic
-//     is bounded by token traffic, which is bounded by idleness.
+//   - A hungry processor probes each live peer at most once, in a fresh
+//     random order, then goes quiet until the token's next visit re-arms
+//     it — probe traffic is bounded by token traffic, which is bounded
+//     by idleness.
 
 // --- work-stealing wire messages ---
 
@@ -119,9 +120,8 @@ type stealer struct {
 	outstanding bool  // a probe is in flight, await its reply
 	probeVictim int   // target of the outstanding probe
 	probesLeft  int   // probes remaining before going quiet
-	order       []int // victim order (random policy: fresh permutation per round)
+	order       []int // victim order: a fresh permutation per round
 	orderPos    int
-	ring        int // roundrobin cursor into the peer list
 	peers       []int
 	rng         *rand.Rand
 }
@@ -297,33 +297,21 @@ func (pw *poolWorker) dropPeer(peer int) {
 
 // --- stealing ---
 
-// resetProbes re-arms a full hungry round: a fresh probe budget and, for
-// the random policy, a fresh victim permutation.
+// resetProbes re-arms a full hungry round: one probe per live peer, in a
+// fresh random permutation.
 func (pw *poolWorker) resetProbes() {
-	pw.probesLeft = pw.r.cfg.Steal.Fanout
-	if pw.probesLeft <= 0 || pw.probesLeft > len(pw.peers) {
-		pw.probesLeft = len(pw.peers)
-	}
-	if pw.r.cfg.Steal.Victim == victimRandom && len(pw.peers) > 0 {
-		pw.order = append(pw.order[:0], pw.peers...)
-		pw.rng.Shuffle(len(pw.order), func(i, j int) {
-			pw.order[i], pw.order[j] = pw.order[j], pw.order[i]
-		})
-		pw.orderPos = 0
-	}
+	pw.probesLeft = len(pw.peers)
+	pw.order = append(pw.order[:0], pw.peers...)
+	pw.rng.Shuffle(len(pw.order), func(i, j int) {
+		pw.order[i], pw.order[j] = pw.order[j], pw.order[i]
+	})
+	pw.orderPos = 0
 }
 
 // probe sends one steal request to the next victim of the current round.
 func (pw *poolWorker) probe() {
-	var victim int
-	switch pw.r.cfg.Steal.Victim {
-	case victimRoundRobin:
-		victim = pw.peers[pw.ring%len(pw.peers)]
-		pw.ring++
-	default: // victimRandom
-		victim = pw.order[pw.orderPos%len(pw.order)]
-		pw.orderPos++
-	}
+	victim := pw.order[pw.orderPos%len(pw.order)]
+	pw.orderPos++
 	pw.probesLeft--
 	pw.outstanding = true
 	pw.probeVictim = victim

@@ -80,9 +80,19 @@ func (e *procsError) Error() string {
 	return fmt.Sprintf("experiments: %d processors is over the limit of %d", e.procs, maxProcs)
 }
 
+// killProcsError is Validate's refusal of a kill cell under 2
+// processors: the kill scenario takes processor 0, so none would be left
+// to finish the run, and the cell would run fault-free under a kill
+// label.
+type killProcsError struct{ procs int }
+
+func (e *killProcsError) Error() string {
+	return fmt.Sprintf("experiments: the kill scenario needs at least 2 processors, got %d", e.procs)
+}
+
 // Validate rejects keys that do not name a real campaign cell: unknown
-// datasets, seedings, algorithms, axis spellings, or a processor count
-// outside [1, maxProcs]. Alias spellings of the zero axes ("off", "t0")
+// datasets, seedings, algorithms, axis spellings, a processor count
+// outside [1, maxProcs], or a kill cell with no processor to survive. Alias spellings of the zero axes ("off", "t0")
 // are valid — normalization, not validation, is their job.
 func (k Key) Validate() error {
 	if !slices.Contains(datasets(), k.Dataset) {
@@ -105,6 +115,9 @@ func (k Key) Validate() error {
 	}
 	if err := k.Faults.Validate(); err != nil {
 		return err
+	}
+	if k.Faults.Enabled() && k.Procs < 2 {
+		return &killProcsError{k.Procs}
 	}
 	return nil
 }

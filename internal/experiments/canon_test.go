@@ -62,8 +62,8 @@ func TestKeyAliasesShareOneDigest(t *testing.T) {
 // TestParseKeyRejects enumerates the network-input failure modes the
 // strict decoder must catch: unknown axis values (which pre-ParseKey
 // would have half-run as their nearest real axis), unknown fields,
-// version skew, trailing data, and processor counts outside
-// [1, maxProcs].
+// version skew, trailing data, processor counts outside [1, maxProcs],
+// and a kill cell with no processor to survive the kill.
 func TestParseKeyRejects(t *testing.T) {
 	cases := []struct {
 		name, in, wantErr string
@@ -82,6 +82,9 @@ func TestParseKeyRejects(t *testing.T) {
 		// The alias/split bug class: "zap" used to materialize the kill
 		// plan while caching under its own identity.
 		{"bad faults", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8,"faults":"zap"}`, "unknown fault mode"},
+		// Processor 0 is the kill scenario's victim: at one processor the
+		// cell would run fault-free under a kill label.
+		{"kill at one processor", `{"dataset":"thermal","seeding":"sparse","alg":"ondemand","procs":1,"faults":"kill"}`, "at least 2 processors"},
 		{"unknown field", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8,"tenant":"eve"}`, "unknown field"},
 		{"version skew", `{"v":"key/v999","dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8}`, "codec version mismatch"},
 		{"trailing data", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8}{}`, "trailing data"},
@@ -106,6 +109,13 @@ func TestParseKeyRejects(t *testing.T) {
 	var pe *procsError
 	if err := (Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: maxProcs + 1}).Validate(); !errors.As(err, &pe) {
 		t.Errorf("Validate with %d processors = %v, want a *procsError", maxProcs+1, err)
+	}
+	var ke *killProcsError
+	if err := (Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: 1, Faults: FaultsKill}).Validate(); !errors.As(err, &ke) {
+		t.Errorf("Validate of a kill cell at 1 processor = %v, want a *killProcsError", err)
+	}
+	if err := (Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: 2, Faults: FaultsKill}).Validate(); err != nil {
+		t.Errorf("Validate of a kill cell at 2 processors = %v, want nil", err)
 	}
 	for _, name := range []string{"small", "default", "paper"} {
 		sc, _ := ScaleByName(name)

@@ -97,12 +97,11 @@ type Scale struct {
 	// latency:transfer ratio stays realistic.
 	DiskLatencySec float64
 	// TimeSlices is the number of stored time slices for unsteady
-	// (pathline) cells — the -tslices flag overrides it. Steady cells
-	// ignore it.
+	// (pathline) cells. Steady cells ignore it.
 	TimeSlices int
 	// PrefetchDepth is the lookahead of the prefetch subsystem for cells
-	// whose Key carries a prefetch policy — the -prefetch-depth flag
-	// overrides it. Cells with prefetching off ignore it.
+	// whose Key carries a prefetch policy. Cells with prefetching off
+	// ignore it.
 	PrefetchDepth int
 	// InjectWindow is the virtual-second interval over which staggered
 	// injection schedules (DESIGN.md §9) spread seed releases; cells
@@ -110,9 +109,6 @@ type Scale struct {
 	// scale to the same order as the campaign wall clocks, so late
 	// releases genuinely overlap — and reshape — the computation.
 	InjectWindow float64
-	// InjectWaves is the wave count of the burst injection schedule —
-	// the -inject-waves flag overrides it.
-	InjectWaves int
 	// InjectRate is the rate-limited injection schedule's release rate
 	// in seeds per virtual second.
 	InjectRate float64
@@ -121,10 +117,6 @@ type Scale struct {
 	// mid-run, so the dead processors hold real in-flight work. Cells
 	// whose Key carries no fault mode ignore it.
 	FaultTime float64
-	// FaultProcs is how many processors the kill scenario takes (the
-	// lowest ranks — processor 0 is the hybrid coordinator and the
-	// stealing ring's initial token holder, the worst-case victims).
-	FaultProcs int
 }
 
 // ScaleByName resolves a scale name as used by the sl* commands' -scale
@@ -167,12 +159,10 @@ func paperScale() Scale {
 		// Paper-scale runs last tens of virtual seconds; a 10 s window
 		// keeps the last waves landing while early seeds still compute.
 		InjectWindow: 10,
-		InjectWaves:  4,
 		InjectRate:   2000,
 		// Paper-scale runs last tens of virtual seconds; killing at 5 s
-		// takes the victims while most streamlines are still in flight.
-		FaultTime:  5,
-		FaultProcs: 1,
+		// takes the victim while most streamlines are still in flight.
+		FaultTime: 5,
 	}
 }
 
@@ -210,14 +200,12 @@ func defaultScale() Scale {
 	// Default-scale cells run ~1-4 virtual seconds; a 1 s window makes
 	// the injection schedule overlap roughly the first half of a run.
 	s.InjectWindow = 1
-	s.InjectWaves = 4
 	s.InjectRate = 2000
 	// The fastest fault-injecting cells (astro sparse at the top of the
 	// processor sweep) finish in ~0.3 virtual seconds; killing at 0.1 s
 	// lands inside every cell's first half, mid-run even for the
 	// quickest.
 	s.FaultTime = 0.1
-	s.FaultProcs = 1
 	return s
 }
 
@@ -243,10 +231,8 @@ func SmallScale() Scale {
 		TimeSlices:        4,
 		PrefetchDepth:     2,
 		InjectWindow:      0.2,
-		InjectWaves:       4,
 		InjectRate:        1000,
 		FaultTime:         0.05, // small cells run a few tenths of a virtual second
-		FaultProcs:        1,
 	}
 }
 
@@ -363,12 +349,12 @@ func BuildProblem(ds Dataset, seeding Seeding, sc Scale) (core.Problem, error) {
 // BuildUnsteadyProblem assembles the pathline (time-sliced) counterpart
 // of BuildProblem: the same spatial decomposition, seed set and
 // integration budget, but the dataset's time-varying field served over
-// tslices stored time slices. Every (spatial block, epoch) pair is then
-// an independent block (paper Section 4), so the four algorithms trace
-// pathlines through their unmodified block machinery.
-func BuildUnsteadyProblem(ds Dataset, seeding Seeding, sc Scale, tslices int) (core.Problem, error) {
-	if tslices < 2 {
-		return core.Problem{}, fmt.Errorf("experiments: need at least 2 time slices, got %d", tslices)
+// the scale's TimeSlices stored time slices. Every (spatial block, epoch)
+// pair is then an independent block (paper Section 4), so the four
+// algorithms trace pathlines through their unmodified block machinery.
+func BuildUnsteadyProblem(ds Dataset, seeding Seeding, sc Scale) (core.Problem, error) {
+	if sc.TimeSlices < 2 {
+		return core.Problem{}, fmt.Errorf("experiments: need at least 2 time slices, got %d", sc.TimeSlices)
 	}
 	prob, err := BuildProblem(ds, seeding, sc)
 	if err != nil {
@@ -376,7 +362,7 @@ func BuildUnsteadyProblem(ds Dataset, seeding Seeding, sc Scale, tslices int) (c
 	}
 	f := ds.FieldT()
 	d := prob.Provider.Decomp()
-	d.TimeSlices = tslices
+	d.TimeSlices = sc.TimeSlices
 	d.T0, d.T1 = f.TimeRange()
 	prob.Provider = grid.AnalyticProviderT{F: f, D: d}
 	return prob, nil
@@ -418,7 +404,6 @@ func MachineConfig(alg core.Algorithm, procs int, sc Scale) core.Config {
 		Algorithm:    alg,
 		Disk:         disk,
 		Net:          comm.DefaultNetwork(),
-		Cost:         core.DefaultCost(),
 		CacheBlocks:  sc.CacheBlocks,
 		DiskServers:  sc.DiskServers,
 		MemoryBudget: steadyMemoryBudget(sc),
@@ -447,7 +432,7 @@ func KeyMachineConfig(k Key, sc Scale) core.Config {
 		cfg.Prefetch = prefetch.Config{Policy: k.Prefetch, Depth: sc.PrefetchDepth}
 	}
 	if k.Faults.Enabled() {
-		cfg.Faults = sc.faultPlan(k.Faults, k.Procs)
+		cfg.Faults = sc.faultPlan(k.Faults)
 	}
 	return cfg
 }
@@ -542,11 +527,6 @@ type Campaign struct {
 	// Log, when non-nil, receives progress lines as runs complete. Calls
 	// are serialized; completion order varies when Workers > 1.
 	Log func(string)
-	// Tune, when non-nil, adjusts each cell's machine configuration after
-	// MachineConfig builds it (e.g. the slrun steal-parameter flags). It
-	// must be deterministic: results are cached by Key alone, so Tune must
-	// give every execution of the same key the same configuration.
-	Tune func(*core.Config)
 	// Cell is the template of the key enumerators (datasetKeys, allKeys,
 	// FigureKeys): every cell they emit copies its machine axes —
 	// Unsteady, Prefetch, Injection and Faults, the Key the slbench axis
@@ -573,6 +553,12 @@ type Campaign struct {
 	tapeCount core.TapeCounters
 
 	logMu sync.Mutex
+
+	// tune, when non-nil, adjusts each cell's machine configuration after
+	// KeyMachineConfig builds it: the tests' seam for counting executions
+	// and holding one open. A Key and a scale name are a cell's whole
+	// identity, so nothing else sets it.
+	tune func(*core.Config)
 }
 
 // NewCampaign creates an empty campaign at the given scale.
@@ -731,8 +717,8 @@ func (c *Campaign) execute(k Key, observe bool) (*core.Result, *obs.Report, erro
 		return nil, nil, err
 	}
 	cfg := KeyMachineConfig(k, c.Scale)
-	if c.Tune != nil {
-		c.Tune(&cfg)
+	if c.tune != nil {
+		c.tune(&cfg)
 	}
 	if observe {
 		cfg.Trace = obs.NewDigest()

@@ -239,7 +239,7 @@ func TestShapeChecksSmallScale(t *testing.T) {
 	// checks serially: ShapeKeys must list every cell CheckShapes reads,
 	// or the checks execute the missing ones one at a time.
 	var executions atomic.Int64
-	c.Tune = func(*core.Config) { executions.Add(1) }
+	c.tune = func(*core.Config) { executions.Add(1) }
 	c.RunKeys(ShapeKeys(c))
 	prewarmed := executions.Load()
 	results := CheckShapes(c)
@@ -276,7 +276,7 @@ func TestShapeChecksFailedCell(t *testing.T) {
 		t.Skip("campaign too slow for -short")
 	}
 	c := NewCampaign(SmallScale())
-	c.Tune = func(cfg *core.Config) {
+	c.tune = func(cfg *core.Config) {
 		if cfg.Algorithm == core.HybridMS {
 			cfg.MemoryBudget = 1
 		}
@@ -351,7 +351,7 @@ func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 	sc := SmallScale()
 	for _, ds := range datasets() {
 		for _, seeding := range Seedings() {
-			prob, err := BuildUnsteadyProblem(ds, seeding, sc, sc.TimeSlices)
+			prob, err := BuildUnsteadyProblem(ds, seeding, sc)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ds, seeding, err)
 			}
@@ -368,10 +368,12 @@ func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BuildUnsteadyProblem(Astro, Sparse, sc, 1); err == nil {
+	single := sc
+	single.TimeSlices = 1
+	if _, err := BuildUnsteadyProblem(Astro, Sparse, single); err == nil {
 		t.Error("single time slice accepted")
 	}
-	if _, err := BuildUnsteadyProblem(Dataset("nope"), Sparse, sc, 4); err == nil {
+	if _, err := BuildUnsteadyProblem(Dataset("nope"), Sparse, sc); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 }

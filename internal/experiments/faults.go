@@ -8,16 +8,15 @@ import (
 
 // FaultMode selects the fault-injection scenario of a campaign cell
 // (DESIGN.md §11). The zero value (and "off") runs fault-free, the
-// paper's workload; "kill" loses the Scale.FaultProcs lowest-indexed
-// processors at Scale.FaultTime — the worst-case victims, since
-// processor 0 is both the hybrid algorithm's coordinator master and the
-// work-stealing ring's initial token holder.
+// paper's workload; "kill" loses processor 0 at Scale.FaultTime — the
+// worst-case victim, since it is both the hybrid algorithm's coordinator
+// master and the work-stealing ring's initial token holder.
 type FaultMode string
 
 // The fault scenarios.
 const (
 	FaultsOff  FaultMode = ""     // no injected failures
-	FaultsKill FaultMode = "kill" // kill the lowest FaultProcs ranks at FaultTime
+	FaultsKill FaultMode = "kill" // kill processor 0 at FaultTime
 )
 
 // Enabled reports whether the mode injects any failures.
@@ -43,23 +42,11 @@ func (f FaultMode) Validate() error {
 }
 
 // faultPlan materializes a fault mode into the concrete kill schedule a
-// cell at procs processors runs under: the sc.FaultProcs lowest ranks
-// die at sc.FaultTime. At least one processor always survives — a plan
-// that kills everyone is a validation error, not an experiment.
-func (sc Scale) faultPlan(f FaultMode, procs int) faults.Plan {
+// cell runs under: processor 0 dies at sc.FaultTime. Key.Validate
+// refuses a kill cell with no processor left to survive it.
+func (sc Scale) faultPlan(f FaultMode) faults.Plan {
 	if !f.Enabled() {
 		return faults.Plan{}
 	}
-	n := sc.FaultProcs
-	if n < 1 {
-		n = 1
-	}
-	if n >= procs {
-		n = procs - 1
-	}
-	victims := make([]int, n)
-	for i := range victims {
-		victims[i] = i
-	}
-	return faults.KillAt(sc.FaultTime, victims...)
+	return faults.KillAt(sc.FaultTime, 0)
 }

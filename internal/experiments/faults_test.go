@@ -44,33 +44,17 @@ func TestFaultModeAxis(t *testing.T) {
 func TestFaultPlanMaterialization(t *testing.T) {
 	sc := SmallScale()
 
-	if p := sc.faultPlan(FaultsOff, 8); p.Enabled() {
+	if p := sc.faultPlan(FaultsOff); p.Enabled() {
 		t.Errorf("fault-free plan = %v, want empty", p)
 	}
 
-	p := sc.faultPlan(FaultsKill, 8)
-	if len(p.Events) != sc.FaultProcs {
-		t.Fatalf("plan kills %d, want Scale.FaultProcs = %d", len(p.Events), sc.FaultProcs)
+	// The kill scenario takes processor 0, the worst-case victim, at the
+	// scale's kill time.
+	p := sc.faultPlan(FaultsKill)
+	if len(p.Events) != 1 || p.Events[0].Proc != 0 || p.Events[0].Time != sc.FaultTime {
+		t.Fatalf("plan = %+v, want processor 0 at t=%v", p.Events, sc.FaultTime)
 	}
-	for i, e := range p.Events {
-		if e.Proc != i || e.Time != sc.FaultTime {
-			t.Errorf("event %d = %+v, want proc %d at t=%v", i, e, i, sc.FaultTime)
-		}
-	}
-	if err := p.Validate(8); err != nil {
-		t.Errorf("materialized plan invalid: %v", err)
-	}
-
-	// FaultProcs is clamped so at least one processor survives, and a
-	// non-positive setting still kills one.
-	wide := sc
-	wide.FaultProcs = 99
-	if got := len(wide.faultPlan(FaultsKill, 4).Events); got != 3 {
-		t.Errorf("oversized FaultProcs killed %d of 4, want clamp to 3", got)
-	}
-	none := sc
-	none.FaultProcs = 0
-	if got := len(none.faultPlan(FaultsKill, 4).Events); got != 1 {
-		t.Errorf("zero FaultProcs killed %d, want 1", got)
+	if err := p.Validate(2); err != nil {
+		t.Errorf("materialized plan invalid at 2 processors: %v", err)
 	}
 }

@@ -147,6 +147,132 @@ func TestKeyFieldIdentity(t *testing.T) {
 	}
 }
 
+// scaleRole is what a Scale field is to a cell: the scale's name, a
+// parameter of the problem Campaign.problem memoizes (and so of every
+// curve on its segment tape), or a parameter of the machine alone.
+type scaleRole int
+
+const (
+	scaleLabel scaleRole = iota
+	scaleCurve
+	scaleMachine
+)
+
+// scaleFields declares every Scale field's role and a probe cell whose
+// run reads the field. A field missing here fails TestScaleFieldIdentity.
+var scaleFields = map[string]struct {
+	role  scaleRole
+	probe Key
+}{
+	"Name":              {role: scaleLabel},
+	"BlocksPerAxis":     {scaleCurve, identityBase},
+	"CellsPerAxis":      {scaleCurve, identityBase},
+	"AstroSeeds":        {scaleCurve, identityBase},
+	"FusionSeeds":       {scaleCurve, Key{Dataset: Fusion, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}},
+	"ThermalSparseGrid": {scaleCurve, Key{Dataset: Thermal, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}},
+	"ThermalDenseSeeds": {scaleCurve, Key{Dataset: Thermal, Seeding: Dense, Alg: core.LoadOnDemand, Procs: 4}},
+	"MaxSteps":          {scaleCurve, identityBase},
+	"ShortSteps":        {scaleCurve, Key{Dataset: Thermal, Seeding: Dense, Alg: core.LoadOnDemand, Procs: 4}},
+	"ProcCounts":        {scaleMachine, identityBase},
+	"CacheBlocks":       {scaleMachine, identityBase},
+	"Tol":               {scaleCurve, identityBase},
+	"HMax":              {scaleCurve, identityBase},
+	"DiskServers":       {scaleMachine, identityBase},
+	"DiskLatencySec":    {scaleMachine, identityBase},
+	"TimeSlices":        {scaleCurve, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Unsteady: true}},
+	"PrefetchDepth":     {scaleMachine, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Prefetch: prefetch.Neighbor}},
+	"InjectWindow":      {scaleMachine, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: InjectStagger}},
+	"InjectRate":        {scaleMachine, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: InjectRate}},
+	"FaultTime":         {scaleMachine, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Faults: FaultsKill}},
+}
+
+// TestScaleFieldIdentity holds every Scale field to the scale name's
+// contract: a scale is one machine, and each of its fields reaches a
+// cell. For each field it perturbs tinyScale and compares, for the
+// field's probe cell, what the two scales build — no cell runs:
+//
+//  1. A curve field changes the uninjected problem Campaign.problem
+//     memoizes.
+//  2. A machine field leaves that problem equal and changes
+//     KeyMachineConfig or the release schedule applyInjection writes.
+//
+// A field that changes neither is dead: nothing a cell runs reads it.
+func TestScaleFieldIdentity(t *testing.T) {
+	base := tinyScale()
+	st := reflect.TypeFor[Scale]()
+	for name := range scaleFields {
+		if _, ok := st.FieldByName(name); !ok {
+			t.Errorf("scaleFields declares %s, which Scale does not have", name)
+		}
+	}
+	for i := range st.NumField() {
+		f := st.Field(i)
+		t.Run(f.Name, func(t *testing.T) {
+			decl, ok := scaleFields[f.Name]
+			if !ok {
+				t.Fatalf("Scale.%s is not declared in scaleFields: say whether it moves a curve or only the machine", f.Name)
+			}
+			if decl.role == scaleLabel {
+				return
+			}
+			sc := base
+			field := reflect.ValueOf(&sc).Elem().Field(i)
+			alt := perturbed(field)
+			if reflect.DeepEqual(field.Interface(), alt.Interface()) {
+				t.Fatalf("cannot perturb Scale.%s = %v", f.Name, field.Interface())
+			}
+			field.Set(alt)
+
+			k := decl.probe
+			before, after := NewCampaign(base).problem(k), NewCampaign(sc).problem(k)
+			if before.err != nil || after.err != nil {
+				t.Fatalf("%s: %v / %v", k.Label(), before.err, after.err)
+			}
+			sameProblem := reflect.DeepEqual(before.prob, after.prob)
+			sameMachine := reflect.DeepEqual(KeyMachineConfig(k, base), KeyMachineConfig(k, sc)) &&
+				reflect.DeepEqual(releases(t, before.prob, k, base), releases(t, after.prob, k, sc))
+			switch {
+			case decl.role == scaleCurve && sameProblem:
+				t.Errorf("Scale.%s is declared curve-moving, but %s builds the same problem under %v and %v", f.Name, k.Label(), field.Interface(), alt.Interface())
+			case decl.role == scaleMachine && !sameProblem:
+				t.Errorf("Scale.%s is declared machine-only, but it changes the problem of %s: declare it curve-moving", f.Name, k.Label())
+			case decl.role == scaleMachine && sameMachine:
+				t.Errorf("Scale.%s is dead: %s builds the same problem, machine and release schedule under either value", f.Name, k.Label())
+			}
+		})
+	}
+}
+
+// perturbed returns a value of v's type that differs from it: numbers
+// doubled, and every element of a slice.
+func perturbed(v reflect.Value) reflect.Value {
+	out := reflect.New(v.Type()).Elem()
+	switch v.Kind() {
+	case reflect.Int:
+		out.SetInt(2 * v.Int())
+	case reflect.Float64:
+		out.SetFloat(2 * v.Float())
+	case reflect.Slice:
+		out.Set(reflect.MakeSlice(v.Type(), v.Len(), v.Len()))
+		for i := range v.Len() {
+			out.Index(i).Set(perturbed(v.Index(i)))
+		}
+	default:
+		return v
+	}
+	return out
+}
+
+// releases is the release schedule k's cell writes into its copy of
+// prob at scale sc.
+func releases(t *testing.T, prob core.Problem, k Key, sc Scale) []float64 {
+	t.Helper()
+	if err := applyInjection(&prob, k.Injection, sc); err != nil {
+		t.Fatal(err)
+	}
+	return prob.Release
+}
+
 // numProblems counts the campaign's problem memo entries.
 func (c *Campaign) numProblems() int {
 	c.probMu.Lock()

@@ -23,13 +23,16 @@ const (
 	// InjectStagger spreads releases uniformly over the scale's
 	// injection window (a continuous streak-line rake).
 	InjectStagger Injection = "stagger"
-	// InjectBurst releases Scale.InjectWaves equal waves across the
-	// window (bursty in-situ seeding, one rake every few timesteps).
+	// InjectBurst releases burstWaves equal waves across the window
+	// (bursty in-situ seeding, one rake every few timesteps).
 	InjectBurst Injection = "burst"
 	// InjectRate releases seeds at Scale.InjectRate seeds per virtual
 	// second, clamping overflow to the window end.
 	InjectRate Injection = "rate"
 )
+
+// burstWaves is the wave count of the burst schedule at every scale.
+const burstWaves = 4
 
 // Enabled reports whether the injection differs from release-all-at-t0.
 func (inj Injection) Enabled() bool {
@@ -66,7 +69,7 @@ func (sc Scale) injectionSchedule(inj Injection) (seeds.Schedule, error) {
 	case InjectStagger:
 		return seeds.UniformStagger(0, sc.InjectWindow), nil
 	case InjectBurst:
-		return seeds.BurstWaves(0, sc.InjectWindow, sc.InjectWaves), nil
+		return seeds.BurstWaves(0, sc.InjectWindow, burstWaves), nil
 	case InjectRate:
 		return seeds.RateLimit(0, sc.InjectWindow, sc.InjectRate), nil
 	default:
@@ -106,7 +109,7 @@ func BuildInjectedProblem(ds Dataset, seeding Seeding, sc Scale, unsteady bool, 
 	var prob core.Problem
 	var err error
 	if unsteady {
-		prob, err = BuildUnsteadyProblem(ds, seeding, sc, sc.TimeSlices)
+		prob, err = BuildUnsteadyProblem(ds, seeding, sc)
 	} else {
 		prob, err = BuildProblem(ds, seeding, sc)
 	}

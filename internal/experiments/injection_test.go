@@ -53,11 +53,11 @@ func TestInjectionKeyLabel(t *testing.T) {
 }
 
 // TestScaleInjectionSchedule checks the Injection -> seeds.Schedule
-// mapping honors the scale's window, wave and rate parameters.
+// mapping honors the scale's window and rate and the fixed burst wave
+// count.
 func TestScaleInjectionSchedule(t *testing.T) {
 	sc := SmallScale()
 	sc.InjectWindow = 2
-	sc.InjectWaves = 5
 	sc.InjectRate = 4
 
 	stag, err := sc.injectionSchedule(InjectStagger)
@@ -71,8 +71,8 @@ func TestScaleInjectionSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := burst.Name(); got != "burst5" {
-		t.Errorf("burst schedule = %q, want waves from the scale", got)
+	if got := burst.Name(); got != "burst4" {
+		t.Errorf("burst schedule = %q, want %d waves", got, burstWaves)
 	}
 	rate, err := sc.injectionSchedule(InjectRate)
 	if err != nil {

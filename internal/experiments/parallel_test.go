@@ -204,12 +204,12 @@ func TestRunSingleflight(t *testing.T) {
 }
 
 // TestComputeRetainsNothing: Compute is execution without the memo — two
-// sequential calls execute twice (counted through Tune) and Cached never
+// sequential calls execute twice (counted through tune) and Cached never
 // sees them — and Run after Compute still executes once and retains.
 func TestComputeRetainsNothing(t *testing.T) {
 	c := NewCampaign(tinyScale())
 	executions := 0
-	c.Tune = func(*core.Config) { executions++ }
+	c.tune = func(*core.Config) { executions++ }
 	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: "t0"}
 
 	a := c.Compute(k, false, nil, nil)
@@ -240,7 +240,7 @@ func TestComputeRetainsNothing(t *testing.T) {
 // TestComputeSharesOneFlight: N concurrent Computes of one key execute
 // once, keep runs once — on the executing call, before anyone is
 // released — and every caller returns with keep's effect visible. The
-// execution is held in Tune until every caller is on its way in. Run
+// execution is held in tune until every caller is on its way in. Run
 // with -race: kept is written by keep and read by every caller bare.
 func TestComputeSharesOneFlight(t *testing.T) {
 	const callers = 8
@@ -248,7 +248,7 @@ func TestComputeSharesOneFlight(t *testing.T) {
 	var started sync.WaitGroup
 	started.Add(callers)
 	executions := 0
-	c.Tune = func(*core.Config) {
+	c.tune = func(*core.Config) {
 		started.Wait()
 		executions++
 	}
@@ -287,7 +287,7 @@ func TestComputeLookupHitExecutesNothing(t *testing.T) {
 	const callers = 8
 	c := NewCampaign(tinyScale())
 	executions, keeps, logged := 0, 0, 0
-	c.Tune = func(*core.Config) { executions++ }
+	c.tune = func(*core.Config) { executions++ }
 	c.Log = func(string) { logged++ }
 	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}
 	cached := Outcome{Key: k, Err: errors.New("cached elsewhere")}
@@ -324,14 +324,14 @@ func TestComputeLookupHitExecutesNothing(t *testing.T) {
 }
 
 // TestComputeObserveIsPerCall: an observed and an unobserved Compute of
-// one key do not share a flight — both are held in Tune until both are
+// one key do not share a flight — both are held in tune until both are
 // there — and their outcomes differ only in Obs and in the summary's
 // TraceEvents/TraceBytes meta-counters.
 func TestComputeObserveIsPerCall(t *testing.T) {
 	c := NewCampaign(tinyScale())
 	arrived := make(chan struct{}, 2) // one send per execution
 	both := make(chan struct{})
-	c.Tune = func(*core.Config) {
+	c.tune = func(*core.Config) {
 		arrived <- struct{}{}
 		<-both
 	}

@@ -51,7 +51,7 @@ func (cb cellBytes) equal(o cellBytes) bool {
 
 // untaped runs k's cell the way the campaign did before it had tapes: a
 // freshly built problem straight into core.Run, on the machine a campaign
-// with the given Tune (nil for none) would build.
+// with the given tune (nil for none) would build.
 func untaped(t *testing.T, k Key, sc Scale, tune func(*core.Config)) cellBytes {
 	t.Helper()
 	prob, err := BuildInjectedProblem(k.Dataset, k.Seeding, sc, k.Unsteady, k.Injection)
@@ -224,7 +224,7 @@ func TestTapeNoGeometryCells(t *testing.T) {
 	for _, order := range [][2]Key{{hybrid, static}, {static, hybrid}} {
 		c := NewCampaign(sc)
 		c.Observe = true
-		c.Tune = tune
+		c.tune = tune
 		c.enter()
 		for i, k := range order {
 			want := carried
@@ -472,7 +472,7 @@ func TestTapeAdmission(t *testing.T) {
 		"NoGeometry":    func(cfg *core.Config) { cfg.NoGeometry = true },
 	} {
 		c := NewCampaign(sc)
-		c.Tune = tune
+		c.tune = tune
 		var delivered int64
 		for _, alg := range core.Algorithms() {
 			delivered += c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: procs}).Summary.Steps

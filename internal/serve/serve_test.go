@@ -40,7 +40,7 @@ func tinyScale() experiments.Scale {
 
 // newTestServer builds a tiny-scale server; mutate adjusts the config
 // before assembly. The server is drained at test cleanup.
-func newTestServer(t *testing.T, mutate func(*Config)) *Server {
+func newTestServer(t testing.TB, mutate func(*Config)) *Server {
 	t.Helper()
 	sc := tinyScale()
 	cfg := Config{ScaleName: "tiny", Scale: &sc, Workers: 4, TenantLimit: 32}
@@ -60,6 +60,9 @@ func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 }
 
 const cellBody = `{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2}`
+
+// killOneBody is a kill cell with no processor to survive the kill.
+const killOneBody = `{"dataset":"thermal","seeding":"sparse","alg":"ondemand","procs":1,"faults":"kill"}`
 
 // media lists the two cache media with the Config change that selects
 // each: tests of behaviour the medium must not change range over it.
@@ -422,6 +425,9 @@ func TestRequestValidation(t *testing.T) {
 		// still answers.
 		{"hostile procs", http.MethodPost, "/v1/cell", `{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":200000000}`, http.StatusBadRequest},
 		{"batch hostile procs", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `,{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":4097}]}`, http.StatusBadRequest},
+		// The kill scenario takes processor 0; at one processor the cell
+		// would run fault-free and be cached under a kill label.
+		{"kill at one processor", http.MethodPost, "/v1/cell", killOneBody, http.StatusBadRequest},
 		{"trailing data", http.MethodPost, "/v1/cell", cellBody + `{"again":true}`, http.StatusBadRequest},
 		// Closing delimiters are what json.Decoder.More answers false to.
 		{"trailing brace", http.MethodPost, "/v1/cell", cellBody + `}`, http.StatusBadRequest},
@@ -454,6 +460,76 @@ func TestRequestValidation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// FuzzCellRequest posts each input to both cell endpoints — as a
+// /v1/cell body, as a /v1/cells body, and as the one cell of a batch
+// envelope — on a tiny-scale Server with no cache directory. Every answer
+// is a 200 whose rows are the request's cells, in order, or a 4xx
+// carrying the JSON error envelope: never a 5xx, never a panic. A body
+// ParseKey accepts is always answered on /v1/cell.
+func FuzzCellRequest(f *testing.F) {
+	for _, seed := range []string{
+		cellBody,
+		`{"v":"key/v1","dataset":"fusion","seeding":"dense","alg":"stealing","procs":4,"prefetch":"off","injection":"t0","faults":"off"}`,
+		killOneBody,
+		`{"cells":[` + cellBody + `,{"dataset":"thermal","seeding":"sparse","alg":"hybrid","procs":4,"faults":"kill"}],"observe":true}`,
+		cellBody + `{}`,
+		`{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2,"speed":"ludicrous"}`,
+	} {
+		f.Add(seed)
+	}
+	s := newTestServer(f, func(c *Config) { c.Workers = 2 })
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, req := range []struct{ target, body string }{
+			{"/v1/cell", body},
+			{"/v1/cells", body},
+			{"/v1/cells", `{"cells":[` + body + `]}`},
+		} {
+			w := post(s, http.MethodPost, req.target, "", req.body)
+			switch {
+			case w.Code == http.StatusOK:
+				checkRowsMatch(t, req.target, req.body, w)
+			case w.Code >= 400 && w.Code < 500:
+				var eb errorBody
+				if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Error == "" {
+					t.Fatalf("POST %s %q: %d without the JSON error envelope: %s", req.target, req.body, w.Code, w.Body.String())
+				}
+				if _, err := experiments.ParseKey([]byte(req.body)); err == nil && req.target == "/v1/cell" {
+					t.Fatalf("POST %s %q: a valid key answered %d: %s", req.target, req.body, w.Code, w.Body.String())
+				}
+			default:
+				t.Fatalf("POST %s %q: status %d: %s", req.target, req.body, w.Code, w.Body.String())
+			}
+		}
+	})
+}
+
+// checkRowsMatch holds a 200 answer to the request it answers: the
+// request decodes to keys, and the rows are those keys' cells in order.
+func checkRowsMatch(t *testing.T, target, body string, w *httptest.ResponseRecorder) {
+	t.Helper()
+	cells := []json.RawMessage{json.RawMessage(body)}
+	if target == "/v1/cells" {
+		var req cellsRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatalf("POST %s %q answered 200, but the envelope does not decode: %v", target, body, err)
+		}
+		cells = req.Cells
+	}
+	resp := decodeResponse(t, w)
+	if resp.Scale != "tiny" || len(resp.Rows) != len(cells) {
+		t.Fatalf("POST %s %q: scale %q with %d rows, want tiny with %d", target, body, resp.Scale, len(resp.Rows), len(cells))
+	}
+	for i, raw := range cells {
+		k, err := experiments.ParseKey(raw)
+		if err != nil {
+			t.Fatalf("POST %s %q answered 200, but cell %d does not parse: %v", target, body, i, err)
+		}
+		if row := resp.Rows[i]; row.Digest != k.Digest() || row.Label != k.Label() {
+			t.Fatalf("POST %s %q: row %d is %s (%s), want %s (%s)", target, body, i, row.Label, row.Digest, k.Label(), k.Digest())
+		}
 	}
 }
 
