@@ -68,6 +68,10 @@ func TestRunBadFlags(t *testing.T) {
 		{"-alg", "bogus"},
 		{"-alg", "bogus", "-procs", "8,16"},
 		{"-prefetch", "sideways"},
+		// A hybrid cell needs a master and a slave: one processor is a
+		// usage error, not a per-cell "run failed".
+		{"-scale", "small", "-alg", "hybrid", "-procs", "1"},
+		{"-scale", "small", "-alg", "hybrid", "-procs", "8,1"},
 		// The per-processor block describes one run, and -top shapes only
 		// that block: either would be silently ignored.
 		{"-scale", "small", "-alg", "ondemand", "-procs", "8,16", "-perproc", "-top", "2"},

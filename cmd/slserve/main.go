@@ -13,12 +13,13 @@
 //	                percentile block (the slbench -json schema)
 //	POST /v1/cells  body: {"cells":[<key>...],"observe":bool}
 //
-// Requests carry an optional X-Tenant header; each tenant gets a
-// bounded queue and the worker pool round-robins across tenants, so one
-// tenant's flood cannot starve another's single cell. Past the
-// per-tenant cap the server answers 429; past -timeout, 504 (the
-// computation continues and lands in the cache for the retry); during
-// shutdown, 503; to a request body over 1 MiB, 413. SIGINT/SIGTERM
+// A cached cell is answered on the request's own goroutine and never
+// queues. Cells that need computing queue per tenant (the optional
+// X-Tenant header) and the worker pool round-robins across tenants, so
+// one tenant's flood cannot starve another's single cell. Past the
+// per-tenant cap on such cells the server answers 429; past -timeout,
+// 504 (the computation continues and lands in the cache for the retry);
+// during shutdown, 503, hits included; to a request body over 1 MiB, 413. SIGINT/SIGTERM
 // starts a graceful drain: admission stops, in-flight cells finish and
 // persist, then the process exits.
 //
@@ -62,7 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr         = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
 		scaleName    = fs.String("scale", "small", "campaign scale: small, default, or paper")
 		workers      = fs.Int("workers", 0, "concurrent cell computations; 0 means one per CPU core")
-		tenantLimit  = fs.Int("tenant-limit", 64, "max outstanding cells per tenant before 429")
+		tenantLimit  = fs.Int("tenant-limit", 64, "max outstanding cells to compute per tenant before 429")
 		timeout      = fs.Duration("timeout", 2*time.Minute, "per-request wait bound before 504; 0 waits forever")
 		cacheDir     = fs.String("cache", "", "persistent result cache directory (empty = memory-only, bounded)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound for in-flight cells")

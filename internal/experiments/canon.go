@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/prefetch"
@@ -48,7 +50,8 @@ import (
 const keyCodecVersion = "key/v1"
 
 // keyWire is the canonical JSON layout of a Key. Field order is the
-// declaration order (encoding/json preserves it), disabled optional axes
+// declaration order (CanonicalJSON appends the fields in it, as
+// encoding/json would marshal them), disabled optional axes
 // are omitted entirely, and ParseKey rejects unknown fields — together
 // that makes the encoding injective on normalized keys and stable across
 // releases under the same keyCodecVersion.
@@ -80,20 +83,24 @@ func (e *procsError) Error() string {
 	return fmt.Sprintf("experiments: %d processors is over the limit of %d", e.procs, maxProcs)
 }
 
-// killProcsError is Validate's refusal of a kill cell under 2
-// processors: the kill scenario takes processor 0, so none would be left
-// to finish the run, and the cell would run fault-free under a kill
-// label.
-type killProcsError struct{ procs int }
+// minProcsError is Validate's refusal of a cell under the 2 processors
+// its scenario needs: a hybrid cell needs a master and a slave, and the
+// kill scenario takes processor 0, leaving none to finish the run — the
+// cell would run fault-free under a kill label.
+type minProcsError struct {
+	scenario string
+	procs    int
+}
 
-func (e *killProcsError) Error() string {
-	return fmt.Sprintf("experiments: the kill scenario needs at least 2 processors, got %d", e.procs)
+func (e *minProcsError) Error() string {
+	return fmt.Sprintf("experiments: %s needs at least 2 processors, got %d", e.scenario, e.procs)
 }
 
 // Validate rejects keys that do not name a real campaign cell: unknown
 // datasets, seedings, algorithms, axis spellings, a processor count
-// outside [1, maxProcs], or a kill cell with no processor to survive. Alias spellings of the zero axes ("off", "t0")
-// are valid — normalization, not validation, is their job.
+// outside [1, maxProcs], or a hybrid or kill cell under 2 processors.
+// Alias spellings of the zero axes ("off", "t0") are valid —
+// normalization, not validation, is their job.
 func (k Key) Validate() error {
 	if !slices.Contains(datasets(), k.Dataset) {
 		return fmt.Errorf("experiments: unknown dataset %q (valid: astro, fusion, thermal)", k.Dataset)
@@ -116,8 +123,11 @@ func (k Key) Validate() error {
 	if err := k.Faults.Validate(); err != nil {
 		return err
 	}
+	if k.Alg == core.HybridMS && k.Procs < 2 {
+		return &minProcsError{"the hybrid algorithm (a master and a slave)", k.Procs}
+	}
 	if k.Faults.Enabled() && k.Procs < 2 {
-		return &killProcsError{k.Procs}
+		return &minProcsError{"the kill scenario", k.Procs}
 	}
 	return nil
 }
@@ -125,36 +135,67 @@ func (k Key) Validate() error {
 // CanonicalJSON renders the key's canonical wire encoding: normalized
 // (alias spellings collapse exactly as the in-memory cache does),
 // versioned (the leading "v" field is keyCodecVersion) and byte-stable
-// (fixed field order, disabled axes omitted). Two keys have equal
+// (keyWire's field order, disabled axes omitted). Two keys have equal
 // CanonicalJSON if and only if they name the same campaign cell, which
-// is what makes sha256 over these bytes a safe cache address.
+// is what makes sha256 over these bytes a safe cache address. The bytes
+// are appended field by field; FuzzKeyEncoding holds them to
+// json.Marshal of the keyWire.
 func (k Key) CanonicalJSON() []byte {
 	n := k.normalized()
-	w := keyWire{
-		V:         keyCodecVersion,
-		Dataset:   string(n.Dataset),
-		Seeding:   string(n.Seeding),
-		Alg:       string(n.Alg),
-		Procs:     n.Procs,
-		Unsteady:  n.Unsteady,
-		Prefetch:  string(n.Prefetch),
-		Injection: string(n.Injection),
-		Faults:    string(n.Faults),
+	b := make([]byte, 0, 192)
+	b = append(b, `{"v":"`+keyCodecVersion+`","dataset":`...)
+	b = AppendQuoted(b, string(n.Dataset))
+	b = append(b, `,"seeding":`...)
+	b = AppendQuoted(b, string(n.Seeding))
+	b = append(b, `,"alg":`...)
+	b = AppendQuoted(b, string(n.Alg))
+	b = append(b, `,"procs":`...)
+	b = strconv.AppendInt(b, int64(n.Procs), 10)
+	if n.Unsteady {
+		b = append(b, `,"unsteady":true`...)
 	}
-	b, err := json.Marshal(w)
-	if err != nil {
-		// keyWire is strings, an int and a bool; Marshal cannot fail.
-		panic(fmt.Sprintf("experiments: canonical key encoding failed: %v", err))
+	for _, f := range [...]struct{ name, v string }{
+		{`,"prefetch":`, string(n.Prefetch)},
+		{`,"injection":`, string(n.Injection)},
+		{`,"faults":`, string(n.Faults)},
+	} {
+		if f.v != "" {
+			b = AppendQuoted(append(b, f.name...), f.v)
+		}
 	}
-	return b
+	return append(b, '}')
+}
+
+// AppendQuoted appends s quoted as encoding/json quotes it. A string
+// that needs no escape — every axis name, digest, source and label — is
+// copied; any other goes through json.Marshal.
+func AppendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// Address returns the key's canonical encoding and its digest from one
+// encoding: what a cache that files an entry under the digest and checks
+// it against the encoding needs.
+func (k Key) Address() (canonical []byte, digest string) {
+	canonical = k.CanonicalJSON()
+	sum := sha256.Sum256(canonical)
+	return canonical, hex.EncodeToString(sum[:])
 }
 
 // Digest returns the key's content address: the lowercase hex SHA-256 of
 // its canonical JSON encoding. Every alias spelling of a cell digests
 // identically; every distinct cell digests differently.
 func (k Key) Digest() string {
-	sum := sha256.Sum256(k.CanonicalJSON())
-	return hex.EncodeToString(sum[:])
+	_, digest := k.Address()
+	return digest
 }
 
 // ParseKey decodes a key from its wire encoding — the request-decode

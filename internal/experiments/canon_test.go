@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -63,7 +68,7 @@ func TestKeyAliasesShareOneDigest(t *testing.T) {
 // strict decoder must catch: unknown axis values (which pre-ParseKey
 // would have half-run as their nearest real axis), unknown fields,
 // version skew, trailing data, processor counts outside [1, maxProcs],
-// and a kill cell with no processor to survive the kill.
+// and a hybrid or kill cell under the 2 processors it needs.
 func TestParseKeyRejects(t *testing.T) {
 	cases := []struct {
 		name, in, wantErr string
@@ -85,6 +90,9 @@ func TestParseKeyRejects(t *testing.T) {
 		// Processor 0 is the kill scenario's victim: at one processor the
 		// cell would run fault-free under a kill label.
 		{"kill at one processor", `{"dataset":"thermal","seeding":"sparse","alg":"ondemand","procs":1,"faults":"kill"}`, "at least 2 processors"},
+		// A hybrid cell needs a master and a slave: at one processor it
+		// used to run, fail in core, and be cached as a result.
+		{"hybrid at one processor", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":1}`, "at least 2 processors"},
 		{"unknown field", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8,"tenant":"eve"}`, "unknown field"},
 		{"version skew", `{"v":"key/v999","dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8}`, "codec version mismatch"},
 		{"trailing data", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8}{}`, "trailing data"},
@@ -110,12 +118,17 @@ func TestParseKeyRejects(t *testing.T) {
 	if err := (Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: maxProcs + 1}).Validate(); !errors.As(err, &pe) {
 		t.Errorf("Validate with %d processors = %v, want a *procsError", maxProcs+1, err)
 	}
-	var ke *killProcsError
-	if err := (Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: 1, Faults: FaultsKill}).Validate(); !errors.As(err, &ke) {
-		t.Errorf("Validate of a kill cell at 1 processor = %v, want a *killProcsError", err)
-	}
-	if err := (Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: 2, Faults: FaultsKill}).Validate(); err != nil {
-		t.Errorf("Validate of a kill cell at 2 processors = %v, want nil", err)
+	for _, k := range []Key{
+		{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 1, Faults: FaultsKill},
+		{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: 1},
+	} {
+		var me *minProcsError
+		if err := k.Validate(); !errors.As(err, &me) {
+			t.Errorf("Validate of %s = %v, want a *minProcsError", k.Label(), err)
+		}
+		if k.Procs = 2; k.Validate() != nil {
+			t.Errorf("Validate of %s = %v, want nil", k.Label(), k.Validate())
+		}
 	}
 	for _, name := range []string{"small", "default", "paper"} {
 		sc, _ := ScaleByName(name)
@@ -222,4 +235,74 @@ func FuzzKeyRoundTrip(f *testing.F) {
 			t.Fatalf("decoded key renders label %q, canonical %q", got.Label(), want.Label())
 		}
 	})
+}
+
+// FuzzKeyEncoding holds the hand-appended encoders to their references
+// over arbitrary, unvalidated keys — quotes, <>&, control bytes,
+// invalid UTF-8 and any processor count: CanonicalJSON must be
+// json.Marshal of the normalized keyWire, Address must be that encoding
+// and its SHA-256, and Label must be the fmt.Sprintf rendering it
+// replaced.
+func FuzzKeyEncoding(f *testing.F) {
+	f.Add("astro", "sparse", "ondemand", 8, false, "", "", "")
+	f.Add("fusion", "dense", "stealing", -32, true, "both", "burst", "kill")
+	f.Add(`a"b\c`, "<sparse>", "a&b", 0, true, "off", "t0", "off")
+	f.Add("\x00\x1f\x7f", "\u2028\u2029", "\xff\xfe", 1<<62, false, "psychic", "maybe", "zap")
+	f.Add("ünïcode", "日本", "\t\n\r", -1<<63, true, "neighbor", "off", "")
+	f.Fuzz(func(t *testing.T, ds, seeding, alg string, procs int, unsteady bool, pf, inj, fm string) {
+		k := Key{
+			Dataset:   Dataset(ds),
+			Seeding:   Seeding(seeding),
+			Alg:       core.Algorithm(alg),
+			Procs:     procs,
+			Unsteady:  unsteady,
+			Prefetch:  prefetch.Policy(pf),
+			Injection: Injection(inj),
+			Faults:    FaultMode(fm),
+		}
+		n := k.normalized()
+		want, err := json.Marshal(keyWire{
+			V:         keyCodecVersion,
+			Dataset:   string(n.Dataset),
+			Seeding:   string(n.Seeding),
+			Alg:       string(n.Alg),
+			Procs:     n.Procs,
+			Unsteady:  n.Unsteady,
+			Prefetch:  string(n.Prefetch),
+			Injection: string(n.Injection),
+			Faults:    string(n.Faults),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := k.CanonicalJSON(); !bytes.Equal(got, want) {
+			t.Fatalf("CanonicalJSON of %+v:\n got  %s\n want %s", k, got, want)
+		}
+		sum := sha256.Sum256(want)
+		if canon, digest := k.Address(); !bytes.Equal(canon, want) || digest != hex.EncodeToString(sum[:]) || k.Digest() != digest {
+			t.Fatalf("Address of %+v = %s %s, want %s %x", k, canon, digest, want, sum)
+		}
+		if got, want := k.Label(), sprintfLabel(k); got != want {
+			t.Fatalf("Label of %+v = %q, want %q", k, got, want)
+		}
+	})
+}
+
+// sprintfLabel is the fmt rendering Label replaced, kept as its oracle.
+func sprintfLabel(k Key) string {
+	prefix := ""
+	if k.Unsteady {
+		prefix = "u:"
+	}
+	suffix := ""
+	if k.Injection.Enabled() {
+		suffix += "+i:" + string(k.Injection)
+	}
+	if k.Prefetch.Enabled() {
+		suffix += "+pf:" + string(k.Prefetch)
+	}
+	if k.Faults.Enabled() {
+		suffix += "+f:" + string(k.Faults)
+	}
+	return fmt.Sprintf("%s%s/%s/%s/%d%s", prefix, k.Dataset, k.Seeding, k.Alg, k.Procs, suffix)
 }

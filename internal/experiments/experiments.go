@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"strconv"
 	"sync"
 
 	"repro/internal/comm"
@@ -480,21 +481,20 @@ func (k Key) normalized() Key {
 // "+i:<schedule>" suffix, prefetching cells a "+pf:<policy>" suffix,
 // fault-injecting cells a "+f:<mode>" suffix.
 func (k Key) Label() string {
-	prefix := ""
+	label := string(k.Dataset) + "/" + string(k.Seeding) + "/" + string(k.Alg) + "/" + strconv.Itoa(k.Procs)
 	if k.Unsteady {
-		prefix = "u:"
+		label = "u:" + label
 	}
-	suffix := ""
 	if k.Injection.Enabled() {
-		suffix += "+i:" + string(k.Injection)
+		label += "+i:" + string(k.Injection)
 	}
 	if k.Prefetch.Enabled() {
-		suffix += "+pf:" + string(k.Prefetch)
+		label += "+pf:" + string(k.Prefetch)
 	}
 	if k.Faults.Enabled() {
-		suffix += "+f:" + string(k.Faults)
+		label += "+f:" + string(k.Faults)
 	}
-	return fmt.Sprintf("%s%s/%s/%s/%d%s", prefix, k.Dataset, k.Seeding, k.Alg, k.Procs, suffix)
+	return label
 }
 
 // Outcome is one run's result (Err records expected failures such as the

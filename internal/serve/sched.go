@@ -2,21 +2,24 @@
 //
 // The service's compute resource is a fixed pool of workers (one
 // simulated campaign cell runs per worker at a time — the same bound
-// the PR 1 campaign pool enforces for batch sweeps). Fairness across
-// tenants is deficit-free round-robin: each tenant owns a FIFO queue,
-// the queues with pending work form a ring, and every worker pops one
-// task from the front queue then rotates the ring — so a tenant
-// flooding ten thousand cells delays its own tail, not the single-cell
-// tenant behind it. Admission control is a per-tenant cap on
-// outstanding (queued + running) tasks: past it, submissions fail fast
-// with a saturatedError (HTTP 429) instead of growing an unbounded
+// the campaign pool enforces for batch sweeps). Only the cells the Store
+// missed come here: the handler answers hits before it submits.
+// Fairness across tenants is deficit-free round-robin: each tenant owns
+// a FIFO queue, the queues with pending work form a ring, and every
+// worker pops one task from the front queue then rotates the ring — so a
+// tenant flooding ten thousand cells delays its own tail, not the
+// single-cell tenant behind it. Admission control is a per-tenant cap on
+// outstanding (queued + running) tasks, which are cells that need
+// computing, so a hit is answered at the cap: past it, submissions fail
+// fast with a saturatedError (HTTP 429) instead of growing an unbounded
 // queue. A tenant's queue exists only while it has tasks outstanding, so
 // the set of queues is bounded by the work admitted, not by how many
 // X-Tenant values have ever been seen.
 //
-// Draining flips the scheduler closed: new submissions fail with
-// errDraining, already-accepted tasks run to completion, and Drain
-// returns when the last worker parks — the SIGTERM path of cmd/slserve.
+// Draining flips the scheduler closed: new submissions, even the empty
+// one of a request whose every cell hit, fail with errDraining;
+// already-accepted tasks run to completion, and Drain returns when the
+// last worker parks — the SIGTERM path of cmd/slserve.
 package serve
 
 import (
@@ -43,14 +46,15 @@ func (e *saturatedError) Error() string {
 	return fmt.Sprintf("serve: tenant %q has %d tasks outstanding (limit): retry when in-flight requests finish", e.Tenant, e.Limit)
 }
 
-// task is one campaign cell in flight through the scheduler. done is
-// closed — after row is final — when the cell has been served (from
-// cache or fresh computation).
+// task is one campaign cell the store missed, in flight through the
+// scheduler. done is closed — after *row is final — when the cell has
+// been served (from the store after all, or computed).
 type task struct {
 	key      experiments.Key
+	canon    []byte // key's canonical encoding; row.Digest is its digest
 	tenant   string // names the task's queue in scheduler.tenants
 	observed bool   // run with the obs recorder (separate cache population)
-	row      Row
+	row      *Row   // the request's row for this cell, filled by exec
 	done     chan struct{}
 }
 
@@ -85,35 +89,38 @@ func newScheduler(workers, limit int, exec func(*task)) *scheduler {
 	return s
 }
 
-// submit enqueues one task per key for tenant, atomically: either every
-// cell is admitted or none is (a partially admitted request would
-// return a row set the client cannot distinguish from a complete one).
-func (s *scheduler) submit(tenant string, keys []experiments.Key, observed bool) ([]*task, error) {
+// submit enqueues tasks for tenant, atomically: either every task is
+// admitted or none is (a partially admitted request would return a row
+// set the client cannot distinguish from a complete one). A draining
+// scheduler refuses even an empty submission.
+func (s *scheduler) submit(tenant string, tasks []*task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, errDraining
+		return errDraining
+	}
+	if len(tasks) == 0 {
+		return nil
 	}
 	tq := s.tenants[tenant]
 	if tq == nil {
 		tq = &tenantQ{} // joins s.tenants once admitted
 	}
-	if tq.pending+len(keys) > s.limit {
-		return nil, &saturatedError{Tenant: tenant, Limit: s.limit}
+	if tq.pending+len(tasks) > s.limit {
+		return &saturatedError{Tenant: tenant, Limit: s.limit}
 	}
 	s.tenants[tenant] = tq
-	tasks := make([]*task, len(keys))
-	for i, k := range keys {
-		tasks[i] = &task{key: k, tenant: tenant, observed: observed, done: make(chan struct{})}
-		tq.items = append(tq.items, tasks[i])
+	for _, t := range tasks {
+		t.tenant, t.done = tenant, make(chan struct{})
 	}
-	tq.pending += len(keys)
-	if !tq.ringed && len(tq.items) > 0 {
+	tq.items = append(tq.items, tasks...)
+	tq.pending += len(tasks)
+	if !tq.ringed {
 		tq.ringed = true
 		s.ring = append(s.ring, tq)
 	}
 	s.cond.Broadcast()
-	return tasks, nil
+	return nil
 }
 
 // worker pops tasks round-robin across tenants until the scheduler is

@@ -12,14 +12,14 @@ import (
 	"repro/internal/experiments"
 )
 
-// keysN builds n distinguishable (not necessarily valid) keys — the
-// scheduler never interprets them.
-func keysN(n, base int) []experiments.Key {
-	ks := make([]experiments.Key, n)
-	for i := range ks {
-		ks[i] = experiments.Key{Dataset: "astro", Seeding: "sparse", Alg: "ondemand", Procs: base + i}
+// tasksN builds n tasks for distinguishable (not necessarily valid)
+// keys — the scheduler never interprets them.
+func tasksN(n, base int) []*task {
+	ts := make([]*task, n)
+	for i := range ts {
+		ts[i] = &task{key: experiments.Key{Dataset: "astro", Seeding: "sparse", Alg: "ondemand", Procs: base + i}}
 	}
-	return ks
+	return ts
 }
 
 // TestSchedulerRoundRobinFairness pins the interleaving: with one
@@ -39,8 +39,8 @@ func TestSchedulerRoundRobinFairness(t *testing.T) {
 	})
 
 	// Plug the single worker so the A and B queues build up behind it.
-	plug, err := s.submit("plug", keysN(1, 1), false)
-	if err != nil {
+	plug := tasksN(1, 1)
+	if err := s.submit("plug", plug); err != nil {
 		t.Fatalf("submit plug: %v", err)
 	}
 	// Wait for the worker to pick the plug up (its queue drains) so the
@@ -59,12 +59,12 @@ func TestSchedulerRoundRobinFairness(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	a, err := s.submit("A", keysN(3, 1), false)
-	if err != nil {
+	a := tasksN(3, 1)
+	if err := s.submit("A", a); err != nil {
 		t.Fatalf("submit A: %v", err)
 	}
-	b, err := s.submit("B", keysN(2, 1), false)
-	if err != nil {
+	b := tasksN(2, 1)
+	if err := s.submit("B", b); err != nil {
 		t.Fatalf("submit B: %v", err)
 	}
 	close(gate)
@@ -84,20 +84,20 @@ func TestSchedulerAdmissionCap(t *testing.T) {
 	gate := make(chan struct{})
 	s := newScheduler(1, 2, func(*task) { <-gate })
 
-	if _, err := s.submit("T", keysN(3, 1), false); err == nil {
+	if err := s.submit("T", tasksN(3, 1)); err == nil {
 		t.Fatal("submit above the cap succeeded")
 	}
-	ts, err := s.submit("T", keysN(2, 1), false)
-	if err != nil {
+	ts := tasksN(2, 1)
+	if err := s.submit("T", ts); err != nil {
 		t.Fatalf("submit at the cap: %v", err)
 	}
 	var sat *saturatedError
-	if _, err := s.submit("T", keysN(1, 10), false); !errors.As(err, &sat) {
+	if err := s.submit("T", tasksN(1, 10)); !errors.As(err, &sat) {
 		t.Fatalf("submit past the cap = %v, want SaturatedError", err)
 	}
 	// Another tenant is unaffected by T's saturation.
-	us, err := s.submit("U", keysN(1, 1), false)
-	if err != nil {
+	us := tasksN(1, 1)
+	if err := s.submit("U", us); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 	close(gate)
@@ -105,7 +105,7 @@ func TestSchedulerAdmissionCap(t *testing.T) {
 		<-tk.done
 	}
 	// Capacity frees once the tasks finish.
-	if _, err := s.submit("T", keysN(2, 20), false); err != nil {
+	if err := s.submit("T", tasksN(2, 20)); err != nil {
 		t.Fatalf("submit after drain-down: %v", err)
 	}
 }
@@ -113,8 +113,8 @@ func TestSchedulerAdmissionCap(t *testing.T) {
 func TestSchedulerDrain(t *testing.T) {
 	gate := make(chan struct{})
 	s := newScheduler(2, 16, func(*task) { <-gate })
-	ts, err := s.submit("T", keysN(3, 1), false)
-	if err != nil {
+	ts := tasksN(3, 1)
+	if err := s.submit("T", ts); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 
@@ -125,7 +125,7 @@ func TestSchedulerDrain(t *testing.T) {
 		t.Fatalf("drain with blocked workers = %v, want deadline exceeded", err)
 	}
 	// ...and new work is already refused.
-	if _, err := s.submit("T", keysN(1, 10), false); !errors.Is(err, errDraining) {
+	if err := s.submit("T", tasksN(1, 10)); !errors.Is(err, errDraining) {
 		t.Fatalf("submit while draining = %v, want ErrDraining", err)
 	}
 

@@ -7,7 +7,9 @@
 // answers (from its directory, which survives restarts and is shared
 // across processes, or — without one — from a bounded map in memory),
 // or the server's experiments.Campaign computes the cell and the
-// Store keeps it. The campaign shares one execution between identical
+// Store keeps it. The handler asks the Store itself, on the request
+// goroutine, so a hit never queues: only the cells it misses go to the
+// scheduler. The campaign shares one execution between identical
 // requests in flight and the write-back happens before it lets any of
 // them go, so N concurrent identical requests compute once and every
 // later one hits. Because every cell is a deterministic function of its
@@ -18,7 +20,8 @@
 // Multi-tenancy is fair, not first-come-first-served: requests carry an
 // X-Tenant header, each tenant gets a bounded FIFO, and the worker pool
 // round-robins across tenants (see sched.go). Past the per-tenant
-// admission cap the server answers 429; during a drain, 503; past the
+// admission cap, which counts only the cells that need computing, the
+// server answers 429; during a drain, 503, hits included; past the
 // request timeout, 504 — but the computation keeps running so the cache
 // is warm for the retry; to a body over maxBodyBytes, 413.
 package serve
@@ -35,7 +38,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -61,7 +63,7 @@ type Config struct {
 	// runtime.NumCPU().
 	Workers int
 	// TenantLimit caps each tenant's outstanding (queued + running)
-	// cells; <=0 means 64.
+	// cells to compute, hits not counted; <=0 means 64.
 	TenantLimit int
 	// Timeout bounds how long a request waits for its cells; 0 disables
 	// the deadline. A timed-out computation continues in the background
@@ -177,38 +179,35 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.sched.drain(ctx)
 }
 
-// execTask serves one cell on a scheduler worker: from the store, or by
-// computing it. The write-back runs inside the campaign's flight, and a
-// call that takes a flight looks in the store once more before it
-// executes, so a request that misses while an identical one is between
-// its write-back and the end of its flight finds the entry rather than
+// execTask computes one cell the handler's probe missed, on a scheduler
+// worker. The write-back runs inside the campaign's flight, and a call
+// that takes a flight looks in the store once more before it executes,
+// so a request that missed while an identical one was between its
+// write-back and the end of its flight finds the entry rather than
 // computing it again.
 func (s *Server) execTask(t *task) {
 	scope := Scope{Scale: s.cfg.ScaleName, Observed: t.observed}
-	t.row = Row{Label: t.key.Label(), Digest: t.key.Digest(), Cached: true, Source: s.store.tier}
-	e, have, err := s.store.Get(scope, t.key)
-	s.logErr(err)
-	if !have {
-		t.row.Cached, t.row.Source = false, "computed"
-		lookup := func() (out experiments.Outcome, hit bool) {
-			e, hit, err = s.store.Get(scope, t.key)
-			s.logErr(err)
-			if hit {
-				out, hit = outcomeOf(t.key, e)
-			}
-			if have = hit; hit {
-				t.row.Cached, t.row.Source = true, s.store.tier
-			}
-			return out, hit
+	var e Entry
+	have := false
+	lookup := func() (out experiments.Outcome, hit bool) {
+		var err error
+		e, hit, err = s.store.get(scope, t.canon, t.row.Digest)
+		s.logErr(err)
+		if hit {
+			out, hit = outcomeOf(t.key, e)
 		}
-		out := s.camp.Compute(t.key, t.observed, lookup, func(out experiments.Outcome) {
-			if e, have = entryOf(out); have {
-				s.logErr(s.store.Put(scope, t.key, e))
-			}
-		})
-		if !have { // the flight was another request's
-			e, _ = entryOf(out)
+		if have = hit; hit {
+			t.row.Cached, t.row.Source = true, s.store.tier
 		}
+		return out, hit
+	}
+	out := s.camp.Compute(t.key, t.observed, lookup, func(out experiments.Outcome) {
+		if e, have = entryOf(out); have {
+			s.logErr(s.store.Put(scope, t.key, e))
+		}
+	})
+	if !have { // the flight was another request's
+		e, _ = entryOf(out)
 	}
 	t.row.Error, t.row.Summary, t.row.Percentiles = e.Error, e.Summary, e.Percentiles
 }
@@ -261,8 +260,12 @@ func (s *Server) logErr(err error) {
 	}
 }
 
-// serveCells is the shared request tail: admit, wait (bounded by the
-// configured timeout), respond.
+// serveCells is the shared request tail: probe the store, admit the
+// misses, wait for them (bounded by the configured timeout), respond.
+// Each cell is encoded, hashed and labelled once, here. A hit is
+// answered on the request goroutine and never queues, so only the cells
+// that need computing count against the tenant's cap; a draining Server
+// refuses the request all the same, hits included.
 func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []experiments.Key, observed bool) {
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
@@ -273,8 +276,22 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []exper
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d cells exceeds the per-tenant limit of %d outstanding cells: split it", len(keys), s.cfg.TenantLimit))
 		return
 	}
-	tasks, err := s.sched.submit(tenant, keys, observed)
-	if err != nil {
+	scope := Scope{Scale: s.cfg.ScaleName, Observed: observed}
+	rows := make([]Row, len(keys))
+	var misses []*task
+	for i, k := range keys {
+		key, digest := k.Address()
+		rows[i] = Row{Label: k.Label(), Digest: digest, Source: "computed"}
+		e, hit, err := s.store.get(scope, key, digest)
+		s.logErr(err)
+		if hit {
+			rows[i].Cached, rows[i].Source = true, s.store.tier
+			rows[i].Error, rows[i].Summary, rows[i].Percentiles = e.Error, e.Summary, e.Percentiles
+		} else {
+			misses = append(misses, &task{key: k, canon: key, observed: observed, row: &rows[i]})
+		}
+	}
+	if err := s.sched.submit(tenant, misses); err != nil {
 		var sat *saturatedError
 		switch {
 		case errors.Is(err, errDraining):
@@ -293,11 +310,9 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []exper
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
-	resp := Response{Schema: Schema, Scale: s.cfg.ScaleName, Rows: make([]Row, 0, len(tasks))}
-	for _, t := range tasks {
+	for _, t := range misses {
 		select {
 		case <-t.done:
-			resp.Rows = append(resp.Rows, t.row)
 		case <-ctx.Done():
 			// The cells keep computing on the pool; the retry will hit
 			// the cache.
@@ -307,7 +322,7 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []exper
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(encodeResponse(resp))
+	w.Write(encodeResponse(Response{Schema: Schema, Scale: s.cfg.ScaleName, Rows: rows}))
 }
 
 // handleHealth answers liveness probes.
@@ -428,9 +443,9 @@ func encodeResponse(resp Response) []byte {
 	}
 	b := make([]byte, 0, n)
 	b = append(b, `{"schema":`...)
-	b = appendString(b, resp.Schema)
+	b = experiments.AppendQuoted(b, resp.Schema)
 	b = append(b, `,"scale":`...)
-	b = appendString(b, resp.Scale)
+	b = experiments.AppendQuoted(b, resp.Scale)
 	b = append(b, `,"rows":`...)
 	if resp.Rows == nil {
 		b = append(b, "null"...)
@@ -441,16 +456,16 @@ func encodeResponse(resp Response) []byte {
 				b = append(b, ',')
 			}
 			b = append(b, `{"label":`...)
-			b = appendString(b, r.Label)
+			b = experiments.AppendQuoted(b, r.Label)
 			b = append(b, `,"digest":`...)
-			b = appendString(b, r.Digest)
+			b = experiments.AppendQuoted(b, r.Digest)
 			b = append(b, `,"cached":`...)
 			b = strconv.AppendBool(b, r.Cached)
 			b = append(b, `,"source":`...)
-			b = appendString(b, r.Source)
+			b = experiments.AppendQuoted(b, r.Source)
 			if r.Error != "" {
 				b = append(b, `,"error":`...)
-				b = appendString(b, r.Error)
+				b = experiments.AppendQuoted(b, r.Error)
 			}
 			if len(r.Summary) > 0 {
 				b = append(b, `,"summary":`...)
@@ -465,21 +480,6 @@ func encodeResponse(resp Response) []byte {
 		b = append(b, ']')
 	}
 	return append(b, "}\n"...)
-}
-
-// appendString appends s quoted as encoding/json quotes it. A string
-// that needs no escape — every digest, source, scale and label — is
-// copied; any other goes through json.Marshal.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always encodes
-			return append(b, quoted...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // writeJSON marshals v as the response body.

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,6 +64,9 @@ const cellBody = `{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs"
 
 // killOneBody is a kill cell with no processor to survive the kill.
 const killOneBody = `{"dataset":"thermal","seeding":"sparse","alg":"ondemand","procs":1,"faults":"kill"}`
+
+// hybridOneBody is a hybrid cell with no processor for a slave.
+const hybridOneBody = `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":1}`
 
 // media lists the two cache media with the Config change that selects
 // each: tests of behaviour the medium must not change range over it.
@@ -288,11 +292,12 @@ func TestTenantsProgressUnderSaturatedPool(t *testing.T) {
 
 // TestTenantQueuesAreDropped: the scheduler keeps a queue per tenant with
 // work outstanding, not per X-Tenant value ever seen — a thousand
-// one-request tenants and a never-seen tenant turned away at the door
-// leave nothing behind.
+// one-request tenants, a request whose every cell hit and a never-seen
+// tenant turned away at the door leave nothing behind. The store keeps
+// nothing, so each request is a miss that reaches the scheduler.
 func TestTenantQueuesAreDropped(t *testing.T) {
 	s := newTestServer(t, nil)
-	post(s, http.MethodPost, "/v1/cell", "", cellBody) // fill the cache
+	s.store = newMemStore(0)
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
@@ -308,8 +313,11 @@ func TestTenantQueuesAreDropped(t *testing.T) {
 	}
 	wg.Wait()
 	var sat *saturatedError
-	if _, err := s.sched.submit("never-seen", make([]experiments.Key, s.cfg.TenantLimit+1), false); !errors.As(err, &sat) {
+	if err := s.sched.submit("never-seen", tasksN(s.cfg.TenantLimit+1, 1)); !errors.As(err, &sat) {
 		t.Fatalf("submit past the cap = %v, want a saturatedError", err)
+	}
+	if err := s.sched.submit("all-hits", nil); err != nil {
+		t.Fatalf("empty submission = %v, want nil", err)
 	}
 	s.sched.mu.Lock()
 	defer s.sched.mu.Unlock()
@@ -428,6 +436,9 @@ func TestRequestValidation(t *testing.T) {
 		// The kill scenario takes processor 0; at one processor the cell
 		// would run fault-free and be cached under a kill label.
 		{"kill at one processor", http.MethodPost, "/v1/cell", killOneBody, http.StatusBadRequest},
+		// A hybrid cell needs a master and a slave; at one processor it
+		// used to fail in core and be cached as a result.
+		{"hybrid at one processor", http.MethodPost, "/v1/cell", hybridOneBody, http.StatusBadRequest},
 		{"trailing data", http.MethodPost, "/v1/cell", cellBody + `{"again":true}`, http.StatusBadRequest},
 		// Closing delimiters are what json.Decoder.More answers false to.
 		{"trailing brace", http.MethodPost, "/v1/cell", cellBody + `}`, http.StatusBadRequest},
@@ -461,6 +472,9 @@ func TestRequestValidation(t *testing.T) {
 			}
 		})
 	}
+	if n := s.cacheLen(false); n != 0 {
+		t.Fatalf("refused requests cached %d entries, want 0", n)
+	}
 }
 
 // FuzzCellRequest posts each input to both cell endpoints — as a
@@ -474,6 +488,7 @@ func FuzzCellRequest(f *testing.F) {
 		cellBody,
 		`{"v":"key/v1","dataset":"fusion","seeding":"dense","alg":"stealing","procs":4,"prefetch":"off","injection":"t0","faults":"off"}`,
 		killOneBody,
+		hybridOneBody,
 		`{"cells":[` + cellBody + `,{"dataset":"thermal","seeding":"sparse","alg":"hybrid","procs":4,"faults":"kill"}],"observe":true}`,
 		cellBody + `{}`,
 		`{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2,"speed":"ludicrous"}`,
@@ -533,14 +548,114 @@ func checkRowsMatch(t *testing.T, target, body string, w *httptest.ResponseRecor
 	}
 }
 
+// TestDrainRefusesNewWork: a drained Server answers 503 to every cell
+// request, a cell its store holds included.
 func TestDrainRefusesNewWork(t *testing.T) {
-	s := newTestServer(t, nil)
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain: %v", err)
+	for medium, set := range media(t) {
+		t.Run(medium, func(t *testing.T) {
+			s := newTestServer(t, set)
+			decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody)) // fill the cache
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			for _, body := range []string{cellBody, missBody} {
+				if w := post(s, http.MethodPost, "/v1/cell", "", body); w.Code != http.StatusServiceUnavailable {
+					t.Fatalf("POST %s after drain: status %d, want 503", body, w.Code)
+				}
+			}
+		})
 	}
-	w := post(s, http.MethodPost, "/v1/cell", "", cellBody)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d after drain, want 503", w.Code)
+}
+
+// missBody and otherMissBody are cells no test request computes before
+// the one that means to.
+const (
+	missBody      = `{"dataset":"astro","seeding":"sparse","alg":"stealing","procs":2}`
+	otherMissBody = `{"dataset":"fusion","seeding":"sparse","alg":"ondemand","procs":2}`
+)
+
+// countExec makes every computation the Server's workers start wait for
+// gate, and counts them. Call it between requests: the tasks already
+// served ran the old exec.
+func countExec(s *Server, gate <-chan struct{}) *atomic.Int32 {
+	var n atomic.Int32
+	exec := s.sched.exec
+	s.sched.exec = func(t *task) {
+		n.Add(1)
+		<-gate
+		exec(t)
+	}
+	return &n
+}
+
+// TestHitIsAnsweredAtTheCap: a hit never queues, so it is answered from
+// the store while a blocked computation holds its tenant's only
+// admission slot; a miss from that tenant is the 429.
+func TestHitIsAnsweredAtTheCap(t *testing.T) {
+	for medium, set := range media(t) {
+		t.Run(medium, func(t *testing.T) {
+			s := newTestServer(t, func(c *Config) { set(c); c.TenantLimit = 1 })
+			decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "T", cellBody)) // fill the cache
+			gate := make(chan struct{})
+			release := sync.OnceFunc(func() { close(gate) })
+			t.Cleanup(release) // before the drain, should the test stop early
+			started := countExec(s, gate)
+			blocked := make(chan *httptest.ResponseRecorder, 1)
+			go func() { blocked <- post(s, http.MethodPost, "/v1/cell", "T", missBody) }()
+			for deadline := time.Now().Add(5 * time.Second); started.Load() == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the blocking computation never started")
+				}
+			}
+
+			if row := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "T", cellBody)).Rows[0]; !row.Cached || row.Source != medium {
+				t.Errorf("a hit at the cap was answered cached=%v source=%q, want a %s hit", row.Cached, row.Source, medium)
+			}
+			if w := post(s, http.MethodPost, "/v1/cell", "T", otherMissBody); w.Code != http.StatusTooManyRequests {
+				t.Errorf("a miss at the cap: status %d, want 429; body %s", w.Code, w.Body.String())
+			}
+			release()
+			if row := decodeResponse(t, <-blocked).Rows[0]; row.Source != "computed" {
+				t.Errorf("the blocked miss was answered by %q, want computed", row.Source)
+			}
+		})
+	}
+}
+
+// TestBatchMixesHitsAndMisses: a batch answers its hits from the store
+// and computes only its misses, and its rows stay in request order, each
+// with its own source.
+func TestBatchMixesHitsAndMisses(t *testing.T) {
+	for medium, set := range media(t) {
+		t.Run(medium, func(t *testing.T) {
+			s := newTestServer(t, set)
+			warm := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody)).Rows[0]
+			gate := make(chan struct{})
+			close(gate)
+			computed := countExec(s, gate)
+
+			bodies := []string{missBody, cellBody, otherMissBody, cellBody}
+			resp := decodeResponse(t, post(s, http.MethodPost, "/v1/cells", "", `{"cells":[`+strings.Join(bodies, ",")+`]}`))
+			if len(resp.Rows) != len(bodies) {
+				t.Fatalf("%d rows, want %d", len(resp.Rows), len(bodies))
+			}
+			for i, body := range bodies {
+				k, _ := experiments.ParseKey([]byte(body))
+				row, hit := resp.Rows[i], body == cellBody
+				if row.Label != k.Label() || row.Digest != k.Digest() {
+					t.Errorf("row %d is %s, want %s: out of request order", i, row.Label, k.Label())
+				}
+				if want := map[bool]string{true: medium, false: "computed"}[hit]; row.Cached != hit || row.Source != want {
+					t.Errorf("row %d (%s): cached=%v source=%q, want cached=%v source=%q", i, row.Label, row.Cached, row.Source, hit, want)
+				}
+				if hit && !bytes.Equal(row.Summary, warm.Summary) {
+					t.Errorf("row %d: the hit's summary bytes differ from the computed ones", i)
+				}
+			}
+			if n := computed.Load(); n != 2 {
+				t.Errorf("%d cells reached the scheduler, want the 2 misses", n)
+			}
+		})
 	}
 }
 

@@ -114,12 +114,12 @@ func (e *Entry) valid() bool {
 	return len(e.Percentiles) == 0 || json.Valid(e.Percentiles)
 }
 
-// head renders the first line of k's entry file in scope sc: the layout
-// version, the scope and the canonical key. Put writes it and Get
-// compares it, so one comparison proves a file holds the entry asked
-// for.
-func head(sc Scope, k experiments.Key) []byte {
-	key, dir := k.CanonicalJSON(), sc.dir()
+// head renders the first line of an entry file in scope sc for the
+// canonical key encoding key: the layout version, the scope and the key.
+// Put writes it and Get compares it, so one comparison proves a file
+// holds the entry asked for.
+func head(sc Scope, key []byte) []byte {
+	dir := sc.dir()
 	h := make([]byte, 0, len(entryVersion)+len(dir)+len(key)+3)
 	h = append(h, entryVersion+" "...)
 	h = append(h, dir...)
@@ -132,7 +132,7 @@ func head(sc Scope, k experiments.Key) []byte {
 func encodeEntry(head []byte, e Entry) []byte {
 	var quoted []byte
 	if e.Error != "" {
-		quoted = appendString(nil, e.Error)
+		quoted = experiments.AppendQuoted(nil, e.Error)
 	}
 	b := strconv.AppendInt(head, int64(len(e.Summary)), 10)
 	b = append(b, ' ')
@@ -251,7 +251,13 @@ func (st *Store) path(sc Scope, digest string) string {
 // shared — with every other hit on the memory medium — so do not modify
 // them.
 func (st *Store) Get(sc Scope, k experiments.Key) (Entry, bool, error) {
-	digest := k.Digest()
+	key, digest := k.Address()
+	return st.get(sc, key, digest)
+}
+
+// get is Get for a key whose canonical encoding and digest the caller
+// already has: a request computes them once for its row and its lookup.
+func (st *Store) get(sc Scope, key []byte, digest string) (Entry, bool, error) {
 	if st.mem != nil {
 		st.mu.RLock()
 		e, ok := st.mem[memAddr{sc, digest}]
@@ -265,7 +271,7 @@ func (st *Store) Get(sc Scope, k experiments.Key) (Entry, bool, error) {
 		}
 		return Entry{}, false, fmt.Errorf("serve: cache read: %w", err)
 	}
-	e, ok := decodeEntry(data, head(sc, k))
+	e, ok := decodeEntry(data, head(sc, key))
 	return e, ok, nil
 }
 
@@ -278,12 +284,12 @@ func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 	if !e.valid() {
 		return fmt.Errorf("serve: refusing to cache malformed entry for %s (need exactly one of summary/error, a canonical summary and JSON percentiles)", k.Label())
 	}
-	digest := k.Digest()
+	key, digest := k.Address()
 	if st.mem != nil {
 		st.putMem(memAddr{sc, digest}, e)
 		return nil
 	}
-	data := encodeEntry(head(sc, k), e)
+	data := encodeEntry(head(sc, key), e)
 	path := st.path(sc, digest)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("serve: cache write: %w", err)

@@ -254,7 +254,7 @@ func TestStoreParanoidReads(t *testing.T) {
 	foreign := ps.written(t, plainScope, other, Entry{Summary: testSummary(t)})
 	sum := testSummary(t)
 	unknownField := append(sum[:len(sum)-1:len(sum)-1], `,"Unknown":1}`...)
-	entryHead := head(plainScope, ps.key)
+	entryHead := head(plainScope, ps.key.CanonicalJSON())
 
 	cases := []struct {
 		name string
