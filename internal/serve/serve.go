@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // Schema versions the response layout; bump on breaking shape changes
@@ -234,7 +233,7 @@ func entryOf(out experiments.Outcome) (e Entry, ok bool) {
 
 // outcomeOf decodes a cached payload into the outcome entryOf encodes it
 // from, for the requests that share a flight whose lookup hit. ok is
-// false for percentiles that are not an obs.Report.
+// false for a summary or percentile block that Put would refuse.
 func outcomeOf(k experiments.Key, e Entry) (out experiments.Outcome, ok bool) {
 	out.Key = k
 	if e.Error != "" {
@@ -245,10 +244,8 @@ func outcomeOf(k experiments.Key, e Entry) (out experiments.Outcome, ok bool) {
 		out.Summary = sum
 	}
 	if len(e.Percentiles) > 0 {
-		out.Obs = new(obs.Report)
-		if err := json.Unmarshal(e.Percentiles, out.Obs); err != nil {
-			return out, false
-		}
+		out.Obs, ok = parseReport(e.Percentiles)
+		return out, ok
 	}
 	return out, true
 }

@@ -28,13 +28,15 @@
 // attached (observation is non-perturbing except for the documented
 // TraceEvents/TraceBytes meta-counters, which do land in the Summary).
 //
-// Both media hold only what Put has validated. Directory reads are
-// paranoid besides: a file whose head is not the one Put writes for the
-// requested scope and key (another version, scope or cell), whose length
-// disagrees with its frame (cut or extended at any byte), or whose
-// payload Put would refuse is a cache miss, never served. Corruption —
-// like eviction — can cost a recompute; it can never serve the wrong
-// cell.
+// Both media hold only what Put has validated: a summary that is the
+// canonical encoding and a percentile block that is the obs.Report one,
+// byte for byte, so a hit splices exactly what a fresh computation
+// responds with. Directory reads are paranoid besides: a file whose head
+// is not the one Put writes for the requested scope and key (another
+// version, scope or cell), whose length disagrees with its frame (cut or
+// extended at any byte), or whose payload Put would refuse is a cache
+// miss, never served. Corruption — like eviction — can cost a
+// recompute; it can never serve the wrong cell.
 package serve
 
 import (
@@ -48,6 +50,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // entryVersion names the on-disk cache entry layout and opens every
@@ -100,8 +103,10 @@ type Entry struct {
 }
 
 // valid reports whether Put accepts e: exactly one of summary and
-// error, a summary the strict metrics.ParseSummary decodes, and
-// percentiles that are JSON.
+// error, a summary that is the canonical encoding metrics.ParseSummary
+// accepts, and no percentiles or the block entryOf writes. So every
+// payload a hit splices is byte for byte what a fresh computation
+// responds with.
 func (e *Entry) valid() bool {
 	if (len(e.Summary) == 0) == (e.Error == "") {
 		return false
@@ -111,7 +116,24 @@ func (e *Entry) valid() bool {
 			return false
 		}
 	}
-	return len(e.Percentiles) == 0 || json.Valid(e.Percentiles)
+	if len(e.Percentiles) == 0 {
+		return true
+	}
+	_, ok := parseReport(e.Percentiles)
+	return ok
+}
+
+// parseReport decodes a percentile block, which must be exactly the
+// bytes json.Marshal writes for the obs.Report it decodes to: an unknown,
+// case-folded or repeated field, whitespace or another spelling of a
+// number is refused.
+func parseReport(data []byte) (*obs.Report, bool) {
+	r := new(obs.Report)
+	if json.Unmarshal(data, r) != nil {
+		return nil, false
+	}
+	enc, err := json.Marshal(r)
+	return r, err == nil && bytes.Equal(enc, data)
 }
 
 // head renders the first line of an entry file in scope sc for the
@@ -282,7 +304,7 @@ func (st *Store) get(sc Scope, key []byte, digest string) (Entry, bool, error) {
 // are harmless last-writer-wins renames.
 func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 	if !e.valid() {
-		return fmt.Errorf("serve: refusing to cache malformed entry for %s (need exactly one of summary/error, a canonical summary and JSON percentiles)", k.Label())
+		return fmt.Errorf("serve: refusing to cache malformed entry for %s (need exactly one of summary/error, a canonical summary and canonical percentiles)", k.Label())
 	}
 	key, digest := k.Address()
 	if st.mem != nil {

@@ -99,19 +99,61 @@ func TestStoreErrorEntryRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedEntry is a payload Put refuses.
+type malformedEntry struct {
+	name string
+	e    Entry
+}
+
+// malformedEntries are payloads a hit could not splice as a fresh
+// computation's bytes: neither or both of summary and error, summaries
+// that are not the canonical encoding, and percentile blocks that are
+// not the obs.Report block entryOf writes. Put refuses each, on both
+// media, and an entry file framed around one is a miss.
+func malformedEntries(t testing.TB) []malformedEntry {
+	sum := string(testSummary(t))
+	pct, err := json.Marshal(obs.Report{Events: 12, Bytes: 480, Hash: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary := func(old, new string) Entry {
+		t.Helper()
+		if !strings.Contains(sum, old) {
+			t.Fatalf("the test summary has no %s", old)
+		}
+		return Entry{Summary: []byte(strings.Replace(sum, old, new, -1))}
+	}
+	report := func(p string) Entry { return Entry{Summary: testSummary(t), Percentiles: []byte(p)} }
+	return []malformedEntry{
+		{"neither summary nor error", Entry{}},
+		{"summary and error", Entry{Summary: []byte(sum), Error: "out of memory"}},
+		{"mistyped summary field", Entry{Summary: []byte(`{"NumProcs":"not a number"}`)}},
+		{"unknown summary field", summary(`}`, `,"Unknown":1}`)},
+		{"one-field summary", Entry{Summary: []byte(`{"NumProcs":8}`)}},
+		{"case-folded summary field", summary(`"NumProcs"`, `"numprocs"`)},
+		{"null summary field", summary(`"NumProcs":8`, `"NumProcs":null`)},
+		{"summary with whitespace", summary(`,`, `, `)},
+		{"duplicate summary field", summary(`"Steps":1234`, `"Steps":1234,"Steps":1234`)},
+		{"number percentiles", report(`42`)},
+		{"string percentiles", report(`"x"`)},
+		{"array percentiles", report(`[1,2]`)},
+		{"null percentiles", report(`null`)},
+		{"mistyped percentile field", report(`{"events":"no"}`)},
+		{"partial percentiles", report(`{"events":12}`)},
+		{"unknown percentile field", report(strings.TrimSuffix(string(pct), "}") + `,"extra":1}`)},
+		{"percentiles with whitespace", report(" " + string(pct))},
+	}
+}
+
 func TestStorePutRejectsMalformedEntries(t *testing.T) {
 	for medium, st := range stores(t) {
 		t.Run(medium, func(t *testing.T) {
 			k := testKey(t)
 			sc := Scope{Scale: "small"}
-			if err := st.Put(sc, k, Entry{}); err == nil {
-				t.Fatal("Put with neither summary nor error succeeded")
-			}
-			if err := st.Put(sc, k, Entry{Summary: testSummary(t), Error: "both"}); err == nil {
-				t.Fatal("Put with both summary and error succeeded")
-			}
-			if err := st.Put(sc, k, Entry{Summary: []byte(`{"NumProcs":"not a number"}`)}); err == nil {
-				t.Fatal("Put with a non-canonical summary succeeded")
+			for _, tc := range malformedEntries(t) {
+				if err := st.Put(sc, k, tc.e); err == nil {
+					t.Errorf("Put of a %s entry succeeded", tc.name)
+				}
 			}
 			if n := storeLen(st, sc); n != 0 {
 				t.Fatalf("refused entries left %d behind", n)
@@ -246,15 +288,13 @@ func (ps *paranoidStore) plant(t testing.TB, sc Scope, data []byte) (Entry, bool
 
 // TestStoreParanoidReads proves corruption costs a recompute, never a
 // wrong answer: torn (at any byte), tampered, stale-versioned, misplaced
-// and over-long entries all read as misses.
+// and over-long entries, and entries around a payload that is not
+// canonical, all read as misses.
 func TestStoreParanoidReads(t *testing.T) {
 	ps := newParanoidStore(t)
 	other := ps.key
 	other.Procs = 16
 	foreign := ps.written(t, plainScope, other, Entry{Summary: testSummary(t)})
-	sum := testSummary(t)
-	unknownField := append(sum[:len(sum)-1:len(sum)-1], `,"Unknown":1}`...)
-	entryHead := head(plainScope, ps.key.CanonicalJSON())
 
 	cases := []struct {
 		name string
@@ -268,8 +308,6 @@ func TestStoreParanoidReads(t *testing.T) {
 		{"scope skew", ps.observed},
 		{"another cell's entry", foreign},
 		{"appended bytes", append(ps.plain[:len(ps.plain):len(ps.plain)], '\n')},
-		{"summary and error", encodeEntry(entryHead, Entry{Summary: sum, Error: "out of memory"})},
-		{"unknown summary field", encodeEntry(entryHead, Entry{Summary: unknownField})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -278,6 +316,17 @@ func TestStoreParanoidReads(t *testing.T) {
 			}
 			if _, ok, err := ps.plant(t, plainScope, tc.data); err != nil || ok {
 				t.Fatalf("Get on corrupted entry = ok=%v err=%v, want silent miss", ok, err)
+			}
+		})
+	}
+	// A well-framed entry around a payload Put refuses, in either scope.
+	for _, tc := range malformedEntries(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, sc := range []Scope{plainScope, observedScope} {
+				data := encodeEntry(head(sc, ps.key.CanonicalJSON()), tc.e)
+				if _, ok, err := ps.plant(t, sc, data); err != nil || ok {
+					t.Fatalf("Get on a planted %s entry = ok=%v err=%v, want silent miss", sc.dir(), ok, err)
+				}
 			}
 		})
 	}
@@ -357,9 +406,9 @@ func TestStoreLeavesNoTempDroppings(t *testing.T) {
 
 // TestEntryVersionPinsCodecs pins the canonical bytes of the two codecs
 // an entry is made of beside the entryVersion they are stored under.
-// ParseSummary zeroes a missing field, so a Summary field added without
-// a bump would leave every older entry a valid hit, spliced without the
-// field while fresh cells carry it.
+// ParseSummary refuses a missing field, so a Summary field added without
+// a bump makes every older entry a miss, not a short hit; the bump is
+// what orphans their files.
 func TestEntryVersionPinsCodecs(t *testing.T) {
 	const (
 		version = "cell.v2"
