@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	unsteady, err := experiments.BuildUnsteadyProblem(experiments.Astro, experiments.Sparse, sc)
+	unsteady, err := experiments.BuildInjectedProblem(experiments.Astro, experiments.Sparse, sc, true, experiments.InjectT0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -66,9 +67,21 @@ func Seedings() []Seeding { return []Seeding{Sparse, Dense} }
 
 // Scale sizes a campaign (ScaleByName). The "paper" scale reproduces the
 // paper's numbers; "default" reduces seed counts ~10× for tractable
-// wall-clock; "small" (SmallScale) is for CI and unit tests.
+// wall-clock; "small" (SmallScale) is for CI and unit tests. A scale is
+// its Curves, which fix every streamline a cell traces, and its Machine,
+// which only decides where and when each is computed; both halves are
+// embedded, so a field reads as sc.Field either way.
 type Scale struct {
-	Name          string
+	Name string
+	Curves
+	Machine
+}
+
+// Curves is the half of a Scale the problem reads: the decomposition,
+// the seed sets and the integration parameters. Curves.problem reads
+// nothing else, so no Machine field can reach a memoized problem or its
+// segment tape.
+type Curves struct {
 	BlocksPerAxis int // decomposition is BlocksPerAxis^3 blocks
 	CellsPerAxis  int // cells per block per axis (1M cells = 100)
 	// Seed counts, already scaled: the paper uses astro 20,000;
@@ -82,24 +95,29 @@ type Scale struct {
 	// distance").
 	MaxSteps   int
 	ShortSteps int
+	// Integration parameters.
+	Tol, HMax float64
+	// TimeSlices is the number of stored time slices for unsteady
+	// (pathline) cells. Steady cells ignore it.
+	TimeSlices int
+}
+
+// Machine is the half of a Scale that simulates the curves: processors,
+// caches, disks, and when seeds are released and processors lost.
+type Machine struct {
 	// ProcCounts is the strong-scaling sweep (the paper plots 64–512).
 	ProcCounts []int
 	// CacheBlocks is the per-processor LRU capacity for Load On Demand
 	// and Hybrid slaves.
 	CacheBlocks int
-	// Integration parameters.
-	Tol, HMax float64
 	// DiskServers models the parallel filesystem's concurrency: total
 	// I/O bandwidth is DiskServers × per-stream bandwidth (0 disables
 	// contention).
 	DiskServers int
-	// DiskLatencySec overrides the per-read latency (0 keeps the default
-	// 10 ms); reduced scales with tiny blocks use a smaller value so the
+	// DiskLatencySec is the per-read latency; reduced scales with tiny
+	// blocks use a smaller value than the paper's 10 ms so the
 	// latency:transfer ratio stays realistic.
 	DiskLatencySec float64
-	// TimeSlices is the number of stored time slices for unsteady
-	// (pathline) cells. Steady cells ignore it.
-	TimeSlices int
 	// PrefetchDepth is the lookahead of the prefetch subsystem for cells
 	// whose Key carries a prefetch policy. Cells with prefetching off
 	// ignore it.
@@ -138,32 +156,38 @@ func ScaleByName(name string) (Scale, bool) {
 // cells, full seed counts, 64–512 processors. Expect multi-minute runs.
 func paperScale() Scale {
 	return Scale{
-		Name:              "paper",
-		BlocksPerAxis:     8,
-		CellsPerAxis:      100,
-		AstroSeeds:        20000,
-		FusionSeeds:       10000,
-		ThermalSparseGrid: 16,
-		ThermalDenseSeeds: 22000,
-		MaxSteps:          1000,
-		ShortSteps:        800,
-		ProcCounts:        []int{64, 128, 256, 512},
-		CacheBlocks:       40,
-		Tol:               1e-5,
-		// ~50 integration steps per block crossing (1M-cell blocks are
-		// finely resolved), so each loaded block amortizes real compute —
-		// the balance the paper's machines ran at.
-		HMax:          0.005,
-		DiskServers:   8,
-		TimeSlices:    9,
-		PrefetchDepth: 2,
-		// Paper-scale runs last tens of virtual seconds; a 10 s window
-		// keeps the last waves landing while early seeds still compute.
-		InjectWindow: 10,
-		InjectRate:   2000,
-		// Paper-scale runs last tens of virtual seconds; killing at 5 s
-		// takes the victim while most streamlines are still in flight.
-		FaultTime: 5,
+		Name: "paper",
+		Curves: Curves{
+			BlocksPerAxis:     8,
+			CellsPerAxis:      100,
+			AstroSeeds:        20000,
+			FusionSeeds:       10000,
+			ThermalSparseGrid: 16,
+			ThermalDenseSeeds: 22000,
+			MaxSteps:          1000,
+			ShortSteps:        800,
+			Tol:               1e-5,
+			// ~50 integration steps per block crossing (1M-cell blocks
+			// are finely resolved), so each loaded block amortizes real
+			// compute — the balance the paper's machines ran at.
+			HMax:       0.005,
+			TimeSlices: 9,
+		},
+		Machine: Machine{
+			ProcCounts:     []int{64, 128, 256, 512},
+			CacheBlocks:    40,
+			DiskServers:    8,
+			DiskLatencySec: 0.01,
+			PrefetchDepth:  2,
+			// Paper-scale runs last tens of virtual seconds; a 10 s
+			// window keeps the last waves landing while early seeds
+			// still compute.
+			InjectWindow: 10,
+			InjectRate:   2000,
+			// Killing at 5 s takes the victim while most streamlines
+			// are still in flight.
+			FaultTime: 5,
+		},
 	}
 }
 
@@ -190,9 +214,10 @@ func defaultScale() Scale {
 	s.AstroSeeds = 2000
 	s.FusionSeeds = 1000
 	s.ThermalSparseGrid = 8 // 512 seeds
-	// The dense thermal count stays at the paper's 22,000: the Figure 13
-	// out-of-memory failure depends on the absolute size of one
-	// processor's retained geometry versus its memory budget.
+	// The dense thermal count is the paper's 22,000, un-shrunk, and
+	// memoryBudget's geometry term is derived from it. The Figure 13
+	// OOM does not need it (small scale reproduces it at 1,200 seeds);
+	// shrinking it is a workload change.
 	s.ThermalDenseSeeds = 22000
 	s.HMax = 0.01 // blocks are twice as wide as at paper scale
 	// 4 epochs: enough that pathlines sweep several time slabs within
@@ -214,26 +239,30 @@ func defaultScale() Scale {
 // short processor sweep.
 func SmallScale() Scale {
 	return Scale{
-		Name:              "small",
-		BlocksPerAxis:     4,
-		CellsPerAxis:      20,
-		AstroSeeds:        300,
-		FusionSeeds:       200,
-		ThermalSparseGrid: 4,
-		ThermalDenseSeeds: 1200,
-		MaxSteps:          600,
-		ShortSteps:        150,
-		ProcCounts:        []int{8, 16, 32},
-		CacheBlocks:       28,
-		Tol:               1e-4,
-		HMax:              0.0125,
-		DiskServers:       4,
-		DiskLatencySec:    0.001, // 128 KB test blocks read fast
-		TimeSlices:        4,
-		PrefetchDepth:     2,
-		InjectWindow:      0.2,
-		InjectRate:        1000,
-		FaultTime:         0.05, // small cells run a few tenths of a virtual second
+		Name: "small",
+		Curves: Curves{
+			BlocksPerAxis:     4,
+			CellsPerAxis:      20,
+			AstroSeeds:        300,
+			FusionSeeds:       200,
+			ThermalSparseGrid: 4,
+			ThermalDenseSeeds: 1200,
+			MaxSteps:          600,
+			ShortSteps:        150,
+			Tol:               1e-4,
+			HMax:              0.0125,
+			TimeSlices:        4,
+		},
+		Machine: Machine{
+			ProcCounts:     []int{8, 16, 32},
+			CacheBlocks:    28,
+			DiskServers:    4,
+			DiskLatencySec: 0.001, // 128 KB test blocks read fast
+			PrefetchDepth:  2,
+			InjectWindow:   0.2,
+			InjectRate:     1000,
+			FaultTime:      0.05, // small cells run a few tenths of a virtual second
+		},
 	}
 }
 
@@ -268,52 +297,63 @@ func (d Dataset) FieldT() field.FieldT {
 	}
 }
 
-// BuildProblem assembles the core.Problem for a dataset and seeding at
-// the given scale.
+// BuildProblem assembles the steady core.Problem for a dataset and
+// seeding at the given scale.
 func BuildProblem(ds Dataset, seeding Seeding, sc Scale) (core.Problem, error) {
-	switch ds {
-	case Astro, Fusion, Thermal:
-	default:
+	return sc.Curves.problem(ds, seeding, false)
+}
+
+// problem assembles the core.Problem for a dataset and seeding. An
+// unsteady (pathline) problem has the same decomposition, seed set and
+// integration budget, but serves the dataset's time-varying field over
+// TimeSlices stored time slices: every (spatial block, epoch) pair is
+// then an independent block (paper Section 4), so the four algorithms
+// trace pathlines through their unmodified block machinery.
+func (cv Curves) problem(ds Dataset, seeding Seeding, unsteady bool) (core.Problem, error) {
+	if !slices.Contains(datasets(), ds) {
 		return core.Problem{}, fmt.Errorf("experiments: unknown dataset %q", ds)
 	}
-	if seeding != Sparse && seeding != Dense {
+	if !slices.Contains(Seedings(), seeding) {
 		return core.Problem{}, fmt.Errorf("experiments: unknown seeding %q (valid: sparse, dense)", seeding)
 	}
+	if unsteady && cv.TimeSlices < 2 {
+		return core.Problem{}, fmt.Errorf("experiments: need at least 2 time slices, got %d", cv.TimeSlices)
+	}
 	f := ds.Field()
-	d := grid.NewDecomposition(f.Bounds(), sc.BlocksPerAxis, sc.BlocksPerAxis, sc.BlocksPerAxis, sc.CellsPerAxis)
+	d := grid.NewDecomposition(f.Bounds(), cv.BlocksPerAxis, cv.BlocksPerAxis, cv.BlocksPerAxis, cv.CellsPerAxis)
 
 	var seedPts []vec.V3
-	maxSteps := sc.MaxSteps
-	intOpts := integrate.Options{Tol: sc.Tol, HMax: sc.HMax}
+	maxSteps := cv.MaxSteps
+	intOpts := integrate.Options{Tol: cv.Tol, HMax: cv.HMax}
 	switch ds {
 	case Astro:
 		sn := f.(field.Supernova)
 		if seeding == Sparse {
-			seedPts = seeds.SparseRandom(f.Bounds().Expand(-0.1), sc.AstroSeeds, 1001)
+			seedPts = seeds.SparseRandom(f.Bounds().Expand(-0.1), cv.AstroSeeds, 1001)
 		} else {
 			// "seeded outside the proto-neutron star" — a shell hugging
 			// the core, where rotation keeps field lines localized.
 			seedPts = seeds.DenseCluster(f.Bounds(),
-				vec.Of(sn.CoreRadius*1.5, 0, 0), sn.CoreRadius*0.8, sc.AstroSeeds, 1002)
+				vec.Of(sn.CoreRadius*1.5, 0, 0), sn.CoreRadius*0.8, cv.AstroSeeds, 1002)
 		}
 	case Fusion:
 		tok := f.(field.Tokamak)
 		if seeding == Sparse {
-			seedPts = seeds.SparseInRegion(f.Bounds(), sc.FusionSeeds, 1003, tok.InsideTorus)
+			seedPts = seeds.SparseInRegion(f.Bounds(), cv.FusionSeeds, 1003, tok.InsideTorus)
 		} else {
 			// Dense: one poloidal patch of the torus; the rotational
 			// transform spreads the lines around the core anyway
 			// (Section 5.2's observation).
 			seedPts = seeds.DenseCluster(f.Bounds(),
-				vec.Of(tok.MajorRadius, 0, 0), tok.MinorRadius*0.3, sc.FusionSeeds, 1004)
+				vec.Of(tok.MajorRadius, 0, 0), tok.MinorRadius*0.3, cv.FusionSeeds, 1004)
 		}
 	case Thermal:
 		th := f.(field.ThermalHydraulics)
 		if seeding == Sparse {
 			// "4,096 seed points evenly on a 16x16x16 grid". The
 			// overview seeding integrates a moderate distance.
-			seedPts = seeds.SparseGrid(f.Bounds().Expand(-0.02), sc.ThermalSparseGrid)
-			maxSteps = sc.MaxSteps / 2
+			seedPts = seeds.SparseGrid(f.Bounds().Expand(-0.02), cv.ThermalSparseGrid)
+			maxSteps = cv.MaxSteps / 2
 		} else {
 			// "22,000 streamlines in the shape of a circle immediately
 			// around the inlet", integrated a short distance: the step
@@ -321,11 +361,11 @@ func BuildProblem(ds Dataset, seeding Seeding, sc Scale) (core.Problem, error) {
 			// turbulence (many points, little travel — the combination
 			// behind the paper's Figure 13 memory blow-up).
 			center := th.InletA.Add(vec.Of(0.02, 0, 0))
-			seedPts = seeds.Circle(center, vec.Of(1, 0, 0), 0.05, sc.ThermalDenseSeeds)
+			seedPts = seeds.Circle(center, vec.Of(1, 0, 0), 0.05, cv.ThermalDenseSeeds)
 			for i, p := range seedPts {
 				seedPts[i] = f.Bounds().Expand(-1e-6).Clamp(p)
 			}
-			maxSteps = sc.ShortSteps
+			maxSteps = cv.ShortSteps
 			// "We only integrated the streamlines a short distance": cap
 			// the step size so the whole advection stays within the
 			// inlet's block (speed ≤ ~1.5), resolving the inlet
@@ -333,73 +373,52 @@ func BuildProblem(ds Dataset, seeding Seeding, sc Scale) (core.Problem, error) {
 			// all 22,000 results on the one processor owning the inlet
 			// block — the paper's Figure 13 memory blow-up.
 			blockX := d.BlockSize().X
-			intOpts.HMax = (0.7*blockX - 0.04) / (1.5 * float64(sc.ShortSteps))
+			intOpts.HMax = (0.7*blockX - 0.04) / (1.5 * float64(cv.ShortSteps))
 		}
-	default:
-		return core.Problem{}, fmt.Errorf("experiments: unknown dataset %q", ds)
 	}
 
+	var prov grid.Provider = grid.AnalyticProvider{F: f, D: d}
+	if unsteady {
+		ft := ds.FieldT()
+		d.TimeSlices = cv.TimeSlices
+		d.T0, d.T1 = ft.TimeRange()
+		prov = grid.AnalyticProviderT{F: ft, D: d}
+	}
 	return core.Problem{
-		Provider: grid.AnalyticProvider{F: f, D: d},
+		Provider: prov,
 		Seeds:    seedPts,
 		IntOpts:  intOpts,
 		MaxSteps: maxSteps,
 	}, nil
 }
 
-// BuildUnsteadyProblem assembles the pathline (time-sliced) counterpart
-// of BuildProblem: the same spatial decomposition, seed set and
-// integration budget, but the dataset's time-varying field served over
-// the scale's TimeSlices stored time slices. Every (spatial block, epoch)
-// pair is then an independent block (paper Section 4), so the four
-// algorithms trace pathlines through their unmodified block machinery.
-func BuildUnsteadyProblem(ds Dataset, seeding Seeding, sc Scale) (core.Problem, error) {
-	if sc.TimeSlices < 2 {
-		return core.Problem{}, fmt.Errorf("experiments: need at least 2 time slices, got %d", sc.TimeSlices)
+// memoryBudget is a cell's per-processor memory limit: Static's pinned
+// share of all blocks at the smallest processor count, plus the LRU
+// cache, plus one eighth of the dense thermal result geometry. A single
+// processor holding ALL dense thermal results therefore exceeds the
+// steady budget — the paper's Figure 13 OOM — while every balanced
+// distribution fits. Unsteady cells pin space-time blocks: epochs
+// multiply the block count and two bounding time slices double the
+// block bytes. It is the one function that reads both halves of a
+// Scale: the block model and the dense geometry are the curves', the
+// processor count and the cache the machine's.
+func memoryBudget(sc Scale, unsteady bool) int64 {
+	d := grid.Decomposition{CellsPerAxis: sc.CellsPerAxis, Ghost: 1}
+	if unsteady {
+		d.TimeSlices, d.T1 = sc.TimeSlices, 1
 	}
-	prob, err := BuildProblem(ds, seeding, sc)
-	if err != nil {
-		return core.Problem{}, err
-	}
-	f := ds.FieldT()
-	d := prob.Provider.Decomp()
-	d.TimeSlices = sc.TimeSlices
-	d.T0, d.T1 = f.TimeRange()
-	prob.Provider = grid.AnalyticProviderT{F: f, D: d}
-	return prob, nil
-}
-
-// memoryBudget sizes the per-processor memory limit against one block
-// model: Static's pinned share of all blocks at the smallest processor
-// count, plus the LRU cache, plus one eighth of the dense thermal
-// result geometry. Steady and unsteady budgets differ only in the
-// decomposition handed in (epochs multiply the block count, time
-// slicing doubles the block bytes).
-func memoryBudget(sc Scale, d grid.Decomposition) int64 {
-	blockBytes := d.BlockBytes()
 	blocks := sc.BlocksPerAxis * sc.BlocksPerAxis * sc.BlocksPerAxis * d.Epochs()
 	minProcs := sc.ProcCounts[0]
 	pinned := int64((blocks + minProcs - 1) / minProcs)
 	denseGeom := int64(sc.ThermalDenseSeeds) * int64(sc.ShortSteps) * trace.PointBytes
-	return pinned*blockBytes + int64(sc.CacheBlocks)*blockBytes + denseGeom/8
+	return (pinned+int64(sc.CacheBlocks))*d.BlockBytes() + denseGeom/8
 }
 
-// steadyMemoryBudget returns the per-processor memory limit for the
-// campaign's steady cells: enough for the pinned static-allocation
-// working set at the smallest processor count plus the block cache plus
-// one eighth of the dense thermal result geometry. A single processor
-// holding ALL dense thermal results therefore exceeds it — the paper's
-// Figure 13 OOM — while every balanced distribution fits.
-func steadyMemoryBudget(sc Scale) int64 {
-	return memoryBudget(sc, grid.Decomposition{CellsPerAxis: sc.CellsPerAxis, Ghost: 1})
-}
-
-// MachineConfig builds the simulated-cluster configuration for one run.
+// MachineConfig builds the simulated-cluster configuration for one
+// steady run.
 func MachineConfig(alg core.Algorithm, procs int, sc Scale) core.Config {
 	disk := store.DefaultDisk()
-	if sc.DiskLatencySec > 0 {
-		disk.LatencySec = sc.DiskLatencySec
-	}
+	disk.LatencySec = sc.DiskLatencySec
 	return core.Config{
 		Procs:        procs,
 		Algorithm:    alg,
@@ -407,33 +426,25 @@ func MachineConfig(alg core.Algorithm, procs int, sc Scale) core.Config {
 		Net:          comm.DefaultNetwork(),
 		CacheBlocks:  sc.CacheBlocks,
 		DiskServers:  sc.DiskServers,
-		MemoryBudget: steadyMemoryBudget(sc),
+		MemoryBudget: memoryBudget(sc, false),
 		Hybrid:       core.DefaultHybrid(),
 		Steal:        core.DefaultSteal(),
 	}
 }
 
 // KeyMachineConfig builds the cluster configuration a campaign cell
-// runs: MachineConfig, with the memory budget resized for space-time
-// blocks when the key is unsteady, the key's prefetch policy applied at
-// the scale's lookahead depth and the key's fault mode materialized into
-// the scale's kill schedule.
+// runs: MachineConfig, with the memory budget of the key's steady or
+// unsteady blocks, the key's prefetch policy applied at the scale's
+// lookahead depth and the key's fault mode materialized into the scale's
+// kill schedule.
 func KeyMachineConfig(k Key, sc Scale) core.Config {
 	cfg := MachineConfig(k.Alg, k.Procs, sc)
-	if k.Unsteady {
-		// Sized the same way as the steady budget, but against
-		// space-time blocks: Static's pinned share at the smallest
-		// processor count covers spatial blocks × epochs, and every
-		// block holds two bounding time slices (the decomposition's
-		// doubled BlockBytes).
-		cfg.MemoryBudget = memoryBudget(sc, grid.Decomposition{
-			CellsPerAxis: sc.CellsPerAxis, Ghost: 1, TimeSlices: sc.TimeSlices, T1: 1})
-	}
+	cfg.MemoryBudget = memoryBudget(sc, k.Unsteady)
 	if k.Prefetch.Enabled() {
 		cfg.Prefetch = prefetch.Config{Policy: k.Prefetch, Depth: sc.PrefetchDepth}
 	}
 	if k.Faults.Enabled() {
-		cfg.Faults = sc.faultPlan(k.Faults)
+		cfg.Faults = sc.Machine.faultPlan(k.Faults)
 	}
 	return cfg
 }
@@ -571,12 +582,13 @@ func NewCampaign(sc Scale) *Campaign {
 	}
 }
 
-// problemKey is a problem's identity — what reaches the integrator and
-// nothing else: the dataset, the seeding, steady or unsteady. Every cell
-// of such a triple shares one grid/field/seed construction and one
-// segment tape (tape.go). A Key's other axes, the injection schedule
-// among them, move no curve and stay out (TestKeyFieldIdentity holds the
-// split).
+// problemKey is a problem's identity within the campaign's one Curves
+// value — what reaches the integrator and nothing else: the dataset, the
+// seeding, steady or unsteady. Every cell of such a triple shares one
+// grid/field/seed construction and one segment tape (tape.go). A Key's
+// other axes, the injection schedule among them, move no curve and stay
+// out (TestKeyFieldIdentity holds the split), and no Machine field can
+// reach the problem (Curves.problem cannot read one).
 type problemKey struct {
 	ds       Dataset
 	seeding  Seeding
@@ -592,9 +604,9 @@ type problemEntry struct {
 	problemTape
 }
 
-// problem returns the memo entry of k's problem: the uninjected
-// BuildInjectedProblem result for k's (dataset, seeding, unsteady), built
-// on first demand. The entry's Problem is shared between concurrent
+// problem returns the memo entry of k's problem: Curves.problem of the
+// campaign's scale for k's (dataset, seeding, unsteady), built on first
+// demand, with no release schedule. The entry's Problem is shared between concurrent
 // core.Run calls; that is safe because Run treats the problem as
 // read-only (see core.Run) and execute writes a cell's release schedule
 // into its own copy.
@@ -608,7 +620,7 @@ func (c *Campaign) problem(k Key) *problemEntry {
 	}
 	c.probMu.Unlock()
 	e.once.Do(func() {
-		e.prob, e.err = BuildInjectedProblem(pk.ds, pk.seeding, c.Scale, pk.unsteady, InjectT0)
+		e.prob, e.err = c.Scale.Curves.problem(pk.ds, pk.seeding, pk.unsteady)
 	})
 	return e
 }
@@ -713,7 +725,7 @@ func (c *Campaign) execute(k Key, observe bool) (*core.Result, *obs.Report, erro
 		return nil, nil, e.err
 	}
 	prob := e.prob
-	if err := applyInjection(&prob, k.Injection, c.Scale); err != nil {
+	if err := applyInjection(&prob, k.Injection, c.Scale.Machine); err != nil {
 		return nil, nil, err
 	}
 	cfg := KeyMachineConfig(k, c.Scale)

@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/prefetch"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // numResults counts the campaign's memoized cells.
@@ -113,21 +113,48 @@ func TestDenseThermalCircleFitsOneBlock(t *testing.T) {
 	}
 }
 
-func TestMemoryBudgetOrdering(t *testing.T) {
-	// The budget must fit the balanced working sets but not one processor
-	// holding all dense-thermal geometry.
-	for _, sc := range []Scale{SmallScale(), defaultScale()} {
-		budget := steadyMemoryBudget(sc)
-		if budget <= 0 {
-			t.Fatalf("scale %s: non-positive budget", sc.Name)
-		}
-		prob, _ := BuildProblem(Thermal, Dense, sc)
-		d := prob.Provider.Decomp()
-		worstCase := int64(len(prob.Seeds))*int64(sc.ShortSteps)*48 + d.BlockBytes()
-		if worstCase <= budget {
-			t.Errorf("scale %s: budget %d admits the full dense concentration %d — the Figure 13 OOM cannot manifest",
-				sc.Name, budget, worstCase)
-		}
+// TestMemoryBudgetOrdering holds the steady memoryBudget to what each
+// scale's cells need of it: it holds a balanced working set but not one
+// processor with all dense-thermal geometry, so the Figure 13 OOM can
+// manifest.
+func TestMemoryBudgetOrdering(t *testing.T) { checkMemoryBudget(t, false) }
+
+// TestUnsteadyMemoryBudgetOrdering holds the unsteady memoryBudget above
+// the steady one, because space-time pinning needs room, and to a
+// balanced working set; the Figure 13 memory claim stays a
+// steady-campaign check.
+func TestUnsteadyMemoryBudgetOrdering(t *testing.T) { checkMemoryBudget(t, true) }
+
+// checkMemoryBudget is the one budget table, {small, default, paper} ×
+// {steady, unsteady}, each test taking one column. Every budget holds a
+// balanced working set — Static's pinned share of the problem's own
+// blocks at the smallest processor count, plus the block cache.
+func checkMemoryBudget(t *testing.T, unsteady bool) {
+	for _, sc := range []Scale{SmallScale(), defaultScale(), paperScale()} {
+		t.Run(sc.Name, func(t *testing.T) {
+			budget := memoryBudget(sc, unsteady)
+			prob, err := BuildInjectedProblem(Thermal, Dense, sc, unsteady, InjectT0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := prob.Provider.Decomp()
+			minProcs := int64(sc.ProcCounts[0])
+			balanced := ((int64(d.NumBlocks())+minProcs-1)/minProcs + int64(sc.CacheBlocks)) * d.BlockBytes()
+			if balanced > budget {
+				t.Errorf("budget %d cannot hold the balanced working set %d", budget, balanced)
+			}
+			if unsteady {
+				if steady := memoryBudget(sc, false); budget <= steady {
+					t.Errorf("unsteady budget %d not above steady %d", budget, steady)
+				}
+				return
+			}
+			concentrated := int64(len(prob.Seeds))*int64(sc.ShortSteps)*trace.PointBytes + d.BlockBytes()
+			if concentrated <= budget {
+				t.Errorf("budget %d admits the full dense concentration %d (%.2f× the budget): the Figure 13 OOM cannot manifest",
+					budget, concentrated, float64(concentrated)/float64(budget))
+			}
+		})
 	}
 }
 
@@ -351,7 +378,7 @@ func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 	sc := SmallScale()
 	for _, ds := range datasets() {
 		for _, seeding := range Seedings() {
-			prob, err := BuildUnsteadyProblem(ds, seeding, sc)
+			prob, err := BuildInjectedProblem(ds, seeding, sc, true, InjectT0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ds, seeding, err)
 			}
@@ -370,34 +397,11 @@ func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 	}
 	single := sc
 	single.TimeSlices = 1
-	if _, err := BuildUnsteadyProblem(Astro, Sparse, single); err == nil {
+	if _, err := BuildInjectedProblem(Astro, Sparse, single, true, InjectT0); err == nil {
 		t.Error("single time slice accepted")
 	}
-	if _, err := BuildUnsteadyProblem(Dataset("nope"), Sparse, sc); err == nil {
+	if _, err := BuildInjectedProblem(Dataset("nope"), Sparse, sc, true, InjectT0); err == nil {
 		t.Error("unknown dataset accepted")
-	}
-}
-
-func TestUnsteadyMemoryBudgetOrdering(t *testing.T) {
-	for _, sc := range []Scale{SmallScale(), defaultScale()} {
-		steady := steadyMemoryBudget(sc)
-		u := KeyMachineConfig(Key{Alg: core.StaticAlloc, Procs: sc.ProcCounts[0], Unsteady: true}, sc).MemoryBudget
-		if u <= steady {
-			t.Errorf("scale %s: unsteady budget %d not above steady %d (space-time pinning needs room)",
-				sc.Name, u, steady)
-		}
-		// Static's worst-case pinned share of space-time blocks (plus one
-		// cache's worth of reads) must fit: the unsteady campaign studies
-		// I/O shapes, not an artificial OOM — the Figure 13 memory claim
-		// stays a steady-campaign check.
-		d := grid.Decomposition{CellsPerAxis: sc.CellsPerAxis, Ghost: 1, TimeSlices: sc.TimeSlices, T1: 1}
-		blocks := sc.BlocksPerAxis * sc.BlocksPerAxis * sc.BlocksPerAxis * d.Epochs()
-		minProcs := sc.ProcCounts[0]
-		pinned := int64((blocks+minProcs-1)/minProcs) * d.BlockBytes()
-		if pinned >= u {
-			t.Errorf("scale %s: unsteady budget %d cannot hold the pinned share %d",
-				sc.Name, u, pinned)
-		}
 	}
 }
 

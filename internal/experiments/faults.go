@@ -42,11 +42,11 @@ func (f FaultMode) Validate() error {
 }
 
 // faultPlan materializes a fault mode into the concrete kill schedule a
-// cell runs under: processor 0 dies at sc.FaultTime. Key.Validate
+// cell runs under: processor 0 dies at m.FaultTime. Key.Validate
 // refuses a kill cell with no processor left to survive it.
-func (sc Scale) faultPlan(f FaultMode) faults.Plan {
+func (m Machine) faultPlan(f FaultMode) faults.Plan {
 	if !f.Enabled() {
 		return faults.Plan{}
 	}
-	return faults.KillAt(sc.FaultTime, 0)
+	return faults.KillAt(m.FaultTime, 0)
 }

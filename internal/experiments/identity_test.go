@@ -147,99 +147,97 @@ func TestKeyFieldIdentity(t *testing.T) {
 	}
 }
 
-// scaleRole is what a Scale field is to a cell: the scale's name, a
-// parameter of the problem Campaign.problem memoizes (and so of every
-// curve on its segment tape), or a parameter of the machine alone.
-type scaleRole int
-
-const (
-	scaleLabel scaleRole = iota
-	scaleCurve
-	scaleMachine
-)
-
-// scaleFields declares every Scale field's role and a probe cell whose
-// run reads the field. A field missing here fails TestScaleFieldIdentity.
-var scaleFields = map[string]struct {
-	role  scaleRole
-	probe Key
-}{
-	"Name":              {role: scaleLabel},
-	"BlocksPerAxis":     {scaleCurve, identityBase},
-	"CellsPerAxis":      {scaleCurve, identityBase},
-	"AstroSeeds":        {scaleCurve, identityBase},
-	"FusionSeeds":       {scaleCurve, Key{Dataset: Fusion, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}},
-	"ThermalSparseGrid": {scaleCurve, Key{Dataset: Thermal, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}},
-	"ThermalDenseSeeds": {scaleCurve, Key{Dataset: Thermal, Seeding: Dense, Alg: core.LoadOnDemand, Procs: 4}},
-	"MaxSteps":          {scaleCurve, identityBase},
-	"ShortSteps":        {scaleCurve, Key{Dataset: Thermal, Seeding: Dense, Alg: core.LoadOnDemand, Procs: 4}},
-	"ProcCounts":        {scaleMachine, identityBase},
-	"CacheBlocks":       {scaleMachine, identityBase},
-	"Tol":               {scaleCurve, identityBase},
-	"HMax":              {scaleCurve, identityBase},
-	"DiskServers":       {scaleMachine, identityBase},
-	"DiskLatencySec":    {scaleMachine, identityBase},
-	"TimeSlices":        {scaleCurve, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Unsteady: true}},
-	"PrefetchDepth":     {scaleMachine, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Prefetch: prefetch.Neighbor}},
-	"InjectWindow":      {scaleMachine, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: InjectStagger}},
-	"InjectRate":        {scaleMachine, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: InjectRate}},
-	"FaultTime":         {scaleMachine, Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Faults: FaultsKill}},
+// scaleProbes names, for each Scale field identityBase's run does not
+// read, a probe cell whose run does; every other field is probed with
+// identityBase.
+var scaleProbes = map[string]Key{
+	"FusionSeeds":       {Dataset: Fusion, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4},
+	"ThermalSparseGrid": {Dataset: Thermal, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4},
+	"ThermalDenseSeeds": {Dataset: Thermal, Seeding: Dense, Alg: core.LoadOnDemand, Procs: 4},
+	"ShortSteps":        {Dataset: Thermal, Seeding: Dense, Alg: core.LoadOnDemand, Procs: 4},
+	"TimeSlices":        {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Unsteady: true},
+	"PrefetchDepth":     {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Prefetch: prefetch.Neighbor},
+	"InjectWindow":      {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: InjectStagger},
+	"InjectRate":        {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: InjectRate},
+	"FaultTime":         {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Faults: FaultsKill},
 }
 
 // TestScaleFieldIdentity holds every Scale field to the scale name's
 // contract: a scale is one machine, and each of its fields reaches a
-// cell. For each field it perturbs tinyScale and compares, for the
-// field's probe cell, what the two scales build — no cell runs:
+// cell. A Scale is its Name, its Curves and its Machine, and the type
+// says which field is which: Curves.problem cannot read a Machine field.
+// So the test walks each half, perturbs each field of tinyScale, and
+// compares what the two scales build for the field's probe cell — no
+// cell runs:
 //
-//  1. A curve field changes the uninjected problem Campaign.problem
-//     memoizes.
-//  2. A machine field leaves that problem equal and changes
-//     KeyMachineConfig or the release schedule applyInjection writes.
+//  1. A Curves field must change the problem Campaign.problem memoizes.
+//  2. A Machine field must change KeyMachineConfig or the release
+//     schedule applyInjection writes.
+//  3. The Name changes neither: it labels the scale.
 //
-// A field that changes neither is dead: nothing a cell runs reads it.
+// A field that fails is in the wrong half, or dead: nothing a cell runs
+// reads it.
 func TestScaleFieldIdentity(t *testing.T) {
 	base := tinyScale()
 	st := reflect.TypeFor[Scale]()
-	for name := range scaleFields {
-		if _, ok := st.FieldByName(name); !ok {
-			t.Errorf("scaleFields declares %s, which Scale does not have", name)
+	for i := range st.NumField() {
+		if f := st.Field(i); f.Name != "Name" && !f.Anonymous {
+			t.Errorf("Scale.%s is in neither half: put it in Curves if it moves a curve, in Machine if not", f.Name)
 		}
 	}
-	for i := range st.NumField() {
-		f := st.Field(i)
-		t.Run(f.Name, func(t *testing.T) {
-			decl, ok := scaleFields[f.Name]
-			if !ok {
-				t.Fatalf("Scale.%s is not declared in scaleFields: say whether it moves a curve or only the machine", f.Name)
-			}
-			if decl.role == scaleLabel {
-				return
-			}
-			sc := base
-			field := reflect.ValueOf(&sc).Elem().Field(i)
-			alt := perturbed(field)
-			if reflect.DeepEqual(field.Interface(), alt.Interface()) {
-				t.Fatalf("cannot perturb Scale.%s = %v", f.Name, field.Interface())
-			}
-			field.Set(alt)
-
-			k := decl.probe
-			before, after := NewCampaign(base).problem(k), NewCampaign(sc).problem(k)
-			if before.err != nil || after.err != nil {
-				t.Fatalf("%s: %v / %v", k.Label(), before.err, after.err)
-			}
-			sameProblem := reflect.DeepEqual(before.prob, after.prob)
-			sameMachine := reflect.DeepEqual(KeyMachineConfig(k, base), KeyMachineConfig(k, sc)) &&
-				reflect.DeepEqual(releases(t, before.prob, k, base), releases(t, after.prob, k, sc))
-			switch {
-			case decl.role == scaleCurve && sameProblem:
-				t.Errorf("Scale.%s is declared curve-moving, but %s builds the same problem under %v and %v", f.Name, k.Label(), field.Interface(), alt.Interface())
-			case decl.role == scaleMachine && !sameProblem:
-				t.Errorf("Scale.%s is declared machine-only, but it changes the problem of %s: declare it curve-moving", f.Name, k.Label())
-			case decl.role == scaleMachine && sameMachine:
-				t.Errorf("Scale.%s is dead: %s builds the same problem, machine and release schedule under either value", f.Name, k.Label())
-			}
-		})
+	for name := range scaleProbes {
+		if _, ok := st.FieldByName(name); !ok {
+			t.Errorf("scaleProbes names %s, which Scale does not have", name)
+		}
+	}
+	// builds is what sc builds for k's cell: the memoized problem, the
+	// machine configuration and the release schedule the cell writes.
+	builds := func(t *testing.T, k Key, sc Scale) (core.Problem, core.Config, []float64) {
+		t.Helper()
+		e := NewCampaign(sc).problem(k)
+		if e.err != nil {
+			t.Fatalf("%s: %v", k.Label(), e.err)
+		}
+		prob := e.prob
+		if err := applyInjection(&prob, k.Injection, sc.Machine); err != nil {
+			t.Fatal(err)
+		}
+		return e.prob, KeyMachineConfig(k, sc), prob.Release
+	}
+	t.Run("Name", func(t *testing.T) {
+		sc := base
+		sc.Name += "2"
+		p0, m0, r0 := builds(t, identityBase, base)
+		p1, m1, r1 := builds(t, identityBase, sc)
+		if !reflect.DeepEqual(p0, p1) || !reflect.DeepEqual(m0, m1) || !reflect.DeepEqual(r0, r1) {
+			t.Errorf("Scale.Name reaches %s: a scale's name must only label it", identityBase.Label())
+		}
+	})
+	curves := reflect.TypeFor[Curves]()
+	for _, half := range []reflect.Type{curves, reflect.TypeFor[Machine]()} {
+		for _, f := range reflect.VisibleFields(half) {
+			t.Run(f.Name, func(t *testing.T) {
+				k, ok := scaleProbes[f.Name]
+				if !ok {
+					k = identityBase
+				}
+				sc := base
+				field := reflect.ValueOf(&sc).Elem().FieldByName(f.Name)
+				alt := perturbed(field)
+				if reflect.DeepEqual(field.Interface(), alt.Interface()) {
+					t.Fatalf("cannot perturb Scale.%s = %v", f.Name, field.Interface())
+				}
+				field.Set(alt)
+				p0, m0, r0 := builds(t, k, base)
+				p1, m1, r1 := builds(t, k, sc)
+				switch {
+				case half == curves && reflect.DeepEqual(p0, p1):
+					t.Errorf("Curves.%s moves no curve: %s builds the same problem under either value; move it to Machine, or delete it", f.Name, k.Label())
+				case half != curves && reflect.DeepEqual(m0, m1) && reflect.DeepEqual(r0, r1):
+					t.Errorf("Machine.%s is dead: %s builds the same machine and release schedule under either value", f.Name, k.Label())
+				}
+			})
+		}
 	}
 }
 
@@ -261,16 +259,6 @@ func perturbed(v reflect.Value) reflect.Value {
 		return v
 	}
 	return out
-}
-
-// releases is the release schedule k's cell writes into its copy of
-// prob at scale sc.
-func releases(t *testing.T, prob core.Problem, k Key, sc Scale) []float64 {
-	t.Helper()
-	if err := applyInjection(&prob, k.Injection, sc); err != nil {
-		t.Fatal(err)
-	}
-	return prob.Release
 }
 
 // numProblems counts the campaign's problem memo entries.

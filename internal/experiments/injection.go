@@ -59,36 +59,36 @@ func (inj Injection) normalized() Injection {
 }
 
 // injectionSchedule materializes an Injection as the seeds.Schedule it
-// names at this scale: releases start at virtual time zero and spread
-// over the scale's InjectWindow.
-func (sc Scale) injectionSchedule(inj Injection) (seeds.Schedule, error) {
+// names on this machine: releases start at virtual time zero and spread
+// over the machine's InjectWindow.
+func (m Machine) injectionSchedule(inj Injection) (seeds.Schedule, error) {
 	if err := inj.Validate(); err != nil {
 		return nil, err
 	}
 	switch inj.normalized() {
 	case InjectStagger:
-		return seeds.UniformStagger(0, sc.InjectWindow), nil
+		return seeds.UniformStagger(0, m.InjectWindow), nil
 	case InjectBurst:
-		return seeds.BurstWaves(0, sc.InjectWindow, burstWaves), nil
+		return seeds.BurstWaves(0, m.InjectWindow, burstWaves), nil
 	case InjectRate:
-		return seeds.RateLimit(0, sc.InjectWindow, sc.InjectRate), nil
+		return seeds.RateLimit(0, m.InjectWindow, m.InjectRate), nil
 	default:
 		return seeds.AllAtT0(0), nil
 	}
 }
 
 // applyInjection assigns the problem's per-seed release times from the
-// schedule inj names at this scale, validating the schedule invariants
+// schedule inj names on machine m, validating the schedule invariants
 // (count conservation, monotonicity, window containment). It writes
 // prob.Release and nothing else, so a campaign cell applies it to its own
 // copy of a shared problem. An all-at-t0 injection leaves the problem
 // untouched (nil Release) and allocates nothing, so the canonical cells
 // run exactly the code they always ran.
-func applyInjection(prob *core.Problem, inj Injection, sc Scale) error {
+func applyInjection(prob *core.Problem, inj Injection, m Machine) error {
 	if !inj.Enabled() {
 		return nil
 	}
-	sched, err := sc.injectionSchedule(inj)
+	sched, err := m.injectionSchedule(inj)
 	if err != nil {
 		return err
 	}
@@ -103,20 +103,14 @@ func applyInjection(prob *core.Problem, inj Injection, sc Scale) error {
 
 // BuildInjectedProblem assembles the steady or unsteady problem for a
 // dataset and seeding with the named injection schedule applied — the
-// one-call form of BuildProblem/BuildUnsteadyProblem + applyInjection
-// that campaign cells and the sl* commands share.
+// one-call form of Curves.problem + applyInjection that the sl* commands
+// share.
 func BuildInjectedProblem(ds Dataset, seeding Seeding, sc Scale, unsteady bool, inj Injection) (core.Problem, error) {
-	var prob core.Problem
-	var err error
-	if unsteady {
-		prob, err = BuildUnsteadyProblem(ds, seeding, sc)
-	} else {
-		prob, err = BuildProblem(ds, seeding, sc)
-	}
+	prob, err := sc.Curves.problem(ds, seeding, unsteady)
 	if err != nil {
 		return core.Problem{}, err
 	}
-	if err := applyInjection(&prob, inj, sc); err != nil {
+	if err := applyInjection(&prob, inj, sc.Machine); err != nil {
 		return core.Problem{}, err
 	}
 	return prob, nil
