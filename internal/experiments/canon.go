@@ -1,31 +1,23 @@
-// Canonical wire encoding of the campaign cache identity.
+// The campaign cache identity: the Key's wire layout and its rules.
 //
-// Every run is a deterministic function of its Key, which makes each
-// result content-addressable: the canonical JSON encoding of a Key
-// digests to the address under which its Summary can be cached forever
-// (internal/serve's persistent store, DESIGN.md §14). The encoding is
-// therefore a contract, not a convenience:
+// Every run is a deterministic function of its Key, so the canonical
+// encoding of a Key digests to the address under which its Summary can
+// be cached forever (DESIGN.md §14). internal/canon writes the bytes;
+// this file owns what goes into them:
 //
-//   - It is NORMALIZED. The axes accept alias spellings at the flag and
-//     API surface ("off"/"t0"/"" all mean the zero injection), and the
-//     encoder collapses them exactly the way (Key).normalized does for
-//     the in-memory result map. A decode path that preserved aliases
-//     would split one cell across several cache addresses — or, worse,
-//     let two different requests collide on one.
-//   - It is VALIDATED. Keys arriving from the network are untrusted;
-//     an unknown axis value must be a decode error, never a silently
-//     half-wired cell. (Before ParseKey existed, a FaultMode like
-//     "zap" would have RUN as "kill" while caching under its own
-//     identity — the alias/split bug class this file closes.)
-//   - It is VERSIONED. keyCodecVersion names the layout; any change to
-//     the field set or normalization rules must bump it so persistent
-//     caches cannot serve entries written under other rules.
+//   - NORMALIZED. Alias spellings ("off"/"t0"/"" all mean the zero
+//     injection) collapse exactly as (Key).normalized does for the
+//     in-memory result map, so one cell has one address.
+//   - VALIDATED. An unknown axis value from the network is a decode
+//     error, never a silently half-wired cell.
+//   - VERSIONED. keyCodecVersion names the layout; a change to the field
+//     set or the normalization rules bumps it.
 //
-// TestKeyFieldIdentity holds CanonicalJSON and ParseKey to the same
-// contract as the label renderer and the sweep enumerator: two keys that
-// differ in any one field encode apart and each decodes back to itself,
-// so an axis added without wiring it through the wire format fails a
-// test (DESIGN.md §10, §14).
+// ParseKey alone stays lenient in its grammar (whitespace, any field
+// order, a missing "v"): it is the network API. TestKeyFieldIdentity
+// holds CanonicalJSON and ParseKey to the contract of the label
+// renderer and the sweep enumerator: keys that differ in one field
+// encode apart and each decodes back to itself (DESIGN.md §10, §14).
 package experiments
 
 import (
@@ -36,9 +28,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
-	"unicode/utf8"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/prefetch"
 )
@@ -50,11 +41,10 @@ import (
 const keyCodecVersion = "key/v1"
 
 // keyWire is the canonical JSON layout of a Key. Field order is the
-// declaration order (CanonicalJSON appends the fields in it, as
-// encoding/json would marshal them), disabled optional axes
-// are omitted entirely, and ParseKey rejects unknown fields — together
-// that makes the encoding injective on normalized keys and stable across
-// releases under the same keyCodecVersion.
+// declaration order, disabled optional axes are omitted entirely, and
+// ParseKey rejects unknown fields — together that makes the encoding
+// injective on normalized keys and stable across releases under the
+// same keyCodecVersion.
 type keyWire struct {
 	V         string `json:"v"`
 	Dataset   string `json:"dataset"`
@@ -66,6 +56,9 @@ type keyWire struct {
 	Injection string `json:"injection,omitempty"`
 	Faults    string `json:"faults,omitempty"`
 }
+
+// keyCodec is keyWire's field table.
+var keyCodec = canon.For[keyWire]()
 
 // maxProcs bounds a cell's processor count. Every scale's sweep stays
 // at or under 512; a count far above it would only ask the machine
@@ -135,50 +128,16 @@ func (k Key) Validate() error {
 // CanonicalJSON renders the key's canonical wire encoding: normalized
 // (alias spellings collapse exactly as the in-memory cache does),
 // versioned (the leading "v" field is keyCodecVersion) and byte-stable
-// (keyWire's field order, disabled axes omitted). Two keys have equal
-// CanonicalJSON if and only if they name the same campaign cell, which
-// is what makes sha256 over these bytes a safe cache address. The bytes
-// are appended field by field; FuzzKeyEncoding holds them to
-// json.Marshal of the keyWire.
+// (keyWire's bytes as internal/canon writes them, disabled axes
+// omitted). Two keys have equal CanonicalJSON if and only if they name
+// the same campaign cell, which is what makes sha256 over these bytes a
+// safe cache address.
 func (k Key) CanonicalJSON() []byte {
 	n := k.normalized()
-	b := make([]byte, 0, 192)
-	b = append(b, `{"v":"`+keyCodecVersion+`","dataset":`...)
-	b = AppendQuoted(b, string(n.Dataset))
-	b = append(b, `,"seeding":`...)
-	b = AppendQuoted(b, string(n.Seeding))
-	b = append(b, `,"alg":`...)
-	b = AppendQuoted(b, string(n.Alg))
-	b = append(b, `,"procs":`...)
-	b = strconv.AppendInt(b, int64(n.Procs), 10)
-	if n.Unsteady {
-		b = append(b, `,"unsteady":true`...)
-	}
-	for _, f := range [...]struct{ name, v string }{
-		{`,"prefetch":`, string(n.Prefetch)},
-		{`,"injection":`, string(n.Injection)},
-		{`,"faults":`, string(n.Faults)},
-	} {
-		if f.v != "" {
-			b = AppendQuoted(append(b, f.name...), f.v)
-		}
-	}
-	return append(b, '}')
-}
-
-// AppendQuoted appends s quoted as encoding/json quotes it. A string
-// that needs no escape — every axis name, digest, source and label — is
-// copied; any other goes through json.Marshal.
-func AppendQuoted(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always encodes
-			return append(b, quoted...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	w := keyWire{keyCodecVersion, string(n.Dataset), string(n.Seeding), string(n.Alg), n.Procs,
+		n.Unsteady, string(n.Prefetch), string(n.Injection), string(n.Faults)}
+	b, _ := keyCodec.Append(make([]byte, 0, 192), &w) // a keyWire has no float to fail
+	return b
 }
 
 // Address returns the key's canonical encoding and its digest from one
@@ -220,16 +179,8 @@ func ParseKey(data []byte) (Key, error) {
 	if w.V != "" && w.V != keyCodecVersion {
 		return Key{}, fmt.Errorf("experiments: key codec version mismatch: got %q, this build speaks %q", w.V, keyCodecVersion)
 	}
-	k := Key{
-		Dataset:   Dataset(w.Dataset),
-		Seeding:   Seeding(w.Seeding),
-		Alg:       core.Algorithm(w.Alg),
-		Procs:     w.Procs,
-		Unsteady:  w.Unsteady,
-		Prefetch:  prefetch.Policy(w.Prefetch),
-		Injection: Injection(w.Injection),
-		Faults:    FaultMode(w.Faults),
-	}
+	k := Key{Dataset(w.Dataset), Seeding(w.Seeding), core.Algorithm(w.Alg), w.Procs, w.Unsteady,
+		prefetch.Policy(w.Prefetch), Injection(w.Injection), FaultMode(w.Faults)}
 	if err := k.Validate(); err != nil {
 		return Key{}, err
 	}

@@ -11,9 +11,49 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/prefetch"
 )
+
+// TestKeyAddressAllocs pins the allocations of the cache address every
+// request computes: the canonical bytes, the digest and its hex string.
+func TestKeyAddressAllocs(t *testing.T) {
+	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 8, Prefetch: prefetch.Neighbor}
+	if n := testing.AllocsPerRun(100, func() { k.Address() }); n != 3 {
+		t.Errorf("Key.Address: %v allocations, want 3", n)
+	}
+}
+
+// TestCurvesCodecRoundTrip: internal/canon's table writes the small,
+// default and paper Curves as json.Marshal does and reads each back
+// unchanged, so a tape key or a fingerprint made of the Curves bytes
+// needs no codec of its own. Every built-in Tol is at least 1e-6 and so
+// spelled 'f'; a fourth Curves takes the 'e' spelling a tighter
+// tolerance would.
+func TestCurvesCodecRoundTrip(t *testing.T) {
+	codec := canon.For[Curves]()
+	tight := SmallScale().Curves
+	tight.Tol = 1e-9
+	all := []Curves{tight}
+	for _, name := range []string{"small", "default", "paper"} {
+		sc, _ := ScaleByName(name)
+		all = append(all, sc.Curves)
+	}
+	for _, cv := range all {
+		enc, err := codec.Append(nil, &cv)
+		want, jerr := json.Marshal(cv)
+		if err != nil || jerr != nil || !bytes.Equal(enc, want) {
+			t.Fatalf("%+v:\nAppend       %s, %v\njson.Marshal %s, %v", cv, enc, err, want, jerr)
+		}
+		if got, err := codec.Parse(enc); err != nil || got != cv {
+			t.Errorf("Parse(%s) = %+v, %v; want %+v", enc, got, err, cv)
+		}
+	}
+	if enc, _ := codec.Append(nil, &tight); !bytes.Contains(enc, []byte(`"Tol":1e-9,`)) {
+		t.Errorf("a Tol of 1e-9 is not spelled 1e-9: %s", enc)
+	}
+}
 
 // TestCanonicalJSONPinned pins the exact canonical bytes of two sample
 // keys. These bytes are a persistence contract: if this test fails, the
@@ -237,8 +277,8 @@ func FuzzKeyRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzKeyEncoding holds the hand-appended encoders to their references
-// over arbitrary, unvalidated keys — quotes, <>&, control bytes,
+// FuzzKeyEncoding holds the key encoding and the appended label to their
+// references over arbitrary, unvalidated keys — quotes, <>&, control bytes,
 // invalid UTF-8 and any processor count: CanonicalJSON must be
 // json.Marshal of the normalized keyWire, Address must be that encoding
 // and its SHA-256, and Label must be the fmt.Sprintf rendering it

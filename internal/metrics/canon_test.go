@@ -80,6 +80,22 @@ func TestSummaryCanonicalPinned(t *testing.T) {
 	}
 }
 
+// TestSummaryCodecAllocs pins the codec's allocations on the cache-hit
+// path: one for the encoding CanonicalJSON returns, none to parse.
+func TestSummaryCodecAllocs(t *testing.T) {
+	s := sampleSummary()
+	enc, err := s.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.CanonicalJSON() }); n != 1 {
+		t.Errorf("Summary.CanonicalJSON: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseSummary(enc) }); n != 0 {
+		t.Errorf("ParseSummary: %v allocations, want 0", n)
+	}
+}
+
 // TestParseSummaryStrict states the decoder's contract: it accepts the
 // canonical encoding and nothing else, so a cache entry whose summary
 // bytes are not what CanonicalJSON writes is never served. Each row
@@ -131,7 +147,7 @@ func TestParseSummaryStrict(t *testing.T) {
 	}
 }
 
-// FuzzSummaryEncoding holds the hand-appended encoder to encoding/json:
+// FuzzSummaryEncoding holds the summary codec to encoding/json:
 // every field is filled from the fuzz bytes, and CanonicalJSON writes
 // exactly json.Marshal's bytes, or both fail (NaN and ±Inf).
 func FuzzSummaryEncoding(f *testing.F) {

@@ -35,10 +35,10 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
@@ -426,6 +426,9 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return nil, false
 }
 
+// rowCodec is Row's field table.
+var rowCodec = canon.For[Row]()
+
 // encodeResponse renders resp as json.Marshal does, plus a newline — the
 // bytes writeJSON would write, which FuzzResponseEncoding pins — into
 // one buffer sized up front. Summary and Percentiles are spliced as they
@@ -440,39 +443,19 @@ func encodeResponse(resp Response) []byte {
 	}
 	b := make([]byte, 0, n)
 	b = append(b, `{"schema":`...)
-	b = experiments.AppendQuoted(b, resp.Schema)
+	b = canon.Quote(b, resp.Schema)
 	b = append(b, `,"scale":`...)
-	b = experiments.AppendQuoted(b, resp.Scale)
+	b = canon.Quote(b, resp.Scale)
 	b = append(b, `,"rows":`...)
 	if resp.Rows == nil {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
-		for i, r := range resp.Rows {
+		for i := range resp.Rows {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, `{"label":`...)
-			b = experiments.AppendQuoted(b, r.Label)
-			b = append(b, `,"digest":`...)
-			b = experiments.AppendQuoted(b, r.Digest)
-			b = append(b, `,"cached":`...)
-			b = strconv.AppendBool(b, r.Cached)
-			b = append(b, `,"source":`...)
-			b = experiments.AppendQuoted(b, r.Source)
-			if r.Error != "" {
-				b = append(b, `,"error":`...)
-				b = experiments.AppendQuoted(b, r.Error)
-			}
-			if len(r.Summary) > 0 {
-				b = append(b, `,"summary":`...)
-				b = append(b, r.Summary...)
-			}
-			if len(r.Percentiles) > 0 {
-				b = append(b, `,"percentiles":`...)
-				b = append(b, r.Percentiles...)
-			}
-			b = append(b, '}')
+			b, _ = rowCodec.Append(b, &resp.Rows[i]) // a Row has no float to fail
 		}
 		b = append(b, ']')
 	}

@@ -734,6 +734,19 @@ func TestResponseEncoding(t *testing.T) {
 	}
 }
 
+// TestEncodeResponseAllocs: a response whose strings need no escape —
+// every row a Server answers with, bar a failure's text — is encoded in
+// one allocation, the buffer sized up front.
+func TestEncodeResponseAllocs(t *testing.T) {
+	cases := encodingCases(t)
+	for _, name := range []string{"hit", "cached false", "percentiles", "three rows", "no rows", "empty label and error"} {
+		resp := cases[name]
+		if n := testing.AllocsPerRun(100, func() { encodeResponse(resp) }); n != 1 {
+			t.Errorf("%s: encodeResponse made %v allocations, want 1", name, n)
+		}
+	}
+}
+
 // FuzzResponseEncoding holds encodeResponse to json.Marshal+"\n" for
 // any label and error text, in a two-row batch with both payloads.
 func FuzzResponseEncoding(f *testing.F) {

@@ -34,9 +34,10 @@
 // responds with. Directory reads are paranoid besides: a file whose head
 // is not the one Put writes for the requested scope and key (another
 // version, scope or cell), whose length disagrees with its frame (cut or
-// extended at any byte), or whose payload Put would refuse is a cache
-// miss, never served. Corruption — like eviction — can cost a
-// recompute; it can never serve the wrong cell.
+// extended at any byte), whose payload Put would refuse, or whose error
+// value is not the bytes Put quotes it as, is a cache miss, never
+// served. Corruption — like eviction — can cost a recompute; it can
+// never serve the wrong cell.
 package serve
 
 import (
@@ -48,6 +49,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/canon"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -90,7 +92,7 @@ func (sc Scope) dir() string {
 // successes.
 type Entry struct {
 	// Summary is the canonical metrics.Summary encoding
-	// (metrics.CanonicalJSON). Responses splice these bytes verbatim,
+	// (Summary.CanonicalJSON). Responses splice these bytes verbatim,
 	// which is what makes a cache hit byte-identical to the fresh
 	// computation.
 	Summary json.RawMessage
@@ -154,7 +156,7 @@ func head(sc Scope, key []byte) []byte {
 func encodeEntry(head []byte, e Entry) []byte {
 	var quoted []byte
 	if e.Error != "" {
-		quoted = experiments.AppendQuoted(nil, e.Error)
+		quoted = canon.Quote(nil, e.Error)
 	}
 	b := strconv.AppendInt(head, int64(len(e.Summary)), 10)
 	b = append(b, ' ')
@@ -190,7 +192,10 @@ func decodeEntry(data, head []byte) (Entry, bool) {
 		rest = rest[l:]
 	}
 	e := Entry{Summary: v[0], Percentiles: v[2]}
-	if v[1] != nil && (json.Unmarshal(v[1], &e.Error) != nil || e.Error == "") {
+	// The error value, like the summary and the percentile block, must be
+	// the bytes Put writes for it.
+	var quoted [256]byte // room for a failure's text, so a hit allocates no more
+	if v[1] != nil && (json.Unmarshal(v[1], &e.Error) != nil || e.Error == "" || !bytes.Equal(canon.Quote(quoted[:0], e.Error), v[1])) {
 		return Entry{}, false
 	}
 	if !e.valid() {

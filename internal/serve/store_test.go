@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -295,6 +296,12 @@ func TestStoreParanoidReads(t *testing.T) {
 	other := ps.key
 	other.Procs = 16
 	foreign := ps.written(t, plainScope, other, Entry{Summary: testSummary(t)})
+	framedError := func(value string) []byte {
+		return fmt.Appendf(head(plainScope, ps.key.CanonicalJSON()), "0 %d 0\n%s", len(value), value)
+	}
+	if _, ok, err := ps.plant(t, plainScope, framedError(`"out of memory"`)); err != nil || !ok {
+		t.Fatalf("a hand-framed canonical error entry: ok=%v err=%v, want a hit", ok, err)
+	}
 
 	cases := []struct {
 		name string
@@ -308,6 +315,10 @@ func TestStoreParanoidReads(t *testing.T) {
 		{"scope skew", ps.observed},
 		{"another cell's entry", foreign},
 		{"appended bytes", append(ps.plain[:len(ps.plain):len(ps.plain)], '\n')},
+		// An error value that is JSON for the error text, but not the
+		// bytes Put quotes it as.
+		{"padded error", framedError(` "out of memory"`)},
+		{"escaped error", framedError(`"\u006fut of memory"`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
