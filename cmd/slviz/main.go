@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -76,23 +75,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *procs == 0 {
 		*procs = 4
 	}
-	if !slices.Contains(core.Algorithms(), core.Algorithm(*alg)) {
-		fmt.Fprintf(stderr, "slviz: unknown algorithm %q\n", *alg)
-		return 2
-	}
-	if *procs < 1 {
-		fmt.Fprintf(stderr, "slviz: -procs must be positive (got %d)\n", *procs)
+	// The cell rules slrun and slserve apply too: known axis values, a
+	// bounded processor count, a hybrid master with a slave.
+	key := experiments.Key{Dataset: experiments.Dataset(*dataset), Seeding: experiments.Seeding(*seeding),
+		Alg: core.Algorithm(*alg), Procs: *procs}
+	if err := key.Validate(); err != nil {
+		fmt.Fprintln(stderr, "slviz:", err)
 		return 2
 	}
 
-	// A small-scale problem gives plenty of geometry for a picture.
+	// A small-scale problem gives plenty of geometry for a picture; -steps
+	// replaces whichever budget the dataset and seeding chose.
 	sc := experiments.SmallScale()
-	sc.MaxSteps = *maxSteps
-	prob, err := experiments.BuildProblem(experiments.Dataset(*dataset), experiments.Seeding(*seeding), sc)
+	prob, err := experiments.BuildProblem(key.Dataset, key.Seeding, sc)
 	if err != nil {
 		fmt.Fprintln(stderr, "slviz:", err)
 		return 2
 	}
+	prob.MaxSteps = *maxSteps
 	if len(prob.Seeds) > *lines {
 		// Subsample evenly for a readable picture.
 		stride := len(prob.Seeds) / *lines
@@ -103,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prob.Seeds = sub
 	}
 
-	cfg := experiments.MachineConfig(core.Algorithm(*alg), *procs, sc)
+	cfg := experiments.MachineConfig(key.Alg, key.Procs, sc)
 	cfg.MemoryBudget = 0 // rendering runs don't model the cluster's memory
 	cfg.CollectTraces = !*gantt
 	if *gantt {

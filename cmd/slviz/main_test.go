@@ -61,12 +61,42 @@ func TestRunWritesImage(t *testing.T) {
 	}
 }
 
+// TestRunThermalHonoursSteps pins -steps on the Figure 4 rendering:
+// dense thermal seeding picks its own short budget, which -steps must
+// replace, so two budgets draw two different pictures.
+func TestRunThermalHonoursSteps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("rendering run too slow for -short")
+	}
+	dir := t.TempDir()
+	var images [][]byte
+	for _, steps := range []string{"50", "400"} {
+		path := filepath.Join(dir, steps+".ppm")
+		var out, errw bytes.Buffer
+		args := []string{"-dataset", "thermal", "-seeding", "dense", "-out", path,
+			"-width", "64", "-height", "48", "-lines", "40", "-steps", steps}
+		if code := run(args, &out, &errw); code != 0 {
+			t.Fatalf("run(%v) = %d, stderr: %s", args, code, errw.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, data)
+	}
+	if bytes.Equal(images[0], images[1]) {
+		t.Error("-steps 50 and -steps 400 wrote the same thermal image")
+	}
+}
+
 func TestRunBadGanttFlags(t *testing.T) {
 	cases := [][]string{
 		{"-alg", "hybrid"},             // -alg without -gantt
 		{"-procs", "8"},                // -procs without -gantt
 		{"-gantt", "-alg", "sideways"}, // unknown algorithm
 		{"-gantt", "-procs", "-2"},
+		{"-gantt", "-procs", "5000"},                // over slrun's and slserve's limit
+		{"-gantt", "-alg", "hybrid", "-procs", "1"}, // a master without a slave
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

@@ -18,7 +18,9 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -27,12 +29,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	sc := experiments.SmallScale()
 	procs := sc.ProcCounts[0]
 
 	prob, err := experiments.BuildProblem(experiments.Astro, experiments.Sparse, sc)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 1. The fault-free reference: wall clock (to place the kill
@@ -41,19 +49,19 @@ func main() {
 	refCfg.CollectTraces = true
 	refRes, err := core.Run(prob, refCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	reference := trace.CanonicalDigest(refRes.Streamlines)
 	killAt := 0.3 * refRes.Summary.WallClock
-	fmt.Printf("astro sparse, %d seeds on %d processors; fault-free wall clock %.3f s\n",
+	fmt.Fprintf(w, "astro sparse, %d seeds on %d processors; fault-free wall clock %.3f s\n",
 		len(prob.Seeds), procs, refRes.Summary.WallClock)
-	fmt.Printf("killing processor 0 at t=%.3f s — the hybrid coordinator AND the\n", killAt)
-	fmt.Printf("stealing ring's initial token holder, the worst-case victim\n\n")
+	fmt.Fprintf(w, "killing processor 0 at t=%.3f s — the hybrid coordinator AND the\n", killAt)
+	fmt.Fprintf(w, "stealing ring's initial token holder, the worst-case victim\n\n")
 
 	// 2. The recoverable three: every seed completes, geometry lands on
 	// the fault-free digest bit for bit, and the recovery counters show
 	// how each algorithm got there.
-	fmt.Printf("%-9s %9s %7s %9s %9s %10s %9s\n",
+	fmt.Fprintf(w, "%-9s %9s %7s %9s %9s %10s %9s\n",
 		"alg", "wall(s)", "done", "adopted", "reforms", "failovers", "geometry")
 	for _, alg := range []core.Algorithm{core.LoadOnDemand, core.WorkStealing, core.HybridMS} {
 		cfg := experiments.MachineConfig(alg, procs, sc)
@@ -61,21 +69,21 @@ func main() {
 		cfg.Faults = faults.KillAt(killAt, 0)
 		res, err := core.Run(prob, cfg)
 		if err != nil {
-			log.Fatalf("%s under faults: %v", alg, err)
+			return fmt.Errorf("%s under faults: %w", alg, err)
 		}
 		s := res.Summary
 		geom := "IDENTICAL"
 		if trace.CanonicalDigest(res.Streamlines) != reference {
 			geom = "DIVERGED"
 		}
-		fmt.Printf("%-9s %9.3f %4d/%-3d %9d %9d %10d %9s\n",
+		fmt.Fprintf(w, "%-9s %9.3f %4d/%-3d %9d %9d %10d %9s\n",
 			alg, s.WallClock, s.StreamlinesCompleted, len(prob.Seeds),
 			s.SeedsAdopted, s.RingReforms, s.MasterFailovers, geom)
 		if geom != "IDENTICAL" {
-			log.Fatalf("%s: recovery changed geometry", alg)
+			return fmt.Errorf("%s: recovery changed geometry", alg)
 		}
 		if s.ProcsLost != 1 {
-			log.Fatalf("%s: expected exactly one lost processor, got %d", alg, s.ProcsLost)
+			return fmt.Errorf("%s: expected exactly one lost processor, got %d", alg, s.ProcsLost)
 		}
 	}
 
@@ -88,14 +96,14 @@ func main() {
 	_, err = core.Run(prob, cfg)
 	var ue *faults.UnrecoverableError
 	if !errors.As(err, &ue) {
-		log.Fatalf("static under faults returned %v, want *faults.UnrecoverableError", err)
+		return fmt.Errorf("static under faults returned %v, want *faults.UnrecoverableError", err)
 	}
-	fmt.Printf("\nstatic    refuses, typed: %v\n", ue)
+	fmt.Fprintf(w, "\nstatic    refuses, typed: %v\n", ue)
 
 	// 4. Escalation: kill three of eight processors in two waves. The
 	// survivors re-adopt work each time — including work already
 	// adopted once from an earlier victim.
-	fmt.Printf("\nmulti-kill (procs 0,1 at t=%.3f, proc 2 at t=%.3f):\n", killAt, 2*killAt)
+	fmt.Fprintf(w, "\nmulti-kill (procs 0,1 at t=%.3f, proc 2 at t=%.3f):\n", killAt, 2*killAt)
 	for _, alg := range []core.Algorithm{core.LoadOnDemand, core.WorkStealing, core.HybridMS} {
 		cfg := experiments.MachineConfig(alg, procs, sc)
 		cfg.CollectTraces = true
@@ -106,20 +114,21 @@ func main() {
 		}}
 		res, err := core.Run(prob, cfg)
 		if err != nil {
-			log.Fatalf("%s under multi-kill: %v", alg, err)
+			return fmt.Errorf("%s under multi-kill: %w", alg, err)
 		}
 		s := res.Summary
 		geom := "IDENTICAL"
 		if trace.CanonicalDigest(res.Streamlines) != reference {
 			geom = "DIVERGED"
 		}
-		fmt.Printf("  %-9s lost=%d adopted=%d done=%d/%d geometry %s\n",
+		fmt.Fprintf(w, "  %-9s lost=%d adopted=%d done=%d/%d geometry %s\n",
 			alg, s.ProcsLost, s.SeedsAdopted, s.StreamlinesCompleted, len(prob.Seeds), geom)
 		if geom != "IDENTICAL" || s.StreamlinesCompleted != int64(len(prob.Seeds)) {
-			log.Fatalf("%s: multi-kill recovery incomplete", alg)
+			return fmt.Errorf("%s: multi-kill recovery incomplete", alg)
 		}
 	}
-	fmt.Println("\nevery recovery bit-identical to the fault-free geometry —")
-	fmt.Println("adopted streamlines restart from their seeds through the same")
-	fmt.Println("deterministic integrator, so failure can reshape time, never results")
+	fmt.Fprintln(w, "\nevery recovery bit-identical to the fault-free geometry —")
+	fmt.Fprintln(w, "adopted streamlines restart from their seeds through the same")
+	fmt.Fprintln(w, "deterministic integrator, so failure can reshape time, never results")
+	return nil
 }

@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -22,6 +24,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// The ABC flow: a classic chaotic incompressible field.
 	f := field.DefaultABC()
 
@@ -46,10 +54,10 @@ func main() {
 		}
 		res, err := core.Run(prob, cfg)
 		if err != nil {
-			log.Fatalf("%s: %v", alg, err)
+			return fmt.Errorf("%s: %w", alg, err)
 		}
 		s := res.Summary
-		fmt.Printf("%-9s wall=%7.3fs  io=%7.3fs  comm=%7.4fs  E=%.3f  msgs=%d\n",
+		fmt.Fprintf(w, "%-9s wall=%7.3fs  io=%7.3fs  comm=%7.4fs  E=%.3f  msgs=%d\n",
 			alg, s.WallClock, s.TotalIO, s.TotalComm, s.BlockEfficiency, s.MsgsSent)
 	}
 
@@ -64,7 +72,7 @@ func main() {
 	}
 	res, err := core.Run(prob, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	long := res.Streamlines[0]
 	for _, sl := range res.Streamlines {
@@ -72,6 +80,7 @@ func main() {
 			long = sl
 		}
 	}
-	fmt.Printf("\nlongest streamline: id=%d, %d points, arc length %.2f, status %v\n",
+	fmt.Fprintf(w, "\nlongest streamline: id=%d, %d points, arc length %.2f, status %v\n",
 		long.ID, len(long.Points), long.ArcLength(), long.Status)
+	return nil
 }

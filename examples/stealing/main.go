@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -25,6 +27,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// Two seed clusters with wildly different streamline lifetimes.
 	f := field.Rotation{Omega: 1, Box: vec.Box(vec.Of(-1, -1, -0.2), vec.Of(1, 1, 0.2))}
 	d := grid.NewDecomposition(f.Bounds(), 4, 4, 1, 16)
@@ -47,60 +55,55 @@ func main() {
 		}
 	}
 
-	fmt.Println("imbalanced workload: 100 short-lived + 100 long-lived streamlines")
-	fmt.Printf("%-9s %10s %10s %12s %8s %8s\n", "alg", "wall(s)", "io(s)", "imbalance", "steals", "tokens")
-	for _, alg := range []core.Algorithm{core.LoadOnDemand, core.WorkStealing} {
-		res, err := core.Run(prob, config(alg))
-		if err != nil {
-			log.Fatalf("%s: %v", alg, err)
-		}
-		s := res.Summary
-		fmt.Printf("%-9s %10.3f %10.3f %12.2f %8d %8d\n",
-			alg, s.WallClock, s.TotalIO, s.Imbalance, s.StealHits, s.TokensPassed)
-	}
-
-	// The same run, processor by processor: without stealing, the
-	// processors owning the long orbits do essentially all the steps.
-	fmt.Println("\nper-processor integration steps (ondemand vs stealing):")
+	fmt.Fprintln(w, "imbalanced workload: 100 short-lived + 100 long-lived streamlines")
+	fmt.Fprintf(w, "%-9s %10s %10s %12s %8s %8s\n", "alg", "wall(s)", "io(s)", "imbalance", "steals", "tokens")
 	var perAlg [2][]int64
 	for i, alg := range []core.Algorithm{core.LoadOnDemand, core.WorkStealing} {
 		res, err := core.Run(prob, config(alg))
 		if err != nil {
-			log.Fatal(err)
+			return fmt.Errorf("%s: %w", alg, err)
 		}
+		s := res.Summary
+		fmt.Fprintf(w, "%-9s %10.3f %10.3f %12.2f %8d %8d\n",
+			alg, s.WallClock, s.TotalIO, s.Imbalance, s.StealHits, s.TokensPassed)
 		for _, ps := range res.PerProc {
 			perAlg[i] = append(perAlg[i], ps.Steps)
 		}
 	}
-	fmt.Printf("%-10s", "proc")
+
+	// The same runs, processor by processor: without stealing, the
+	// processors owning the long orbits do essentially all the steps.
+	fmt.Fprintln(w, "\nper-processor integration steps (ondemand vs stealing):")
+	fmt.Fprintf(w, "%-10s", "proc")
 	for p := range perAlg[0] {
-		fmt.Printf("%8d", p)
+		fmt.Fprintf(w, "%8d", p)
 	}
-	fmt.Printf("\n%-10s", "ondemand")
+	fmt.Fprintf(w, "\n%-10s", "ondemand")
 	for _, v := range perAlg[0] {
-		fmt.Printf("%8d", v)
+		fmt.Fprintf(w, "%8d", v)
 	}
-	fmt.Printf("\n%-10s", "stealing")
+	fmt.Fprintf(w, "\n%-10s", "stealing")
 	for _, v := range perAlg[1] {
-		fmt.Printf("%8d", v)
+		fmt.Fprintf(w, "%8d", v)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Batch-size trade-off: one streamline per probe maximizes round
 	// trips; huge batches re-imbalance the ring with every transfer.
-	fmt.Println("\nsteal batch-size sweep:")
-	fmt.Printf("%-8s %10s %10s %10s\n", "batch", "wall(s)", "probes", "hits")
+	fmt.Fprintln(w, "\nsteal batch-size sweep:")
+	fmt.Fprintf(w, "%-8s %10s %10s %10s\n", "batch", "wall(s)", "probes", "hits")
 	for _, batch := range []int{1, 4, 16, 64} {
 		cfg := config(core.WorkStealing)
 		cfg.Steal.Batch = batch
 		res, err := core.Run(prob, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		s := res.Summary
-		fmt.Printf("%-8d %10.3f %10d %10d\n", batch, s.WallClock, s.StealAttempts, s.StealHits)
+		fmt.Fprintf(w, "%-8d %10.3f %10d %10d\n", batch, s.WallClock, s.StealAttempts, s.StealHits)
 	}
 
-	fmt.Println("\n(all four algorithms produce bit-identical geometry; see")
-	fmt.Println(" TestAlgorithmEquivalence — stealing changes who integrates, not what)")
+	fmt.Fprintln(w, "\n(all four algorithms produce bit-identical geometry; see")
+	fmt.Fprintln(w, " TestAlgorithmEquivalence — stealing changes who integrates, not what)")
+	return nil
 }

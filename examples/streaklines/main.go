@@ -16,7 +16,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -25,14 +27,20 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	sc := experiments.SmallScale()
 	procs := sc.ProcCounts[0]
 
 	base, err := experiments.BuildProblem(experiments.Astro, experiments.Sparse, sc)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("astro sparse: %d seeds, injection window %.2f virtual seconds\n\n",
+	fmt.Fprintf(w, "astro sparse: %d seeds, injection window %.2f virtual seconds\n\n",
 		len(base.Seeds), sc.InjectWindow)
 
 	// 1. Geometry invariance: a particle's path after release does not
@@ -42,10 +50,10 @@ func main() {
 	refCfg.CollectTraces = true
 	refRes, err := core.Run(base, refCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	reference := trace.CanonicalDigest(refRes.Streamlines)
-	fmt.Printf("geometry digests (%d processors, reference t0/static %s...):\n", procs, reference[:16])
+	fmt.Fprintf(w, "geometry digests (%d processors, reference t0/static %s...):\n", procs, reference[:16])
 	schedules := []seeds.Schedule{
 		seeds.UniformStagger(0, sc.InjectWindow),
 		seeds.BurstWaves(0, sc.InjectWindow, 4), // the campaign's burst schedule
@@ -59,13 +67,13 @@ func main() {
 			cfg.CollectTraces = true
 			res, err := core.Run(prob, cfg)
 			if err != nil {
-				log.Fatalf("%s/%s: %v", sched.Name(), alg, err)
+				return fmt.Errorf("%s/%s: %w", sched.Name(), alg, err)
 			}
 			if digest := trace.CanonicalDigest(res.Streamlines); digest != reference {
-				log.Fatalf("%s/%s: geometry diverged from the t0 reference", sched.Name(), alg)
+				return fmt.Errorf("%s/%s: geometry diverged from the t0 reference", sched.Name(), alg)
 			}
 		}
-		fmt.Printf("  %-9s identical across all four algorithms\n", sched.Name())
+		fmt.Fprintf(w, "  %-9s identical across all four algorithms\n", sched.Name())
 	}
 
 	// 2. What injection reshapes: the working population. All-at-t0
@@ -73,20 +81,20 @@ func main() {
 	// many particles are ever simultaneously in flight (ActivePeak) and
 	// introduces release stalls where a processor is starved not by the
 	// machine but by the schedule.
-	fmt.Printf("\nall-at-t0 vs staggered release (%d processors):\n", procs)
-	fmt.Printf("  %-9s %15s %15s %12s\n", "alg", "wall(s)", "apeak", "rstalls")
+	fmt.Fprintf(w, "\nall-at-t0 vs staggered release (%d processors):\n", procs)
+	fmt.Fprintf(w, "  %-9s %15s %15s %12s\n", "alg", "wall(s)", "apeak", "rstalls")
 	stagger := base
 	stagger.Release = seeds.UniformStagger(0, sc.InjectWindow).Times(len(base.Seeds))
 	for _, alg := range core.Algorithms() {
 		t0Res, err := core.Run(base, experiments.MachineConfig(alg, procs, sc))
 		if err != nil {
-			log.Fatalf("%s t0: %v", alg, err)
+			return fmt.Errorf("%s t0: %w", alg, err)
 		}
 		stRes, err := core.Run(stagger, experiments.MachineConfig(alg, procs, sc))
 		if err != nil {
-			log.Fatalf("%s stagger: %v", alg, err)
+			return fmt.Errorf("%s stagger: %w", alg, err)
 		}
-		fmt.Printf("  %-9s %6.3f -> %6.3f %7d -> %5d %12d\n",
+		fmt.Fprintf(w, "  %-9s %6.3f -> %6.3f %7d -> %5d %12d\n",
 			alg,
 			t0Res.Summary.WallClock, stRes.Summary.WallClock,
 			t0Res.Summary.ActivePeak, stRes.Summary.ActivePeak,
@@ -97,21 +105,22 @@ func main() {
 	// (1 wave = the paper's t0 workload; many waves approach the
 	// continuous rake). The active peak falls roughly as 1/waves while
 	// the schedule stretches the run toward the window length.
-	fmt.Printf("\nload-on-demand under burst injection (%d processors):\n", procs)
-	fmt.Printf("  %-9s %10s %10s %10s %12s\n", "waves", "wall(s)", "apeak", "loads", "stall(s)")
+	fmt.Fprintf(w, "\nload-on-demand under burst injection (%d processors):\n", procs)
+	fmt.Fprintf(w, "  %-9s %10s %10s %10s %12s\n", "waves", "wall(s)", "apeak", "loads", "stall(s)")
 	for _, waves := range []int{1, 2, 4, 8} {
 		prob := base
 		prob.Release = seeds.BurstWaves(0, sc.InjectWindow, waves).Times(len(base.Seeds))
 		res, err := core.Run(prob, experiments.MachineConfig(core.LoadOnDemand, procs, sc))
 		if err != nil {
-			log.Fatalf("burst %d: %v", waves, err)
+			return fmt.Errorf("burst %d: %w", waves, err)
 		}
 		s := res.Summary
-		fmt.Printf("  %-9d %10.3f %10d %10d %12.3f\n",
+		fmt.Fprintf(w, "  %-9d %10.3f %10d %10d %12.3f\n",
 			waves, s.WallClock, s.ActivePeak, s.BlocksLoaded, s.ReleaseStallTime)
 	}
 
-	fmt.Println("\nthe same schedules run at campaign scale with `slrun -inject` and")
-	fmt.Println("`slbench -inject`; the §9 shape checks pin how staggering reshapes")
-	fmt.Println("load balance (`slbench -shapes`).")
+	fmt.Fprintln(w, "\nthe same schedules run at campaign scale with `slrun -inject` and")
+	fmt.Fprintln(w, "`slbench -inject`; the §9 shape checks pin how staggering reshapes")
+	fmt.Fprintln(w, "load balance (`slbench -shapes`).")
+	return nil
 }

@@ -98,7 +98,7 @@ func (k Key) Validate() error {
 	if !slices.Contains(datasets(), k.Dataset) {
 		return fmt.Errorf("experiments: unknown dataset %q (valid: astro, fusion, thermal)", k.Dataset)
 	}
-	if !slices.Contains(Seedings(), k.Seeding) {
+	if !slices.Contains(seedings(), k.Seeding) {
 		return fmt.Errorf("experiments: unknown seeding %q (valid: sparse, dense)", k.Seeding)
 	}
 	if !slices.Contains(core.Algorithms(), k.Alg) {

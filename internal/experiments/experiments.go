@@ -62,8 +62,8 @@ const (
 	Dense  Seeding = "dense"
 )
 
-// Seedings lists both seeding modes.
-func Seedings() []Seeding { return []Seeding{Sparse, Dense} }
+// seedings lists both seeding modes.
+func seedings() []Seeding { return []Seeding{Sparse, Dense} }
 
 // Scale sizes a campaign (ScaleByName). The "paper" scale reproduces the
 // paper's numbers; "default" reduces seed counts ~10× for tractable
@@ -313,7 +313,7 @@ func (cv Curves) problem(ds Dataset, seeding Seeding, unsteady bool) (core.Probl
 	if !slices.Contains(datasets(), ds) {
 		return core.Problem{}, fmt.Errorf("experiments: unknown dataset %q", ds)
 	}
-	if !slices.Contains(Seedings(), seeding) {
+	if !slices.Contains(seedings(), seeding) {
 		return core.Problem{}, fmt.Errorf("experiments: unknown seeding %q (valid: sparse, dense)", seeding)
 	}
 	if unsteady && cv.TimeSlices < 2 {
@@ -771,7 +771,7 @@ func (c *Campaign) logOutcome(out Outcome) {
 func (c *Campaign) datasetKeys(ds Dataset) []Key {
 	var keys []Key
 	t := c.Cell.normalized()
-	for _, seeding := range Seedings() {
+	for _, seeding := range seedings() {
 		for _, alg := range core.Algorithms() {
 			for _, procs := range c.Scale.ProcCounts {
 				keys = append(keys, Key{Dataset: ds, Seeding: seeding, Alg: alg, Procs: procs,

@@ -51,7 +51,7 @@ func TestFiguresCoverPaper(t *testing.T) {
 func TestBuildProblemAllDatasets(t *testing.T) {
 	sc := SmallScale()
 	for _, ds := range datasets() {
-		for _, seeding := range Seedings() {
+		for _, seeding := range seedings() {
 			prob, err := BuildProblem(ds, seeding, sc)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ds, seeding, err)
@@ -377,7 +377,7 @@ func TestDatasetFields(t *testing.T) {
 func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 	sc := SmallScale()
 	for _, ds := range datasets() {
-		for _, seeding := range Seedings() {
+		for _, seeding := range seedings() {
 			prob, err := BuildInjectedProblem(ds, seeding, sc, true, InjectT0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ds, seeding, err)

@@ -72,7 +72,7 @@ func TestKeyFieldIdentity(t *testing.T) {
 	}
 	swept := map[string]map[any]bool{
 		"Dataset": valueSet(datasets()),
-		"Seeding": valueSet(Seedings()),
+		"Seeding": valueSet(seedings()),
 		"Alg":     valueSet(core.Algorithms()),
 		"Procs":   valueSet(sc.ProcCounts),
 	}

@@ -156,7 +156,7 @@ func TestProblemMemoization(t *testing.T) {
 	c := NewCampaign(tinyScale())
 	c.Workers = 4
 	c.RunAll()
-	want := len(datasets()) * len(Seedings())
+	want := len(datasets()) * len(seedings())
 	if got := c.numProblems(); got != want {
 		t.Errorf("problems built = %d, want %d (one per dataset × seeding)", got, want)
 	}

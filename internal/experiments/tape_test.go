@@ -111,7 +111,7 @@ func tapeCells(sc Scale) []Key {
 	procs := sc.ProcCounts[0]
 	var keys []Key
 	for _, ds := range datasets() {
-		for _, seeding := range Seedings() {
+		for _, seeding := range seedings() {
 			for _, alg := range core.Algorithms() {
 				keys = append(keys, Key{Dataset: ds, Seeding: seeding, Alg: alg, Procs: procs})
 			}
@@ -406,7 +406,7 @@ func TestTapeLedgerColdShape(t *testing.T) {
 	var keys []Key
 	var steps int64
 	for _, ds := range datasets() {
-		for _, seeding := range Seedings() {
+		for _, seeding := range seedings() {
 			for _, unsteady := range []bool{false, true} {
 				id := Key{Dataset: ds, Seeding: seeding, Alg: core.LoadOnDemand, Procs: top, Unsteady: unsteady}
 				steps += lineSteps(t, id, sc, nil)
@@ -448,7 +448,7 @@ func TestTapeAdmission(t *testing.T) {
 	c := NewCampaign(sc)
 	var steps int64
 	for _, ds := range datasets() {
-		for _, seeding := range Seedings() {
+		for _, seeding := range seedings() {
 			steps += c.Run(Key{Dataset: ds, Seeding: seeding, Alg: core.LoadOnDemand, Procs: procs}).Summary.Steps
 		}
 	}
@@ -457,7 +457,7 @@ func TestTapeAdmission(t *testing.T) {
 		t.Errorf("one cell per problem: %+v, want six tapes, %d steps integrated and as many replayed", first, steps)
 	}
 	for _, ds := range datasets() {
-		for _, seeding := range Seedings() {
+		for _, seeding := range seedings() {
 			c.Run(Key{Dataset: ds, Seeding: seeding, Alg: core.WorkStealing, Procs: procs})
 		}
 	}

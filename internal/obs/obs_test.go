@@ -250,9 +250,6 @@ func TestSeries(t *testing.T) {
 	if s[2].BusyMean != 0 || s[2].BusyMax != 0 {
 		t.Fatalf("sample 2 busy = %g/%g, want 0/0", s[2].BusyMean, s[2].BusyMax)
 	}
-	if ActivePeak(s) != 2 {
-		t.Fatalf("ActivePeak = %d, want 2", ActivePeak(s))
-	}
 	if NewDigest().Series(1) != nil {
 		t.Fatal("digest-only recorder should have no series")
 	}

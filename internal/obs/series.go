@@ -155,18 +155,6 @@ func (r *Recorder) Series(interval float64) []Sample {
 	return samples
 }
 
-// ActivePeak returns the maximum Active gauge over the series — the
-// high-water mark of streamlines in circulation.
-func ActivePeak(samples []Sample) int64 {
-	var peak int64
-	for i := range samples {
-		if samples[i].Active > peak {
-			peak = samples[i].Active
-		}
-	}
-	return peak
-}
-
 // WriteSeriesCSV writes the series with a header row, fixed-format
 // floats (byte-identical across runs).
 func WriteSeriesCSV(w io.Writer, samples []Sample) error {
