@@ -82,6 +82,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "slbench: -csv and -json are mutually exclusive")
 		return 2
 	}
+	if *jobs < 0 {
+		fmt.Fprintf(stderr, "slbench: negative -j %d\n", *jobs)
+		return 2
+	}
 	sc, ok := experiments.ScaleByName(*scaleName)
 	if !ok {
 		fmt.Fprintf(stderr, "slbench: unknown scale %q\n", *scaleName)

@@ -125,6 +125,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if *jobs < 0 {
+		fmt.Fprintf(stderr, "slrun: negative -j %d\n", *jobs)
+		return 2
+	}
 	sc, ok := experiments.ScaleByName(*scaleName)
 	if !ok {
 		fmt.Fprintf(stderr, "slrun: unknown scale %q\n", *scaleName)

@@ -77,6 +77,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-scale", "small", "-alg", "ondemand", "-procs", "8,16", "-perproc", "-top", "2"},
 		{"-scale", "small", "-alg", "ondemand", "-procs", "8,16", "-perproc"},
 		{"-scale", "small", "-alg", "ondemand", "-procs", "8", "-top", "2"},
+		{"-scale", "small", "-procs", "8", "-j", "-3"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -78,6 +79,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "slserve: unexpected arguments: %v\n", fs.Args())
 		return 2
+	}
+	// A negative count or bound means nothing; serve.Config's defaulting
+	// would silently read it as the default, or as no bound at all.
+	for _, name := range []string{"workers", "tenant-limit", "timeout", "drain-timeout"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			fmt.Fprintf(stderr, "slserve: negative -%s %s\n", name, v)
+			return 2
+		}
 	}
 
 	cfg := serve.Config{

@@ -32,15 +32,25 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+// TestRunBadFlags: each is a usage error. The context is already done,
+// so a server that starts anyway drains at once instead of serving.
 func TestRunBadFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	cases := [][]string{
 		{"-definitely-not-a-flag"},
 		{"-scale", "galactic"},
 		{"positional"},
+		// Negative counts and bounds, never silently the default or
+		// "wait forever".
+		{"-addr", "127.0.0.1:0", "-workers", "-2"},
+		{"-addr", "127.0.0.1:0", "-tenant-limit", "-5"},
+		{"-addr", "127.0.0.1:0", "-timeout", "-1s"},
+		{"-addr", "127.0.0.1:0", "-drain-timeout", "-1s"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
-		if code := run(context.Background(), args, &out, &errw); code != 2 {
+		if code := run(ctx, args, &out, &errw); code != 2 {
 			t.Errorf("run(%v) = %d, want 2; stderr: %s", args, code, errw.String())
 		}
 	}

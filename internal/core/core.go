@@ -1,8 +1,8 @@
 // Package core implements four parallel streamline algorithms over the
 // simulated cluster — the paper's three plus a decentralized ablation —
 // as four rows of one table (policies, below; DESIGN.md §4): a row is a
-// placement (its builder), a balancing discipline, a termination rule
-// and its fault-recovery entry points.
+// placement (its builder), whether its pool loop steals, and its
+// fault-recovery entry points.
 //
 //   - Static Allocation (Section 4.1): parallelize over blocks; each
 //     processor owns a fixed 1/n of the blocks and streamlines are
@@ -15,7 +15,7 @@
 //     slaves, applying the five rules (Assign-loaded, Assign-unloaded,
 //     Send-force, Send-hint, Load) in the paper's 7-step sequence.
 //   - Work Stealing (this repo's extension of the paper's Section 8
-//     outlook; see DESIGN.md §6): Load On Demand's loop with balancing
+//     outlook; see DESIGN.md §6): Load On Demand's loop with stealing
 //     on — idle processors steal batches of inactive streamlines from
 //     probed victims, with termination detected by a circulating token
 //     ring — fully decentralized, no masters, no global counter.
@@ -87,33 +87,14 @@ func Algorithms() []Algorithm {
 	return []Algorithm{StaticAlloc, LoadOnDemand, HybridMS, WorkStealing}
 }
 
-// balancing names how a row moves work between processors after the
-// initial placement.
-type balancing int
-
-const (
-	balanceNone   balancing = iota // work stays where it was placed (static: follows block ownership)
-	balanceMaster                  // masters assign seeds and blocks by the five rules
-	balanceSteal                   // dry processors probe peers for batches
-)
-
-// termination names how a row's processors learn the run is over.
-type termination int
-
-const (
-	finishByCount  termination = iota // processor 0 counts terminations, broadcasts all-done
-	finishOwnSplit                    // each exits when its own split is done (the ledger, under a fault plan)
-	finishByMaster                    // the coordinator master counts, masters shut their slaves down
-	finishByToken                     // a token ring sums monotone completion counts
-)
-
 // policy is one row of the design-space table (DESIGN.md §4): what an
 // algorithm is, as far as Run and the recovery layer can tell.
 type policy struct {
 	// build spawns the processors and places blocks and seeds on them.
-	build   func(*runState)
-	balance balancing
-	finish  termination
+	build func(*runState)
+	// steal turns on the pool loop's stealing: dry processors probe peers
+	// for batches, and a token ring detects termination.
+	steal bool
 	// check rejects configs the row cannot run; nil accepts all.
 	check func(*Config) error
 	// The recovery entry points (recovery.go). died salvages and
@@ -129,14 +110,12 @@ type policy struct {
 // policies is the table: four algorithms, four rows. Static allocation's
 // recovery column is the typed refusal.
 var policies = map[Algorithm]policy{
-	StaticAlloc: {build: (*runState).buildStatic, balance: balanceNone, finish: finishByCount,
-		died: (*runState).staticDied},
-	LoadOnDemand: {build: (*runState).buildPoolWorkers, balance: balanceNone, finish: finishOwnSplit,
+	StaticAlloc: {build: (*runState).buildStatic, died: (*runState).staticDied},
+	LoadOnDemand: {build: (*runState).buildPoolWorkers,
 		died: (*runState).poolWorkerDied, route: (*runState).routeToSurvivors, ledgerFull: (*runState).releaseSurvivors},
-	HybridMS: {build: (*runState).buildHybrid, balance: balanceMaster, finish: finishByMaster,
-		check: checkHybrid,
-		died:  (*runState).hybridDied, route: (*runState).routeToMaster},
-	WorkStealing: {build: (*runState).buildPoolWorkers, balance: balanceSteal, finish: finishByToken,
+	HybridMS: {build: (*runState).buildHybrid, check: checkHybrid,
+		died: (*runState).hybridDied, route: (*runState).routeToMaster},
+	WorkStealing: {build: (*runState).buildPoolWorkers, steal: true,
 		died: (*runState).poolWorkerDied, route: (*runState).routeToSuccessor},
 }
 
@@ -871,7 +850,7 @@ func (w *worker) checkMemory(what string) bool {
 	return true
 }
 
-// advance integrates sl inside evaluator ev, bounded by block bounds,
+// advance integrates sl inside evaluator ev, bounded by its block,
 // charging compute time. It updates the streamline's status and block.
 // Geometry growth is tracked against the memory budget.
 //
@@ -882,9 +861,9 @@ func (w *worker) checkMemory(what string) bool {
 // next space-time block exactly as leaving the spatial bounds moves a
 // streamline to a neighbor block. None of the four algorithms special-
 // case time: block handoff, caching and communication see only BlockIDs.
-func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AABB) {
+func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator) {
 	p := w.run.prob
-	lim, epoch, unsteady, ok := w.segment(sl, ev, bounds)
+	lim, epoch, unsteady, ok := w.segment(sl, ev)
 	if !ok {
 		return
 	}
@@ -928,15 +907,15 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 }
 
 // segment returns the limits of sl's next segment inside evaluator ev:
-// the block's bounds, what is left of the step budget and, when the
+// the bounds of sl's block, what is left of the step budget and, when the
 // decomposition is time-sliced — unsteady — the end of the block's epoch.
 // It fails the run, and reports false, when an unsteady problem is served
 // an evaluator without a time-dependent face.
-func (w *worker) segment(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AABB) (lim integrate.AdvectLimits, epoch int, unsteady, ok bool) {
+func (w *worker) segment(sl *trace.Streamline, ev grid.Evaluator) (lim integrate.AdvectLimits, epoch int, unsteady, ok bool) {
 	p := w.run.prob
 	d := p.Provider.Decomp()
 	lim = integrate.AdvectLimits{
-		Bounds:   bounds,
+		Bounds:   d.Bounds(sl.Block),
 		MaxSteps: p.maxSteps() - sl.Steps,
 		MaxTime:  p.MaxTime,
 		Buf:      w.ptsBuf,
@@ -1009,7 +988,7 @@ func (w *worker) record(id int) []tapeSeg {
 	// without another advance call.
 	for sl.Status == trace.Active && sl.Steps < p.maxSteps() {
 		ev := p.Provider.Block(sl.Block)
-		lim, epoch, unsteady, ok := w.segment(sl, ev, d.Bounds(sl.Block))
+		lim, epoch, unsteady, ok := w.segment(sl, ev)
 		if !ok {
 			break
 		}

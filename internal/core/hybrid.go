@@ -288,14 +288,13 @@ func (s *slave) workableCount() int {
 // advanceInLoaded integrates sl across resident blocks until it leaves
 // them or terminates.
 func (s *slave) advanceInLoaded(sl *trace.Streamline, ev grid.Evaluator) {
-	d := s.r.prob.Provider.Decomp()
 	s.inHand = sl
 	for {
 		prev := sl.Block
 		if sl.Steps >= s.r.prob.maxSteps() {
 			sl.Status = trace.MaxedOut
 		} else {
-			s.w.advance(sl, ev, d.Bounds(sl.Block))
+			s.w.advance(sl, ev)
 		}
 		if sl.Status.Terminated() {
 			s.r.complete(s.w, sl)

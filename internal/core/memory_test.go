@@ -69,7 +69,7 @@ func TestAdvanceTracksGeometryGrowth(t *testing.T) {
 		w.adoptStreamline(sl)
 		before := w.geomBytes
 		ev := w.cache.Get(sl.Block)
-		w.advance(sl, ev, p.Provider.Decomp().Bounds(sl.Block))
+		w.advance(sl, ev)
 		if growth := w.geomBytes - before; growth != sl.MemoryBytes()-trace.StateBytes-trace.PointBytes {
 			t.Errorf("geomBytes grew %d, streamline grew %d",
 				growth, sl.MemoryBytes()-trace.StateBytes-trace.PointBytes)

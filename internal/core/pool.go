@@ -108,7 +108,7 @@ func (pl *pool) advanceOne() (terminated bool) {
 	if sl.Steps >= pl.r.prob.maxSteps() {
 		sl.Status = trace.MaxedOut
 	} else {
-		pl.w.advance(sl, ev, pl.r.prob.Provider.Decomp().Bounds(sl.Block))
+		pl.w.advance(sl, ev)
 	}
 	if !pl.w.checkMemory("streamline geometry") {
 		pl.inHand = nil

@@ -192,7 +192,7 @@ func (r *runState) staticWorker(w *worker, owner func(grid.BlockID) int, initial
 				// is about to need), overlapping the advance below.
 				w.prefetchPreload(preload)
 			}
-			w.advance(sl, ev, r.prob.Provider.Decomp().Bounds(sl.Block))
+			w.advance(sl, ev)
 		}
 		if !w.checkMemory("streamline geometry") {
 			return

@@ -68,7 +68,7 @@ func (m msgToken) Bytes() int64 { return 16 + int64(len(m.counts))*8 }
 // buildPoolWorkers places work for the two pool rows: each processor
 // gets a contiguous 1/n split of the block-grouped seeds ("grouped by
 // block to enhance data locality", Section 4.2) and a private LRU block
-// cache. The row's balancing entry decides whether they also steal.
+// cache. The row's steal entry decides whether they also steal.
 func (r *runState) buildPoolWorkers() {
 	n := r.cfg.Procs
 	recs := r.seedRecords()
@@ -105,7 +105,7 @@ type poolWorker struct {
 	completed int64
 	done      bool
 
-	// stealer is nil when the row's balancing is off: no token, no
+	// stealer is nil when the row's steal entry is off: no token, no
 	// probes, no peer watches, none of their state.
 	*stealer
 }
@@ -129,7 +129,7 @@ type stealer struct {
 func newPoolWorker(r *runState, w *worker, me, n int) *poolWorker {
 	pw := &poolWorker{r: r, w: w, me: me, n: n, pool: newPool(r, w)}
 	r.poolWorkers[me] = pw
-	if r.alg.balance != balanceSteal {
+	if !r.alg.steal {
 		return pw
 	}
 	pw.stealer = &stealer{rng: rand.New(rand.NewSource(int64(104729 + me)))}
@@ -220,7 +220,7 @@ func (pw *poolWorker) run(mine []seedRec) {
 			// Own split done. Without a fault plan that ends a Load On
 			// Demand processor; under one it stays to adopt what a later
 			// death may orphan, until the completion ledger is full.
-			if pw.r.alg.finish == finishOwnSplit && (!pw.r.faultsOn || pw.r.completedTotal == len(pw.r.prob.Seeds)) {
+			if pw.stealer == nil && (!pw.r.faultsOn || pw.r.completedTotal == len(pw.r.prob.Seeds)) {
 				return
 			}
 		}

@@ -18,7 +18,8 @@ import (
 // A segment — one advance call — is a pure function of the problem:
 // advance integrates from the streamline's own state (P, T, H, remaining
 // step budget) to the exit of the block that holds P, with no scheduling
-// quantum, and all three call sites bound it by Decomp().Bounds(sl.Block).
+// quantum, and worker.segment bounds it by Decomp().Bounds(sl.Block)
+// itself, so no caller can hand it other bounds.
 // So the k-th segment of streamline i is the same in every run of the
 // problem, whatever the algorithm, processor count, prefetch policy,
 // injection schedule or fault plan: exactly what the golden digests pin.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -221,83 +222,67 @@ func TestThermalDenseStaticOOMSmallScale(t *testing.T) {
 	}
 }
 
-func TestShapeChecksSmallScale(t *testing.T) {
-	// The full qualitative battery at CI scale. Individual claims that
-	// only manifest at larger scale are permitted to fail here ONLY if
-	// listed; everything else must pass. Drift fails either way: a listed
-	// claim that comes to pass is a stale entry, and a passing claim
-	// whose margin falls under the floor is about to flip.
+// TestClaims pins every shape claim's verdict and margin at the small and
+// default scales in testdata/claims.txt, one line per (scale, claim), so
+// a change that moves a margin or flips a verdict shows as a diff line.
+// Regenerate after a deliberate change:
+//
+//	go test ./internal/experiments -run TestClaims -update
+//
+// The default scale is the one the figures are read at: every claim must
+// hold there, whatever the file says.
+func TestClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign too slow for -short")
 	}
-	// Every §6 work-stealing claim and every §8 unsteady-pathline claim
-	// must pass even here: stealing beating Static on dense seeding (it
-	// survives the OOM), stealing losing to Hybrid under fusion's block
-	// contention, and time slicing widening the ondemand-vs-hybrid I/O
-	// gap are robust at all scales, so none of them appear in the allow
-	// list.
-	c := NewCampaign(SmallScale())
-	allowFail := map[string]bool{
-		// Small-scale runs (64 tiny blocks, 1 ms reads, hundreds of
-		// seeds) compress the cost structure so much that these four
-		// relative claims lose their regime. They fail ONLY here:
-		// `slbench -shapes` at the default scale passes every check
-		// (exit 0) and prints each claim's margin.
-		"Fig 5 (sparse): Hybrid stays within 1.5x of the best astro wall clock":         true,
-		"Fig 8: Static communicates more than Hybrid (astro sparse)":                    true,
-		"Fig 11: Static communication is higher for dense fusion seeds":                 true,
-		"Fig 13: dense thermal — Load-On-Demand outperforms Hybrid (compute hides I/O)": true,
-	}
-	// A passing claim must hold by at least marginFloor, so drift that
-	// erodes one fails here before it flips. The floor sits under the
-	// smallest nonzero margin at this scale, +0.000676 (Fig 13's OOM and
-	// §6's OOM survival: bytes needed against the budget). The exact facts
-	// hold at margin 0 by construction and are exempt.
-	const marginFloor = 0.0005
-	exact := map[string]bool{
-		"Fig 7 (sparse): block efficiency Static=1, Hybrid at or above Load-On-Demand":                 true,
-		"Fig 7 (dense): block efficiency Static=1, Hybrid at or above Load-On-Demand":                  true,
-		"§11: static allocation cannot survive processor loss — it fails with the typed error":         true,
-		"§11: survivors adopt the lost processor's streamlines and complete every seed (astro sparse)": true,
-		"§11: stealing re-forms its ring and keeps the fault penalty bounded (astro sparse)":           true,
-		"§11: hybrid pays a master-failover spike to recover (astro sparse)":                           true,
-	}
-	// slbench -shapes prewarms ShapeKeys on the worker pool, then runs the
-	// checks serially: ShapeKeys must list every cell CheckShapes reads,
-	// or the checks execute the missing ones one at a time.
-	var executions atomic.Int64
-	c.tune = func(*core.Config) { executions.Add(1) }
-	c.RunKeys(ShapeKeys(c))
-	prewarmed := executions.Load()
-	results := CheckShapes(c)
-	if n := executions.Load() - prewarmed; n != 0 {
-		t.Errorf("CheckShapes executed %d cells ShapeKeys does not list", n)
-	}
-	seen := make(map[string]bool)
-	for _, r := range results {
-		seen[r.Claim] = true
-		switch {
-		case !r.OK && !allowFail[r.Claim]:
-			t.Errorf("shape check failed: %s: %s (margin %+.3g)", r.Claim, r.Detail, r.Margin)
-		case r.OK && allowFail[r.Claim]:
-			t.Errorf("stale allow-list entry: %s now passes (margin %+.3g); remove it", r.Claim, r.Margin)
-		case r.OK && !exact[r.Claim] && r.Margin < marginFloor:
-			t.Errorf("shape check thin: %s holds by %+.3g, under the %g floor: %s", r.Claim, r.Margin, marginFloor, r.Detail)
+	got := map[string]string{}
+	for _, name := range []string{"small", "default"} {
+		sc, _ := ScaleByName(name)
+		c := NewCampaign(sc)
+		// slbench -shapes prewarms ShapeKeys on the worker pool, then runs
+		// the checks serially: ShapeKeys must list every cell CheckShapes
+		// reads, or the checks execute the missing ones one at a time.
+		var executions atomic.Int64
+		c.tune = func(*core.Config) { executions.Add(1) }
+		c.RunKeys(ShapeKeys(c))
+		prewarmed := executions.Load()
+		results := CheckShapes(c)
+		if n := executions.Load() - prewarmed; n != 0 {
+			t.Errorf("%s: CheckShapes executed %d cells ShapeKeys does not list", name, n)
 		}
-	}
-	for _, m := range []map[string]bool{allowFail, exact} {
-		for claim := range m {
-			if !seen[claim] {
-				t.Errorf("listed claim %q is not a shape check", claim)
+		for i, r := range results {
+			key := fmt.Sprintf("%s/%02d", name, i+1)
+			got[key] = claimLine(r)
+			if name == "default" && !r.OK {
+				t.Errorf("%s fails at the default scale: %s", key, got[key])
 			}
 		}
 	}
+	checkGoldenFile(t, "claims.txt", "Shape claims: <scale>/<nn> <PASS|FAIL> <got> <op> <bound> margin <m> | <claim>; a claim a failed cell broke gives <cell>: <error>", got)
+}
+
+// claimLine renders one claim for testdata/claims.txt: its verdict, the
+// comparison got op bound with its signed margin, each to 4 significant
+// digits, and its text. CheckShapes' Detail is "got op bound (margin m)"
+// for a comparison; for a claim a failed cell broke it is that cell's
+// label and error, and the line carries it instead.
+func claimLine(r ShapeResult) string {
+	verdict := "PASS"
+	if !r.OK {
+		verdict = "FAIL"
+	}
+	var got, bound float64
+	var op string
+	if _, err := fmt.Sscanf(r.Detail, "%g %s %g", &got, &op, &bound); err != nil {
+		return fmt.Sprintf("%s %s | %s", verdict, r.Detail, r.Claim)
+	}
+	return fmt.Sprintf("%s %.4g %s %.4g margin %+.4g | %s", verdict, r.Got, op, r.Bound, r.Margin, r.Claim)
 }
 
 // TestShapeChecksFailedCell: a claim that reads the summary of a failed
 // cell fails and names that cell, rather than comparing the zero summary.
 // Every Hybrid cell runs out of memory here, so no claim that reads one
-// may pass.
+// may pass, and its claims.txt line carries the cell, not a comparison.
 func TestShapeChecksFailedCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign too slow for -short")
@@ -318,8 +303,12 @@ func TestShapeChecksFailedCell(t *testing.T) {
 			continue
 		}
 		readsHybrid++
-		if res := results[i]; res.OK || res.Margin >= 0 || !strings.Contains(res.Detail, "/hybrid/") || !strings.Contains(res.Detail, "oom") {
+		res := results[i]
+		if res.OK || res.Margin >= 0 || !strings.Contains(res.Detail, "/hybrid/") || !strings.Contains(res.Detail, "oom") {
 			t.Errorf("%s: ok=%v margin=%+.3g detail %q, want a failure naming the hybrid cell's OOM", res.Claim, res.OK, res.Margin, res.Detail)
+		}
+		if line, want := claimLine(res), "FAIL "+res.Detail+" | "+res.Claim; line != want {
+			t.Errorf("claims.txt line %q, want %q", line, want)
 		}
 	}
 	if readsHybrid == 0 {

@@ -20,7 +20,7 @@ import (
 )
 
 // updateGoldens rewrites testdata/goldens.txt and testdata/summaries.txt
-// from the current build:
+// (and, under TestClaims, testdata/claims.txt) from the current build:
 //
 //	go test ./internal/experiments -run TestGoldenDigests -update
 //
@@ -29,7 +29,7 @@ import (
 // decision); a scheduler or algorithm change must NOT move the geometry
 // digests, and a refactor must not move either file — those are the
 // regressions this test exists to catch.
-var updateGoldens = flag.Bool("update", false, "rewrite the golden geometry and summary digests")
+var updateGoldens = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // summaryDigest is what testdata/summaries.txt records for one run: the
 // SHA-256 of its canonical summary/v1 encoding, or the error text when
@@ -210,7 +210,8 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 // checkGoldenFile compares got against testdata/<name> ("key value"
-// lines), or rewrites the file from got under -update.
+// lines, the value running to the end of the line), or rewrites the file
+// from got under -update, naming the calling test in its regenerate hint.
 func checkGoldenFile(t *testing.T, name, header string, got map[string]string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -222,7 +223,7 @@ func checkGoldenFile(t *testing.T, name, header string, got map[string]string) {
 		sort.Strings(keys)
 		var b strings.Builder
 		fmt.Fprintf(&b, "# %s\n", header)
-		b.WriteString("# Regenerate with: go test ./internal/experiments -run TestGoldenDigests -update\n")
+		fmt.Fprintf(&b, "# Regenerate with: go test ./internal/experiments -run %s -update\n", t.Name())
 		for _, k := range keys {
 			fmt.Fprintf(&b, "%s %s\n", k, got[k])
 		}
@@ -246,11 +247,11 @@ func checkGoldenFile(t *testing.T, name, header string, got map[string]string) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		parts := strings.Fields(line)
-		if len(parts) != 2 {
+		k, v, ok := strings.Cut(line, " ")
+		if !ok {
 			t.Fatalf("%s: malformed golden line %q", name, line)
 		}
-		want[parts[0]] = parts[1]
+		want[k] = v
 	}
 	if len(want) != len(got) {
 		t.Errorf("%s has %d entries, campaign produced %d", name, len(want), len(got))
@@ -262,8 +263,8 @@ func checkGoldenFile(t *testing.T, name, header string, got map[string]string) {
 			continue
 		}
 		if g != w {
-			t.Errorf("%s: %s: %.24s... differs from golden %.24s... — if intentional, regenerate with -update",
-				name, k, g, w)
+			t.Errorf("%s: %s differs from the golden — if intentional, regenerate with -update\n\tgot:    %s %s\n\tgolden: %s %s",
+				name, k, k, g, k, w)
 		}
 	}
 }

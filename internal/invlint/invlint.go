@@ -49,15 +49,8 @@ type Analyzer struct {
 type Pass struct {
 	// Analyzer is the checker this pass runs.
 	Analyzer *Analyzer
-	// Fset maps token positions of Files.
-	Fset *token.FileSet
-	// Files are the parsed source files of the package, including any
-	// in-package test files when the unit was built with them.
-	Files []*ast.File
-	// Pkg is the type-checked package.
-	Pkg *types.Package
-	// Info holds the type-checker's results for Files.
-	Info *types.Info
+	// The unit is the package under analysis: Fset, Files, Pkg, Info.
+	*unit
 
 	report func(Diagnostic)
 }
@@ -91,7 +84,8 @@ func (d Diagnostic) String() string {
 type unit struct {
 	// Fset maps token positions of Files.
 	Fset *token.FileSet
-	// Files are the unit's parsed source files.
+	// Files are the unit's parsed source files, including any in-package
+	// test files when the unit was built with them.
 	Files []*ast.File
 	// Pkg is the type-checked package.
 	Pkg *types.Package
@@ -106,10 +100,7 @@ func runUnit(u *unit, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range analyzers {
 		a.Run(&Pass{
 			Analyzer: a,
-			Fset:     u.Fset,
-			Files:    u.Files,
-			Pkg:      u.Pkg,
-			Info:     u.Info,
+			unit:     u,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
 		})
 	}
@@ -135,24 +126,19 @@ func runUnit(u *unit, analyzers []*Analyzer) []Diagnostic {
 // (package-level function or method), or nil for builtins, conversions
 // and indirect calls through function values.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch inst := fun.(type) { // generic instantiation f[T](...), f[T, U](...)
+	case *ast.IndexExpr:
+		fun = ast.Unparen(inst.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(inst.X)
+	}
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:
 		id = fun.Sel
-	case *ast.IndexExpr: // generic instantiation f[T](...)
-		if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			id = base
-		} else if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
-			id = sel.Sel
-		}
-	case *ast.IndexListExpr:
-		if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			id = base
-		} else if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
-			id = sel.Sel
-		}
 	}
 	if id == nil {
 		return nil
