@@ -88,13 +88,12 @@ func (bs *blocks[V]) all() iter.Seq2[grid.BlockID, V] {
 }
 
 // fullest returns the block holding the most, and what it holds — of
-// several such the lowest block — passing over blocks skip reports true
-// for (a nil skip passes over none). With no candidate it returns
+// several such the lowest block. With nothing held it returns
 // grid.NoBlock and an empty V.
-func (bs *blocks[V]) fullest(skip func(grid.BlockID) bool) (grid.BlockID, V) {
+func (bs *blocks[V]) fullest() (grid.BlockID, V) {
 	best := blockEntry[V]{b: grid.NoBlock}
 	for _, e := range bs.es {
-		if e.v.size() > best.v.size() && (skip == nil || !skip(e.b)) {
+		if e.v.size() > best.v.size() {
 			best = e
 		}
 	}

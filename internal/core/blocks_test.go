@@ -83,29 +83,22 @@ func TestBlocks(t *testing.T) {
 			name: "fullest: lowest block of a tie",
 			do: func(bs *blocks[pile[int]]) string {
 				fill(bs, 12, 31, 12, 5, 31, 5, 3)
-				b, p := bs.fullest(nil)
+				b, p := bs.fullest()
 				return fmt.Sprint(b, p)
 			},
 			want: "5 [3 5] | 3:[6] 5:[3 5] 12:[0 2] 31:[1 4] (total 7)",
 		},
 		{
-			name: "fullest: the skip passes over blocks",
-			do: func(bs *blocks[pile[int]]) string {
-				fill(bs, 12, 31, 12, 5, 31, 5, 3)
-				b, p := bs.fullest(func(b grid.BlockID) bool { return b == 5 })
-				return fmt.Sprint(b, p)
-			},
-			want: "12 [0 2] | 3:[6] 5:[3 5] 12:[0 2] 31:[1 4] (total 7)",
-		},
-		{
 			name: "fullest: nothing left to pick",
 			do: func(bs *blocks[pile[int]]) string {
-				b, _ := bs.fullest(nil)
-				fill(bs, 4)
-				b2, p := bs.fullest(func(grid.BlockID) bool { return true })
+				b, _ := bs.fullest()
+				fill(bs, 4, 6)
+				bs.set(4, nil)
+				bs.set(6, nil)
+				b2, p := bs.fullest()
 				return fmt.Sprint(b == grid.NoBlock, b2 == grid.NoBlock, len(p))
 			},
-			want: "true true 0 | 4:[0] (total 1)",
+			want: "true true 0 | (total 0)",
 		},
 		{
 			name: "the walk survives the body dropping what it visits",
@@ -169,7 +162,7 @@ func TestBlockTallies(t *testing.T) {
 	if got, want := dumpBlocks(&ts), "4:1 9:7 (total 8)"; got != want {
 		t.Errorf("after set: %s, want %s", got, want)
 	}
-	if b, n := ts.fullest(nil); b != 9 || n != 7 {
+	if b, n := ts.fullest(); b != 9 || n != 7 {
 		t.Errorf("fullest = %d (%d), want 9 (7)", b, n)
 	}
 	if ts.set(9, 0); ts.len() != 1 || ts.total() != 1 {

@@ -463,11 +463,12 @@ func TestHybridTopology(t *testing.T) {
 // TestMasterModelOrder pins the orders the hybrid master's decisions run
 // in, none of them sorted per decision: a slave's loaded set reads
 // ascending however it grew, and of several equally busy blocks in its
-// perBlock the lowest wins.
+// perBlock or its stranded blocks the lowest wins. A stranded block the
+// slave is then told to load leaves the stranded list.
 func TestMasterModelOrder(t *testing.T) {
 	s := &slaveRec{}
 	for _, b := range []grid.BlockID{9, 2, 40, 2, 17, 9, 0} {
-		s.loaded = insertSorted(s.loaded, b)
+		s.load(b)
 	}
 	if want := []grid.BlockID{0, 2, 9, 17, 40}; !slices.Equal(s.loaded, want) {
 		t.Errorf("loaded set %v, want %v", s.loaded, want)
@@ -476,15 +477,22 @@ func TestMasterModelOrder(t *testing.T) {
 		t.Errorf("has disagrees with the loaded set %v", s.loaded)
 	}
 	for _, e := range []blockEntry[tally]{{31, 4}, {5, 7}, {17, 9}, {12, 7}, {3, 1}, {8, 7}} {
-		s.perBlock.set(e.b, e.v)
+		s.hold(e.b, e.v)
 	}
-	if b, n := busiest(s, false); b != 17 || n != 9 {
+	if b, n := s.perBlock.fullest(); b != 17 || n != 9 {
 		t.Errorf("busiest = block %d (%d), want the loaded block 17 (9)", b, n)
 	}
-	if b, n := busiest(s, true); b != 5 || n != 7 {
+	if b, n := s.stranded.fullest(); b != 5 || n != 7 {
 		t.Errorf("busiest unloaded = block %d (%d), want 5 (7), the lowest of three sevens", b, n)
 	}
-	if b, n := busiest(&slaveRec{}, true); b != grid.NoBlock || n != 0 {
+	s.load(5)
+	if b, n := s.stranded.fullest(); b != 8 || n != 7 {
+		t.Errorf("busiest unloaded after loading 5 = block %d (%d), want 8 (7)", b, n)
+	}
+	if got := dumpBlocks(&s.stranded); got != "3:1 8:7 12:7 31:4 (total 19)" || s.active != 35 {
+		t.Errorf("stranded %s (active %d), want 3:1 8:7 12:7 31:4 (total 19) (active 35)", got, s.active)
+	}
+	if b, n := (&slaveRec{}).stranded.fullest(); b != grid.NoBlock || n != 0 {
 		t.Errorf("busiest of an idle slave = block %d (%d), want none", b, n)
 	}
 }
@@ -492,7 +500,7 @@ func TestMasterModelOrder(t *testing.T) {
 // TestForceOffloadWalksPastForcedBlocks pins step 1 over the list a force
 // edits under it: a slave (endpoint 1) holds unloaded blocks {3: 2, 5: 1,
 // 9: 4}, and each force drops the block it moves from the slave's
-// perBlock while forceOffload walks that perBlock. Every block must be
+// stranded list while forceOffload walks that list. Every block must be
 // visited once, in ascending order — the forced ones leave, the rest
 // stay — and the slave must be told exactly those forces, in that order.
 func TestForceOffloadWalksPastForcedBlocks(t *testing.T) {
@@ -516,16 +524,15 @@ func TestForceOffloadWalksPastForcedBlocks(t *testing.T) {
 		proc := r.kernel.Spawn("master", func(*sim.Proc) {
 			s := &slaveRec{ep: 1}
 			for _, e := range []blockEntry[tally]{{9, 4}, {3, 2}, {5, 1}} {
-				s.perBlock.set(e.b, e.v)
-				s.active += int(e.v)
+				s.hold(e.b, e.v)
 			}
 			peers := [2]*slaveRec{{ep: 2}, {ep: 3}}
 			for i, peer := range peers {
-				peer.loaded = []grid.BlockID{tc.peerLoaded[i]}
+				peer.load(tc.peerLoaded[i])
 			}
 			m := &master{r: r, w: mw, slaves: []*slaveRec{s, peers[0], peers[1]}}
 			m.forceOffload(s)
-			if got := dumpBlocks(&s.perBlock); got != tc.stays || s.active != tc.slaveActiveAfter {
+			if got := dumpBlocks(&s.perBlock); got != tc.stays || dumpBlocks(&s.stranded) != got || s.active != tc.slaveActiveAfter {
 				t.Errorf("peers hold %v: slave keeps %s (active %d), want %s (active %d)",
 					tc.peerLoaded, got, s.active, tc.stays, tc.slaveActiveAfter)
 			}

@@ -443,7 +443,9 @@ func (s *slave) runAsMaster(pm msgPromote) {
 // --- master ---
 
 // slaveRec is the master's model of one slave, updated from statuses and
-// optimistically adjusted when instructions are sent.
+// optimistically adjusted when instructions are sent. Its counts and
+// lists are written only by adopt, hold and load, which keep stranded
+// equal to perBlock less the blocks in loaded.
 type slaveRec struct {
 	ep     int
 	active int
@@ -451,11 +453,15 @@ type slaveRec struct {
 	// its last status's list, adopted as is, then moved by every force
 	// and assignment the master sends.
 	perBlock blocks[tally]
-	// loaded is the slave's resident set, ascending, so that the rules
-	// that walk it (steps 3 and 4) sort nothing per decision: it is sorted
-	// once where a status lands and grows by insertSorted where the master
-	// has the slave load a block.
-	loaded          []grid.BlockID
+	// loaded is the slave's resident set, ascending, so that step 4 walks
+	// it in block order and has searches it, sorting nothing per decision:
+	// it is sorted once where a status lands and grows by insertSorted
+	// where the master has the slave load a block.
+	loaded []grid.BlockID
+	// stranded is perBlock less the blocks in loaded: the streamlines the
+	// slave cannot advance where they sit. Steps 1, 2, 3, 6 and 7 read
+	// it instead of probing perBlock against loaded per decision.
+	stranded        blocks[tally]
 	needsWork       bool
 	hintOutstanding bool
 }
@@ -464,6 +470,47 @@ type slaveRec struct {
 func (s *slaveRec) has(b grid.BlockID) bool {
 	_, ok := slices.BinarySearch(s.loaded, b)
 	return ok
+}
+
+// adopt makes a status the model of its slave, and derives the stranded
+// blocks from it in one merge of two ascending lists. stranded keeps its
+// own backing array from status to status.
+func (s *slaveRec) adopt(st msgStatus) {
+	s.active = st.active
+	s.perBlock = st.perBlock
+	// st.loaded arrives in MRU order: sorted here, once per status.
+	s.loaded = append(s.loaded[:0], st.loaded...)
+	slices.Sort(s.loaded)
+	s.stranded = blocks[tally]{es: s.stranded.es[:0]}
+	i := 0
+	for _, e := range s.perBlock.es {
+		for i < len(s.loaded) && s.loaded[i] < e.b {
+			i++
+		}
+		if i == len(s.loaded) || s.loaded[i] != e.b {
+			s.stranded.es = append(s.stranded.es, e)
+			s.stranded.n += int(e.v)
+		}
+	}
+	s.needsWork = st.needsWork
+	s.hintOutstanding = false
+}
+
+// hold makes n the slave's count in block b, moving active by the
+// difference.
+func (s *slaveRec) hold(b grid.BlockID, n tally) {
+	s.active += int(n - s.perBlock.get(b))
+	s.perBlock.set(b, n)
+	if !s.has(b) {
+		s.stranded.set(b, n)
+	}
+}
+
+// load adds b to the slave's resident set: its streamlines there are no
+// longer stranded.
+func (s *slaveRec) load(b grid.BlockID) {
+	s.loaded = insertSorted(s.loaded, b)
+	s.stranded.set(b, 0)
 }
 
 // master is one Hybrid master: its model of each slave in the group,
@@ -683,14 +730,7 @@ func (m *master) onStatus(st msgStatus) {
 		}
 		m.slaves = slices.Insert(m.slaves, i, &slaveRec{ep: st.slave})
 	}
-	rec := m.slaves[i]
-	rec.active = st.active
-	rec.perBlock = st.perBlock
-	// st.loaded arrives in MRU order: sorted here, once per status.
-	rec.loaded = append(rec.loaded[:0], st.loaded...)
-	slices.Sort(rec.loaded)
-	rec.needsWork = st.needsWork
-	rec.hintOutstanding = false
+	m.slaves[i].adopt(st)
 
 	if st.completedDelta > 0 {
 		if m.isCoord() {
@@ -806,7 +846,7 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 
 	// Step 2 (Load): S has more than NL streamlines piled in one unloaded
 	// block — cheaper for S to load the block itself.
-	if b, n := busiest(s, true); n > hp.NL {
+	if b, n := s.stranded.fullest(); int(n) > hp.NL {
 		m.instructLoad(s, b)
 		return true
 	}
@@ -832,7 +872,7 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 	}
 
 	// Step 6 (Load): load S's own most-populated block.
-	if b, n := busiest(s, true); n > 0 {
+	if b, n := s.stranded.fullest(); n > 0 {
 		m.instructLoad(s, b)
 		return true
 	}
@@ -845,9 +885,9 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 	// streamlines are immediately workable.
 	if !s.hintOutstanding {
 		if busy := m.busiestSlave(s.ep); busy != nil {
-			b, n := busiest(busy, true)
+			b, n := busy.stranded.fullest()
 			if n == 0 {
-				b, n = busiest(busy, false)
+				b, n = busy.perBlock.fullest()
 			}
 			if n > 0 {
 				if !s.has(b) {
@@ -861,18 +901,6 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 	return false
 }
 
-// busiest returns s's block holding the most streamlines — among its
-// unloaded blocks only, when unloadedOnly is set — and of several such
-// the lowest.
-func busiest(s *slaveRec, unloadedOnly bool) (grid.BlockID, int) {
-	var skip func(grid.BlockID) bool
-	if unloadedOnly {
-		skip = s.has
-	}
-	b, n := s.perBlock.fullest(skip)
-	return b, int(n)
-}
-
 // force instructs from to send its streamlines in block b to to (the
 // Send-force rule) and updates the model — unless that would raise to's
 // load above NO ("will not increase the load on S2 above NO").
@@ -882,22 +910,17 @@ func (m *master) force(from, to *slaveRec, b grid.BlockID) bool {
 		return false
 	}
 	m.w.end.Send(from.ep, msgSendForce{block: b, to: to.ep})
-	to.active += int(n)
-	to.perBlock.set(b, to.perBlock.get(b)+n)
-	from.active -= int(n)
-	from.perBlock.set(b, 0)
+	to.hold(b, to.perBlock.get(b)+n)
+	from.hold(b, 0)
 	return true
 }
 
-// forceOffload implements step 1: S sends the streamlines it cannot
-// advance — those in blocks it has not loaded, ascending — to the first
-// group member having that block loaded. A force drops the block's entry
-// from the walk it happens under; the walk goes on from the next block.
+// forceOffload implements step 1: S sends its stranded streamlines,
+// ascending by block, to the first group member having that block
+// loaded. A force drops the block's entry from the walk it happens
+// under; the walk goes on from the next block.
 func (m *master) forceOffload(s *slaveRec) {
-	for b := range s.perBlock.all() {
-		if s.has(b) {
-			continue
-		}
+	for b := range s.stranded.all() {
 		for _, t := range m.slaves {
 			if t != s && t.has(b) && m.force(s, t, b) {
 				break
@@ -908,14 +931,15 @@ func (m *master) forceOffload(s *slaveRec) {
 
 // forceToward implements step 3: other slaves send S their streamlines
 // stranded in blocks S has loaded — peers ascending, and each peer's
-// blocks ascending.
+// blocks ascending. Only a peer's stranded blocks are looked up in S's
+// resident set, and most peers have none.
 func (m *master) forceToward(s *slaveRec) (sent bool) {
 	for _, t := range m.slaves {
 		if t == s {
 			continue
 		}
-		for _, b := range s.loaded {
-			if t.perBlock.get(b) > 0 && !t.has(b) && m.force(t, s, b) {
+		for b := range t.stranded.all() {
+			if s.has(b) && m.force(t, s, b) {
 				sent = true
 			}
 		}
@@ -950,13 +974,13 @@ func (m *master) busiestSlave(excludeEP int) *slaveRec {
 // instructLoad sends the Load rule and updates the model.
 func (m *master) instructLoad(s *slaveRec, b grid.BlockID) {
 	m.w.end.Send(s.ep, msgLoad{block: b})
-	s.loaded = insertSorted(s.loaded, b)
+	s.load(b)
 }
 
 // assignSeeds sends s up to N seeds from the pool's most-populated
 // block, the lowest of a tie (Assign-unloaded), if the pool holds any.
 func (m *master) assignSeeds(s *slaveRec) {
-	b, _ := m.pool.fullest(nil)
+	b, _ := m.pool.fullest()
 	m.assignSeedsFrom(s, b)
 }
 
@@ -971,9 +995,8 @@ func (m *master) assignSeedsFrom(s *slaveRec, b grid.BlockID) {
 	m.w.sendingRecs = batch
 	m.w.end.Send(s.ep, msgAssign{recs: batch, block: b})
 	m.w.sendingRecs = nil
-	s.active += n
-	s.perBlock.set(b, s.perBlock.get(b)+tally(n))
-	s.loaded = insertSorted(s.loaded, b)
+	s.load(b)
+	s.hold(b, s.perBlock.get(b)+tally(n))
 }
 
 // onSeedRequest shares up to W·N seeds with a starving peer master, from

@@ -135,7 +135,7 @@ func (pl *pool) advanceOne() (terminated bool) {
 // (the lowest of a tie) and makes its streamlines workable. Callers must
 // bail out if the run failed.
 func (pl *pool) loadBest() {
-	best, _ := pl.pending.fullest(nil)
+	best, _ := pl.pending.fullest()
 	if best == grid.NoBlock {
 		// All remaining streamlines vanished from pending: impossible
 		// unless bookkeeping broke.

@@ -364,27 +364,34 @@ func TestTapeSegmentOverrunFailsRun(t *testing.T) {
 	}
 }
 
-// BenchmarkTapeReplay prices a replaying run against an integrating one.
+// BenchmarkTapeReplay prices a replaying run against an integrating one,
+// at 8 processors and at 32. At 32 one master models 31 slaves (the
+// paper's W of 32), so there the master's rules walk the most peers.
 func BenchmarkTapeReplay(b *testing.B) {
-	p := testProblem(200)
-	cfg := testConfig(HybridMS, 8)
-	tape := newTape(p)
-	p.Tape = tape
-	if _, err := Run(p, cfg); err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		tape *Tape
-	}{{"integrate", nil}, {"replay", tape}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p.Tape = mode.tape
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := Run(p, cfg); err != nil {
-					b.Fatal(err)
+	for _, procs := range []int{8, 32} {
+		p := testProblem(200)
+		cfg := testConfig(HybridMS, procs)
+		if procs == 32 {
+			cfg.Hybrid.W = 32
+		}
+		tape := newTape(p)
+		p.Tape = tape
+		if _, err := Run(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name string
+			tape *Tape
+		}{{"integrate", nil}, {"replay", tape}} {
+			b.Run(fmt.Sprintf("%s/procs=%d", mode.name, procs), func(b *testing.B) {
+				p.Tape = mode.tape
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := Run(p, cfg); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
