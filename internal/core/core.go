@@ -39,8 +39,8 @@
 // simulated many times: worker.advance, the one place any algorithm
 // integrates, runs a streamline to the exit of its block as a pure
 // function of the streamline's own state, so a Problem may carry a
-// segment tape (Tape, tape.go): the first run to touch a streamline
-// integrates it, seed to end, and every run replays the record — same
+// segment tape (Tape, tape.go): one of the runs holding it integrates
+// each streamline once, seed to end, and every run replays the record — same
 // summaries, same per-processor statistics, same trace events, a
 // fraction of the host time (DESIGN.md §12). The tape
 // holds no geometry, because the simulated machine reads none: a

@@ -28,16 +28,21 @@ import (
 // geometry: the simulated machine reads a streamline's curve only as a
 // vertex count and a two-point tail (trace.Streamline), and a record
 // carries both. A line is recorded whole — seed to termination, outside
-// virtual time — by the first run that touches its streamline, and never
-// written again; every run holding the tape, that one included, replays
-// it, unless the run keeps curves (CollectTraces), whose streamlines
-// integrate and leave the tape alone. Any number of runs may hold a tape
+// virtual time — by the first run that touches its streamline or one
+// that helps (below), and never written again; every run holding the
+// tape, that one included, replays it, unless the run keeps curves
+// (CollectTraces), whose streamlines integrate and leave the tape alone. Any number of runs may hold a tape
 // at once: they share the recording between them as their simulations
-// reach the seeds, and two that meet at one unrecorded line cost the
-// second a wait of one streamline's integration, so each streamline is
-// integrated once whatever the timing and no run waits for another.
+// reach the seeds. A run that needs a line another run is recording does
+// not wait for it: it records the lowest line no run has claimed and then
+// looks again, and it blocks only when every line left is being recorded.
+// So two cells of a fresh problem do not form a convoy — the trailing one
+// asleep on each line the leading one holds — each streamline is
+// integrated once whatever the timing, and no run sleeps while a line is
+// left unclaimed.
 type Tape struct {
 	lines  []tapeLine
+	scan   atomic.Int64 // every line below it is done
 	bytes  atomic.Int64
 	filled atomic.Int64
 	count  *TapeCounters
@@ -84,21 +89,47 @@ func (t *Tape) Complete() bool { return t.filled.Load() == int64(len(t.lines)) }
 func (t *Tape) Bytes() int64 { return t.bytes.Load() }
 
 // line returns the segments of streamline id, which w records first if
-// no run has.
+// no run has. While another run holds the line, w records unclaimed lines
+// instead of waiting for it.
 func (t *Tape) line(w *worker, id int) []tapeSeg {
 	ln := &t.lines[id]
-	if !ln.done.Load() {
-		ln.mu.Lock()
-		if !ln.done.Load() {
-			ln.segs = w.record(id)
-			t.bytes.Add(int64(cap(ln.segs)) * int64(unsafe.Sizeof(tapeSeg{})))
-			t.filled.Add(1)
-			t.count.Lines.Add(1)
-			ln.done.Store(true)
+	for !ln.done.Load() {
+		if ln.mu.TryLock() {
+			t.fill(w, id)
+		} else if !t.help(w) {
+			ln.mu.Lock()
+			t.fill(w, id)
 		}
-		ln.mu.Unlock()
 	}
 	return ln.segs
+}
+
+// help records the lowest line no run has claimed, and reports false if
+// there is none.
+func (t *Tape) help(w *worker) bool {
+	for i := t.scan.Load(); i < int64(len(t.lines)); i++ {
+		if ln := &t.lines[i]; ln.done.Load() {
+			t.scan.CompareAndSwap(i, i+1)
+		} else if ln.mu.TryLock() {
+			t.fill(w, int(i))
+			return true
+		}
+	}
+	return false
+}
+
+// fill records line id unless a run did while w took its lock, and
+// releases the lock.
+func (t *Tape) fill(w *worker, id int) {
+	ln := &t.lines[id]
+	if !ln.done.Load() {
+		ln.segs = w.record(id)
+		t.bytes.Add(int64(cap(ln.segs)) * int64(unsafe.Sizeof(tapeSeg{})))
+		t.filled.Add(1)
+		t.count.Lines.Add(1)
+		ln.done.Store(true)
+	}
+	ln.mu.Unlock()
 }
 
 // replay moves sl over the segment as integrating it would have, and

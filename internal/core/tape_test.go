@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -314,6 +315,40 @@ func TestTapeFailedRecorderLeavesItsLines(t *testing.T) {
 	}
 	if got, steps := c.StepsIntegrated.Load(), whole.res.Summary.Steps; first == 0 || got != steps {
 		t.Errorf("the two recorders integrated %d and %d steps; want some, and together the whole run's %d", first, got-first, steps)
+	}
+}
+
+// TestTapeHelpsInsteadOfWaiting: a run that needs a line another run is
+// recording does not sleep on it. It records every line no run has
+// claimed meanwhile, and waits only when none is left; once the holder
+// lets go without recording, it records the held line itself. The run
+// stays identical to an untaped one, and integrates each streamline
+// once.
+func TestTapeHelpsInsteadOfWaiting(t *testing.T) {
+	p := testProblem(24)
+	cfg := testConfig(LoadOnDemand, 4)
+	want := runTaped(p, cfg, nil)
+	tape := newTape(p)
+	n := int64(len(p.Seeds))
+	held := &tape.lines[n/2]
+	held.mu.Lock() // as if another run were recording it
+	done := make(chan tapedRun, 1)
+	go func() { done <- runTaped(p, cfg, tape) }()
+	for deadline := time.Now().Add(30 * time.Second); tape.filled.Load() < n-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			held.mu.Unlock()
+			t.Fatalf("the run recorded %d of the %d free lines, then waited for the held one", tape.filled.Load(), n-1)
+		}
+	}
+	if held.done.Load() {
+		t.Fatal("the held line was recorded under another run's lock")
+	}
+	held.mu.Unlock()
+	requireSameRun(t, "helping run", <-done, want)
+	c, steps := tape.count, want.res.Summary.Steps
+	if c.Lines.Load() != n || c.StepsIntegrated.Load() != steps || c.StepsReplayed.Load() != steps {
+		t.Errorf("ledger: %d lines, %d steps integrated, %d replayed; want %d lines and the run's %d steps both ways",
+			c.Lines.Load(), c.StepsIntegrated.Load(), c.StepsReplayed.Load(), n, steps)
 	}
 }
 

@@ -6,9 +6,10 @@
 // schedule or fault plan (core.Tape explains why), so the campaign keeps
 // one tape per memoized problem and hands it to every cell. core does
 // the recording and the replaying — a line is recorded by whichever cell
-// touches its streamline first, so cells that meet on a fresh problem
-// share the integration and wait for each other one streamline at most;
-// this file decides only how long a tape lives. A tape holds segment
+// touches its streamline first, and a cell that finds its line being
+// recorded records the tape's other lines instead of waiting, so cells
+// that meet on a fresh problem share the integration with every core
+// busy; this file decides only how long a tape lives. A tape holds segment
 // records and no geometry — a few megabytes for the largest problem — so
 // there is no bound to manage.
 

@@ -293,10 +293,10 @@ func TestTapeConcurrentCells(t *testing.T) {
 			t.Errorf("%s/%s: ledger %+v: nothing was recorded or nothing replayed", problem.ds, problem.seeding, st)
 		}
 		if st.StepsIntegrated != steps || st.Recordings != 1 || (failing == 0 && st.StepsReplayed != delivered) {
-			// Whoever touches a streamline first records its line, and
-			// cells that meet there wait for the one line, so the problem
-			// is integrated once between them, the cells that fail
-			// included.
+			// Whoever touches a streamline first records its line, and a
+			// cell that finds its line being recorded records unclaimed
+			// lines meanwhile, so the problem is integrated once between
+			// the cells, the cells that fail included.
 			t.Errorf("%s/%s: ledger %+v, want one tape, the problem's %d steps integrated exactly once and %d replayed",
 				problem.ds, problem.seeding, st, steps, delivered)
 		}
