@@ -1,15 +1,14 @@
 // Benchmarks of the design choices called out in DESIGN.md §5 (the
-// ablations) and one benchmark per extension campaign, at the small
-// scale, reporting simulated metrics as custom benchmark outputs
-// (vwall-s, vio-s, vcomm-s, E); real time measures the simulator's own
-// cost. The paper's figures are `slbench -scale small` tables and the
-// benchmark's paper_sweep workload; the per-layer micro-benchmarks live
-// in bench/probes.go, under the names BENCHMARK.json declares.
+// ablations) at the small scale, reporting simulated metrics as custom
+// benchmark outputs (vwall-s, vio-s, vcomm-s, E), and three substrate
+// probes bench/probes.go does not report. Host time of the campaigns
+// themselves is measured in one place, the nested bench/ module, under
+// the names BENCHMARK.json declares; the paper's figures are
+// `slbench -scale small` tables.
 package repro
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/metrics"
-	"repro/internal/prefetch"
 	"repro/internal/seeds"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -182,27 +180,6 @@ func BenchmarkAblationSharedDisk(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignWorkers measures the host-parallel campaign engine:
-// the full 36-cell small-scale evaluation executed serially (j1) versus
-// one worker per CPU core (jN). Real time is the metric here — the
-// simulated results are bit-identical by construction (see
-// experiments.TestParallelCampaignMatchesSerial).
-func BenchmarkCampaignWorkers(b *testing.B) {
-	sc := experiments.SmallScale()
-	// One proc count keeps a single benchmark iteration tractable while
-	// still exercising every dataset, seeding and algorithm.
-	sc.ProcCounts = []int{sc.ProcCounts[len(sc.ProcCounts)/2]}
-	for _, j := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := experiments.NewCampaign(sc)
-				c.Workers = j
-				c.RunAll()
-			}
-		})
-	}
-}
-
 // BenchmarkTrilinearInterp prices one sampled-block query, the one
 // substrate bench/probes.go does not report.
 func BenchmarkTrilinearInterp(b *testing.B) {
@@ -270,162 +247,4 @@ func BenchmarkPathlineIOAmplification(b *testing.B) {
 		amplification = loads(sliced) / loads(steady)
 	}
 	b.ReportMetric(amplification, "io-amplification")
-}
-
-// BenchmarkPrefetchCampaign compares the asynchronous-prefetch policies
-// (DESIGN.md §8) on the Load-On-Demand astro cell, steady (off vs
-// neighbor) and unsteady (off vs temporal), reporting the simulated
-// stall, hidden-read time and prediction accuracy of each.
-func BenchmarkPrefetchCampaign(b *testing.B) {
-	sc := experiments.SmallScale()
-	procs := sc.ProcCounts[len(sc.ProcCounts)/2]
-	steady, err := experiments.BuildProblem(experiments.Astro, experiments.Sparse, sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	unsteady, err := experiments.BuildInjectedProblem(experiments.Astro, experiments.Sparse, sc, true, experiments.InjectT0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name     string
-		prob     core.Problem
-		unsteady bool
-		policy   prefetch.Policy
-	}{
-		{"steady-off", steady, false, prefetch.Off},
-		{"steady-neighbor", steady, false, prefetch.Neighbor},
-		{"unsteady-off", unsteady, true, prefetch.Off},
-		{"unsteady-temporal", unsteady, true, prefetch.Temporal},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := experiments.KeyMachineConfig(experiments.Key{
-				Dataset: experiments.Astro, Seeding: experiments.Sparse,
-				Alg: core.LoadOnDemand, Procs: procs,
-				Unsteady: tc.unsteady, Prefetch: tc.policy,
-			}, sc)
-			var s metrics.Summary
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(tc.prob, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s = res.Summary
-			}
-			b.ReportMetric(s.WallClock, "vwall-s")
-			b.ReportMetric(s.TotalIO, "vio-s")
-			b.ReportMetric(s.IOHiddenTime, "vhidden-s")
-			b.ReportMetric(float64(s.PrefetchHits), "hits")
-			b.ReportMetric(float64(s.PrefetchIssued), "issued")
-		})
-	}
-}
-
-// BenchmarkInjectionCampaign compares the seed-release schedules
-// (DESIGN.md §9) on the Load-On-Demand astro cell: the paper's
-// all-at-t0 release against uniform staggering and burst waves,
-// reporting the simulated wall clock, the peak simultaneous working
-// population and the release-stall profile of each.
-func BenchmarkInjectionCampaign(b *testing.B) {
-	sc := experiments.SmallScale()
-	procs := sc.ProcCounts[len(sc.ProcCounts)/2]
-	for _, inj := range []experiments.Injection{
-		experiments.InjectT0, experiments.InjectStagger, experiments.InjectBurst,
-	} {
-		name := string(inj)
-		if !inj.Enabled() {
-			name = "t0"
-		}
-		b.Run(name, func(b *testing.B) {
-			prob, err := experiments.BuildInjectedProblem(experiments.Astro, experiments.Sparse, sc, false, inj)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := experiments.MachineConfig(core.LoadOnDemand, procs, sc)
-			var s metrics.Summary
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(prob, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s = res.Summary
-			}
-			b.ReportMetric(s.WallClock, "vwall-s")
-			b.ReportMetric(float64(s.ActivePeak), "apeak")
-			b.ReportMetric(float64(s.ReleaseStalls), "rstalls")
-			b.ReportMetric(s.ReleaseStallTime, "vstall-s")
-		})
-	}
-}
-
-// BenchmarkFaultRecoveryCampaign runs the three recoverable algorithms
-// on the astro cell with the kill plan armed (DESIGN.md §11) against
-// their fault-free baselines, reporting the simulated wall clock and
-// the recovery counters — the cost of losing the worst-case processor
-// (the hybrid coordinator and the stealing ring's initial token
-// holder) mid-run.
-func BenchmarkFaultRecoveryCampaign(b *testing.B) {
-	sc := experiments.SmallScale()
-	procs := sc.ProcCounts[len(sc.ProcCounts)/2]
-	prob, err := experiments.BuildProblem(experiments.Astro, experiments.Sparse, sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, alg := range []core.Algorithm{core.LoadOnDemand, core.WorkStealing, core.HybridMS} {
-		for _, fm := range []experiments.FaultMode{experiments.FaultsOff, experiments.FaultsKill} {
-			name := string(alg) + "-free"
-			if fm.Enabled() {
-				name = string(alg) + "-kill"
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := experiments.KeyMachineConfig(experiments.Key{
-					Dataset: experiments.Astro, Seeding: experiments.Sparse,
-					Alg: alg, Procs: procs, Faults: fm,
-				}, sc)
-				var s metrics.Summary
-				for i := 0; i < b.N; i++ {
-					res, err := core.Run(prob, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					s = res.Summary
-				}
-				b.ReportMetric(s.WallClock, "vwall-s")
-				b.ReportMetric(float64(s.ProcsLost), "lost")
-				b.ReportMetric(float64(s.SeedsAdopted), "adopted")
-				b.ReportMetric(float64(s.RingReforms), "reforms")
-				b.ReportMetric(float64(s.MasterFailovers), "failovers")
-			})
-		}
-	}
-}
-
-// BenchmarkUnsteadyCampaign runs the unsteady (pathline) astro cell for
-// every algorithm, reporting the simulated cost of the time dimension:
-// the same seeds and spatial decomposition as the steady Figure 5-8
-// cell, but traced through space-time blocks (DESIGN.md §7).
-func BenchmarkUnsteadyCampaign(b *testing.B) {
-	sc := experiments.SmallScale()
-	procs := sc.ProcCounts[len(sc.ProcCounts)/2]
-	prob, err := experiments.BuildInjectedProblem(experiments.Astro, experiments.Sparse, sc, true, experiments.InjectT0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, alg := range core.Algorithms() {
-		b.Run(string(alg), func(b *testing.B) {
-			cfg := experiments.KeyMachineConfig(experiments.Key{Alg: alg, Procs: procs, Unsteady: true}, sc)
-			var s metrics.Summary
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(prob, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s = res.Summary
-			}
-			b.ReportMetric(s.WallClock, "vwall-s")
-			b.ReportMetric(s.TotalIO, "vio-s")
-			b.ReportMetric(float64(s.EpochCrossings), "epochs")
-		})
-	}
 }

@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -68,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jobs       = fs.Int("j", 0, "sweep cells to run concurrently; 0 means one per CPU core")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof allocation profile (after the campaign) to this file")
-		compare    = fs.String("compare", "", "check this run against a checked-in BENCH_*.json trajectory file: exit 1 on schema drift, warn (only) when throughput fell >25% below it")
 		axes       = experiments.AxisFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -174,13 +172,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report = experiments.CheckShapes(c)
 	}
 
-	if *compare != "" {
-		if err := compareTrajectory(stderr, c, sc.Name, selected, *compare, elapsed); err != nil {
-			fmt.Fprintf(stderr, "slbench: %v\n", err)
-			return 1
-		}
-	}
-
 	if *jsonOut {
 		if err := writeJSONReport(stdout, c, sc.Name, selected, report, elapsed); err != nil {
 			fmt.Fprintf(stderr, "slbench: %v\n", err)
@@ -229,13 +220,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 // changes so downstream consumers (BENCH_*.json checks) can discriminate.
 const benchSchema = "slbench/v1"
 
-// minCompareElapsed is the shortest wall-clock duration the throughput
-// smoke trusts, on either side of the ratio: a nanosecond. Zero,
-// negative and denormal elapsed values (a hand-edited or truncated
-// trajectory file can carry any float) would overflow the steps/s
-// division into Inf and land it in the report.
-const minCompareElapsed = 1e-9
-
 // jsonReport is the machine-readable campaign result the -json flag
 // emits. Simulated metrics are deterministic for a given scale; only
 // the host block varies between runs.
@@ -282,88 +266,8 @@ type jsonHost struct {
 	// memory that took. It belongs to the host block because it depends
 	// on -j and on when the collector ran, never on the simulation.
 	// Additive to the v1 schema — older trajectory files decode it as
-	// nil, and -compare does not read it.
+	// nil.
 	Tape *experiments.TapeStats `json:"tape,omitempty"`
-}
-
-// compareTrajectory validates a checked-in BENCH_*.json trajectory file
-// against the run that just finished. Schema drift — the file does not
-// parse, carries a different schema version, or has structurally invalid
-// rows — is an error (the caller exits non-zero): it means the trajectory
-// must be regenerated before it can anchor regressions. The throughput
-// smoke is warn-only: wall-time throughput (simulated steps per host
-// second) more than 25% below the trajectory's prints a warning, because
-// CI hosts vary too much for a hard gate.
-func compareTrajectory(stderr io.Writer, c *experiments.Campaign, scale string, figs []experiments.Figure, path string, elapsed time.Duration) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("compare: %w", err)
-	}
-	var base jsonReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("compare: %s is not valid JSON: %w", path, err)
-	}
-	if base.Schema != benchSchema {
-		return fmt.Errorf("compare: schema drift: %s has %q, this binary emits %q — regenerate the trajectory", path, base.Schema, benchSchema)
-	}
-	if len(base.Figures) == 0 {
-		return fmt.Errorf("compare: schema drift: %s has no figures", path)
-	}
-	var baseSteps int64
-	for _, f := range base.Figures {
-		if len(f.Rows) == 0 {
-			return fmt.Errorf("compare: schema drift: %s figure %d has no rows", path, f.ID)
-		}
-		for _, row := range f.Rows {
-			if (row.Summary == nil) == (row.Error == "") {
-				return fmt.Errorf("compare: schema drift: %s figure %d row %q must carry exactly one of summary or error", path, f.ID, row.Label)
-			}
-			if row.Summary != nil {
-				baseSteps += row.Summary.Steps
-			}
-		}
-	}
-	if baseSteps <= 0 {
-		return fmt.Errorf("compare: schema drift: %s has no successful rows — no throughput to anchor, regenerate the trajectory", path)
-	}
-	// Guard the denominators: a zero, near-zero (sub-microsecond) or
-	// non-finite baseline elapsed would turn the rate arithmetic below
-	// into Inf/NaN percentages in the report.
-	if !(base.Host.ElapsedSeconds > minCompareElapsed) || math.IsInf(base.Host.ElapsedSeconds, 0) {
-		return fmt.Errorf("compare: schema drift: %s host block has no usable elapsed time (%v s)", path, base.Host.ElapsedSeconds)
-	}
-
-	var curSteps int64
-	for _, fig := range figs {
-		for _, row := range c.FigureRows(fig) {
-			if row.Err == nil {
-				curSteps += row.Summary.Steps
-			}
-		}
-	}
-	if curSteps == 0 || elapsed.Seconds() <= minCompareElapsed {
-		// Nothing ran (an empty or all-error selection), or it finished
-		// faster than the clock can meaningfully resolve — tiny -scale
-		// small CI cells do. Either way there is no throughput to smoke,
-		// and dividing by a near-zero elapsed would fabricate one.
-		return nil
-	}
-	baseRate := float64(baseSteps) / base.Host.ElapsedSeconds
-	curRate := float64(curSteps) / elapsed.Seconds()
-	// Same-scale runs are directly comparable: warn at a 25% drop. A
-	// different scale amortizes fixed per-cell cost over a different
-	// step count, so its steps/s is not commensurate — there the smoke
-	// only guards against order-of-magnitude collapse (an accidental
-	// quadratic loop, not host jitter).
-	floor := 0.75
-	if scale != base.Scale {
-		floor = 0.05
-	}
-	if curRate < floor*baseRate {
-		fmt.Fprintf(stderr, "slbench: WARNING: throughput %.0f steps/s (scale %s) is %.0f%% below the %s trajectory (%.0f steps/s, scale %s) — possible perf regression (warn-only)\n",
-			curRate, scale, 100*(1-curRate/baseRate), path, baseRate, base.Scale)
-	}
-	return nil
 }
 
 // writeJSONReport marshals the campaign's selected figures (and shape

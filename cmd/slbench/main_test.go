@@ -3,15 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/experiments"
-	"repro/internal/metrics"
 )
 
 func TestRunBadFlags(t *testing.T) {
@@ -207,9 +204,10 @@ func TestRunShapesJSON(t *testing.T) {
 
 // TestBenchArtifact validates every checked-in BENCH_*.json trajectory
 // point: each default-scale campaign snapshot must parse under the
-// current schema and cover every figure. The glob keeps the test honest
-// as the trajectory grows — a new point is validated the moment it is
-// checked in.
+// current schema, cover every figure and carry at least one successful
+// row. The glob keeps the test honest as the trajectory grows — a new
+// point is validated the moment it is checked in. A hand-made point
+// whose every row failed must be rejected.
 func TestBenchArtifact(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
 	if err != nil {
@@ -228,237 +226,82 @@ func TestBenchArtifact(t *testing.T) {
 		if err := json.Unmarshal(data, &rep); err != nil {
 			t.Fatalf("%s is not valid JSON: %v", name, err)
 		}
-		if rep.Schema != benchSchema {
-			t.Errorf("%s: schema = %q, want %q (regenerate with: go run ./cmd/slbench -json > %s)", name, rep.Schema, benchSchema, name)
+		for _, problem := range benchPointProblems(rep) {
+			t.Errorf("%s: %s", name, problem)
 		}
-		if rep.Scale != "default" {
-			t.Errorf("%s: scale = %q, want the default-scale campaign", name, rep.Scale)
-		}
-		if len(rep.Figures) != 12 {
-			t.Errorf("%s: figures = %d, want 12 (Figures 5-16)", name, len(rep.Figures))
-		}
-		for _, f := range rep.Figures {
-			if len(f.Rows) == 0 {
-				t.Errorf("%s: figure %d has no rows", name, f.ID)
-			}
-			for _, row := range f.Rows {
-				if (row.Summary == nil) == (row.Error == "") {
-					t.Errorf("%s: figure %d row %q must carry exactly one of summary or error", name, f.ID, row.Label)
-				}
-				// The percentile block is additive: older trajectory
-				// points legitimately lack it, but when present it must
-				// be internally consistent.
-				if p := row.Percentiles; p != nil {
-					if p.Events <= 0 || p.Bytes != p.Events*40 {
-						t.Errorf("%s: figure %d row %q percentile accounting off: %d events, %d bytes",
-							name, f.ID, row.Label, p.Events, p.Bytes)
-					}
-					if row.Summary != nil && (p.Steps.Count <= 0 || p.Steps.Min > p.Steps.Max) {
-						t.Errorf("%s: figure %d row %q steps digest malformed: %+v", name, f.ID, row.Label, p.Steps)
-					}
-				}
-			}
-		}
-		if rep.Host.ElapsedSeconds <= 0 {
-			t.Errorf("%s: host block has no elapsed time (the throughput smoke needs it)", name)
-		}
-		// The tape ledger is additive too: points from before the segment
-		// tape lack it; where present it must show the campaign taped —
-		// and replayed no more than its rows delivered (summed over all
-		// twelve figures, which lists every cell four times: a loose
-		// bound, but one a ledger counting the wrong thing would pass).
-		if tp := rep.Host.Tape; tp != nil {
-			var steps int64
-			for _, f := range rep.Figures {
-				for _, row := range f.Rows {
-					if row.Summary != nil {
-						steps += row.Summary.Steps
-					}
-				}
-			}
-			if tp.Recordings <= 0 || tp.Lines <= 0 || tp.BytesPeak <= 0 || tp.StepsIntegrated <= 0 {
-				t.Errorf("%s: tape ledger shows no recording: %+v", name, *tp)
-			}
-			if tp.StepsReplayed <= 0 || tp.StepsReplayed > steps {
-				t.Errorf("%s: tape ledger replayed %d steps, the rows delivered %d", name, tp.StepsReplayed, steps)
-			}
-		}
+	}
+
+	hollow := jsonReport{Schema: benchSchema, Scale: "default", Host: jsonHost{ElapsedSeconds: 1}}
+	for id := 5; id <= 16; id++ {
+		hollow.Figures = append(hollow.Figures, jsonFigure{ID: id, Rows: []jsonRow{{Label: "x", Error: "oom"}}})
+	}
+	problems := benchPointProblems(hollow)
+	if len(problems) != 1 || !strings.Contains(problems[0], "no successful row") {
+		t.Errorf("an all-error trajectory point gave %q, want one no-successful-row problem", problems)
 	}
 }
 
-// TestRunCompareTrajectory exercises the -compare gate end to end: a
-// healthy trajectory passes silently, an artificially fast one trips the
-// warn-only throughput smoke, and schema drift or a missing file fails
-// the run outright.
-func TestRunCompareTrajectory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign too slow for -short")
+// benchPointProblems lists what is wrong with one trajectory point.
+func benchPointProblems(rep jsonReport) []string {
+	var problems []string
+	report := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
+	if rep.Schema != benchSchema {
+		report("schema = %q, want %q (regenerate with: go run ./cmd/slbench -json > BENCH_NNN.json)", rep.Schema, benchSchema)
 	}
-	var base, errw bytes.Buffer
-	if code := run([]string{"-scale", "small", "-figure", "5", "-json", "-j", "4"}, &base, &errw); code != 0 {
-		t.Fatalf("baseline run = %d, stderr: %s", code, errw.String())
+	if rep.Scale != "default" {
+		report("scale = %q, want the default-scale campaign", rep.Scale)
 	}
-	var rep jsonReport
-	if err := json.Unmarshal(base.Bytes(), &rep); err != nil {
-		t.Fatal(err)
+	if len(rep.Figures) != 12 {
+		report("figures = %d, want 12 (Figures 5-16)", len(rep.Figures))
 	}
-	dir := t.TempDir()
-	writeRep := func(name string, r jsonReport) string {
-		data, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
+	var steps int64
+	succeeded := 0
+	for _, f := range rep.Figures {
+		if len(f.Rows) == 0 {
+			report("figure %d has no rows", f.ID)
 		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	// A slow baseline (100x the elapsed time → 1% of the throughput)
-	// cannot trip the smoke: exit 0, no warning.
-	slow := rep
-	slow.Host.ElapsedSeconds *= 100
-	var out bytes.Buffer
-	errw.Reset()
-	if code := run([]string{"-scale", "small", "-figure", "5", "-compare", writeRep("slow.json", slow)}, &out, &errw); code != 0 {
-		t.Fatalf("compare vs slow baseline = %d, stderr: %s", code, errw.String())
-	}
-	if strings.Contains(errw.String(), "WARNING") {
-		t.Errorf("slow baseline should not warn:\n%s", errw.String())
-	}
-
-	// An impossibly fast baseline must trip the warn-only smoke while
-	// still exiting 0.
-	fast := rep
-	fast.Host.ElapsedSeconds /= 1e6
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-scale", "small", "-figure", "5", "-compare", writeRep("fast.json", fast)}, &out, &errw); code != 0 {
-		t.Fatalf("compare vs fast baseline = %d (smoke must be warn-only), stderr: %s", code, errw.String())
-	}
-	if !strings.Contains(errw.String(), "WARNING") {
-		t.Errorf("fast baseline should warn about the throughput drop:\n%s", errw.String())
-	}
-
-	// Cross-scale comparison (the CI shape: small run vs the default-
-	// scale trajectory) must not warn on the inherent steps/s gap…
-	cross := rep
-	cross.Scale = "default"
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-scale", "small", "-figure", "5", "-compare", writeRep("cross.json", cross)}, &out, &errw); code != 0 {
-		t.Fatalf("cross-scale compare = %d, stderr: %s", code, errw.String())
-	}
-	if strings.Contains(errw.String(), "WARNING") {
-		t.Errorf("cross-scale compare at equal throughput should not warn:\n%s", errw.String())
-	}
-
-	// …but an order-of-magnitude collapse still trips the sanity bound.
-	crossFast := rep
-	crossFast.Scale = "default"
-	crossFast.Host.ElapsedSeconds /= 1e6
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-scale", "small", "-figure", "5", "-compare", writeRep("crossfast.json", crossFast)}, &out, &errw); code != 0 {
-		t.Fatalf("cross-scale fast compare = %d, stderr: %s", code, errw.String())
-	}
-	if !strings.Contains(errw.String(), "WARNING") {
-		t.Errorf("cross-scale order-of-magnitude collapse should warn:\n%s", errw.String())
-	}
-
-	// Schema drift is a hard failure.
-	drift := rep
-	drift.Schema = "slbench/v0"
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-scale", "small", "-figure", "5", "-compare", writeRep("drift.json", drift)}, &out, &errw); code != 1 {
-		t.Errorf("compare vs drifted schema = %d, want 1", code)
-	}
-	if !strings.Contains(errw.String(), "schema drift") {
-		t.Errorf("stderr should name the drift:\n%s", errw.String())
-	}
-
-	// So is a missing trajectory file.
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-scale", "small", "-figure", "5", "-compare", filepath.Join(dir, "absent.json")}, &out, &errw); code != 1 {
-		t.Errorf("compare vs missing file = %d, want 1", code)
-	}
-
-	// An all-error baseline (every cell failed when the trajectory was
-	// recorded) anchors no throughput — hard failure, not a division by
-	// its zero step count.
-	hollow := rep
-	hollow.Figures = []jsonFigure{{ID: 5, Title: "t", Rows: []jsonRow{{Label: "x", Error: "oom"}}}}
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-scale", "small", "-figure", "5", "-compare", writeRep("hollow.json", hollow)}, &out, &errw); code != 1 {
-		t.Errorf("compare vs all-error baseline = %d, want 1; stderr: %s", code, errw.String())
-	}
-	if !strings.Contains(errw.String(), "no successful rows") {
-		t.Errorf("stderr should name the hollow baseline:\n%s", errw.String())
-	}
-}
-
-// TestCompareTrajectoryGuards pins the denominator guards directly (no
-// campaign run needed): baselines with zero, negative, denormal or
-// missing elapsed time and baselines with no successful rows are hard
-// errors, and an empty current selection is silently skipped — never an
-// Inf-producing division.
-func TestCompareTrajectoryGuards(t *testing.T) {
-	c := experiments.NewCampaign(experiments.SmallScale())
-	dir := t.TempDir()
-	write := func(name string, r jsonReport) string {
-		t.Helper()
-		data, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	healthy := jsonReport{
-		Schema: benchSchema,
-		Scale:  "small",
-		Figures: []jsonFigure{{ID: 5, Title: "t", Rows: []jsonRow{
-			{Label: "x", Summary: &metrics.Summary{Steps: 1000}},
-		}}},
-		Host: jsonHost{ElapsedSeconds: 1},
-	}
-	var errw bytes.Buffer
-
-	// A healthy baseline against an empty current selection: nothing to
-	// smoke, no error, no warning.
-	if err := compareTrajectory(&errw, c, "small", nil, write("ok.json", healthy), time.Second); err != nil {
-		t.Fatalf("empty selection: %v", err)
-	}
-	// Same with a zero current elapsed — the other denominator.
-	if err := compareTrajectory(&errw, c, "small", nil, write("ok2.json", healthy), 0); err != nil {
-		t.Fatalf("zero current elapsed: %v", err)
-	}
-	if errw.Len() != 0 {
-		t.Fatalf("guards should be silent, got: %s", errw.String())
-	}
-
-	for name, mutate := range map[string]func(*jsonReport){
-		"zero elapsed":     func(r *jsonReport) { r.Host.ElapsedSeconds = 0 },
-		"negative elapsed": func(r *jsonReport) { r.Host.ElapsedSeconds = -3 },
-		"denormal elapsed": func(r *jsonReport) { r.Host.ElapsedSeconds = 1e-310 },
-		"all-error rows": func(r *jsonReport) {
-			r.Figures = []jsonFigure{{ID: 5, Title: "t", Rows: []jsonRow{{Label: "x", Error: "oom"}}}}
-		},
-	} {
-		bad := healthy
-		mutate(&bad)
-		err := compareTrajectory(&errw, c, "small", nil, write("bad.json", bad), time.Second)
-		if err == nil {
-			t.Errorf("%s: compareTrajectory accepted the baseline", name)
+		for _, row := range f.Rows {
+			if (row.Summary == nil) == (row.Error == "") {
+				report("figure %d row %q must carry exactly one of summary or error", f.ID, row.Label)
+			}
+			if row.Summary != nil {
+				succeeded++
+				steps += row.Summary.Steps
+			}
+			// The percentile block is additive: older trajectory
+			// points legitimately lack it, but when present it must
+			// be internally consistent.
+			if p := row.Percentiles; p != nil {
+				if p.Events <= 0 || p.Bytes != p.Events*40 {
+					report("figure %d row %q percentile accounting off: %d events, %d bytes",
+						f.ID, row.Label, p.Events, p.Bytes)
+				}
+				if row.Summary != nil && (p.Steps.Count <= 0 || p.Steps.Min > p.Steps.Max) {
+					report("figure %d row %q steps digest malformed: %+v", f.ID, row.Label, p.Steps)
+				}
+			}
 		}
 	}
+	if succeeded == 0 {
+		report("no successful row: a point whose every cell failed records no campaign")
+	}
+	if rep.Host.ElapsedSeconds <= 0 {
+		report("host block has no elapsed time: a trajectory point records how long its campaign ran")
+	}
+	// The tape ledger is additive too: points from before the segment
+	// tape lack it; where present it must show the campaign taped —
+	// and replayed no more than its rows delivered (summed over all
+	// twelve figures, which lists every cell four times: a loose
+	// bound, but one a ledger counting the wrong thing would pass).
+	if tp := rep.Host.Tape; tp != nil {
+		if tp.Recordings <= 0 || tp.Lines <= 0 || tp.BytesPeak <= 0 || tp.StepsIntegrated <= 0 {
+			report("tape ledger shows no recording: %+v", *tp)
+		}
+		if tp.StepsReplayed <= 0 || tp.StepsReplayed > steps {
+			report("tape ledger replayed %d steps, the rows delivered %d", tp.StepsReplayed, steps)
+		}
+	}
+	return problems
 }
 
 func TestRunPrefetchFigure(t *testing.T) {

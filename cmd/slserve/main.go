@@ -88,6 +88,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	// So does a tenant limit of 0, which would admit no cell at all.
+	if *tenantLimit == 0 {
+		fmt.Fprintln(stderr, "slserve: -tenant-limit 0 admits no cell: give at least 1")
+		return 2
+	}
 
 	cfg := serve.Config{
 		ScaleName:   *scaleName,

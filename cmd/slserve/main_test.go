@@ -41,10 +41,11 @@ func TestRunBadFlags(t *testing.T) {
 		{"-definitely-not-a-flag"},
 		{"-scale", "galactic"},
 		{"positional"},
-		// Negative counts and bounds, never silently the default or
-		// "wait forever".
+		// Negative counts and bounds, and a tenant limit of 0, never
+		// silently the default or "wait forever".
 		{"-addr", "127.0.0.1:0", "-workers", "-2"},
 		{"-addr", "127.0.0.1:0", "-tenant-limit", "-5"},
+		{"-addr", "127.0.0.1:0", "-tenant-limit", "0"},
 		{"-addr", "127.0.0.1:0", "-timeout", "-1s"},
 		{"-addr", "127.0.0.1:0", "-drain-timeout", "-1s"},
 	}

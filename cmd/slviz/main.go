@@ -137,17 +137,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		what = fmt.Sprintf("%d streamlines", len(res.Streamlines))
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(stderr, "slviz:", err)
-		return 1
-	}
-	defer f.Close()
-	if err := img.WritePPM(f); err != nil {
+	if err := writePPM(*out, img); err != nil {
 		fmt.Fprintln(stderr, "slviz:", err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "wrote %s: %s, %.1f%% pixel coverage\n",
 		*out, what, img.Coverage()*100)
 	return 0
+}
+
+// writePPM writes img to path as a binary PPM. A failed write or close
+// is an error, so a short write never reports success.
+func writePPM(path string, img *render.Image) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := img.WritePPM(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

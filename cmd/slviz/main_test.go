@@ -61,6 +61,24 @@ func TestRunWritesImage(t *testing.T) {
 	}
 }
 
+// TestRunReportsWriteFailure pins the exit status of an image that did
+// not reach its file: a full device refuses the write, and slviz says so
+// and exits 1 rather than confirming it.
+func TestRunReportsWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	var out, errw bytes.Buffer
+	args := []string{"-dataset", "fusion", "-out", "/dev/full",
+		"-width", "16", "-height", "12", "-lines", "2", "-steps", "20"}
+	if code := run(args, &out, &errw); code != 1 {
+		t.Fatalf("run = %d, want 1; stdout: %s", code, out.String())
+	}
+	if out.Len() != 0 || !strings.Contains(errw.String(), "slviz:") {
+		t.Errorf("a failed write must report on stderr only: stdout %q, stderr %q", out.String(), errw.String())
+	}
+}
+
 // TestRunThermalHonoursSteps pins -steps on the Figure 4 rendering:
 // dense thermal seeding picks its own short budget, which -steps must
 // replace, so two budgets draw two different pictures.

@@ -5,8 +5,8 @@
 //
 // The paper's campaigns release a fixed particle population at t0; real
 // in-situ and unsteady visualization injects particles continuously
-// (streak-line rakes, bursty seeding). A seeds.Schedule assigns every
-// seed a release time in virtual machine seconds; every algorithm parks
+// (streak-line rakes, bursty seeding). A schedule of package seeds
+// assigns every seed a release time in virtual machine seconds; every algorithm parks
 // unreleased work at zero cost until activation. The walkthrough first
 // verifies the subsystem's central invariant — injection reshapes
 // timing and load, never geometry — then shows what it reshapes: the
@@ -54,26 +54,30 @@ func run(w io.Writer) error {
 	}
 	reference := trace.CanonicalDigest(refRes.Streamlines)
 	fmt.Fprintf(w, "geometry digests (%d processors, reference t0/static %s...):\n", procs, reference[:16])
-	schedules := []seeds.Schedule{
-		seeds.UniformStagger(0, sc.InjectWindow),
-		seeds.BurstWaves(0, sc.InjectWindow, 4), // the campaign's burst schedule
-		seeds.RateLimit(0, sc.InjectWindow, sc.InjectRate),
+	n := len(base.Seeds)
+	schedules := []struct {
+		name    string
+		release []float64
+	}{
+		{"stagger", seeds.Stagger(n, 0, sc.InjectWindow)},
+		{"burst4", seeds.Bursts(n, 0, sc.InjectWindow, 4)}, // the campaign's burst schedule
+		{"rate", seeds.Rate(n, 0, sc.InjectWindow, sc.InjectRate)},
 	}
 	for _, sched := range schedules {
 		prob := base
-		prob.Release = sched.Times(len(base.Seeds))
+		prob.Release = sched.release
 		for _, alg := range core.Algorithms() {
 			cfg := experiments.MachineConfig(alg, procs, sc)
 			cfg.CollectTraces = true
 			res, err := core.Run(prob, cfg)
 			if err != nil {
-				return fmt.Errorf("%s/%s: %w", sched.Name(), alg, err)
+				return fmt.Errorf("%s/%s: %w", sched.name, alg, err)
 			}
 			if digest := trace.CanonicalDigest(res.Streamlines); digest != reference {
-				return fmt.Errorf("%s/%s: geometry diverged from the t0 reference", sched.Name(), alg)
+				return fmt.Errorf("%s/%s: geometry diverged from the t0 reference", sched.name, alg)
 			}
 		}
-		fmt.Fprintf(w, "  %-9s identical across all four algorithms\n", sched.Name())
+		fmt.Fprintf(w, "  %-9s identical across all four algorithms\n", sched.name)
 	}
 
 	// 2. What injection reshapes: the working population. All-at-t0
@@ -84,7 +88,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "\nall-at-t0 vs staggered release (%d processors):\n", procs)
 	fmt.Fprintf(w, "  %-9s %15s %15s %12s\n", "alg", "wall(s)", "apeak", "rstalls")
 	stagger := base
-	stagger.Release = seeds.UniformStagger(0, sc.InjectWindow).Times(len(base.Seeds))
+	stagger.Release = seeds.Stagger(n, 0, sc.InjectWindow)
 	for _, alg := range core.Algorithms() {
 		t0Res, err := core.Run(base, experiments.MachineConfig(alg, procs, sc))
 		if err != nil {
@@ -109,7 +113,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "  %-9s %10s %10s %10s %12s\n", "waves", "wall(s)", "apeak", "loads", "stall(s)")
 	for _, waves := range []int{1, 2, 4, 8} {
 		prob := base
-		prob.Release = seeds.BurstWaves(0, sc.InjectWindow, waves).Times(len(base.Seeds))
+		prob.Release = seeds.Bursts(n, 0, sc.InjectWindow, waves)
 		res, err := core.Run(prob, experiments.MachineConfig(core.LoadOnDemand, procs, sc))
 		if err != nil {
 			return fmt.Errorf("burst %d: %w", waves, err)

@@ -134,7 +134,7 @@ type Problem struct {
 	// MaxTime bounds each streamline's integration time (0 = unlimited).
 	MaxTime float64
 	// Release holds each seed's injection time in virtual machine
-	// seconds (seeds.Schedule, DESIGN.md §9); nil means the paper's
+	// seconds (package seeds, DESIGN.md §9); nil means the paper's
 	// fixed population, all released at time zero. A seed with a future
 	// release is zero-cost to every algorithm until its time arrives —
 	// parked, never advanced, loaded for, or migrated. Release gates

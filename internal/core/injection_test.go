@@ -9,11 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// injectedProblem returns testProblem(n) with a seed-release schedule
-// applied, spread over [0, window] virtual seconds.
-func injectedProblem(n int, sched seeds.Schedule) Problem {
-	p := testProblem(n)
-	p.Release = sched.Times(len(p.Seeds))
+// injectedProblem returns testProblem with one seed per release time,
+// released at those times.
+func injectedProblem(release []float64) Problem {
+	p := testProblem(len(release))
+	p.Release = release
 	return p
 }
 
@@ -29,13 +29,16 @@ func TestInjectionAlgorithmEquivalence(t *testing.T) {
 	ref := mustRun(t, base, cfgRef)
 	refDigest := trace.CanonicalDigest(ref.Streamlines)
 
-	schedules := []seeds.Schedule{
-		seeds.UniformStagger(0, 0.3),
-		seeds.BurstWaves(0, 0.3, 5),
-		seeds.RateLimit(0, 0.3, 500),
+	schedules := []struct {
+		name    string
+		release []float64
+	}{
+		{"stagger", seeds.Stagger(40, 0, 0.3)},
+		{"burst5", seeds.Bursts(40, 0, 0.3, 5)},
+		{"rate", seeds.Rate(40, 0, 0.3, 500)},
 	}
 	for _, sched := range schedules {
-		p := injectedProblem(40, sched)
+		p := injectedProblem(sched.release)
 		for _, alg := range Algorithms() {
 			for _, procs := range []int{2, 5} {
 				cfg := testConfig(alg, procs)
@@ -43,7 +46,7 @@ func TestInjectionAlgorithmEquivalence(t *testing.T) {
 				res := mustRun(t, p, cfg)
 				if got := trace.CanonicalDigest(res.Streamlines); got != refDigest {
 					t.Errorf("%s/%s/%d: geometry digest %s differs from t0 reference %s",
-						sched.Name(), alg, procs, got[:16], refDigest[:16])
+						sched.name, alg, procs, got[:16], refDigest[:16])
 				}
 			}
 		}
@@ -55,7 +58,7 @@ func TestInjectionAlgorithmEquivalence(t *testing.T) {
 // recorded when a schedule actually starves processors, and the active
 // peak never exceeds the seed count.
 func TestInjectionAllSeedsComplete(t *testing.T) {
-	p := injectedProblem(40, seeds.BurstWaves(0, 0.5, 4))
+	p := injectedProblem(seeds.Bursts(40, 0, 0.5, 4))
 	for _, alg := range Algorithms() {
 		res := mustRun(t, p, testConfig(alg, 4))
 		s := res.Summary
@@ -89,7 +92,7 @@ func TestInjectionShrinksActivePeak(t *testing.T) {
 	// A window several times the t0 wall clock forces long starvation
 	// gaps between releases, so only a few particles are ever in flight.
 	window := 5 * t0.Summary.WallClock
-	spread := mustRun(t, injectedProblem(40, seeds.UniformStagger(0, window)), testConfig(LoadOnDemand, 1))
+	spread := mustRun(t, injectedProblem(seeds.Stagger(40, 0, window)), testConfig(LoadOnDemand, 1))
 	if got := spread.Summary.ActivePeak; got >= 40/2 {
 		t.Errorf("staggered ActivePeak = %d, want well below 40", got)
 	}
@@ -114,7 +117,7 @@ func TestInjectionValidation(t *testing.T) {
 		{"Inf", func(p *Problem) { p.Release[7] = math.Inf(1) }, "invalid release"},
 	}
 	for _, tc := range cases {
-		p := injectedProblem(10, seeds.UniformStagger(0, 1))
+		p := injectedProblem(seeds.Stagger(10, 0, 1))
 		tc.mutate(&p)
 		_, err := Run(p, testConfig(LoadOnDemand, 2))
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -18,7 +18,7 @@ import (
 // TraceEvents/TraceBytes meta-counters excepted, by definition), and
 // the streamline geometry digests match exactly.
 func TestTraceDoesNotPerturb(t *testing.T) {
-	p := injectedProblem(40, seeds.UniformStagger(0, 0.3))
+	p := injectedProblem(seeds.Stagger(40, 0, 0.3))
 	for _, alg := range Algorithms() {
 		cfg := testConfig(alg, 4)
 		cfg.CollectTraces = true
@@ -53,7 +53,7 @@ func TestTraceDoesNotPerturb(t *testing.T) {
 // recorders: the event-stream hashes, the exported Chrome traces and
 // the percentile reports must agree byte for byte.
 func TestTraceByteIdentical(t *testing.T) {
-	p := injectedProblem(40, seeds.UniformStagger(0, 0.3))
+	p := injectedProblem(seeds.Stagger(40, 0, 0.3))
 	for _, alg := range Algorithms() {
 		var hashes []uint64
 		var exports [][]byte
@@ -88,7 +88,7 @@ func TestTraceByteIdentical(t *testing.T) {
 // the communicating algorithms send and receive; stealing passes the
 // termination token.
 func TestTraceEventCoverage(t *testing.T) {
-	p := injectedProblem(40, seeds.UniformStagger(0, 0.3))
+	p := injectedProblem(seeds.Stagger(40, 0, 0.3))
 	common := []obs.Kind{
 		obs.SpanCompute, obs.SpanIO, obs.MarkBlockLoad,
 		obs.MarkComplete, obs.MarkRelease,

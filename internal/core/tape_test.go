@@ -112,7 +112,7 @@ func TestBareMatchesCollected(t *testing.T) {
 			{"prefetch both", testUnsteadyProblem(24), withPrefetch(testConfig(alg, 4), prefetch.Both)},
 			{"NoGeometry", plain, noGeom},
 			{"unsteady", testUnsteadyProblem(24), testConfig(alg, 4)},
-			{"staggered", injectedProblem(40, seeds.UniformStagger(0, 0.3)), testConfig(alg, 4)},
+			{"staggered", injectedProblem(seeds.Stagger(40, 0, 0.3)), testConfig(alg, 4)},
 			{"kill", testProblem(60), kill},
 		} {
 			label := fmt.Sprintf("%s/%s", alg, c.name)
@@ -152,7 +152,7 @@ func TestBareMatchesCollected(t *testing.T) {
 func TestTapeReplayIsInvisible(t *testing.T) {
 	problems := map[string]Problem{
 		"steady":    testProblem(40),
-		"staggered": injectedProblem(40, seeds.UniformStagger(0, 0.3)),
+		"staggered": injectedProblem(seeds.Stagger(40, 0, 0.3)),
 		"unsteady":  testUnsteadyProblem(24),
 	}
 	for name, p := range problems {

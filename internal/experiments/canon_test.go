@@ -67,7 +67,7 @@ func TestCanonicalJSONPinned(t *testing.T) {
 		t.Errorf("minimal key canonical JSON drifted:\n got  %s\n want %s", got, wantMin)
 	}
 	full := Key{Dataset: Fusion, Seeding: Dense, Alg: core.WorkStealing, Procs: 32,
-		Unsteady: true, Prefetch: prefetch.Both, Injection: InjectBurst, Faults: FaultsKill}
+		Unsteady: true, Prefetch: prefetch.Both, Injection: injectBurst, Faults: faultsKill}
 	wantFull := `{"v":"key/v1","dataset":"fusion","seeding":"dense","alg":"stealing","procs":32,"unsteady":true,"prefetch":"both","injection":"burst","faults":"kill"}`
 	if got := string(full.CanonicalJSON()); got != wantFull {
 		t.Errorf("full key canonical JSON drifted:\n got  %s\n want %s", got, wantFull)
@@ -159,7 +159,7 @@ func TestParseKeyRejects(t *testing.T) {
 		t.Errorf("Validate with %d processors = %v, want a *procsError", maxProcs+1, err)
 	}
 	for _, k := range []Key{
-		{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 1, Faults: FaultsKill},
+		{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 1, Faults: faultsKill},
 		{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Procs: 1},
 	} {
 		var me *minProcsError

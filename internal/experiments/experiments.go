@@ -524,7 +524,7 @@ type Outcome struct {
 
 // Campaign runs and caches the full evaluation at one scale. A Campaign
 // is safe for concurrent use: Run and Compute may be called from any
-// number of goroutines, and the batch entry points (RunKeys, RunAll,
+// number of goroutines, and the batch entry points (RunKeys and
 // FigureRows) execute missing cells on a bounded worker pool (see
 // parallel.go). Every sweep cell is an independent deterministic
 // simulation, so results are bit-identical regardless of execution order
@@ -538,7 +538,7 @@ type Campaign struct {
 	// Log, when non-nil, receives progress lines as runs complete. Calls
 	// are serialized; completion order varies when Workers > 1.
 	Log func(string)
-	// Cell is the template of the key enumerators (datasetKeys, allKeys,
+	// Cell is the template of the key enumerators (datasetKeys and
 	// FigureKeys): every cell they emit copies its machine axes —
 	// Unsteady, Prefetch, Injection and Faults, the Key the slbench axis
 	// flags build (AxisFlags). Its Dataset, Seeding, Alg and Procs are
@@ -780,20 +780,6 @@ func (c *Campaign) datasetKeys(ds Dataset) []Key {
 		}
 	}
 	return keys
-}
-
-// allKeys enumerates the complete campaign in presentation order.
-func (c *Campaign) allKeys() []Key {
-	var keys []Key
-	for _, ds := range datasets() {
-		keys = append(keys, c.datasetKeys(ds)...)
-	}
-	return keys
-}
-
-// RunAll executes the complete campaign across every dataset.
-func (c *Campaign) RunAll() {
-	c.RunKeys(c.allKeys())
 }
 
 // Figure describes one of the paper's quantitative figures.

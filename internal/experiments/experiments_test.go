@@ -134,7 +134,7 @@ func checkMemoryBudget(t *testing.T, unsteady bool) {
 	for _, sc := range []Scale{SmallScale(), defaultScale(), paperScale()} {
 		t.Run(sc.Name, func(t *testing.T) {
 			budget := memoryBudget(sc, unsteady)
-			prob, err := BuildInjectedProblem(Thermal, Dense, sc, unsteady, InjectT0)
+			prob, err := BuildInjectedProblem(Thermal, Dense, sc, unsteady, injectT0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,7 +367,7 @@ func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 	sc := SmallScale()
 	for _, ds := range datasets() {
 		for _, seeding := range seedings() {
-			prob, err := BuildInjectedProblem(ds, seeding, sc, true, InjectT0)
+			prob, err := BuildInjectedProblem(ds, seeding, sc, true, injectT0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ds, seeding, err)
 			}
@@ -386,10 +386,10 @@ func TestBuildUnsteadyProblemAllDatasets(t *testing.T) {
 	}
 	single := sc
 	single.TimeSlices = 1
-	if _, err := BuildInjectedProblem(Astro, Sparse, single, true, InjectT0); err == nil {
+	if _, err := BuildInjectedProblem(Astro, Sparse, single, true, injectT0); err == nil {
 		t.Error("single time slice accepted")
 	}
-	if _, err := BuildInjectedProblem(Dataset("nope"), Sparse, sc, true, InjectT0); err == nil {
+	if _, err := BuildInjectedProblem(Dataset("nope"), Sparse, sc, true, injectT0); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 }
@@ -573,7 +573,7 @@ func TestCampaignLogsEachOutcome(t *testing.T) {
 	ok := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 8}
 	c.Run(ok)
 	c.Run(ok)
-	refused := Key{Dataset: Astro, Seeding: Sparse, Alg: core.StaticAlloc, Procs: 8, Faults: FaultsKill}
+	refused := Key{Dataset: Astro, Seeding: Sparse, Alg: core.StaticAlloc, Procs: 8, Faults: faultsKill}
 	c.Run(refused)
 	if len(lines) != 2 {
 		t.Fatalf("logged %d lines, want 2 (one per executed cell): %q", len(lines), lines)
@@ -594,7 +594,7 @@ func TestFigureColumnsFollowAxes(t *testing.T) {
 	if got := c.FigureColumns(fig); len(got) != 1 || got[0] != fig.Metric {
 		t.Errorf("plain campaign columns = %v", got)
 	}
-	c.Cell = Key{Unsteady: true, Prefetch: prefetch.Both, Injection: InjectStagger, Faults: FaultsKill}
+	c.Cell = Key{Unsteady: true, Prefetch: prefetch.Both, Injection: injectStagger, Faults: faultsKill}
 	want := []string{fig.Metric, "epochs", "psteps", "hidden", "prefetch", "pfwaste", "apeak", "rstalls",
 		"lost", "adopted", "reforms", "failovers", "sendfail"}
 	if got := c.FigureColumns(fig); strings.Join(got, ",") != strings.Join(want, ",") {

@@ -15,19 +15,19 @@ type FaultMode string
 
 // The fault scenarios.
 const (
-	FaultsOff  FaultMode = ""     // no injected failures
-	FaultsKill FaultMode = "kill" // kill processor 0 at FaultTime
+	faultsOff  FaultMode = ""     // no injected failures
+	faultsKill FaultMode = "kill" // kill processor 0 at FaultTime
 )
 
 // Enabled reports whether the mode injects any failures.
-func (f FaultMode) Enabled() bool { return f.normalized() != FaultsOff }
+func (f FaultMode) Enabled() bool { return f.normalized() != faultsOff }
 
 // normalized maps the equivalent fault-free spellings ("" and "off") to
 // the canonical zero value, so a cell cannot run or cache twice under
 // two names.
 func (f FaultMode) normalized() FaultMode {
 	if f == "off" {
-		return FaultsOff
+		return faultsOff
 	}
 	return f
 }
@@ -35,7 +35,7 @@ func (f FaultMode) normalized() FaultMode {
 // Validate rejects unknown fault modes (the -faults flag surface).
 func (f FaultMode) Validate() error {
 	switch f.normalized() {
-	case FaultsOff, FaultsKill:
+	case faultsOff, faultsKill:
 		return nil
 	}
 	return fmt.Errorf("experiments: unknown fault mode %q (want off or kill)", string(f))

@@ -7,17 +7,17 @@ import (
 
 func TestFaultModeAxis(t *testing.T) {
 	// The two fault-free spellings are one cache identity.
-	if FaultMode("off").normalized() != FaultsOff {
+	if FaultMode("off").normalized() != faultsOff {
 		t.Error(`"off" must normalize to the zero FaultMode`)
 	}
-	if FaultMode("off").Enabled() || FaultsOff.Enabled() {
+	if FaultMode("off").Enabled() || faultsOff.Enabled() {
 		t.Error("fault-free modes must not report Enabled")
 	}
-	if !FaultsKill.Enabled() {
+	if !faultsKill.Enabled() {
 		t.Error("kill must report Enabled")
 	}
 
-	for _, m := range []FaultMode{FaultsOff, FaultsKill, "off"} {
+	for _, m := range []FaultMode{faultsOff, faultsKill, "off"} {
 		if err := m.Validate(); err != nil {
 			t.Errorf("Validate(%q) = %v, want nil", m, err)
 		}
@@ -30,7 +30,7 @@ func TestFaultModeAxis(t *testing.T) {
 	// The key axis renders and normalizes like every other axis.
 	base := Key{Dataset: Astro, Seeding: Sparse, Alg: "ondemand", Procs: 8}
 	killed := base
-	killed.Faults = FaultsKill
+	killed.Faults = faultsKill
 	if l := killed.Label(); !strings.Contains(l, "+f:kill") {
 		t.Errorf("Label() = %q, want a +f:kill suffix", l)
 	}
@@ -44,13 +44,13 @@ func TestFaultModeAxis(t *testing.T) {
 func TestFaultPlanMaterialization(t *testing.T) {
 	sc := SmallScale()
 
-	if p := sc.faultPlan(FaultsOff); p.Enabled() {
+	if p := sc.faultPlan(faultsOff); p.Enabled() {
 		t.Errorf("fault-free plan = %v, want empty", p)
 	}
 
 	// The kill scenario takes processor 0, the worst-case victim, at the
 	// scale's kill time.
-	p := sc.faultPlan(FaultsKill)
+	p := sc.faultPlan(faultsKill)
 	if len(p.Events) != 1 || p.Events[0].Proc != 0 || p.Events[0].Time != sc.FaultTime {
 		t.Fatalf("plan = %+v, want processor 0 at t=%v", p.Events, sc.FaultTime)
 	}

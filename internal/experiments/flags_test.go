@@ -26,8 +26,8 @@ func TestAxisFlags(t *testing.T) {
 		{args: "-inject off"},
 		{args: "-unsteady", want: Key{Unsteady: true}},
 		{args: "-prefetch both", want: Key{Prefetch: prefetch.Both}},
-		{args: "-inject burst", want: Key{Injection: InjectBurst}},
-		{args: "-inject rate -faults kill", want: Key{Injection: InjectRate, Faults: FaultsKill}},
+		{args: "-inject burst", want: Key{Injection: injectBurst}},
+		{args: "-inject rate -faults kill", want: Key{Injection: injectRate, Faults: faultsKill}},
 	}
 	for _, tc := range cases {
 		fs := flag.NewFlagSet("axes", flag.ContinueOnError)

@@ -105,7 +105,7 @@ func TestGoldenDigests(t *testing.T) {
 			key := fmt.Sprintf("%s/%s", ds, workload)
 
 			probs := map[Injection]core.Problem{}
-			for _, inj := range []Injection{InjectT0, InjectStagger} {
+			for _, inj := range []Injection{injectT0, injectStagger} {
 				prob, err := BuildInjectedProblem(ds, Sparse, sc, unsteady, inj)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", key, inj, err)
@@ -121,7 +121,7 @@ func TestGoldenDigests(t *testing.T) {
 				// all. Neither may move a digest, so every algorithm is
 				// pinned across the full prefetch × injection cross.
 				for _, pf := range []prefetch.Policy{prefetch.Off, prefetch.Both} {
-					for _, inj := range []Injection{InjectT0, InjectStagger} {
+					for _, inj := range []Injection{injectT0, injectStagger} {
 						cfg := KeyMachineConfig(Key{Dataset: ds, Seeding: Sparse, Alg: alg,
 							Procs: procs, Unsteady: unsteady, Prefetch: pf, Injection: inj}, sc)
 						cfg.CollectTraces = true
@@ -150,9 +150,9 @@ func TestGoldenDigests(t *testing.T) {
 			// with its typed error rather than produce drifted results.
 			for _, alg := range core.Algorithms() {
 				cfg := KeyMachineConfig(Key{Dataset: ds, Seeding: Sparse, Alg: alg,
-					Procs: procs, Unsteady: unsteady, Faults: FaultsKill}, sc)
+					Procs: procs, Unsteady: unsteady, Faults: faultsKill}, sc)
 				cfg.CollectTraces = true
-				res, err := core.Run(probs[InjectT0], cfg)
+				res, err := core.Run(probs[injectT0], cfg)
 				if alg == core.StaticAlloc {
 					var ue *faults.UnrecoverableError
 					if !errors.As(err, &ue) {
@@ -184,7 +184,7 @@ func TestGoldenDigests(t *testing.T) {
 					Procs: procs, Unsteady: unsteady}, sc)
 				cfg.CollectTraces = true
 				cfg.Trace = obs.NewDigest()
-				res, err := core.Run(probs[InjectT0], cfg)
+				res, err := core.Run(probs[injectT0], cfg)
 				if err != nil {
 					t.Fatalf("%s/%s under tracing: %v", key, alg, err)
 				}

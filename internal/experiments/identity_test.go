@@ -36,8 +36,8 @@ var keyAlternatives = map[reflect.Type]any{
 	reflect.TypeFor[int]():             8,
 	reflect.TypeFor[bool]():            true,
 	reflect.TypeFor[prefetch.Policy](): prefetch.Neighbor,
-	reflect.TypeFor[Injection]():       InjectBurst,
-	reflect.TypeFor[FaultMode]():       FaultsKill,
+	reflect.TypeFor[Injection]():       injectBurst,
+	reflect.TypeFor[FaultMode]():       faultsKill,
 }
 
 // identityBase is the cell every TestKeyFieldIdentity pair starts from:
@@ -157,9 +157,9 @@ var scaleProbes = map[string]Key{
 	"ShortSteps":        {Dataset: Thermal, Seeding: Dense, Alg: core.LoadOnDemand, Procs: 4},
 	"TimeSlices":        {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Unsteady: true},
 	"PrefetchDepth":     {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Prefetch: prefetch.Neighbor},
-	"InjectWindow":      {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: InjectStagger},
-	"InjectRate":        {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: InjectRate},
-	"FaultTime":         {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Faults: FaultsKill},
+	"InjectWindow":      {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: injectStagger},
+	"InjectRate":        {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: injectRate},
+	"FaultTime":         {Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Faults: faultsKill},
 }
 
 // TestScaleFieldIdentity holds every Scale field to the scale name's

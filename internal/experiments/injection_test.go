@@ -6,12 +6,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/seeds"
+	"repro/internal/vec"
 )
 
 // TestInjectionValidateAndNormalize covers the flag-facing surface: the
 // accepted spellings, the rejected ones, and the canonical t0 collapse.
 func TestInjectionValidateAndNormalize(t *testing.T) {
-	for _, inj := range []Injection{InjectT0, "t0", "off", InjectStagger, InjectBurst, InjectRate} {
+	for _, inj := range []Injection{injectT0, "t0", "off", injectStagger, injectBurst, injectRate} {
 		if err := inj.Validate(); err != nil {
 			t.Errorf("%q rejected: %v", inj, err)
 		}
@@ -19,15 +20,15 @@ func TestInjectionValidateAndNormalize(t *testing.T) {
 	if err := Injection("poisson").Validate(); err == nil {
 		t.Error("unknown injection accepted")
 	}
-	for _, inj := range []Injection{InjectT0, "t0", "off"} {
+	for _, inj := range []Injection{injectT0, "t0", "off"} {
 		if inj.Enabled() {
 			t.Errorf("%q reported enabled", inj)
 		}
-		if inj.normalized() != InjectT0 {
+		if inj.normalized() != injectT0 {
 			t.Errorf("%q normalized to %q, want canonical t0", inj, inj.normalized())
 		}
 	}
-	if !InjectStagger.Enabled() || InjectStagger.normalized() != InjectStagger {
+	if !injectStagger.Enabled() || injectStagger.normalized() != injectStagger {
 		t.Error("stagger must stay enabled and canonical")
 	}
 }
@@ -35,7 +36,7 @@ func TestInjectionValidateAndNormalize(t *testing.T) {
 // TestInjectionKeyLabel pins the +i: row labels and the cache identity
 // of equivalent t0 spellings.
 func TestInjectionKeyLabel(t *testing.T) {
-	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 8, Injection: InjectStagger}
+	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 8, Injection: injectStagger}
 	if got := k.Label(); got != "astro/sparse/ondemand/8+i:stagger" {
 		t.Errorf("label = %q", got)
 	}
@@ -52,39 +53,39 @@ func TestInjectionKeyLabel(t *testing.T) {
 	}
 }
 
-// TestScaleInjectionSchedule checks the Injection -> seeds.Schedule
+// TestScaleInjectionSchedule checks the Injection -> release-time
 // mapping honors the scale's window and rate and the fixed burst wave
 // count.
 func TestScaleInjectionSchedule(t *testing.T) {
 	sc := SmallScale()
 	sc.InjectWindow = 2
 	sc.InjectRate = 4
+	release := func(inj Injection) []float64 {
+		t.Helper()
+		prob := core.Problem{Seeds: make([]vec.V3, 9)}
+		if err := applyInjection(&prob, inj, sc.Machine); err != nil {
+			t.Fatalf("%q: %v", inj, err)
+		}
+		return prob.Release
+	}
 
-	stag, err := sc.injectionSchedule(InjectStagger)
-	if err != nil {
-		t.Fatal(err)
+	if stag := release(injectStagger); stag[0] != 0 || stag[8] != 2 {
+		t.Errorf("stagger releases %v, want the window [0, 2] spanned", stag)
 	}
-	if lo, hi := stag.Window(); lo != 0 || hi != 2 {
-		t.Errorf("stagger window = [%g, %g], want [0, 2]", lo, hi)
+	waves := map[float64]bool{}
+	for _, tm := range release(injectBurst) {
+		waves[tm] = true
 	}
-	burst, err := sc.injectionSchedule(InjectBurst)
-	if err != nil {
-		t.Fatal(err)
+	if len(waves) != burstWaves {
+		t.Errorf("burst schedule has %d waves, want %d", len(waves), burstWaves)
 	}
-	if got := burst.Name(); got != "burst4" {
-		t.Errorf("burst schedule = %q, want %d waves", got, burstWaves)
+	if rate := release(injectRate); rate[1] != 0.25 {
+		t.Errorf("rate schedule second release at %g, want 1/4 s", rate[1])
 	}
-	rate, err := sc.injectionSchedule(InjectRate)
-	if err != nil {
-		t.Fatal(err)
+	if t0 := release(injectT0); t0 != nil {
+		t.Errorf("t0 schedule = %v, want no release vector", t0)
 	}
-	if times := rate.Times(3); times[1] != 0.25 {
-		t.Errorf("rate schedule second release at %g, want 1/4 s", times[1])
-	}
-	if t0, err := sc.injectionSchedule(InjectT0); err != nil || t0.Times(2)[1] != 0 {
-		t.Errorf("t0 schedule = %v/%v, want all-zero releases", t0, err)
-	}
-	if _, err := sc.injectionSchedule("poisson"); err == nil {
+	if err := applyInjection(&core.Problem{}, "poisson", sc.Machine); err == nil {
 		t.Error("unknown injection built a schedule")
 	}
 }
@@ -93,7 +94,7 @@ func TestScaleInjectionSchedule(t *testing.T) {
 // schedule invariants and the t0 passthrough.
 func TestBuildInjectedProblem(t *testing.T) {
 	sc := SmallScale()
-	prob, err := BuildInjectedProblem(Astro, Sparse, sc, false, InjectStagger)
+	prob, err := BuildInjectedProblem(Astro, Sparse, sc, false, injectStagger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestBuildInjectedProblem(t *testing.T) {
 	if prob.Release[len(prob.Release)-1] != sc.InjectWindow {
 		t.Errorf("last release %g, want the window end %g", prob.Release[len(prob.Release)-1], sc.InjectWindow)
 	}
-	plain, err := BuildInjectedProblem(Astro, Sparse, sc, false, InjectT0)
+	plain, err := BuildInjectedProblem(Astro, Sparse, sc, false, injectT0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestBuildInjectedProblem(t *testing.T) {
 	if _, err := BuildInjectedProblem(Astro, Sparse, sc, false, "poisson"); err == nil {
 		t.Error("unknown injection built a problem")
 	}
-	unsteady, err := BuildInjectedProblem(Astro, Sparse, sc, true, InjectBurst)
+	unsteady, err := BuildInjectedProblem(Astro, Sparse, sc, true, injectBurst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +135,13 @@ func TestCampaignInjectionCells(t *testing.T) {
 	}
 	sc := tinyScale()
 	c := NewCampaign(sc)
-	c.Cell.Injection = InjectStagger
+	c.Cell.Injection = injectStagger
 	for _, k := range c.datasetKeys(Astro) {
-		if k.Injection != InjectStagger {
+		if k.Injection != injectStagger {
 			t.Fatalf("%s: enumerated without the campaign injection", k.Label())
 		}
 	}
-	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.WorkStealing, Procs: 4, Injection: InjectStagger}
+	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.WorkStealing, Procs: 4, Injection: injectStagger}
 	out := c.Run(k)
 	if out.Err != nil {
 		t.Fatalf("injected cell failed: %v", out.Err)

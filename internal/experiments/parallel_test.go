@@ -25,6 +25,15 @@ func tinyScale() Scale {
 	return sc
 }
 
+// allKeys enumerates the complete campaign in presentation order.
+func (c *Campaign) allKeys() []Key {
+	var keys []Key
+	for _, ds := range datasets() {
+		keys = append(keys, c.datasetKeys(ds)...)
+	}
+	return keys
+}
+
 // TestParallelCampaignMatchesSerial is the equivalence guarantee of the
 // worker pool: every cell of a Workers=8 campaign must produce a
 // bit-identical metrics.Summary (or the identical error) to a Workers=1
@@ -36,8 +45,8 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 	parallel := NewCampaign(sc)
 	parallel.Workers = 8
 
-	serial.RunAll()
-	parallel.RunAll()
+	serial.RunKeys(serial.allKeys())
+	parallel.RunKeys(parallel.allKeys())
 
 	keys := serial.allKeys()
 	if got := serial.numResults(); got != len(keys) {
@@ -87,13 +96,13 @@ func TestParallelInjectionCampaignMatchesSerial(t *testing.T) {
 	sc := tinyScale()
 	serial := NewCampaign(sc)
 	serial.Workers = 1
-	serial.Cell.Injection = InjectStagger
+	serial.Cell.Injection = injectStagger
 	parallel := NewCampaign(sc)
 	parallel.Workers = 8
-	parallel.Cell.Injection = InjectStagger
+	parallel.Cell.Injection = injectStagger
 
-	serial.RunAll()
-	parallel.RunAll()
+	serial.RunKeys(serial.allKeys())
+	parallel.RunKeys(parallel.allKeys())
 
 	keys := serial.allKeys()
 	sawStall := false
@@ -155,7 +164,7 @@ func TestParallelFigureRowsDeterministic(t *testing.T) {
 func TestProblemMemoization(t *testing.T) {
 	c := NewCampaign(tinyScale())
 	c.Workers = 4
-	c.RunAll()
+	c.RunKeys(c.allKeys())
 	want := len(datasets()) * len(seedings())
 	if got := c.numProblems(); got != want {
 		t.Errorf("problems built = %d, want %d (one per dataset × seeding)", got, want)
@@ -168,7 +177,7 @@ func TestProblemMemoization(t *testing.T) {
 		t.Fatal(e1.err)
 	}
 	// Every axis that moves no curve names the same problem.
-	k.Alg, k.Procs, k.Injection = core.HybridMS, 4, InjectStagger
+	k.Alg, k.Procs, k.Injection = core.HybridMS, 4, injectStagger
 	if e2 := c.problem(k); len(e1.prob.Seeds) == 0 || e1 != e2 {
 		t.Error("problem(Astro, Sparse) rebuilt instead of memoized")
 	}

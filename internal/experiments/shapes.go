@@ -412,8 +412,8 @@ var shapes = []shape{
 	{"§9: staggered release narrows Static's imbalance gap over ondemand (astro dense)", func(r *reader) term {
 		sT0 := r.sum(Astro, Dense, core.StaticAlloc).Imbalance
 		lT0 := r.sum(Astro, Dense, core.LoadOnDemand).Imbalance
-		sSt := r.cell(Key{Dataset: Astro, Seeding: Dense, Alg: core.StaticAlloc, Injection: InjectStagger}).Imbalance
-		lSt := r.cell(Key{Dataset: Astro, Seeding: Dense, Alg: core.LoadOnDemand, Injection: InjectStagger}).Imbalance
+		sSt := r.cell(Key{Dataset: Astro, Seeding: Dense, Alg: core.StaticAlloc, Injection: injectStagger}).Imbalance
+		lSt := r.cell(Key{Dataset: Astro, Seeding: Dense, Alg: core.LoadOnDemand, Injection: injectStagger}).Imbalance
 		return lt(ratio(sSt, lSt), ratio(sT0, lT0))
 	}},
 	// The streak-line cache-pressure scenario the paper's Section 8
@@ -428,7 +428,7 @@ var shapes = []shape{
 	{"§9: staggered injection raises ondemand's unsteady replication yet smooths the t0 I/O burst (astro pathlines)", func(r *reader) term {
 		k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Unsteady: true}
 		t0 := r.cell(k)
-		k.Injection = InjectStagger
+		k.Injection = injectStagger
 		st := r.cell(k)
 		return tightest(gt(float64(st.BlocksLoaded), float64(t0.BlocksLoaded)), lt(st.TotalIO, t0.TotalIO))
 	}},
@@ -441,7 +441,7 @@ var shapes = []shape{
 	// margin 0.
 	{"§11: static allocation cannot survive processor loss — it fails with the typed error", func(r *reader) term {
 		var ue *faults.UnrecoverableError
-		r.fails(Key{Dataset: Astro, Seeding: Sparse, Alg: core.StaticAlloc, Faults: FaultsKill}, &ue)
+		r.fails(Key{Dataset: Astro, Seeding: Sparse, Alg: core.StaticAlloc, Faults: faultsKill}, &ue)
 		return ge(1, 1)
 	}},
 	// The recoverable three adopt the dead processor's streamlines and
@@ -453,7 +453,7 @@ var shapes = []shape{
 	{"§11: survivors adopt the lost processor's streamlines and complete every seed (astro sparse)", func(r *reader) term {
 		var ts []term
 		for _, alg := range []core.Algorithm{core.LoadOnDemand, core.WorkStealing, core.HybridMS} {
-			f := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Faults: FaultsKill})
+			f := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Faults: faultsKill})
 			done, want := float64(f.StreamlinesCompleted), float64(r.sum(Astro, Sparse, alg).StreamlinesCompleted)
 			ts = append(ts, ge(done, want), le(done, want), atLeastOne(f.ProcsLost))
 			if alg != core.HybridMS {
@@ -466,7 +466,7 @@ var shapes = []shape{
 	// yet recovery is peer-local: drop the dead peer, adopt its seeds,
 	// regenerate the token. The wall-clock penalty stays bounded (1.6×).
 	{"§11: stealing re-forms its ring and keeps the fault penalty bounded (astro sparse)", func(r *reader) term {
-		f := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: core.WorkStealing, Faults: FaultsKill})
+		f := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: core.WorkStealing, Faults: faultsKill})
 		free := r.sum(Astro, Sparse, core.WorkStealing).WallClock
 		return tightest(atLeastOne(f.RingReforms), le(f.WallClock, 1.6*free))
 	}},
@@ -475,7 +475,7 @@ var shapes = []shape{
 	// ledger rebuilt — a failover spike stealing never pays. The paper's
 	// master is hybrid's strength and its single point of fragility.
 	{"§11: hybrid pays a master-failover spike to recover (astro sparse)", func(r *reader) term {
-		f := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Faults: FaultsKill})
+		f := r.cell(Key{Dataset: Astro, Seeding: Sparse, Alg: core.HybridMS, Faults: faultsKill})
 		free := r.sum(Astro, Sparse, core.HybridMS).WallClock
 		return tightest(atLeastOne(f.MasterFailovers), gt(f.WallClock, free))
 	}},

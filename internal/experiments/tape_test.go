@@ -126,10 +126,10 @@ func tapeCells(sc Scale) []Key {
 	)
 	for _, alg := range dynamic {
 		keys = append(keys,
-			Key{Dataset: Astro, Seeding: Dense, Alg: alg, Procs: procs, Injection: InjectStagger},
-			Key{Dataset: Fusion, Seeding: Dense, Alg: alg, Procs: procs, Faults: FaultsKill})
+			Key{Dataset: Astro, Seeding: Dense, Alg: alg, Procs: procs, Injection: injectStagger},
+			Key{Dataset: Fusion, Seeding: Dense, Alg: alg, Procs: procs, Faults: faultsKill})
 	}
-	return append(keys, Key{Dataset: Thermal, Seeding: Sparse, Alg: core.StaticAlloc, Procs: procs, Faults: FaultsKill})
+	return append(keys, Key{Dataset: Thermal, Seeding: Sparse, Alg: core.StaticAlloc, Procs: procs, Faults: faultsKill})
 }
 
 // lineSteps is what recording k's whole problem integrates: the steps of
@@ -328,7 +328,7 @@ func TestTapeConcurrentCells(t *testing.T) {
 }
 
 // injections is every release schedule a Key can name.
-var injections = []Injection{InjectT0, InjectStagger, InjectBurst, InjectRate}
+var injections = []Injection{injectT0, injectStagger, injectBurst, injectRate}
 
 // TestTapeSharedAcrossInjection: a release schedule gates when a seed
 // starts and never where its curve goes, so the cells of a (dataset,
@@ -415,7 +415,7 @@ func TestTapeLedgerColdShape(t *testing.T) {
 					k := id
 					k.Alg, k.Prefetch, k.Injection = algs[(i+i/4)%4], policies[(i/4+i/16)%4], inj
 					if i%3 == 2 && k.Alg != core.StaticAlloc {
-						k.Faults = FaultsKill
+						k.Faults = faultsKill
 					}
 					keys = append(keys, k)
 				}

@@ -4,18 +4,22 @@
 // The paper studies a fixed particle population released all at once at
 // t0; real in-situ and unsteady visualization injects particles
 // continuously — streak-line rakes, bursty seeding, rate-limited
-// emitters. A Schedule assigns every seed a release time in *virtual
+// emitters. A schedule assigns every seed a release time in *virtual
 // machine seconds*: the moment the seed becomes known to the parallel
 // computation. Release time is a scheduling quantity, not an
 // integration-time one — a particle's trajectory after release is
 // identical under every schedule (pinned by the golden digests); what a
 // schedule reshapes is when the work exists, and therefore the
 // load-balance, caching and communication story every algorithm in this
-// repo exists to interrogate.
+// repo exists to interrogate. Releasing every seed at t0, the paper's
+// workload, is no schedule at all: a problem without release times.
 //
-// All schedules are deterministic: identical (seed count, parameters)
-// produce bit-identical release times, an invariant the property and
-// fuzz tests pin.
+// Stagger, Bursts and Rate each return the release time of n seeds,
+// indexed by seed ID. Every one is deterministic — identical (n,
+// parameters) produce bit-identical times — and for every n >= 0 returns
+// exactly n times, monotone non-decreasing, inside [t0, t1]; an inverted
+// window (t1 < t0) collapses to the instant t0. The property and fuzz
+// tests pin all of it through ValidateTimes.
 package seeds
 
 import (
@@ -23,118 +27,49 @@ import (
 	"math"
 )
 
-// Schedule assigns release times to a seed set. Implementations must be
-// deterministic and must satisfy, for every n >= 0:
-//
-//   - Times(n) has exactly n entries (seed-count conservation),
-//   - entries are monotone non-decreasing in seed index,
-//   - every entry lies within the schedule's [T0, T1] window.
-type Schedule interface {
-	// Name returns a short label for tables and logs.
-	Name() string
-	// Window returns the [T0, T1] interval containing every release time.
-	Window() (t0, t1 float64)
-	// Times returns the release time of each of n seeds, indexed by seed
-	// ID.
-	Times(n int) []float64
-}
-
-// window is the shared parameter block of the concrete schedules; it
-// normalizes a degenerate interval (T1 < T0) to the instant T0.
-type window struct {
-	t0, t1 float64
-}
-
-func newWindow(t0, t1 float64) window {
+// Stagger spreads n seeds evenly over [t0, t1] — the continuous
+// streak-line rake, the limit of infinitely many infinitesimal waves:
+// seed i releases at t0 + (t1-t0)·i/(n-1), so the first seed releases at
+// t0 and the last exactly at t1.
+func Stagger(n int, t0, t1 float64) []float64 {
 	if t1 < t0 {
 		t1 = t0
 	}
-	return window{t0: t0, t1: t1}
-}
-
-// Window returns the schedule's release interval.
-func (w window) Window() (float64, float64) { return w.t0, w.t1 }
-
-// allAtT0 releases every seed at the window start — the paper's fixed
-// population, and the canonical schedule every existing campaign ran.
-type allAtT0 struct{ window }
-
-// AllAtT0 returns the degenerate schedule releasing all seeds at t0 —
-// the paper's Section 3 workload.
-func AllAtT0(t0 float64) Schedule { return allAtT0{newWindow(t0, t0)} }
-
-// Name implements Schedule.
-func (allAtT0) Name() string { return "t0" }
-
-// Times implements Schedule.
-func (s allAtT0) Times(n int) []float64 {
-	out := make([]float64, max(n, 0))
-	for i := range out {
-		out[i] = s.t0
-	}
-	return out
-}
-
-// uniform staggers releases evenly across the window — the continuous
-// streak-line rake, the limit of infinitely many infinitesimal waves.
-type uniform struct{ window }
-
-// UniformStagger returns the schedule spreading n seeds evenly over
-// [t0, t1]: seed i releases at t0 + (t1-t0)·i/(n-1), so the first seed
-// releases at t0 and the last exactly at t1.
-func UniformStagger(t0, t1 float64) Schedule { return uniform{newWindow(t0, t1)} }
-
-// Name implements Schedule.
-func (uniform) Name() string { return "stagger" }
-
-// Times implements Schedule.
-func (s uniform) Times(n int) []float64 {
 	out := make([]float64, max(n, 0))
 	for i := range out {
 		if n > 1 {
 			// i/(n-1) is monotone and lands the last seed exactly on t1;
 			// the multiply-then-divide form keeps it within [t0,t1] under
 			// rounding because i <= n-1.
-			out[i] = s.t0 + (s.t1-s.t0)*float64(i)/float64(n-1)
+			out[i] = t0 + (t1-t0)*float64(i)/float64(n-1)
 		} else {
-			out[i] = s.t0
+			out[i] = t0
 		}
 	}
 	return out
 }
 
-// bursts releases seeds in a fixed number of equal waves — bursty
-// in-situ seeding, where a simulation emits a rake every few timesteps.
-type bursts struct {
-	window
-	waves int
-}
-
-// BurstWaves returns the schedule splitting n seeds into `waves` equal
-// bursts at times t0 + w·(t1-t0)/waves for wave w — the first wave at
-// t0, each subsequent wave one period later, all strictly inside
-// [t0, t1]. Earlier waves take the remainder seeds, so counts are
-// conserved exactly. waves < 1 is normalized to a single t0 burst.
-func BurstWaves(t0, t1 float64, waves int) Schedule {
+// Bursts splits n seeds into `waves` equal bursts — bursty in-situ
+// seeding, where a simulation emits a rake every few timesteps. Wave w
+// releases at t0 + w·(t1-t0)/waves: the first wave at t0, each later
+// wave one period after it, all strictly inside [t0, t1]. Earlier waves
+// take the remainder seeds, so counts are conserved exactly. waves < 1
+// is normalized to a single t0 burst.
+func Bursts(n int, t0, t1 float64, waves int) []float64 {
+	if t1 < t0 {
+		t1 = t0
+	}
 	if waves < 1 {
 		waves = 1
 	}
-	return bursts{window: newWindow(t0, t1), waves: waves}
-}
-
-// Name implements Schedule.
-func (s bursts) Name() string { return fmt.Sprintf("burst%d", s.waves) }
-
-// Times implements Schedule.
-func (s bursts) Times(n int) []float64 {
 	out := make([]float64, max(n, 0))
-	period := (s.t1 - s.t0) / float64(s.waves)
+	period := (t1 - t0) / float64(waves)
 	at := 0
-	for w := 0; w < s.waves && at < len(out); w++ {
+	for w := 0; w < waves && at < len(out); w++ {
 		// Earlier waves absorb the remainder: ceil-split keeps the total
 		// exactly n.
-		count := (len(out) - at + (s.waves - w - 1)) / (s.waves - w)
-		t := s.t0 + float64(w)*period
+		count := (len(out) - at + (waves - w - 1)) / (waves - w)
+		t := t0 + float64(w)*period
 		for i := 0; i < count; i++ {
 			out[at] = t
 			at++
@@ -143,42 +78,31 @@ func (s bursts) Times(n int) []float64 {
 	return out
 }
 
-// rateLimit releases seeds at a fixed rate from t0 — a bandwidth-capped
-// emitter. Deterministic (no Poisson draw): seed i releases exactly at
-// t0 + i/perSec, clamped to the window end, so a slow rate degrades
-// gracefully into a final burst at t1 rather than overrunning the run.
-type rateLimit struct {
-	window
-	perSec float64
-}
-
-// RateLimit returns the schedule releasing seeds at perSec seeds per
-// second starting at t0, clamping any overflow to t1. A non-positive
-// rate is normalized to all-at-t0 behavior (infinite rate).
-func RateLimit(t0, t1, perSec float64) Schedule {
+// Rate releases seeds at perSec seeds per second from t0 — a
+// bandwidth-capped emitter. Deterministic (no Poisson draw): seed i
+// releases exactly at t0 + i/perSec, clamped to t1, so a slow rate
+// degrades gracefully into a final burst at t1 rather than overrunning
+// the run. A non-positive or non-finite rate is normalized to an
+// infinite one: every seed at t0.
+func Rate(n int, t0, t1, perSec float64) []float64 {
+	if t1 < t0 {
+		t1 = t0
+	}
 	if perSec <= 0 || math.IsInf(perSec, 1) || math.IsNaN(perSec) {
 		perSec = math.Inf(1)
 	}
-	return rateLimit{window: newWindow(t0, t1), perSec: perSec}
-}
-
-// Name implements Schedule.
-func (rateLimit) Name() string { return "rate" }
-
-// Times implements Schedule.
-func (s rateLimit) Times(n int) []float64 {
 	out := make([]float64, max(n, 0))
 	for i := range out {
-		t := s.t0
-		if !math.IsInf(s.perSec, 1) {
-			t += float64(i) / s.perSec
+		t := t0
+		if !math.IsInf(perSec, 1) {
+			t += float64(i) / perSec
 		}
-		out[i] = math.Min(t, s.t1)
+		out[i] = math.Min(t, t1)
 	}
 	return out
 }
 
-// ValidateTimes checks the Schedule invariants on a produced time slice:
+// ValidateTimes checks the schedule invariants on a produced time slice:
 // exactly n entries, monotone non-decreasing, all within [t0, t1]. The
 // property and fuzz tests run every schedule through it; campaign
 // problem-building asserts it once per built problem.

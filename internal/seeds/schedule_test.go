@@ -1,34 +1,51 @@
 package seeds
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
-// scheduleCases enumerates one instance of every schedule family over a
+// schedule is one schedule function with its window and parameters
+// bound, named for test messages.
+type schedule struct {
+	name  string
+	times func(n int) []float64
+}
+
+func stagger(t0, t1 float64) schedule {
+	return schedule{"stagger", func(n int) []float64 { return Stagger(n, t0, t1) }}
+}
+
+func bursts(t0, t1 float64, waves int) schedule {
+	return schedule{fmt.Sprintf("bursts%d", waves), func(n int) []float64 { return Bursts(n, t0, t1, waves) }}
+}
+
+func rate(t0, t1, perSec float64) schedule {
+	return schedule{fmt.Sprintf("rate%g", perSec), func(n int) []float64 { return Rate(n, t0, t1, perSec) }}
+}
+
+// scheduleCases enumerates instances of every schedule function over a
 // shared window, for table-driven invariant checks.
-func scheduleCases(t0, t1 float64) []Schedule {
-	return []Schedule{
-		AllAtT0(t0),
-		UniformStagger(t0, t1),
-		BurstWaves(t0, t1, 1),
-		BurstWaves(t0, t1, 4),
-		BurstWaves(t0, t1, 7),
-		RateLimit(t0, t1, 3.5),
-		RateLimit(t0, t1, 1e9),
+func scheduleCases(t0, t1 float64) []schedule {
+	return []schedule{
+		stagger(t0, t1),
+		bursts(t0, t1, 1),
+		bursts(t0, t1, 4),
+		bursts(t0, t1, 7),
+		rate(t0, t1, 3.5),
+		rate(t0, t1, 1e9),
 	}
 }
 
-// TestScheduleInvariants checks every schedule family against the
-// Schedule contract at several seed counts, including the empty and
+// TestScheduleInvariants checks every schedule function against the
+// schedule contract at several seed counts, including the empty and
 // single-seed edges.
 func TestScheduleInvariants(t *testing.T) {
 	for _, sched := range scheduleCases(0, 2.5) {
 		for _, n := range []int{0, 1, 2, 3, 10, 101} {
-			times := sched.Times(n)
-			lo, hi := sched.Window()
-			if err := ValidateTimes(times, n, lo, hi); err != nil {
-				t.Errorf("%s n=%d: %v", sched.Name(), n, err)
+			if err := ValidateTimes(sched.times(n), n, 0, 2.5); err != nil {
+				t.Errorf("%s n=%d: %v", sched.name, n, err)
 			}
 		}
 	}
@@ -40,36 +57,12 @@ func TestScheduleInvariants(t *testing.T) {
 // lean on.
 func TestScheduleDeterminism(t *testing.T) {
 	for _, sched := range scheduleCases(0.5, 4) {
-		a := sched.Times(257)
-		b := sched.Times(257)
+		a := sched.times(257)
+		b := sched.times(257)
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: times differ at %d: %v vs %v", sched.Name(), i, a[i], b[i])
+				t.Fatalf("%s: times differ at %d: %v vs %v", sched.name, i, a[i], b[i])
 			}
-		}
-	}
-}
-
-// TestScheduleNames pins the table/log labels of every family.
-func TestScheduleNames(t *testing.T) {
-	cases := map[string]Schedule{
-		"t0":      AllAtT0(0),
-		"stagger": UniformStagger(0, 1),
-		"burst4":  BurstWaves(0, 1, 4),
-		"rate":    RateLimit(0, 1, 2),
-	}
-	for want, sched := range cases {
-		if got := sched.Name(); got != want {
-			t.Errorf("Name() = %q, want %q", got, want)
-		}
-	}
-}
-
-// TestAllAtT0 pins the degenerate schedule: every time is exactly t0.
-func TestAllAtT0(t *testing.T) {
-	for _, tm := range AllAtT0(1.25).Times(9) {
-		if tm != 1.25 {
-			t.Fatalf("AllAtT0 released at %g", tm)
 		}
 	}
 }
@@ -77,14 +70,14 @@ func TestAllAtT0(t *testing.T) {
 // TestUniformStaggerSpansWindow checks the first seed releases at t0,
 // the last exactly at t1, and spacing is even.
 func TestUniformStaggerSpansWindow(t *testing.T) {
-	times := UniformStagger(1, 3).Times(5)
+	times := Stagger(5, 1, 3)
 	want := []float64{1, 1.5, 2, 2.5, 3}
 	for i := range want {
 		if math.Abs(times[i]-want[i]) > 1e-12 {
 			t.Fatalf("times = %v, want %v", times, want)
 		}
 	}
-	if one := UniformStagger(1, 3).Times(1); one[0] != 1 {
+	if one := Stagger(1, 1, 3); one[0] != 1 {
 		t.Errorf("single seed released at %g, want t0", one[0])
 	}
 }
@@ -94,7 +87,7 @@ func TestUniformStaggerSpansWindow(t *testing.T) {
 // apart starting at t0.
 func TestBurstWavesConservation(t *testing.T) {
 	const n, waves = 23, 4
-	times := BurstWaves(0, 8, waves).Times(n)
+	times := Bursts(n, 0, 8, waves)
 	counts := map[float64]int{}
 	for _, tm := range times {
 		counts[tm]++
@@ -114,11 +107,11 @@ func TestBurstWavesConservation(t *testing.T) {
 		t.Errorf("waves hold %d seeds, want %d (conservation)", total, n)
 	}
 	// Degenerate wave counts normalize rather than panic.
-	if got := BurstWaves(0, 8, 0).Times(3); got[2] != 0 {
+	if got := Bursts(3, 0, 8, 0); got[2] != 0 {
 		t.Errorf("waves=0 not normalized to one t0 burst: %v", got)
 	}
 	// More waves than seeds: early waves carry one seed each.
-	sparse := BurstWaves(0, 8, 8).Times(3)
+	sparse := Bursts(3, 0, 8, 8)
 	if sparse[0] != 0 || sparse[1] != 1 || sparse[2] != 2 {
 		t.Errorf("3 seeds over 8 waves = %v, want one per leading wave", sparse)
 	}
@@ -127,17 +120,17 @@ func TestBurstWavesConservation(t *testing.T) {
 // TestRateLimitClamps checks the fixed-rate release and the clamp into
 // the window.
 func TestRateLimitClamps(t *testing.T) {
-	times := RateLimit(0, 2, 2).Times(8)
+	times := Rate(8, 0, 2, 2)
 	for i, want := range []float64{0, 0.5, 1, 1.5, 2, 2, 2, 2} {
 		if times[i] != want {
 			t.Fatalf("times = %v, want clamp at 2 after seed 4", times)
 		}
 	}
 	// Non-positive and non-finite rates degrade to all-at-t0.
-	for _, rate := range []float64{0, -3, math.Inf(1), math.NaN()} {
-		for _, tm := range RateLimit(1, 5, rate).Times(4) {
+	for _, perSec := range []float64{0, -3, math.Inf(1), math.NaN()} {
+		for _, tm := range Rate(4, 1, 5, perSec) {
 			if tm != 1 {
-				t.Fatalf("rate %g released at %g, want t0", rate, tm)
+				t.Fatalf("rate %g released at %g, want t0", perSec, tm)
 			}
 		}
 	}
@@ -146,15 +139,9 @@ func TestRateLimitClamps(t *testing.T) {
 // TestScheduleDegenerateWindow checks that an inverted window collapses
 // to the instant t0 instead of producing out-of-range times.
 func TestScheduleDegenerateWindow(t *testing.T) {
-	for _, sched := range []Schedule{
-		UniformStagger(2, 1), BurstWaves(2, 1, 3), RateLimit(2, 1, 5),
-	} {
-		lo, hi := sched.Window()
-		if lo != 2 || hi != 2 {
-			t.Errorf("%s: window = [%g, %g], want collapsed to [2, 2]", sched.Name(), lo, hi)
-		}
-		if err := ValidateTimes(sched.Times(6), 6, lo, hi); err != nil {
-			t.Errorf("%s: %v", sched.Name(), err)
+	for _, sched := range []schedule{stagger(2, 1), bursts(2, 1, 3), rate(2, 1, 5)} {
+		if err := ValidateTimes(sched.times(6), 6, 2, 2); err != nil {
+			t.Errorf("%s: %v", sched.name, err)
 		}
 	}
 }

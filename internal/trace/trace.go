@@ -90,7 +90,7 @@ type Streamline struct {
 	Block  grid.BlockID // block containing P (NoBlock when terminated out of bounds)
 
 	// Release is the virtual machine time at which this seed is injected
-	// into the computation (seeds.Schedule, DESIGN.md §9). Zero — the
+	// into the computation (package seeds, DESIGN.md §9). Zero — the
 	// paper's fixed population — means available from the start. Release
 	// is a scheduling quantity only: it gates when algorithms may advance
 	// the streamline, never the integration time T or the geometry.
