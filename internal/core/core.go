@@ -29,8 +29,8 @@
 // All four trace either workload: steady streamlines, or — when the
 // problem's decomposition is time-sliced (DESIGN.md §7) — unsteady
 // pathlines through space-time blocks, with no per-algorithm forks and
-// one solver call (advect: one switch from the evaluator's concrete type
-// to integrate's one loop, DESIGN.md §12).
+// one solver call (worker.integrate: integrate's one loop, reached
+// through the evaluator interface, DESIGN.md §12).
 // All four produce identical geometry for a given problem —
 // parallelization strategy must not change the numerics — which the
 // integration tests and golden digests verify.
@@ -57,7 +57,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/faults"
-	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/metrics"
@@ -1002,11 +1001,20 @@ func (w *worker) record(id int) []tapeSeg {
 
 // integrate runs the solver over one segment — from sl's state to a
 // limit of lim — and moves sl's head, geometry and step size to where
-// it stopped.
+// it stopped. Every evaluator takes the one loop through the interface
+// (DESIGN.md §12). A time-varying evaluator integrates the
+// non-autonomous system only when the problem is unsteady (segment has
+// checked that ev is a grid.EvaluatorT then); serving a steady problem
+// it answers through its time-frozen Eval like any other.
 func (w *worker) integrate(sl *trace.Streamline, ev grid.Evaluator, unsteady bool, lim integrate.AdvectLimits) integrate.AdvectResult {
 	solver := w.solver
 	solver.H = sl.H
-	res := advect(solver, ev, unsteady, sl.P, sl.T, lim)
+	var res integrate.AdvectResult
+	if unsteady {
+		res = integrate.AdvectTWith(solver, ev.(grid.EvaluatorT), sl.P, sl.T, lim)
+	} else {
+		res = integrate.AdvectWith(solver, ev, sl.P, sl.T, lim)
+	}
 	sl.Append(res.Points)
 	// Append copied the geometry into the streamline, so the scratch
 	// buffer (possibly regrown inside the integrator) is free to reuse.
@@ -1017,52 +1025,8 @@ func (w *worker) integrate(sl *trace.Streamline, ev grid.Evaluator, unsteady boo
 	return res
 }
 
-// advect runs the solver over one segment: one switch from the
-// evaluator's concrete type — the six analytic campaign fields and the
-// two sampled evaluators are everything the providers serve — to the
-// integrator's one loop instantiated at that type, so a stage evaluation
-// is a call on the field value, not on a grid.Evaluator holding it
-// (DESIGN.md §12 prices the difference, and BenchmarkAdvectDispatch
-// reprices it). Any other evaluator takes the interface path; every arm
-// computes identical values. A time-varying evaluator integrates the
-// non-autonomous system only when the problem is unsteady (segment has
-// checked that ev is a grid.EvaluatorT then); serving a steady problem it
-// answers through its time-frozen Eval like any other.
-func advect(s *integrate.DoPri5, ev grid.Evaluator, unsteady bool, pos vec.V3, t float64, lim integrate.AdvectLimits) integrate.AdvectResult {
-	switch f := ev.(type) {
-	case field.Supernova:
-		return integrate.AdvectWith(s, f, pos, t, lim)
-	case field.Tokamak:
-		return integrate.AdvectWith(s, f, pos, t, lim)
-	case field.ThermalHydraulics:
-		return integrate.AdvectWith(s, f, pos, t, lim)
-	case *grid.SampledBlock:
-		return integrate.AdvectWith(s, f, pos, t, lim)
-	case field.PulsingSupernova:
-		if unsteady {
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		}
-	case field.SawtoothTokamak:
-		if unsteady {
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		}
-	case field.SwitchingThermal:
-		if unsteady {
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		}
-	case *grid.SampledEpoch:
-		if unsteady {
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		}
-	}
-	if unsteady {
-		return s.AdvectT(ev.(grid.EvaluatorT), pos, t, lim)
-	}
-	return s.Advect(ev, pos, t, lim)
-}
-
 // timeEps guards float comparisons against the integration-time horizon:
-// AdvectT lands on epoch boundaries by clamping the step size, so the
+// AdvectTWith lands on epoch boundaries by clamping the step size, so the
 // final time matches the horizon only up to rounding.
 const timeEps = 1e-12
 

@@ -236,7 +236,8 @@ func (t ThermalHydraulics) Bounds() vec.AABB {
 // Name implements named.
 func (t ThermalHydraulics) Name() string { return "thermal" }
 
-// Eval implements Field.
+// Eval implements Field. Its helpers take pointer receivers, so an
+// evaluation copies the struct once, not once per helper call.
 func (t ThermalHydraulics) Eval(p vec.V3) vec.V3 {
 	decay := t.jetDecay(p)
 	return t.jet(p, t.InletA, decay).Add(t.jet(p, t.InletB, decay)).Add(t.ambient(p))
@@ -245,7 +246,7 @@ func (t ThermalHydraulics) Eval(p vec.V3) vec.V3 {
 // ambient returns everything but the inlet jets — recirculation, outlet
 // sink and near-inlet turbulence — so unsteady variants can re-weight
 // the jets without duplicating the rest of the flow.
-func (t ThermalHydraulics) ambient(p vec.V3) vec.V3 {
+func (t *ThermalHydraulics) ambient(p vec.V3) vec.V3 {
 	var v vec.V3
 
 	// Box-scale recirculation: a vortex about an axis through the box
@@ -287,14 +288,14 @@ func (t ThermalHydraulics) ambient(p vec.V3) vec.V3 {
 // jetDecay is the penetration-depth decay factor shared by both inlet
 // jets — it depends only on p.X, so callers compute it once per
 // evaluation and pass it to each jet.
-func (t ThermalHydraulics) jetDecay(p vec.V3) float64 {
+func (t *ThermalHydraulics) jetDecay(p vec.V3) float64 {
 	return math.Exp(-p.X / 0.6)
 }
 
 // jet returns the velocity contribution of one inlet jet: a Gaussian
 // profile around the jet axis (+x from the inlet center), scaled by the
 // shared penetration decay from jetDecay.
-func (t ThermalHydraulics) jet(p, inlet vec.V3, decay float64) vec.V3 {
+func (t *ThermalHydraulics) jet(p, inlet vec.V3, decay float64) vec.V3 {
 	dy := p.Y - inlet.Y
 	dz := p.Z - inlet.Z
 	r2 := dy*dy + dz*dz

@@ -117,7 +117,7 @@ type SampledProviderT struct {
 func (s SampledProviderT) Block(id BlockID) Evaluator {
 	t0, t1 := s.D.EpochBounds(id)
 	spatial := s.D.Spatial(id)
-	return &SampledEpoch{
+	return &sampledEpoch{
 		lo: SampleBlock(frozenField{s.F, t0}, s.D, spatial),
 		hi: SampleBlock(frozenField{s.F, t1}, s.D, spatial),
 		t0: t0,
@@ -141,20 +141,20 @@ func (f frozenField) Eval(p vec.V3) vec.V3 { return f.f.EvalAt(p, f.at) }
 // Bounds implements field.Field.
 func (f frozenField) Bounds() vec.AABB { return f.f.Bounds() }
 
-// SampledEpoch holds the two sampled time slices bounding one epoch of
+// sampledEpoch holds the two sampled time slices bounding one epoch of
 // one spatial block and interpolates linearly in time between their
 // trilinear spatial interpolations.
-type SampledEpoch struct {
+type sampledEpoch struct {
 	lo, hi *SampledBlock
 	t0, t1 float64
 }
 
 // Eval implements Evaluator, frozen at the epoch's start slice.
-func (e *SampledEpoch) Eval(p vec.V3) vec.V3 { return e.lo.Eval(p) }
+func (e *sampledEpoch) Eval(p vec.V3) vec.V3 { return e.lo.Eval(p) }
 
 // EvalAt implements EvaluatorT; times outside the epoch clamp to its
 // bounding slices.
-func (e *SampledEpoch) EvalAt(p vec.V3, t float64) vec.V3 {
+func (e *sampledEpoch) EvalAt(p vec.V3, t float64) vec.V3 {
 	if e.t1 <= e.t0 {
 		return e.lo.Eval(p)
 	}

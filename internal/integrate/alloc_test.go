@@ -10,25 +10,40 @@ import (
 // TestAdvectAllocFreeWithBuffer is the allocation regression gate for the
 // advect inner loop: with a caller-supplied geometry buffer (the way
 // core's workers call it), a steady-state advection must not allocate at
-// all — every step runs on the stack plus the reused buffer.
+// all — every step runs on the stack plus the reused buffer. It holds at
+// a concrete field type and at the two interface instantiations the
+// campaign runs: an Evaluator for a steady segment, a TimeEvaluator for
+// an unsteady one.
 func TestAdvectAllocFreeWithBuffer(t *testing.T) {
-	f := field.DefaultThermalHydraulics()
-	s := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
-	lim := AdvectLimits{Bounds: f.Bounds(), MaxSteps: 64}
-	var buf []vec.V3
+	thermal := field.DefaultThermalHydraulics()
+	var steadyField Evaluator = thermal
+	var unsteadyField TimeEvaluator = field.DefaultSwitchingThermal()
 	seed := vec.Of(0.05, 0.43, 0.56)
-	run := func() {
-		s.H = 0
-		lim.Buf = buf
-		res := AdvectWith(s, f, seed, 0, lim)
-		if res.Steps == 0 {
-			t.Fatal("advection made no progress")
+	for _, tc := range []struct {
+		name   string
+		advect func(*DoPri5, AdvectLimits) AdvectResult
+	}{
+		{"concrete", func(s *DoPri5, lim AdvectLimits) AdvectResult { return AdvectWith(s, thermal, seed, 0, lim) }},
+		{"Evaluator", func(s *DoPri5, lim AdvectLimits) AdvectResult { return AdvectWith(s, steadyField, seed, 0, lim) }},
+		{"TimeEvaluator", func(s *DoPri5, lim AdvectLimits) AdvectResult {
+			lim.MaxTime = 2.5
+			return AdvectTWith(s, unsteadyField, seed, 0.1, lim)
+		}},
+	} {
+		s := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
+		lim := AdvectLimits{Bounds: thermal.Bounds(), MaxSteps: 64}
+		run := func() {
+			s.H = 0
+			res := tc.advect(s, lim)
+			if res.Steps == 0 {
+				t.Fatalf("%s: advection made no progress", tc.name)
+			}
+			lim.Buf = res.Points[:0]
 		}
-		buf = res.Points[:0]
-	}
-	run() // size the buffer once
-	if n := testing.AllocsPerRun(50, run); n > 0 {
-		t.Errorf("AdvectWith allocates %.2f times per call with a reused buffer, want 0", n)
+		run() // size the buffer once
+		if n := testing.AllocsPerRun(50, run); n > 0 {
+			t.Errorf("%s: advect allocates %.2f times per call with a reused buffer, want 0", tc.name, n)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ func fuzzField(sel uint8) Evaluator {
 func stepOnce(s *DoPri5, f Evaluator, p vec.V3) AdvectResult {
 	inf := math.Inf(1)
 	everywhere := vec.Box(vec.Of(-inf, -inf, -inf), vec.Of(inf, inf, inf))
-	return s.Advect(f, p, 0, AdvectLimits{Bounds: everywhere, MaxSteps: 1})
+	return AdvectWith(s, f, p, 0, AdvectLimits{Bounds: everywhere, MaxSteps: 1})
 }
 
 func clampRange(v, lo, hi float64) float64 {
@@ -124,7 +124,7 @@ func FuzzAdvectLimits(f *testing.F) {
 		bounds := vec.Box(vec.Of(-50, -50, -50), vec.Of(50, 50, 50))
 
 		s := NewDoPri5(opts)
-		res := s.Advect(ev, p, 0, AdvectLimits{Bounds: bounds, MaxSteps: maxSteps, MaxTime: maxTime})
+		res := AdvectWith(s, ev, p, 0, AdvectLimits{Bounds: bounds, MaxSteps: maxSteps, MaxTime: maxTime})
 		if res.Steps > maxSteps {
 			t.Fatalf("took %d steps, budget %d", res.Steps, maxSteps)
 		}

@@ -7,15 +7,17 @@
 // standard step-size controller. It is written once, for the
 // non-autonomous system the paper's Section 8 treats as the general
 // case: one stage ladder (step) and one advect loop (AdvectTWith). The
-// steady entry points hand the same loop a field that ignores t.
+// steady entry point, AdvectWith, hands the same loop a field that
+// ignores t.
 //
 // The hot loop is written for the simulated campaigns, where field
 // evaluation dominates the run time (DESIGN.md §12): the stages are
 // unrolled against the tableau constants, the loop is generic over the
-// evaluator so callers can instantiate it at a concrete field type (no
-// interface dispatch), and the first-same-as-last (FSAL) property of the
-// Dormand–Prince pair is exploited to evaluate the field six — not
-// eight — times per accepted step. Every reused value is bit-for-bit the
+// evaluator (the campaign instantiates it at the interface; a concrete
+// instantiation measured no faster, DESIGN.md §12), and the
+// first-same-as-last (FSAL) property of the Dormand–Prince pair is
+// exploited to evaluate the field six — not eight — times per accepted
+// step. Every reused value is bit-for-bit the
 // one a fresh evaluation would return, so the golden geometry digests
 // cannot move.
 package integrate
@@ -41,8 +43,9 @@ type TimeEvaluator interface {
 }
 
 // steady presents an Evaluator as the TimeEvaluator that ignores t, so
-// Advect is AdvectT: the stage times are computed and dropped, and every
-// stage value is the float the field returns for the position alone.
+// AdvectWith is AdvectTWith: the stage times are computed and dropped,
+// and every stage value is the float the field returns for the position
+// alone.
 type steady[E Evaluator] struct{ e E }
 
 // EvalAt implements TimeEvaluator.
@@ -306,7 +309,7 @@ func (s *DoPri5) initialStepFrom(v0 vec.V3) float64 {
 	return h
 }
 
-// AdvectLimits bounds one Advect call.
+// AdvectLimits bounds one advect call.
 type AdvectLimits struct {
 	Bounds   vec.AABB // stop when the position leaves this box
 	MaxSteps int      // stop after this many accepted steps (0 = unlimited)
@@ -318,7 +321,7 @@ type AdvectLimits struct {
 	Buf []vec.V3
 }
 
-// AdvectResult reports an Advect call.
+// AdvectResult reports an advect call.
 type AdvectResult struct {
 	P      vec.V3     // final position
 	T      float64    // final integration time
@@ -328,31 +331,21 @@ type AdvectResult struct {
 	Points []vec.V3   // positions after each accepted step (geometry)
 }
 
-// Advect integrates the autonomous system from (p, t) until a limit is
-// reached, collecting the intermediate geometry. The caller owns domain
-// semantics: typically Bounds is the current block's box, so
-// StopOutOfBlock signals a block transition.
-func (s *DoPri5) Advect(f Evaluator, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
-	return AdvectTWith(s, steady[Evaluator]{f}, p, t, lim)
-}
-
-// AdvectWith is Advect generic over the evaluator type; see AdvectTWith.
+// AdvectWith integrates the autonomous system from (p, t) until a limit
+// is reached, collecting the intermediate geometry: AdvectTWith's loop
+// over a field that ignores t. The caller owns domain semantics:
+// typically Bounds is the current block's box, so StopOutOfBlock signals
+// a block transition.
 func AdvectWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
 	return AdvectTWith(s, steady[E]{f}, p, t, lim)
 }
 
-// AdvectT integrates the non-autonomous system from (p, t) under the same
-// limits as Advect; MaxTime is the absolute time horizon.
-func (s *DoPri5) AdvectT(f TimeEvaluator, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
-	return AdvectTWith(s, f, p, t, lim)
-}
-
-// AdvectTWith is the advect loop, generic over the evaluator type:
-// instantiated at a concrete field type it runs the whole inner loop
-// without interface dispatch. The per-iteration speed check doubles as
-// the step's first stage, and after an accepted step the FSAL value is
-// carried into the next iteration, for six field evaluations per accepted
-// step in steady state. All reused values are bit-identical to the ones
+// AdvectTWith integrates the non-autonomous system from (p, t) under
+// the same limits as AdvectWith; MaxTime is the absolute time horizon.
+// It is the one advect loop, generic over the evaluator type. The
+// per-iteration speed check doubles as the step's first stage, and after
+// an accepted step the FSAL value is carried into the next iteration,
+// for six field evaluations per accepted step in steady state. All reused values are bit-identical to the ones
 // a fresh evaluation would return.
 func AdvectTWith[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
 	res := AdvectResult{P: p, T: t, Points: lim.Buf[:0]}

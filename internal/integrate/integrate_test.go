@@ -44,7 +44,7 @@ func (e euler) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
 
 // advectFor integrates until time T with no spatial bound.
 func advectFor(s *DoPri5, f Evaluator, p0 vec.V3, T float64) AdvectResult {
-	return s.Advect(f, p0, 0, AdvectLimits{Bounds: bigBox, MaxTime: T})
+	return AdvectWith(s, f, p0, 0, AdvectLimits{Bounds: bigBox, MaxTime: T})
 }
 
 func TestDoPri5UniformFieldExact(t *testing.T) {
@@ -126,7 +126,7 @@ func TestDoPri5StopOutOfBlock(t *testing.T) {
 	f := field.Uniform{V: vec.Of(1, 0, 0), Box: bigBox}
 	s := NewDoPri5(Options{HMax: 0.01})
 	blk := vec.Box(vec.Of(0, 0, 0), vec.Of(0.5, 1, 1))
-	res := s.Advect(f, vec.Of(0.1, 0.5, 0.5), 0, AdvectLimits{Bounds: blk})
+	res := AdvectWith(s, f, vec.Of(0.1, 0.5, 0.5), 0, AdvectLimits{Bounds: blk})
 	if res.Reason != StopOutOfBlock {
 		t.Fatalf("Reason = %v", res.Reason)
 	}
@@ -141,7 +141,7 @@ func TestDoPri5StopOutOfBlock(t *testing.T) {
 func TestDoPri5StopMaxSteps(t *testing.T) {
 	f := field.Rotation{Omega: 1, Box: bigBox}
 	s := NewDoPri5(Options{})
-	res := s.Advect(f, vec.Of(1, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 7})
+	res := AdvectWith(s, f, vec.Of(1, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 7})
 	if res.Reason != StopMaxSteps || res.Steps != 7 {
 		t.Errorf("Reason=%v Steps=%d", res.Reason, res.Steps)
 	}
@@ -155,7 +155,7 @@ func TestDoPri5StopCritical(t *testing.T) {
 	// y axis decays toward zero speed.
 	f := field.Saddle{Box: bigBox}
 	s := NewDoPri5(Options{MinSpeed: 1e-4, HMax: 0.5})
-	res := s.Advect(f, vec.Of(0, 1, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 100000})
+	res := AdvectWith(s, f, vec.Of(0, 1, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 100000})
 	if res.Reason != StopCritical {
 		t.Fatalf("Reason = %v (P=%v)", res.Reason, res.P)
 	}
@@ -172,7 +172,7 @@ func TestDoPri5NonFiniteField(t *testing.T) {
 		return vec.Of(1, 0, 0)
 	})
 	s := NewDoPri5(Options{HMax: 0.05})
-	res := s.Advect(evil, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 1000})
+	res := AdvectWith(s, evil, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 1000})
 	if res.Reason != StopError {
 		t.Fatalf("Reason = %v", res.Reason)
 	}
@@ -186,13 +186,13 @@ func TestDoPri5ResumeMatchesContinuous(t *testing.T) {
 	p0 := vec.Of(1, 1, 1)
 
 	whole := NewDoPri5(Options{Tol: 1e-7})
-	resWhole := whole.Advect(f, p0, 0, AdvectLimits{Bounds: bigBox, MaxSteps: 200})
+	resWhole := AdvectWith(whole, f, p0, 0, AdvectLimits{Bounds: bigBox, MaxSteps: 200})
 
 	s1 := NewDoPri5(Options{Tol: 1e-7})
-	r1 := s1.Advect(f, p0, 0, AdvectLimits{Bounds: bigBox, MaxSteps: 120})
+	r1 := AdvectWith(s1, f, p0, 0, AdvectLimits{Bounds: bigBox, MaxSteps: 120})
 	s2 := NewDoPri5(Options{Tol: 1e-7})
 	s2.H = s1.H // hand the solver state over
-	r2 := s2.Advect(f, r1.P, r1.T, AdvectLimits{Bounds: bigBox, MaxSteps: 80})
+	r2 := AdvectWith(s2, f, r1.P, r1.T, AdvectLimits{Bounds: bigBox, MaxSteps: 80})
 
 	if d := r2.P.Dist(resWhole.P); d > 1e-12 {
 		t.Errorf("resumed trajectory diverged by %g", d)
@@ -205,7 +205,7 @@ func TestDoPri5ResumeMatchesContinuous(t *testing.T) {
 func TestDoPri5GeometryContinuity(t *testing.T) {
 	f := field.DefaultABC()
 	s := NewDoPri5(Options{Tol: 1e-6})
-	res := s.Advect(f, vec.Of(2, 2, 2), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 300})
+	res := AdvectWith(s, f, vec.Of(2, 2, 2), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 300})
 	prev := vec.Of(2, 2, 2)
 	for i, p := range res.Points {
 		if step := p.Dist(prev); step > 1.0 {
@@ -321,14 +321,14 @@ func TestPropEnergyConservationOnRotation(t *testing.T) {
 func TestAdvectTStopsOnLimits(t *testing.T) {
 	uniform := timeEvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1, 0, 0) })
 	s := NewDoPri5(Options{Tol: 1e-8, HMax: 0.1})
-	res := s.AdvectT(uniform, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 1})
+	res := AdvectTWith(s, uniform, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 1})
 	if res.Reason != StopMaxTime || res.T != 1 {
 		t.Errorf("reason %v at t=%g, want StopMaxTime at exactly 1", res.Reason, res.T)
 	}
 
 	s = NewDoPri5(Options{Tol: 1e-8, HMax: 0.1})
 	tiny := vec.Box(vec.Of(-1, -1, -1), vec.Of(0.05, 1, 1))
-	res = s.AdvectT(uniform, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: tiny, MaxSteps: 100})
+	res = AdvectTWith(s, uniform, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: tiny, MaxSteps: 100})
 	if res.Reason != StopOutOfBlock {
 		t.Errorf("reason %v, want StopOutOfBlock", res.Reason)
 	}
@@ -345,13 +345,13 @@ func TestAdvectTNonFiniteField(t *testing.T) {
 		return vec.Of(1, 0, 0)
 	})
 	s := NewDoPri5(Options{Tol: 1e-8, HMax: 0.1})
-	res := s.AdvectT(evil, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 1000})
+	res := AdvectTWith(s, evil, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 1000})
 	if res.Reason != StopError {
 		t.Errorf("reason %v, want StopError", res.Reason)
 	}
 
 	s = NewDoPri5(Options{Tol: 1e-8, HMax: 0.1})
-	res = s.AdvectT(evil, vec.Of(1, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 10})
+	res = AdvectTWith(s, evil, vec.Of(1, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 10})
 	if res.Reason != StopError || res.Steps != 0 {
 		t.Errorf("NaN seed: reason %v after %d steps, want immediate StopError", res.Reason, res.Steps)
 	}
@@ -362,7 +362,7 @@ func TestAdvectTNonFiniteField(t *testing.T) {
 func TestAdvectTMinSpeed(t *testing.T) {
 	still := timeEvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1e-15, 0, 0) })
 	s := NewDoPri5(Options{Tol: 1e-8, HMax: 0.1, MinSpeed: 1e-9})
-	res := s.AdvectT(still, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 10})
+	res := AdvectTWith(s, still, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 10})
 	if res.Reason != StopCritical {
 		t.Errorf("reason %v, want StopCritical", res.Reason)
 	}
@@ -375,7 +375,7 @@ func TestAdvectTMinSpeed(t *testing.T) {
 func TestAdvectTTimeDependentAccuracy(t *testing.T) {
 	rhs := timeEvalFunc(func(_ vec.V3, t float64) vec.V3 { return vec.Of(t+0.5, 0, 0) })
 	s := NewDoPri5(Options{Tol: 1e-9, HMax: 0.1})
-	res := s.AdvectT(rhs, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 2})
+	res := AdvectTWith(s, rhs, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 2})
 	if want := 3.0; math.Abs(res.P.X-want) > 1e-7 { // T²/2 + T/2 at T=2
 		t.Errorf("x(2) = %g, want %g", res.P.X, want)
 	}

@@ -28,7 +28,7 @@ func TestAdvectPinned(t *testing.T) {
 	tok := field.DefaultTokamak()
 	steady := func(f field.Field) func(*DoPri5, vec.V3) AdvectResult {
 		return func(s *DoPri5, p vec.V3) AdvectResult {
-			return s.Advect(f, p, 0, AdvectLimits{Bounds: f.Bounds(), MaxSteps: 500})
+			return AdvectWith(s, f, p, 0, AdvectLimits{Bounds: f.Bounds(), MaxSteps: 500})
 		}
 	}
 	// The unsteady runs start off t=0 and stop at a MaxTime inside the
@@ -36,7 +36,7 @@ func TestAdvectPinned(t *testing.T) {
 	// both in the digest.
 	unsteady := func(f field.FieldT) func(*DoPri5, vec.V3) AdvectResult {
 		return func(s *DoPri5, p vec.V3) AdvectResult {
-			return s.AdvectT(f, p, 0.1, AdvectLimits{Bounds: f.Bounds(), MaxSteps: 500, MaxTime: 2.5})
+			return AdvectTWith(s, f, p, 0.1, AdvectLimits{Bounds: f.Bounds(), MaxSteps: 500, MaxTime: 2.5})
 		}
 	}
 	cases := []struct {
