@@ -88,22 +88,27 @@ func (a ablation) summaries(t *testing.T) []metrics.Summary {
 }
 
 // hybridParams sweeps the hybrid tuning constants around the paper's
-// published values (N=10, NO=200, NL=40, W=32), the published values first.
+// published values (core.DefaultHybrid: N=10, NO=200, NL=40, W=32), the
+// published values first. Each other row moves one constant of them; NO
+// moves with N, as the paper defines it (NO = 20×N).
 func hybridParams() ablation {
 	a := ablation{ds: experiments.Astro, seeding: experiments.Sparse}
 	for _, tc := range []struct {
 		name string
-		hp   core.HybridParams
+		move func(*core.HybridParams)
 	}{
-		{"paper_N10_NO200_NL40", core.HybridParams{N: 10, NO: 200, NL: 40, W: 8}},
-		{"N2", core.HybridParams{N: 2, NO: 40, NL: 40, W: 8}},
-		{"N50", core.HybridParams{N: 50, NO: 1000, NL: 40, W: 8}},
-		{"NL5", core.HybridParams{N: 10, NO: 200, NL: 5, W: 8}},
-		{"NL1000", core.HybridParams{N: 10, NO: 200, NL: 1000, W: 8}},
-		{"W4", core.HybridParams{N: 10, NO: 200, NL: 40, W: 4}},
-		{"W30", core.HybridParams{N: 10, NO: 200, NL: 40, W: 30}},
+		{"paper_N10_NO200_NL40", func(*core.HybridParams) {}},
+		{"N2", func(h *core.HybridParams) { h.N, h.NO = 2, 20*2 }},
+		{"N50", func(h *core.HybridParams) { h.N, h.NO = 50, 20*50 }},
+		{"NL5", func(h *core.HybridParams) { h.NL = 5 }},
+		{"NL1000", func(h *core.HybridParams) { h.NL = 1000 }},
+		{"W4", func(h *core.HybridParams) { h.W = 4 }},
+		{"W30", func(h *core.HybridParams) { h.W = 30 }},
 	} {
-		a.add(tc.name, core.HybridMS, 16, func(c *core.Config) { c.Hybrid = tc.hp })
+		a.add(tc.name, core.HybridMS, 16, func(c *core.Config) {
+			c.Hybrid = core.DefaultHybrid()
+			tc.move(&c.Hybrid)
+		})
 	}
 	return a
 }
@@ -209,7 +214,9 @@ func TestAblationOutcomes(t *testing.T) {
 	h := hybridParams()
 	hp := h.summaries(t)
 	for i, s := range hp[1:] {
-		if r := s.WallClock / hp[0].WallClock; math.Abs(r-1) > 0.2 {
+		r := s.WallClock / hp[0].WallClock
+		t.Logf("hybrid %s: virtual wall %.4g s, %.4f× the published values'", h.names[i+1], s.WallClock, r)
+		if math.Abs(r-1) > 0.2 {
 			t.Errorf("hybrid %s: virtual wall %.4g s is %.2f× the published values', off the ±20 %% plateau",
 				h.names[i+1], s.WallClock, r)
 		}

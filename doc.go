@@ -18,11 +18,10 @@
 // seeds released over time reshape load balance and I/O burstiness while
 // every particle's geometry stays pinned by the same golden digests.
 // The determinism contract itself is proved statically by
-// internal/invlint, go/analysis-style checkers that go test runs over
-// every package of the module, flagging wall-clock reads, global rand,
-// order-sensitive map iteration and host-time blocking in simulated
-// code; reflect-driven tests hold every experiment axis and metrics
-// counter wired.
+// internal/lint, checks that go test runs over every package of the
+// module, flagging wall-clock reads, global rand, order-sensitive map
+// iteration and host-time blocking in simulated code; reflect-driven
+// tests hold every experiment axis and metrics counter wired.
 //
 // See README.md for a tour and DESIGN.md for the system inventory,
 // substitutions, design-choice notes, the work-stealing scheme
@@ -32,7 +31,7 @@
 //
 //   - internal/core: the four algorithms (core.Run)
 //   - internal/experiments: datasets, machine model, figure harness
-//   - internal/invlint: the determinism analyzers, run as tests
+//   - internal/lint: the determinism, documentation and size checks, run as tests
 //   - cmd/slbench, cmd/slrun, cmd/slviz, cmd/slserve: command-line tools
 //   - examples/: runnable walkthroughs (see examples/README.md)
 package repro

@@ -1,4 +1,4 @@
-package invlint
+package lint
 
 import (
 	"bytes"
@@ -43,7 +43,7 @@ func goList(patterns ...string) ([]listJSON, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("invlint: go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 	var pkgs []listJSON
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
@@ -84,7 +84,7 @@ func (c *exportCache) lookup(path string) (io.ReadCloser, error) {
 			}
 		}
 		if f, ok = c.files[path]; !ok {
-			return nil, fmt.Errorf("invlint: no export data for %q", path)
+			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 	}
 	return os.Open(f)
@@ -133,7 +133,7 @@ func loadTestdataDir(ti *testdataImporter, path, dir string) (*unit, error) {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		return nil, fmt.Errorf("invlint: no Go files in corpus %s", dir)
+		return nil, fmt.Errorf("lint: no Go files in corpus %s", dir)
 	}
 	files, err := parseFiles(ti.fset, dir, names)
 	if err != nil {
@@ -166,7 +166,7 @@ func loadTestdata(root, path string) (*unit, error) {
 // the analysistest expectation syntax.
 var wantRe = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
-// expectation is one `// want` mark: a diagnostic regexp expected on a
+// expectation is one `// want` mark: a finding regexp expected on a
 // specific line of a corpus file.
 type expectation struct {
 	file    string
@@ -176,7 +176,7 @@ type expectation struct {
 }
 
 // collectWants scans the unit's files for `// want` comments. A mark on
-// line L expects a diagnostic on L (the analysistest convention).
+// line L expects a finding on L (the analysistest convention).
 func collectWants(t *testing.T, u *unit) []*expectation {
 	t.Helper()
 	var wants []*expectation
@@ -206,67 +206,69 @@ func collectWants(t *testing.T, u *unit) []*expectation {
 }
 
 // runCorpus loads each named package from testdata/<root>/src, runs the
-// analyzers over it, and checks the diagnostics against the corpus's
-// `// want` marks: every mark must match exactly one diagnostic on its
-// line, and every diagnostic must be claimed by a mark.
-func runCorpus(t *testing.T, root string, analyzers []*Analyzer, pkgPaths ...string) {
+// check over it, and holds the findings to the corpus's `// want` marks:
+// every mark must match exactly one finding on its line, and every
+// finding must be claimed by a mark.
+func runCorpus(t *testing.T, root string, check func(*unit) []finding, pkgPaths ...string) {
 	t.Helper()
-	var diags []Diagnostic
+	var found []finding
 	var wants []*expectation
 	for _, path := range pkgPaths {
 		u, err := loadTestdata("testdata/"+root, path)
 		if err != nil {
 			t.Fatalf("loading corpus %s/%s: %v", root, path, err)
 		}
-		diags = append(diags, runUnit(u, analyzers)...)
+		found = append(found, check(u)...)
 		wants = append(wants, collectWants(t, u)...)
 	}
-	for _, d := range diags {
+	for _, f := range found {
 		claimed := false
 		for _, w := range wants {
-			if !w.matched && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+			if !w.matched && strings.HasPrefix(f.Pos, fmt.Sprintf("%s:%d:", w.file, w.line)) && w.re.MatchString(f.What) {
 				w.matched = true
 				claimed = true
 				break
 			}
 		}
 		if !claimed {
-			t.Errorf("unexpected diagnostic: %s", d)
+			t.Errorf("unexpected finding: %s", f)
 		}
 	}
 	for _, w := range wants {
 		if !w.matched {
-			t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.re)
+			t.Errorf("%s:%d: no finding matched want %q", w.file, w.line, w.re)
 		}
 	}
 }
 
-// TestCorpora drives every analyzer over its flagging and clean corpora.
+// TestCorpora drives each check over its flagging and clean corpora.
 func TestCorpora(t *testing.T) {
 	cases := []struct {
-		root      string
-		analyzers []*Analyzer
-		pkgs      []string
+		root  string
+		check func(*unit) []finding
+		pkgs  []string
 	}{
-		{"det_bad", []*Analyzer{detLint}, []string{"repro/internal/seeds"}},
-		{"det_good", []*Analyzer{detLint}, []string{"repro/internal/seeds", "example.com/other"}},
-		{"simtime_bad", []*Analyzer{simTime}, []string{"repro/internal/core"}},
-		{"simtime_good", []*Analyzer{simTime}, []string{"repro/internal/core"}},
+		{"det_bad", detlint, []string{"repro/internal/seeds"}},
+		{"det_good", detlint, []string{"repro/internal/seeds", "example.com/other"}},
+		{"simtime_bad", simtime, []string{"repro/internal/core"}},
+		{"simtime_good", simtime, []string{"repro/internal/core"}},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.root, func(t *testing.T) {
 			t.Parallel()
-			runCorpus(t, c.root, c.analyzers, c.pkgs...)
+			runCorpus(t, c.root, c.check, c.pkgs...)
 		})
 	}
 }
 
-// TestDiagnosticString pins the vet-style rendering used in error output.
-func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{Analyzer: "detlint", Message: "boom"}
-	d.Pos.Filename, d.Pos.Line, d.Pos.Column = "x.go", 3, 7
-	if got, want := d.String(), "x.go:3:7: boom (detlint)"; got != want {
+// TestFindingString pins the vet-style rendering of a detlint or simtime
+// finding used in error output.
+func TestFindingString(t *testing.T) {
+	fset := token.NewFileSet()
+	f := fset.AddFile("x.go", -1, 15)
+	f.SetLinesForContent([]byte("a\nb\n      boom\n"))
+	u := &unit{Fset: fset}
+	if got, want := u.findingAt(f.Pos(10), "detlint", "boom %d", 1).String(), "x.go:3:7: boom 1 (detlint)"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

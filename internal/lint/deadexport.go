@@ -1,9 +1,7 @@
-package doclint
+package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"path"
 	"strings"
@@ -21,11 +19,11 @@ func (u *use) mark(test bool) {
 	}
 }
 
-// checkDeadExports is the cut list's standing check (ROADMAP aim 2), two
-// rules over one syntactic pass.
+// deadExports is the cut list's standing check (ROADMAP aim 2), two
+// rules over the parsed tree.
 //
 // Dead exports: every exported function, method, type, constant and
-// variable declared under root/internal that no Go file outside its own
+// variable declared under internal/ that no Go file outside its own
 // package directory refers to. Every other Go file of the tree is a
 // referrer: cmd/, examples/, the root benchmarks, the nested bench/
 // module and the other packages' tests. A type that another exported
@@ -35,7 +33,7 @@ func (u *use) mark(test bool) {
 // enumeration — live or die together.
 //
 // Test-only code: every other package-level function, method and type
-// declared in a non-test file under root/internal or root/cmd — the
+// declared in a non-test file under internal/ or cmd/ — the
 // unexported ones, which only their own package can reach — that no
 // non-test file refers to: code the product carries for its tests alone,
 // which belongs in a _test.go file or nowhere. (An exported name that
@@ -44,9 +42,9 @@ func (u *use) mark(test bool) {
 // business.) A reference from inside the declaration itself (recursion, a
 // type's own methods) does not count; main and init are referred to by
 // the runtime; a method nothing selects is left alone, because interfaces
-// and fmt call methods without naming them. internal/doclint and
-// internal/invlint are exempt: they are linters that run as tests, and
-// their entry points are those tests' subject, not their helpers.
+// and fmt call methods without naming them. internal/lint is exempt: its
+// checks run as tests, and their entry points are those tests' subject,
+// not their helpers.
 //
 // The check is syntactic: a package-level name is referred to by any
 // identifier of that name in its own directory and by `pkg.Name`
@@ -54,7 +52,7 @@ func (u *use) mark(test bool) {
 // import, and one that did would be reported, not missed), a method by
 // any `x.Name` selector, so a method shares its liveness with its
 // namesakes; struct fields and interface methods are not examined.
-func checkDeadExports(root string) ([]finding, error) {
+func deadExports(tr *tree) []finding {
 	type decl struct {
 		dir, pkg, name string
 		kind           byte      // 'f'unction, 'm'ethod, 't'ype or 'v'alue
@@ -72,9 +70,9 @@ func checkDeadExports(root string) ([]finding, error) {
 		}
 		return m[key]
 	}
-	err := walkGo(root, true, parser.SkipObjectResolution, func(dir string, fset *token.FileSet, file *ast.File) {
+	for _, src := range tr.files {
+		dir, test := src.dir, src.test
 		pkg := path.Base(dir)
-		test := strings.HasSuffix(fset.Position(file.Package).Filename, "_test.go")
 		internal := strings.HasPrefix(dir, "internal/")
 		declares := !test && (internal || strings.HasPrefix(dir, "cmd/"))
 		// add declares id; the names in an exported declaration's type are exposed.
@@ -83,7 +81,7 @@ func checkDeadExports(root string) ([]finding, error) {
 				return
 			}
 			api = api && internal && id.IsExported()
-			decls = append(decls, decl{dir: dir, pkg: pkg, name: id.Name, kind: kind, api: api, group: group, pos: fset.Position(id.Pos())})
+			decls = append(decls, decl{dir: dir, pkg: pkg, name: id.Name, kind: kind, api: api, group: group, pos: tr.fset.Position(id.Pos())})
 			if !api || typ == nil {
 				return
 			}
@@ -115,7 +113,7 @@ func checkDeadExports(root string) ([]finding, error) {
 				return true
 			})
 		}
-		for _, d := range file.Decls {
+		for _, d := range src.file.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				own := d.Name.Name
@@ -141,9 +139,6 @@ func checkDeadExports(root string) ([]finding, error) {
 				}
 			}
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	// live: the dead-export rule's liveness, a reference from outside d's directory.
@@ -179,19 +174,15 @@ func checkDeadExports(root string) ([]finding, error) {
 	}
 	var findings []finding
 	for _, d := range decls {
-		what := ""
 		switch u := uses(d); {
 		case d.api:
 			if !live(d) && !liveGroups[d.group] {
-				what = fmt.Sprintf("exported %s has no reference outside %s: un-export or delete it", d.name, d.dir)
+				findings = append(findings, findingf(d.pos.Filename, d.pos.Line, "exported %s has no reference outside %s: un-export or delete it", d.name, d.dir))
 			}
-		case d.kind == 'v' || d.dir == "internal/doclint" || d.dir == "internal/invlint" || u.prod:
+		case d.kind == 'v' || d.dir == "internal/lint" || u.prod:
 		case u.test || d.kind != 'm' && d.name != "main" && d.name != "init":
-			what = fmt.Sprintf("test-only %s has no reference in a non-test file: delete it, or move it into a _test.go file", d.name)
-		}
-		if what != "" {
-			findings = append(findings, finding{Pos: fmt.Sprintf("%s:%d", d.pos.Filename, d.pos.Line), What: what})
+			findings = append(findings, findingf(d.pos.Filename, d.pos.Line, "test-only %s has no reference in a non-test file: delete it, or move it into a _test.go file", d.name))
 		}
 	}
-	return findings, nil
+	return findings
 }

@@ -1,4 +1,4 @@
-// The detlint analyzer: the deterministic packages — everything a
+// The detlint check: the deterministic packages — everything a
 // simulated run's result can depend on — must be pure functions of
 // their inputs. Three hazard classes are rejected:
 //
@@ -17,7 +17,7 @@
 //     SHA-256 digests. The one sanctioned idiom, collect-then-sort, is
 //     recognized: an append whose slice is passed to sort/slices
 //     ordering later in the same function is not flagged.
-package invlint
+package lint
 
 import (
 	"go/ast"
@@ -40,63 +40,54 @@ var globalRandExempt = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 }
 
-// detLint rejects wall-clock reads, global math/rand use and
-// order-leaking map iteration in the deterministic packages.
-var detLint = &Analyzer{Name: "detlint", Run: runDetLint}
-
-// runDetLint checks one of the module's packages; code outside the
-// module never feeds a simulated run. Which module packages must be
-// deterministic is the caller's choice: TestTreeHoldsContract derives
-// them from internal/experiments' imports. Test files are exempt (they
-// assert determinism rather than produce results).
-func runDetLint(pass *Pass) {
-	if !strings.HasPrefix(pass.Pkg.Path(), "repro/") {
-		return
+// detlint rejects wall-clock reads, global math/rand use and
+// order-leaking map iteration in one of the module's packages; code
+// outside the module never feeds a simulated run. Which module packages
+// must be deterministic is the caller's choice: TestTreeHoldsContract
+// derives them from internal/experiments' imports. Test files are exempt
+// (they assert determinism rather than produce results).
+func detlint(u *unit) []finding {
+	if !strings.HasPrefix(u.Pkg.Path(), "repro/") {
+		return nil
 	}
-	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			detCheckCalls(pass, fd.Body)
-			detCheckMapRanges(pass, fd.Body)
-		}
+	var found []finding
+	for _, fd := range u.funcs() {
+		found = append(found, detCheckCalls(u, fd.Body)...)
+		found = append(found, detCheckMapRanges(u, fd.Body)...)
 	}
+	return found
 }
 
 // detCheckCalls flags wall-clock and global-rand calls anywhere in
 // body, including nested function literals.
-func detCheckCalls(pass *Pass, body ast.Node) {
+func detCheckCalls(u *unit, body ast.Node) (found []finding) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass.Info, call)
+		fn := calleeFunc(u.Info, call)
 		if fn == nil || fn.Signature().Recv() != nil {
 			return true
 		}
 		switch funcPkgPath(fn) {
 		case "time":
 			if wallClockFuncs[fn.Name()] {
-				pass.reportf(call.Pos(), "call to time.%s: deterministic packages must not observe wall-clock time (use virtual sim time)", fn.Name())
+				found = append(found, u.findingAt(call.Pos(), "detlint", "call to time.%s: deterministic packages must not observe wall-clock time (use virtual sim time)", fn.Name()))
 			}
 		case "math/rand", "math/rand/v2":
 			if !globalRandExempt[fn.Name()] {
-				pass.reportf(call.Pos(), "call to global rand.%s: deterministic packages must use an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
+				found = append(found, u.findingAt(call.Pos(), "detlint", "call to global rand.%s: deterministic packages must use an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name()))
 			}
 		}
 		return true
 	})
+	return found
 }
 
 // detCheckMapRanges walks body looking for range-over-map statements
 // whose bodies leak iteration order.
-func detCheckMapRanges(pass *Pass, body ast.Node) {
+func detCheckMapRanges(u *unit, body ast.Node) (found []finding) {
 	// Track each map range's enclosing function body so the
 	// collect-then-sort idiom can look past the loop's end.
 	var walk func(n ast.Node, encl ast.Node)
@@ -107,9 +98,9 @@ func detCheckMapRanges(pass *Pass, body ast.Node) {
 				walk(stmt.Body, stmt.Body)
 				return false
 			case *ast.RangeStmt:
-				if t := pass.Info.TypeOf(stmt.X); t != nil {
+				if t := u.Info.TypeOf(stmt.X); t != nil {
 					if _, isMap := t.Underlying().(*types.Map); isMap {
-						detCheckMapBody(pass, stmt, encl)
+						found = append(found, detCheckMapBody(u, stmt, encl)...)
 					}
 				}
 			}
@@ -117,52 +108,54 @@ func detCheckMapRanges(pass *Pass, body ast.Node) {
 		})
 	}
 	walk(body, body)
+	return found
 }
 
 // detCheckMapBody flags the order-leaking operations inside one
 // range-over-map body.
-func detCheckMapBody(pass *Pass, rng *ast.RangeStmt, enclosing ast.Node) {
+func detCheckMapBody(u *unit, rng *ast.RangeStmt, enclosing ast.Node) (found []finding) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch stmt := n.(type) {
 		case *ast.SendStmt:
-			pass.reportf(stmt.Pos(), "channel send inside range over map: iteration order becomes observable")
+			found = append(found, u.findingAt(stmt.Pos(), "detlint", "channel send inside range over map: iteration order becomes observable"))
 		case *ast.AssignStmt:
 			for i, rhs := range stmt.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !isAppendCall(pass.Info, call) {
+				if !ok || !isAppendCall(u.Info, call) {
 					continue
 				}
-				target := appendTarget(pass.Info, stmt, i, call)
-				if target != nil && sortedAfter(pass, target, rng, enclosing) {
+				target := appendTarget(u.Info, stmt, i, call)
+				if target != nil && sortedAfter(u, target, rng, enclosing) {
 					continue // collect-then-sort: order cannot escape
 				}
-				pass.reportf(call.Pos(), "append inside range over map: slice order depends on map iteration (sort the keys first, or sort the result before use)")
+				found = append(found, u.findingAt(call.Pos(), "detlint", "append inside range over map: slice order depends on map iteration (sort the keys first, or sort the result before use)"))
 			}
 		case *ast.CallExpr:
-			detCheckMapBodyCall(pass, stmt)
+			found = append(found, detCheckMapBodyCall(u, stmt)...)
 		}
 		return true
 	})
+	return found
 }
 
 // detCheckMapBodyCall flags output- and digest-feeding calls inside a
 // map-range body.
-func detCheckMapBodyCall(pass *Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass.Info, call)
+func detCheckMapBodyCall(u *unit, call *ast.CallExpr) []finding {
+	fn := calleeFunc(u.Info, call)
 	if fn == nil {
-		return
+		return nil
 	}
 	name := fn.Name()
 	if fn.Signature().Recv() == nil {
 		// Package-level ordered-output writers.
 		if funcPkgPath(fn) == "fmt" && (strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")) {
-			pass.reportf(call.Pos(), "fmt.%s inside range over map: output order depends on map iteration", name)
+			return []finding{u.findingAt(call.Pos(), "detlint", "fmt.%s inside range over map: output order depends on map iteration", name)}
 		}
-		return
+		return nil
 	}
 	isWriteName := name == "Write" || name == "WriteString" || name == "WriteByte" || name == "WriteRune" || name == "Sum"
 	if !isWriteName {
-		return
+		return nil
 	}
 	// Classify by the static type of the receiver expression, not the
 	// method's declared receiver: sha256.New() yields a hash.Hash whose
@@ -170,22 +163,23 @@ func detCheckMapBodyCall(pass *Pass, call *ast.CallExpr) {
 	// type is what names the digest.
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return
+		return nil
 	}
-	pkgPath, typeName, ok := namedTypePath(pass.Info.TypeOf(sel.X))
+	pkgPath, typeName, ok := namedTypePath(u.Info.TypeOf(sel.X))
 	if !ok {
-		return
+		return nil
 	}
 	switch {
 	case strings.HasPrefix(pkgPath, "crypto/") || pkgPath == "hash" || strings.HasPrefix(pkgPath, "hash/"):
-		pass.reportf(call.Pos(), "feeding a digest (%s.%s.%s) inside range over map: the hash depends on map iteration order", pkgPath, typeName, name)
+		return []finding{u.findingAt(call.Pos(), "detlint", "feeding a digest (%s.%s.%s) inside range over map: the hash depends on map iteration order", pkgPath, typeName, name)}
 	case pkgPath == "strings" && typeName == "Builder",
 		pkgPath == "bytes" && typeName == "Buffer",
 		pkgPath == "bufio" && typeName == "Writer":
-		pass.reportf(call.Pos(), "writing ordered output (%s.%s.%s) inside range over map: rendered order depends on map iteration", pkgPath, typeName, name)
+		return []finding{u.findingAt(call.Pos(), "detlint", "writing ordered output (%s.%s.%s) inside range over map: rendered order depends on map iteration", pkgPath, typeName, name)}
 	case pkgPath == "io":
-		pass.reportf(call.Pos(), "writing to an %s.%s inside range over map: write order depends on map iteration (and may feed a digest)", pkgPath, typeName)
+		return []finding{u.findingAt(call.Pos(), "detlint", "writing to an %s.%s inside range over map: write order depends on map iteration (and may feed a digest)", pkgPath, typeName)}
 	}
+	return nil
 }
 
 // isAppendCall reports whether call is the append builtin.
@@ -233,7 +227,7 @@ var sortOrderingFuncs = map[string]map[string]bool{
 // sortedAfter reports whether target is passed to a sort/slices
 // ordering function after the range statement, within the enclosing
 // function body — the sanctioned collect-then-sort idiom.
-func sortedAfter(pass *Pass, target types.Object, rng *ast.RangeStmt, enclosing ast.Node) bool {
+func sortedAfter(u *unit, target types.Object, rng *ast.RangeStmt, enclosing ast.Node) bool {
 	found := false
 	ast.Inspect(enclosing, func(n ast.Node) bool {
 		if found {
@@ -243,7 +237,7 @@ func sortedAfter(pass *Pass, target types.Object, rng *ast.RangeStmt, enclosing 
 		if !ok || call.Pos() < rng.End() {
 			return true
 		}
-		fn := calleeFunc(pass.Info, call)
+		fn := calleeFunc(u.Info, call)
 		if fn == nil || fn.Signature().Recv() != nil {
 			return true
 		}
@@ -252,7 +246,7 @@ func sortedAfter(pass *Pass, target types.Object, rng *ast.RangeStmt, enclosing 
 			return true
 		}
 		for _, arg := range call.Args {
-			if id, isIdent := ast.Unparen(arg).(*ast.Ident); isIdent && pass.Info.ObjectOf(id) == target {
+			if id, isIdent := ast.Unparen(arg).(*ast.Ident); isIdent && u.Info.ObjectOf(id) == target {
 				found = true
 				return false
 			}

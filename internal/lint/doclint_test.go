@@ -1,9 +1,10 @@
-package doclint
+package lint
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -21,34 +22,38 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-// TestGodocCoverage is the godoc audit (ISSUE 2): every exported symbol
-// under internal/... and cmd/... must carry a doc comment. Run in CI, a
-// missing comment fails the build.
-func TestGodocCoverage(t *testing.T) {
+// parsedRepo is the module, parsed once for every test that reads it.
+var parsedRepo struct {
+	once sync.Once
+	tree *tree
+	err  error
+}
+
+// repoTree returns the module's parseTree.
+func repoTree(t *testing.T) *tree {
+	t.Helper()
 	root := repoRoot(t)
-	for _, tree := range []string{"internal", "cmd"} {
-		findings, err := checkDir(filepath.Join(root, tree))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range findings {
-			t.Errorf("%s", f)
-		}
+	parsedRepo.once.Do(func() { parsedRepo.tree, parsedRepo.err = parseTree(root) })
+	if parsedRepo.err != nil {
+		t.Fatal(parsedRepo.err)
+	}
+	return parsedRepo.tree
+}
+
+// TestGodocCoverage is the godoc audit: every exported symbol of every
+// non-test Go file in the repository, outside testdata, must carry a doc
+// comment. Run in CI, a missing comment fails the build.
+func TestGodocCoverage(t *testing.T) {
+	for _, f := range godocCoverage(repoTree(t)) {
+		t.Errorf("%s", f)
 	}
 }
 
 // TestPackageComments requires a package doc comment on every package
-// under internal/ and cmd/, and on the repository root package.
+// in the repository, outside testdata.
 func TestPackageComments(t *testing.T) {
-	root := repoRoot(t)
-	for _, tree := range []string{"internal", "cmd", "examples"} {
-		findings, err := checkPackageComments(filepath.Join(root, tree))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range findings {
-			t.Errorf("%s", f)
-		}
+	for _, f := range packageComments(repoTree(t)) {
+		t.Errorf("%s", f)
 	}
 }
 
@@ -155,18 +160,14 @@ const (
 	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := checkDir(dir)
+	tr, err := parseTree(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 3 {
+	if findings := godocCoverage(tr); len(findings) != 3 {
 		t.Fatalf("findings = %d, want 3 (Undocumented, Bad, Naked): %v", len(findings), findings)
 	}
-	pkgFindings, err := checkPackageComments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgFindings) != 1 {
+	if pkgFindings := packageComments(tr); len(pkgFindings) != 1 {
 		t.Fatalf("package findings = %d, want 1: %v", len(pkgFindings), pkgFindings)
 	}
 }
@@ -237,9 +238,9 @@ func TestSlugify(t *testing.T) {
 	}
 }
 
-// TestCheckDirSkipsTestdata proves analyzer corpora are not held to the
+// TestParseTreeSkipsTestdata proves check corpora are not held to the
 // godoc contract.
-func TestCheckDirSkipsTestdata(t *testing.T) {
+func TestParseTreeSkipsTestdata(t *testing.T) {
 	dir := t.TempDir()
 	sub := filepath.Join(dir, "testdata", "src", "p")
 	if err := os.MkdirAll(sub, 0o755); err != nil {
@@ -249,19 +250,15 @@ func TestCheckDirSkipsTestdata(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(sub, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := checkDir(dir)
+	tr, err := parseTree(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 0 {
-		t.Errorf("testdata not skipped by CheckDir: %v", findings)
+	if findings := godocCoverage(tr); len(findings) != 0 {
+		t.Errorf("testdata not skipped by godocCoverage: %v", findings)
 	}
-	pkgFindings, err := checkPackageComments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgFindings) != 0 {
-		t.Errorf("testdata not skipped by CheckPackageComments: %v", pkgFindings)
+	if pkgFindings := packageComments(tr); len(pkgFindings) != 0 {
+		t.Errorf("testdata not skipped by packageComments: %v", pkgFindings)
 	}
 }
 
@@ -288,11 +285,7 @@ func TestDesignSize(t *testing.T) {
 // under internal/ or cmd/ that only _test.go files refer to is deleted or
 // moved into one.
 func TestDeadExports(t *testing.T) {
-	findings, err := checkDeadExports(repoRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
+	for _, f := range deadExports(repoTree(t)) {
 		t.Errorf("%s", f)
 	}
 }
@@ -359,12 +352,12 @@ func Oracle() { helper() }
 			t.Fatal(err)
 		}
 	}
-	findings, err := checkDeadExports(root)
+	tr, err := parseTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, f := range findings {
+	for _, f := range deadExports(tr) {
 		got = append(got, strings.Join(strings.Fields(f.What)[:2], " "))
 	}
 	want := "exported Orphan, exported Dead, exported Uncalled, exported Lonely, " +

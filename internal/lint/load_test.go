@@ -1,8 +1,8 @@
-// Package loading for the analyzers: what the two test loaders share.
+// Package loading for detlint and simtime: what the two test loaders share.
 // TestTreeHoldsContract type-checks the module's packages against their
 // dependencies' export data; the corpus loader (analysistest_test.go)
 // type-checks testdata/<case>/src from source.
-package invlint
+package lint
 
 import (
 	"fmt"
@@ -44,7 +44,7 @@ func checkUnit(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("invlint: type-checking %s: %w", path, err)
+		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
 	return &unit{Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }

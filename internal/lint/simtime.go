@@ -1,4 +1,4 @@
-// The simtime analyzer: code reachable from a sim.Proc body runs under
+// The simtime check: code reachable from a sim.Proc body runs under
 // the deterministic discrete-event kernel, whose whole design is that
 // exactly one process executes at a time and every block is a
 // virtual-time event (internal/sim's package comment). Blocking on
@@ -14,9 +14,9 @@
 // package extends the set, and function literals nested in reachable
 // code are reachable (the kernel runs scheduled callbacks inside the
 // simulation too). The sim package itself is exempt — it implements the
-// primitives out of exactly the machinery this analyzer forbids
+// primitives out of exactly the machinery this check forbids
 // everywhere else.
-package invlint
+package lint
 
 import (
 	"go/ast"
@@ -26,52 +26,39 @@ import (
 // simPkgPath is the import path of the discrete-event kernel.
 const simPkgPath = "repro/internal/sim"
 
-// simTime forbids OS-time blocking, bare channel operations and
+// simtime forbids OS-time blocking, bare channel operations and
 // goroutine spawns in code reachable from a sim.Proc body.
-var simTime = &Analyzer{Name: "simtime", Run: runSimTime}
-
-func runSimTime(pass *Pass) {
-	if pass.Pkg.Path() == simPkgPath {
-		return // the primitives' own implementation
+func simtime(u *unit) []finding {
+	if u.Pkg.Path() == simPkgPath {
+		return nil // the primitives' own implementation
 	}
 
 	// Collect the package's function declarations and their objects.
 	type fnode struct {
 		decl    *ast.FuncDecl
-		obj     *types.Func
 		root    bool
 		callees map[*types.Func]bool
 	}
 	var nodes []*fnode
 	byObj := make(map[*types.Func]*fnode)
-	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file) {
+	for _, fd := range u.funcs() {
+		obj, _ := u.Info.Defs[fd.Name].(*types.Func)
+		if obj == nil {
 			continue
 		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.Info.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			n := &fnode{decl: fd, obj: obj, callees: make(map[*types.Func]bool)}
-			n.root = funcTakesProc(obj)
-			ast.Inspect(fd.Body, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if callee := calleeFunc(pass.Info, call); callee != nil && callee.Pkg() == pass.Pkg {
-					n.callees[callee] = true
-				}
+		n := &fnode{decl: fd, root: funcTakesProc(obj), callees: make(map[*types.Func]bool)}
+		ast.Inspect(fd.Body, func(m ast.Node) bool {
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-			nodes = append(nodes, n)
-			byObj[obj] = n
-		}
+			}
+			if callee := calleeFunc(u.Info, call); callee != nil && callee.Pkg() == u.Pkg {
+				n.callees[callee] = true
+			}
+			return true
+		})
+		nodes = append(nodes, n)
+		byObj[obj] = n
 	}
 
 	// Propagate reachability through the package-local call graph.
@@ -94,9 +81,13 @@ func runSimTime(pass *Pass) {
 		}
 	}
 
-	for n := range reach {
-		simCheckBody(pass, n.decl.Body)
+	var found []finding
+	for _, n := range nodes {
+		if reach[n] {
+			found = append(found, simCheckBody(u, n.decl.Body)...)
+		}
 	}
+	return found
 }
 
 // funcTakesProc reports whether fn has a *sim.Proc parameter or
@@ -135,34 +126,35 @@ var simBlockingSync = map[string]bool{
 
 // simCheckBody flags forbidden blocking constructs in one reachable
 // function body, including nested literals.
-func simCheckBody(pass *Pass, body ast.Node) {
+func simCheckBody(u *unit, body ast.Node) (found []finding) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch stmt := n.(type) {
 		case *ast.GoStmt:
-			pass.reportf(stmt.Pos(), "goroutine spawned in sim-reachable code: the kernel schedules exactly one process at a time (use Kernel.Spawn)")
+			found = append(found, u.findingAt(stmt.Pos(), "simtime", "goroutine spawned in sim-reachable code: the kernel schedules exactly one process at a time (use Kernel.Spawn)"))
 		case *ast.SelectStmt:
-			pass.reportf(stmt.Pos(), "select in sim-reachable code: bare channel waits bypass the virtual clock (use Proc.Recv/RecvUntil)")
+			found = append(found, u.findingAt(stmt.Pos(), "simtime", "select in sim-reachable code: bare channel waits bypass the virtual clock (use Proc.Recv/RecvUntil)"))
 		case *ast.SendStmt:
-			pass.reportf(stmt.Pos(), "channel send in sim-reachable code: bare channel operations bypass the virtual clock (use Proc.Send)")
+			found = append(found, u.findingAt(stmt.Pos(), "simtime", "channel send in sim-reachable code: bare channel operations bypass the virtual clock (use Proc.Send)"))
 		case *ast.UnaryExpr:
 			if stmt.Op.String() == "<-" {
-				pass.reportf(stmt.Pos(), "channel receive in sim-reachable code: bare channel operations bypass the virtual clock (use Proc.Recv)")
+				found = append(found, u.findingAt(stmt.Pos(), "simtime", "channel receive in sim-reachable code: bare channel operations bypass the virtual clock (use Proc.Recv)"))
 			}
 		case *ast.CallExpr:
-			fn := calleeFunc(pass.Info, stmt)
+			fn := calleeFunc(u.Info, stmt)
 			if fn == nil {
 				return true
 			}
 			if fn.Signature().Recv() == nil {
 				if funcPkgPath(fn) == "time" && simBlockingTime[fn.Name()] {
-					pass.reportf(stmt.Pos(), "time.%s in sim-reachable code: OS time must not block a simulated process (use Proc.Sleep/RecvUntil)", fn.Name())
+					found = append(found, u.findingAt(stmt.Pos(), "simtime", "time.%s in sim-reachable code: OS time must not block a simulated process (use Proc.Sleep/RecvUntil)", fn.Name()))
 				}
 				return true
 			}
 			if pkgPath, typeName, ok := namedTypePath(fn.Signature().Recv().Type()); ok && pkgPath == "sync" && simBlockingSync[fn.Name()] {
-				pass.reportf(stmt.Pos(), "sync.%s.%s in sim-reachable code: real synchronization must not block a simulated process", typeName, fn.Name())
+				found = append(found, u.findingAt(stmt.Pos(), "simtime", "sync.%s.%s in sim-reachable code: real synchronization must not block a simulated process", typeName, fn.Name()))
 			}
 		}
 		return true
 	})
+	return found
 }

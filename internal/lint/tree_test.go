@@ -1,4 +1,4 @@
-package invlint
+package lint
 
 import (
 	"fmt"
@@ -21,7 +21,7 @@ const experimentsPath = "repro/internal/experiments"
 // module package it imports, directly or not: the set is derived from
 // the listing, so a package the campaign comes to import is covered
 // without an edit here. Each package is type-checked from its non-test
-// sources (the analyzers skip test files) against its dependencies'
+// sources (the checks skip test files) against its dependencies'
 // export data.
 func TestTreeHoldsContract(t *testing.T) {
 	pkgs, err := goList("repro/...")
@@ -48,7 +48,7 @@ func TestTreeHoldsContract(t *testing.T) {
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		if exports[path] == "" {
-			return nil, fmt.Errorf("invlint: no export data for %q", path)
+			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 		return os.Open(exports[path])
 	})
@@ -66,13 +66,13 @@ func TestTreeHoldsContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		analyzers := []*Analyzer{simTime}
+		found := simtime(u)
 		if det[p.ImportPath] {
-			analyzers = []*Analyzer{detLint, simTime}
+			found = append(detlint(u), found...)
 			detSet = append(detSet, p.ImportPath)
 		}
-		for _, d := range runUnit(u, analyzers) {
-			t.Error(d)
+		for _, f := range found {
+			t.Error(f)
 		}
 		checked++
 	}

@@ -18,8 +18,13 @@ type ProcStats struct {
 	IOTime      float64 // time blocked reading blocks
 	IOQueueTime float64 // subset of IOTime spent queued for a shared I/O server
 	CommTime    float64 // time posting/handling sends and receives
-	IdleTime    float64 // time blocked waiting for work/messages
-	EndTime     float64 // virtual time when the processor finished
+	// IdleTime is meant as the time blocked waiting for work or
+	// messages, but nothing writes it: it is 0 on every processor, and
+	// so is Summary.TotalIdle. The kernel keeps its own count
+	// (sim.Proc.IdleTime). Writing or dropping the field changes every
+	// summary's bytes, so it waits for the next re-pin of summaries.txt.
+	IdleTime float64
+	EndTime  float64 // virtual time when the processor finished
 
 	Steps        int64 // accepted integration steps
 	BlocksLoaded int64 // block reads from disk
@@ -141,7 +146,7 @@ type Summary struct {
 	TotalIOQueue float64 // subset of TotalIO spent queued for shared I/O servers
 	TotalComm    float64 // summed communication time (Figures 8, 11, 15)
 	TotalCompute float64
-	TotalIdle    float64
+	TotalIdle    float64 // summed ProcStats.IdleTime: always 0, as nothing writes that
 
 	BlocksLoaded int64
 	BlocksPurged int64
