@@ -11,8 +11,8 @@
 // The machine-axis flags — -unsteady, -prefetch, -inject, -faults — are
 // slrun's too, defined and checked once by experiments.AxisFlags. Here
 // they set the axes of every figure cell, and each enabled axis adds its
-// columns to the tables (Key.AxisColumns: unsteady tables gain epochs
-// and psteps). The -scale alone sets the rest of the machine — time
+// columns to the tables (Campaign.FigureColumns: unsteady tables gain
+// epochs and psteps). The -scale alone sets the rest of the machine — time
 // slices, prefetch depth, injection waves and kill time — so a scale
 // name and a row label name one cell wherever they are read.
 //

@@ -2,9 +2,8 @@
 // cluster and reports its metrics — the one-experiment counterpart to
 // slbench's full sweep. All four algorithms are available: the paper's
 // static, ondemand and hybrid, plus the decentralized stealing extension
-// (DESIGN.md §6). -procs also accepts a comma-separated list; the sweep
-// then runs its cells concurrently (-j workers, one per CPU core by
-// default) and prints one summary line per processor count.
+// (DESIGN.md §6). A processor-count sweep is slbench's (-figure 5 lists
+// the strong-scaling cells), or repeated slrun -procs N runs.
 //
 // The machine-axis flags of the next four paragraphs (-unsteady,
 // -prefetch, -inject, -faults) are slbench's too, defined and checked
@@ -34,11 +33,11 @@
 //
 // With -trace the run records its virtual-time event stream
 // (DESIGN.md §13) and exports it as Chrome trace-event JSON — load the
-// file in Perfetto or chrome://tracing for per-processor Gantt
-// timelines. With -timeline the same events are resampled into a
-// fixed-interval time series (active streamlines, I/O queue depth,
-// resident blocks, busy fractions) written as CSV, or JSON when the
-// path ends in .json; -sample-interval overrides the bin width.
+// file in Perfetto or chrome://tracing for per-processor timelines.
+// With -timeline the same events are resampled into a fixed-interval
+// time series (active streamlines, I/O queue depth, resident blocks,
+// busy fractions) written as CSV; -sample-interval overrides the bin
+// width.
 // Tracing never perturbs the simulation: the metrics are bit-identical
 // with or without it, and the trace itself is byte-identical across
 // repeated runs.
@@ -48,7 +47,6 @@
 //	slrun -dataset astro -seeding sparse -alg hybrid -procs 128
 //	slrun -dataset thermal -seeding dense -alg static   # reproduces the OOM
 //	slrun -alg ondemand -perproc -top 3                 # three busiest processors
-//	slrun -alg hybrid -procs 8,16,32,64 -j 4            # strong-scaling sweep
 //	slrun -alg stealing                                 # decentralized stealing
 //	slrun -unsteady -alg ondemand                       # pathline campaign
 //	slrun -alg ondemand -prefetch neighbor              # hide I/O behind compute
@@ -56,9 +54,9 @@
 //	slrun -alg ondemand -inject stagger                 # streak-line seeding
 //	slrun -alg hybrid -inject burst                     # bursty rake seeding
 //	slrun -alg stealing -faults kill                    # lose proc 0 mid-run
-//	slrun -alg hybrid -trace out.json                   # Perfetto Gantt trace
+//	slrun -alg hybrid -trace out.json                   # per-processor timeline for Perfetto
 //	slrun -alg ondemand -timeline series.csv            # virtual-time series
-//	slrun -alg ondemand -timeline s.json -sample-interval 0.01
+//	slrun -alg ondemand -timeline s.csv -sample-interval 0.01
 package main
 
 import (
@@ -69,8 +67,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -82,25 +78,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// parseProcs expands the -procs flag — one count or a comma-separated
-// list — into one copy of k per count, each checked by Key.Validate.
-func parseProcs(s string, k experiments.Key) ([]experiments.Key, error) {
-	parts := strings.Split(s, ",")
-	keys := make([]experiments.Key, 0, len(parts))
-	for _, part := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad processor count %q", part)
-		}
-		k.Procs = n
-		if err := k.Validate(); err != nil {
-			return nil, err
-		}
-		keys = append(keys, k)
-	}
-	return keys, nil
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("slrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -109,12 +86,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dataset     = fs.String("dataset", "astro", "dataset: astro, fusion, thermal")
 		seeding     = fs.String("seeding", "sparse", "seeding: sparse or dense")
 		alg         = fs.String("alg", "hybrid", "algorithm: static, ondemand, hybrid, stealing")
-		procsFlag   = fs.String("procs", "64", "simulated processor count, or comma-separated list for a sweep")
-		perProc     = fs.Bool("perproc", false, "print per-processor statistics (single -procs only)")
+		procs       = fs.Int("procs", 64, "simulated processor count")
+		perProc     = fs.Bool("perproc", false, "print per-processor statistics")
 		topN        = fs.Int("top", 5, "with -perproc, show the N busiest processors")
-		jobs        = fs.Int("j", 0, "sweep cells to run concurrently; 0 means one per CPU core")
-		traceOut    = fs.String("trace", "", "write the run's virtual-time event stream as Chrome trace-event JSON to this file (single -procs only)")
-		timelineOut = fs.String("timeline", "", "write the run's fixed-interval time series to this file: CSV, or JSON with a .json suffix (single -procs only)")
+		traceOut    = fs.String("trace", "", "write the run's virtual-time event stream as Chrome trace-event JSON to this file")
+		timelineOut = fs.String("timeline", "", "write the run's fixed-interval time series to this file as CSV")
 		sampleIvl   = fs.Float64("sample-interval", 0, "with -timeline: sampling bin width in virtual seconds (0 = wall clock / 256)")
 		axes        = experiments.AxisFlags(fs)
 	)
@@ -125,10 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *jobs < 0 {
-		fmt.Fprintf(stderr, "slrun: negative -j %d\n", *jobs)
-		return 2
-	}
 	sc, ok := experiments.ScaleByName(*scaleName)
 	if !ok {
 		fmt.Fprintf(stderr, "slrun: unknown scale %q\n", *scaleName)
@@ -140,10 +112,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// Reject bad experiment names up front so a typo is a usage error
-	// (exit 2) on every path, not a per-cell "run failed" (exit 1).
-	k.Dataset, k.Seeding, k.Alg = experiments.Dataset(*dataset), experiments.Seeding(*seeding), core.Algorithm(*alg)
-	keys, err := parseProcs(*procsFlag, k)
-	if err != nil {
+	// (exit 2), not a "run failed" (exit 1).
+	k.Dataset, k.Seeding, k.Alg, k.Procs = experiments.Dataset(*dataset), experiments.Seeding(*seeding), core.Algorithm(*alg), *procs
+	if err := k.Validate(); err != nil {
 		fmt.Fprintf(stderr, "slrun: %v\n", err)
 		return 2
 	}
@@ -166,20 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "slrun: -top requires -perproc")
 		return 2
 	}
-	if len(keys) > 1 {
-		// The trace, timeline and per-processor block describe one run; a
-		// sweep has many.
-		if *traceOut != "" || *timelineOut != "" {
-			fmt.Fprintln(stderr, "slrun: -trace/-timeline require a single -procs count")
-			return 2
-		}
-		if *perProc {
-			fmt.Fprintln(stderr, "slrun: -perproc requires a single -procs count")
-			return 2
-		}
-		return runSweep(sc, keys, *jobs, stdout)
-	}
-	return runSingle(sc, keys[0], *perProc, *topN, *traceOut, *timelineOut, *sampleIvl, stdout, stderr)
+	return runCell(sc, k, *perProc, *topN, *traceOut, *timelineOut, *sampleIvl, stdout, stderr)
 }
 
 // writeFile creates path and streams fn's output into it, reporting the
@@ -196,37 +154,8 @@ func writeFile(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
-// runSweep executes one cell — keys differing only in processor count —
-// on the campaign worker pool and prints a summary table.
-func runSweep(sc experiments.Scale, keys []experiments.Key, jobs int, stdout io.Writer) int {
-	// The campaign keeps the scale's own ProcCounts so MemoryBudget (which
-	// derives from the sweep minimum) matches what a single -procs run of
-	// the same scale would use; the sweep cells are the explicit keys.
-	c := experiments.NewCampaign(sc)
-	c.Workers = jobs
-	c.RunKeys(keys)
-
-	rows := make([]metrics.TableRow, 0, len(keys))
-	failed := 0
-	for _, k := range keys {
-		out := c.Run(k) // cached
-		if out.Err != nil {
-			failed++
-		}
-		rows = append(rows, metrics.TableRow{Label: k.Label(), Summary: out.Summary, Err: out.Err})
-	}
-	cols := append([]string{"wall", "io", "ioq", "comm", "efficiency"}, keys[0].AxisColumns()...)
-	fmt.Fprint(stdout, metrics.Table(rows, cols))
-	if failed > 0 {
-		// Match the single-run convention: any failed cell (e.g. the
-		// expected dense/static OOM) yields a non-zero exit.
-		return 1
-	}
-	return 0
-}
-
-// runSingle executes one cell and prints the detailed report.
-func runSingle(sc experiments.Scale, k experiments.Key, perProc bool, topN int, traceOut, timelineOut string, sampleIvl float64, stdout, stderr io.Writer) int {
+// runCell executes the cell and prints the detailed report.
+func runCell(sc experiments.Scale, k experiments.Key, perProc bool, topN int, traceOut, timelineOut string, sampleIvl float64, stdout, stderr io.Writer) int {
 	prob, err := experiments.BuildInjectedProblem(k.Dataset, k.Seeding, sc, k.Unsteady, k.Injection)
 	if err != nil {
 		fmt.Fprintln(stderr, "slrun:", err)
@@ -264,12 +193,8 @@ func runSingle(sc experiments.Scale, k experiments.Key, perProc bool, topN int, 
 	}
 	if timelineOut != "" {
 		samples := cfg.Trace.Series(sampleIvl)
-		write := obs.WriteSeriesCSV
-		if strings.HasSuffix(timelineOut, ".json") {
-			write = obs.WriteSeriesJSON
-		}
 		if err := writeFile(timelineOut, func(w io.Writer) error {
-			return write(w, samples)
+			return obs.WriteSeriesCSV(w, samples)
 		}); err != nil {
 			fmt.Fprintln(stderr, "slrun:", err)
 			return 1

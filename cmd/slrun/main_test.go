@@ -9,75 +9,31 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/experiments"
 )
-
-func TestParseProcs(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-		ok   bool
-	}{
-		{"64", []int{64}, true},
-		{"8,16,32", []int{8, 16, 32}, true},
-		{" 8 , 16 ", []int{8, 16}, true},
-		{"", nil, false},
-		{"8,zero", nil, false},
-		{"-4", nil, false},
-	}
-	k := experiments.Key{Dataset: experiments.Astro, Seeding: experiments.Sparse, Alg: core.HybridMS}
-	for _, tc := range cases {
-		got, err := parseProcs(tc.in, k)
-		if tc.ok != (err == nil) {
-			t.Errorf("parseProcs(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if !tc.ok {
-			continue
-		}
-		if len(got) != len(tc.want) {
-			t.Errorf("parseProcs(%q) = %v, want %v", tc.in, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if k.Procs = tc.want[i]; got[i] != k {
-				t.Errorf("parseProcs(%q) = %v, want %v", tc.in, got, tc.want)
-				break
-			}
-		}
-	}
-}
 
 func TestRunBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-scale", "bogus"},
 		{"-procs", "0"},
-		{"-procs", "8,oops"},
 		// Over the processor bound: a usage error, not an out-of-memory
 		// crash.
 		{"-procs", "200000000"},
-		{"-procs", "8,200000000"},
+		// slrun runs one cell: a processor-count sweep is slbench's, and
+		// there is no worker pool to size.
+		{"-procs", "8,16"},
+		{"-j", "2"},
 		{"-nosuchflag"},
-		// Bad experiment names are usage errors on the single-run AND
-		// sweep paths, never per-cell simulation failures.
+		// Bad experiment names are usage errors, never simulation failures.
 		{"-dataset", "bogus"},
-		{"-dataset", "bogus", "-procs", "8,16"},
-		{"-seeding", "bogus", "-procs", "8,16"},
+		{"-seeding", "bogus"},
 		{"-alg", "bogus"},
-		{"-alg", "bogus", "-procs", "8,16"},
 		{"-prefetch", "sideways"},
 		// A hybrid cell needs a master and a slave: one processor is a
-		// usage error, not a per-cell "run failed".
+		// usage error, not a "run failed".
 		{"-scale", "small", "-alg", "hybrid", "-procs", "1"},
-		{"-scale", "small", "-alg", "hybrid", "-procs", "8,1"},
-		// The per-processor block describes one run, and -top shapes only
-		// that block: either would be silently ignored.
-		{"-scale", "small", "-alg", "ondemand", "-procs", "8,16", "-perproc", "-top", "2"},
-		{"-scale", "small", "-alg", "ondemand", "-procs", "8,16", "-perproc"},
+		// -top shapes only the per-processor block: without -perproc it
+		// would be silently ignored.
 		{"-scale", "small", "-alg", "ondemand", "-procs", "8", "-top", "2"},
-		{"-scale", "small", "-procs", "8", "-j", "-3"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
@@ -182,24 +138,6 @@ func TestRunPrefetchSingle(t *testing.T) {
 	}
 }
 
-func TestRunPrefetchSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation too slow for -short")
-	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "ondemand", "-procs", "8,16", "-prefetch", "temporal", "-unsteady"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"u:astro/sparse/ondemand/8+pf:temporal", "hidden", "prefetch"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("sweep output missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestRunInjectSingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
@@ -218,24 +156,6 @@ func TestRunInjectSingle(t *testing.T) {
 	}
 }
 
-func TestRunInjectSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation too slow for -short")
-	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "stealing", "-procs", "8,16", "-inject", "stagger"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"astro/sparse/stealing/8+i:stagger", "apeak", "rstalls"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("sweep output missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestRunBadInjectFlags(t *testing.T) {
 	cases := [][]string{
 		{"-inject", "sideways"},
@@ -244,42 +164,6 @@ func TestRunBadInjectFlags(t *testing.T) {
 		var out, errw bytes.Buffer
 		if code := run(args, &out, &errw); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
-		}
-	}
-}
-
-func TestRunSweepFailureExitCode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation too slow for -short")
-	}
-	// The dense-thermal static OOM fails at every processor count (the
-	// geometry concentrates on one processor regardless); the sweep must
-	// report it with a non-zero exit, like the single-run path does.
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "thermal", "-seeding", "dense",
-		"-alg", "static", "-procs", "8,32", "-j", "2"}
-	if code := run(args, &out, &errw); code != 1 {
-		t.Fatalf("run = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "OOM") {
-		t.Errorf("sweep table should mark the OOM rows:\n%s", out.String())
-	}
-}
-
-func TestRunSweepSmallScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation too slow for -short")
-	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "fusion", "-seeding", "sparse",
-		"-alg", "hybrid", "-procs", "8,16", "-j", "2"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"fusion/sparse/hybrid/8", "fusion/sparse/hybrid/16", "wall"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
 }
@@ -302,24 +186,6 @@ func TestRunUnsteadySingle(t *testing.T) {
 	}
 }
 
-func TestRunUnsteadySweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation too slow for -short")
-	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "stealing", "-procs", "8,16", "-unsteady", "-j", "2"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"u:astro/sparse/stealing/8", "u:astro/sparse/stealing/16", "epochs"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestRunFaultSingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
@@ -334,25 +200,6 @@ func TestRunFaultSingle(t *testing.T) {
 	for _, want := range []string{"processors lost", "ring reforms", "master failovers", "sends to dead peers"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunFaultSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation too slow for -short")
-	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "hybrid", "-procs", "8,16", "-faults", "kill", "-j", "2"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"astro/sparse/hybrid/8+f:kill", "astro/sparse/hybrid/16+f:kill",
-		"lost", "adopted", "failovers"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("sweep output missing %q:\n%s", want, got)
 		}
 	}
 }
@@ -381,7 +228,6 @@ func TestRunBadFaultFlags(t *testing.T) {
 		// to survive it, and the cell would run fault-free under a kill
 		// label.
 		{"-scale", "small", "-dataset", "thermal", "-alg", "ondemand", "-procs", "1", "-faults", "kill"},
-		{"-scale", "small", "-alg", "hybrid", "-procs", "1,8", "-faults", "kill"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
@@ -393,9 +239,7 @@ func TestRunBadFaultFlags(t *testing.T) {
 
 func TestRunBadTraceFlags(t *testing.T) {
 	cases := [][]string{
-		{"-trace", "out.json", "-procs", "8,16"},   // trace describes one run
-		{"-timeline", "out.csv", "-procs", "8,16"}, // so does the timeline
-		{"-sample-interval", "0.1"},                // interval without a timeline
+		{"-sample-interval", "0.1"}, // interval without a timeline
 		{"-timeline", "s.csv", "-sample-interval", "-1"},
 	}
 	for _, args := range cases {
@@ -407,10 +251,10 @@ func TestRunBadTraceFlags(t *testing.T) {
 }
 
 // TestRunTraceAndTimeline smoke-tests -trace and -timeline end to end:
-// the exported file must be valid Chrome trace-event JSON, the CSV and
-// JSON timelines must carry the documented columns, and a second -trace
-// run of the same configuration must produce a byte-identical file —
-// the CLI-level determinism guarantee.
+// the exported file must be valid Chrome trace-event JSON, every timeline
+// is CSV with the documented columns (whatever the path's suffix), and a
+// second -trace run of the same configuration must produce a
+// byte-identical file — the CLI-level determinism guarantee.
 func TestRunTraceAndTimeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
@@ -471,27 +315,13 @@ func TestRunTraceAndTimeline(t *testing.T) {
 		}
 	}
 
-	csvData, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(csvData), "t,active,io_queue,resident_blocks,busy_mean,busy_max\n") {
-		t.Errorf("timeline CSV header unexpected:\n%.120s", csvData)
-	}
-	jsonData, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var samples []map[string]any
-	if err := json.Unmarshal(jsonData, &samples); err != nil {
-		t.Fatalf(".json timeline is not valid JSON: %v", err)
-	}
-	if len(samples) == 0 {
-		t.Fatal(".json timeline is empty")
-	}
-	for _, key := range []string{"t", "active", "io_queue", "resident_blocks", "busy_mean", "busy_max"} {
-		if _, ok := samples[0][key]; !ok {
-			t.Errorf(".json timeline sample missing %q: %v", key, samples[0])
+	for _, path := range []string{csvPath, jsonPath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(data), "t,active,io_queue,resident_blocks,busy_mean,busy_max\n") {
+			t.Errorf("timeline %s header unexpected:\n%.120s", filepath.Base(path), data)
 		}
 	}
 }

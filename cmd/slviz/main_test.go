@@ -23,7 +23,10 @@ func TestRunBadFlags(t *testing.T) {
 		{"-steps", "0"},
 		{"-lines", "0"}, {"-lines", "-3"},
 		{"-width", "-5"}, {"-width", "0"},
-		{"-height", "0"}, {"-gantt", "-height", "-1"},
+		{"-height", "0"}, {"-height", "-1"},
+		// slviz draws curves only: the per-processor timeline is slrun
+		// -trace's, and the picture's machine is fixed.
+		{"-gantt"}, {"-alg", "hybrid"}, {"-procs", "8"},
 	} {
 		if code := run(args, &out, &errw); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
@@ -104,48 +107,5 @@ func TestRunThermalHonoursSteps(t *testing.T) {
 	}
 	if bytes.Equal(images[0], images[1]) {
 		t.Error("-steps 50 and -steps 400 wrote the same thermal image")
-	}
-}
-
-func TestRunBadGanttFlags(t *testing.T) {
-	cases := [][]string{
-		{"-alg", "hybrid"},             // -alg without -gantt
-		{"-procs", "8"},                // -procs without -gantt
-		{"-gantt", "-alg", "sideways"}, // unknown algorithm
-		{"-gantt", "-procs", "-2"},
-		{"-gantt", "-procs", "5000"},                // over slrun's and slserve's limit
-		{"-gantt", "-alg", "hybrid", "-procs", "1"}, // a master without a slave
-	}
-	for _, args := range cases {
-		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 {
-			t.Errorf("run(%v) = %d, want 2", args, code)
-		}
-	}
-}
-
-// TestRunGanttWritesImage smoke-tests the timeline mode: a -gantt run
-// must produce a non-trivial PPM and report the traced event count.
-func TestRunGanttWritesImage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("rendering run too slow for -short")
-	}
-	path := filepath.Join(t.TempDir(), "gantt.ppm")
-	var out, errw bytes.Buffer
-	args := []string{"-gantt", "-alg", "hybrid", "-procs", "4",
-		"-dataset", "fusion", "-out", path,
-		"-width", "128", "-height", "64", "-steps", "200"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	if !strings.Contains(out.String(), "hybrid/4 timeline") {
-		t.Errorf("missing timeline confirmation: %s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte("P6")) {
-		t.Errorf("output is not a binary PPM (got %q...)", data[:min(8, len(data))])
 	}
 }

@@ -843,13 +843,13 @@ func (c *Campaign) FigureRows(fig Figure) []metrics.TableRow {
 	return rows
 }
 
-// AxisColumns returns the metric columns a table of cells like k adds
+// axisColumns returns the metric columns a table of cells like k adds
 // for k's machine axes, after its own: the epoch-crossing and
 // pathline-step counts for unsteady cells, the hidden-I/O and
 // hit/issue/waste columns for prefetching cells, the active-peak and
 // release-stall columns for staggered-injection cells, and the
 // loss/recovery columns for fault-injecting cells.
-func (k Key) AxisColumns() []string {
+func (k Key) axisColumns() []string {
 	var cols []string
 	if k.Unsteady {
 		cols = append(cols, "epochs", "psteps")
@@ -867,9 +867,9 @@ func (k Key) AxisColumns() []string {
 }
 
 // FigureColumns returns the metric columns a figure's table renders: the
-// figure's own metric, then the campaign template's AxisColumns.
+// figure's own metric, then the campaign template's axisColumns.
 func (c *Campaign) FigureColumns(fig Figure) []string {
-	return append([]string{fig.Metric}, c.Cell.AxisColumns()...)
+	return append([]string{fig.Metric}, c.Cell.axisColumns()...)
 }
 
 // FigureTable renders one figure as an aligned text table.

@@ -2,11 +2,11 @@ package obs
 
 import "math"
 
-// Digest is a mergeable log-bucketed histogram for percentile
-// summaries: constant memory, deterministic, and additive — merging
-// per-cell digests in any order yields the same result, which is what
-// lets slbench fold campaign cells together. Count, Sum, Min and Max
-// are exact; quantiles are bucket-resolution approximations with
+// Digest is a log-bucketed histogram for percentile summaries: constant
+// memory and deterministic, a pure function of the samples added. It
+// describes one run; nothing merges digests, and each campaign cell's
+// row carries its own run's percentiles. Count, Sum, Min and Max are
+// exact; quantiles are bucket-resolution approximations with
 // relative error bounded by one bucket width (2^(1/16) ≈ 4.4%).
 type Digest struct {
 	count    int64

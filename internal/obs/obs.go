@@ -17,12 +17,12 @@
 // Three consumers sit on top:
 //
 //   - WriteChromeTrace exports the event list as Chrome trace-event /
-//     Perfetto JSON — the paper's per-processor Gantt charts.
+//     Perfetto JSON, one timeline lane per processor.
 //   - Series resamples the events into a fixed-interval virtual-time
 //     series (active streamlines, I/O queue depth, resident blocks,
-//     busy fractions), written as CSV or JSON.
+//     busy fractions), written as CSV.
 //   - Report folds stall, I/O-queue, message-latency and step-count
-//     distributions into mergeable percentile digests for slbench.
+//     distributions into percentile digests, one report per run.
 package obs
 
 import (
@@ -31,8 +31,8 @@ import (
 )
 
 // Kind identifies one trace event type. Kinds up to and including
-// SpanIdle are activity spans (Dur > 0, the Gantt lanes); the rest are
-// instantaneous marks (Dur == 0).
+// SpanIdle are activity spans (Dur > 0, a processor's timeline); the
+// rest are instantaneous marks (Dur == 0).
 type Kind uint8
 
 const (
@@ -182,7 +182,7 @@ func NewDigest() *Recorder {
 }
 
 // SetNumProcs pre-sizes the per-processor accounting so every
-// processor reports a count (and a Gantt lane) even if it never emits.
+// processor reports a count (and a trace lane) even if it never emits.
 func (r *Recorder) SetNumProcs(n int) {
 	if n > len(r.counts) {
 		r.counts = append(r.counts, make([]procCount, n-len(r.counts))...)

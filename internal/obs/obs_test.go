@@ -273,15 +273,4 @@ func TestSeriesWriters(t *testing.T) {
 	if len(lines) != len(s)+1 {
 		t.Fatalf("csv has %d lines for %d samples", len(lines), len(s))
 	}
-	var js bytes.Buffer
-	if err := WriteSeriesJSON(&js, s); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []Sample
-	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
-		t.Fatalf("series JSON invalid: %v", err)
-	}
-	if !reflect.DeepEqual(decoded, s) {
-		t.Fatal("series JSON round trip lost data")
-	}
 }

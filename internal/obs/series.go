@@ -12,20 +12,20 @@ import (
 // fractions cover the interval starting at Time.
 type Sample struct {
 	// Time is the sample instant in virtual seconds.
-	Time float64 `json:"t"`
+	Time float64
 	// Active is the number of streamlines in circulation: seeds whose
 	// release time has arrived minus completions.
-	Active int64 `json:"active"`
+	Active int64
 	// IOQueue is the number of processors queued for a busy I/O server.
-	IOQueue int64 `json:"io_queue"`
+	IOQueue int64
 	// Resident is the number of cache-resident blocks cluster-wide
 	// (loads minus evictions).
-	Resident int64 `json:"resident_blocks"`
+	Resident int64
 	// BusyMean and BusyMax are the mean and maximum per-processor busy
 	// fraction (compute + I/O + queueing + comm) over the interval
 	// [Time, Time+interval), clamped to the end of the run.
-	BusyMean float64 `json:"busy_mean"`
-	BusyMax  float64 `json:"busy_max"`
+	BusyMean float64
+	BusyMax  float64
 }
 
 // Series resamples the recorded events into a fixed-interval series.
@@ -177,41 +177,5 @@ func WriteSeriesCSV(w io.Writer, samples []Sample) error {
 		buf = append(buf, '\n')
 		bw.Write(buf)
 	}
-	return bw.Flush()
-}
-
-// WriteSeriesJSON writes the series as a JSON array of Sample objects,
-// rendered with the same fixed-format floats as the CSV.
-func WriteSeriesJSON(w io.Writer, samples []Sample) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteByte('[')
-	var buf []byte
-	f := func(v float64) {
-		buf = strconv.AppendFloat(buf[:0], v, 'g', 17, 64)
-		bw.Write(buf)
-	}
-	for i := range samples {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		s := &samples[i]
-		bw.WriteString(`{"t":`)
-		f(s.Time)
-		bw.WriteString(`,"active":`)
-		buf = strconv.AppendInt(buf[:0], s.Active, 10)
-		bw.Write(buf)
-		bw.WriteString(`,"io_queue":`)
-		buf = strconv.AppendInt(buf[:0], s.IOQueue, 10)
-		bw.Write(buf)
-		bw.WriteString(`,"resident_blocks":`)
-		buf = strconv.AppendInt(buf[:0], s.Resident, 10)
-		bw.Write(buf)
-		bw.WriteString(`,"busy_mean":`)
-		f(s.BusyMean)
-		bw.WriteString(`,"busy_max":`)
-		f(s.BusyMax)
-		bw.WriteString(`}`)
-	}
-	bw.WriteString("]\n")
 	return bw.Flush()
 }
