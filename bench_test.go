@@ -308,7 +308,7 @@ func BenchmarkPathlineIOAmplification(b *testing.B) {
 	d.TimeSlices = 21
 	d.T0, d.T1 = saw.TimeRange()
 	sliced := steady
-	sliced.Provider = grid.AnalyticProviderT{F: saw, D: d}
+	sliced.Provider = grid.AnalyticProvider{F: saw, D: d}
 	cfg := core.Config{Procs: 1, Algorithm: core.LoadOnDemand, Disk: store.DefaultDisk()}
 	loads := func(p core.Problem) float64 {
 		res, err := core.Run(p, cfg)

@@ -65,6 +65,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 
@@ -124,8 +125,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "slrun: -sample-interval requires -timeline")
 			return 2
 		}
-		if *sampleIvl < 0 {
-			fmt.Fprintf(stderr, "slrun: negative -sample-interval %g\n", *sampleIvl)
+		// NaN passes a < 0 test, and NaN or +Inf would size the series
+		// from end/interval.
+		if v := *sampleIvl; v < 0 || math.IsNaN(v) || math.IsInf(v, 1) {
+			fmt.Fprintf(stderr, "slrun: -sample-interval %g is not a finite, non-negative number of seconds\n", v)
 			return 2
 		}
 	}

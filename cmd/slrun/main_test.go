@@ -241,6 +241,8 @@ func TestRunBadTraceFlags(t *testing.T) {
 	cases := [][]string{
 		{"-sample-interval", "0.1"}, // interval without a timeline
 		{"-timeline", "s.csv", "-sample-interval", "-1"},
+		{"-timeline", "s.csv", "-sample-interval", "NaN"},
+		{"-timeline", "s.csv", "-sample-interval", "+Inf"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

@@ -11,16 +11,16 @@
 //	GET  /healthz   liveness probe
 //	POST /v1/cell   body: one canonical key object; ?observe=1 adds the
 //	                percentile block (the slbench -json schema)
-//	POST /v1/cells  body: {"cells":[<key>...],"observe":bool}
 //
-// A cached cell is answered on the request's own goroutine and never
+// A request asks for one cell; a sweep is one request per cell. A
+// cached cell is answered on the request's own goroutine and never
 // queues. Cells that need computing queue per tenant (the optional
 // X-Tenant header) and the worker pool round-robins across tenants, so
 // one tenant's flood cannot starve another's single cell. Past the
 // per-tenant cap on such cells the server answers 429; past -timeout,
 // 504 (the computation continues and lands in the cache for the retry);
-// during shutdown, 503, hits included; to a request body over 1 MiB, 413. SIGINT/SIGTERM
-// starts a graceful drain: admission stops, in-flight cells finish and
+// during shutdown, 503, hits included; to a request body over 1 MiB,
+// 413. SIGINT/SIGTERM starts a graceful drain: admission stops, in-flight cells finish and
 // persist, then the process exits.
 //
 // Usage examples:

@@ -656,7 +656,7 @@ func testUnsteadyProblem(nSeeds int) Problem {
 	d.TimeSlices = 4
 	d.T0, d.T1 = 0, 2
 	return Problem{
-		Provider: grid.AnalyticProviderT{F: f, D: d},
+		Provider: grid.AnalyticProvider{F: f, D: d},
 		Seeds:    seeds.SparseRandom(f.Bounds().Expand(-0.4), nSeeds, 202),
 		IntOpts:  integrate.Options{Tol: 1e-5, HMax: 0.05},
 		MaxSteps: 400,
@@ -737,7 +737,7 @@ func TestUnsteadyDiffersFromFrozen(t *testing.T) {
 	fd.TimeSlices, fd.T0, fd.T1 = 0, 0, 0
 	frozen := up
 	frozen.Provider = grid.AnalyticProvider{
-		F: grid.AnalyticProviderT(up.Provider.(grid.AnalyticProviderT)).F,
+		F: up.Provider.(grid.AnalyticProvider).F,
 		D: fd,
 	}
 	frozen.MaxTime = 2 // same horizon as the unsteady data range
@@ -769,9 +769,9 @@ func TestUnsteadyDiffersFromFrozen(t *testing.T) {
 // analytic path.
 func TestUnsteadySampledProvider(t *testing.T) {
 	p := testUnsteadyProblem(8)
-	ap := p.Provider.(grid.AnalyticProviderT)
+	ap := p.Provider.(grid.AnalyticProvider)
 	ps := p
-	ps.Provider = grid.SampledProviderT{F: ap.F, D: ap.D}
+	ps.Provider = grid.SampledProviderT{F: ap.F.(field.FieldT), D: ap.D}
 
 	cfg := testConfig(LoadOnDemand, 2)
 	cfg.CollectTraces = true

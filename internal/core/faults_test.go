@@ -360,13 +360,13 @@ func FuzzFaultRecovery(f *testing.F) {
 			if alg == HybridMS && errors.As(err, &ue) {
 				return // a group lost every integrator: typed, allowed
 			}
-			t.Fatalf("%s/%d plan %q: %v", alg, procs, plan, err)
+			t.Fatalf("%s/%d plan %v: %v", alg, procs, plan, err)
 		}
 		if got := res.Summary.StreamlinesCompleted; got != int64(len(p.Seeds)) {
-			t.Fatalf("%s/%d plan %q: completed %d of %d seeds",
+			t.Fatalf("%s/%d plan %v: completed %d of %d seeds",
 				alg, procs, plan, got, len(p.Seeds))
 		}
-		requireSameGeometry(t, fmt.Sprintf("%s/%d plan %q", alg, procs, plan),
+		requireSameGeometry(t, fmt.Sprintf("%s/%d plan %v", alg, procs, plan),
 			res.Streamlines, base.Streamlines)
 
 		// An immediate replay must be bit-identical, geometry included —
@@ -384,7 +384,7 @@ func FuzzFaultRecovery(f *testing.F) {
 				}
 			}
 		}
-		label := fmt.Sprintf("%s/%d plan %q", alg, procs, plan)
+		label := fmt.Sprintf("%s/%d plan %v", alg, procs, plan)
 		again := mustRun(t, p, fcfg)
 		same(label+" replay", again)
 		requireSameGeometry(t, label+" replay", again.Streamlines, res.Streamlines)
@@ -399,7 +399,7 @@ func FuzzFaultRecovery(f *testing.F) {
 			return replayed
 		})
 		if !taped.Tape.Complete() {
-			t.Fatalf("%s/%d plan %q: the tape is incomplete after a run that finished every seed", alg, procs, plan)
+			t.Fatalf("%s/%d plan %v: the tape is incomplete after a run that finished every seed", alg, procs, plan)
 		}
 	})
 }

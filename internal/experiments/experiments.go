@@ -382,7 +382,7 @@ func (cv Curves) problem(ds Dataset, seeding Seeding, unsteady bool) (core.Probl
 		ft := ds.FieldT()
 		d.TimeSlices = cv.TimeSlices
 		d.T0, d.T1 = ft.TimeRange()
-		prov = grid.AnalyticProviderT{F: ft, D: d}
+		prov = grid.AnalyticProvider{F: ft, D: d}
 	}
 	return core.Problem{
 		Provider: prov,

@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Event is one scheduled processor loss: processor Proc dies at virtual
@@ -59,7 +57,7 @@ func KillAt(t float64, procs ...int) Plan {
 func (p Plan) Enabled() bool { return len(p.Events) > 0 }
 
 // Canonicalize returns the plan with events sorted by (Time, Proc), the
-// canonical order used by String and by the injection loop.
+// canonical order the injection loop uses.
 func (p Plan) Canonicalize() Plan {
 	ev := append([]Event(nil), p.Events...)
 	sort.Slice(ev, func(i, j int) bool {
@@ -99,19 +97,6 @@ func (p Plan) Validate(procs int) error {
 		seen[e.Proc] = true
 	}
 	return nil
-}
-
-// String renders the plan in the -faults flag syntax: "p@t,p@t,..." in
-// canonical order, or "" for an empty plan.
-func (p Plan) String() string {
-	if len(p.Events) == 0 {
-		return ""
-	}
-	parts := make([]string, 0, len(p.Events))
-	for _, e := range p.Canonicalize().Events {
-		parts = append(parts, fmt.Sprintf("%d@%s", e.Proc, strconv.FormatFloat(e.Time, 'g', -1, 64)))
-	}
-	return strings.Join(parts, ",")
 }
 
 // UnrecoverableError is the typed outcome of injecting a fault into an

@@ -1,9 +1,7 @@
 package faults
 
 import (
-	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -74,70 +72,6 @@ func TestValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate = %v, want error containing %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-// parse is String's inverse, the round-trip tests' oracle: it reads the
-// "p@t[,p@t...]" syntax back into a canonical plan. An empty string is the
-// empty plan.
-func parse(s string) (Plan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return Plan{}, nil
-	}
-	var p Plan
-	for _, part := range strings.Split(s, ",") {
-		proc, at, ok := strings.Cut(strings.TrimSpace(part), "@")
-		if !ok {
-			return Plan{}, fmt.Errorf("faults: %q is not proc@time", part)
-		}
-		pr, err := strconv.Atoi(proc)
-		if err != nil {
-			return Plan{}, fmt.Errorf("faults: bad processor in %q: %v", part, err)
-		}
-		t, err := strconv.ParseFloat(at, 64)
-		if err != nil {
-			return Plan{}, fmt.Errorf("faults: bad time in %q: %v", part, err)
-		}
-		p.Events = append(p.Events, Event{Proc: pr, Time: t})
-	}
-	return p.Canonicalize(), nil
-}
-
-func TestStringParseRoundTrip(t *testing.T) {
-	p := Plan{Events: []Event{{Proc: 2, Time: 0.5}, {Proc: 0, Time: 0.125}}}
-	s := p.String()
-	if s != "0@0.125,2@0.5" {
-		t.Fatalf("String = %q, want canonical 0@0.125,2@0.5", s)
-	}
-	back, err := parse(s)
-	if err != nil {
-		t.Fatalf("Parse(%q): %v", s, err)
-	}
-	if back.String() != s {
-		t.Errorf("round trip %q -> %q", s, back.String())
-	}
-	if (Plan{}).String() != "" {
-		t.Error("empty plan must render as the empty string")
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	if p, err := parse("  "); err != nil || p.Enabled() {
-		t.Errorf("Parse(blank) = (%+v, %v), want empty plan", p, err)
-	}
-	for _, bad := range []string{"3", "x@1", "1@y", "0@1,,"} {
-		if _, err := parse(bad); err == nil {
-			t.Errorf("Parse(%q) accepted malformed input", bad)
-		}
-	}
-	// Whitespace around parts is tolerated; order is canonicalized.
-	p, err := parse(" 2@3 , 0@1 ")
-	if err != nil {
-		t.Fatalf("Parse with spaces: %v", err)
-	}
-	if p.String() != "0@1,2@3" {
-		t.Errorf("Parse normalized to %q, want 0@1,2@3", p.String())
 	}
 }
 

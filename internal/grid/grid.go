@@ -227,7 +227,12 @@ type Provider interface {
 
 // AnalyticProvider serves virtual blocks that evaluate an analytic field
 // directly. Loading such a block costs simulated I/O time (per the
-// decomposition's byte size) but no host memory.
+// decomposition's byte size) but no host memory, which keeps paper-sized
+// configurations runnable. Given a field.FieldT and a time-sliced
+// decomposition it serves space-time blocks: the field, an EvaluatorT,
+// is valid at any time, so it answers every epoch of every spatial
+// block (each load costing both bounding slices), and its time-frozen
+// Eval answers at the field's T0.
 type AnalyticProvider struct {
 	F field.Field
 	D Decomposition

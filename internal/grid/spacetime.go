@@ -86,24 +86,6 @@ type EvaluatorT interface {
 	EvalAt(p vec.V3, t float64) vec.V3
 }
 
-// AnalyticProviderT serves virtual space-time blocks that evaluate a
-// time-varying analytic field directly — the unsteady counterpart of
-// AnalyticProvider. Loading a block costs simulated I/O time for both
-// bounding slices (the decomposition's doubled BlockBytes) but no host
-// memory, which keeps paper-sized unsteady configurations runnable.
-type AnalyticProviderT struct {
-	F field.FieldT
-	D Decomposition // must have TimeSlices > 1
-}
-
-// Block implements Provider: the field itself is valid at any time, so it
-// serves every epoch of every spatial block. Its time-frozen Eval (the
-// Evaluator view every FieldT carries) answers at the field's T0.
-func (a AnalyticProviderT) Block(BlockID) Evaluator { return a.F }
-
-// Decomp implements Provider.
-func (a AnalyticProviderT) Decomp() Decomposition { return a.D }
-
 // SampledProviderT materializes space-time blocks the way a real
 // time-sliced dataset read would: the two stored slices bounding the
 // block's epoch are sampled onto node arrays, and queries interpolate

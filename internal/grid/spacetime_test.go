@@ -156,13 +156,16 @@ func TestSampledProviderTExactOnLinearField(t *testing.T) {
 	}
 }
 
-func TestAnalyticProviderTServesAllEpochs(t *testing.T) {
+// TestAnalyticProviderServesAllEpochs: given a FieldT and a time-sliced
+// decomposition, AnalyticProvider serves the field itself as every
+// epoch's EvaluatorT.
+func TestAnalyticProviderServesAllEpochs(t *testing.T) {
 	d := unsteadyDecomp()
 	f := field.DefaultPulsingSupernova()
 	dd := NewDecomposition(f.Bounds(), 2, 2, 2, 8)
 	dd.TimeSlices = d.TimeSlices
 	_, dd.T1 = f.TimeRange()
-	prov := AnalyticProviderT{F: f, D: dd}
+	prov := AnalyticProvider{F: f, D: dd}
 	p := vec.Of(0.3, 0.2, 0.1)
 	for e := 0; e < dd.Epochs(); e++ {
 		ev := prov.Block(dd.SpaceTimeID(0, e))
@@ -190,9 +193,9 @@ func TestProviderTDecompAndFrozenEval(t *testing.T) {
 	f := field.DefaultPulsingSupernova()
 	d := unsteadyDecomp()
 
-	ap := AnalyticProviderT{F: f, D: d}
+	ap := AnalyticProvider{F: f, D: d}
 	if ap.Decomp().TimeSlices != d.TimeSlices {
-		t.Errorf("AnalyticProviderT.Decomp lost the decomposition")
+		t.Errorf("AnalyticProvider.Decomp lost the decomposition")
 	}
 	sp := SampledProviderT{F: f, D: d}
 	if sp.Decomp().TimeSlices != d.TimeSlices {
@@ -201,7 +204,7 @@ func TestProviderTDecompAndFrozenEval(t *testing.T) {
 
 	ev, ok := ap.Block(0).(field.PulsingSupernova)
 	if !ok {
-		t.Fatalf("AnalyticProviderT.Block = %T, want the field itself", ap.Block(0))
+		t.Fatalf("AnalyticProvider.Block = %T, want the field itself", ap.Block(0))
 	}
 	t0, _ := f.TimeRange()
 	p := vec.Of(0.3, 0.4, 0.5)

@@ -16,8 +16,8 @@
 // the set of queues is bounded by the work admitted, not by how many
 // X-Tenant values have ever been seen.
 //
-// Draining flips the scheduler closed: new submissions, even the empty
-// one of a request whose every cell hit, fail with errDraining;
+// Draining flips the scheduler closed: new submissions, even the nil
+// one of a request whose cell hit, fail with errDraining;
 // already-accepted tasks run to completion, and Drain returns when the
 // last worker parks — the SIGTERM path of cmd/slserve.
 package serve
@@ -89,32 +89,29 @@ func newScheduler(workers, limit int, exec func(*task)) *scheduler {
 	return s
 }
 
-// submit enqueues tasks for tenant, atomically: either every task is
-// admitted or none is (a partially admitted request would return a row
-// set the client cannot distinguish from a complete one). A draining
-// scheduler refuses even an empty submission.
-func (s *scheduler) submit(tenant string, tasks []*task) error {
+// submit enqueues t for tenant, or refuses it: past the tenant's cap
+// with a saturatedError, during a drain with errDraining. A nil t is a
+// cell the store answered, which only asks whether the server drains.
+func (s *scheduler) submit(tenant string, t *task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errDraining
 	}
-	if len(tasks) == 0 {
+	if t == nil {
 		return nil
 	}
 	tq := s.tenants[tenant]
 	if tq == nil {
-		tq = &tenantQ{} // joins s.tenants once admitted
+		tq = &tenantQ{}
+		s.tenants[tenant] = tq
 	}
-	if tq.pending+len(tasks) > s.limit {
+	if tq.pending >= s.limit {
 		return &saturatedError{Tenant: tenant, Limit: s.limit}
 	}
-	s.tenants[tenant] = tq
-	for _, t := range tasks {
-		t.tenant, t.done = tenant, make(chan struct{})
-	}
-	tq.items = append(tq.items, tasks...)
-	tq.pending += len(tasks)
+	t.tenant, t.done = tenant, make(chan struct{})
+	tq.items = append(tq.items, t)
+	tq.pending++
 	if !tq.ringed {
 		tq.ringed = true
 		s.ring = append(s.ring, tq)

@@ -22,6 +22,17 @@ func tasksN(n, base int) []*task {
 	return ts
 }
 
+// submitEach submits ts for tenant one at a time, stopping at the first
+// refusal.
+func submitEach(s *scheduler, tenant string, ts []*task) error {
+	for _, t := range ts {
+		if err := s.submit(tenant, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestSchedulerRoundRobinFairness pins the interleaving: with one
 // worker, a plugged pool, tenant A queueing three cells and tenant B
 // two, service alternates A,B,A,B,A — A's backlog delays A, not B.
@@ -40,7 +51,7 @@ func TestSchedulerRoundRobinFairness(t *testing.T) {
 
 	// Plug the single worker so the A and B queues build up behind it.
 	plug := tasksN(1, 1)
-	if err := s.submit("plug", plug); err != nil {
+	if err := s.submit("plug", plug[0]); err != nil {
 		t.Fatalf("submit plug: %v", err)
 	}
 	// Wait for the worker to pick the plug up (its queue drains) so the
@@ -60,11 +71,11 @@ func TestSchedulerRoundRobinFairness(t *testing.T) {
 	}
 
 	a := tasksN(3, 1)
-	if err := s.submit("A", a); err != nil {
+	if err := submitEach(s, "A", a); err != nil {
 		t.Fatalf("submit A: %v", err)
 	}
 	b := tasksN(2, 1)
-	if err := s.submit("B", b); err != nil {
+	if err := submitEach(s, "B", b); err != nil {
 		t.Fatalf("submit B: %v", err)
 	}
 	close(gate)
@@ -80,24 +91,28 @@ func TestSchedulerRoundRobinFairness(t *testing.T) {
 	}
 }
 
+// TestSchedulerAdmissionCap: a tenant's tasks are admitted up to its
+// cap and refused past it, other tenants are unaffected, and capacity
+// returns as tasks finish.
 func TestSchedulerAdmissionCap(t *testing.T) {
 	gate := make(chan struct{})
 	s := newScheduler(1, 2, func(*task) { <-gate })
 
-	if err := s.submit("T", tasksN(3, 1)); err == nil {
-		t.Fatal("submit above the cap succeeded")
-	}
 	ts := tasksN(2, 1)
-	if err := s.submit("T", ts); err != nil {
-		t.Fatalf("submit at the cap: %v", err)
+	if err := submitEach(s, "T", ts); err != nil {
+		t.Fatalf("submit up to the cap: %v", err)
 	}
 	var sat *saturatedError
-	if err := s.submit("T", tasksN(1, 10)); !errors.As(err, &sat) {
+	if err := s.submit("T", tasksN(1, 10)[0]); !errors.As(err, &sat) {
 		t.Fatalf("submit past the cap = %v, want SaturatedError", err)
+	}
+	// A cell the store answered is no task and takes no slot.
+	if err := s.submit("T", nil); err != nil {
+		t.Fatalf("nil submit at the cap = %v, want nil", err)
 	}
 	// Another tenant is unaffected by T's saturation.
 	us := tasksN(1, 1)
-	if err := s.submit("U", us); err != nil {
+	if err := s.submit("U", us[0]); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 	close(gate)
@@ -105,7 +120,7 @@ func TestSchedulerAdmissionCap(t *testing.T) {
 		<-tk.done
 	}
 	// Capacity frees once the tasks finish.
-	if err := s.submit("T", tasksN(2, 20)); err != nil {
+	if err := submitEach(s, "T", tasksN(2, 20)); err != nil {
 		t.Fatalf("submit after drain-down: %v", err)
 	}
 }
@@ -114,7 +129,7 @@ func TestSchedulerDrain(t *testing.T) {
 	gate := make(chan struct{})
 	s := newScheduler(2, 16, func(*task) { <-gate })
 	ts := tasksN(3, 1)
-	if err := s.submit("T", ts); err != nil {
+	if err := submitEach(s, "T", ts); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 
@@ -125,7 +140,7 @@ func TestSchedulerDrain(t *testing.T) {
 		t.Fatalf("drain with blocked workers = %v, want deadline exceeded", err)
 	}
 	// ...and new work is already refused.
-	if err := s.submit("T", tasksN(1, 10)); !errors.Is(err, errDraining) {
+	if err := s.submit("T", tasksN(1, 10)[0]); !errors.Is(err, errDraining) {
 		t.Fatalf("submit while draining = %v, want ErrDraining", err)
 	}
 

@@ -1,21 +1,21 @@
 // Package serve is the campaign-as-a-service layer: a long-lived HTTP
-// server that accepts campaign cells (canonical experiments.Key JSON,
-// DESIGN.md §14) and returns their metrics.Summary rows, backed by a
-// content-addressed result cache.
+// server that answers one campaign cell per POST /v1/cell (a canonical
+// experiments.Key JSON body, DESIGN.md §14) with its metrics.Summary
+// row, backed by a content-addressed result cache.
 //
 // The request path is one cache and the simulation behind it: the Store
 // answers (from its directory, which survives restarts and is shared
 // across processes, or — without one — from a bounded map in memory),
 // or the server's experiments.Campaign computes the cell and the
 // Store keeps it. The handler asks the Store itself, on the request
-// goroutine, so a hit never queues: only the cells it misses go to the
-// scheduler. The campaign shares one execution between identical
-// requests in flight and the write-back happens before it lets any of
-// them go, so N concurrent identical requests compute once and every
-// later one hits. Because every cell is a deterministic function of its
-// Key, a cached response's summary bytes are identical to a freshly
-// computed one — the server splices stored canonical encodings verbatim
-// rather than re-marshaling decoded structs.
+// goroutine, so a hit never queues: only a miss goes to the scheduler.
+// The campaign shares one execution between identical requests in
+// flight and the write-back happens before it lets any of them go, so N
+// concurrent identical requests compute once and every later one hits.
+// Because every cell is a deterministic function of its Key, a cached
+// response's summary bytes are identical to a freshly computed one —
+// the server splices stored canonical encodings verbatim rather than
+// re-marshaling decoded structs.
 //
 // Multi-tenancy is fair, not first-come-first-served: requests carry an
 // X-Tenant header, each tenant gets a bounded FIFO, and the worker pool
@@ -27,7 +27,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -110,7 +109,7 @@ type Response struct {
 	Schema string `json:"schema"`
 	// Scale echoes the server's campaign scale.
 	Scale string `json:"scale"`
-	// Rows holds one entry per requested cell, in request order.
+	// Rows holds the requested cell's one row.
 	Rows []Row `json:"rows"`
 }
 
@@ -162,7 +161,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/cell", s.handleCell)
-	s.mux.HandleFunc("/v1/cells", s.handleCells)
 	return s, nil
 }
 
@@ -257,38 +255,31 @@ func (s *Server) logErr(err error) {
 	}
 }
 
-// serveCells is the shared request tail: probe the store, admit the
-// misses, wait for them (bounded by the configured timeout), respond.
-// Each cell is encoded, hashed and labelled once, here. A hit is
-// answered on the request goroutine and never queues, so only the cells
-// that need computing count against the tenant's cap; a draining Server
-// refuses the request all the same, hits included.
-func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []experiments.Key, observed bool) {
+// serveCell is the request tail: probe the store, admit a miss, wait
+// for it (bounded by the configured timeout), respond. The cell is
+// encoded, hashed and labelled once, here. A hit is answered on the
+// request goroutine and never queues, so only a cell that needs
+// computing counts against the tenant's cap; a draining Server refuses
+// the request all the same, a hit included.
+func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, k experiments.Key, observed bool) {
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = "anon"
 	}
-	if len(keys) > s.cfg.TenantLimit {
-		// Admission is all-or-nothing, so this batch could never be admitted.
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d cells exceeds the per-tenant limit of %d outstanding cells: split it", len(keys), s.cfg.TenantLimit))
-		return
+	key, digest := k.Address()
+	// The response's one row is rows[0], so the row is not copied into it.
+	rows := []Row{{Label: k.Label(), Digest: digest, Source: "computed"}}
+	row := &rows[0]
+	var miss *task
+	e, hit, err := s.store.get(Scope{Scale: s.cfg.ScaleName, Observed: observed}, key, digest)
+	s.logErr(err)
+	if hit {
+		row.Cached, row.Source = true, s.store.tier
+		row.Error, row.Summary, row.Percentiles = e.Error, e.Summary, e.Percentiles
+	} else {
+		miss = &task{key: k, canon: key, observed: observed, row: row}
 	}
-	scope := Scope{Scale: s.cfg.ScaleName, Observed: observed}
-	rows := make([]Row, len(keys))
-	var misses []*task
-	for i, k := range keys {
-		key, digest := k.Address()
-		rows[i] = Row{Label: k.Label(), Digest: digest, Source: "computed"}
-		e, hit, err := s.store.get(scope, key, digest)
-		s.logErr(err)
-		if hit {
-			rows[i].Cached, rows[i].Source = true, s.store.tier
-			rows[i].Error, rows[i].Summary, rows[i].Percentiles = e.Error, e.Summary, e.Percentiles
-		} else {
-			misses = append(misses, &task{key: k, canon: key, observed: observed, row: &rows[i]})
-		}
-	}
-	if err := s.sched.submit(tenant, misses); err != nil {
+	if err := s.sched.submit(tenant, miss); err != nil {
 		var sat *saturatedError
 		switch {
 		case errors.Is(err, errDraining):
@@ -301,17 +292,17 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, keys []exper
 		return
 	}
 
-	ctx := r.Context()
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-	for _, t := range misses {
+	if miss != nil {
+		ctx := r.Context()
+		if s.cfg.Timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
+			defer cancel()
+		}
 		select {
-		case <-t.done:
+		case <-miss.done:
 		case <-ctx.Done():
-			// The cells keep computing on the pool; the retry will hit
+			// The cell keeps computing on the pool; the retry will hit
 			// the cache.
 			writeError(w, http.StatusGatewayTimeout, "request timed out; results will be cached when ready — retry")
 			return
@@ -348,51 +339,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serveCells(w, r, []experiments.Key{k}, observeParam(r))
-}
-
-// cellsRequest is the POST /v1/cells body: a batch of canonical key
-// encodings plus the observation axis.
-type cellsRequest struct {
-	Cells   []json.RawMessage `json:"cells"`
-	Observe bool              `json:"observe,omitempty"`
-}
-
-// handleCells serves POST /v1/cells: a strict JSON batch envelope.
-func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req cellsRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "decode request: trailing data after JSON object")
-		return
-	}
-	if len(req.Cells) == 0 {
-		writeError(w, http.StatusBadRequest, "request has no cells")
-		return
-	}
-	keys := make([]experiments.Key, len(req.Cells))
-	for i, raw := range req.Cells {
-		k, err := experiments.ParseKey(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("cell %d: %v", i, err))
-			return
-		}
-		keys[i] = k
-	}
-	s.serveCells(w, r, keys, req.Observe || observeParam(r))
+	s.serveCell(w, r, k, observeParam(r))
 }
 
 // observeParam reads the ?observe= query flag.
@@ -404,8 +351,8 @@ func observeParam(r *http.Request) bool {
 	return false
 }
 
-// maxBodyBytes bounds request bodies; canonical key encodings are a few
-// hundred bytes, so a megabyte is generous for any sane batch.
+// maxBodyBytes bounds request bodies; a canonical key encoding is a few
+// hundred bytes, so a megabyte is generous.
 const maxBodyBytes = 1 << 20
 
 // readBody drains a bounded request body, or answers the request: 413
