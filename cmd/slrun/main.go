@@ -195,7 +195,11 @@ func runCell(sc experiments.Scale, k experiments.Key, perProc bool, topN int, tr
 		fmt.Fprintf(stdout, "wrote %d trace events to %s\n", len(cfg.Trace.Events()), traceOut)
 	}
 	if timelineOut != "" {
-		samples := cfg.Trace.Series(sampleIvl)
+		samples, err := cfg.Trace.Series(sampleIvl)
+		if err != nil {
+			fmt.Fprintln(stderr, "slrun:", err)
+			return 1
+		}
 		if err := writeFile(timelineOut, func(w io.Writer) error {
 			return obs.WriteSeriesCSV(w, samples)
 		}); err != nil {

@@ -252,6 +252,28 @@ func TestRunBadTraceFlags(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUnholdableTimeline: a -sample-interval whose sample
+// count no series can hold is refused after the run, before the
+// timeline file is created, with exit 1.
+func TestRunRefusesUnholdableTimeline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation too slow for -short")
+	}
+	csvPath := filepath.Join(t.TempDir(), "series.csv")
+	args := []string{"-scale", "small", "-dataset", "astro", "-alg", "ondemand", "-procs", "4",
+		"-timeline", csvPath, "-sample-interval", "1e-300"}
+	var out, errw bytes.Buffer
+	if code := run(args, &out, &errw); code != 1 {
+		t.Fatalf("run(%v) = %d, want 1; stderr: %s", args, code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "samples") {
+		t.Errorf("refusal does not say why: %q", errw.String())
+	}
+	if _, err := os.Stat(csvPath); !os.IsNotExist(err) {
+		t.Errorf("refused timeline left a file behind: %v", err)
+	}
+}
+
 // TestRunTraceAndTimeline smoke-tests -trace and -timeline end to end:
 // the exported file must be valid Chrome trace-event JSON, every timeline
 // is CSV with the documented columns (whatever the path's suffix), and a

@@ -147,7 +147,7 @@ func (e *Endpoint) Send(to int, payload Message) {
 }
 
 // recvCharge applies the receiver-side cost of one delivered envelope.
-// Local envelopes (From < 0: death notifications and recovery
+// Local envelopes (From < 0: the recovery layer's death notices and
 // adoptions) never crossed the wire, so they charge no overhead and
 // touch no traffic counters.
 func (e *Endpoint) recvCharge(env Envelope) {
@@ -223,32 +223,10 @@ type Sized int64
 func (s Sized) Bytes() int64 { return int64(s) }
 
 // LocalFrom is the sender index of envelopes that did not cross the
-// wire: death notifications and the recovery layer's adoption messages.
-// recvCharge recognizes it and applies no communication cost.
+// wire: the recovery layer's death notices and adoption messages, which
+// it delivers straight through the kernel. recvCharge recognizes it and
+// applies no communication cost.
 const LocalFrom = -1
-
-// Death notifies a watcher that a peer processor failed. It is
-// delivered as a local envelope (From == LocalFrom) one network latency
-// after the fault instant — the virtual time it takes the machine's
-// health monitoring to observe the loss.
-type Death struct {
-	// Peer is the endpoint index of the failed processor.
-	Peer int
-}
-
-// Bytes implements Message; a death notification is a local
-// observation, not wire traffic.
-func (Death) Bytes() int64 { return 0 }
-
-// WatchPeer registers this endpoint for a Death{peer} notification,
-// delivered to its inbox one network latency after the peer fails (or
-// after the call, if the peer is already dead). Notifications for one
-// death arrive in watch-registration order — the deterministic
-// tie-break for survivors reacting to the same loss.
-func (e *Endpoint) WatchPeer(peer int) {
-	dst := e.fabric.endpoints[peer]
-	e.proc.Watch(dst.proc, Envelope{From: LocalFrom, Payload: Death{Peer: peer}}, e.fabric.net.LatencySec)
-}
 
 // InHand returns the envelope this endpoint had popped from its inbox
 // but was still paying receive overhead on — the one place a delivered

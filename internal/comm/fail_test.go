@@ -54,40 +54,6 @@ func TestSendToDeadPeerChargesAndDeadLetters(t *testing.T) {
 	}
 }
 
-// TestWatchPeerDeliversDeath: a watcher learns of a peer's death via a
-// local Death envelope one network latency after the fault instant, and
-// the notification charges no receive overhead or traffic.
-func TestWatchPeerDeliversDeath(t *testing.T) {
-	k := sim.New()
-	f := NewFabric(Network{LatencySec: 0.5, RecvOverheadSec: 0.25})
-	stats := metrics.NewCollector(2)
-	endpoints := make([]*Endpoint, 2)
-	victim := k.Spawn("victim", func(p *sim.Proc) { p.Sleep(10) })
-	endpoints[0] = f.Attach(victim, stats.P(0))
-	var env Envelope
-	gotAt := -1.0
-	watcher := k.Spawn("watcher", func(p *sim.Proc) {
-		endpoints[1].WatchPeer(0)
-		env = endpoints[1].Recv()
-		gotAt = p.Now()
-	})
-	endpoints[1] = f.Attach(watcher, stats.P(1))
-	victim.FailAt(2)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	d, ok := env.Payload.(Death)
-	if !ok || d.Peer != 0 || env.From != LocalFrom {
-		t.Errorf("notification = %+v, want local Death{Peer: 0}", env)
-	}
-	if gotAt != 2.5 {
-		t.Errorf("death observed at t=%g, want fault + latency = 2.5", gotAt)
-	}
-	if s := stats.P(1); s.MsgsRecv != 0 || s.CommTime != 0 {
-		t.Errorf("local death notification charged: recv=%d comm=%g", s.MsgsRecv, s.CommTime)
-	}
-}
-
 // TestInHandSurvivesDeath: an envelope popped from the inbox but still
 // paying receive overhead when its processor dies is exposed through
 // InHand — the one window where a delivered message lives in neither

@@ -404,7 +404,6 @@ func Run(p Problem, cfg Config) (*Result, error) {
 	r.workers = make([]*worker, cfg.Procs)
 	if cfg.Faults.Enabled() {
 		r.faultsOn = true
-		r.tokenHolder = -1
 		r.kernel.SetDeadLetter(r.onDeadLetter)
 	}
 
@@ -495,10 +494,6 @@ type runState struct {
 	// poolWorkers registers each Load-On-Demand or work-stealing
 	// processor.
 	poolWorkers []*poolWorker
-	// tokenHolder is the endpoint currently holding the termination
-	// token (-1 while the token is in flight or retired); when the
-	// holder dies the recovery layer regenerates the token.
-	tokenHolder int
 	// hybMasters / hybSlaves register hybrid roles by endpoint. A
 	// promoted processor moves from hybSlaves to hybMasters.
 	hybMasters []*master
@@ -874,12 +869,14 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator) {
 	// summary cannot tell the two apart.
 	before := sl.MemoryBytes()
 	var res integrate.AdvectResult
+	// tally is the counter the segment's steps land in, with stats.Steps
+	// once the compute time has elapsed: a kill mid-sleep counts neither.
+	tally := &w.run.integrated
 	if p.Tape == nil || sl.Points != nil {
 		res = w.integrate(sl, ev, unsteady, lim)
-		w.run.integrated += int64(res.Steps)
 	} else if segs := p.Tape.line(w, sl.ID); sl.Seg < len(segs) {
 		res = segs[sl.Seg].replay(sl)
-		w.run.replayed += int64(res.Steps)
+		tally = &w.run.replayed
 	} else {
 		w.run.fail(fmt.Errorf("core: tape holds %d segments of streamline %d, the run asked for segment %d",
 			len(segs), sl.ID, sl.Seg))
@@ -899,6 +896,7 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator) {
 	now := w.proc.Now()
 	w.stats.ComputeTime += now - start
 	w.stats.Steps += int64(res.Steps)
+	*tally += int64(res.Steps)
 	w.run.tr.Span(w.end.Index(), obs.SpanCompute, start, now, int64(sl.ID), int64(res.Steps))
 	if p.leave(sl, res, epoch) {
 		w.stats.EpochCrossings++

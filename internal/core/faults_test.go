@@ -166,18 +166,17 @@ func TestFaultMasterAndPromoteeSameInstant(t *testing.T) {
 }
 
 // TestRecoveryMessagesAreLocal pins the cost model of the recovery
-// layer: adoption, promotion and re-mastering messages model god-view
+// layer: death, adoption, promotion and re-mastering messages model god-view
 // bookkeeping delivered locally (comm.LocalFrom), so none of them may
 // ever charge wire traffic — a nonzero size here would perturb the
 // comm-volume figures whenever a fault plan is armed.
 func TestRecoveryMessagesAreLocal(t *testing.T) {
 	msgs := []comm.Message{
 		msgAdopt{recs: make([]seedRec, 3)},
-		msgAdoptPool{recs: make([]seedRec, 3), fresh: true},
-		msgSlaveDead{ep: 1},
+		msgAdopt{recs: make([]seedRec, 3), moved: true},
+		msgPeerDead{ep: 1},
 		msgRemaster{master: 2},
 		msgPromote{recs: make([]seedRec, 3), flock: []int{4, 5}},
-		comm.Death{Peer: 0},
 	}
 	for _, m := range msgs {
 		if got := m.Bytes(); got != 0 {
@@ -323,6 +322,17 @@ func FuzzFaultRecovery(f *testing.F) {
 	f.Add(uint8(2), uint8(7), uint8(3), uint16(0), uint16(999))
 	f.Add(uint8(2), uint8(3), uint8(2), uint16(450), uint16(451))
 	f.Add(uint8(1), uint8(6), uint8(1), uint16(2000), uint16(0))
+	// Found by fuzzing. A kill mid-segment must count its steps nowhere,
+	// tape counters included (Load On Demand, then stealing).
+	f.Add(uint8(60), uint8(6), uint8(1), uint16(2064), uint16(59))
+	f.Add(uint8(115), uint8(156), uint8(4), uint16(321), uint16(413))
+	// A lone stealing survivor holds the token while adoptions are in
+	// flight to it.
+	f.Add(uint8(91), uint8(226), uint8(128), uint16(122), uint16(968))
+	// Hybrid: a promoted master dies before a re-pointed slave has read
+	// its msgRemaster; a master dies mid-terminate with the ledger full.
+	f.Add(uint8(2), uint8(3), uint8(2), uint16(387), uint16(431))
+	f.Add(uint8(41), uint8(106), uint8(238), uint16(1958), uint16(0))
 
 	p := testProblem(24)
 	f.Fuzz(func(t *testing.T, algSel, procSel, killSel uint8, t1, t2 uint16) {

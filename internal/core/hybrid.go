@@ -679,10 +679,10 @@ func (m *master) run() {
 			recs := m.r.rewind(nil, msg.sls)
 			sortRecs(recs)
 			m.addRecs(recs, false)
-		case msgSlaveDead:
+		case msgPeerDead:
 			m.onSlaveDead(msg.ep)
-		case msgAdoptPool:
-			m.addRecs(msg.recs, msg.fresh)
+		case msgAdopt:
+			m.addRecs(msg.recs, !msg.moved)
 		case msgAllDone:
 			m.terminate()
 		}
@@ -801,7 +801,7 @@ func (m *master) addRecs(recs []seedRec, fresh bool) {
 }
 
 // onSlaveDead drops a dead slave from the model; its streamlines come
-// back separately as a msgAdoptPool from the recovery layer.
+// back separately as a msgAdopt from the recovery layer.
 func (m *master) onSlaveDead(ep int) {
 	i, ok := m.findSlave(ep)
 	if !ok {
@@ -832,7 +832,7 @@ func (m *master) shedIfSlaveless() {
 	_, recs := m.resident()
 	m.pool = blocks[pile[seedRec]]{}
 	m.future.items = nil
-	m.r.deliverLocal(peers[0], msgAdoptPool{recs: recs})
+	m.r.deliverLocal(peers[0], msgAdopt{recs: recs, moved: true})
 }
 
 // applyRulesFor runs steps 1–7 for slave s, returning true when s was

@@ -2,11 +2,12 @@ package core
 
 // Fault recovery: what each algorithm does when a processor dies
 // mid-run (DESIGN.md §11). The injection side is internal/faults; the
-// death mechanics are internal/sim (Kernel.Fail) and internal/comm
-// (dead-peer sends, Death notifications). This file is the recovery
-// service that a resilient runtime would provide — it runs at fault
-// instants with a god's-eye view of the run and turns each loss into
-// ordinary local envelopes (From == comm.LocalFrom) delivered one
+// death mechanics are internal/sim (Kernel.Fail, dead letters) and
+// internal/comm (dead-peer sends). This file is the recovery service
+// that a resilient runtime would provide, and the one place survivors
+// learn of a loss: it runs at fault instants with a god's-eye view of
+// the run, reads the state the roles already keep, and turns each loss
+// into ordinary local envelopes (From == comm.LocalFrom) delivered one
 // network latency later, modeling the machine's failure-detection
 // delay. All of it is gated on runState.faultsOn, so a run without a
 // fault plan is byte-identical to a pre-fault build.
@@ -28,19 +29,20 @@ package core
 //     the victim's pool is split round-robin over the survivors
 //     (msgAdopt); workers outlive their own splits and exit on the
 //     completion ledger instead of locally.
-//   - Work Stealing (poolWorkerDied, routeToSuccessor): the victim's
-//     pool moves to its ring successor; survivors prune the dead peer
-//     from their probe sets on Death notifications, the ring re-forms
-//     around the gap, and a token that died with the victim is
-//     regenerated from the ledger (msgToken regen, counted as
+//   - Work Stealing (poolWorkerDied, routeToSuccessor): every survivor
+//     hears of the death (msgPeerDead) and prunes the dead peer from
+//     its probe set; the victim's pool moves to its ring successor, the
+//     ring re-forms around the gap, and a token that died with the
+//     victim is regenerated from the ledger (msgToken regen, counted as
 //     RingReforms).
 //   - Hybrid (hybridDied, routeToMaster): a dead slave's streamlines go
 //     back to its master's pool and the master drops it from the model
-//     (msgSlaveDead); a dead master's lowest-indexed surviving slave is
+//     (msgPeerDead); a dead master's lowest-indexed surviving slave is
 //     promoted in its place (msgPromote, counted as MasterFailovers)
-//     and the rest of the group re-points to it (msgRemaster). The
-//     completion coordinator is always the lowest live master endpoint;
-//     every death is followed by a ledger recheck there so no
+//     and the rest of the group re-points to it (msgRemaster). A master
+//     that dies once the ledger is full terminates its slaves instead.
+//     The completion coordinator is always the lowest live master
+//     endpoint; every death is followed by a ledger recheck there so no
 //     termination trigger can die with a processor.
 //   - Static (staticDied, static.go): typed failure
 //     (*faults.UnrecoverableError).
@@ -59,29 +61,24 @@ import (
 
 // --- local recovery messages (never cross the wire: zero size) ---
 
-// msgAdopt re-homes orphaned streamlines on a Load On Demand or
-// stealing survivor, restarted from seed.
-type msgAdopt struct{ recs []seedRec }
+// msgAdopt re-homes orphaned streamlines, restarted from seed, on a
+// pool worker or into a hybrid master's pool (counted as SeedsAdopted).
+// moved marks instead a bookkeeping transfer between masters from one
+// that has no slaves left to integrate them (shedIfSlaveless).
+type msgAdopt struct {
+	recs  []seedRec
+	moved bool
+}
 
 // Bytes implements comm.Message.
 func (msgAdopt) Bytes() int64 { return 0 }
 
-// msgAdoptPool moves unassigned seeds into a master's pool: fresh
-// adoptions from a death (counted as SeedsAdopted) or a bookkeeping
-// transfer from a master that has no slaves left to integrate them.
-type msgAdoptPool struct {
-	recs  []seedRec
-	fresh bool
-}
+// msgPeerDead tells a survivor that processor ep died: a stealer prunes
+// it from its probe set, a master drops it from its slave model.
+type msgPeerDead struct{ ep int }
 
 // Bytes implements comm.Message.
-func (msgAdoptPool) Bytes() int64 { return 0 }
-
-// msgSlaveDead tells a master to drop a dead slave from its model.
-type msgSlaveDead struct{ ep int }
-
-// Bytes implements comm.Message.
-func (msgSlaveDead) Bytes() int64 { return 0 }
+func (msgPeerDead) Bytes() int64 { return 0 }
 
 // msgRemaster re-points a slave at its group's promoted master.
 type msgRemaster struct{ master int }
@@ -166,8 +163,6 @@ func (r *runState) payloadRecs(pay comm.Message) []seedRec {
 		return m.recs
 	case msgAdopt:
 		return m.recs
-	case msgAdoptPool:
-		return m.recs
 	}
 	return nil
 }
@@ -210,10 +205,9 @@ func (r *runState) salvage(idx int, envs []comm.Envelope) []seedRec {
 
 // failProc kills processor idx and runs the algorithm's recovery
 // policy. It executes as a kernel event at the fault instant, after the
-// victim's stack has unwound and its watchers have been notified, and
-// schedules every recovery instruction one detection latency later —
-// before any post-fault traffic can race it (kernel events at one
-// instant run in schedule order).
+// victim's stack has unwound, and schedules every recovery instruction
+// one detection latency later — before any post-fault traffic can race
+// it (kernel events at one instant run in schedule order).
 func (r *runState) failProc(idx int) {
 	if r.failed() || r.kernel.Halted() {
 		return
@@ -245,10 +239,19 @@ func (r *runState) routeRecs(recs []seedRec, deadIdx int) {
 // --- Load On Demand and Work Stealing ---
 
 // poolWorkerDied re-homes a dead pool worker's streamlines and, for the
-// stealing row, regenerates a token that died with it (held there or
-// unread in its inbox; Load On Demand has none to lose).
+// stealing row, first tells every survivor of the death, in ascending
+// order, and regenerates a token that died with it (held there, mid-pass
+// or unread in its inbox; Load On Demand has none to lose).
 func (r *runState) poolWorkerDied(idx int, envs []comm.Envelope) {
-	tokenLost := r.tokenHolder == idx
+	tokenLost := false
+	if st := r.poolWorkers[idx].stealer; st != nil {
+		for i := range r.procs {
+			if r.running(i) {
+				r.deliverLocal(i, msgPeerDead{ep: idx})
+			}
+		}
+		tokenLost = st.holding
+	}
 	for _, env := range envs {
 		if _, ok := env.Payload.(msgToken); ok {
 			tokenLost = true
@@ -316,7 +319,7 @@ func (r *runState) routeToMaster(recs []seedRec, deadIdx int) {
 		})
 		return
 	}
-	r.deliverLocal(tgt, msgAdoptPool{recs: recs, fresh: true})
+	r.deliverLocal(tgt, msgAdopt{recs: recs})
 }
 
 // hybridSlaveSurvives reports whether any hybrid slave is still
@@ -369,24 +372,40 @@ func (r *runState) regenToken(deadIdx int) {
 	}
 	counts := make([]int64, r.cfg.Procs)
 	r.foldDeadCounts(counts)
-	r.tokenHolder = -1
 	r.deliverLocal(succ, msgToken{counts: counts, regen: true})
 }
 
 // --- Hybrid Master/Slave ---
 
 // hybridDied runs the hybrid recovery policy for a dead processor:
-// promotion for a master, pool return for a slave, re-promotion for a
-// candidate that died before assuming the role, and a coordinator
-// ledger recheck in every case.
+// promotion for a master (or, once the ledger is full, termination of
+// its slaves, which a master that died mid-terminate may not have
+// reached), pool return for a slave, re-promotion for a candidate that
+// died before assuming the role, and a coordinator ledger recheck in
+// every case.
 func (r *runState) hybridDied(idx int, envs []comm.Envelope) {
 	r.masterEPs = removeInt(r.masterEPs, idx)
-	if r.hybMasters[idx] != nil {
-		r.promoteOrRoute(idx, r.salvage(idx, envs))
+	if m := r.hybMasters[idx]; m != nil {
+		// The candidates are the live slaves of the dead master's own
+		// model of its group, ascending: a slave re-pointed at it whose
+		// msgRemaster has not landed yet still names its old master.
+		var cands []int
+		for _, s := range m.slaves {
+			if r.running(s.ep) {
+				cands = append(cands, s.ep)
+			}
+		}
+		if r.completedTotal < len(r.prob.Seeds) {
+			r.promoteAmong(idx, r.salvage(idx, envs), cands)
+		} else {
+			for _, ep := range cands {
+				r.deliverLocal(ep, msgTerminate{})
+			}
+		}
 	} else if r.hybSlaves[idx] != nil {
 		recs := r.salvage(idx, envs)
 		if tgt := r.hybridMasterFor(idx); tgt >= 0 {
-			r.deliverLocal(tgt, msgSlaveDead{ep: idx})
+			r.deliverLocal(tgt, msgPeerDead{ep: idx})
 		}
 		r.routeRecs(recs, idx)
 	}
@@ -417,19 +436,6 @@ func (r *runState) hybridMasterFor(deadIdx int) int {
 	return -1
 }
 
-// promoteOrRoute promotes the dead master's lowest-indexed surviving
-// slave to take over its group and salvaged pool; with no surviving
-// slave the pool re-routes to another master.
-func (r *runState) promoteOrRoute(deadEP int, recs []seedRec) {
-	var cands []int
-	for i, s := range r.hybSlaves {
-		if s != nil && s.master == deadEP && r.running(i) {
-			cands = append(cands, i)
-		}
-	}
-	r.promoteAmong(deadEP, recs, cands)
-}
-
 // repromote re-runs a promotion whose candidate died before assuming
 // the role, drawing the next candidate from the carried flock.
 func (r *runState) repromote(pm msgPromote) {
@@ -442,6 +448,9 @@ func (r *runState) repromote(pm msgPromote) {
 	r.promoteAmong(-1, pm.recs, cands)
 }
 
+// promoteAmong promotes the lowest-indexed candidate to take over a dead
+// master's group and salvaged pool; with no candidate the pool re-routes
+// to another master.
 func (r *runState) promoteAmong(deadEP int, recs []seedRec, cands []int) {
 	if len(cands) == 0 {
 		r.routeRecs(recs, deadEP)
@@ -485,7 +494,7 @@ func (r *runState) hybridAfterDeath() {
 			recs := r.hybOrphans
 			r.hybOrphans = nil
 			sortRecs(recs)
-			r.deliverLocal(tgt, msgAdoptPool{recs: recs, fresh: true})
+			r.deliverLocal(tgt, msgAdopt{recs: recs})
 		}
 	}
 	if r.running(r.coordEP) {

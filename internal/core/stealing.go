@@ -106,14 +106,14 @@ type poolWorker struct {
 	done      bool
 
 	// stealer is nil when the row's steal entry is off: no token, no
-	// probes, no peer watches, none of their state.
+	// probes, none of their state.
 	*stealer
 }
 
 // stealer is the steal-only part of a poolWorker. Every stealing
 // processor is both thief and victim.
 type stealer struct {
-	holding bool    // this processor currently holds the token
+	holding bool    // this processor holds the token, until a pass's send completes
 	counts  []int64 // the token's payload while held
 
 	// Probe state for one hungry round.
@@ -143,7 +143,6 @@ func newPoolWorker(r *runState, w *worker, me, n int) *poolWorker {
 		// position, not a coordinator: every processor treats it alike.
 		pw.holding = true
 		pw.counts = make([]int64, n)
-		r.tokenHolder = 0
 	}
 	pw.resetProbes()
 	return pw
@@ -154,13 +153,6 @@ func newPoolWorker(r *runState, w *worker, me, n int) *poolWorker {
 func (pw *poolWorker) run(mine []seedRec) {
 	defer func() { pw.w.stats.EndTime = pw.w.proc.Now() }()
 
-	if pw.r.faultsOn && pw.stealer != nil {
-		// Watch every peer: a Death notification prunes the probe set
-		// and cancels a probe whose reply will never come.
-		for _, p := range pw.peers {
-			pw.w.end.WatchPeer(p)
-		}
-	}
 	for _, rec := range mine {
 		pw.pool.adopt(pw.r.streamline(rec))
 	}
@@ -198,9 +190,10 @@ func (pw *poolWorker) run(mine []seedRec) {
 			// Passing while parked would let a zero-cost ring spin at one
 			// virtual instant (every hop free, the release timer never
 			// reached); holding instead keeps the sum argument intact,
-			// since the holder's own completions are still missing.
-			if pw.holding && pw.pool.active == 0 {
-				pw.passToken()
+			// since the holder's own completions are still missing. A
+			// holder with no live peer to pass to keeps the token and
+			// waits: adopted work may still be in flight to it.
+			if pw.holding && pw.pool.active == 0 && pw.passToken() {
 				continue
 			}
 			if !pw.outstanding && pw.probesLeft > 0 && pw.n > 1 {
@@ -254,7 +247,6 @@ func (pw *poolWorker) handle(env comm.Envelope) bool {
 		if m.regen {
 			pw.w.stats.RingReforms++
 		}
-		pw.r.tokenHolder = pw.me
 		pw.counts = m.counts
 		pw.holding = true
 		pw.resetProbes()
@@ -277,8 +269,8 @@ func (pw *poolWorker) handle(env comm.Envelope) bool {
 			pw.resetProbes()
 		}
 		pw.w.checkMemory("adopted streamlines")
-	case comm.Death:
-		pw.dropPeer(m.Peer)
+	case msgPeerDead:
+		pw.dropPeer(m.ep)
 	case msgAllDone:
 		pw.done = true
 	}
@@ -364,8 +356,9 @@ func (pw *poolWorker) pickLoot() []*trace.Streamline {
 
 // passToken records this processor's completion count, declares global
 // termination if every streamline is accounted for, and otherwise
-// forwards the token around the ring.
-func (pw *poolWorker) passToken() {
+// forwards the token around the ring. It reports whether the token left
+// this holder: under a fault plan a holder with no live peer keeps it.
+func (pw *poolWorker) passToken() bool {
 	pw.counts[pw.me] = pw.completed
 	if pw.r.faultsOn {
 		// A dead processor can never write its own entry again, so fold
@@ -382,31 +375,30 @@ func (pw *poolWorker) passToken() {
 	if sum == int64(len(pw.r.prob.Seeds)) {
 		pw.w.end.Broadcast(msgAllDone{})
 		pw.done = true
-		pw.r.tokenHolder = -1
-		return
+		return true
 	}
 	if pw.n == 1 {
 		// A lone processor passes the token only when dry, which means
 		// everything completed; reaching here is a bookkeeping bug.
 		pw.r.fail(fmt.Errorf("core: stealing token count %d of %d on a single processor", sum, len(pw.r.prob.Seeds)))
-		return
+		return true
 	}
 	next := (pw.me + 1) % pw.n
 	if pw.r.faultsOn {
 		// Re-form the ring around dead peers: pass to the next live
-		// processor. The token stays attributed to this holder until the
-		// send completes, so a death mid-post regenerates it correctly.
+		// processor. With none left the sum still falls short only
+		// because the dead peers' work is in flight to this holder as
+		// adoptions; keep the token until it lands.
 		next = pw.r.nextRunning(pw.me)
 		if next < 0 {
-			// Every peer is gone and the sum still falls short: work was
-			// lost, which the salvage layer must make impossible.
-			pw.r.fail(fmt.Errorf("core: stealing token count %d of %d with no live peer", sum, len(pw.r.prob.Seeds)))
-			return
+			return false
 		}
 	}
-	pw.holding = false
 	pw.w.stats.TokensPassed++
 	pw.r.tr.Mark(pw.me, obs.MarkTokenPass, pw.w.proc.Now(), int64(next), 0)
 	pw.w.end.Send(next, msgToken{counts: pw.counts})
-	pw.r.tokenHolder = -1
+	// The token stays with this holder until the send completes, so a
+	// death mid-post regenerates it (poolWorkerDied reads holding).
+	pw.holding = false
+	return true
 }

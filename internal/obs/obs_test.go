@@ -226,7 +226,10 @@ func TestSeries(t *testing.T) {
 	r.Span(0, SpanIdle, 2, 4, 0, 0)     // idle must NOT count as busy
 	r.Mark(0, MarkComplete, 3, 1, 50)   // active drops at t=3
 	r.Mark(1, MarkBlockEvict, 4, 9, 0)  // resident back to 0 at t=4
-	s := r.Series(1.0)
+	s, err := r.Series(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s) != 5 {
 		t.Fatalf("got %d samples, want 5 (t=0..4)", len(s))
 	}
@@ -250,16 +253,36 @@ func TestSeries(t *testing.T) {
 	if s[2].BusyMean != 0 || s[2].BusyMax != 0 {
 		t.Fatalf("sample 2 busy = %g/%g, want 0/0", s[2].BusyMean, s[2].BusyMax)
 	}
-	if NewDigest().Series(1) != nil {
+	if s, err := NewDigest().Series(1); s != nil || err != nil {
 		t.Fatal("digest-only recorder should have no series")
+	}
+}
+
+// TestSeriesRefusesUnholdableCounts: an interval whose sample count is
+// past int's range, or whose busy table is past the processor-sample
+// bound, is an error before any table is sized. Neither allocates much
+// if the bound were gone: the first count overflows int, the second is
+// about 17M processor-samples.
+func TestSeriesRefusesUnholdableCounts(t *testing.T) {
+	r := New()
+	r.SetNumProcs(2)
+	r.Span(0, SpanCompute, 0, 4, 1, 50)
+	if s, err := r.Series(1e-300); s != nil || err == nil {
+		t.Fatalf("Series(1e-300) = %d samples, %v; want a refusal", len(s), err)
+	}
+	wide := New()
+	wide.SetNumProcs(1 << 14)
+	wide.Span(0, SpanCompute, 0, 4, 1, 50)
+	if s, err := wide.Series(4.0 / 1024); s != nil || err == nil {
+		t.Fatalf("1025 samples of %d processors = %d samples, %v; want a refusal", 1<<14, len(s), err)
 	}
 }
 
 func TestSeriesWriters(t *testing.T) {
 	r := New()
 	record(r)
-	s := r.Series(0) // auto interval
-	if len(s) == 0 {
+	s, err := r.Series(0) // auto interval
+	if err != nil || len(s) == 0 {
 		t.Fatal("no samples")
 	}
 	var csv bytes.Buffer

@@ -2,10 +2,17 @@ package obs
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"math"
 	"strconv"
 )
+
+// A series is refused, before any of its tables is sized, when it would
+// need more than maxSamples rows or more than maxBusy processor-samples
+// of busy time: an interval far shorter than the run otherwise asks the
+// host for more memory than it has.
+const maxSamples, maxBusy = 1 << 20, 1 << 24
 
 // Sample is one row of the fixed-interval virtual-time series. Gauges
 // (Active, IOQueue, Resident) are sampled at the instant Time; the busy
@@ -29,13 +36,14 @@ type Sample struct {
 }
 
 // Series resamples the recorded events into a fixed-interval series.
-// interval <= 0 picks run-length/256. The recorder must have been
+// interval <= 0 picks run-length/256; an interval that needs more
+// samples than a series holds is an error. The recorder must have been
 // built with New (kept events); a digest-only recorder returns nil.
 // Resampling is pure post-processing: nothing here ever touches the
 // simulation, so sampling cannot perturb it.
-func (r *Recorder) Series(interval float64) []Sample {
+func (r *Recorder) Series(interval float64) ([]Sample, error) {
 	if !r.keep || len(r.events) == 0 {
-		return nil
+		return nil, nil
 	}
 	var end float64
 	for i := range r.events {
@@ -44,16 +52,23 @@ func (r *Recorder) Series(interval float64) []Sample {
 		}
 	}
 	if end <= 0 {
-		return nil
+		return nil, nil
 	}
 	if interval <= 0 {
 		interval = end / 256
 	}
-	n := int(math.Ceil(end/interval)) + 1 // samples at 0, dt, ..., covering end
 	nprocs := len(r.counts)
 	if nprocs == 0 {
 		nprocs = 1
 	}
+	// Counted in float64, so a count past int's range (or a NaN
+	// interval) is refused rather than converted.
+	count := math.Ceil(end/interval) + 1 // samples at 0, dt, ..., covering end
+	if !(count <= maxSamples && count*float64(nprocs) <= maxBusy) {
+		return nil, fmt.Errorf("obs: a %g s sample interval over a %g s run needs %g samples of %d processors; a series holds %d samples and %d processor-samples",
+			interval, end, count, nprocs, maxSamples, maxBusy)
+	}
+	n := int(count)
 	// atOrAfter maps an event time to the first sample instant >= t.
 	atOrAfter := func(t float64) int {
 		i := int(math.Ceil(t/interval - 1e-9))
@@ -152,7 +167,7 @@ func (r *Recorder) Series(interval float64) []Sample {
 			BusyMax:  maxv,
 		}
 	}
-	return samples
+	return samples, nil
 }
 
 // WriteSeriesCSV writes the series with a header row, fixed-format

@@ -161,6 +161,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/cell", s.handleCell)
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "no route "+r.URL.Path+"; the routes are /healthz and /v1/cell")
+	})
 	return s, nil
 }
 

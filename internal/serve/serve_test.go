@@ -429,8 +429,8 @@ func TestRequestValidation(t *testing.T) {
 		{"trailing spaced bracket", http.MethodPost, "/v1/cell", cellBody + ` ]`, http.StatusBadRequest},
 		{"oversized body", http.MethodPost, "/v1/cell", strings.Repeat(" ", maxBodyBytes+1), http.StatusRequestEntityTooLarge},
 		// A request asks for one cell: there is no batch route, so every
-		// body the old /v1/cells took or refused is a 404, read by no
-		// handler — an oversized one included.
+		// body the old /v1/cells took or refused is a 404, its body read
+		// by no handler — an oversized one included.
 		{"batch hostile procs", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `,{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":4097}]}`, http.StatusNotFound},
 		{"batch trailing data", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `]}{}`, http.StatusNotFound},
 		{"batch trailing brace", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `]}}`, http.StatusNotFound},
@@ -445,6 +445,7 @@ func TestRequestValidation(t *testing.T) {
 		{"envelope as a cell", http.MethodPost, "/v1/cell", `{"cells":[` + cellBody + `],"observe":true}`, http.StatusBadRequest},
 		{"health ok", http.MethodGet, "/healthz", "", http.StatusOK},
 		{"health method", http.MethodPost, "/healthz", "", http.StatusMethodNotAllowed},
+		{"unknown path", http.MethodGet, "/v1/summary", "", http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -452,8 +453,7 @@ func TestRequestValidation(t *testing.T) {
 			if w.Code != tc.want {
 				t.Fatalf("status %d, want %d; body %s", w.Code, tc.want, w.Body.String())
 			}
-			// A 404 is the mux's own plain-text answer: no handler ran.
-			if w.Code != http.StatusOK && w.Code != http.StatusNotFound {
+			if w.Code != http.StatusOK {
 				var eb errorBody
 				if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 					t.Fatalf("error body is not the JSON envelope: %s", w.Body.String())

@@ -1,20 +1,14 @@
 // Processor failure: first-class, deterministic death of a simulated
 // process. A fault plan (internal/faults) schedules Proc.FailAt calls;
 // at the fault instant the kernel unwinds the victim's body through
-// the same procKilled panic used for end-of-run cleanup, runs its
-// deferred cleanups (releasing any Resource slots it holds), and then
-// notifies every registered watcher in virtual time. Because the fault
-// is an ordinary kernel event, two runs with the same plan are
-// bit-identical — the whole recovery layer above rests on that.
+// the same procKilled panic used for end-of-run cleanup and runs its
+// deferred cleanups (releasing any Resource slots it holds). The kernel
+// tells no one: which survivors learn of the loss, and when, is the
+// recovery layer's policy (internal/core), which runs right after Fail
+// returns. Because the fault is an ordinary kernel event, two runs with
+// the same plan are bit-identical — the whole recovery layer above
+// rests on that.
 package sim
-
-// watcher is one registered death notification: deliver msg to p after
-// delay once the watched process fails.
-type watcher struct {
-	p     *Proc
-	msg   any
-	delay float64
-}
 
 // Failed reports whether the process was killed mid-run by Fail/FailAt
 // (as opposed to finishing its body or being unwound at end of run).
@@ -46,9 +40,8 @@ func (p *Proc) FailAt(t float64) {
 
 // Fail kills p at the current virtual time: the process's body is
 // unwound through the procKilled panic (running its deferred cleanups,
-// e.g. releasing a held Resource slot), after which each watcher
-// registered with Watch is notified in registration order. A process
-// that has not run yet is failed without its body ever being entered.
+// e.g. releasing a held Resource slot). A process that has not run yet
+// is failed without its body ever being entered.
 // Failing a process that already finished or failed is a no-op. Fail
 // must not be called from p's own body — a process cannot outlive its
 // own unwind — but calling it from kernel callbacks (the fault-plan
@@ -64,26 +57,6 @@ func (k *Kernel) Fail(p *Proc) {
 	// nor charges it idle time at the virtual deadline.
 	k.cancelTimer(p)
 	p.kill()
-	for _, w := range p.watchers {
-		k.Deliver(w.p, w.msg, w.delay)
-	}
-	p.watchers = nil
-}
-
-// Watch registers a death notification: if target fails, msg is
-// delivered to p's inbox delay seconds after the fault instant. If
-// target has already failed, the notification is delivered immediately
-// (after delay). Notifications for one death are delivered in Watch
-// registration order — the deterministic tie-break when several
-// survivors learn of the same loss at the same virtual instant. A
-// target that finishes normally never notifies: completion is not a
-// loss.
-func (p *Proc) Watch(target *Proc, msg any, delay float64) {
-	if target.failed {
-		p.k.Deliver(p, msg, delay)
-		return
-	}
-	target.watchers = append(target.watchers, watcher{p: p, msg: msg, delay: delay})
 }
 
 // SetDeadLetter installs the kernel's dead-letter hook: a message whose

@@ -95,44 +95,6 @@ func TestFailRunsDeferredCleanupAtFaultInstant(t *testing.T) {
 	}
 }
 
-// TestWatchNotificationOrder pins the tie-break: watchers of one death
-// with equal delays are notified in registration order, and a watch on
-// an already-failed target fires immediately (plus its delay).
-func TestWatchNotificationOrder(t *testing.T) {
-	k := New()
-	victim := k.Spawn("victim", func(p *Proc) { p.Sleep(10) })
-	var got []string
-	var times []float64
-	k.Spawn("observer", func(p *Proc) {
-		p.Watch(victim, "first", 0.5)
-		p.Watch(victim, "second", 0.5)
-		for i := 0; i < 2; i++ {
-			got = append(got, p.Recv().(string))
-			times = append(times, p.Now())
-		}
-	})
-	lateAt := -1.0
-	k.Spawn("late", func(p *Proc) {
-		p.Sleep(2) // the victim is already dead by now
-		p.Watch(victim, "late", 0.25)
-		p.Recv()
-		lateAt = p.Now()
-	})
-	victim.FailAt(1)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
-		t.Errorf("notification order = %v, want registration order", got)
-	}
-	if len(times) != 2 || times[0] != 1.5 || times[1] != 1.5 {
-		t.Errorf("notification times = %v, want both at fault+delay = 1.5", times)
-	}
-	if lateAt != 2.25 {
-		t.Errorf("late watch fired at t=%g, want watch time + delay = 2.25", lateAt)
-	}
-}
-
 // TestFailFinishedOrDeadIsNoOp: failing a process that already finished
 // (or already died) changes nothing — completion is not a loss.
 func TestFailFinishedOrDeadIsNoOp(t *testing.T) {

@@ -66,13 +66,13 @@ func TestIdleBusySpanInvariant(t *testing.T) {
 		sleep(p, l, 0.25)
 	})
 
-	// watcher-a/b: Event waiters woken by a kernel-callback Fire at 0.75;
+	// event-a/b: Event waiters woken by a kernel-callback Fire at 0.75;
 	// b starts waiting only at 0.5, so their idle differs.
 	k.At(0.75, ev.Fire)
-	track("watcher-a", func(p *Proc, l *ledger) {
+	track("event-a", func(p *Proc, l *ledger) {
 		ev.Wait(p) // idle 0.75
 	})
-	track("watcher-b", func(p *Proc, l *ledger) {
+	track("event-b", func(p *Proc, l *ledger) {
 		sleep(p, l, 0.5)
 		ev.Wait(p) // idle 0.25
 		ev.Wait(p) // already fired: zero idle

@@ -260,8 +260,6 @@ type Proc struct {
 	killed    bool
 	failed    bool // killed mid-run by Fail, not end-of-run cleanup
 
-	watchers []watcher
-
 	idleStart float64
 	idleTotal float64
 }
