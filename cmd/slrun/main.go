@@ -89,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		alg         = fs.String("alg", "hybrid", "algorithm: static, ondemand, hybrid, stealing")
 		procs       = fs.Int("procs", 64, "simulated processor count")
 		perProc     = fs.Bool("perproc", false, "print per-processor statistics")
-		topN        = fs.Int("top", 5, "with -perproc, show the N busiest processors")
+		topN        = fs.Int("top", 5, "with -perproc, show the N busiest processors (0 = all)")
 		traceOut    = fs.String("trace", "", "write the run's virtual-time event stream as Chrome trace-event JSON to this file")
 		timelineOut = fs.String("timeline", "", "write the run's fixed-interval time series to this file as CSV")
 		sampleIvl   = fs.Float64("sample-interval", 0, "with -timeline: sampling bin width in virtual seconds (0 = wall clock / 256)")
@@ -138,6 +138,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Visit(func(f *flag.Flag) { topSet = topSet || f.Name == "top" })
 	if topSet && !*perProc {
 		fmt.Fprintln(stderr, "slrun: -top requires -perproc")
+		return 2
+	}
+	if *topN < 0 {
+		fmt.Fprintf(stderr, "slrun: -top %d is negative (0 lists every processor)\n", *topN)
 		return 2
 	}
 	return runCell(sc, k, *perProc, *topN, *traceOut, *timelineOut, *sampleIvl, stdout, stderr)

@@ -34,6 +34,8 @@ func TestRunBadFlags(t *testing.T) {
 		// -top shapes only the per-processor block: without -perproc it
 		// would be silently ignored.
 		{"-scale", "small", "-alg", "ondemand", "-procs", "8", "-top", "2"},
+		// A negative count is refused, not read as "all" like -top 0.
+		{"-scale", "small", "-procs", "8", "-perproc", "-top", "-2"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

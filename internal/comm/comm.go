@@ -61,7 +61,9 @@ type Envelope struct {
 }
 
 // Endpoint binds a simulated processor to the network. Endpoint indices
-// are assigned by the Fabric.
+// are assigned by the Fabric. An endpoint records comm spans for the
+// messaging overhead it charges, and send/recv marks for delivered
+// traffic, on its processor's trace recorder (sim.Proc.Trace).
 type Endpoint struct {
 	fabric *Fabric
 	proc   *sim.Proc
@@ -80,17 +82,10 @@ type Endpoint struct {
 type Fabric struct {
 	net       Network
 	endpoints []*Endpoint
-	tr        *obs.Recorder
 }
 
 // NewFabric creates an empty fabric over net.
 func NewFabric(net Network) *Fabric { return &Fabric{net: net} }
-
-// SetTracer installs a trace recorder: every endpoint then emits comm
-// spans for the messaging overhead it charges plus send/recv marks for
-// delivered traffic. A nil recorder (the default) records nothing; the
-// hooks are the recorder's inlined nil-receiver no-ops.
-func (f *Fabric) SetTracer(r *obs.Recorder) { f.tr = r }
 
 // Attach registers proc on the fabric and returns its endpoint, which
 // charges its communication counters to stats. stats is required.
@@ -129,7 +124,7 @@ func (e *Endpoint) Send(to int, payload Message) {
 	// The posting cost is real even when the peer is dead and the
 	// message carries no traffic; the span keeps the sender's lane
 	// gap-free.
-	e.fabric.tr.Span(e.index, obs.SpanComm, start, now, int64(to), bytes)
+	e.proc.Trace().Span(e.index, obs.SpanComm, start, now, int64(to), bytes)
 	dst := e.fabric.endpoints[to]
 	if dst.proc.Failed() {
 		// No send mark: marks mirror the delivered-traffic counters. The
@@ -141,7 +136,7 @@ func (e *Endpoint) Send(to int, payload Message) {
 	} else {
 		e.stats.MsgsSent++
 		e.stats.BytesSent += bytes
-		e.fabric.tr.Mark(e.index, obs.MarkSend, now, int64(to), bytes)
+		e.proc.Trace().Mark(e.index, obs.MarkSend, now, int64(to), bytes)
 	}
 	e.proc.Send(dst.proc, Envelope{From: e.index, Payload: payload}, n.LatencySec)
 }
@@ -164,8 +159,8 @@ func (e *Endpoint) recvCharge(env Envelope) {
 	e.stats.CommTime += now - start
 	e.stats.MsgsRecv++
 	e.stats.BytesRecv += bytes
-	e.fabric.tr.Span(e.index, obs.SpanComm, start, now, int64(env.From), bytes)
-	e.fabric.tr.Mark(e.index, obs.MarkRecv, now, int64(env.From), bytes)
+	e.proc.Trace().Span(e.index, obs.SpanComm, start, now, int64(env.From), bytes)
+	e.proc.Trace().Mark(e.index, obs.MarkRecv, now, int64(env.From), bytes)
 }
 
 // Recv blocks until a message arrives and returns it; receive overhead is

@@ -10,13 +10,14 @@ import (
 
 // TestTraceMirrorsTrafficCounters checks that send/recv marks mirror the
 // delivered-traffic metrics, comm spans cover the charged overhead, and
-// the send→recv pairing feeds the message-latency digest.
+// the send→recv pairing feeds the message-latency digest, all on the
+// recorder installed on the kernel.
 func TestTraceMirrorsTrafficCounters(t *testing.T) {
 	rec := obs.New()
 	k := sim.New()
+	k.SetTrace(rec)
 	net := Network{LatencySec: 0.5, PostOverheadSec: 0.01, RecvOverheadSec: 0.02}
 	f := NewFabric(net)
-	f.SetTracer(rec)
 	stats := metrics.NewCollector(2)
 	var endA, endB *Endpoint
 	procB := k.Spawn("b", func(p *sim.Proc) {
@@ -60,7 +61,7 @@ func TestTraceMirrorsTrafficCounters(t *testing.T) {
 	if got := rep.MsgLatency.Sum; got != want {
 		t.Fatalf("message latency = %g, want %g", got, want)
 	}
-	// No tracer: same scenario emits nothing and still works.
+	// No recorder: the same scenario emits nothing and still works.
 	k2 := sim.New()
 	f2 := NewFabric(net)
 	var a2, b2 *Endpoint

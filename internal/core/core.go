@@ -304,12 +304,14 @@ type Config struct {
 	Faults faults.Plan
 	// Trace, when non-nil, receives the run's virtual-time event stream
 	// (internal/obs): per-processor activity spans plus block, message,
-	// steal, token and recovery marks. Tracing is purely observational —
-	// geometry, metrics and golden digests are bit-identical with it on
-	// or off (only the TraceEvents/TraceBytes meta-counters differ), and
-	// a nil recorder (the default) records nothing: every hook is the
-	// recorder's inlined nil-receiver no-op. Not a campaign axis: it
-	// never participates in experiments.Key.
+	// steal, token and recovery marks. Run installs it on the kernel
+	// (sim.Kernel.SetTrace), through which every layer reaches it.
+	// Tracing is purely observational — geometry, metrics and golden
+	// digests are bit-identical with it on or off (only the
+	// TraceEvents/TraceBytes meta-counters differ), and a nil recorder
+	// (the default) records nothing: every emission is the recorder's
+	// inlined nil-receiver no-op. Not a campaign axis: it never
+	// participates in experiments.Key.
 	Trace *obs.Recorder
 }
 
@@ -380,42 +382,33 @@ func Run(p Problem, cfg Config) (*Result, error) {
 	if cfg.DiskServers > 0 {
 		cfg.Disk.Shared = sim.NewResource(r.kernel, cfg.DiskServers)
 	}
+	// One recorder per run, held by the kernel: every layer reaches it
+	// through the process it holds, and the kernel records message-wait
+	// idle spans itself. The seed release schedule anchors the
+	// recorder's active-streamline series.
+	r.kernel.SetTrace(cfg.Trace)
 	if cfg.Trace != nil {
-		// Wire the recorder through every layer before the builders copy
-		// cfg: the disk (io/ioqueue spans, cache marks), the fabric
-		// (comm spans, send/recv marks) and the kernel's message-wait
-		// idle hook. The seed release schedule anchors the recorder's
-		// active-streamline series.
-		r.tr = cfg.Trace
-		cfg.Disk.Trace = cfg.Trace
-		r.fabric.SetTracer(cfg.Trace)
 		cfg.Trace.SetNumProcs(cfg.Procs)
 		releases := make([]float64, len(p.Seeds))
 		for i := range releases {
 			releases[i] = p.release(i)
 		}
 		cfg.Trace.SetReleases(releases)
-		tr := cfg.Trace
-		r.kernel.SetIdleHook(func(pr *sim.Proc, start, end float64) {
-			tr.Span(pr.ID(), obs.SpanIdle, start, end, 0, 0)
-		})
 	}
 	r.procs = make([]*sim.Proc, cfg.Procs)
 	r.workers = make([]*worker, cfg.Procs)
-	if cfg.Faults.Enabled() {
-		r.faultsOn = true
-		r.kernel.SetDeadLetter(r.onDeadLetter)
-	}
+	// The fault route is installed on every run. Without a plan no
+	// processor fails, so no letter is ever dead and nothing is armed.
+	r.faultsOn = cfg.Faults.Enabled()
+	r.kernel.SetDeadLetter(r.onDeadLetter)
 
 	r.alg.build(r)
 
-	if r.faultsOn {
-		// Arm the plan in canonical (time, proc) order: simultaneous
-		// deaths are processed lowest-index first, deterministically.
-		for _, ev := range cfg.Faults.Canonicalize().Events {
-			idx := ev.Proc
-			r.kernel.At(ev.Time, func() { r.failProc(idx) })
-		}
+	// Arm the plan in canonical (time, proc) order: simultaneous deaths
+	// are processed lowest-index first, deterministically.
+	for _, ev := range cfg.Faults.Canonicalize().Events {
+		idx := ev.Proc
+		r.kernel.At(ev.Time, func() { r.failProc(idx) })
 	}
 
 	simErr := r.kernel.Run()
@@ -437,7 +430,7 @@ func Run(p Problem, cfg Config) (*Result, error) {
 	// the tracing-on/off bit-identity of the Summary).
 	for i := 0; i < cfg.Procs; i++ {
 		st := r.collect.P(i)
-		st.TraceEvents, st.TraceBytes = r.tr.ProcCount(i)
+		st.TraceEvents, st.TraceBytes = cfg.Trace.ProcCount(i)
 	}
 	res := &Result{
 		Summary: r.collect.Aggregate(),
@@ -467,9 +460,6 @@ type runState struct {
 	// pf predicts prefetch targets; nil when cfg.Prefetch is off, so
 	// every hook gates on a nil check alone.
 	pf *prefetch.Predictor
-	// tr records trace events; nil when cfg.Trace is unset, and then
-	// every emission site's call is a no-op.
-	tr *obs.Recorder
 
 	err      error // first fatal in-simulation error (e.g. OOM)
 	finished []*trace.Streamline
@@ -483,8 +473,11 @@ type runState struct {
 	procs   []*sim.Proc
 	workers []*worker
 
-	// Fault-injection state (recovery.go); all of it is inert — and the
-	// run byte-identical to a pre-fault build — unless faultsOn.
+	// Fault-injection state (recovery.go). faultsOn reports a non-empty
+	// plan, and is read only where the protocols differ under one: the
+	// completion ledger below, Load On Demand's exit, and the hybrid
+	// coordinator's count and seed-request peer pick. The rest is inert
+	// until a processor dies.
 	faultsOn bool
 	// completedTotal is the run's durable completion ledger: the recovery
 	// layer's stand-in for the completion records a resilient system
@@ -533,7 +526,7 @@ func (r *runState) failed() bool { return r.err != nil }
 func (r *runState) complete(w *worker, sl *trace.Streamline) {
 	w.stats.StreamlinesCompleted++
 	w.noteDeactivated(1)
-	r.tr.Mark(w.end.Index(), obs.MarkComplete, w.proc.Now(), int64(sl.ID), int64(sl.Steps))
+	w.proc.Trace().Mark(w.end.Index(), obs.MarkComplete, w.proc.Now(), int64(sl.ID), int64(sl.Steps))
 	if r.cfg.CollectTraces {
 		r.finished = append(r.finished, sl)
 	}
@@ -642,7 +635,7 @@ func (q *releaseQueue[T]) release(w *worker, activate func(T)) (moved bool) {
 			break
 		}
 		q.items = q.items[1:]
-		w.run.tr.Mark(w.end.Index(), obs.MarkRelease, now, int64(id), 0)
+		w.proc.Trace().Mark(w.end.Index(), obs.MarkRelease, now, int64(id), 0)
 		activate(x)
 		moved = true
 	}
@@ -795,9 +788,9 @@ func (w *worker) stallForRelease(next float64) (env comm.Envelope, got bool) {
 	if !got {
 		w.stats.ReleaseStalls++
 		w.stats.ReleaseStallTime += w.proc.Now() - start
-		// The stall interval itself arrives via the kernel idle hook;
+		// The kernel records the stall interval itself as an idle span;
 		// the mark attributes it to injection starvation.
-		w.run.tr.Mark(w.end.Index(), obs.MarkPark, start, 0, 0)
+		w.proc.Trace().Mark(w.end.Index(), obs.MarkPark, start, 0, 0)
 	}
 	return env, got
 }
@@ -897,7 +890,7 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator) {
 	w.stats.ComputeTime += now - start
 	w.stats.Steps += int64(res.Steps)
 	*tally += int64(res.Steps)
-	w.run.tr.Span(w.end.Index(), obs.SpanCompute, start, now, int64(sl.ID), int64(res.Steps))
+	w.proc.Trace().Span(w.end.Index(), obs.SpanCompute, start, now, int64(sl.ID), int64(res.Steps))
 	if p.leave(sl, res, epoch) {
 		w.stats.EpochCrossings++
 	}

@@ -201,8 +201,18 @@ func TestFaultStaticUnrecoverable(t *testing.T) {
 	}
 }
 
-// TestFaultAfterCompletionIsNoOp: a loss scheduled past the end of the
-// run kills nobody and perturbs nothing.
+// TestFaultAfterCompletionIsNoOp pins what a plan that never fires
+// costs: a loss scheduled past the end of the run kills nobody, keeps
+// every curve, and moves the Summary only where a plan changes the
+// protocol itself (DESIGN.md §11).
+//   - Work stealing: the Summary is byte-identical to the fault-free run.
+//   - Load On Demand: under any plan workers outlive their own splits and
+//     exit on releaseSurvivors' all-done, which lands one network
+//     latency after the last completion, so WallClock grows by exactly
+//     Net.LatencySec and every other field is equal.
+//   - Hybrid: under a plan the coordinator reads the completion ledger
+//     instead of summing forwarded counts, which can end a run earlier,
+//     so only geometry and ProcsLost are pinned.
 func TestFaultAfterCompletionIsNoOp(t *testing.T) {
 	p := testProblem(30)
 	for _, alg := range recoverable() {
@@ -216,6 +226,16 @@ func TestFaultAfterCompletionIsNoOp(t *testing.T) {
 		requireSameGeometry(t, fmt.Sprintf("%s late fault", alg), res.Streamlines, base.Streamlines)
 		if res.Summary.ProcsLost != 0 {
 			t.Errorf("%s: ProcsLost = %d for a post-completion fault", alg, res.Summary.ProcsLost)
+		}
+		want := base.Summary
+		switch alg {
+		case HybridMS:
+			continue
+		case LoadOnDemand:
+			want.WallClock += cfg.Net.LatencySec
+		}
+		if res.Summary != want {
+			t.Errorf("%s: a plan that never fires moved the Summary:\n got %s\nwant %s", alg, res.Summary, want)
 		}
 	}
 }

@@ -425,7 +425,7 @@ func (s *slave) runAsMaster(pm msgPromote) {
 	ep := w.end.Index()
 	w.stats.MasterFailovers++
 	w.stats.SeedsAdopted += int64(len(pm.recs))
-	r.tr.Mark(ep, obs.MarkFailover, w.proc.Now(), int64(len(pm.flock)), int64(len(pm.recs)))
+	w.proc.Trace().Mark(ep, obs.MarkFailover, w.proc.Now(), int64(len(pm.flock)), int64(len(pm.recs)))
 	sls, _ := s.resident()
 	recs := r.rewind(append([]seedRec(nil), pm.recs...), sls)
 	for _, sl := range sls {
@@ -724,8 +724,9 @@ func (m *master) onStatus(st msgStatus) {
 	if !ok {
 		// A remastered slave's first status can arrive before this
 		// (promoted) master modeled it; adopt live reporters, ignore
-		// stale statuses from the dead.
-		if !m.r.faultsOn || !m.r.running(st.slave) {
+		// stale statuses from the dead. Without a death every status
+		// comes from a modeled slave.
+		if !m.r.running(st.slave) {
 			return
 		}
 		m.slaves = slices.Insert(m.slaves, i, &slaveRec{ep: st.slave})
@@ -793,7 +794,7 @@ func (m *master) addRecs(recs []seedRec, fresh bool) {
 	if fresh {
 		m.w.stats.SeedsAdopted += int64(len(recs))
 		if len(recs) > 0 {
-			m.r.tr.Mark(m.w.end.Index(), obs.MarkAdopt, m.w.proc.Now(), int64(len(recs)), 0)
+			m.w.proc.Trace().Mark(m.w.end.Index(), obs.MarkAdopt, m.w.proc.Now(), int64(len(recs)), 0)
 		}
 	}
 	m.applyRules(false)
@@ -814,9 +815,10 @@ func (m *master) onSlaveDead(ep int) {
 
 // shedIfSlaveless hands this master's remaining seeds to a peer that
 // still has slaves to integrate them, once every slave of its own has
-// died. With no other master left either, the run cannot finish.
+// died (without a death every master keeps at least one). With no other
+// master left either, the run cannot finish.
 func (m *master) shedIfSlaveless() {
-	if !m.r.faultsOn || m.done || len(m.slaves) > 0 || (m.pool.total() == 0 && len(m.future.items) == 0) {
+	if m.done || len(m.slaves) > 0 || (m.pool.total() == 0 && len(m.future.items) == 0) {
 		return
 	}
 	peers := m.peerMasters()

@@ -84,13 +84,14 @@ func TestTraceByteIdentical(t *testing.T) {
 
 // TestTraceEventCoverage checks that each algorithm's run actually
 // exercises the event kinds its protocol implies: everything computes,
-// loads blocks and completes; staggered injection releases and parks;
+// loads blocks, waits on messages (the kernel's idle spans) and
+// completes; staggered injection releases and parks;
 // the communicating algorithms send and receive; stealing passes the
 // termination token.
 func TestTraceEventCoverage(t *testing.T) {
 	p := injectedProblem(seeds.Stagger(40, 0, 0.3))
 	common := []obs.Kind{
-		obs.SpanCompute, obs.SpanIO, obs.MarkBlockLoad,
+		obs.SpanCompute, obs.SpanIO, obs.SpanIdle, obs.MarkBlockLoad,
 		obs.MarkComplete, obs.MarkRelease,
 	}
 	extra := map[Algorithm][]obs.Kind{

@@ -9,8 +9,9 @@ package core
 // the run, reads the state the roles already keep, and turns each loss
 // into ordinary local envelopes (From == comm.LocalFrom) delivered one
 // network latency later, modeling the machine's failure-detection
-// delay. All of it is gated on runState.faultsOn, so a run without a
-// fault plan is byte-identical to a pre-fault build.
+// delay. Run installs the route on every run: without a plan no
+// processor fails, so none of it runs, and runState.faultsOn is read
+// only where the protocols themselves differ under a plan.
 //
 // The invariant everything below defends is seed conservation: every
 // streamline is resident on exactly one processor, in flight in exactly
@@ -222,7 +223,7 @@ func (r *runState) failProc(idx int) {
 		return
 	}
 	r.collect.P(idx).ProcsLost++
-	r.tr.Mark(idx, obs.MarkKill, r.kernel.Now(), 0, 0)
+	p.Trace().Mark(idx, obs.MarkKill, r.kernel.Now(), 0, 0)
 	r.alg.died(r, idx, r.deadEnvelopes(idx))
 }
 

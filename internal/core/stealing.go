@@ -235,7 +235,7 @@ func (pw *poolWorker) handle(env comm.Envelope) bool {
 			pw.pool.adopt(sl)
 		}
 		pw.w.stats.StealHits++
-		pw.r.tr.Mark(pw.me, obs.MarkStealHit, pw.w.proc.Now(), int64(env.From), int64(len(m.sls)))
+		pw.w.proc.Trace().Mark(pw.me, obs.MarkStealHit, pw.w.proc.Now(), int64(env.From), int64(len(m.sls)))
 		pw.outstanding = false
 		pw.resetProbes()
 		pw.w.checkMemory("stolen streamlines")
@@ -264,7 +264,7 @@ func (pw *poolWorker) handle(env comm.Envelope) bool {
 			pw.pool.adopt(pw.r.streamline(rec))
 		}
 		pw.w.stats.SeedsAdopted += int64(len(m.recs))
-		pw.r.tr.Mark(pw.me, obs.MarkAdopt, pw.w.proc.Now(), int64(len(m.recs)), 0)
+		pw.w.proc.Trace().Mark(pw.me, obs.MarkAdopt, pw.w.proc.Now(), int64(len(m.recs)), 0)
 		if pw.stealer != nil {
 			pw.resetProbes()
 		}
@@ -308,7 +308,7 @@ func (pw *poolWorker) probe() {
 	pw.outstanding = true
 	pw.probeVictim = victim
 	pw.w.stats.StealAttempts++
-	pw.r.tr.Mark(pw.me, obs.MarkStealProbe, pw.w.proc.Now(), int64(victim), 0)
+	pw.w.proc.Trace().Mark(pw.me, obs.MarkStealProbe, pw.w.proc.Now(), int64(victim), 0)
 	pw.w.end.Send(victim, msgStealReq{})
 }
 
@@ -356,18 +356,17 @@ func (pw *poolWorker) pickLoot() []*trace.Streamline {
 
 // passToken records this processor's completion count, declares global
 // termination if every streamline is accounted for, and otherwise
-// forwards the token around the ring. It reports whether the token left
-// this holder: under a fault plan a holder with no live peer keeps it.
+// forwards the token to the next live processor in ring order. It
+// reports whether the token left this holder: one with no live peer
+// keeps it.
 func (pw *poolWorker) passToken() bool {
 	pw.counts[pw.me] = pw.completed
-	if pw.r.faultsOn {
-		// A dead processor can never write its own entry again, so fold
-		// the ledger's record of its completions into the token —
-		// otherwise a token written before the victim's last completions
-		// would circulate with a stale entry and the sum could never
-		// reach the total. Counts are monotone; overwriting is safe.
-		pw.r.foldDeadCounts(pw.counts)
-	}
+	// A dead processor can never write its own entry again, so fold the
+	// ledger's record of its completions into the token — otherwise a
+	// token written before the victim's last completions would circulate
+	// with a stale entry and the sum could never reach the total. Counts
+	// are monotone; overwriting is safe.
+	pw.r.foldDeadCounts(pw.counts)
 	var sum int64
 	for _, c := range pw.counts {
 		sum += c
@@ -383,19 +382,17 @@ func (pw *poolWorker) passToken() bool {
 		pw.r.fail(fmt.Errorf("core: stealing token count %d of %d on a single processor", sum, len(pw.r.prob.Seeds)))
 		return true
 	}
-	next := (pw.me + 1) % pw.n
-	if pw.r.faultsOn {
-		// Re-form the ring around dead peers: pass to the next live
-		// processor. With none left the sum still falls short only
-		// because the dead peers' work is in flight to this holder as
-		// adoptions; keep the token until it lands.
-		next = pw.r.nextRunning(pw.me)
-		if next < 0 {
-			return false
-		}
+	// The ring re-forms around dead peers; a stealing processor exits
+	// only after all-done, so without a death this is (me+1) mod n. With
+	// no live peer left the sum falls short only because the dead peers'
+	// work is in flight to this holder as adoptions; keep the token until
+	// it lands.
+	next := pw.r.nextRunning(pw.me)
+	if next < 0 {
+		return false
 	}
 	pw.w.stats.TokensPassed++
-	pw.r.tr.Mark(pw.me, obs.MarkTokenPass, pw.w.proc.Now(), int64(next), 0)
+	pw.w.proc.Trace().Mark(pw.me, obs.MarkTokenPass, pw.w.proc.Now(), int64(next), 0)
 	pw.w.end.Send(next, msgToken{counts: pw.counts})
 	// The token stays with this holder until the send completes, so a
 	// death mid-post regenerates it (poolWorkerDied reads holding).

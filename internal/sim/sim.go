@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"iter"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // Event kinds. evCall carries an arbitrary callback (Kernel.At); the
@@ -148,19 +150,19 @@ type Kernel struct {
 	running    bool
 	halted     bool
 	deadLetter func(to *Proc, msg any)
-	idleHook   func(p *Proc, start, end float64)
+	tr         *obs.Recorder
 	free       []*event // recycled events, so steady state schedules allocation free
 }
 
-// SetIdleHook installs an observer for completed message-wait idle
-// intervals: it fires when a process blocked in Recv/RecvUntil resumes
-// (delivery or deadline), with the interval [start, end) the kernel just
-// charged to the process's idle total. Resource and event waits are not
-// reported — callers that model I/O over them already observe those
-// intervals directly. The hook must only record; scheduling kernel work
-// from inside it would perturb the simulation it is observing. A nil
-// hook (the default) costs one predicted branch on the delivery path.
-func (k *Kernel) SetIdleHook(fn func(p *Proc, start, end float64)) { k.idleHook = fn }
+// SetTrace installs the run's one trace recorder. Every layer above
+// reaches it through the process it holds (Proc.Trace), and the kernel
+// itself records each completed message wait — a process blocked in
+// Recv/RecvUntil resuming on delivery or deadline — as an obs.SpanIdle
+// over the interval it just charged to the process's idle total.
+// Resource and event waits are not recorded: the layers that model I/O
+// over them record those intervals themselves. A nil recorder (the
+// default) records nothing.
+func (k *Kernel) SetTrace(r *obs.Recorder) { k.tr = r }
 
 // New returns an empty kernel at virtual time 0.
 func New() *Kernel { return &Kernel{} }
@@ -215,9 +217,7 @@ func (k *Kernel) fire(e *event) {
 		if p.waiting && p.wakeSeq == e.wseq && !p.done && !p.killed {
 			p.waiting = false
 			p.idleTotal += k.now - p.idleStart
-			if k.idleHook != nil {
-				k.idleHook(p, p.idleStart, k.now)
-			}
+			k.tr.Span(p.id, obs.SpanIdle, p.idleStart, k.now, 0, 0)
 			k.wake(p, e.wseq)
 		}
 	case evDeliver:
@@ -335,6 +335,9 @@ func (p *Proc) Now() float64 { return p.k.now }
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
+// Trace returns the kernel's trace recorder, nil when tracing is off.
+func (p *Proc) Trace() *obs.Recorder { return p.k.tr }
+
 // IdleTime returns the total virtual time this process has spent blocked
 // waiting for messages.
 func (p *Proc) IdleTime() float64 { return p.idleTotal }
@@ -401,9 +404,7 @@ func (k *Kernel) deliverNow(to *Proc, msg any) {
 	if to.waiting {
 		to.waiting = false
 		to.idleTotal += k.now - to.idleStart
-		if k.idleHook != nil {
-			k.idleHook(to, to.idleStart, k.now)
-		}
+		k.tr.Span(to.id, obs.SpanIdle, to.idleStart, k.now, 0, 0)
 		k.cancelTimer(to)
 		k.wake(to, to.wakeSeq)
 	}

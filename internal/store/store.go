@@ -28,11 +28,6 @@ type DiskModel struct {
 	// of I/O servers, so aggregate bandwidth is bounded regardless of
 	// processor count.
 	Shared *sim.Resource
-	// Trace receives io/ioqueue spans for every demand read and block
-	// load/evict/prefetch marks from caches over this disk. Nil (the
-	// default) records nothing: the recorder's hooks are inlined
-	// nil-receiver no-ops.
-	Trace *obs.Recorder
 }
 
 // DefaultDisk returns a disk model loosely calibrated to the paper's era:
@@ -52,9 +47,10 @@ func (d DiskModel) readTime(bytes int64) float64 {
 }
 
 // read charges proc the I/O cost of reading bytes, honoring shared-disk
-// contention, and records it in stats. The shared-disk queue wait is
-// additionally broken out as IOQueueTime (still counted inside IOTime),
-// so contention stalls are separable from transfer time.
+// contention, and records it in stats and as io/ioqueue spans on the
+// process's trace recorder. The shared-disk queue wait is additionally
+// broken out as IOQueueTime (still counted inside IOTime), so contention
+// stalls are separable from transfer time.
 func (d DiskModel) read(p *sim.Proc, bytes int64, stats *metrics.ProcStats) {
 	start := p.Now()
 	acquired := start
@@ -68,10 +64,10 @@ func (d DiskModel) read(p *sim.Proc, bytes int64, stats *metrics.ProcStats) {
 		defer d.Shared.Release()
 		acquired = p.Now()
 		stats.IOQueueTime += acquired - start
-		d.Trace.Span(p.ID(), obs.SpanIOQueue, start, acquired, bytes, 0)
+		p.Trace().Span(p.ID(), obs.SpanIOQueue, start, acquired, bytes, 0)
 	}
 	p.Sleep(d.readTime(bytes))
-	d.Trace.Span(p.ID(), obs.SpanIO, acquired, p.Now(), bytes, 0)
+	p.Trace().Span(p.ID(), obs.SpanIO, acquired, p.Now(), bytes, 0)
 	stats.IOTime += p.Now() - start
 }
 
@@ -236,7 +232,7 @@ func (c *Cache) Get(id grid.BlockID) grid.Evaluator {
 		fl.done.Wait(c.proc)
 		c.stats.IOTime += c.proc.Now() - start
 		// The residual wait for an in-flight prefetch is demand I/O.
-		c.disk.Trace.Span(c.proc.ID(), obs.SpanIO, start, c.proc.Now(), c.blockBytes, 0)
+		c.proc.Trace().Span(c.proc.ID(), obs.SpanIO, start, c.proc.Now(), c.blockBytes, 0)
 		// Count a hit only if the completion's install survived: a
 		// completion-time eviction (all-pinned overflow) already counted
 		// the read as wasted, and the loop will repeat it synchronously —
@@ -252,7 +248,7 @@ func (c *Cache) Get(id grid.BlockID) grid.Evaluator {
 	// Miss: read from disk.
 	c.disk.read(c.proc, c.blockBytes, c.stats)
 	c.stats.BlocksLoaded++
-	c.disk.Trace.Mark(c.proc.ID(), obs.MarkBlockLoad, c.proc.Now(), int64(id), 0)
+	c.proc.Trace().Mark(c.proc.ID(), obs.MarkBlockLoad, c.proc.Now(), int64(id), 0)
 	e := &entry{id: id, eval: c.provider.Block(id)}
 	c.entries[id] = e
 	c.pushFront(e)
@@ -290,7 +286,7 @@ func (c *Cache) Prefetch(id grid.BlockID) bool {
 	issued := c.disk.readAsync(k, c.blockBytes, func() {
 		delete(c.inflight, id)
 		c.stats.BlocksLoaded++
-		c.disk.Trace.Mark(c.proc.ID(), obs.MarkBlockLoad, k.Now(), int64(id), 0)
+		c.proc.Trace().Mark(c.proc.ID(), obs.MarkBlockLoad, k.Now(), int64(id), 0)
 		e := &entry{id: id, eval: c.provider.Block(id)}
 		c.entries[id] = e
 		c.pushFront(e)
@@ -303,7 +299,7 @@ func (c *Cache) Prefetch(id grid.BlockID) bool {
 	}
 	c.inflight[id] = fl
 	c.stats.PrefetchIssued++
-	c.disk.Trace.Mark(c.proc.ID(), obs.MarkPrefetch, k.Now(), int64(id), 0)
+	c.proc.Trace().Mark(c.proc.ID(), obs.MarkPrefetch, k.Now(), int64(id), 0)
 	return true
 }
 
@@ -351,7 +347,7 @@ func (c *Cache) evictOver() {
 			c.stats.PrefetchWasted++
 		}
 		c.stats.BlocksPurged++
-		c.disk.Trace.Mark(c.proc.ID(), obs.MarkBlockEvict, c.proc.Now(), int64(victim.id), 0)
+		c.proc.Trace().Mark(c.proc.ID(), obs.MarkBlockEvict, c.proc.Now(), int64(victim.id), 0)
 	}
 }
 

@@ -22,11 +22,13 @@ func collect(r *obs.Recorder, k obs.Kind) []obs.Event {
 
 // TestDiskReadTraceSpans checks the disjoint ioqueue/io span pair a
 // contended shared-disk read emits: queue wait then transfer, together
-// covering exactly the interval Read charges as IOTime.
+// covering exactly the interval read charges as IOTime, on the recorder
+// installed on the kernel.
 func TestDiskReadTraceSpans(t *testing.T) {
 	rec := obs.New()
 	k := sim.New()
-	d := DiskModel{LatencySec: 1, Shared: sim.NewResource(k, 1), Trace: rec}
+	k.SetTrace(rec)
+	d := DiskModel{LatencySec: 1, Shared: sim.NewResource(k, 1)}
 	stats := metrics.NewCollector(2)
 	k.Spawn("a", func(p *sim.Proc) { d.read(p, 0, stats.P(0)) })
 	k.Spawn("b", func(p *sim.Proc) { d.read(p, 0, stats.P(1)) })
@@ -52,8 +54,9 @@ func TestDiskReadTraceSpans(t *testing.T) {
 	}
 	// Uncontended read: one io span, no queue span.
 	rec2 := obs.New()
-	d2 := DiskModel{LatencySec: 0.5, Trace: rec2}
+	d2 := DiskModel{LatencySec: 0.5}
 	k2 := sim.New()
+	k2.SetTrace(rec2)
 	k2.Spawn("solo", func(p *sim.Proc) { d2.read(p, 0, stats.P(0)) })
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)
@@ -63,12 +66,15 @@ func TestDiskReadTraceSpans(t *testing.T) {
 	}
 }
 
-// TestCacheTraceMarks checks block load, evict and prefetch marks.
+// TestCacheTraceMarks checks the block load, evict and prefetch marks a
+// cache records on its process's recorder.
 func TestCacheTraceMarks(t *testing.T) {
 	rec := obs.New()
 	prov := testProvider()
-	d := DiskModel{LatencySec: 0.01, Trace: rec}
-	runInProc(t, func(p *sim.Proc) {
+	d := DiskModel{LatencySec: 0.01}
+	k := sim.New()
+	k.SetTrace(rec)
+	k.Spawn("test", func(p *sim.Proc) {
 		c := NewCache(p, prov, d, 2, metrics.NewCollector(1).P(0))
 		c.Get(0)
 		c.Get(1)
@@ -81,6 +87,9 @@ func TestCacheTraceMarks(t *testing.T) {
 			t.Error("prefetched block not resident")
 		}
 	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
 	loads := collect(rec, obs.MarkBlockLoad)
 	if len(loads) != 4 {
 		t.Fatalf("got %d load marks, want 4 (3 demand + 1 prefetch)", len(loads))
