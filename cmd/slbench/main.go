@@ -1,7 +1,7 @@
 // Command slbench regenerates the paper's evaluation (Figures 5–16): for
 // each figure it runs the full sweep — dataset × {sparse, dense} seeding ×
 // {static, ondemand, hybrid, stealing} × processor counts — on the
-// simulated cluster and prints the figure's metric as a table (or CSV).
+// simulated cluster and prints the figure's metric as a table.
 // Every figure thus gains a stealing block next to the paper's three
 // algorithms, answering whether master-mediated coordination beats a
 // fully decentralized dynamic scheme (DESIGN.md §6). Sweep cells are
@@ -21,7 +21,7 @@
 //	slbench                       # all figures at the default scale
 //	slbench -figure 5             # just Figure 5
 //	slbench -scale paper          # full paper-sized configuration (slow)
-//	slbench -dataset fusion -csv  # fusion figures as CSV
+//	slbench -dataset fusion       # the fusion figures only
 //	slbench -json                 # one JSON report (the BENCH_*.json schema)
 //	slbench -shapes               # also check the paper's qualitative claims
 //	slbench -j 1                  # serial execution (same tables, slower)
@@ -60,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scaleName  = fs.String("scale", "default", "campaign scale: small, default, or paper")
 		figureID   = fs.Int("figure", 0, "run a single figure (5-16); 0 means all")
 		dataset    = fs.String("dataset", "", "restrict to one dataset: astro, fusion, thermal")
-		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut    = fs.Bool("json", false, "emit one machine-readable JSON report instead of tables (the BENCH_*.json schema)")
 		verbose    = fs.Bool("v", false, "log every run as it completes")
 		shapes     = fs.Bool("shapes", false, "verify the paper's qualitative claims and report")
@@ -76,10 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *csv && *jsonOut {
-		fmt.Fprintln(stderr, "slbench: -csv and -json are mutually exclusive")
-		return 2
-	}
 	if *jobs < 0 {
 		fmt.Fprintf(stderr, "slbench: negative -j %d\n", *jobs)
 		return 2
@@ -179,13 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		for _, fig := range selected {
-			if *csv {
-				rows := c.FigureRows(fig)
-				fmt.Fprintf(stdout, "# Figure %d — %s\n%s\n", fig.ID, fig.Title,
-					metrics.CSV(rows, c.FigureColumns(fig)))
-			} else {
-				fmt.Fprintln(stdout, c.FigureTable(fig))
-			}
+			fmt.Fprintln(stdout, c.FigureTable(fig))
 		}
 	}
 

@@ -16,7 +16,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-scale", "bogus"},
 		{"-figure", "99"},
 		{"-nosuchflag"},
-		{"-csv", "-json"},
+		{"-csv"}, // -json is the one machine-readable output
 		{"-scale", "small", "-dataset", "bogus"},
 		{"-scale", "small", "-figure", "5", "-dataset", "fusion"}, // selects no figure
 		{"-scale", "small", "-figure", "5", "-j", "-1"},
@@ -55,18 +55,37 @@ func TestRunSingleFigureSmallScale(t *testing.T) {
 	}
 }
 
-func TestRunCSVOutput(t *testing.T) {
+// TestRunREADMESample: the table README.md shows under its slbench
+// command is that command's output, byte for byte (the blank line that
+// ends each figure aside).
+func TestRunREADMESample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign too slow for -short")
 	}
+	want := readmeOutput(t, "go run ./cmd/slbench -scale small -figure 8")
 	var out, errw bytes.Buffer
-	if code := run([]string{"-scale", "small", "-figure", "9", "-dataset", "fusion", "-csv", "-j", "4"}, &out, &errw); code != 0 {
+	if code := run([]string{"-scale", "small", "-figure", "8"}, &out, &errw); code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, errw.String())
 	}
-	got := out.String()
-	if !strings.Contains(got, "# Figure 9") || !strings.Contains(got, "fusion/sparse/ondemand/8") {
-		t.Errorf("CSV output unexpected:\n%s", got)
+	if out.String() != want+"\n" {
+		t.Errorf("README.md shows:\n%s\nslbench prints:\n%s", want, out.String())
 	}
+}
+
+// readmeOutput returns the ```text block README.md shows under the ```sh
+// block that runs cmd.
+func readmeOutput(t *testing.T, cmd string) string {
+	t.Helper()
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, found := strings.Cut(string(readme), "```sh\n"+cmd+"\n```\n\n```text\n")
+	block, _, closed := strings.Cut(rest, "```\n")
+	if !found || !closed {
+		t.Fatalf("README.md shows no output under %q", cmd)
+	}
+	return block
 }
 
 // TestRunParallelMatchesSerialOutput is the acceptance check at the CLI

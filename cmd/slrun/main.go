@@ -1,9 +1,11 @@
 // Command slrun executes a single streamline computation on the simulated
-// cluster and reports its metrics — the one-experiment counterpart to
-// slbench's full sweep. All four algorithms are available: the paper's
-// static, ondemand and hybrid, plus the decentralized stealing extension
-// (DESIGN.md §6). A processor-count sweep is slbench's (-figure 5 lists
-// the strong-scaling cells), or repeated slrun -procs N runs.
+// cluster and reports its metrics, one line for each column
+// experiments.Key.Columns names for the cell, as slbench's tables print
+// them — the one-experiment counterpart to slbench's full sweep. All
+// four algorithms are available: the paper's static, ondemand and
+// hybrid, plus the decentralized stealing extension (DESIGN.md §6). A
+// processor-count sweep is slbench's (-figure 5 lists the strong-scaling
+// cells), or repeated slrun -procs N runs.
 //
 // The machine-axis flags of the next four paragraphs (-unsteady,
 // -prefetch, -inject, -faults) are slbench's too, defined and checked
@@ -212,40 +214,8 @@ func runCell(sc experiments.Scale, k experiments.Key, perProc bool, topN int, tr
 		}
 		fmt.Fprintf(stdout, "wrote %d timeline samples to %s\n", len(samples), timelineOut)
 	}
-	s := res.Summary
-	fmt.Fprintf(stdout, "wall clock          %10.3f s\n", s.WallClock)
-	fmt.Fprintf(stdout, "total I/O time      %10.3f s\n", s.TotalIO)
-	fmt.Fprintf(stdout, "I/O queue wait      %10.3f s\n", s.TotalIOQueue)
-	fmt.Fprintf(stdout, "total comm time     %10.3f s\n", s.TotalComm)
-	fmt.Fprintf(stdout, "total compute time  %10.3f s\n", s.TotalCompute)
-	fmt.Fprintf(stdout, "block efficiency    %10.3f   (loads %d, purges %d)\n",
-		s.BlockEfficiency, s.BlocksLoaded, s.BlocksPurged)
-	fmt.Fprintf(stdout, "messages            %10d   (%d bytes)\n", s.MsgsSent, s.BytesSent)
-	fmt.Fprintf(stdout, "integration steps   %10d\n", s.Steps)
-	fmt.Fprintf(stdout, "streamlines done    %10d\n", s.StreamlinesCompleted)
-	fmt.Fprintf(stdout, "peak memory         %10d MB\n", s.PeakMemoryBytes>>20)
-	fmt.Fprintf(stdout, "load imbalance      %10.2f\n", s.Imbalance)
-	if k.Alg == core.WorkStealing {
-		fmt.Fprintf(stdout, "steals (hit/tried)  %7d/%d\n", s.StealHits, s.StealAttempts)
-		fmt.Fprintf(stdout, "tokens passed       %10d\n", s.TokensPassed)
-	}
-	if k.Unsteady {
-		fmt.Fprintf(stdout, "epoch crossings     %10d\n", s.EpochCrossings)
-	}
-	if k.Prefetch.Enabled() {
-		fmt.Fprintf(stdout, "prefetch (hit/issued) %5d/%d   (%d wasted)\n",
-			s.PrefetchHits, s.PrefetchIssued, s.PrefetchWasted)
-		fmt.Fprintf(stdout, "I/O hidden          %10.3f s\n", s.IOHiddenTime)
-	}
-	if k.Injection.Enabled() {
-		fmt.Fprintf(stdout, "active peak         %10d   streamlines on one processor\n", s.ActivePeak)
-		fmt.Fprintf(stdout, "release stalls      %10d   (%.3f s parked)\n", s.ReleaseStalls, s.ReleaseStallTime)
-	}
-	if k.Faults.Enabled() {
-		fmt.Fprintf(stdout, "processors lost     %10d   (%d seeds adopted)\n", s.ProcsLost, s.SeedsAdopted)
-		fmt.Fprintf(stdout, "ring reforms        %10d\n", s.RingReforms)
-		fmt.Fprintf(stdout, "master failovers    %10d\n", s.MasterFailovers)
-		fmt.Fprintf(stdout, "sends to dead peers %10d\n", s.SendFailed)
+	for _, col := range k.Columns() {
+		fmt.Fprintf(stdout, "%-10s %12s\n", col, res.Summary.Column(col))
 	}
 
 	if perProc {

@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 func TestRunBadFlags(t *testing.T) {
@@ -56,6 +60,7 @@ func TestRunSingleSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
 	}
+	checkColumns(t, core.Algorithms())
 	var out, errw bytes.Buffer
 	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
 		"-alg", "ondemand", "-procs", "8", "-perproc", "-top", "2"}
@@ -63,10 +68,8 @@ func TestRunSingleSmallScale(t *testing.T) {
 		t.Fatalf("run = %d, stderr: %s", code, errw.String())
 	}
 	got := out.String()
-	for _, want := range []string{"wall clock", "block efficiency", "busiest processors"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
+	if !strings.Contains(got, "busiest processors") {
+		t.Errorf("output missing the -perproc block:\n%s", got)
 	}
 	// -top 2 lists two processors, the first of them the busiest of all
 	// eight (-top 0 lists every one).
@@ -83,6 +86,50 @@ func TestRunSingleSmallScale(t *testing.T) {
 	if top[0] != slices.Max(every) {
 		t.Errorf("first listed processor is busy %g s, the run's busiest %g s:\n%s", top[0], slices.Max(every), got)
 	}
+}
+
+// checkColumns runs slrun on the small-scale astro/sparse cell on 8
+// processors for each of algs under the axis flags, and holds each
+// report to Key.Columns: after the "running" header, one line per
+// column, in order, each holding the value slbench's tables print for
+// the same cell. It returns each algorithm's output.
+func checkColumns(t *testing.T, algs []core.Algorithm, axis ...string) map[core.Algorithm]string {
+	t.Helper()
+	fs := flag.NewFlagSet("axes", flag.ContinueOnError)
+	axes := experiments.AxisFlags(fs)
+	if err := fs.Parse(axis); err != nil {
+		t.Fatal(err)
+	}
+	k, err := axes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := experiments.NewCampaign(experiments.SmallScale())
+	outputs := map[core.Algorithm]string{}
+	for _, alg := range algs {
+		args := append([]string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
+			"-alg", string(alg), "-procs", "8"}, axis...)
+		var out, errw bytes.Buffer
+		if code := run(args, &out, &errw); code != 0 {
+			t.Fatalf("run(%v) = %d, stderr: %s", args, code, errw.String())
+		}
+		outputs[alg] = out.String()
+		k.Dataset, k.Seeding, k.Alg, k.Procs = experiments.Astro, experiments.Sparse, alg, 8
+		cell := c.Run(k)
+		if cell.Err != nil {
+			t.Fatalf("%s: %v", k.Label(), cell.Err)
+		}
+		lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+		if !strings.HasPrefix(lines[0], "running ") || len(lines) != 1+len(k.Columns()) {
+			t.Fatalf("%s: want the header and %d column lines, got:\n%s", k.Label(), len(k.Columns()), out.String())
+		}
+		for i, col := range k.Columns() {
+			if got, want := strings.Fields(lines[1+i]), []string{col, cell.Summary.Column(col)}; !slices.Equal(got, want) {
+				t.Errorf("%s: line %d is %q, want %q", k.Label(), 1+i, got, want)
+			}
+		}
+	}
+	return outputs
 }
 
 // busyColumn parses the busy= seconds of slrun's -perproc lines.
@@ -104,20 +151,48 @@ func busyColumn(t *testing.T, out string) []float64 {
 	return busy
 }
 
+// TestRunREADMESample: the report README.md shows under its slrun
+// command is that command's output, byte for byte.
+func TestRunREADMESample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation too slow for -short")
+	}
+	want := readmeOutput(t, "go run ./cmd/slrun -scale small -alg ondemand -procs 8 -prefetch neighbor")
+	var out, errw bytes.Buffer
+	if code := run([]string{"-scale", "small", "-alg", "ondemand", "-procs", "8", "-prefetch", "neighbor"}, &out, &errw); code != 0 {
+		t.Fatalf("run = %d, stderr: %s", code, errw.String())
+	}
+	if out.String() != want {
+		t.Errorf("README.md shows:\n%s\nslrun prints:\n%s", want, out.String())
+	}
+}
+
+// readmeOutput returns the ```text block README.md shows under the ```sh
+// block that runs cmd.
+func readmeOutput(t *testing.T, cmd string) string {
+	t.Helper()
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, found := strings.Cut(string(readme), "```sh\n"+cmd+"\n```\n\n```text\n")
+	block, _, closed := strings.Cut(rest, "```\n")
+	if !found || !closed {
+		t.Fatalf("README.md shows no output under %q", cmd)
+	}
+	return block
+}
+
+// TestRunStealingSingle: a stealing cell reports its probe and token
+// columns, which no other algorithm's report carries.
 func TestRunStealingSingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
 	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "stealing", "-procs", "8"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"steals (hit/tried)", "tokens passed"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
+	out := checkColumns(t, []core.Algorithm{core.LoadOnDemand, core.WorkStealing})
+	for _, col := range []string{"\nsteals ", "\ntokens "} {
+		if !strings.Contains(out[core.WorkStealing], col) || strings.Contains(out[core.LoadOnDemand], col) {
+			t.Errorf("%q belongs to the stealing report alone:\n%s\n%s", col, out[core.WorkStealing], out[core.LoadOnDemand])
 		}
 	}
 }
@@ -126,36 +201,14 @@ func TestRunPrefetchSingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
 	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "ondemand", "-procs", "8", "-prefetch", "neighbor"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"prefetch (hit/issued)", "I/O hidden", "I/O queue wait"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
+	checkColumns(t, core.Algorithms(), "-prefetch", "both")
 }
 
 func TestRunInjectSingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
 	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "ondemand", "-procs", "8", "-inject", "burst"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"active peak", "release stalls"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
+	checkColumns(t, core.Algorithms(), "-inject", "burst")
 }
 
 func TestRunBadInjectFlags(t *testing.T) {
@@ -174,36 +227,20 @@ func TestRunUnsteadySingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
 	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "ondemand", "-procs", "8", "-unsteady"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"pathlines", "space-time blocks", "epoch crossings"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
+	for alg, got := range checkColumns(t, core.Algorithms(), "-unsteady") {
+		if !strings.Contains(got, "pathlines") || !strings.Contains(got, "space-time blocks") {
+			t.Errorf("%s: header does not name the pathline workload:\n%s", alg, got)
 		}
 	}
 }
 
+// TestRunFaultSingle covers every algorithm that recovers from the kill;
+// static's refusal is TestRunFaultStaticFails'.
 func TestRunFaultSingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
 	}
-	var out, errw bytes.Buffer
-	args := []string{"-scale", "small", "-dataset", "astro", "-seeding", "sparse",
-		"-alg", "stealing", "-procs", "8", "-faults", "kill"}
-	if code := run(args, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"processors lost", "ring reforms", "master failovers", "sends to dead peers"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
+	checkColumns(t, []core.Algorithm{core.LoadOnDemand, core.HybridMS, core.WorkStealing}, "-faults", "kill")
 }
 
 func TestRunFaultStaticFails(t *testing.T) {

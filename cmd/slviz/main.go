@@ -15,11 +15,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/render"
+	"repro/internal/vec"
 )
 
 func main() {
@@ -33,10 +35,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dataset  = fs.String("dataset", "astro", "dataset: astro, fusion, thermal")
 		seeding  = fs.String("seeding", "sparse", "seeding: sparse or dense")
 		out      = fs.String("out", "streamlines.ppm", "output PPM path")
-		width    = fs.Int("width", 1024, "image width")
-		height   = fs.Int("height", 768, "image height")
-		lines    = fs.Int("lines", 300, "number of streamlines to draw")
-		maxSteps = fs.Int("steps", 1200, "integration step budget per streamline")
+		width    = fs.Int("width", 1024, "image width in pixels, at most 8192 (11 bytes a pixel: 738 MB at 8192x8192)")
+		height   = fs.Int("height", 768, "image height in pixels, at most 8192")
+		lines    = fs.Int("lines", 300, "number of streamlines to draw (at most the dataset's seeds)")
+		maxSteps = fs.Int("steps", 1200, "integration step budget per streamline, at most 100000 (24 bytes a step: 2.4 MB a streamline)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -44,12 +46,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// The caps bound what the flags can allocate: the image's pixel and
+	// depth buffers, and each collected streamline's points.
 	for _, size := range []struct {
-		name string
-		v    int
-	}{{"steps", *maxSteps}, {"lines", *lines}, {"width", *width}, {"height", *height}} {
+		name   string
+		v, max int
+	}{{"steps", *maxSteps, 100_000}, {"lines", *lines, math.MaxInt}, {"width", *width, 8192}, {"height", *height, 8192}} {
 		if size.v <= 0 {
 			fmt.Fprintf(stderr, "slviz: -%s must be positive (got %d)\n", size.name, size.v)
+			return 2
+		}
+		if size.v > size.max {
+			fmt.Fprintf(stderr, "slviz: -%s must be at most %d (got %d)\n", size.name, size.max, size.v)
 			return 2
 		}
 	}
@@ -62,12 +70,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	prob.MaxSteps = *maxSteps
-	if len(prob.Seeds) > *lines {
-		// Subsample evenly for a readable picture.
-		stride := len(prob.Seeds) / *lines
-		var sub = prob.Seeds[:0:0]
-		for i := 0; i < len(prob.Seeds); i += stride {
-			sub = append(sub, prob.Seeds[i])
+	if n := len(prob.Seeds); n > *lines {
+		// Keep exactly -lines seeds, evenly spaced, for a readable picture.
+		sub := make([]vec.V3, *lines)
+		for i := range sub {
+			sub[i] = prob.Seeds[i*n / *lines]
 		}
 		prob.Seeds = sub
 	}

@@ -24,6 +24,8 @@ func TestRunBadFlags(t *testing.T) {
 		{"-lines", "0"}, {"-lines", "-3"},
 		{"-width", "-5"}, {"-width", "0"},
 		{"-height", "0"}, {"-height", "-1"},
+		// Over the caps: refused before any buffer is sized from them.
+		{"-width", "8193"}, {"-height", "100000"}, {"-steps", "100001"},
 		// slviz draws curves only: the per-processor timeline is slrun
 		// -trace's, and the picture's machine is fixed.
 		{"-gantt"}, {"-alg", "hybrid"}, {"-procs", "8"},
@@ -61,6 +63,28 @@ func TestRunWritesImage(t *testing.T) {
 	}
 	if !bytes.HasPrefix(data, []byte("P6")) {
 		t.Errorf("output is not a binary PPM (got %q...)", data[:min(8, len(data))])
+	}
+}
+
+// TestRunDrawsExactlyLines: -lines N draws N streamlines, evenly
+// subsampled from a dataset with more seeds (astro's 300 sparse seeds,
+// thermal's 1,200 dense ones), not every stride-th seed.
+func TestRunDrawsExactlyLines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("rendering run too slow for -short")
+	}
+	path := filepath.Join(t.TempDir(), "out.ppm")
+	for _, args := range [][]string{
+		{"-dataset", "astro", "-lines", "200"},
+		{"-dataset", "thermal", "-seeding", "dense", "-lines", "500"},
+	} {
+		var out, errw bytes.Buffer
+		if code := run(append(args, "-out", path, "-width", "16", "-height", "12", "-steps", "20"), &out, &errw); code != 0 {
+			t.Fatalf("run(%v) = %d, stderr: %s", args, code, errw.String())
+		}
+		if want := "wrote " + path + ": " + args[len(args)-1] + " streamlines,"; !strings.HasPrefix(out.String(), want) {
+			t.Errorf("run(%v) printed %q, want it to begin %q", args, out.String(), want)
+		}
 	}
 }
 

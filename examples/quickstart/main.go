@@ -19,6 +19,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
+	"repro/internal/metrics"
 	"repro/internal/seeds"
 	"repro/internal/store"
 )
@@ -44,6 +45,7 @@ func run(w io.Writer) error {
 		MaxSteps: 500,
 	}
 
+	var rows []metrics.TableRow
 	for _, alg := range core.Algorithms() {
 		cfg := core.Config{
 			Procs:       8,
@@ -56,10 +58,9 @@ func run(w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", alg, err)
 		}
-		s := res.Summary
-		fmt.Fprintf(w, "%-9s wall=%7.3fs  io=%7.3fs  comm=%7.4fs  E=%.3f  msgs=%d\n",
-			alg, s.WallClock, s.TotalIO, s.TotalComm, s.BlockEfficiency, s.MsgsSent)
+		rows = append(rows, metrics.TableRow{Label: string(alg), Summary: res.Summary})
 	}
+	fmt.Fprint(w, metrics.Table(rows, []string{"wall", "io", "comm", "efficiency", "msgs"}))
 
 	// Collect the actual geometry once, with the hybrid algorithm.
 	cfg := core.Config{

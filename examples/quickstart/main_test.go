@@ -17,7 +17,7 @@ func TestRunProfilesEveryAlgorithm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range core.Algorithms() {
-		if !regexp.MustCompile(`(?m)^` + string(alg) + ` +wall= +[0-9.]+s  io=`).Match(out.Bytes()) {
+		if !regexp.MustCompile(`(?m)^` + string(alg) + `( +[0-9.]+){4} +\d+$`).Match(out.Bytes()) {
 			t.Errorf("no profile row for %s in:\n%s", alg, out.String())
 		}
 	}

@@ -4,8 +4,8 @@
 // circle until the step budget — so the block-grouped 1/n split leaves
 // some processors idle while others grind. This example shows Load On
 // Demand stuck with that imbalance, work stealing dissolving it, the
-// steal/token counters that expose the protocol, and the batch-size
-// trade-off.
+// steal/token counters that expose the protocol (steals prints
+// hits/probes), and the batch-size trade-off.
 //
 //	go run ./examples/stealing
 package main
@@ -21,6 +21,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
+	"repro/internal/metrics"
 	"repro/internal/seeds"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -56,20 +57,19 @@ func run(w io.Writer) error {
 	}
 
 	fmt.Fprintln(w, "imbalanced workload: 100 short-lived + 100 long-lived streamlines")
-	fmt.Fprintf(w, "%-9s %10s %10s %12s %8s %8s\n", "alg", "wall(s)", "io(s)", "imbalance", "steals", "tokens")
+	var rows []metrics.TableRow
 	var perAlg [2][]int64
 	for i, alg := range []core.Algorithm{core.LoadOnDemand, core.WorkStealing} {
 		res, err := core.Run(prob, config(alg))
 		if err != nil {
 			return fmt.Errorf("%s: %w", alg, err)
 		}
-		s := res.Summary
-		fmt.Fprintf(w, "%-9s %10.3f %10.3f %12.2f %8d %8d\n",
-			alg, s.WallClock, s.TotalIO, s.Imbalance, s.StealHits, s.TokensPassed)
+		rows = append(rows, metrics.TableRow{Label: string(alg), Summary: res.Summary})
 		for _, ps := range res.PerProc {
 			perAlg[i] = append(perAlg[i], ps.Steps)
 		}
 	}
+	fmt.Fprint(w, metrics.Table(rows, []string{"wall", "io", "imbalance", "steals", "tokens"}))
 
 	// The same runs, processor by processor: without stealing, the
 	// processors owning the long orbits do essentially all the steps.
@@ -91,7 +91,7 @@ func run(w io.Writer) error {
 	// Batch-size trade-off: one streamline per probe maximizes round
 	// trips; huge batches re-imbalance the ring with every transfer.
 	fmt.Fprintln(w, "\nsteal batch-size sweep:")
-	fmt.Fprintf(w, "%-8s %10s %10s %10s\n", "batch", "wall(s)", "probes", "hits")
+	rows = nil
 	for _, batch := range []int{1, 4, 16, 64} {
 		cfg := config(core.WorkStealing)
 		cfg.Steal.Batch = batch
@@ -99,9 +99,9 @@ func run(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		s := res.Summary
-		fmt.Fprintf(w, "%-8d %10.3f %10d %10d\n", batch, s.WallClock, s.StealAttempts, s.StealHits)
+		rows = append(rows, metrics.TableRow{Label: fmt.Sprintf("batch %d", batch), Summary: res.Summary})
 	}
+	fmt.Fprint(w, metrics.Table(rows, []string{"wall", "steals"}))
 
 	fmt.Fprintln(w, "\n(all four algorithms produce bit-identical geometry; see")
 	fmt.Fprintln(w, " TestAlgorithmEquivalence — stealing changes who integrates, not what)")

@@ -18,7 +18,7 @@ func TestRunStealingDissolvesImbalance(t *testing.T) {
 	}
 	imbalance := map[string]float64{}
 	steals := map[string]int{}
-	rows := regexp.MustCompile(`(?m)^(ondemand|stealing) +[0-9.]+ +[0-9.]+ +([0-9.]+) +(\d+) +\d+$`)
+	rows := regexp.MustCompile(`(?m)^(ondemand|stealing) +[0-9.]+ +[0-9.]+ +([0-9.]+) +(\d+)/\d+ +\d+$`)
 	for _, m := range rows.FindAllStringSubmatch(out.String(), -1) {
 		imbalance[m[1]], _ = strconv.ParseFloat(m[2], 64)
 		steals[m[1]], _ = strconv.Atoi(m[3])
@@ -30,7 +30,7 @@ func TestRunStealingDissolvesImbalance(t *testing.T) {
 		t.Errorf("stealing: imbalance %.2f with %d steals, ondemand %.2f; want fewer with steals",
 			imbalance["stealing"], steals["stealing"], imbalance["ondemand"])
 	}
-	if n := len(regexp.MustCompile(`(?m)^(1|4|16|64) +[0-9.]+ +\d+ +\d+$`).FindAll(out.Bytes(), -1)); n != 4 {
+	if n := len(regexp.MustCompile(`(?m)^batch (1|4|16|64) +[0-9.]+ +\d+/\d+$`).FindAll(out.Bytes(), -1)); n != 4 {
 		t.Errorf("batch sweep has %d rows, want 4:\n%s", n, out.String())
 	}
 }

@@ -162,8 +162,8 @@ func TestDeterminism(t *testing.T) {
 		cfg := testConfig(alg, 4)
 		a := mustRun(t, p, cfg)
 		b := mustRun(t, p, cfg)
-		if a.Summary.String() != b.Summary.String() {
-			t.Errorf("%s: non-deterministic summaries:\n%s\n%s", alg, a.Summary, b.Summary)
+		if a.Summary != b.Summary {
+			t.Errorf("%s: non-deterministic summaries:\n%+v\n%+v", alg, a.Summary, b.Summary)
 		}
 	}
 }

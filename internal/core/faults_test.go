@@ -235,7 +235,7 @@ func TestFaultAfterCompletionIsNoOp(t *testing.T) {
 			want.WallClock += cfg.Net.LatencySec
 		}
 		if res.Summary != want {
-			t.Errorf("%s: a plan that never fires moved the Summary:\n got %s\nwant %s", alg, res.Summary, want)
+			t.Errorf("%s: a plan that never fires moved the Summary:\n got %+v\nwant %+v", alg, res.Summary, want)
 		}
 	}
 }
@@ -250,8 +250,8 @@ func TestFaultReplayDeterminism(t *testing.T) {
 		cfg.Faults = faults.KillAt(0.1, 1)
 		a := mustRun(t, p, cfg)
 		b := mustRun(t, p, cfg)
-		if a.Summary.String() != b.Summary.String() {
-			t.Errorf("%s: non-deterministic fault replay:\n%s\n%s", alg, a.Summary, b.Summary)
+		if a.Summary != b.Summary {
+			t.Errorf("%s: non-deterministic fault replay:\n%+v\n%+v", alg, a.Summary, b.Summary)
 		}
 		requireSameGeometry(t, fmt.Sprintf("%s replay", alg), b.Streamlines, a.Streamlines)
 		for i := range a.PerProc {
@@ -405,8 +405,8 @@ func FuzzFaultRecovery(f *testing.F) {
 		// from segment zero either way).
 		same := func(label string, again *Result) {
 			t.Helper()
-			if again.Summary.String() != res.Summary.String() {
-				t.Fatalf("%s: diverged:\n%s\n%s", label, res.Summary, again.Summary)
+			if again.Summary != res.Summary {
+				t.Fatalf("%s: diverged:\n%+v\n%+v", label, res.Summary, again.Summary)
 			}
 			for i := range res.PerProc {
 				if res.PerProc[i] != again.PerProc[i] {

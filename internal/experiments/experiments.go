@@ -525,7 +525,7 @@ type Outcome struct {
 // Campaign runs and caches the full evaluation at one scale. A Campaign
 // is safe for concurrent use: Run and Compute may be called from any
 // number of goroutines, and the batch entry points (RunKeys and
-// FigureRows) execute missing cells on a bounded worker pool (see
+// FigureTable) execute missing cells on a bounded worker pool (see
 // parallel.go). Every sweep cell is an independent deterministic
 // simulation, so results are bit-identical regardless of execution order
 // or worker count.
@@ -759,11 +759,15 @@ func (c *Campaign) logOutcome(out Outcome) {
 	}
 	c.logMu.Lock()
 	defer c.logMu.Unlock()
+	line := fmt.Sprintf("%-36s", out.Key.Label())
 	if out.Err != nil {
-		c.Log(fmt.Sprintf("%-36s FAILED: %v", out.Key.Label(), out.Err))
+		line += fmt.Sprintf(" FAILED: %v", out.Err)
 	} else {
-		c.Log(fmt.Sprintf("%-36s %s", out.Key.Label(), out.Summary))
+		for _, col := range out.Key.Columns() {
+			line += " " + col + "=" + out.Summary.Column(col)
+		}
 	}
+	c.Log(line)
 }
 
 // datasetKeys enumerates one dataset's full sweep (both seedings, all
@@ -824,23 +828,17 @@ func (c *Campaign) FigureKeys(fig Figure) []Key {
 	return c.datasetKeys(fig.Dataset)
 }
 
-// FigureRows runs (or fetches) every configuration a figure needs and
-// returns its table rows: seeding × algorithm × processor count. Missing
-// cells execute on the worker pool; row order is always the presentation
-// order regardless of completion order.
-func (c *Campaign) FigureRows(fig Figure) []metrics.TableRow {
-	keys := c.FigureKeys(fig)
-	c.RunKeys(keys)
-	rows := make([]metrics.TableRow, 0, len(keys))
-	for _, k := range keys {
-		out := c.Run(k) // cached by RunKeys
-		rows = append(rows, metrics.TableRow{
-			Label:   out.Key.Label(),
-			Summary: out.Summary,
-			Err:     out.Err,
-		})
+// Columns names the metrics.Table columns that report cell k, the one
+// vocabulary slrun, the campaign log and the figure tables print a
+// Summary in: the run's totals, then the probe and token counts for a
+// work-stealing cell, then k's axisColumns.
+func (k Key) Columns() []string {
+	cols := []string{"wall", "io", "ioq", "comm", "compute", "efficiency", "loads", "purges",
+		"msgs", "bytes", "steps", "done", "peakmem", "imbalance"}
+	if k.Alg == core.WorkStealing {
+		cols = append(cols, "steals", "tokens")
 	}
-	return rows
+	return append(cols, k.axisColumns()...)
 }
 
 // axisColumns returns the metric columns a table of cells like k adds
@@ -858,7 +856,7 @@ func (k Key) axisColumns() []string {
 		cols = append(cols, "hidden", "prefetch", "pfwaste")
 	}
 	if k.Injection.Enabled() {
-		cols = append(cols, "apeak", "rstalls")
+		cols = append(cols, "apeak", "rstalls", "rstall-s")
 	}
 	if k.Faults.Enabled() {
 		cols = append(cols, "lost", "adopted", "reforms", "failovers", "sendfail")
@@ -872,9 +870,17 @@ func (c *Campaign) FigureColumns(fig Figure) []string {
 	return append([]string{fig.Metric}, c.Cell.axisColumns()...)
 }
 
-// FigureTable renders one figure as an aligned text table.
+// FigureTable runs (or fetches) every configuration a figure needs and
+// renders it as an aligned text table, one row per cell in FigureKeys'
+// order whatever the order the worker pool finished them in.
 func (c *Campaign) FigureTable(fig Figure) string {
-	rows := c.FigureRows(fig)
+	keys := c.FigureKeys(fig)
+	c.RunKeys(keys)
+	var rows []metrics.TableRow
+	for _, k := range keys {
+		out := c.Run(k) // cached by RunKeys
+		rows = append(rows, metrics.TableRow{Label: out.Key.Label(), Summary: out.Summary, Err: out.Err})
+	}
 	return fmt.Sprintf("Figure %d — %s (scale %s)\n%s",
 		fig.ID, fig.Title, c.Scale.Name, metrics.Table(rows, c.FigureColumns(fig)))
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/prefetch"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -167,7 +168,7 @@ func TestCampaignCachesRuns(t *testing.T) {
 	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 8}
 	a := c.Run(k)
 	b := c.Run(k)
-	if a.Summary.String() != b.Summary.String() {
+	if a.Summary != b.Summary {
 		t.Error("cached run differs")
 	}
 	if c.numResults() != 1 {
@@ -421,7 +422,7 @@ func TestCampaignUnsteadyCells(t *testing.T) {
 	if un.Summary.EpochCrossings == 0 {
 		t.Error("unsteady cell crossed no epochs")
 	}
-	if un.Summary.String() == steady.Summary.String() {
+	if un.Summary == steady.Summary {
 		t.Error("unsteady cell identical to steady cell; the axis is not wired through")
 	}
 	if c.numResults() != 2 {
@@ -559,7 +560,7 @@ func TestDatasetFieldTs(t *testing.T) {
 }
 
 // TestCampaignLogsEachOutcome pins the progress log behind `slbench -v`:
-// one line per executed cell — its label with the summary, or FAILED
+// one line per executed cell — its label with its Key.Columns, or FAILED
 // with the error for a cell that fails by design — and none for a cache
 // hit.
 func TestCampaignLogsEachOutcome(t *testing.T) {
@@ -578,8 +579,13 @@ func TestCampaignLogsEachOutcome(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("logged %d lines, want 2 (one per executed cell): %q", len(lines), lines)
 	}
-	if !strings.Contains(lines[0], ok.Label()) || strings.Contains(lines[0], "FAILED") {
-		t.Errorf("success line = %q", lines[0])
+	// A success line prints the cell's columns, as slrun does.
+	want := fmt.Sprintf("%-36s", ok.Label())
+	for _, col := range ok.Columns() {
+		want += " " + col + "=" + c.Run(ok).Summary.Column(col)
+	}
+	if lines[0] != want {
+		t.Errorf("success line = %q, want %q", lines[0], want)
 	}
 	if !strings.Contains(lines[1], refused.Label()) || !strings.Contains(lines[1], "FAILED: faults: static cannot recover") {
 		t.Errorf("failure line = %q", lines[1])
@@ -595,9 +601,22 @@ func TestFigureColumnsFollowAxes(t *testing.T) {
 		t.Errorf("plain campaign columns = %v", got)
 	}
 	c.Cell = Key{Unsteady: true, Prefetch: prefetch.Both, Injection: injectStagger, Faults: faultsKill}
-	want := []string{fig.Metric, "epochs", "psteps", "hidden", "prefetch", "pfwaste", "apeak", "rstalls",
+	want := []string{fig.Metric, "epochs", "psteps", "hidden", "prefetch", "pfwaste", "apeak", "rstalls", "rstall-s",
 		"lost", "adopted", "reforms", "failovers", "sendfail"}
 	if got := c.FigureColumns(fig); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("all-axes columns = %v, want %v", got, want)
+	}
+	// A cell's Columns are its totals, stealing's, then the same axis
+	// columns, every one a column Summary.Column formats.
+	k := c.Cell
+	k.Alg = core.WorkStealing
+	cols := k.Columns()
+	if got := strings.Join(cols[len(cols)-len(want)+1:], ","); got != strings.Join(want[1:], ",") {
+		t.Errorf("stealing all-axes Columns end %s, want %v", got, want[1:])
+	}
+	for _, col := range cols {
+		if (metrics.Summary{}).Column(col) == "?" {
+			t.Errorf("Key.Columns names %q, which Summary.Column does not format", col)
+		}
 	}
 }

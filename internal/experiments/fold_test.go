@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -124,12 +125,44 @@ func TestFoldFieldsCoverProcStats(t *testing.T) {
 	}
 }
 
+// checkLaws holds one successful cell's result to laws of the simulator
+// exact in integers: every seed completes; no processor set receives
+// more messages or bytes than it sends (a message queued at termination
+// is sent and never received); and a fault-free cell's Steps equals
+// steps, the fault-free count of its geometry, while a kill cell, which
+// re-integrates what its victim had advanced, takes at least as many. A
+// steps of 0 means the geometry's first fault-free cell, which sets it.
+func checkLaws(k Key, seeds int, res *core.Result, steps int64) error {
+	s := res.Summary
+	if s.StreamlinesCompleted != int64(seeds) {
+		return fmt.Errorf("%s: %d of %d seeds completed", k.Label(), s.StreamlinesCompleted, seeds)
+	}
+	var msgs, bytes int64
+	for _, p := range res.PerProc {
+		msgs += p.MsgsRecv
+		bytes += p.BytesRecv
+	}
+	if msgs > s.MsgsSent || bytes > s.BytesSent {
+		return fmt.Errorf("%s: received %d messages, %d bytes; sent %d, %d", k.Label(), msgs, bytes, s.MsgsSent, s.BytesSent)
+	}
+	if steps == 0 {
+		return nil
+	}
+	if k.Faults.Enabled() && s.Steps < steps || !k.Faults.Enabled() && s.Steps != steps {
+		return fmt.Errorf("%s: %d steps, the fault-free geometry takes %d", k.Label(), s.Steps, steps)
+	}
+	return nil
+}
+
 // TestEventFoldMatchesCounters runs every dataset and algorithm at small
 // scale over four machines (sparse/8; dense/16; unsteady with both
 // prefetch policies and staggered injection; a kill with burst injection
 // and neighbor prefetch), folds each traced run's events per processor
-// and compares every folded field with its counter. Static allocation's
-// OOM and its refusal to recover from a kill are skipped by design.
+// and compares every folded field with its counter, and holds each
+// result to checkLaws. Injection and prefetch never move geometry, so
+// the kill cells' fault-free step count is the sparse/8 cells'. Static
+// allocation's OOM and its refusal to recover from a kill are skipped by
+// design.
 func TestEventFoldMatchesCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 48 small-scale cells")
@@ -142,6 +175,8 @@ func TestEventFoldMatchesCounters(t *testing.T) {
 		{Seeding: Sparse, Procs: 8, Faults: faultsKill, Injection: injectBurst, Prefetch: prefetch.Neighbor},
 	}
 	ran, nonzero := 0, map[string]bool{}
+	// The fault-free Steps of each geometry: dataset, seeding, unsteady.
+	steps := map[Key]int64{}
 	for _, ds := range datasets() {
 		for _, v := range variants {
 			prob, err := BuildInjectedProblem(ds, v.Seeding, sc, v.Unsteady, v.Injection)
@@ -163,6 +198,13 @@ func TestEventFoldMatchesCounters(t *testing.T) {
 					t.Fatalf("%s: %v", k.Label(), err)
 				}
 				ran++
+				geometry := Key{Dataset: ds, Seeding: k.Seeding, Unsteady: k.Unsteady}
+				if err := checkLaws(k, len(prob.Seeds), res, steps[geometry]); err != nil {
+					t.Error(err)
+				}
+				if !k.Faults.Enabled() {
+					steps[geometry] = res.Summary.Steps
+				}
 				folded := foldEvents(cfg.Trace.Events(), cfg.Procs)
 				for i, want := range res.PerProc {
 					got, ref := reflect.ValueOf(folded[i]), reflect.ValueOf(want)

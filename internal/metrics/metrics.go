@@ -30,9 +30,13 @@ type ProcStats struct {
 	BlocksLoaded int64 // block reads from disk
 	BlocksPurged int64 // cache evictions
 	MsgsSent     int64
-	// MsgsRecv and BytesRecv are exact mirrors of the sent totals in the
-	// lossless simulated network (pinned by TestCounterRoundTrip), so the
-	// Summary aggregates only the sent side.
+	// MsgsRecv and BytesRecv count the messages this processor took off
+	// its queue. A message still queued when the run ends (work stealing
+	// leaves probes unread at termination, a killed processor reads
+	// nothing after its death) was sent and never received, so over a
+	// run they are at most the sent totals (checkLaws in
+	// internal/experiments), and the Summary aggregates only the sent
+	// side.
 	MsgsRecv  int64
 	BytesSent int64
 	BytesRecv int64
@@ -273,30 +277,8 @@ func BlockEfficiency(loaded, purged int64) float64 {
 	return float64(loaded-purged) / float64(loaded)
 }
 
-// String renders a compact human-readable summary.
-func (s Summary) String() string {
-	return fmt.Sprintf(
-		"procs=%d wall=%.3fs io=%.3fs comm=%.3fs compute=%.3fs E=%.3f loads=%d purges=%d msgs=%d bytes=%d steps=%d done=%d",
-		s.NumProcs, s.WallClock, s.TotalIO, s.TotalComm, s.TotalCompute,
-		s.BlockEfficiency, s.BlocksLoaded, s.BlocksPurged, s.MsgsSent,
-		s.BytesSent, s.Steps, s.StreamlinesCompleted)
-}
-
 // Table renders rows of (label, summary) pairs as an aligned text table
-// with one column per requested metric. Valid metric names: procs, wall,
-// io, ioq (shared-disk queue wait), hidden (I/O time overlapped with
-// compute), comm, idle, efficiency, msgs, bytes, loads, purges, steps,
-// done (streamlines completed), peakmem (max per-processor bytes),
-// imbalance, steals (hits/attempts), tokens, prefetch (hits/issued),
-// pfwaste (prefetched blocks evicted unused), epochs (epoch crossings),
-// psteps (pathline steps), apeak (peak simultaneously active released
-// streamlines on one processor), rstalls (release stalls), rstall-s
-// (virtual seconds parked awaiting scheduled releases), lost (processors
-// killed by the fault plan), adopted (streamlines re-seeded from dead
-// peers), reforms (termination tokens regenerated after a holder died),
-// failovers (slave-to-master promotions), sendfail (messages dropped at
-// a dead destination), trace-ev (trace events emitted when an
-// obs.Recorder is installed), trace-by (their accounting bytes).
+// with one column per requested metric (Summary.Column names them).
 func Table(rows []TableRow, cols []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s", "run")
@@ -307,7 +289,11 @@ func Table(rows []TableRow, cols []string) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-28s", r.Label)
 		for _, c := range cols {
-			fmt.Fprintf(&b, "%14s", r.format(c))
+			cell := r.Summary.Column(c)
+			if r.Err != nil {
+				cell = errShort(r.Err)
+			}
+			fmt.Fprintf(&b, "%14s", cell)
 		}
 		b.WriteByte('\n')
 	}
@@ -321,11 +307,23 @@ type TableRow struct {
 	Err     error // a failed run (e.g. OOM) renders its error text
 }
 
-func (r TableRow) format(col string) string {
-	if r.Err != nil {
-		return errShort(r.Err)
-	}
-	s := r.Summary
+// Column formats the metric col of s, the one way a Summary is printed
+// (tables, slrun, the campaign log), or "?" for an unknown name: procs,
+// wall, io, ioq (shared-disk queue wait), hidden (I/O time overlapped
+// with compute), comm, idle, compute, efficiency, msgs, bytes, loads,
+// purges, steps, done (streamlines completed), peakmem (max
+// per-processor bytes), imbalance, steals (hits/attempts), tokens,
+// prefetch (hits/issued), pfwaste (prefetched blocks evicted unused),
+// epochs (epoch crossings), psteps (pathline steps), apeak (peak
+// simultaneously active released streamlines on one processor), rstalls
+// (release stalls), rstall-s (virtual seconds parked awaiting scheduled
+// releases), lost (processors killed by the fault plan), adopted
+// (streamlines re-seeded from dead peers), reforms (termination tokens
+// regenerated after a holder died), failovers (slave-to-master
+// promotions), sendfail (messages dropped at a dead destination),
+// trace-ev (trace events emitted when an obs.Recorder is installed),
+// trace-by (their accounting bytes).
+func (s Summary) Column(col string) string {
 	switch col {
 	case "procs":
 		return fmt.Sprintf("%d", s.NumProcs)
@@ -407,24 +405,4 @@ func errShort(err error) string {
 		msg = msg[:12]
 	}
 	return strings.ToUpper(msg)
-}
-
-// CSV renders rows as comma-separated values with a header, for plotting.
-func CSV(rows []TableRow, cols []string) string {
-	var b strings.Builder
-	b.WriteString("run")
-	for _, c := range cols {
-		b.WriteByte(',')
-		b.WriteString(c)
-	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		b.WriteString(r.Label)
-		for _, c := range cols {
-			b.WriteByte(',')
-			b.WriteString(strings.TrimSpace(r.format(c)))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
