@@ -159,40 +159,6 @@ func BenchmarkAblationCacheSize(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationStealBatch sweeps the work-stealing batch size on the
-// dense astro seeding (the workload whose imbalance drives steal
-// traffic): batch 1 maximizes probe round-trips, large batches risk
-// re-imbalancing the ring with every transfer.
-func BenchmarkAblationStealBatch(b *testing.B) {
-	a := ablation{ds: experiments.Astro, seeding: experiments.Dense}
-	for _, batch := range []int{1, 4, 8, 16, 64} {
-		a.add(fmt.Sprintf("batch%d", batch), core.WorkStealing, 16, func(c *core.Config) { c.Steal.Batch = batch })
-	}
-	a.bench(b, func(b *testing.B, s metrics.Summary) {
-		b.ReportMetric(s.WallClock, "vwall-s")
-		b.ReportMetric(s.TotalComm, "vcomm-s")
-		b.ReportMetric(float64(s.StealHits), "steals")
-		b.ReportMetric(float64(s.StealAttempts), "probes")
-	})
-}
-
-// BenchmarkAblationLightweightComm compares full-geometry streamline
-// communication against the paper's §8 solver-state-only proposal.
-func BenchmarkAblationLightweightComm(b *testing.B) {
-	a := ablation{ds: experiments.Astro, seeding: experiments.Dense}
-	for _, noGeometry := range []bool{false, true} {
-		name := "geometry"
-		if noGeometry {
-			name = "state-only"
-		}
-		a.add(name, core.StaticAlloc, 16, func(c *core.Config) { c.NoGeometry = noGeometry })
-	}
-	a.bench(b, func(b *testing.B, s metrics.Summary) {
-		b.ReportMetric(s.TotalComm, "vcomm-s")
-		b.ReportMetric(float64(s.BytesSent)/1e6, "vMB-sent")
-	})
-}
-
 // BenchmarkAblationSharedDisk reports sharedDisks' sweep.
 func BenchmarkAblationSharedDisk(b *testing.B) {
 	sharedDisks().bench(b, func(b *testing.B, s metrics.Summary) {
@@ -201,7 +167,7 @@ func BenchmarkAblationSharedDisk(b *testing.B) {
 	})
 }
 
-// TestAblationOutcomes checks what DESIGN.md §5 items 2, 3 and 5 say
+// TestAblationOutcomes checks what DESIGN.md §5 items 2, 3 and 4 say
 // their sweeps show, at the small scale. The bounds follow from the
 // sentences, not from a run: a plateau is every variant within 20 % of
 // the published values' virtual wall time; the working-set effect is

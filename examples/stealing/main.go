@@ -5,7 +5,7 @@
 // some processors idle while others grind. This example shows Load On
 // Demand stuck with that imbalance, work stealing dissolving it, the
 // steal/token counters that expose the protocol (steals prints
-// hits/probes), and the batch-size trade-off.
+// hits/probes).
 //
 //	go run ./examples/stealing
 package main
@@ -87,21 +87,6 @@ func run(w io.Writer) error {
 		fmt.Fprintf(w, "%8d", v)
 	}
 	fmt.Fprintln(w)
-
-	// Batch-size trade-off: one streamline per probe maximizes round
-	// trips; huge batches re-imbalance the ring with every transfer.
-	fmt.Fprintln(w, "\nsteal batch-size sweep:")
-	rows = nil
-	for _, batch := range []int{1, 4, 16, 64} {
-		cfg := config(core.WorkStealing)
-		cfg.Steal.Batch = batch
-		res, err := core.Run(prob, cfg)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, metrics.TableRow{Label: fmt.Sprintf("batch %d", batch), Summary: res.Summary})
-	}
-	fmt.Fprint(w, metrics.Table(rows, []string{"wall", "steals"}))
 
 	fmt.Fprintln(w, "\n(all four algorithms produce bit-identical geometry; see")
 	fmt.Fprintln(w, " TestAlgorithmEquivalence — stealing changes who integrates, not what)")

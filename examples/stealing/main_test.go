@@ -9,8 +9,7 @@ import (
 
 // TestRunStealingDissolvesImbalance runs the walkthrough and checks its
 // headline: on the same imbalanced problem, work stealing steals and
-// ends less imbalanced than Load On Demand, and the batch sweep prints a
-// row per batch size.
+// ends less imbalanced than Load On Demand.
 func TestRunStealingDissolvesImbalance(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out); err != nil {
@@ -29,8 +28,5 @@ func TestRunStealingDissolvesImbalance(t *testing.T) {
 	if imbalance["stealing"] >= imbalance["ondemand"] || steals["stealing"] == 0 {
 		t.Errorf("stealing: imbalance %.2f with %d steals, ondemand %.2f; want fewer with steals",
 			imbalance["stealing"], steals["stealing"], imbalance["ondemand"])
-	}
-	if n := len(regexp.MustCompile(`(?m)^batch (1|4|16|64) +[0-9.]+ +\d+/\d+$`).FindAll(out.Bytes(), -1)); n != 4 {
-		t.Errorf("batch sweep has %d rows, want 4:\n%s", n, out.String())
 	}
 }

@@ -236,25 +236,6 @@ func (h HybridParams) defaults() HybridParams {
 	return h
 }
 
-// StealParams are the tuning constants of the Work Stealing algorithm: a
-// hungry processor probes every live peer, in a fresh random order each
-// round.
-type StealParams struct {
-	// Batch is the maximum number of streamlines a victim hands over per
-	// successful probe (0 = DefaultSteal's 8).
-	Batch int
-}
-
-// DefaultSteal returns the work-stealing default: batches of 8.
-func DefaultSteal() StealParams { return StealParams{Batch: 8} }
-
-func (s StealParams) defaults() StealParams {
-	if s.Batch <= 0 {
-		s.Batch = DefaultSteal().Batch
-	}
-	return s
-}
-
 // Config describes the simulated machine and the strategy to run.
 type Config struct {
 	Procs     int
@@ -275,14 +256,8 @@ type Config struct {
 	// *store.OOMError, the paper's Static-Allocation dense-seeding
 	// failure mode.
 	MemoryBudget int64
-	// NoGeometry makes migrating streamlines carry only solver state (the
-	// paper's §8 proposed optimization) instead of their geometry (the
-	// default, matching the paper).
-	NoGeometry bool
 	// Hybrid holds the master/slave tuning parameters.
 	Hybrid HybridParams
-	// Steal holds the work-stealing tuning parameters.
-	Steal StealParams
 	// Prefetch configures predictive asynchronous block loading
 	// (internal/prefetch): reads issued ahead of demand that overlap
 	// computation. The zero value disables it. Prefetching changes
@@ -368,7 +343,6 @@ func Run(p Problem, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg.Hybrid = cfg.Hybrid.defaults()
-	cfg.Steal = cfg.Steal.defaults()
 
 	r := &runState{
 		prob:    &p,
@@ -476,8 +450,7 @@ type runState struct {
 	// Fault-injection state (recovery.go). faultsOn reports a non-empty
 	// plan, and is read only where the protocols differ under one: the
 	// completion ledger below, Load On Demand's exit, and the hybrid
-	// coordinator's count and seed-request peer pick. The rest is inert
-	// until a processor dies.
+	// coordinator's count. The rest is inert until a processor dies.
 	faultsOn bool
 	// completedTotal is the run's durable completion ledger: the recovery
 	// layer's stand-in for the completion records a resilient system
@@ -491,8 +464,6 @@ type runState struct {
 	// promoted processor moves from hybSlaves to hybMasters.
 	hybMasters []*master
 	hybSlaves  []*slave
-	// hybNM is the original master count (endpoints 0..hybNM-1).
-	hybNM int
 	// masterEPs lists live (or promotion-pending) master endpoints,
 	// sorted ascending; coordEP == masterEPs[0] is the current
 	// completion coordinator.
@@ -757,10 +728,10 @@ func (w *worker) prefetchPreload(preload []grid.BlockID) {
 }
 
 // adoptStreamline accounts for a streamline becoming resident.
-func (w *worker) adoptStreamline(sl *trace.Streamline) { w.geomBytes += sl.MemoryBytes() }
+func (w *worker) adoptStreamline(sl *trace.Streamline) { w.geomBytes += sl.Bytes() }
 
 // releaseStreamline accounts for a streamline leaving this processor.
-func (w *worker) releaseStreamline(sl *trace.Streamline) { w.geomBytes -= sl.MemoryBytes() }
+func (w *worker) releaseStreamline(sl *trace.Streamline) { w.geomBytes -= sl.Bytes() }
 
 // noteActivated records streamlines entering this processor's released
 // working population (a t0 or just-released seed, or a migrated/stolen
@@ -860,7 +831,7 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator) {
 	// and everything after this block — block lookup, virtual cost,
 	// counters, spans, memory accounting — runs on res either way, so a
 	// summary cannot tell the two apart.
-	before := sl.MemoryBytes()
+	before := sl.Bytes()
 	var res integrate.AdvectResult
 	// tally is the counter the segment's steps land in, with stats.Steps
 	// once the compute time has elapsed: a kill mid-sleep counts neither.
@@ -880,7 +851,7 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator) {
 	if unsteady {
 		w.stats.PathlineSteps += int64(res.Steps)
 	}
-	w.geomBytes += sl.MemoryBytes() - before
+	w.geomBytes += sl.Bytes() - before
 
 	// Charge virtual compute time.
 	cost := float64(res.Steps) * secPerStep
@@ -1023,45 +994,32 @@ const timeEps = 1e-12
 
 // --- wire messages shared by the algorithms ---
 
-// msgStreamlines carries migrating streamlines; its wire size reflects
-// whether geometry travels (paper §8). In NoGeometry mode the geometry is
-// truncated to the current head before transmission.
-type msgStreamlines struct {
-	sls      []*trace.Streamline
-	geometry bool
-}
+// msgStreamlines carries migrating streamlines, geometry included, as
+// the paper's implementation does (sending only the solver state is its
+// §8 outlook, not modeled).
+type msgStreamlines struct{ sls []*trace.Streamline }
 
 // Bytes implements comm.Message.
 func (m msgStreamlines) Bytes() int64 {
 	var total int64
 	for _, sl := range m.sls {
-		total += sl.WireBytes(m.geometry)
+		total += sl.Bytes()
 	}
 	return total
 }
 
-// sendStreamlines transmits sls to endpoint to, handling the geometry
-// policy and memory accounting.
+// sendStreamlines transmits sls to endpoint to, releasing their memory
+// here.
 func (w *worker) sendStreamlines(to int, sls []*trace.Streamline) {
 	if len(sls) == 0 {
 		return
 	}
-	geom := !w.run.cfg.NoGeometry
 	w.noteDeactivated(len(sls))
 	for _, sl := range sls {
 		w.releaseStreamline(sl)
-		if !geom && sl.Verts > 1 {
-			// Solver-state-only communication: downstream processors
-			// continue integration from the head; earlier geometry stays
-			// behind (acceptable for puncture-plot-style analyses).
-			sl.Verts = 1
-			if sl.Points != nil {
-				sl.Points = []vec.V3{sl.P}
-			}
-		}
 	}
 	w.sending = sls
-	w.end.Send(to, msgStreamlines{sls: sls, geometry: geom})
+	w.end.Send(to, msgStreamlines{sls: sls})
 	w.sending = nil
 }
 

@@ -40,7 +40,6 @@ func testConfig(alg Algorithm, procs int) Config {
 		Net:         Config{}.Net, // zero net: filled below
 		CacheBlocks: 8,
 		Hybrid:      HybridParams{N: 4, NO: 80, NL: 8, W: 8},
-		Steal:       StealParams{Batch: 4},
 	}
 }
 
@@ -323,23 +322,6 @@ func TestHybridLoadBalance(t *testing.T) {
 	}
 	if frac := float64(maxSteps) / float64(total); frac > 0.6 {
 		t.Errorf("busiest slave did %.0f%% of all steps", frac*100)
-	}
-}
-
-func TestNoGeometryReducesCommBytes(t *testing.T) {
-	// The paper's §8 optimization: communicating solver state instead of
-	// geometry shrinks traffic.
-	p := testProblem(50)
-	full := mustRun(t, p, testConfig(StaticAlloc, 5))
-	cfg := testConfig(StaticAlloc, 5)
-	cfg.NoGeometry = true
-	light := mustRun(t, p, cfg)
-	if light.Summary.BytesSent >= full.Summary.BytesSent {
-		t.Errorf("state-only bytes (%d) not below full-geometry bytes (%d)",
-			light.Summary.BytesSent, full.Summary.BytesSent)
-	}
-	if light.Summary.StreamlinesCompleted != full.Summary.StreamlinesCompleted {
-		t.Error("lightweight mode lost streamlines")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -163,6 +164,61 @@ func TestFaultMasterAndPromoteeSameInstant(t *testing.T) {
 		t.Errorf("MasterFailovers = %d, want >= 1 (promotion chain must complete)",
 			res.Summary.MasterFailovers)
 	}
+}
+
+// TestFaultStealingHolderDiesMidAllDone kills the processor that found
+// the token's sum complete part-way through its all-done broadcast:
+// after its first send has left, during its second. The processor the
+// first send reached exits, so a rebuilt token could never go round the
+// ring again; with the completion ledger full, the survivors are
+// released instead, and the run ends with every seed completed.
+func TestFaultStealingHolderDiesMidAllDone(t *testing.T) {
+	p := testProblem(24)
+	const procs = 5
+	cfg := faultConfig(WorkStealing, procs)
+	cfg.CollectTraces = true
+	traced := cfg
+	traced.Trace = obs.New()
+	base := mustRun(t, p, traced)
+
+	// The broadcast is the holder's last procs-1 sends: one to every
+	// other processor, in ascending order.
+	holder := -1
+	var sends []obs.Event
+	for proc := 0; proc < procs && holder < 0; proc++ {
+		var own []obs.Event
+		for _, e := range traced.Trace.Events() {
+			if e.Kind == obs.MarkSend && int(e.Proc) == proc {
+				own = append(own, e)
+			}
+		}
+		if len(own) < procs-1 {
+			continue
+		}
+		own = own[len(own)-(procs-1):]
+		broadcast := true
+		for i, e := range own {
+			if i >= proc {
+				i++
+			}
+			broadcast = broadcast && e.A == int64(i)
+		}
+		if broadcast {
+			holder, sends = proc, own
+		}
+	}
+	if holder < 0 {
+		t.Fatal("no processor ends the run broadcasting all-done")
+	}
+	kill := (sends[0].Time + sends[1].Time) / 2
+	fcfg := cfg
+	fcfg.Faults = faults.Plan{Events: []faults.Event{{Proc: holder, Time: kill}}}
+	res := mustRun(t, p, fcfg)
+	if res.Summary.ProcsLost != 1 || res.Summary.RingReforms != 0 {
+		t.Errorf("ProcsLost %d, RingReforms %d: want the holder lost and no token rebuilt",
+			res.Summary.ProcsLost, res.Summary.RingReforms)
+	}
+	requireSameGeometry(t, "stealing holder killed mid-broadcast", res.Streamlines, base.Streamlines)
 }
 
 // TestRecoveryMessagesAreLocal pins the cost model of the recovery
@@ -337,31 +393,49 @@ func TestRunErrorUnwindsAllPeers(t *testing.T) {
 // replay, a run recording a segment tape and a run replaying it must all
 // be bit-identical.
 func FuzzFaultRecovery(f *testing.F) {
-	f.Add(uint8(0), uint8(4), uint8(1), uint16(300), uint16(700))
-	f.Add(uint8(1), uint8(5), uint8(2), uint16(100), uint16(100))
-	f.Add(uint8(2), uint8(7), uint8(3), uint16(0), uint16(999))
-	f.Add(uint8(2), uint8(3), uint8(2), uint16(450), uint16(451))
-	f.Add(uint8(1), uint8(6), uint8(1), uint16(2000), uint16(0))
+	f.Add(uint8(0), uint8(4), uint8(1), uint16(300), uint16(700), uint8(0))
+	f.Add(uint8(1), uint8(5), uint8(2), uint16(100), uint16(100), uint8(0))
+	f.Add(uint8(2), uint8(7), uint8(3), uint16(0), uint16(999), uint8(0))
+	f.Add(uint8(2), uint8(3), uint8(2), uint16(450), uint16(451), uint8(0))
+	f.Add(uint8(1), uint8(6), uint8(1), uint16(2000), uint16(0), uint8(0))
 	// Found by fuzzing. A kill mid-segment must count its steps nowhere,
 	// tape counters included (Load On Demand, then stealing).
-	f.Add(uint8(60), uint8(6), uint8(1), uint16(2064), uint16(59))
-	f.Add(uint8(115), uint8(156), uint8(4), uint16(321), uint16(413))
+	f.Add(uint8(60), uint8(6), uint8(1), uint16(2064), uint16(59), uint8(0))
+	f.Add(uint8(115), uint8(156), uint8(4), uint16(321), uint16(413), uint8(0))
 	// A lone stealing survivor holds the token while adoptions are in
 	// flight to it.
-	f.Add(uint8(91), uint8(226), uint8(128), uint16(122), uint16(968))
+	f.Add(uint8(91), uint8(226), uint8(128), uint16(122), uint16(968), uint8(0))
 	// Hybrid: a promoted master dies before a re-pointed slave has read
 	// its msgRemaster; a master dies mid-terminate with the ledger full.
-	f.Add(uint8(2), uint8(3), uint8(2), uint16(387), uint16(431))
-	f.Add(uint8(41), uint8(106), uint8(238), uint16(1958), uint16(0))
+	f.Add(uint8(2), uint8(3), uint8(2), uint16(387), uint16(431), uint8(0))
+	f.Add(uint8(41), uint8(106), uint8(238), uint16(1958), uint16(0), uint8(0))
+	// Stealing: the token holder dies part-way through broadcasting
+	// all-done, with the ledger full. Found while the core suite stole
+	// in batches of 4; at 8 this input misses the window, which
+	// TestFaultStealingHolderDiesMidAllDone hits by construction.
+	f.Add(uint8(7), uint8(87), uint8(22), uint16(1889), uint16(22), uint8(0))
+	// Hybrid with two masters: both survivors are promoted to masters of
+	// empty flocks, and neither may shed its seeds to the other.
+	f.Add(uint8(74), uint8(204), uint8(4), uint16(321), uint16(484), uint8(1))
+	// Hybrid with two masters: a slave dies while posting the status it
+	// sends before advancing the streamline it has just picked, which
+	// is then in neither its piles nor a message.
+	f.Add(uint8(68), uint8(94), uint8(243), uint16(2495), uint16(373), uint8(253))
 
 	p := testProblem(24)
-	f.Fuzz(func(t *testing.T, algSel, procSel, killSel uint8, t1, t2 uint16) {
+	f.Fuzz(func(t *testing.T, algSel, procSel, killSel uint8, t1, t2 uint16, wSel uint8) {
 		algs := recoverable()
 		alg := algs[int(algSel)%len(algs)]
 		procs := 3 + int(procSel)%5         // 3..7
 		kills := 1 + int(killSel)%(procs-1) // 1..procs-1: someone survives
 
 		cfg := faultConfig(alg, procs)
+		if wSel%2 == 1 {
+			// Two masters from 6 processors up: the multi-master
+			// recovery paths (promotion beside a live peer, shedding,
+			// seed requests between masters).
+			cfg.Hybrid.W = 2
+		}
 		cfg.CollectTraces = true
 		base, err := Run(p, cfg)
 		if err != nil {

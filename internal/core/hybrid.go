@@ -146,7 +146,6 @@ func hybridTopology(procs, w int) (masters, slaves int) {
 func (r *runState) buildHybrid() {
 	hp := r.cfg.Hybrid
 	nm, ns := hybridTopology(r.cfg.Procs, hp.W)
-	r.hybNM = nm
 	r.hybMasters = make([]*master, r.cfg.Procs)
 	r.hybSlaves = make([]*slave, r.cfg.Procs)
 	for m := 0; m < nm; m++ {
@@ -197,9 +196,9 @@ type slave struct {
 	completedDelta int
 	done           bool
 
-	// inHand is the streamline being advanced (in neither byBlock nor a
-	// message); the fault-recovery salvage reads it if this processor
-	// dies mid-advance.
+	// inHand is the streamline picked to advance, from the pick until it
+	// is parked or completes (in neither byBlock nor a message); the
+	// fault-recovery salvage reads it if this processor dies meanwhile.
 	inHand *trace.Streamline
 	// promoted holds a pending msgPromote: this slave takes over its
 	// dead master's role as soon as the current handler returns.
@@ -261,12 +260,15 @@ func (s *slave) run() {
 	}
 }
 
-// pickWorkable returns an active streamline residing in a loaded block,
-// preferring most-recently-used blocks.
+// pickWorkable takes an active streamline residing in a loaded block,
+// preferring most-recently-used blocks, into hand: the status the run
+// loop may post before advancing it costs time, and a death then must
+// salvage it.
 func (s *slave) pickWorkable() (*trace.Streamline, grid.Evaluator) {
 	for b := range s.w.cache.Loaded() {
 		if len(s.byBlock.get(b)) > 0 {
 			sl := takeLast(&s.byBlock, b, 1)[0]
+			s.inHand = sl
 			// TryGet moves b to the front of the MRU list this loop walks:
 			// return at once, the walk must not go on past that move.
 			ev, _ := s.w.cache.TryGet(b)
@@ -288,7 +290,6 @@ func (s *slave) workableCount() int {
 // advanceInLoaded integrates sl across resident blocks until it leaves
 // them or terminates.
 func (s *slave) advanceInLoaded(sl *trace.Streamline, ev grid.Evaluator) {
-	s.inHand = sl
 	for {
 		prev := sl.Block
 		if sl.Steps >= s.r.prob.maxSteps() {
@@ -765,24 +766,26 @@ func (m *master) applyRules(allowSeedRequest bool) {
 			starved = true
 		}
 	}
-	// Group ran dry: ask a peer master for spare seeds. Under a fault
-	// plan the peer set is the live master endpoints (promoted masters
-	// included, dead ones excluded); without faults it is the original
-	// ring, drawn with the original rng sequence.
+	// Group ran dry: ask a peer master for spare seeds.
 	if allowSeedRequest && !assignedAny && starved && m.pool.total() == 0 && !m.requestedSeed {
-		peer := -1
-		if m.r.faultsOn {
-			if peers := m.peerMasters(); len(peers) > 0 {
-				peer = peers[m.rng.Intn(len(peers))]
-			}
-		} else if nm := m.r.hybNM; nm > 1 {
-			peer = (m.index + 1 + m.rng.Intn(nm-1)) % nm
-		}
-		if peer >= 0 {
+		if peer, ok := m.seedPeer(); ok {
 			m.w.end.Send(peer, msgSeedRequest{from: m.index})
 			m.requestedSeed = true
 		}
 	}
+}
+
+// seedPeer draws the peer master a seed request goes to: uniformly among
+// the master endpoints other than this one (dead ones excluded, promoted
+// ones included), counting from this master's place among them. Without
+// a death the endpoints are 0..nm-1 and the draw is (index+1+k) mod nm.
+func (m *master) seedPeer() (int, bool) {
+	peers := removeInt(slices.Clone(m.r.masterEPs), m.index)
+	if len(peers) == 0 {
+		return -1, false
+	}
+	at, _ := slices.BinarySearch(peers, m.index)
+	return peers[(at+m.rng.Intn(len(peers)))%len(peers)], true
 }
 
 // addRecs folds adopted seed records into the pool, respecting each
@@ -815,14 +818,22 @@ func (m *master) onSlaveDead(ep int) {
 
 // shedIfSlaveless hands this master's remaining seeds to a peer that
 // still has slaves to integrate them, once every slave of its own has
-// died (without a death every master keeps at least one). With no other
-// master left either, the run cannot finish.
+// died (without a death every master keeps at least one). A peer whose
+// promotion is still in flight counts: its flock is unknown until it
+// lands, and if that flock is empty it sheds on in its turn. A master
+// that has taken its role without slaves is never a target, so seeds
+// cannot circle between two of them. With no target the run cannot
+// finish.
 func (m *master) shedIfSlaveless() {
 	if m.done || len(m.slaves) > 0 || (m.pool.total() == 0 && len(m.future.items) == 0) {
 		return
 	}
 	peers := m.peerMasters()
-	if len(peers) == 0 {
+	i := slices.IndexFunc(peers, func(ep int) bool {
+		pm := m.r.hybMasters[ep]
+		return pm == nil || len(pm.slaves) > 0
+	})
+	if i < 0 {
 		m.r.fail(&faults.UnrecoverableError{
 			Algorithm: string(HybridMS),
 			Proc:      m.index,
@@ -834,7 +845,7 @@ func (m *master) shedIfSlaveless() {
 	_, recs := m.resident()
 	m.pool = blocks[pile[seedRec]]{}
 	m.future.items = nil
-	m.r.deliverLocal(peers[0], msgAdopt{recs: recs, moved: true})
+	m.r.deliverLocal(peers[i], msgAdopt{recs: recs, moved: true})
 }
 
 // applyRulesFor runs steps 1–7 for slave s, returning true when s was

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -289,5 +290,47 @@ func checkStranded(t *testing.T, slaves []*slaveRec) {
 		if got, w := dumpBlocks(&s.stranded), dumpBlocks(&want); got != w {
 			t.Fatalf("slave %d: stranded %s, want %s (loaded %v)", s.ep, got, w, s.loaded)
 		}
+	}
+}
+
+// TestSeedPeerDraw pins the seed-request peer pick. Without a death the
+// master endpoints are 0..nm-1 and the pick is (index+1+k) mod nm, with k
+// = rng.Intn(nm-1), one draw per request, at every master count: the
+// fault-free draw sequence the goldens were pinned with. After deaths and
+// promotions it is the same rule over the live endpoints:
+// peers[(place+k) mod len(peers)], where place counts the peers below
+// this master.
+func TestSeedPeerDraw(t *testing.T) {
+	draw := func(t *testing.T, eps []int, index int, want func(k *rand.Rand) int) {
+		t.Helper()
+		m := &master{r: &runState{masterEPs: eps}, index: index, rng: rand.New(rand.NewSource(int64(index)))}
+		k := rand.New(rand.NewSource(int64(index)))
+		for range 50 {
+			got, ok := m.seedPeer()
+			if w := want(k); got != w || ok != (w >= 0) {
+				t.Fatalf("masters %v, master %d: peer %d (ok %v), want %d", eps, index, got, ok, w)
+			}
+		}
+	}
+	for nm := 1; nm <= 16; nm++ {
+		var eps []int
+		for ep := range nm {
+			eps = append(eps, ep)
+		}
+		for index := range nm {
+			draw(t, eps, index, func(k *rand.Rand) int {
+				if nm == 1 {
+					return -1
+				}
+				return (index + 1 + k.Intn(nm-1)) % nm
+			})
+		}
+	}
+	// Master 1 died and slave 5 was promoted.
+	eps := []int{0, 2, 3, 5}
+	for _, index := range eps {
+		peers := removeInt(slices.Clone(eps), index)
+		place, _ := slices.BinarySearch(peers, index)
+		draw(t, eps, index, func(k *rand.Rand) int { return peers[(place+k.Intn(len(peers)))%len(peers)] })
 	}
 }

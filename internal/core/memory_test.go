@@ -47,7 +47,7 @@ func TestAdoptReleaseSymmetry(t *testing.T) {
 		var want int64
 		for _, sl := range sls {
 			w.adoptStreamline(sl)
-			want += sl.MemoryBytes()
+			want += sl.Bytes()
 		}
 		if w.geomBytes != want {
 			t.Errorf("after adopt: geomBytes = %d, want %d", w.geomBytes, want)
@@ -70,9 +70,9 @@ func TestAdvanceTracksGeometryGrowth(t *testing.T) {
 		before := w.geomBytes
 		ev := w.cache.Get(sl.Block)
 		w.advance(sl, ev)
-		if growth := w.geomBytes - before; growth != sl.MemoryBytes()-trace.StateBytes-trace.PointBytes {
+		if growth := w.geomBytes - before; growth != sl.Bytes()-trace.StateBytes-trace.PointBytes {
 			t.Errorf("geomBytes grew %d, streamline grew %d",
-				growth, sl.MemoryBytes()-trace.StateBytes-trace.PointBytes)
+				growth, sl.Bytes()-trace.StateBytes-trace.PointBytes)
 		}
 		if len(sl.Points) < 2 {
 			t.Fatal("advance produced no geometry; growth check is vacuous")
@@ -128,8 +128,8 @@ func TestCheckMemoryCountsCacheAndGeometry(t *testing.T) {
 		if w.checkMemory("blocks plus streamline") {
 			t.Error("blocks + streamline should exceed the budget")
 		}
-		if got := w.stats.PeakMemoryBytes; got != 2*blockBytes+sl.MemoryBytes() {
-			t.Errorf("peak memory %d, want %d", got, 2*blockBytes+sl.MemoryBytes())
+		if got := w.stats.PeakMemoryBytes; got != 2*blockBytes+sl.Bytes() {
+			t.Errorf("peak memory %d, want %d", got, 2*blockBytes+sl.Bytes())
 		}
 	})
 }

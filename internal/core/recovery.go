@@ -35,7 +35,7 @@ package core
 //     its probe set; the victim's pool moves to its ring successor, the
 //     ring re-forms around the gap, and a token that died with the
 //     victim is regenerated from the ledger (msgToken regen, counted as
-//     RingReforms).
+//     RingReforms), or, once the ledger is full, replaced by all-done.
 //   - Hybrid (hybridDied, routeToMaster): a dead slave's streamlines go
 //     back to its master's pool and the master drops it from the model
 //     (msgPeerDead); a dead master's lowest-indexed surviving slave is
@@ -338,7 +338,8 @@ func (r *runState) hybridSlaveSurvives() bool {
 // releaseSurvivors is Load On Demand's ledger-full entry: it has no
 // coordinator, and under a fault plan its workers outlive their own
 // splits (a later death may orphan work only they can adopt), so the
-// ledger reaching the seed total is what releases them.
+// ledger reaching the seed total is what releases them. Work stealing
+// calls it when its token dies with the ledger full (regenToken).
 func (r *runState) releaseSurvivors() {
 	for i := range r.procs {
 		if r.running(i) {
@@ -364,8 +365,15 @@ func (r *runState) foldDeadCounts(counts []int64) {
 // processor can never write its own entry again — and live processors'
 // entries start at zero: counts are monotone, so a missing live entry
 // only delays termination until its owner next holds the token, it can
-// never terminate early.
+// never terminate early. A token lost once the ledger is full is not
+// rebuilt: its holder may have died part-way through broadcasting
+// all-done, so survivors it reached have exited and a new token could
+// not go round; the survivors are released instead.
 func (r *runState) regenToken(deadIdx int) {
+	if r.completedTotal == len(r.prob.Seeds) {
+		r.releaseSurvivors()
+		return
+	}
 	succ := r.nextRunning(deadIdx)
 	if succ < 0 {
 		r.fail(fmt.Errorf("core: stealing token lost with processor %d and no live peer remains", deadIdx))

@@ -289,6 +289,10 @@ func (pw *poolWorker) dropPeer(peer int) {
 
 // --- stealing ---
 
+// stealBatch is the most streamlines a victim hands over per successful
+// probe.
+const stealBatch = 8
+
 // resetProbes re-arms a full hungry round: one probe per live peer, in a
 // fresh random permutation.
 func (pw *poolWorker) resetProbes() {
@@ -312,7 +316,7 @@ func (pw *poolWorker) probe() {
 	pw.w.end.Send(victim, msgStealReq{})
 }
 
-// reply answers a probe: hand over up to Batch inactive streamlines
+// reply answers a probe: hand over up to stealBatch inactive streamlines
 // (keeping at least one if any remain), pending blocks first — the thief
 // pays their I/O instead of us — then the oldest workable ones.
 func (pw *poolWorker) reply(to int) {
@@ -328,7 +332,7 @@ func (pw *poolWorker) reply(to int) {
 // pickLoot selects and removes the streamlines a steal reply carries.
 func (pw *poolWorker) pickLoot() []*trace.Streamline {
 	pl := pw.pool
-	target := pw.r.cfg.Steal.Batch
+	target := stealBatch
 	if target > pl.active-1 {
 		target = pl.active - 1
 	}

@@ -101,26 +101,6 @@ func TestStealingTokenRing(t *testing.T) {
 	}
 }
 
-func TestStealingBatchSizeTradesMessages(t *testing.T) {
-	// Bigger batches mean fewer (but larger) transfers: attempts must not
-	// increase when the batch grows on a steal-heavy workload.
-	p := denseProblem(160)
-	small := testConfig(WorkStealing, 6)
-	small.Steal.Batch = 1
-	big := testConfig(WorkStealing, 6)
-	big.Steal.Batch = 32
-	rs := mustRun(t, p, small)
-	rb := mustRun(t, p, big)
-	if rs.Summary.StealHits == 0 || rb.Summary.StealHits == 0 {
-		t.Fatalf("expected steals in both runs: batch1 hits=%d batch32 hits=%d",
-			rs.Summary.StealHits, rb.Summary.StealHits)
-	}
-	if rb.Summary.StealHits > rs.Summary.StealHits {
-		t.Errorf("batch 32 took more steals (%d) than batch 1 (%d)",
-			rb.Summary.StealHits, rs.Summary.StealHits)
-	}
-}
-
 func TestStealingSurvivesDenseBudget(t *testing.T) {
 	// The even split plus migration keeps per-processor geometry bounded
 	// where Static Allocation's owner-concentration blows the budget
@@ -146,30 +126,5 @@ func TestStealingSurvivesDenseBudget(t *testing.T) {
 	cfgW.CacheBlocks = 1
 	if _, err := Run(p, cfgW); err != nil {
 		t.Errorf("stealing with same budget failed: %v", err)
-	}
-}
-
-func TestStealParamsDefaults(t *testing.T) {
-	if s := (StealParams{}).defaults(); s != DefaultSteal() || s.Batch != 8 {
-		t.Errorf("defaults = %+v", s)
-	}
-	if s := (StealParams{Batch: 3}).defaults(); s.Batch != 3 {
-		t.Errorf("an explicit batch was overwritten: %+v", s)
-	}
-}
-
-func TestStealingNoGeometryMode(t *testing.T) {
-	// The §8 lightweight-communication mode applies to stolen batches too.
-	p := denseProblem(120)
-	full := mustRun(t, p, testConfig(WorkStealing, 6))
-	cfg := testConfig(WorkStealing, 6)
-	cfg.NoGeometry = true
-	light := mustRun(t, p, cfg)
-	if light.Summary.BytesSent >= full.Summary.BytesSent {
-		t.Errorf("state-only bytes (%d) not below full-geometry bytes (%d)",
-			light.Summary.BytesSent, full.Summary.BytesSent)
-	}
-	if light.Summary.StreamlinesCompleted != full.Summary.StreamlinesCompleted {
-		t.Error("lightweight mode lost streamlines")
 	}
 }

@@ -134,8 +134,8 @@ func (t *Tape) fill(w *worker, id int) {
 
 // replay moves sl over the segment as integrating it would have, and
 // returns what the integrator would have returned, less the points. The
-// vertex count advances by the segment's steps rather than to a recorded
-// total: a NoGeometry run has shed vertices on the way.
+// vertex count advances by the segment's steps, one vertex per accepted
+// step, as Append counts them.
 func (seg *tapeSeg) replay(sl *trace.Streamline) integrate.AdvectResult {
 	res := integrate.AdvectResult{P: seg.p, T: seg.t, Steps: seg.steps - sl.Steps, Reason: seg.reason}
 	sl.Verts += res.Steps

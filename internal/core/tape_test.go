@@ -94,13 +94,11 @@ func requireSameRun(t *testing.T, label string, got, want tapedRun) {
 // canonical summary, every per-processor column, the whole trace-event
 // stream — for every algorithm under every feature that reads geometry:
 // memory accounting and wire sizes (plain), the prefetch predictor's
-// two-point tail, NoGeometry's truncation, pathline epochs, staggered
-// release and restarts from seed. And a kept curve has the counted length.
+// two-point tail, pathline epochs, staggered release and restarts from
+// seed. And a kept curve has the counted length.
 func TestBareMatchesCollected(t *testing.T) {
 	plain := testProblem(40)
 	for _, alg := range Algorithms() {
-		noGeom := testConfig(alg, 4)
-		noGeom.NoGeometry = true
 		kill := faultConfig(alg, 5)
 		kill.Faults = faults.KillAt(0.3*mustRun(t, plain, kill).Summary.WallClock, 0)
 		for _, c := range []struct {
@@ -110,7 +108,6 @@ func TestBareMatchesCollected(t *testing.T) {
 		}{
 			{"plain", plain, testConfig(alg, 4)},
 			{"prefetch both", testUnsteadyProblem(24), withPrefetch(testConfig(alg, 4), prefetch.Both)},
-			{"NoGeometry", plain, noGeom},
 			{"unsteady", testUnsteadyProblem(24), testConfig(alg, 4)},
 			{"staggered", injectedProblem(seeds.Stagger(40, 0, 0.3)), testConfig(alg, 4)},
 			{"kill", testProblem(60), kill},
@@ -349,36 +346,6 @@ func TestTapeHelpsInsteadOfWaiting(t *testing.T) {
 	if c.Lines.Load() != n || c.StepsIntegrated.Load() != steps || c.StepsReplayed.Load() != steps {
 		t.Errorf("ledger: %d lines, %d steps integrated, %d replayed; want %d lines and the run's %d steps both ways",
 			c.Lines.Load(), c.StepsIntegrated.Load(), c.StepsReplayed.Load(), n, steps)
-	}
-}
-
-// TestTapeNoGeometryBothWays: a run whose streamlines shed their
-// vertices on every send and one whose streamlines keep them integrate
-// the same segments, so either records the tape the other replays — a
-// record advances the vertex count by its steps, it does not set it.
-func TestTapeNoGeometryBothWays(t *testing.T) {
-	p := testProblem(40)
-	full := testConfig(StaticAlloc, 4)
-	shed := full
-	shed.NoGeometry = true
-	wantFull, wantShed := runTaped(p, full, nil), runTaped(p, shed, nil)
-	if wantShed.res.Summary.MsgsSent == 0 || wantShed.res.Summary.BytesSent >= wantFull.res.Summary.BytesSent {
-		t.Fatal("NoGeometry sent nothing, or no less than a geometry run — the case is vacuous")
-	}
-	for _, c := range []struct {
-		how        string
-		rec, rep   Config
-		wrec, wrep tapedRun
-	}{
-		{"NoGeometry replaying a geometry run's tape", full, shed, wantFull, wantShed},
-		{"a geometry run replaying NoGeometry's tape", shed, full, wantShed, wantFull},
-	} {
-		tape := newTape(p)
-		requireSameRun(t, c.how+" (recording)", runTaped(p, c.rec, tape), c.wrec)
-		if !tape.Complete() {
-			t.Fatalf("%s: the recorder left the tape incomplete", c.how)
-		}
-		requireSameRun(t, c.how, runReplaying(t, c.how, p, c.rep, tape), c.wrep)
 	}
 }
 

@@ -428,7 +428,6 @@ func MachineConfig(alg core.Algorithm, procs int, sc Scale) core.Config {
 		DiskServers:  sc.DiskServers,
 		MemoryBudget: memoryBudget(sc, false),
 		Hybrid:       core.DefaultHybrid(),
-		Steal:        core.DefaultSteal(),
 	}
 }
 

@@ -77,10 +77,8 @@ var foldedFields = []string{
 // unfoldedFields are the ProcStats fields the events cannot yet
 // produce, each with its reason.
 var unfoldedFields = map[string]string{
-	"Proc":   "the processor index: the fold's key (Event.Proc), not a counter",
-	"IOTime": "one subtraction across queue wait and transfer, so not bit-equal to the sum of the ioqueue and io spans",
-	"IdleTime": "nothing writes it, while the kernel's idle spans sum to nonzero; " +
-		"making it their sum or dropping it moves every summary's bytes",
+	"Proc":             "the processor index: the fold's key (Event.Proc), not a counter",
+	"IOTime":           "one subtraction across queue wait and transfer, so not bit-equal to the sum of the ioqueue and io spans",
 	"EndTime":          "no event",
 	"PeakMemoryBytes":  "no event",
 	"ActivePeak":       "no event",

@@ -207,36 +207,6 @@ func TestTapeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestTapeNoGeometryCells: cells that shed their streamlines' geometry on
-// every send (core.Config.NoGeometry) and cells that carry it share their
-// problem's tape, whichever of them recorded it.
-func TestTapeNoGeometryCells(t *testing.T) {
-	sc := goldenScale()
-	static := Key{Dataset: Astro, Seeding: Sparse, Alg: core.StaticAlloc, Procs: sc.ProcCounts[0]}
-	hybrid := static
-	hybrid.Alg = core.HybridMS
-	// Static's cells shed geometry, hybrid's carry it.
-	tune := func(cfg *core.Config) { cfg.NoGeometry = cfg.Algorithm == core.StaticAlloc }
-	shed, carried := untaped(t, static, sc, tune), untaped(t, hybrid, sc, tune)
-	if full := untaped(t, static, sc, nil); shed.equal(full) {
-		t.Fatal("NoGeometry left static's cell unchanged — the case is vacuous")
-	}
-	for _, order := range [][2]Key{{hybrid, static}, {static, hybrid}} {
-		c := NewCampaign(sc)
-		c.Observe = true
-		c.tune = tune
-		c.enter()
-		for i, k := range order {
-			want := carried
-			if k == static {
-				want = shed
-			}
-			checkRole(t, c, k, want, []string{"recording", "replaying the other's tape"}[i], []int64{want.steps, 0}[i])
-		}
-		c.leave()
-	}
-}
-
 // TestTapeConcurrentCells is (d): the twelve cells of one problem (four
 // algorithms, three processor counts) run from four goroutines, sharing
 // the recording of one tape on whatever interleaving the scheduler
@@ -467,24 +437,16 @@ func TestTapeAdmission(t *testing.T) {
 		t.Errorf("a second cell per problem: %+v, want %+v", st, want)
 	}
 
-	for name, tune := range map[string]func(*core.Config){
-		"CollectTraces": func(cfg *core.Config) { cfg.CollectTraces = true },
-		"NoGeometry":    func(cfg *core.Config) { cfg.NoGeometry = true },
-	} {
-		c := NewCampaign(sc)
-		c.tune = tune
-		var delivered int64
-		for _, alg := range core.Algorithms() {
-			delivered += c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: procs}).Summary.Steps
-		}
-		st := c.TapeStats()
-		wantIntegrated, wantReplayed, wantLines := delivered/4, delivered, true
-		if name == "CollectTraces" {
-			wantIntegrated, wantReplayed, wantLines = delivered, 0, false
-		}
-		if st.Recordings != 1 || st.StepsReplayed != wantReplayed || st.StepsIntegrated != wantIntegrated || (st.Lines > 0) != wantLines {
-			t.Errorf("%s: %+v, want one tape, %d steps integrated, %d replayed", name, st, wantIntegrated, wantReplayed)
-		}
+	// Runs that hand their curves out integrate them: the tape they share
+	// is created, and neither records a line nor replays one.
+	c = NewCampaign(sc)
+	c.tune = func(cfg *core.Config) { cfg.CollectTraces = true }
+	var delivered int64
+	for _, alg := range core.Algorithms() {
+		delivered += c.Run(Key{Dataset: Astro, Seeding: Sparse, Alg: alg, Procs: procs}).Summary.Steps
+	}
+	if st := c.TapeStats(); st.Recordings != 1 || st.StepsReplayed != 0 || st.StepsIntegrated != delivered || st.Lines > 0 {
+		t.Errorf("CollectTraces: %+v, want one tape, %d steps integrated, none replayed", st, delivered)
 	}
 }
 

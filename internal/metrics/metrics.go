@@ -18,13 +18,7 @@ type ProcStats struct {
 	IOTime      float64 // time blocked reading blocks
 	IOQueueTime float64 // subset of IOTime spent queued for a shared I/O server
 	CommTime    float64 // time posting/handling sends and receives
-	// IdleTime is meant as the time blocked waiting for work or
-	// messages, but nothing writes it: it is 0 on every processor, and
-	// so is Summary.TotalIdle. The kernel keeps its own count
-	// (sim.Proc.IdleTime). Writing or dropping the field changes every
-	// summary's bytes, so it waits for the next re-pin of summaries.txt.
-	IdleTime float64
-	EndTime  float64 // virtual time when the processor finished
+	EndTime     float64 // virtual time when the processor finished
 
 	Steps        int64 // accepted integration steps
 	BlocksLoaded int64 // block reads from disk
@@ -150,7 +144,10 @@ type Summary struct {
 	TotalIOQueue float64 // subset of TotalIO spent queued for shared I/O servers
 	TotalComm    float64 // summed communication time (Figures 8, 11, 15)
 	TotalCompute float64
-	TotalIdle    float64 // summed ProcStats.IdleTime: always 0, as nothing writes that
+	// TotalIdle is always 0: no counter feeds it. It stays in the
+	// canonical bytes until the summaries' next re-pin (ROADMAP item 22),
+	// which makes it the sum of the kernel's idle spans or drops it.
+	TotalIdle float64
 
 	BlocksLoaded int64
 	BlocksPurged int64
@@ -221,7 +218,6 @@ func (c *Collector) Aggregate() Summary {
 		s.TotalIOQueue += p.IOQueueTime
 		s.TotalComm += p.CommTime
 		s.TotalCompute += p.ComputeTime
-		s.TotalIdle += p.IdleTime
 		s.BlocksLoaded += p.BlocksLoaded
 		s.BlocksPurged += p.BlocksPurged
 		s.MsgsSent += p.MsgsSent

@@ -295,7 +295,6 @@ func TestCounterRoundTrip(t *testing.T) {
 		IOTime:               2,
 		IOQueueTime:          0.5,
 		CommTime:             3,
-		IdleTime:             4,
 		EndTime:              11,
 		Steps:                5,
 		BlocksLoaded:         6,
@@ -327,7 +326,6 @@ func TestCounterRoundTrip(t *testing.T) {
 		TotalIOQueue:         0.5,
 		TotalComm:            3,
 		TotalCompute:         1,
-		TotalIdle:            4,
 		BlocksLoaded:         6,
 		BlocksPurged:         3,
 		BlockEfficiency:      0.5,
@@ -353,8 +351,7 @@ func TestCounterRoundTrip(t *testing.T) {
 	if s != want {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", s, want)
 	}
-	if s.TotalIdle != 4 || s.PathlineSteps != 19 || s.EpochCrossings != 20 {
-		t.Errorf("spot checks failed: idle=%g psteps=%d epochs=%d",
-			s.TotalIdle, s.PathlineSteps, s.EpochCrossings)
+	if s.PathlineSteps != 19 || s.EpochCrossings != 20 {
+		t.Errorf("spot checks failed: psteps=%d epochs=%d", s.PathlineSteps, s.EpochCrossings)
 	}
 }

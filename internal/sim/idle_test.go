@@ -2,6 +2,11 @@ package sim
 
 import "testing"
 
+// IdleTime returns the total virtual time p has spent blocked: the
+// kernel's own count, which these tests hold its idle spans and each
+// process's busy/idle split against.
+func (p *Proc) IdleTime() float64 { return p.idleTotal }
+
 // TestIdleBusySpanInvariant pins idle-time accounting across all four
 // wake paths — message delivery, RecvUntil deadline, Resource grant and
 // Event fire: for every process, the time it spent blocked (IdleTime)

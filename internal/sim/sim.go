@@ -260,6 +260,8 @@ type Proc struct {
 	killed    bool
 	failed    bool // killed mid-run by Fail, not end-of-run cleanup
 
+	// idleStart opens the current wait's idle span; idleTotal sums the
+	// closed ones, the count the kernel's idle spans are tested against.
 	idleStart float64
 	idleTotal float64
 }
@@ -337,10 +339,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Trace returns the kernel's trace recorder, nil when tracing is off.
 func (p *Proc) Trace() *obs.Recorder { return p.k.tr }
-
-// IdleTime returns the total virtual time this process has spent blocked
-// waiting for messages.
-func (p *Proc) IdleTime() float64 { return p.idleTotal }
 
 // yield hands control back to whoever resumed this process and parks
 // until the next resume; a process stopped while parked unwinds here.

@@ -5,8 +5,9 @@
 // Streamlines are what Static Allocation and the Hybrid algorithm
 // communicate between processors, so the package also provides a binary
 // wire encoding and the byte-size model used by the communication-time
-// metric. Two sizes matter (paper §8): the full record including geometry,
-// and the compact "solver state only" form proposed as future work.
+// metric: one size, the full record including geometry, resident and on
+// the wire alike, as the paper sends it (its §8 names sending the solver
+// state alone as future work).
 //
 // The simulated machine needs a streamline's geometry only as a size, and
 // the prefetch predictor only its last two points, so both are state of
@@ -64,10 +65,9 @@ func (s Status) Terminated() bool { return s != Active }
 // 48 bytes in total.
 const PointBytes = 48
 
-// StateBytes is the simulated size of the solver state alone: id,
-// position, time, step size, status, block (the paper §8's compact
-// form). The release time of a staggered-injection seed rides in the
-// same fixed-size record.
+// StateBytes is the simulated size of the solver state: id, position,
+// time, step size, status, block. The release time of a
+// staggered-injection seed rides in the same fixed-size record.
 const StateBytes = 64
 
 // Streamline is one integral curve in flight.
@@ -162,18 +162,10 @@ func (s *Streamline) Append(points []vec.V3) {
 	s.Points = append(s.Points, points...)
 }
 
-// WireBytes returns the simulated size of communicating this streamline.
-// With geometry=false only the solver state is sent (paper §8).
-func (s *Streamline) WireBytes(geometry bool) int64 {
-	if !geometry {
-		return StateBytes
-	}
-	return StateBytes + int64(s.Verts)*PointBytes
-}
-
-// MemoryBytes returns the simulated resident memory of this streamline on
-// a processor (geometry dominates).
-func (s *Streamline) MemoryBytes() int64 { return s.WireBytes(true) }
+// Bytes returns the simulated size of this streamline, resident on a
+// processor and on the wire alike: its solver state plus its geometry,
+// which dominates.
+func (s *Streamline) Bytes() int64 { return StateBytes + int64(s.Verts)*PointBytes }
 
 // ArcLength returns the polyline length of the geometry.
 func (s *Streamline) ArcLength() float64 {

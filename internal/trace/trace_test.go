@@ -62,7 +62,7 @@ func TestAppendWithoutCurve(t *testing.T) {
 			t.Fatal("Append gave a curve to a streamline that keeps none")
 		}
 		if bare.P != kept.P || bare.Prev != kept.Prev || bare.Verts != kept.Verts || bare.Verts != len(kept.Points) ||
-			bare.MemoryBytes() != kept.MemoryBytes() || bare.WireBytes(true) != kept.WireBytes(true) || bare.String() != kept.String() {
+			bare.Bytes() != kept.Bytes() || bare.String() != kept.String() {
 			t.Fatalf("bare %+v diverged from kept %+v", bare, kept)
 		}
 	}
@@ -71,19 +71,13 @@ func TestAppendWithoutCurve(t *testing.T) {
 func TestByteSizes(t *testing.T) {
 	s := New(0, vec.Of(0, 0, 0), 0)
 	s.Append([]vec.V3{vec.Of(1, 0, 0), vec.Of(2, 0, 0), vec.Of(3, 0, 0)})
-	if got := s.WireBytes(false); got != StateBytes {
-		t.Errorf("state-only WireBytes = %d", got)
-	}
-	if got := s.WireBytes(true); got != StateBytes+4*PointBytes {
-		t.Errorf("full WireBytes = %d", got)
-	}
-	if s.MemoryBytes() != StateBytes+4*PointBytes {
-		t.Errorf("MemoryBytes = %d", s.MemoryBytes())
+	if got := s.Bytes(); got != StateBytes+4*PointBytes {
+		t.Errorf("Bytes = %d", got)
 	}
 	// Geometry grows memory: the effect behind the Static Allocation OOM.
-	before := s.MemoryBytes()
+	before := s.Bytes()
 	s.Append([]vec.V3{vec.Of(4, 0, 0)})
-	if s.MemoryBytes() <= before {
+	if s.Bytes() <= before {
 		t.Error("memory did not grow with geometry")
 	}
 }
