@@ -9,8 +9,8 @@
 // Endpoints:
 //
 //	GET  /healthz   liveness probe
-//	POST /v1/cell   body: one canonical key object; ?observe=1 adds the
-//	                percentile block (the slbench -json schema)
+//	POST /v1/cell   body: one canonical key object, no query string
+//	                (a query is a 400)
 //
 // A request asks for one cell; a sweep is one request per cell. A
 // cached cell is answered on the request's own goroutine and never
@@ -28,7 +28,7 @@
 //	slserve -scale small -cache /var/cache/slserve
 //	curl -s -X POST localhost:8080/v1/cell -d \
 //	  '{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":8}'
-//	curl -s -X POST 'localhost:8080/v1/cell?observe=1' -H 'X-Tenant: viz' \
+//	curl -s -X POST localhost:8080/v1/cell -H 'X-Tenant: viz' \
 //	  -d '{"dataset":"fusion","seeding":"dense","alg":"hybrid","procs":64,"unsteady":true}'
 package main
 

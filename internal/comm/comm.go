@@ -98,9 +98,6 @@ func (f *Fabric) Attach(proc *sim.Proc, stats *metrics.ProcStats) *Endpoint {
 // Endpoint returns the endpoint with the given index.
 func (f *Fabric) Endpoint(i int) *Endpoint { return f.endpoints[i] }
 
-// Network returns the fabric's cost model.
-func (f *Fabric) Network() Network { return f.net }
-
 // Index returns this endpoint's fabric index.
 func (e *Endpoint) Index() int { return e.index }
 
@@ -196,9 +193,6 @@ func (e *Endpoint) TryRecv() (Envelope, bool) {
 	e.recvCharge(env)
 	return env, true
 }
-
-// Pending returns the number of delivered-but-unread messages.
-func (e *Endpoint) Pending() int { return e.proc.Pending() }
 
 // Broadcast sends payload to every other endpoint (simple linear
 // broadcast, charged per message like MPI without collectives).

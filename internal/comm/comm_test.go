@@ -133,24 +133,6 @@ func TestTryRecv(t *testing.T) {
 	}
 }
 
-func TestPendingDoesNotConsume(t *testing.T) {
-	net := Network{}
-	fabricPair(t, net,
-		func(e *Endpoint, peer int) {
-			e.Proc().Sleep(0.1)
-			if e.Pending() != 2 {
-				t.Errorf("Pending = %d, want 2", e.Pending())
-			}
-			e.Recv()
-			e.Recv()
-		},
-		func(e *Endpoint, peer int) {
-			e.Send(peer, Sized(1))
-			e.Send(peer, Sized(2))
-		},
-	)
-}
-
 func TestBroadcast(t *testing.T) {
 	k := sim.New()
 	f := NewFabric(Network{})
@@ -191,9 +173,6 @@ func TestFabricAccessors(t *testing.T) {
 	e := f.Attach(p, metrics.NewCollector(1).P(0))
 	if len(f.endpoints) != 1 || f.Endpoint(0) != e || e.Index() != 0 || e.Proc() != p {
 		t.Error("fabric accessors inconsistent")
-	}
-	if f.Network().LatencySec != DefaultNetwork().LatencySec {
-		t.Error("Network() mismatch")
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func TestSendToDeadPeerChargesAndDeadLetters(t *testing.T) {
 		endpoints[1].Send(0, Sized(64))
 	})
 	endpoints[1] = f.Attach(sender, stats.P(1))
-	victim.FailAt(1)
+	k.At(1, func() { k.Fail(victim) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestInHandSurvivesDeath(t *testing.T) {
 		endpoints[1].Send(0, Sized(32))
 	})
 	endpoints[1] = f.Attach(sender, stats.P(1))
-	victim.FailAt(0.6) // mid-charge
+	k.At(0.6, func() { k.Fail(victim) }) // mid-charge
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -474,6 +474,9 @@ type runState struct {
 	// re-promotes one detection latency out); hybridAfterDeath flushes
 	// the parked records to the next enthroned master.
 	hybOrphans []seedRec
+	// lastKilled is the processor failProc killed last: the one a
+	// hybrid run that cannot recover names in its typed failure.
+	lastKilled int
 }
 
 // fail records the first fatal error and halts the kernel: every

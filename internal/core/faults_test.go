@@ -393,37 +393,37 @@ func TestRunErrorUnwindsAllPeers(t *testing.T) {
 // replay, a run recording a segment tape and a run replaying it must all
 // be bit-identical.
 func FuzzFaultRecovery(f *testing.F) {
-	f.Add(uint8(0), uint8(4), uint8(1), uint16(300), uint16(700), uint8(0))
-	f.Add(uint8(1), uint8(5), uint8(2), uint16(100), uint16(100), uint8(0))
-	f.Add(uint8(2), uint8(7), uint8(3), uint16(0), uint16(999), uint8(0))
-	f.Add(uint8(2), uint8(3), uint8(2), uint16(450), uint16(451), uint8(0))
-	f.Add(uint8(1), uint8(6), uint8(1), uint16(2000), uint16(0), uint8(0))
+	f.Add(uint8(0), uint8(4), uint8(1), uint16(300), uint16(700), uint8(0), uint16(0))
+	f.Add(uint8(1), uint8(5), uint8(2), uint16(100), uint16(100), uint8(0), uint16(0))
+	f.Add(uint8(2), uint8(7), uint8(3), uint16(0), uint16(999), uint8(0), uint16(0))
+	f.Add(uint8(2), uint8(3), uint8(2), uint16(450), uint16(451), uint8(0), uint16(0))
+	f.Add(uint8(1), uint8(6), uint8(1), uint16(2000), uint16(0), uint8(0), uint16(0))
 	// Found by fuzzing. A kill mid-segment must count its steps nowhere,
 	// tape counters included (Load On Demand, then stealing).
-	f.Add(uint8(60), uint8(6), uint8(1), uint16(2064), uint16(59), uint8(0))
-	f.Add(uint8(115), uint8(156), uint8(4), uint16(321), uint16(413), uint8(0))
+	f.Add(uint8(60), uint8(6), uint8(1), uint16(2064), uint16(59), uint8(0), uint16(0))
+	f.Add(uint8(115), uint8(156), uint8(4), uint16(321), uint16(413), uint8(0), uint16(0))
 	// A lone stealing survivor holds the token while adoptions are in
 	// flight to it.
-	f.Add(uint8(91), uint8(226), uint8(128), uint16(122), uint16(968), uint8(0))
+	f.Add(uint8(91), uint8(226), uint8(128), uint16(122), uint16(968), uint8(0), uint16(0))
 	// Hybrid: a promoted master dies before a re-pointed slave has read
 	// its msgRemaster; a master dies mid-terminate with the ledger full.
-	f.Add(uint8(2), uint8(3), uint8(2), uint16(387), uint16(431), uint8(0))
-	f.Add(uint8(41), uint8(106), uint8(238), uint16(1958), uint16(0), uint8(0))
+	f.Add(uint8(2), uint8(3), uint8(2), uint16(387), uint16(431), uint8(0), uint16(0))
+	f.Add(uint8(41), uint8(106), uint8(238), uint16(1958), uint16(0), uint8(0), uint16(0))
 	// Stealing: the token holder dies part-way through broadcasting
 	// all-done, with the ledger full. Found while the core suite stole
 	// in batches of 4; at 8 this input misses the window, which
 	// TestFaultStealingHolderDiesMidAllDone hits by construction.
-	f.Add(uint8(7), uint8(87), uint8(22), uint16(1889), uint16(22), uint8(0))
+	f.Add(uint8(7), uint8(87), uint8(22), uint16(1889), uint16(22), uint8(0), uint16(0))
 	// Hybrid with two masters: both survivors are promoted to masters of
 	// empty flocks, and neither may shed its seeds to the other.
-	f.Add(uint8(74), uint8(204), uint8(4), uint16(321), uint16(484), uint8(1))
+	f.Add(uint8(74), uint8(204), uint8(4), uint16(321), uint16(484), uint8(1), uint16(0))
 	// Hybrid with two masters: a slave dies while posting the status it
 	// sends before advancing the streamline it has just picked, which
 	// is then in neither its piles nor a message.
-	f.Add(uint8(68), uint8(94), uint8(243), uint16(2495), uint16(373), uint8(253))
+	f.Add(uint8(68), uint8(94), uint8(243), uint16(2495), uint16(373), uint8(253), uint16(0))
 
 	p := testProblem(24)
-	f.Fuzz(func(t *testing.T, algSel, procSel, killSel uint8, t1, t2 uint16, wSel uint8) {
+	f.Fuzz(func(t *testing.T, algSel, procSel, killSel uint8, t1, t2 uint16, wSel uint8, fine uint16) {
 		algs := recoverable()
 		alg := algs[int(algSel)%len(algs)]
 		procs := 3 + int(procSel)%5         // 3..7
@@ -445,10 +445,12 @@ func FuzzFaultRecovery(f *testing.F) {
 		// Two fault instants stretched over [0, 1.5·makespan] — before,
 		// during and after the run are all fair game — with victims
 		// alternating between them from index 0 upward (so the token
-		// holder and coordinator are always in the first wave).
+		// holder and coordinator are always in the first wave). fine
+		// moves the first instant by fine/65536 of one 1/999 quantum,
+		// which reaches windows as short as a message's posting cost.
 		span := 1.5 * base.Summary.WallClock
 		times := [2]float64{
-			span * float64(t1%1000) / 999,
+			span * (float64(t1%1000) + float64(fine)/65536) / 999,
 			span * float64(t2%1000) / 999,
 		}
 		plan := faults.Plan{}
@@ -462,7 +464,12 @@ func FuzzFaultRecovery(f *testing.F) {
 		if err != nil {
 			var ue *faults.UnrecoverableError
 			if alg == HybridMS && errors.As(err, &ue) {
-				return // a group lost every integrator: typed, allowed
+				// A group lost every integrator: typed, allowed, and
+				// naming a processor the plan killed.
+				if ue.Proc < 0 || ue.Proc >= kills {
+					t.Fatalf("%s/%d plan %v: %v names processor %d, which the plan does not kill", alg, procs, plan, err, ue.Proc)
+				}
+				return
 			}
 			t.Fatalf("%s/%d plan %v: %v", alg, procs, plan, err)
 		}

@@ -836,7 +836,7 @@ func (m *master) shedIfSlaveless() {
 	if i < 0 {
 		m.r.fail(&faults.UnrecoverableError{
 			Algorithm: string(HybridMS),
-			Proc:      m.index,
+			Proc:      m.r.lastKilled,
 			Time:      m.w.proc.Now(),
 			Reason:    "every slave died; no surviving group can integrate the remaining streamlines",
 		})

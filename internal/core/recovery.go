@@ -223,6 +223,7 @@ func (r *runState) failProc(idx int) {
 		return
 	}
 	r.collect.P(idx).ProcsLost++
+	r.lastKilled = idx
 	p.Trace().Mark(idx, obs.MarkKill, r.kernel.Now(), 0, 0)
 	r.alg.died(r, idx, r.deadEnvelopes(idx))
 }
@@ -491,7 +492,7 @@ func (r *runState) hybridAfterDeath() {
 		}
 		r.fail(&faults.UnrecoverableError{
 			Algorithm: string(HybridMS),
-			Proc:      -1,
+			Proc:      r.lastKilled,
 			Time:      r.kernel.Now(),
 			Reason:    "no master or promotion candidate survives",
 		})

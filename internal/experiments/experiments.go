@@ -544,14 +544,14 @@ type Campaign struct {
 	// ignored, and explicitly-built Keys are unaffected.
 	Cell Key
 	// Observe attaches a constant-memory obs recorder to every cell Run
-	// executes and stores its percentile report in Outcome.Obs — the
-	// slbench -json percentile block. Run retains cells by Key alone, so
-	// set it before the first Run; Compute takes the choice per call.
+	// or Compute executes and stores its percentile report in
+	// Outcome.Obs — the slbench -json percentile block. Cells are
+	// retained and shared by Key alone, so set it before the first Run.
 	Observe bool
 
 	mu       sync.Mutex
 	results  map[Key]Outcome
-	inflight map[flightKey]*flight
+	inflight map[Key]*flight
 
 	probMu   sync.Mutex
 	problems map[problemKey]*problemEntry
@@ -576,7 +576,7 @@ func NewCampaign(sc Scale) *Campaign {
 	return &Campaign{
 		Scale:    sc,
 		results:  make(map[Key]Outcome),
-		inflight: make(map[flightKey]*flight),
+		inflight: make(map[Key]*flight),
 		problems: make(map[problemKey]*problemEntry),
 	}
 }
@@ -634,26 +634,18 @@ func (c *Campaign) Cached(k Key) (Outcome, bool) {
 	return out, ok
 }
 
-// Run returns the retained outcome of k, or computes it with the
-// campaign's Observe setting and retains it: the memo in front of
-// Compute, consulted again by the call that takes the flight.
+// Run returns the retained outcome of k, or computes it and retains it:
+// the memo in front of Compute, consulted again by the call that takes
+// the flight.
 func (c *Campaign) Run(k Key) Outcome {
 	if out, ok := c.Cached(k); ok {
 		return out
 	}
-	return c.Compute(k, c.Observe, func() (Outcome, bool) { return c.Cached(k) }, func(out Outcome) {
+	return c.Compute(k, func() (Outcome, bool) { return c.Cached(k) }, func(out Outcome) {
 		c.mu.Lock()
 		c.results[out.Key] = out
 		c.mu.Unlock()
 	})
-}
-
-// flightKey names one execution in progress. Observed and unobserved
-// runs of a key differ in their outcome (Obs, and the summary's
-// TraceEvents/TraceBytes), so they never share one.
-type flightKey struct {
-	key     Key
-	observe bool
 }
 
 // flight is an execution in progress: out is final once done is closed.
@@ -662,10 +654,10 @@ type flight struct {
 	out  Outcome
 }
 
-// Compute executes k, with the obs recorder attached if observe is set,
-// and retains nothing: the caller owns the outcome (cmd/slserve's cache
-// is internal/serve's Store). Identical calls in flight share one
-// execution. The call that takes a flight first asks lookup, if
+// Compute executes k, with the obs recorder attached if the campaign
+// observes, and retains nothing: the caller owns the outcome
+// (cmd/slserve's cache is internal/serve's Store). Identical calls in
+// flight share one execution. The call that takes a flight first asks lookup, if
 // non-nil, for the caller's cached outcome: a hit is the flight's
 // outcome and nothing executes, which closes the window between a
 // caller's cache miss and its arrival here, during which an identical
@@ -674,16 +666,16 @@ type flight struct {
 // calls are released or any later call can start a new execution — a
 // cache filled there is filled by the time any other caller has the
 // outcome.
-func (c *Campaign) Compute(k Key, observe bool, lookup func() (Outcome, bool), keep func(Outcome)) Outcome {
-	fk := flightKey{k.normalized(), observe}
+func (c *Campaign) Compute(k Key, lookup func() (Outcome, bool), keep func(Outcome)) Outcome {
+	k = k.normalized()
 	c.mu.Lock()
-	if f, busy := c.inflight[fk]; busy {
+	if f, busy := c.inflight[k]; busy {
 		c.mu.Unlock()
 		<-f.done
 		return f.out
 	}
 	f := &flight{done: make(chan struct{})}
-	c.inflight[fk] = f
+	c.inflight[k] = f
 	c.mu.Unlock()
 
 	hit := false
@@ -692,9 +684,9 @@ func (c *Campaign) Compute(k Key, observe bool, lookup func() (Outcome, bool), k
 	}
 	if !hit {
 		c.enter()
-		res, rep, err := c.execute(fk.key, observe)
+		res, rep, err := c.execute(k)
 		c.leave()
-		f.out = Outcome{Key: fk.key, Obs: rep, Err: err}
+		f.out = Outcome{Key: k, Obs: rep, Err: err}
 		if err == nil {
 			f.out.Summary = res.Summary
 		}
@@ -704,7 +696,7 @@ func (c *Campaign) Compute(k Key, observe bool, lookup func() (Outcome, bool), k
 	}
 
 	c.mu.Lock()
-	delete(c.inflight, fk)
+	delete(c.inflight, k)
 	c.mu.Unlock()
 	close(f.done)
 	if !hit {
@@ -718,7 +710,7 @@ func (c *Campaign) Compute(k Key, observe bool, lookup func() (Outcome, bool), k
 // schedule gates when a seed starts, never where its curve goes, so the
 // copy runs on the one segment tape (tape.go) of every cell of the
 // problem — on k's machine.
-func (c *Campaign) execute(k Key, observe bool) (*core.Result, *obs.Report, error) {
+func (c *Campaign) execute(k Key) (*core.Result, *obs.Report, error) {
 	e := c.problem(k)
 	if e.err != nil {
 		return nil, nil, e.err
@@ -731,7 +723,7 @@ func (c *Campaign) execute(k Key, observe bool) (*core.Result, *obs.Report, erro
 	if c.tune != nil {
 		c.tune(&cfg)
 	}
-	if observe {
+	if c.Observe {
 		cfg.Trace = obs.NewDigest()
 	}
 	prob.Tape = c.attachTape(e)

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -221,8 +220,8 @@ func TestComputeRetainsNothing(t *testing.T) {
 	c.tune = func(*core.Config) { executions++ }
 	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4, Injection: "t0"}
 
-	a := c.Compute(k, false, nil, nil)
-	b := c.Compute(k, false, nil, nil)
+	a := c.Compute(k, nil, nil)
+	b := c.Compute(k, nil, nil)
 	if executions != 2 || c.numResults() != 0 {
 		t.Fatalf("two Computes: %d executions, %d results retained; want 2 and 0", executions, c.numResults())
 	}
@@ -271,7 +270,7 @@ func TestComputeSharesOneFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started.Done()
-			out := c.Compute(k, false, nil, func(out Outcome) {
+			out := c.Compute(k, nil, func(out Outcome) {
 				keeps++
 				kept = &out
 			})
@@ -313,7 +312,7 @@ func TestComputeLookupHitExecutesNothing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started.Done()
-			if out := c.Compute(k, false, hit, func(Outcome) { keeps++ }); out.Err != cached.Err {
+			if out := c.Compute(k, hit, func(Outcome) { keeps++ }); out.Err != cached.Err {
 				t.Errorf("caller %d got %+v, want the lookup's outcome", i, out)
 			}
 		}(i)
@@ -324,55 +323,11 @@ func TestComputeLookupHitExecutesNothing(t *testing.T) {
 	}
 
 	miss := func() (Outcome, bool) { return Outcome{}, false }
-	if out := c.Compute(k, false, miss, func(Outcome) { keeps++ }); out.Err != nil || executions != 1 || keeps != 1 || logged != 1 {
+	if out := c.Compute(k, miss, func(Outcome) { keeps++ }); out.Err != nil || executions != 1 || keeps != 1 || logged != 1 {
 		t.Fatalf("a lookup miss: err %v, %d executions, %d keeps, %d log lines; want 1 each", out.Err, executions, keeps, logged)
 	}
 	if len(c.inflight) != 0 {
 		t.Fatalf("%d flights left behind", len(c.inflight))
-	}
-}
-
-// TestComputeObserveIsPerCall: an observed and an unobserved Compute of
-// one key do not share a flight — both are held in tune until both are
-// there — and their outcomes differ only in Obs and in the summary's
-// TraceEvents/TraceBytes meta-counters.
-func TestComputeObserveIsPerCall(t *testing.T) {
-	c := NewCampaign(tinyScale())
-	arrived := make(chan struct{}, 2) // one send per execution
-	both := make(chan struct{})
-	c.tune = func(*core.Config) {
-		arrived <- struct{}{}
-		<-both
-	}
-	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 4}
-
-	var plain, observed Outcome
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); plain = c.Compute(k, false, nil, nil) }()
-	go func() { defer wg.Done(); observed = c.Compute(k, true, nil, nil) }()
-	for i := 0; i < 2; i++ {
-		select {
-		case <-arrived:
-		case <-time.After(30 * time.Second):
-			close(both)
-			t.Fatal("the observed and the unobserved Compute share one execution")
-		}
-	}
-	close(both)
-	wg.Wait()
-
-	if plain.Obs != nil || observed.Obs == nil {
-		t.Fatalf("Obs: unobserved %v, observed %v; want nil and a report", plain.Obs, observed.Obs)
-	}
-	sum := observed.Summary
-	if sum.TraceEvents != observed.Obs.Events || sum.TraceBytes != observed.Obs.Bytes || sum.TraceEvents == 0 {
-		t.Errorf("meta-counters (%d ev, %d by) disagree with the report (%d ev, %d by)",
-			sum.TraceEvents, sum.TraceBytes, observed.Obs.Events, observed.Obs.Bytes)
-	}
-	sum.TraceEvents, sum.TraceBytes = 0, 0
-	if sum != plain.Summary {
-		t.Errorf("observation changed the summary\nobserved: %+v\nplain:    %+v", sum, plain.Summary)
 	}
 }
 

@@ -74,7 +74,7 @@ func simulated(t *testing.T, c *Campaign, k Key) cellBytes {
 	t.Helper()
 	c.enter()
 	defer c.leave()
-	res, rep, err := c.execute(k.normalized(), c.Observe)
+	res, rep, err := c.execute(k.normalized())
 	return cellOf(t, res, rep, err)
 }
 

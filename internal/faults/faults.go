@@ -2,11 +2,13 @@
 // simulated processors die, and at which virtual times.
 //
 // The paper's algorithms target machines (a 149k-core Cray XT5) where
-// processor loss is a when, not an if, yet the reproduction's machine
-// model was perfectly reliable through PR 6. A Plan closes that gap
+// processor loss is a when, not an if, yet a simulated machine is
+// perfectly reliable unless told otherwise. A Plan closes that gap
 // without giving up the repo's core contract: a fault is an ordinary
-// scheduled simulator event (sim.Proc.FailAt), so a run under a plan is
-// still a pure function of its inputs — replaying the same plan
+// scheduled simulator event (core.Run schedules each one with
+// sim.Kernel.At; at that instant the recovery layer kills the processor
+// with sim.Kernel.Fail and runs its algorithm's recovery policy), so a
+// run under a plan is still a pure function of its inputs — replaying the same plan
 // reproduces the same failure, the same recovery and the same geometry
 // bit for bit. That determinism is what lets the chaos-schedule fuzz
 // layer (core.FuzzFaultRecovery) and the golden-digest tests pin every

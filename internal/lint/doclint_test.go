@@ -266,7 +266,7 @@ func TestParseTreeSkipsTestdata(t *testing.T) {
 // The file describes the design as it stands; how it got there is
 // CHANGES.md's. The cap only moves down — ROADMAP's target is 40 — so a
 // change that adds a section trims one.
-const designMaxKiB = 42
+const designMaxKiB = 41
 
 // TestDesignSize holds DESIGN.md under designMaxKiB.
 func TestDesignSize(t *testing.T) {

@@ -114,7 +114,7 @@ func TestNewConfigValidation(t *testing.T) {
 		defer cancel()
 		s.Drain(ctx)
 	}()
-	if s.store.tier != "memory" || s.cacheLen(false) != 0 || s.cacheLen(true) != 0 {
+	if s.store.tier != "memory" || s.cacheLen() != 0 {
 		t.Errorf("a Server without a CacheDir should start on an empty memory store, got %q", s.store.tier)
 	}
 }

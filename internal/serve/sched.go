@@ -50,12 +50,11 @@ func (e *saturatedError) Error() string {
 // scheduler. done is closed — after *row is final — when the cell has
 // been served (from the store after all, or computed).
 type task struct {
-	key      experiments.Key
-	canon    []byte // key's canonical encoding; row.Digest is its digest
-	tenant   string // names the task's queue in scheduler.tenants
-	observed bool   // run with the obs recorder (separate cache population)
-	row      *Row   // the request's row for this cell, filled by exec
-	done     chan struct{}
+	key    experiments.Key
+	canon  []byte // key's canonical encoding; row.Digest is its digest
+	tenant string // names the task's queue in scheduler.tenants
+	row    *Row   // the request's row for this cell, filled by exec
+	done   chan struct{}
 }
 
 // tenantQ is one tenant's FIFO plus its admission accounting.

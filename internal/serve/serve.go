@@ -76,14 +76,13 @@ type Config struct {
 }
 
 // memCacheBytes bounds the result payloads a Server without a CacheDir
-// keeps: room for tens of thousands of cells (a summary with its
-// percentile block is about a kilobyte), a fixed ceiling on a process
-// that serves for months.
+// keeps: room for tens of thousands of cells (a summary is under a
+// kilobyte), a fixed ceiling on a process that serves for months.
 const memCacheBytes = 64 << 20
 
-// Row is one served cell in a Response. Summary and Percentiles are
-// spliced verbatim from canonical encodings, so equal keys yield
-// byte-equal payloads whether the cache or a computation answered.
+// Row is one served cell in a Response. Summary is spliced verbatim
+// from its canonical encoding, so equal keys yield byte-equal payloads
+// whether the cache or a computation answered.
 type Row struct {
 	// Label is the cell's human-readable campaign label.
 	Label string `json:"label"`
@@ -98,9 +97,6 @@ type Row struct {
 	Error string `json:"error,omitempty"`
 	// Summary is the canonical metrics.Summary encoding.
 	Summary json.RawMessage `json:"summary,omitempty"`
-	// Percentiles is the cell's obs.Report block (the slbench -json
-	// percentile schema), present only for observed requests.
-	Percentiles json.RawMessage `json:"percentiles,omitempty"`
 }
 
 // Response is the body of every successful cell request.
@@ -186,7 +182,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // write-back and the end of its flight finds the entry rather than
 // computing it again.
 func (s *Server) execTask(t *task) {
-	scope := Scope{Scale: s.cfg.ScaleName, Observed: t.observed}
+	scope := Scope{Scale: s.cfg.ScaleName}
 	var e Entry
 	have := false
 	lookup := func() (out experiments.Outcome, hit bool) {
@@ -201,7 +197,7 @@ func (s *Server) execTask(t *task) {
 		}
 		return out, hit
 	}
-	out := s.camp.Compute(t.key, t.observed, lookup, func(out experiments.Outcome) {
+	out := s.camp.Compute(t.key, lookup, func(out experiments.Outcome) {
 		if e, have = entryOf(out); have {
 			s.logErr(s.store.Put(scope, t.key, e))
 		}
@@ -209,7 +205,7 @@ func (s *Server) execTask(t *task) {
 	if !have { // the flight was another request's
 		e, _ = entryOf(out)
 	}
-	t.row.Error, t.row.Summary, t.row.Percentiles = e.Error, e.Summary, e.Percentiles
+	t.row.Error, t.row.Summary = e.Error, e.Summary
 }
 
 // entryOf encodes an outcome as the payload it is cached and served as.
@@ -224,17 +220,12 @@ func entryOf(out experiments.Outcome) (e Entry, ok bool) {
 	} else {
 		e.Summary = data
 	}
-	if out.Obs != nil {
-		if data, err := json.Marshal(out.Obs); err == nil {
-			e.Percentiles = data
-		}
-	}
 	return e, true
 }
 
 // outcomeOf decodes a cached payload into the outcome entryOf encodes it
 // from, for the requests that share a flight whose lookup hit. ok is
-// false for a summary or percentile block that Put would refuse.
+// false for a summary that Put would refuse.
 func outcomeOf(k experiments.Key, e Entry) (out experiments.Outcome, ok bool) {
 	out.Key = k
 	if e.Error != "" {
@@ -243,10 +234,6 @@ func outcomeOf(k experiments.Key, e Entry) (out experiments.Outcome, ok bool) {
 		return out, false
 	} else {
 		out.Summary = sum
-	}
-	if len(e.Percentiles) > 0 {
-		out.Obs, ok = parseReport(e.Percentiles)
-		return out, ok
 	}
 	return out, true
 }
@@ -264,7 +251,7 @@ func (s *Server) logErr(err error) {
 // request goroutine and never queues, so only a cell that needs
 // computing counts against the tenant's cap; a draining Server refuses
 // the request all the same, a hit included.
-func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, k experiments.Key, observed bool) {
+func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, k experiments.Key) {
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = "anon"
@@ -274,13 +261,13 @@ func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, k experiments
 	rows := []Row{{Label: k.Label(), Digest: digest, Source: "computed"}}
 	row := &rows[0]
 	var miss *task
-	e, hit, err := s.store.get(Scope{Scale: s.cfg.ScaleName, Observed: observed}, key, digest)
+	e, hit, err := s.store.get(Scope{Scale: s.cfg.ScaleName}, key, digest)
 	s.logErr(err)
 	if hit {
 		row.Cached, row.Source = true, s.store.tier
-		row.Error, row.Summary, row.Percentiles = e.Error, e.Summary, e.Percentiles
+		row.Error, row.Summary = e.Error, e.Summary
 	} else {
-		miss = &task{key: k, canon: key, observed: observed, row: row}
+		miss = &task{key: k, canon: key, row: row}
 	}
 	if err := s.sched.submit(tenant, miss); err != nil {
 		var sat *saturatedError
@@ -327,10 +314,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleCell serves POST /v1/cell: the body is one canonical key
 // encoding (the exact bytes (Key).CanonicalJSON emits, aliases
-// welcome), ?observe=1 attaches the percentile recorder.
+// welcome), and the request takes no query.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		return
+	}
+	if r.URL.RawQuery != "" || r.URL.ForceQuery {
+		writeError(w, http.StatusBadRequest, "POST /v1/cell takes no query; the body is the whole request")
 		return
 	}
 	body, ok := readBody(w, r)
@@ -342,16 +333,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serveCell(w, r, k, observeParam(r))
-}
-
-// observeParam reads the ?observe= query flag.
-func observeParam(r *http.Request) bool {
-	switch r.URL.Query().Get("observe") {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
+	s.serveCell(w, r, k)
 }
 
 // maxBodyBytes bounds request bodies; a canonical key encoding is a few
@@ -381,15 +363,15 @@ var rowCodec = canon.For[Row]()
 
 // encodeResponse renders resp as json.Marshal does, plus a newline — the
 // bytes writeJSON would write, which FuzzResponseEncoding pins — into
-// one buffer sized up front. Summary and Percentiles are spliced as they
-// are, where json.Marshal would re-scan them to compact them: every
-// payload a Server serves is already compact, canonical or cached by Put
-// from a canonical encoding.
+// one buffer sized up front. Summary is spliced as it is, where
+// json.Marshal would re-scan it to compact it: every summary a Server
+// serves is already compact, canonical or cached by Put from a
+// canonical encoding.
 func encodeResponse(resp Response) []byte {
 	n := len(`{"schema":"","scale":"","rows":[]}`+"\n") + len(resp.Schema) + len(resp.Scale)
 	for _, r := range resp.Rows {
-		n += len(`{"label":"","digest":"","cached":false,"source":"","error":"","summary":,"percentiles":},`) +
-			len(r.Label) + len(r.Digest) + len(r.Source) + len(r.Error) + len(r.Summary) + len(r.Percentiles)
+		n += len(`{"label":"","digest":"","cached":false,"source":"","error":"","summary":},`) +
+			len(r.Label) + len(r.Digest) + len(r.Source) + len(r.Error) + len(r.Summary)
 	}
 	b := make([]byte, 0, n)
 	b = append(b, `{"schema":`...)

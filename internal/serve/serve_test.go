@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // tinyScale is a deliberately minuscule campaign scale so service tests
@@ -89,7 +88,7 @@ func storeLen(st *Store, sc Scope) int {
 		}
 		return n
 	}
-	filepath.WalkDir(filepath.Join(st.root, entryVersion, sc.dir()), func(path string, d os.DirEntry, err error) error {
+	filepath.WalkDir(filepath.Join(st.root, entryVersion, sc.Scale), func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".entry") {
 			n++
 		}
@@ -99,8 +98,8 @@ func storeLen(st *Store, sc Scope) int {
 }
 
 // cacheLen counts the cached entries for the server's scale.
-func (s *Server) cacheLen(observed bool) int {
-	return storeLen(s.store, Scope{Scale: s.cfg.ScaleName, Observed: observed})
+func (s *Server) cacheLen() int {
+	return storeLen(s.store, Scope{Scale: s.cfg.ScaleName})
 }
 
 // post performs one request against the server's handler.
@@ -151,8 +150,8 @@ func TestServeCellComputesThenServesFromDisk(t *testing.T) {
 			if _, err := metrics.ParseSummary(r0.Summary); err != nil {
 				t.Fatalf("summary is not canonical: %v", err)
 			}
-			if s.cacheLen(false) != 1 {
-				t.Fatalf("cache has %d entries, want 1", s.cacheLen(false))
+			if s.cacheLen() != 1 {
+				t.Fatalf("cache has %d entries, want 1", s.cacheLen())
 			}
 
 			second := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody))
@@ -170,21 +169,21 @@ func TestServeCellComputesThenServesFromDisk(t *testing.T) {
 	}
 }
 
-// TestMediaAnswerAlike: a memory hit and a disk hit of one observed cell
-// carry the same summary and percentile bytes.
+// TestMediaAnswerAlike: a memory hit and a disk hit of one cell carry
+// the same summary bytes.
 func TestMediaAnswerAlike(t *testing.T) {
 	hits := map[string]Row{}
 	for medium, set := range media(t) {
 		s := newTestServer(t, set)
-		post(s, http.MethodPost, "/v1/cell?observe=1", "", cellBody)
-		hits[medium] = decodeResponse(t, post(s, http.MethodPost, "/v1/cell?observe=1", "", cellBody)).Rows[0]
+		post(s, http.MethodPost, "/v1/cell", "", cellBody)
+		hits[medium] = decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody)).Rows[0]
 		if hits[medium].Source != medium {
 			t.Fatalf("second request answered by %q, want %s", hits[medium].Source, medium)
 		}
 	}
 	d, m := hits["disk"], hits["memory"]
-	if len(d.Percentiles) == 0 || !bytes.Equal(d.Summary, m.Summary) || !bytes.Equal(d.Percentiles, m.Percentiles) {
-		t.Fatalf("the media answer differently:\n disk   %s %s\n memory %s %s", d.Summary, d.Percentiles, m.Summary, m.Percentiles)
+	if len(d.Summary) == 0 || !bytes.Equal(d.Summary, m.Summary) {
+		t.Fatalf("the media answer differently:\n disk   %s\n memory %s", d.Summary, m.Summary)
 	}
 }
 
@@ -347,32 +346,6 @@ func TestCacheSurvivesRestart(t *testing.T) {
 	}
 }
 
-func TestObservationIsASeparateCachePopulation(t *testing.T) {
-	for medium, set := range media(t) {
-		t.Run(medium, func(t *testing.T) {
-			s := newTestServer(t, set)
-
-			plain := decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", cellBody)).Rows[0]
-			if len(plain.Percentiles) != 0 {
-				t.Fatalf("unobserved row carries percentiles: %s", plain.Percentiles)
-			}
-			obs := decodeResponse(t, post(s, http.MethodPost, "/v1/cell?observe=1", "", cellBody)).Rows[0]
-			if len(obs.Percentiles) == 0 {
-				t.Fatal("observed row has no percentiles")
-			}
-			if obs.Cached {
-				t.Fatal("the observed request was answered from the unobserved population")
-			}
-			if obs.Digest != plain.Digest {
-				t.Fatalf("observation changed the cell identity: %s vs %s", obs.Digest, plain.Digest)
-			}
-			if s.cacheLen(false) != 1 || s.cacheLen(true) != 1 {
-				t.Fatalf("cache populations: unobserved=%d observed=%d, want 1 and 1", s.cacheLen(false), s.cacheLen(true))
-			}
-		})
-	}
-}
-
 // TestBatchAliasSpellingsCollapse: the canonical spelling of a cell and
 // alias spellings of its zero axes ("t0" injection, "off" prefetch),
 // posted one after the other, are one cache address: the second request
@@ -390,8 +363,8 @@ func TestBatchAliasSpellingsCollapse(t *testing.T) {
 			if !alias.Cached || !bytes.Equal(canonical.Summary, alias.Summary) {
 				t.Fatalf("alias spelling answered cached=%v, or with different summary bytes", alias.Cached)
 			}
-			if s.cacheLen(false) != 1 {
-				t.Fatalf("two spellings of one cell filled %d cache entries, want 1", s.cacheLen(false))
+			if s.cacheLen() != 1 {
+				t.Fatalf("two spellings of one cell filled %d cache entries, want 1", s.cacheLen())
 			}
 		})
 	}
@@ -407,6 +380,10 @@ func TestRequestValidation(t *testing.T) {
 		want   int
 	}{
 		{"method", http.MethodGet, "/v1/cell", cellBody, http.StatusMethodNotAllowed},
+		// The body is the whole request: a query, ?observe=1
+		// included, is refused rather than ignored.
+		{"observe query", http.MethodPost, "/v1/cell?observe=1", cellBody, http.StatusBadRequest},
+		{"empty query", http.MethodPost, "/v1/cell?", cellBody, http.StatusBadRequest},
 		{"empty body", http.MethodPost, "/v1/cell", "", http.StatusBadRequest},
 		{"not json", http.MethodPost, "/v1/cell", "procs=8", http.StatusBadRequest},
 		{"unknown field", http.MethodPost, "/v1/cell", `{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":2,"speed":"ludicrous"}`, http.StatusBadRequest},
@@ -461,7 +438,7 @@ func TestRequestValidation(t *testing.T) {
 			}
 		})
 	}
-	if n := s.cacheLen(false); n != 0 {
+	if n := s.cacheLen(); n != 0 {
 		t.Fatalf("refused requests cached %d entries, want 0", n)
 	}
 }
@@ -592,18 +569,24 @@ func TestHitIsAnsweredAtTheCap(t *testing.T) {
 
 // TestTimeoutWarmsCacheAnyway pins the 504 contract: the request times
 // out but the computation continues and lands in the cache for the
-// retry.
+// retry. The computation is held until the request has been answered,
+// so a worker that finishes first cannot race the deadline.
 func TestTimeoutWarmsCacheAnyway(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.CacheDir = t.TempDir()
 		c.Timeout = time.Nanosecond
 	})
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before the drain, should the test stop early
+	countExec(s, gate)
 	w := post(s, http.MethodPost, "/v1/cell", "", cellBody)
+	release()
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body.String())
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for s.cacheLen(false) == 0 {
+	for s.cacheLen() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("timed-out computation never reached the cache")
 		}
@@ -612,15 +595,11 @@ func TestTimeoutWarmsCacheAnyway(t *testing.T) {
 }
 
 // encodingCases are responses whose strings exercise every escape
-// encoding/json applies, and whose shapes cover a miss, percentiles, an
-// error row and a batch.
+// encoding/json applies, and whose shapes cover a miss, an error row and
+// a batch.
 func encodingCases(t *testing.T) map[string]Response {
 	t.Helper()
 	sum := testSummary(t)
-	pct, err := json.Marshal(obs.Report{Events: 7, Bytes: 280, Hash: 1<<63 + 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hit := Row{Label: "astro/sparse/ondemand/8", Digest: strings.Repeat("ab", 32), Cached: true, Source: "disk", Summary: sum}
 	failed := func(label, errText string) Row {
 		return Row{Label: label, Digest: hit.Digest, Source: "computed", Error: errText}
@@ -628,15 +607,12 @@ func encodingCases(t *testing.T) map[string]Response {
 	one := func(label, errText string) Response {
 		return Response{Schema: Schema, Scale: "small", Rows: []Row{failed(label, errText)}}
 	}
-	observed := hit
-	observed.Percentiles = pct
 	miss := hit
 	miss.Cached, miss.Source = false, "computed"
 	return map[string]Response{
 		"hit":                   {Schema: Schema, Scale: "small", Rows: []Row{hit}},
 		"cached false":          {Schema: Schema, Scale: "small", Rows: []Row{miss}},
-		"percentiles":           {Schema: Schema, Scale: "small", Rows: []Row{observed}},
-		"three rows":            {Schema: Schema, Scale: "small", Rows: []Row{hit, failed("thermal/dense/static/2", "out of memory"), observed}},
+		"three rows":            {Schema: Schema, Scale: "small", Rows: []Row{hit, failed("thermal/dense/static/2", "out of memory"), miss}},
 		"no rows":               {Schema: Schema, Scale: "small", Rows: []Row{}},
 		"nil rows":              {Schema: Schema, Scale: "small"},
 		"html":                  one(`<script>a && b</script>`, `x<y>z&w`),
@@ -670,7 +646,7 @@ func TestResponseEncoding(t *testing.T) {
 // one allocation, the buffer sized up front.
 func TestEncodeResponseAllocs(t *testing.T) {
 	cases := encodingCases(t)
-	for _, name := range []string{"hit", "cached false", "percentiles", "three rows", "no rows", "empty label and error"} {
+	for _, name := range []string{"hit", "cached false", "three rows", "no rows", "empty label and error"} {
 		resp := cases[name]
 		if n := testing.AllocsPerRun(100, func() { encodeResponse(resp) }); n != 1 {
 			t.Errorf("%s: encodeResponse made %v allocations, want 1", name, n)
@@ -686,7 +662,7 @@ func FuzzResponseEncoding(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, label, errText string) {
 		row := Row{Label: label, Digest: label, Cached: true, Source: "memory", Error: errText,
-			Summary: json.RawMessage(`{"NumProcs":8}`), Percentiles: json.RawMessage(`{"events":1}`)}
+			Summary: json.RawMessage(`{"NumProcs":8}`)}
 		resp := Response{Schema: Schema, Scale: label, Rows: []Row{row, {Label: errText, Source: "computed"}}}
 		want, err := json.Marshal(resp)
 		if err != nil {
@@ -700,26 +676,20 @@ func FuzzResponseEncoding(f *testing.F) {
 
 // TestOutcomeOfInvertsEntryOf: the outcome a flight whose lookup hit
 // hands the requests sharing it encodes back to the cached payload, byte
-// for byte; percentiles that are not a report are no outcome.
+// for byte; a summary that is not canonical is no outcome.
 func TestOutcomeOfInvertsEntryOf(t *testing.T) {
 	k := testKey(t)
-	pct, err := json.Marshal(obs.Report{Events: 3, Bytes: 120, Hash: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, e := range map[string]Entry{
-		"summary":        {Summary: testSummary(t)},
-		"error":          {Error: "out of memory"},
-		"observed":       {Summary: testSummary(t), Percentiles: pct},
-		"observed error": {Error: "out of memory", Percentiles: pct},
+		"summary": {Summary: testSummary(t)},
+		"error":   {Error: "out of memory"},
 	} {
 		out, ok := outcomeOf(k, e)
 		back, _ := entryOf(out)
-		if !ok || !bytes.Equal(back.Summary, e.Summary) || back.Error != e.Error || !bytes.Equal(back.Percentiles, e.Percentiles) {
+		if !ok || !bytes.Equal(back.Summary, e.Summary) || back.Error != e.Error {
 			t.Errorf("%s: entryOf(outcomeOf(e)) = %+v (ok %v), want %+v", name, back, ok, e)
 		}
 	}
-	if _, ok := outcomeOf(k, Entry{Summary: testSummary(t), Percentiles: json.RawMessage(`[1]`)}); ok {
-		t.Error("percentiles that are not a report decoded")
+	if _, ok := outcomeOf(k, Entry{Summary: json.RawMessage(`{"NumProcs":8}`)}); ok {
+		t.Error("a one-field summary decoded")
 	}
 }

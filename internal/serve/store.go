@@ -12,32 +12,29 @@
 // rename) so a crashed or concurrent writer can never leave a torn
 // entry behind. An entry file is framed, not a JSON document:
 //
-//	cell.v2 <scope> <canonical key>\n
-//	<s> <e> <p>\n
-//	<summary><error><percentiles>
+//	cell.v3 <scope> <canonical key>\n
+//	<s> <e>\n
+//	<summary><error>
 //
 // The head line is everything the address stands for. The frame line
-// gives the byte lengths of the three payload values after it, each
+// gives the byte lengths of the two payload values after it, each
 // exactly what a response splices: the canonical summary or the
-// JSON-quoted error (one of them empty), and the percentile block in
-// observed scopes. The memory medium is a map under the same addresses
-// that holds at most a fixed number of payload bytes and drops the
-// oldest entry first. Scope separates cache populations that are NOT
-// byte-comparable even for equal keys: the scale (different problem
-// sizes) and whether the campaign ran with the observation recorder
-// attached (observation is non-perturbing except for the documented
-// TraceEvents/TraceBytes meta-counters, which do land in the Summary).
+// JSON-quoted error, one of them empty. The memory medium is a map
+// under the same addresses that holds at most a fixed number of payload
+// bytes and drops the oldest entry first. Scope separates cache
+// populations that are NOT byte-comparable even for equal keys: the
+// scale, which sizes every problem.
 //
 // Both media hold only what Put has validated: a summary that is the
-// canonical encoding and a percentile block that is the obs.Report one,
-// byte for byte, so a hit splices exactly what a fresh computation
-// responds with. Directory reads are paranoid besides: a file whose head
-// is not the one Put writes for the requested scope and key (another
-// version, scope or cell), whose length disagrees with its frame (cut or
-// extended at any byte), whose payload Put would refuse, or whose error
-// value is not the bytes Put quotes it as, is a cache miss, never
-// served. Corruption — like eviction — can cost a recompute; it can
-// never serve the wrong cell.
+// canonical encoding, byte for byte, so a hit splices exactly what a
+// fresh computation responds with. Directory reads are paranoid
+// besides: a file whose head is not the one Put writes for the
+// requested scope and key (another version, scope or cell), whose
+// length disagrees with its frame (cut or extended at any byte),
+// whose payload Put would refuse, or whose error value is not the
+// bytes Put quotes it as, is a cache miss, never served. Corruption —
+// like eviction — can cost a recompute; it can never serve the wrong
+// cell.
 package serve
 
 import (
@@ -52,7 +49,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // entryVersion names the on-disk cache entry layout and opens every
@@ -61,27 +57,15 @@ import (
 // (TestEntryVersionPinsCodecs holds the codecs' bytes beside it);
 // because it is a path component, a bump atomically orphans — rather
 // than corrupts — every entry written under the old rules.
-const entryVersion = "cell.v2"
+const entryVersion = "cell.v3"
 
 // Scope names one cache population: entries are only byte-comparable
-// within a (scale, observed) pair.
+// within a scale.
 type Scope struct {
-	// Scale is the campaign scale name ("small", "default", "paper").
-	// The scale shapes every problem, so identical keys at different
-	// scales are different cells.
+	// Scale is the campaign scale name ("small", "default", "paper"),
+	// the scope's path component. The scale shapes every problem, so
+	// identical keys at different scales are different cells.
 	Scale string
-	// Observed marks populations computed with the obs recorder
-	// attached: their summaries carry the TraceEvents/TraceBytes
-	// meta-counters and so differ bytewise from unobserved ones.
-	Observed bool
-}
-
-// dir renders the scope's path component.
-func (sc Scope) dir() string {
-	if sc.Observed {
-		return sc.Scale + "+obs"
-	}
-	return sc.Scale
 }
 
 // Entry is one cached cell outcome: the payload alone, since the
@@ -96,46 +80,24 @@ type Entry struct {
 	// which is what makes a cache hit byte-identical to the fresh
 	// computation.
 	Summary json.RawMessage
-	// Percentiles is the cell's obs.Report block, present only in
-	// observed scopes.
-	Percentiles json.RawMessage
 	// Error is the deterministic failure text for cells that cannot
 	// complete (e.g. the paper's Figure 13 OOM).
 	Error string
 }
 
 // valid reports whether Put accepts e: exactly one of summary and
-// error, a summary that is the canonical encoding metrics.ParseSummary
-// accepts, and no percentiles or the block entryOf writes. So every
-// payload a hit splices is byte for byte what a fresh computation
-// responds with.
+// error, and a summary that is the canonical encoding
+// metrics.ParseSummary accepts. So every payload a hit splices is byte
+// for byte what a fresh computation responds with.
 func (e *Entry) valid() bool {
 	if (len(e.Summary) == 0) == (e.Error == "") {
 		return false
 	}
 	if len(e.Summary) > 0 {
-		if _, err := metrics.ParseSummary(e.Summary); err != nil {
-			return false
-		}
+		_, err := metrics.ParseSummary(e.Summary)
+		return err == nil
 	}
-	if len(e.Percentiles) == 0 {
-		return true
-	}
-	_, ok := parseReport(e.Percentiles)
-	return ok
-}
-
-// parseReport decodes a percentile block, which must be exactly the
-// bytes json.Marshal writes for the obs.Report it decodes to: an unknown,
-// case-folded or repeated field, whitespace or another spelling of a
-// number is refused.
-func parseReport(data []byte) (*obs.Report, bool) {
-	r := new(obs.Report)
-	if json.Unmarshal(data, r) != nil {
-		return nil, false
-	}
-	enc, err := json.Marshal(r)
-	return r, err == nil && bytes.Equal(enc, data)
+	return true
 }
 
 // head renders the first line of an entry file in scope sc for the
@@ -143,10 +105,9 @@ func parseReport(data []byte) (*obs.Report, bool) {
 // Put writes it and Get compares it, so one comparison proves a file
 // holds the entry asked for.
 func head(sc Scope, key []byte) []byte {
-	dir := sc.dir()
-	h := make([]byte, 0, len(entryVersion)+len(dir)+len(key)+3)
+	h := make([]byte, 0, len(entryVersion)+len(sc.Scale)+len(key)+3)
 	h = append(h, entryVersion+" "...)
-	h = append(h, dir...)
+	h = append(h, sc.Scale...)
 	h = append(h, ' ')
 	h = append(h, key...)
 	return append(h, '\n')
@@ -161,12 +122,9 @@ func encodeEntry(head []byte, e Entry) []byte {
 	b := strconv.AppendInt(head, int64(len(e.Summary)), 10)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(len(quoted)), 10)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(len(e.Percentiles)), 10)
 	b = append(b, '\n')
 	b = append(b, e.Summary...)
-	b = append(b, quoted...)
-	return append(b, e.Percentiles...)
+	return append(b, quoted...)
 }
 
 // decodeEntry reads an entry file that must open with head. Its payload
@@ -181,21 +139,18 @@ func decodeEntry(data, head []byte) (Entry, bool) {
 		return Entry{}, false
 	}
 	n, ok := parseFrame(frame, len(rest))
-	if !ok || n[0]+n[1]+n[2] != len(rest) {
+	if !ok || n[0]+n[1] != len(rest) {
 		return Entry{}, false
 	}
-	var v [3][]byte
-	for i, l := range n {
-		if l > 0 {
-			v[i] = rest[:l:l]
-		}
-		rest = rest[l:]
+	var e Entry
+	if n[0] > 0 {
+		e.Summary = rest[:n[0]:n[0]]
 	}
-	e := Entry{Summary: v[0], Percentiles: v[2]}
-	// The error value, like the summary and the percentile block, must be
-	// the bytes Put writes for it.
+	// The error value, like the summary, must be the bytes Put writes for
+	// it.
+	errValue := rest[n[0]:]
 	var quoted [256]byte // room for a failure's text, so a hit allocates no more
-	if v[1] != nil && (json.Unmarshal(v[1], &e.Error) != nil || e.Error == "" || !bytes.Equal(canon.Quote(quoted[:0], e.Error), v[1])) {
+	if n[1] > 0 && (json.Unmarshal(errValue, &e.Error) != nil || e.Error == "" || !bytes.Equal(canon.Quote(quoted[:0], e.Error), errValue)) {
 		return Entry{}, false
 	}
 	if !e.valid() {
@@ -204,10 +159,10 @@ func decodeEntry(data, head []byte) (Entry, bool) {
 	return e, true
 }
 
-// parseFrame reads a frame line: three decimal lengths, each at most
-// limit, separated by single spaces. Signs, empty or extra fields and
+// parseFrame reads a frame line: two decimal lengths, each at most
+// limit, separated by a single space. Signs, empty or extra fields and
 // any other byte are not a frame.
-func parseFrame(line []byte, limit int) (n [3]int, ok bool) {
+func parseFrame(line []byte, limit int) (n [2]int, ok bool) {
 	f, digits := 0, 0
 	for _, c := range line {
 		switch {
@@ -268,7 +223,7 @@ func newMemStore(limit int) *Store {
 
 // path maps an address to its entry file.
 func (st *Store) path(sc Scope, digest string) string {
-	return filepath.Join(st.root, entryVersion, sc.dir(), digest[:2], digest+".entry")
+	return filepath.Join(st.root, entryVersion, sc.Scale, digest[:2], digest+".entry")
 }
 
 // Get looks up the cached outcome of k in scope sc. Missing, evicted,
@@ -303,13 +258,13 @@ func (st *Store) get(sc Scope, key []byte, digest string) (Entry, bool, error) {
 }
 
 // Put caches the outcome of k in scope sc: the payload (Summary or
-// Error, plus Percentiles in observed scopes), whose bytes the caller
-// leaves alone afterwards — the memory medium keeps them. A directory
-// write is atomic: concurrent Puts of the same (deterministic) outcome
-// are harmless last-writer-wins renames.
+// Error), whose bytes the caller leaves alone afterwards — the memory
+// medium keeps them. A directory write is atomic: concurrent Puts of
+// the same (deterministic) outcome are harmless last-writer-wins
+// renames.
 func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 	if !e.valid() {
-		return fmt.Errorf("serve: refusing to cache malformed entry for %s (need exactly one of summary/error, a canonical summary and canonical percentiles)", k.Label())
+		return fmt.Errorf("serve: refusing to cache malformed entry for %s (need exactly one of summary/error and a canonical summary)", k.Label())
 	}
 	key, digest := k.Address()
 	if st.mem != nil {
@@ -346,7 +301,7 @@ func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 // than least-recently-used keeps a hit free of writes; every entry can
 // be recomputed, so the order decides cost, never correctness.
 func (st *Store) putMem(a memAddr, p Entry) {
-	payload := func(e Entry) int { return len(e.Summary) + len(e.Percentiles) + len(e.Error) }
+	payload := func(e Entry) int { return len(e.Summary) + len(e.Error) }
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	old, had := st.mem[a]

@@ -71,11 +71,9 @@ func TestStoreRoundTrip(t *testing.T) {
 				t.Fatalf("store holds %d entries, want 1", n)
 			}
 
-			// Other scopes are separate populations.
-			for _, other := range []Scope{{Scale: "small", Observed: true}, {Scale: "paper"}} {
-				if _, ok, _ := st.Get(other, k); ok {
-					t.Fatalf("scope %+v sees the %+v entry", other, sc)
-				}
+			// Another scale is a separate population.
+			if _, ok, _ := st.Get(Scope{Scale: "paper"}, k); ok {
+				t.Fatalf("scope paper sees the %+v entry", sc)
 			}
 		})
 	}
@@ -108,9 +106,10 @@ type malformedEntry struct {
 
 // malformedEntries are payloads a hit could not splice as a fresh
 // computation's bytes: neither or both of summary and error, summaries
-// that are not the canonical encoding, and percentile blocks that are
-// not the obs.Report block entryOf writes. Put refuses each, on both
-// media, and an entry file framed around one is a miss.
+// that are not the canonical encoding, and a canonical summary with a
+// percentile block glued on, as a reader that took cell.v2's observed
+// payload for one value would see it. Put refuses each, on both media,
+// and an entry file framed around one is a miss.
 func malformedEntries(t testing.TB) []malformedEntry {
 	sum := string(testSummary(t))
 	pct, err := json.Marshal(obs.Report{Events: 12, Bytes: 480, Hash: 99})
@@ -124,7 +123,7 @@ func malformedEntries(t testing.TB) []malformedEntry {
 		}
 		return Entry{Summary: []byte(strings.Replace(sum, old, new, -1))}
 	}
-	report := func(p string) Entry { return Entry{Summary: testSummary(t), Percentiles: []byte(p)} }
+	report := func(p string) Entry { return Entry{Summary: []byte(sum + p)} }
 	return []malformedEntry{
 		{"neither summary nor error", Entry{}},
 		{"summary and error", Entry{Summary: []byte(sum), Error: "out of memory"}},
@@ -236,16 +235,16 @@ func TestMemStoreBound(t *testing.T) {
 }
 
 // paranoidStore is a directory Store and the entry files Put writes into
-// it for testKey: a plain summary, an error, and an observed summary with
-// percentiles.
+// it for testKey, a summary and an error, with v2, the summary entry
+// in cell.v2's three-length frame under the current head.
 type paranoidStore struct {
 	*Store
-	key                     experiments.Key
-	plain, failed, observed []byte
+	key               experiments.Key
+	plain, failed, v2 []byte
 }
 
-// plainScope and observedScope are the two populations of one scale.
-var plainScope, observedScope = Scope{Scale: "small"}, Scope{Scale: "small", Observed: true}
+// plainScope is the population the paranoid reads plant into.
+var plainScope = Scope{Scale: "small"}
 
 func newParanoidStore(t testing.TB) *paranoidStore {
 	t.Helper()
@@ -254,13 +253,10 @@ func newParanoidStore(t testing.TB) *paranoidStore {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	ps := &paranoidStore{Store: st, key: testKey(t)}
-	pct, err := json.Marshal(obs.Report{Events: 12, Bytes: 480, Hash: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ps.plain = ps.written(t, plainScope, ps.key, Entry{Summary: testSummary(t)})
 	ps.failed = ps.written(t, plainScope, ps.key, Entry{Error: "out of memory: static allocation needs 3 GB"})
-	ps.observed = ps.written(t, observedScope, ps.key, Entry{Summary: testSummary(t), Percentiles: pct})
+	n := len(testSummary(t))
+	ps.v2 = bytes.Replace(ps.plain, fmt.Appendf(nil, "%d 0\n", n), fmt.Appendf(nil, "%d 0 0\n", n), 1)
 	return ps
 }
 
@@ -296,8 +292,9 @@ func TestStoreParanoidReads(t *testing.T) {
 	other := ps.key
 	other.Procs = 16
 	foreign := ps.written(t, plainScope, other, Entry{Summary: testSummary(t)})
+	otherScale := ps.written(t, Scope{Scale: "paper"}, ps.key, Entry{Summary: testSummary(t)})
 	framedError := func(value string) []byte {
-		return fmt.Appendf(head(plainScope, ps.key.CanonicalJSON()), "0 %d 0\n%s", len(value), value)
+		return fmt.Appendf(head(plainScope, ps.key.CanonicalJSON()), "0 %d\n%s", len(value), value)
 	}
 	if _, ok, err := ps.plant(t, plainScope, framedError(`"out of memory"`)); err != nil || !ok {
 		t.Fatalf("a hand-framed canonical error entry: ok=%v err=%v, want a hit", ok, err)
@@ -312,7 +309,8 @@ func TestStoreParanoidReads(t *testing.T) {
 		// The stored key no longer is the requested one.
 		{"tampered key", bytes.Replace(ps.plain, []byte(`"procs":8`), []byte(`"procs":16`), 1)},
 		{"foreign file", []byte("not an entry at all")},
-		{"scope skew", ps.observed},
+		{"scope skew", otherScale},
+		{"extra frame field", ps.v2},
 		{"another cell's entry", foreign},
 		{"appended bytes", append(ps.plain[:len(ps.plain):len(ps.plain)], '\n')},
 		// An error value that is JSON for the error text, but not the
@@ -330,32 +328,27 @@ func TestStoreParanoidReads(t *testing.T) {
 			}
 		})
 	}
-	// A well-framed entry around a payload Put refuses, in either scope.
+	// A well-framed entry around a payload Put refuses.
 	for _, tc := range malformedEntries(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, sc := range []Scope{plainScope, observedScope} {
-				data := encodeEntry(head(sc, ps.key.CanonicalJSON()), tc.e)
-				if _, ok, err := ps.plant(t, sc, data); err != nil || ok {
-					t.Fatalf("Get on a planted %s entry = ok=%v err=%v, want silent miss", sc.dir(), ok, err)
-				}
+			data := encodeEntry(head(plainScope, ps.key.CanonicalJSON()), tc.e)
+			if _, ok, err := ps.plant(t, plainScope, data); err != nil || ok {
+				t.Fatalf("Get on a planted entry = ok=%v err=%v, want silent miss", ok, err)
 			}
 		})
 	}
 
-	// An observed entry with percentiles, a plain summary entry and an
-	// error entry, each cut at every byte offset: the frame makes every
-	// cut detectable, the one right after a complete summary included.
+	// A summary entry and an error entry, each cut at every byte offset:
+	// the frame makes every cut detectable, the one right after a
+	// complete summary included.
 	t.Run("torn at every byte", func(t *testing.T) {
-		for _, whole := range []struct {
-			sc   Scope
-			data []byte
-		}{{observedScope, ps.observed}, {plainScope, ps.plain}, {plainScope, ps.failed}} {
-			if _, ok, err := ps.plant(t, whole.sc, whole.data); err != nil || !ok {
-				t.Fatalf("the whole %s entry: ok=%v err=%v, want a hit", whole.sc.dir(), ok, err)
+		for _, whole := range [][]byte{ps.plain, ps.failed} {
+			if _, ok, err := ps.plant(t, plainScope, whole); err != nil || !ok {
+				t.Fatalf("the whole entry: ok=%v err=%v, want a hit", ok, err)
 			}
-			for cut := range len(whole.data) {
-				if _, ok, err := ps.plant(t, whole.sc, whole.data[:cut]); err != nil || ok {
-					t.Fatalf("%s entry cut at byte %d of %d: ok=%v err=%v, want silent miss", whole.sc.dir(), cut, len(whole.data), ok, err)
+			for cut := range len(whole) {
+				if _, ok, err := ps.plant(t, plainScope, whole[:cut]); err != nil || ok {
+					t.Fatalf("entry cut at byte %d of %d: ok=%v err=%v, want silent miss", cut, len(whole), ok, err)
 				}
 			}
 		}
@@ -367,11 +360,11 @@ func TestStoreParanoidReads(t *testing.T) {
 // returned, then Get, returns the same payload bytes.
 func FuzzStoreEntry(f *testing.F) {
 	ps := newParanoidStore(f)
-	f.Add(ps.plain, false)
-	f.Add(ps.failed, false)
-	f.Add(ps.observed, true)
-	f.Fuzz(func(t *testing.T, data []byte, observed bool) {
-		sc := Scope{Scale: "small", Observed: observed}
+	f.Add(ps.plain)
+	f.Add(ps.failed)
+	f.Add(ps.v2)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := plainScope
 		e, ok, err := ps.plant(t, sc, data)
 		if err != nil {
 			t.Fatalf("Get on planted bytes: %v", err)
@@ -386,7 +379,7 @@ func FuzzStoreEntry(f *testing.F) {
 		if err != nil || !ok {
 			t.Fatalf("Get after re-Put: ok=%v err=%v", ok, err)
 		}
-		if !bytes.Equal(again.Summary, e.Summary) || again.Error != e.Error || !bytes.Equal(again.Percentiles, e.Percentiles) {
+		if !bytes.Equal(again.Summary, e.Summary) || again.Error != e.Error {
 			t.Fatalf("a hit is not a fixed point:\n got %+v\nwant %+v", again, e)
 		}
 	})
@@ -422,7 +415,7 @@ func TestStoreLeavesNoTempDroppings(t *testing.T) {
 // what orphans their files.
 func TestEntryVersionPinsCodecs(t *testing.T) {
 	const (
-		version = "cell.v2"
+		version = "cell.v3"
 		summary = `{"NumProcs":0,"WallClock":0,"TotalIO":0,"TotalIOQueue":0,"TotalComm":0,"TotalCompute":0,"TotalIdle":0,"BlocksLoaded":0,"BlocksPurged":0,"BlockEfficiency":0,"MsgsSent":0,"BytesSent":0,"Steps":0,"StreamlinesCompleted":0,"PeakMemoryBytes":0,"StealAttempts":0,"StealHits":0,"TokensPassed":0,"PrefetchIssued":0,"PrefetchHits":0,"PrefetchWasted":0,"IOHiddenTime":0,"ActivePeak":0,"ReleaseStalls":0,"ReleaseStallTime":0,"ProcsLost":0,"SeedsAdopted":0,"RingReforms":0,"MasterFailovers":0,"SendFailed":0,"PathlineSteps":0,"EpochCrossings":0,"TraceEvents":0,"TraceBytes":0,"Imbalance":0}`
 		key     = `{"v":"key/v1","dataset":"","seeding":"","alg":"","procs":0}`
 	)

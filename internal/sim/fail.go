@@ -1,6 +1,7 @@
 // Processor failure: first-class, deterministic death of a simulated
-// process. A fault plan (internal/faults) schedules Proc.FailAt calls;
-// at the fault instant the kernel unwinds the victim's body through
+// process. core.Run schedules each event of a fault plan
+// (internal/faults) with Kernel.At, and the recovery layer calls Fail at
+// the fault instant: the kernel unwinds the victim's body through
 // the same procKilled panic used for end-of-run cleanup and runs its
 // deferred cleanups (releasing any Resource slots it holds). The kernel
 // tells no one: which survivors learn of the loss, and when, is the
@@ -10,7 +11,7 @@
 // rests on that.
 package sim
 
-// Failed reports whether the process was killed mid-run by Fail/FailAt
+// Failed reports whether the process was killed mid-run by Fail
 // (as opposed to finishing its body or being unwound at end of run).
 func (p *Proc) Failed() bool { return p.failed }
 
@@ -29,13 +30,6 @@ func (p *Proc) TakeInbox() []any {
 	p.inbox = nil
 	p.inboxHead = 0
 	return m
-}
-
-// FailAt schedules this process to fail at absolute virtual time t. The
-// failure is an ordinary kernel event, so replaying the same schedule
-// reproduces the same run bit for bit.
-func (p *Proc) FailAt(t float64) {
-	p.k.At(t, func() { p.k.Fail(p) })
 }
 
 // Fail kills p at the current virtual time: the process's body is

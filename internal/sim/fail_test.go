@@ -4,6 +4,13 @@ import (
 	"testing"
 )
 
+// FailAt schedules p to fail at absolute virtual time t, as core.Run
+// schedules a fault plan's events: an ordinary kernel event, so
+// replaying the same schedule reproduces the same run bit for bit.
+func (p *Proc) FailAt(t float64) {
+	p.k.At(t, func() { p.k.Fail(p) })
+}
+
 // TestFailReleasesHeldResourceSlot pins the death-path cleanup contract:
 // a holder killed mid-hold releases its slot through its deferred
 // Release as the unwind runs, and the queued waiter is granted at the

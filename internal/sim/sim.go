@@ -499,9 +499,6 @@ func (p *Proc) TryRecv() (any, bool) {
 	return p.popMsg(), true
 }
 
-// Pending returns the number of queued messages without consuming them.
-func (p *Proc) Pending() int { return len(p.inbox) - p.inboxHead }
-
 // deadlockError reports processes that were still blocked when the event
 // queue drained.
 type deadlockError struct {

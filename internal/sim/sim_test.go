@@ -139,6 +139,9 @@ func TestTryRecv(t *testing.T) {
 	}
 }
 
+// Pending returns the number of queued messages without consuming them.
+func (p *Proc) Pending() int { return len(p.inbox) - p.inboxHead }
+
 func TestPending(t *testing.T) {
 	k := New()
 	var pending int
