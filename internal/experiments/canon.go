@@ -14,10 +14,13 @@
 //     set or the normalization rules bumps it.
 //
 // ParseKey alone stays lenient in its grammar (whitespace, any field
-// order, a missing "v"): it is the network API. TestKeyFieldIdentity
-// holds CanonicalJSON and ParseKey to the contract of the label
-// renderer and the sweep enumerator: keys that differ in one field
-// encode apart and each decodes back to itself (DESIGN.md §10, §14).
+// order, a missing "v"): it is the network API. It reads the exact
+// canonical bytes in place (scanKey) and any other body with
+// encoding/json, one answer either way (FuzzKeyScan).
+// TestKeyFieldIdentity holds CanonicalJSON and ParseKey to the contract
+// of the label renderer and the sweep enumerator: keys that differ in
+// one field encode apart and each decodes back to itself (DESIGN.md
+// §10, §14).
 package experiments
 
 import (
@@ -145,8 +148,15 @@ func (k Key) CanonicalJSON() []byte {
 // it against the encoding needs.
 func (k Key) Address() (canonical []byte, digest string) {
 	canonical = k.CanonicalJSON()
+	return canonical, digestOf(canonical)
+}
+
+// digestOf is the lowercase hex SHA-256 of a canonical key encoding.
+func digestOf(canonical []byte) string {
 	sum := sha256.Sum256(canonical)
-	return canonical, hex.EncodeToString(sum[:])
+	var hexed [2 * sha256.Size]byte
+	hex.Encode(hexed[:], sum[:])
+	return string(hexed[:])
 }
 
 // Digest returns the key's content address: the lowercase hex SHA-256 of
@@ -155,6 +165,21 @@ func (k Key) Address() (canonical []byte, digest string) {
 func (k Key) Digest() string {
 	_, digest := k.Address()
 	return digest
+}
+
+// ParseAddress is ParseKey that also returns the key's Address. A body
+// that is already the key's canonical encoding is its own canonical
+// bytes, returned as they are, so a request that sends CanonicalJSON is
+// neither decoded by encoding/json nor re-encoded.
+func ParseAddress(data []byte) (k Key, canonical []byte, digest string, err error) {
+	if k, ok := scanKey(data); ok {
+		return k, data, digestOf(data), nil
+	}
+	if k, err = parseKeyJSON(data); err != nil {
+		return Key{}, nil, "", err
+	}
+	canonical, digest = k.Address()
+	return k, canonical, digest, nil
 }
 
 // ParseKey decodes a key from its wire encoding — the request-decode
@@ -167,6 +192,15 @@ func (k Key) Digest() string {
 // A missing "v" field is accepted as the current keyCodecVersion so
 // hand-written request cells stay terse.
 func ParseKey(data []byte) (Key, error) {
+	if k, ok := scanKey(data); ok {
+		return k, nil
+	}
+	return parseKeyJSON(data)
+}
+
+// parseKeyJSON is ParseKey's general decoder: encoding/json's grammar
+// and errors, for every body scanKey does not read.
+func parseKeyJSON(data []byte) (Key, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var w keyWire
@@ -185,4 +219,58 @@ func ParseKey(data []byte) (Key, error) {
 		return Key{}, err
 	}
 	return k.normalized(), nil
+}
+
+// scanKey reads data in place if it is exactly the CanonicalJSON of a
+// valid key: keyWire's field order with "v" first, each axis value one
+// word of its vocabulary, procs without a leading zero, and no
+// whitespace, escape or alias. It allocates nothing. Any other bytes,
+// valid or not, are not ok, and ParseKey's general decoder reads them;
+// FuzzKeyScan holds the two to one answer wherever the scan accepts.
+func scanKey(data []byte) (k Key, ok bool) {
+	s := keyScan(data)
+	if !s.lit(`{"v":"`+keyCodecVersion+`"`) || !scanField(&s, `,"dataset":`, &k.Dataset, datasets()) ||
+		!scanField(&s, `,"seeding":`, &k.Seeding, seedings()) ||
+		!scanField(&s, `,"alg":`, &k.Alg, core.Algorithms()) || !s.lit(`,"procs":`) {
+		return Key{}, false
+	}
+	n := 0 // procs digits: at most five, the first not a zero; Validate bounds the count
+	for ; n < min(len(s), 5) && '0' <= s[n] && s[n] <= '9' && (n > 0 || s[n] != '0'); n++ {
+		k.Procs = k.Procs*10 + int(s[n]-'0')
+	}
+	s = s[n:]
+	// An optional field is omitted or enabled; any other spelling stops
+	// the scan short of the closing brace.
+	k.Unsteady = s.lit(`,"unsteady":true`)
+	scanField(&s, `,"prefetch":`, &k.Prefetch, []prefetch.Policy{prefetch.Neighbor, prefetch.Temporal, prefetch.Both})
+	scanField(&s, `,"injection":`, &k.Injection, []Injection{injectStagger, injectBurst, injectRate})
+	scanField(&s, `,"faults":`, &k.Faults, []FaultMode{faultsKill})
+	if string(s) != "}" || k.Validate() != nil {
+		return Key{}, false
+	}
+	return k, true
+}
+
+// keyScan is the unread rest of a body scanKey reads.
+type keyScan []byte
+
+// lit consumes text if the rest starts with it.
+func (s *keyScan) lit(text string) bool {
+	if len(*s) < len(text) || string((*s)[:len(text)]) != text {
+		return false
+	}
+	*s = (*s)[len(text):]
+	return true
+}
+
+// scanField consumes the field name and one quoted word of vocab into
+// *v, or nothing.
+func scanField[T ~string](s *keyScan, name string, v *T, vocab []T) bool {
+	for _, w := range vocab {
+		if rest := *s; rest.lit(name) && rest.lit(`"`) && rest.lit(string(w)) && rest.lit(`"`) {
+			*v, *s = w, rest
+			return true
+		}
+	}
+	return false
 }

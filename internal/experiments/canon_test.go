@@ -17,11 +17,23 @@ import (
 )
 
 // TestKeyAddressAllocs pins the allocations of the cache address every
-// request computes: the canonical bytes, the digest and its hex string.
+// request computes: the canonical bytes and the digest's hex string. A
+// canonical body is scanned in place and is its own canonical bytes, so
+// its address costs the hex string alone.
 func TestKeyAddressAllocs(t *testing.T) {
 	k := Key{Dataset: Astro, Seeding: Sparse, Alg: core.LoadOnDemand, Procs: 8, Prefetch: prefetch.Neighbor}
-	if n := testing.AllocsPerRun(100, func() { k.Address() }); n != 3 {
-		t.Errorf("Key.Address: %v allocations, want 3", n)
+	if n := testing.AllocsPerRun(100, func() { k.Address() }); n != 2 {
+		t.Errorf("Key.Address: %v allocations, want 2", n)
+	}
+	body := k.CanonicalJSON()
+	if n := testing.AllocsPerRun(100, func() { ParseKey(body) }); n != 0 {
+		t.Errorf("ParseKey of a canonical body: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseAddress(body) }); n != 1 {
+		t.Errorf("ParseAddress of a canonical body: %v allocations, want 1", n)
+	}
+	if got, canonical, digest, err := ParseAddress(body); err != nil || got != k || &canonical[0] != &body[0] || digest != k.Digest() {
+		t.Errorf("ParseAddress(%s) = %+v, %s, %s, %v; want the key, the body itself and %s", body, got, canonical, digest, err, k.Digest())
 	}
 }
 
@@ -245,6 +257,11 @@ func FuzzKeyRoundTrip(f *testing.F) {
 			return
 		}
 		enc := k.CanonicalJSON()
+		// The canonical bytes take the scan, not the general decoder: a
+		// scan that stopped matching would cost every hit its decode.
+		if scanned, ok := scanKey(enc); !ok || scanned != k.normalized() {
+			t.Fatalf("scanKey(%s) = %+v, %v; want %+v from the scan", enc, scanned, ok, k.normalized())
+		}
 		got, err := ParseKey(append(slices.Clone(enc), tail...))
 		if strings.Trim(tail, " \t\r\n") != "" {
 			if err == nil {
@@ -273,6 +290,45 @@ func FuzzKeyRoundTrip(f *testing.F) {
 		}
 		if got.Label() != want.Label() {
 			t.Fatalf("decoded key renders label %q, canonical %q", got.Label(), want.Label())
+		}
+	})
+}
+
+// FuzzKeyScan holds ParseKey's two readers to one answer on any body.
+// Whenever scanKey accepts, the general decoder returns the same key and
+// that key's CanonicalJSON is the body byte for byte; whenever the
+// general decoder returns a key whose CanonicalJSON is the body, the scan
+// accepts it too. The seeds are near misses of a canonical body.
+func FuzzKeyScan(f *testing.F) {
+	canonical := `{"v":"key/v1","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":8}`
+	for _, seed := range []string{
+		canonical,
+		`{"v":"key/v1","dataset":"fusion","seeding":"dense","alg":"stealing","procs":4096,"unsteady":true,"prefetch":"both","injection":"burst","faults":"kill"}`,
+		`{"v":"key/v1","dataset":"thermal","seeding":"dense","alg":"hybrid","procs":2,"prefetch":"temporal","injection":"rate"}`,
+		`{"v":"key/v1","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":08}`,
+		`{"v":"key/v1","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":8,"unsteady":false}`,
+		`{"v":"key/v1","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":8,"injection":"off"}`,
+		`{"v":"key/v1","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":8,"prefetch":"off"}`,
+		`{"v":"key/v1","dataset":"astr\u006f","seeding":"sparse","alg":"ondemand","procs":8}`,
+		`{"v":"key/v1","Dataset":"astro","seeding":"sparse","alg":"ondemand","procs":8}`,
+		`{"v":"key/v1","dataset":"astro","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":8}`,
+		canonical + " ",
+		`{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":8}`,
+		`{"v":"key/v1","dataset":"astro","seeding":"sparse","alg":"hybrid","procs":1}`,
+		`{"v":"key/v1","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":4097}`,
+		`{"v":"key/v1","dataset":"astro","seeding":"sparse","alg":"ondemand","procs":123456}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scanned, ok := scanKey(data)
+		decoded, err := parseKeyJSON(data)
+		canonical := err == nil && bytes.Equal(decoded.CanonicalJSON(), data)
+		if ok != canonical {
+			t.Fatalf("scanKey(%q) ok=%v, but the general decoder reads a canonical body: %v", data, ok, canonical)
+		}
+		if ok && scanned != decoded {
+			t.Fatalf("scanKey(%q) = %+v, the general decoder %+v", data, scanned, decoded)
 		}
 	})
 }

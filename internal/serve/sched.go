@@ -51,7 +51,6 @@ func (e *saturatedError) Error() string {
 // been served (from the store after all, or computed).
 type task struct {
 	key    experiments.Key
-	canon  []byte // key's canonical encoding; row.Digest is its digest
 	tenant string // names the task's queue in scheduler.tenants
 	row    *Row   // the request's row for this cell, filled by exec
 	done   chan struct{}

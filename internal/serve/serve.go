@@ -27,11 +27,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -187,7 +187,7 @@ func (s *Server) execTask(t *task) {
 	have := false
 	lookup := func() (out experiments.Outcome, hit bool) {
 		var err error
-		e, hit, err = s.store.get(scope, t.canon, t.row.Digest)
+		e, hit, err = s.store.Get(scope, t.key)
 		s.logErr(err)
 		if hit {
 			out, hit = outcomeOf(t.key, e)
@@ -246,17 +246,19 @@ func (s *Server) logErr(err error) {
 }
 
 // serveCell is the request tail: probe the store, admit a miss, wait
-// for it (bounded by the configured timeout), respond. The cell is
-// encoded, hashed and labelled once, here. A hit is answered on the
-// request goroutine and never queues, so only a cell that needs
+// for it (bounded by the configured timeout), respond through buf. The
+// cell's canonical encoding key and its digest come from the request's
+// parse. key may alias the body in buf, so the probe reads it before buf
+// takes the response, and a miss's task, which may outlive the request,
+// does not take it: its worker addresses the key anew. A hit is answered
+// on the request goroutine and never queues, so only a cell that needs
 // computing counts against the tenant's cap; a draining Server refuses
 // the request all the same, a hit included.
-func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, k experiments.Key) {
+func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, k experiments.Key, key []byte, digest string, buf *bytes.Buffer) {
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = "anon"
 	}
-	key, digest := k.Address()
 	// The response's one row is rows[0], so the row is not copied into it.
 	rows := []Row{{Label: k.Label(), Digest: digest, Source: "computed"}}
 	row := &rows[0]
@@ -267,7 +269,7 @@ func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, k experiments
 		row.Cached, row.Source = true, s.store.tier
 		row.Error, row.Summary = e.Error, e.Summary
 	} else {
-		miss = &task{key: k, canon: key, row: row}
+		miss = &task{key: k, row: row}
 	}
 	if err := s.sched.submit(tenant, miss); err != nil {
 		var sat *saturatedError
@@ -298,9 +300,11 @@ func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, k experiments
 			return
 		}
 	}
+	buf.Reset()
+	buf.Write(encodeResponse(buf.AvailableBuffer(), Response{Schema: Schema, Scale: s.cfg.ScaleName, Rows: rows}))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(encodeResponse(Response{Schema: Schema, Scale: s.cfg.ScaleName, Rows: rows}))
+	w.Write(buf.Bytes())
 }
 
 // handleHealth answers liveness probes.
@@ -314,7 +318,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleCell serves POST /v1/cell: the body is one canonical key
 // encoding (the exact bytes (Key).CanonicalJSON emits, aliases
-// welcome), and the request takes no query.
+// welcome), and the request takes no query. The body and then the
+// response live in one pooled buffer.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -324,56 +329,75 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "POST /v1/cell takes no query; the body is the whole request")
 		return
 	}
-	body, ok := readBody(w, r)
-	if !ok {
+	buf := bufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBytes {
+			buf.Reset()
+			bufs.Put(buf)
+		}
+	}()
+	if !readBody(w, r, buf) {
 		return
 	}
-	k, err := experiments.ParseKey(body)
+	k, key, digest, err := experiments.ParseAddress(buf.Bytes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serveCell(w, r, k)
+	s.serveCell(w, r, k, key, digest, buf)
 }
 
 // maxBodyBytes bounds request bodies; a canonical key encoding is a few
 // hundred bytes, so a megabyte is generous.
 const maxBodyBytes = 1 << 20
 
-// readBody drains a bounded request body, or answers the request: 413
-// past maxBodyBytes, 400 for an empty or unreadable body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// bufs holds the buffers a cell request reads its body into and
+// encodes its response into. A buffer grown past maxPooledBytes (an
+// oversized body, a 413) is left to the collector, so the pool holds
+// only buffers the size of a key or a response row.
+var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBytes bounds the buffers bufs keeps: a summary row is under
+// two kilobytes.
+const maxPooledBytes = 16 << 10
+
+// readBody drains a bounded request body into buf, or answers the
+// request: 413 past maxBodyBytes, 400 for an empty or unreadable body.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil && buf.Len() > 0 {
+		return true
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "read request body: "+err.Error())
-	case len(body) == 0:
-		writeError(w, http.StatusBadRequest, "empty request body")
 	default:
-		return body, true
+		writeError(w, http.StatusBadRequest, "empty request body")
 	}
-	return nil, false
+	return false
 }
 
 // rowCodec is Row's field table.
 var rowCodec = canon.For[Row]()
 
-// encodeResponse renders resp as json.Marshal does, plus a newline — the
-// bytes writeJSON would write, which FuzzResponseEncoding pins — into
-// one buffer sized up front. Summary is spliced as it is, where
+// encodeResponse appends resp as json.Marshal renders it, plus a
+// newline — the bytes writeJSON would write, which FuzzResponseEncoding
+// pins — to b, grown once up front. Summary is spliced as it is, where
 // json.Marshal would re-scan it to compact it: every summary a Server
 // serves is already compact, canonical or cached by Put from a
 // canonical encoding.
-func encodeResponse(resp Response) []byte {
+func encodeResponse(b []byte, resp Response) []byte {
 	n := len(`{"schema":"","scale":"","rows":[]}`+"\n") + len(resp.Schema) + len(resp.Scale)
 	for _, r := range resp.Rows {
 		n += len(`{"label":"","digest":"","cached":false,"source":"","error":"","summary":},`) +
 			len(r.Label) + len(r.Digest) + len(r.Source) + len(r.Error) + len(r.Summary)
 	}
-	b := make([]byte, 0, n)
+	if cap(b)-len(b) < n {
+		b = append(make([]byte, 0, len(b)+n), b...) // slices.Grow makes two under -race
+	}
 	b = append(b, `{"schema":`...)
 	b = canon.Quote(b, resp.Schema)
 	b = append(b, `,"scale":`...)

@@ -19,6 +19,10 @@ import (
 	"repro/internal/metrics"
 )
 
+// raceEnabled reports a -race build (race_test.go), whose sync.Pool
+// makes allocation counts vary.
+var raceEnabled bool
+
 // tinyScale is a deliberately minuscule campaign scale so service tests
 // compute real cells in milliseconds.
 func tinyScale() experiments.Scale {
@@ -570,7 +574,10 @@ func TestHitIsAnsweredAtTheCap(t *testing.T) {
 // TestTimeoutWarmsCacheAnyway pins the 504 contract: the request times
 // out but the computation continues and lands in the cache for the
 // retry. The computation is held until the request has been answered,
-// so a worker that finishes first cannot race the deadline.
+// so a worker that finishes first cannot race the deadline. The body is
+// canonical, so its address is the request's pooled buffer itself; a
+// second body is read into that buffer while the first computation may
+// still run, and the computation must land under the first key.
 func TestTimeoutWarmsCacheAnyway(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.CacheDir = t.TempDir()
@@ -580,17 +587,28 @@ func TestTimeoutWarmsCacheAnyway(t *testing.T) {
 	release := sync.OnceFunc(func() { close(gate) })
 	t.Cleanup(release) // before the drain, should the test stop early
 	countExec(s, gate)
-	w := post(s, http.MethodPost, "/v1/cell", "", cellBody)
+	first := experiments.Key{Dataset: experiments.Astro, Seeding: experiments.Sparse, Alg: "ondemand", Procs: 2}
+	w := post(s, http.MethodPost, "/v1/cell", "", string(first.CanonicalJSON()))
 	release()
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body.String())
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for s.cacheLen() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("timed-out computation never reached the cache")
+	second := first
+	second.Procs = 4
+	if w := post(s, http.MethodPost, "/v1/cell", "", string(second.CanonicalJSON())); w.Code != http.StatusGatewayTimeout && w.Code != http.StatusOK {
+		t.Fatalf("second body: status %d, want 504 or 200; body %s", w.Code, w.Body.String())
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		_, ok, err := s.store.Get(Scope{Scale: s.cfg.ScaleName}, first)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed-out computation never reached the cache under its key")
+		}
 	}
 }
 
@@ -634,7 +652,7 @@ func TestResponseEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := encodeResponse(resp); !bytes.Equal(got, append(want, '\n')) {
+			if got := encodeResponse(nil, resp); !bytes.Equal(got, append(want, '\n')) {
 				t.Fatalf("encodeResponse differs from encoding/json:\n got %q\nwant %q", got, want)
 			}
 		})
@@ -643,13 +661,18 @@ func TestResponseEncoding(t *testing.T) {
 
 // TestEncodeResponseAllocs: a response whose strings need no escape —
 // every row a Server answers with, bar a failure's text — is encoded in
-// one allocation, the buffer sized up front.
+// one allocation, the buffer sized up front, and into a reused buffer
+// with room for it, in none.
 func TestEncodeResponseAllocs(t *testing.T) {
 	cases := encodingCases(t)
 	for _, name := range []string{"hit", "cached false", "three rows", "no rows", "empty label and error"} {
 		resp := cases[name]
-		if n := testing.AllocsPerRun(100, func() { encodeResponse(resp) }); n != 1 {
+		if n := testing.AllocsPerRun(100, func() { encodeResponse(nil, resp) }); n != 1 {
 			t.Errorf("%s: encodeResponse made %v allocations, want 1", name, n)
+		}
+		buf := encodeResponse(nil, resp)
+		if n := testing.AllocsPerRun(100, func() { buf = encodeResponse(buf[:0], resp) }); n != 0 {
+			t.Errorf("%s: encodeResponse into a reused buffer made %v allocations, want 0", name, n)
 		}
 	}
 }
@@ -668,7 +691,7 @@ func FuzzResponseEncoding(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := encodeResponse(resp); !bytes.Equal(got, append(want, '\n')) {
+		if got := encodeResponse(nil, resp); !bytes.Equal(got, append(want, '\n')) {
 			t.Fatalf("encodeResponse differs from encoding/json:\n got %q\nwant %q", got, want)
 		}
 	})
@@ -691,5 +714,54 @@ func TestOutcomeOfInvertsEntryOf(t *testing.T) {
 	}
 	if _, ok := outcomeOf(k, Entry{Summary: json.RawMessage(`{"NumProcs":8}`)}); ok {
 		t.Error("a one-field summary decoded")
+	}
+}
+
+// hitWriter is a reusable http.ResponseWriter, so a hit's allocations
+// are the handler's, not a recorder's.
+type hitWriter struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+}
+
+func (w *hitWriter) Header() http.Header         { return w.header }
+func (w *hitWriter) WriteHeader(code int)        { w.code = code }
+func (w *hitWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// TestCellHitAllocs pins the allocations of a cache hit through
+// Server.ServeHTTP on both media: for the body the key's CanonicalJSON
+// writes, which is scanned in place and is its own address, and for an
+// alias spelling of the same cell, which takes the general decoder and
+// is re-encoded.
+func TestCellHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	canonical := string(experiments.Key{Dataset: experiments.Astro, Seeding: experiments.Sparse, Alg: "ondemand", Procs: 2}.CanonicalJSON())
+	want := map[string]map[string]float64{
+		"disk":   {"canonical": 13, "alias": 25},
+		"memory": {"canonical": 5, "alias": 17},
+	}
+	for medium, set := range media(t) {
+		s := newTestServer(t, set)
+		decodeResponse(t, post(s, http.MethodPost, "/v1/cell", "", canonical)) // fill the cache
+		for name, body := range map[string]string{"canonical": canonical, "alias": cellBody} {
+			rd := strings.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, "/v1/cell", rd)
+			w := &hitWriter{header: http.Header{}}
+			n := testing.AllocsPerRun(100, func() {
+				rd.Reset(body)
+				clear(w.header)
+				w.body.Reset()
+				s.ServeHTTP(w, req)
+			})
+			if w.code != http.StatusOK || !strings.Contains(w.body.String(), `"cached":true`) {
+				t.Fatalf("%s %s: status %d, body %s: not a hit", medium, name, w.code, w.body.String())
+			}
+			if n != want[medium][name] {
+				t.Errorf("%s %s hit: %v allocations, want %v", medium, name, n, want[medium][name])
+			}
+		}
 	}
 }

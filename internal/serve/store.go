@@ -28,19 +28,20 @@
 // Both media hold only what Put has validated: a summary that is the
 // canonical encoding, byte for byte, so a hit splices exactly what a
 // fresh computation responds with. Directory reads are paranoid
-// besides: a file whose head is not the one Put writes for the
-// requested scope and key (another version, scope or cell), whose
-// length disagrees with its frame (cut or extended at any byte),
-// whose payload Put would refuse, or whose error value is not the
-// bytes Put quotes it as, is a cache miss, never served. Corruption —
-// like eviction — can cost a recompute; it can never serve the wrong
-// cell.
+// besides: a file larger than maxEntryBytes (never read), one whose
+// head is not the one Put writes for the requested scope and key
+// (another version, scope or cell), whose length disagrees with its
+// frame (cut or extended at any byte), whose payload Put would refuse,
+// or whose error value is not the bytes Put quotes it as, is a cache
+// miss, never served. Corruption — like eviction — can cost a
+// recompute; it can never serve the wrong cell.
 package serve
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -147,11 +148,14 @@ func decodeEntry(data, head []byte) (Entry, bool) {
 		e.Summary = rest[:n[0]:n[0]]
 	}
 	// The error value, like the summary, must be the bytes Put writes for
-	// it.
-	errValue := rest[n[0]:]
-	var quoted [256]byte // room for a failure's text, so a hit allocates no more
-	if n[1] > 0 && (json.Unmarshal(errValue, &e.Error) != nil || e.Error == "" || !bytes.Equal(canon.Quote(quoted[:0], e.Error), errValue)) {
-		return Entry{}, false
+	// it. Only an error entry pays for the text it decodes to.
+	if errValue := rest[n[0]:]; n[1] > 0 {
+		var text string
+		var quoted [256]byte // room for a failure's text, so a hit allocates no more
+		if json.Unmarshal(errValue, &text) != nil || text == "" || !bytes.Equal(canon.Quote(quoted[:0], text), errValue) {
+			return Entry{}, false
+		}
+		e.Error = text
 	}
 	if !e.valid() {
 		return Entry{}, false
@@ -238,7 +242,8 @@ func (st *Store) Get(sc Scope, k experiments.Key) (Entry, bool, error) {
 }
 
 // get is Get for a key whose canonical encoding and digest the caller
-// already has: a request computes them once for its row and its lookup.
+// already has: a request's parse returns them, the encoding often the
+// request body itself.
 func (st *Store) get(sc Scope, key []byte, digest string) (Entry, bool, error) {
 	if st.mem != nil {
 		st.mu.RLock()
@@ -246,22 +251,41 @@ func (st *Store) get(sc Scope, key []byte, digest string) (Entry, bool, error) {
 		st.mu.RUnlock()
 		return e, ok, nil
 	}
-	data, err := os.ReadFile(st.path(sc, digest))
+	f, err := os.Open(st.path(sc, digest))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return Entry{}, false, nil
 		}
 		return Entry{}, false, fmt.Errorf("serve: cache read: %w", err)
 	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return Entry{}, false, fmt.Errorf("serve: cache read: %w", err)
+	}
+	if info.Size() > maxEntryBytes { // Put writes none; never read one
+		return Entry{}, false, nil
+	}
+	data := make([]byte, info.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return Entry{}, false, fmt.Errorf("serve: cache read: %w", err)
+	}
 	e, ok := decodeEntry(data, head(sc, key))
 	return e, ok, nil
 }
+
+// maxEntryBytes bounds an entry file, so a planted or corrupt file
+// cannot make a read allocate its size. A summary is under a kilobyte;
+// the bound leaves it room many times over and is a thousandth of what
+// the memory medium holds.
+const maxEntryBytes = memCacheBytes / 1024
 
 // Put caches the outcome of k in scope sc: the payload (Summary or
 // Error), whose bytes the caller leaves alone afterwards — the memory
 // medium keeps them. A directory write is atomic: concurrent Puts of
 // the same (deterministic) outcome are harmless last-writer-wins
-// renames.
+// renames. An entry file over maxEntryBytes is refused, since a read
+// would take it for a miss forever.
 func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 	if !e.valid() {
 		return fmt.Errorf("serve: refusing to cache malformed entry for %s (need exactly one of summary/error and a canonical summary)", k.Label())
@@ -272,6 +296,9 @@ func (st *Store) Put(sc Scope, k experiments.Key, e Entry) error {
 		return nil
 	}
 	data := encodeEntry(head(sc, key), e)
+	if len(data) > maxEntryBytes {
+		return fmt.Errorf("serve: refusing to cache a %d-byte entry for %s: over the %d bytes a read accepts", len(data), k.Label(), maxEntryBytes)
+	}
 	path := st.path(sc, digest)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("serve: cache write: %w", err)

@@ -284,9 +284,9 @@ func (ps *paranoidStore) plant(t testing.TB, sc Scope, data []byte) (Entry, bool
 }
 
 // TestStoreParanoidReads proves corruption costs a recompute, never a
-// wrong answer: torn (at any byte), tampered, stale-versioned, misplaced
-// and over-long entries, and entries around a payload that is not
-// canonical, all read as misses.
+// wrong answer: torn (at any byte), tampered, stale-versioned, misplaced,
+// over-long and oversized entries, and entries around a payload that is
+// not canonical, all read as misses.
 func TestStoreParanoidReads(t *testing.T) {
 	ps := newParanoidStore(t)
 	other := ps.key
@@ -300,6 +300,12 @@ func TestStoreParanoidReads(t *testing.T) {
 		t.Fatalf("a hand-framed canonical error entry: ok=%v err=%v, want a hit", ok, err)
 	}
 
+	// An entry that would be a hit if it were read, over the bound a
+	// read accepts: Put refuses it, and a planted one is a miss.
+	long := Entry{Error: strings.Repeat("x", maxEntryBytes)}
+	if err := ps.Put(plainScope, ps.key, long); err == nil {
+		t.Error("Put of an entry over maxEntryBytes succeeded")
+	}
 	cases := []struct {
 		name string
 		data []byte
@@ -317,6 +323,7 @@ func TestStoreParanoidReads(t *testing.T) {
 		// bytes Put quotes it as.
 		{"padded error", framedError(` "out of memory"`)},
 		{"escaped error", framedError(`"\u006fut of memory"`)},
+		{"oversized", encodeEntry(head(plainScope, ps.key.CanonicalJSON()), long)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
